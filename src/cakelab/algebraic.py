@@ -17,22 +17,24 @@ Key internals:
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.
+
+The intern tables, node caches and the degree cap are process-wide and
+unlocked: the module is single-threaded.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Optional, Union
 
 from .dyadic import DyadicInterval
 from .errors import DegreeCapExceeded, ZeroPolynomialError
-from .factoring import DEFAULT_DEGREE_CAP, factor_over_Q
-from .factoring import _interpolate as _lagrange
+from .factoring import DEFAULT_DEGREE_CAP, _interpolate, factor_over_Q
+from .ints import factor_positive, is_probable_prime
 from .polys import (
     Poly,
-    count_roots_in,
+    bisect_root,
     rational_roots,
     resultant,
     root_bound,
@@ -42,15 +44,13 @@ from .polys import (
     sturm_isolate,
 )
 
-_cap_lock = threading.Lock()
 _degree_cap = DEFAULT_DEGREE_CAP
 
 
 def set_degree_cap(cap: int) -> None:
     """Override the factorization degree cap (process-wide, set at startup)."""
     global _degree_cap
-    with _cap_lock:
-        _degree_cap = int(cap)
+    _degree_cap = int(cap)
 
 
 def degree_cap() -> int:
@@ -128,9 +128,6 @@ def _reduce_radical(r: Fraction, d: int) -> tuple[Fraction, int]:
 # -- expression nodes --------------------------------------------------------
 
 _SAF_UNAVAILABLE = object()
-_MP_PENDING = object()
-
-_node_lock = threading.RLock()
 
 
 class _Node:
@@ -192,7 +189,7 @@ class _RootAtom(_Node):
 class _PolyRootAtom(_Node):
     """A specific real root of a rational polynomial, tracked by bracket."""
 
-    __slots__ = ("poly", "ordinal", "lo", "hi", "_chain")
+    __slots__ = ("poly", "ordinal", "lo", "hi")
 
     def __init__(self, poly: Poly, ordinal: int, lo: Fraction, hi: Fraction):
         super().__init__()
@@ -200,7 +197,6 @@ class _PolyRootAtom(_Node):
         self.ordinal = ordinal  # index among all real roots, ascending
         self.lo = lo
         self.hi = hi
-        self._chain = sturm_chain(poly)
 
 
 class _CutRootAtom(_Node):
@@ -436,11 +432,10 @@ def _make_root(operand: Union[Fraction, _Node], d: int) -> _Node:
         if dd == 1:
             return _Rat(r)
         key = (r, dd)
-        with _node_lock:
-            atom = _root_intern.get(key)
-            if atom is None:
-                atom = _RootAtom(r, dd)
-                _root_intern[key] = atom
+        atom = _root_intern.get(key)
+        if atom is None:
+            atom = _RootAtom(r, dd)
+            _root_intern[key] = atom
         return atom
     s = _sign(operand)
     if s == 0:
@@ -458,24 +453,21 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
     if p.is_zero:
         raise ZeroPolynomialError("cannot take a root of the zero polynomial")
     sqf = squarefree_part(p).primitive()
-    if count_roots_in(sqf, lo, hi) != 1:
+    bound = root_bound(sqf)
+    all_ivs = sturm_isolate(sqf, DyadicInterval(-bound, bound))
+    # each isolating interval holds one simple root and sqf changes sign
+    # only there, so a sign test at the clipped ends places that root
+    hits = []
+    for idx, iv in enumerate(all_ivs):
+        a, b = max(iv.lo, lo), min(iv.hi, hi)
+        if a <= b and sqf(a) * sqf(b) <= 0:
+            hits.append(idx)
+    if len(hits) != 1:
         raise ValueError("the span must contain exactly one root")
     for r in rational_roots(sqf):
         if lo <= r <= hi:
             return _Rat(r)
-    bound = root_bound(sqf)
-    all_ivs = sturm_isolate(sqf, DyadicInterval(-bound, bound))
-    chain = sturm_chain(sqf)
-    target_idx = None
-    for idx, iv in enumerate(all_ivs):
-        a, b = max(iv.lo, lo), min(iv.hi, hi)
-        if a > b:
-            continue
-        n = sturm_count(chain, a, b) + (1 if sqf(a) == 0 else 0)
-        if n == 1:
-            target_idx = idx
-            break
-    assert target_idx is not None
+    target_idx = hits[0]
     iv = all_ivs[target_idx]
     nonzero = [(i, c) for i, c in enumerate(sqf.coeffs) if c != 0]
     if len(nonzero) == 2 and nonzero[0][0] == 0:
@@ -488,11 +480,10 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
     if sqf.degree == 2:
         return _quadratic_root(sqf, iv)
     key = (sqf.coeffs, target_idx)
-    with _node_lock:
-        atom = _polyroot_intern.get(key)
-        if atom is None:
-            atom = _PolyRootAtom(sqf, target_idx, iv.lo, iv.hi)
-            _polyroot_intern[key] = atom
+    atom = _polyroot_intern.get(key)
+    if atom is None:
+        atom = _PolyRootAtom(sqf, target_idx, iv.lo, iv.hi)
+        _polyroot_intern[key] = atom
     return atom
 
 
@@ -500,8 +491,6 @@ def _quadratic_root(sqf: Poly, iv: DyadicInterval) -> _Node:
     """Quadratic roots canonicalize to r0 + r1 * sqrt(D) with D squarefree,
     so values from different quadratics share one interned atom per D and
     stay inside the radical machinery."""
-    from .ints import factor_positive
-
     a0, a1, a2 = sqf.coeff(0), sqf.coeff(1), sqf.coeff(2)
     disc = int(a1 * a1 - 4 * a2 * a0)
     assert disc > 0
@@ -597,41 +586,31 @@ def _interval(node: _Node, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
-    eps = Fraction(1, 1 << k)
-    lo, hi, p = atom.lo, atom.hi, atom.poly
-    sign_lo = p(lo) > 0
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        v = p(mid)
-        if v == 0:  # cannot happen for interned atoms (no rational roots)
-            lo = hi = mid
-            break
-        if (v > 0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    atom.lo, atom.hi = lo, hi
-    return lo, hi
+    p = atom.poly
+    side = p if p(atom.lo) < 0 else -p
+    # p has no root at a midpoint: interned atoms have no rational roots
+    atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
+    return atom.lo, atom.hi
 
 
 def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
-    eps = Fraction(1, 1 << k)
-    lo, hi = atom.lo, atom.hi
     kc = max(k, 8)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        fm = atom.cdf(mid)
-        tlo, thi = _interval(atom.target, kc)
-        if fm < tlo:
-            lo = mid
-        elif fm > thi:
-            hi = mid
-        else:
-            # the target interval is too wide to separate from f(mid);
-            # the target is irrational by construction, so this resolves
+
+    def side(x: Fraction) -> int:
+        """Sign of cdf(x) - target; the target is irrational by construction,
+        so doubling its precision always separates the two."""
+        nonlocal kc
+        fx = atom.cdf(x)
+        while True:
+            tlo, thi = _interval(atom.target, kc)
+            if fx < tlo:
+                return -1
+            if fx > thi:
+                return 1
             kc *= 2
-    atom.lo, atom.hi = lo, hi
-    return lo, hi
+
+    atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
+    return atom.lo, atom.hi
 
 
 def _refine_to(node: _Node, eps: Fraction) -> tuple[Fraction, Fraction]:
@@ -667,11 +646,6 @@ def _inv_mod(g: Poly, m: Poly) -> Poly:
     d, s, _ = _ext_gcd_poly(g, m)
     assert d.degree == 0 and not d.is_zero, "modulus must be coprime to g"
     return (s.scale(1 / d.coeff(0))) % m
-
-
-def _atom_minpoly(atom: _Node) -> Poly:
-    """Minimal polynomial of an atom node (may raise DegreeCapExceeded)."""
-    return _minpoly(atom)
 
 
 def _saf_of(node: _Node):
@@ -752,10 +726,6 @@ def _rational_value(node: _Node) -> Optional[Fraction]:
 # -- minimal polynomials --------------------------------------------------------
 
 
-def _normalize_minpoly(p: Poly) -> Poly:
-    return p.primitive()
-
-
 def _select_factor(candidates: list[Poly], node: _Node) -> Poly:
     """The unique irreducible candidate vanishing at the node's value."""
     cands = []
@@ -790,28 +760,34 @@ def _image_minpoly_candidates(m: Poly, g: Poly) -> list[Poly]:
     n = m.degree
     pts = list(range(n + 1))
     vals = [resultant(m, Poly.constant(t) - g) for t in pts]
-    rpoly = Poly(_lagrange(pts, [Fraction(v) for v in vals]))
+    rpoly = Poly(_interpolate(pts, vals))
     fac = factor_over_Q(rpoly, degree_cap())
     return [f for f, _ in fac.factors]
 
 
-def _binary_minpoly_candidates(kind: str, ma: Poly, mb: Poly) -> list[Poly]:
-    na, nb = ma.degree, mb.degree
-    dd = na * nb
-    cap = degree_cap()
-    if dd > cap:
-        raise DegreeCapExceeded(dd, cap, f"{kind} elimination")
-    pts = list(range(dd + 1))
+def _binary_elimination(kind: str, ma: Poly, mb: Poly) -> Poly:
+    """Polynomial of degree deg ma * deg mb whose roots are all pairwise
+    sums ("add") or products ("mul") of roots of ma and mb: the resultant
+    in y of ma(y) against mb(T - y), or against y^deg mb * mb(T / y),
+    interpolated at integer points T."""
+    nb = mb.degree
+    pts = list(range(ma.degree * nb + 1))
     vals = []
     for t in pts:
         if kind == "add":
             other = mb.compose(Poly([Fraction(t), -1]))
         else:  # mul
-            coeffs = [mb.coeff(nb - j) * Fraction(t) ** (nb - j) for j in range(nb + 1)]
-            other = Poly(coeffs)
-        vals.append(Fraction(resultant(ma, other)))
-    rpoly = Poly(_lagrange(pts, vals))
-    fac = factor_over_Q(rpoly, cap)
+            other = Poly([mb.coeff(nb - j) * Fraction(t) ** (nb - j) for j in range(nb + 1)])
+        vals.append(resultant(ma, other))
+    return Poly(_interpolate(pts, vals))
+
+
+def _binary_minpoly_candidates(kind: str, ma: Poly, mb: Poly) -> list[Poly]:
+    dd = ma.degree * mb.degree
+    cap = degree_cap()
+    if dd > cap:
+        raise DegreeCapExceeded(dd, cap, f"{kind} elimination")
+    fac = factor_over_Q(_binary_elimination(kind, ma, mb), cap)
     return [f for f, _ in fac.factors]
 
 
@@ -845,7 +821,7 @@ def _compute_minpoly(node: _Node) -> Poly:
             return _minpoly(atom)
         m = _minpoly(atom).monic()
         cands = _image_minpoly_candidates(m, g)
-        return _normalize_minpoly(_select_factor(cands, node))
+        return _select_factor(cands, node).primitive()
     if isinstance(node, _RootAtom):
         cap = degree_cap()
         if isinstance(node.operand, Fraction):
@@ -861,10 +837,10 @@ def _compute_minpoly(node: _Node) -> Poly:
         if dd > cap:
             raise DegreeCapExceeded(dd, cap, "root adjunction")
         fac = factor_over_Q(m_op.substitute_power(node.index), cap)
-        return _normalize_minpoly(_select_factor([f for f, _ in fac.factors], node))
+        return _select_factor([f for f, _ in fac.factors], node).primitive()
     if isinstance(node, _PolyRootAtom):
         fac = factor_over_Q(node.poly, degree_cap())
-        return _normalize_minpoly(_select_factor([f for f, _ in fac.factors], node))
+        return _select_factor([f for f, _ in fac.factors], node).primitive()
     if isinstance(node, _CutRootAtom):
         m_c = _minpoly(node.target)
         cap = degree_cap()
@@ -873,7 +849,7 @@ def _compute_minpoly(node: _Node) -> Poly:
             raise DegreeCapExceeded(dd, cap, "cut-root elimination")
         composed = m_c.compose(node.cdf)
         fac = factor_over_Q(composed, cap)
-        return _normalize_minpoly(_select_factor([f for f, _ in fac.factors], node))
+        return _select_factor([f for f, _ in fac.factors], node).primitive()
     assert isinstance(node, _Binary)
     ma = _minpoly(node.a)
     mb = _minpoly(node.b)
@@ -884,9 +860,9 @@ def _compute_minpoly(node: _Node) -> Poly:
     elif isinstance(node, _Mul):
         cands = _binary_minpoly_candidates("mul", ma, mb)
     else:
-        mb_inv = _normalize_minpoly(mb.reverse())
+        mb_inv = mb.reverse().primitive()
         cands = _binary_minpoly_candidates("mul", ma, mb_inv)
-    return _normalize_minpoly(_select_factor(cands, node))
+    return _select_factor(cands, node).primitive()
 
 
 # -- signs and comparisons -------------------------------------------------------
@@ -905,20 +881,11 @@ def _sign(node: _Node) -> int:
             v = g.coeff(0)
             return (v > 0) - (v < 0)
         # nonzero residue modulo an irreducible modulus: the value is not 0
-        return _sign_by_refinement(node)
+        return _sign_by_refinement(node, max(8, node._ivc[0]))
     # numeric first, symbolic zero test only if 2^-128 cannot separate
-    k = 8
-    while k <= 128:
-        try:
-            lo, hi = _interval(node, k)
-        except _MorePrecision:
-            k *= 2
-            continue
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        k *= 2
+    s = _sign_by_refinement(node, 8, 128)
+    if s is not None:
+        return s
     try:
         m = _minpoly(node)
         if m == Poly([0, 1]):
@@ -926,17 +893,17 @@ def _sign(node: _Node) -> int:
         if m.degree == 1:
             v = -m.coeff(0) / m.coeff(1)
             return (v > 0) - (v < 0)
-        return _sign_by_refinement(node)
     except DegreeCapExceeded:
         if isinstance(node, _Sub) and _equal_values(node.a, node.b):
             return 0
-        return _sign_by_refinement(node)
+    return _sign_by_refinement(node, max(8, node._ivc[0]))
 
 
-def _sign_by_refinement(node: _Node) -> int:
-    """Refine until zero is excluded; only sound for provably nonzero values."""
-    k = max(8, node._ivc[0])
-    while True:
+def _sign_by_refinement(node: _Node, k: int, limit: Optional[int] = None) -> Optional[int]:
+    """Refine from precision k, doubling it, until zero is excluded.  This
+    ends only for values known to be nonzero; with a limit it returns None
+    once k passes the limit."""
+    while limit is None or k <= limit:
         try:
             lo, hi = _interval(node, k)
         except _MorePrecision:
@@ -947,6 +914,7 @@ def _sign_by_refinement(node: _Node) -> int:
         if hi < 0:
             return -1
         k *= 2
+    return None
 
 
 def _equal_values(a: _Node, b: _Node) -> bool:
@@ -1189,9 +1157,7 @@ def rational_radical_form(value: AlgebraicNumber) -> Optional[tuple[Fraction, in
     ):
         return None
     d = atom.index
-    from .factoring import _is_prime
-
-    if g.degree == 1 or _is_prime(d):
+    if g.degree == 1 or is_probable_prime(d):
         # an affine image generates the whole field; so does any nonconstant
         # image when the field degree is prime (no proper subfields)
         return (atom.operand, d)

@@ -29,7 +29,8 @@ from .algebraic import AlgebraicNumber, nth_root
 from .cake import Measure
 from .dyadic import DyadicInterval
 from .errors import UncoveredCaseError
-from .factoring import Eisenstein, eisenstein, factor_over_Q, is_irreducible, _is_prime
+from .factoring import Eisenstein, eisenstein, factor_over_Q, is_irreducible
+from .ints import is_probable_prime
 from .polys import Poly, count_roots_in, refine_root, sturm_isolate
 from .tower import degree_obstruction
 
@@ -161,7 +162,7 @@ def solvability_verdict(d: int) -> SolvabilityVerdict:
         if cls.galois != f"S_{d}":
             raise AssertionError("symmetric-group certificate unexpectedly failed")
         return SolvabilityVerdict(d, Solvability.NONSOLVABLE_SD)
-    if not _is_prime(d):
+    if not is_probable_prime(d):
         raise UncoveredCaseError(
             f"x^{d}+x-1 with composite odd d = 2 (mod 3) is outside the covered cases"
         )
@@ -274,7 +275,7 @@ def check_impossibility_equitable(d: int, allow_sqrt: bool = False) -> Certifica
             narrative=narrative,
         )
     equation = TrinomialFamily.PLUS_MINUS.poly(d)
-    primes = frozenset({d} if _is_prime(d) else set()) | frozenset({2} if allow_sqrt else set())
+    primes = frozenset({d} if is_probable_prime(d) else set()) | frozenset({2} if allow_sqrt else set())
     steps: list[NarrativeStep] = [
         NarrativeStep(
             "equation",
@@ -306,7 +307,7 @@ def check_impossibility_equitable(d: int, allow_sqrt: bool = False) -> Certifica
             verdict=Verdict.NO_OBSTRUCTION_FOUND,
             narrative=tuple(steps),
         )
-    if _is_prime(d) and d % 3 == 2:
+    if is_probable_prime(d) and d % 3 == 2:
         return _equitable_by_degree(d, allow_sqrt, equation, steps)
     if d % 2 == 0 or d % 3 != 2:
         return _equitable_by_solvability(d, allow_sqrt, equation, steps, primes)
@@ -459,7 +460,7 @@ def check_impossibility_welfare(n: int, p: int) -> Certificate:
         raise ValueError(
             "p = 2 gives a cutpoint of degree 1 over a degree-2^l tower: no obstruction"
         )
-    if not _is_prime(p) or p < 3:
+    if not is_probable_prime(p) or p < 3:
         raise ValueError("p must be a prime >= 3")
     station = Poly([-1] + [0] * (p - 2) + [p])  # p*T^(p-1) - 1
     steps: list[NarrativeStep] = [

@@ -41,15 +41,8 @@ class DyadicInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def halves(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        m = self.midpoint
-        return DyadicInterval(self.lo, m), DyadicInterval(m, self.hi)
-
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
-
-    def overlaps(self, other: "DyadicInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

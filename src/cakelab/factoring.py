@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
-from .polys import Poly, _divisors, rational_roots, squarefree_decomposition
+from .ints import divisors, factor_positive, is_probable_prime
+from .polys import Poly, rational_roots, squarefree_decomposition
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -35,21 +36,6 @@ PROBE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class Eisenstein(enum.Enum):
     IRREDUCIBLE_CERTIFIED = "irreducible-certified"
     INCONCLUSIVE = "inconclusive"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _eisenstein_int(coeffs: list[int], q: int) -> bool:
@@ -66,7 +52,7 @@ def eisenstein(p: Poly, q: int, try_reversal: bool = False) -> Eisenstein:
     """Eisenstein's criterion at the prime q, optionally on the reversal
     T^deg * p(1/T).  The reversal applies only when p(0) != 0, since it
     must preserve degree and irreducibility."""
-    if not _is_prime(q):
+    if not is_probable_prime(q):
         raise ValueError(f"{q} is not prime")
     coeffs = p.int_coeffs()
     if _eisenstein_int(coeffs, q):
@@ -244,25 +230,12 @@ def modp_irreducible(p: Poly, q: int) -> bool:
         powers.append(cur)
     if _fp_trim([(a - b) % q for a, b in itertools.zip_longest(powers[n], x, fillvalue=0)]):
         return False
-    for r in set(_prime_factors(n)):
+    for r in factor_positive(n):
         diff = [(a - b) % q for a, b in itertools.zip_longest(powers[n // r], x, fillvalue=0)]
         g = _fp_gcd(f[:], _fp_trim(diff), q)
         if len(g) != 1:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- Kronecker divisor search ------------------------------------------------
@@ -276,7 +249,7 @@ def _int_eval(coeffs: list[int], x: int) -> int:
 
 
 def _signed_divisors(n: int) -> list[int]:
-    ds = _divisors(n)
+    ds = divisors(n)
     return [d for a in ds for d in (a, -a)]
 
 
@@ -292,7 +265,7 @@ def _kronecker_points(coeffs: list[int], count: int) -> list[tuple[int, int]]:
         v = _int_eval(coeffs, x)
         if v == 0:
             continue  # caller guarantees no integer roots; stay safe anyway
-        scored.append((len(_divisors(v)), abs(x), x, v))
+        scored.append((len(divisors(v)), abs(x), x, v))
     scored.sort()
     chosen = scored[:count]
     chosen.sort(key=lambda t: t[2])
@@ -463,10 +436,6 @@ class Factorization:
         return sorted(f.degree for f, _ in self.factors)
 
 
-def _normalize(p: Poly) -> Poly:
-    return p.primitive()
-
-
 def _factor_squarefree(p: Poly) -> list[Poly]:
     """Irreducible factors of a squarefree polynomial, primitive form."""
     out: list[Poly] = []
@@ -476,7 +445,7 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
         if h.degree <= 0:
             continue
         if h.degree == 1:
-            out.append(_normalize(h))
+            out.append(h.primitive())
             continue
         roots = rational_roots(h)
         if roots:
@@ -488,7 +457,7 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
             stack.append(h)
             continue
         if _certify_irreducible(h):
-            out.append(_normalize(h))
+            out.append(h.primitive())
             continue
         # factor-degree sieve: patterns modulo several primes bound the
         # degrees any rational factor could have
@@ -499,14 +468,14 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
                 d for d in allowed if 2 <= d <= n // 2 and (n - d) in allowed
             )
             if not search:
-                out.append(_normalize(h))
+                out.append(h.primitive())
                 continue
         else:
             search = list(range(2, n // 2 + 1))
         ic = h.int_coeffs()
         g = kronecker_find_factor(ic, n // 2, degrees=search)
         if g is None:
-            out.append(_normalize(h))
+            out.append(h.primitive())
             continue
         stack.append(Poly(g))
         stack.append(Poly(_int_exact_div(g, ic)))
@@ -523,7 +492,7 @@ def _certify_irreducible(h: Poly) -> bool:
     nonlead = 0
     for c in coeffs[:-1]:
         nonlead = math.gcd(nonlead, abs(c))
-    for q in set(_prime_factors(nonlead)):
+    for q in factor_positive(nonlead):
         if _eisenstein_int(coeffs, q):
             return True
     if coeffs[0] != 0:
@@ -531,7 +500,7 @@ def _certify_irreducible(h: Poly) -> bool:
         noncon = 0
         for c in rev[:-1]:
             noncon = math.gcd(noncon, abs(c))
-        for q in set(_prime_factors(noncon)):
+        for q in factor_positive(noncon):
             if _eisenstein_int(rev, q):
                 return True
     return False

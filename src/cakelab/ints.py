@@ -61,6 +61,8 @@ def pollard_rho(n: int) -> int:
 
 def factor_positive(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: not a positive integer")
     out: dict[int, int] = {}
     for d in _SMALL_PRIMES:
         while n % d == 0:

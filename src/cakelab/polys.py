@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .dyadic import DyadicInterval
 from .errors import ZeroPolynomialError
@@ -353,10 +353,10 @@ def count_roots_in(p: Poly, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of p in the closed interval [lo, hi]."""
     if p.is_zero:
         raise ZeroPolynomialError("cannot count roots of the zero polynomial")
-    f = squarefree_part(p)
+    chain = sturm_chain(p)
+    f = chain[0]
     if f.degree <= 0:
         return 0
-    chain = sturm_chain(f)
     n = sturm_count(chain, Fraction(lo), Fraction(hi))
     if f(lo) == 0:
         n += 1
@@ -422,10 +422,10 @@ def sturm_isolate(p: Poly, span: DyadicInterval) -> list[DyadicInterval]:
     by nudging that endpoint outward by less than the local root gap."""
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    f = squarefree_part(p)
+    chain = sturm_chain(p)
+    f = chain[0]
     if f.degree <= 0:
         return []
-    chain = sturm_chain(f)
     lo, hi = span.lo, span.hi
     step = max(span.width, Fraction(1)) / 2
     while f(lo) == 0:
@@ -448,6 +448,24 @@ def sturm_isolate(p: Poly, span: DyadicInterval) -> list[DyadicInterval]:
     return _dyadic_subdivide(f, chain, lo, hi)
 
 
+def bisect_root(
+    side: Callable[[Fraction], Fraction | int], lo: Fraction, hi: Fraction, width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Halve [lo, hi] until it is at most width wide, keeping the sign change
+    of side inside it: side is negative at lo and positive at hi, and only
+    its sign is read.  Returns (mid, mid) when side vanishes at a midpoint."""
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = side(mid)
+        if v == 0:
+            return mid, mid
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
     """Shrink an isolating interval below the requested width by bisection.
 
@@ -456,32 +474,21 @@ def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
     if p.is_zero:
         raise ZeroPolynomialError("cannot refine a root of the zero polynomial")
     width = Fraction(width)
-    f = squarefree_part(p)
-    lo, hi = iv.lo, iv.hi
-    if f(lo) == 0 or f(hi) == 0:
+    chain = sturm_chain(p)
+    f = chain[0]
+    f_lo = f(iv.lo)
+    if f_lo == 0 or f(iv.hi) == 0:
         raise ValueError("interval endpoints must not be roots")
-    chain = sturm_chain(f)
-    if sturm_count(chain, lo, hi) != 1:
+    if sturm_count(chain, iv.lo, iv.hi) != 1:
         raise ValueError("interval does not isolate exactly one root")
-    sign_lo = f(lo) > 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = f(mid)
-        if v == 0:
-            # the root is exactly the dyadic midpoint
-            quarter = (hi - lo) / 4
-            while quarter * 2 > width:
-                quarter /= 2
-            return DyadicInterval(mid - quarter, mid + quarter)
-        if (v > 0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_root(f if f_lo < 0 else -f, iv.lo, iv.hi, width)
+    if lo == hi:
+        # the root is exactly a dyadic midpoint: centre an interval on it
+        quarter = iv.width / 4
+        while quarter * 2 > width:
+            quarter /= 2
+        return DyadicInterval(lo - quarter, hi + quarter)
     return DyadicInterval(lo, hi)
-
-
-def _divisors(n: int) -> list[int]:
-    return divisors(n)
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
@@ -512,8 +519,8 @@ def rational_roots(p: Poly) -> list[Fraction]:
     if atm1 == 0:
         roots.append(Fraction(-1))
 
-    nums = _divisors(a0)
-    for den in _divisors(an):
+    nums = divisors(a0)
+    for den in divisors(an):
         den_pows = [1]
         for _ in range(deg):
             den_pows.append(den_pows[-1] * den)

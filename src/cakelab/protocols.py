@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebraic import AlgebraicNumber
-from .cake import Allocation, Measure, Session, Transcript
+from .cake import Allocation, Measure, Session, Transcript, _SortKey
 
 Alg = AlgebraicNumber
 
@@ -34,19 +34,9 @@ def _assemble(pieces_by_player: dict[int, list[tuple[Alg, Alg]]], n: int) -> All
     per = []
     for i in range(n):
         ivs = pieces_by_player.get(i, [])
-        ivs.sort(key=lambda iv: _exact_key(iv[0]))
+        ivs.sort(key=lambda iv: _SortKey(iv[0]))
         per.append(tuple(ivs))
     return Allocation(tuple(per))
-
-
-class _exact_key:
-    __slots__ = ("v",)
-
-    def __init__(self, v: Alg):
-        self.v = v
-
-    def __lt__(self, other) -> bool:
-        return self.v.compare(other.v) < 0
 
 
 def cut_and_choose(m1: Measure, m2: Measure) -> ProtocolRun:
@@ -116,7 +106,9 @@ def even_paz(measures: Sequence[Measure]) -> ProtocolRun:
             remaining = session.eval(p, left, right)
             mark = session.cut(p, left, remaining * Fraction(half, k))
             marks.append((mark, p))
-        marks.sort(key=lambda mp: (_exact_key(mp[0]), mp[1]))
+        # marks are built in ascending player order, and the stable sort
+        # keeps that order among exactly tied marks
+        marks.sort(key=lambda mp: _SortKey(mp[0]))
         pivot = marks[half - 1][0]
         left_group = sorted(p for _, p in marks[:half])
         right_group = sorted(p for _, p in marks[half:])

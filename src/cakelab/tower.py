@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebraic import AlgebraicNumber, degree_cap, rational_radical_form
+from .algebraic import AlgebraicNumber, _binary_elimination, degree_cap, rational_radical_form
 from .errors import MembershipUndecidable
-from .factoring import _interpolate
 from .ints import factor_positive
-from .polys import Poly, poly_gcd, resultant
+from .polys import Poly, poly_gcd
 
 
 def degree_obstruction(target_degree: int, allowed_primes: set[int]) -> bool:
@@ -43,12 +42,9 @@ def degree_obstruction(target_degree: int, allowed_primes: set[int]) -> bool:
 # -- lattice membership for real radical groups --------------------------------
 
 
-_factor_positive = factor_positive
-
-
 def _exponent_vector(r: Fraction, primes: list[int]) -> list[int]:
-    num = _factor_positive(r.numerator)
-    den = _factor_positive(r.denominator)
+    num = factor_positive(r.numerator)
+    den = factor_positive(r.denominator)
     return [num.get(p, 0) - den.get(p, 0) for p in primes]
 
 
@@ -121,8 +117,8 @@ def _radical_group_member(b: Fraction, e: int, gens: list[tuple[Fraction, int]])
     radicands = [abs(r) for r, _ in gens]
     prime_set: set[int] = set()
     for v in [b] + radicands:
-        prime_set |= set(_factor_positive(v.numerator))
-        prime_set |= set(_factor_positive(v.denominator))
+        prime_set |= set(factor_positive(v.numerator))
+        prime_set |= set(factor_positive(v.denominator))
     primes = sorted(prime_set)
     target = [Fraction(c, e) for c in _exponent_vector(b, primes)]
     gen_vecs = [
@@ -132,14 +128,6 @@ def _radical_group_member(b: Fraction, e: int, gens: list[tuple[Fraction, int]])
 
 
 # -- compositum degrees ----------------------------------------------------------
-
-
-def _sum_elimination(ma: Poly, mb: Poly) -> Poly:
-    """Polynomial whose roots are all pairwise sums of roots of ma and mb."""
-    dd = ma.degree * mb.degree
-    pts = list(range(dd + 1))
-    vals = [Fraction(resultant(ma, mb.compose(Poly([Fraction(t), -1])))) for t in pts]
-    return Poly(_interpolate(pts, vals))
 
 
 def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[int, AlgebraicNumber]:
@@ -161,7 +149,7 @@ def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[int, AlgebraicN
             mbc = mb
         else:
             mbc = mb.compose(Poly([Fraction(0), Fraction(1, c)])).primitive()
-        elim = _sum_elimination(ma, mbc)
+        elim = _binary_elimination("add", ma, mbc)
         if poly_gcd(elim, elim.derivative()).degree == 0:
             theta = a + b * c
             return theta.minimal_polynomial().degree, theta
@@ -338,12 +326,12 @@ class Tower:
         radicand is factored once; powers only scale its exponent vector."""
         b = abs(radicand)
         gens = self._rational_radical_gens
-        prime_set: set[int] = set(_factor_positive(b.numerator)) | set(
-            _factor_positive(b.denominator)
+        prime_set: set[int] = set(factor_positive(b.numerator)) | set(
+            factor_positive(b.denominator)
         )
         for r, _ in gens:
-            prime_set |= set(_factor_positive(abs(r).numerator))
-            prime_set |= set(_factor_positive(abs(r).denominator))
+            prime_set |= set(factor_positive(abs(r).numerator))
+            prime_set |= set(factor_positive(abs(r).denominator))
         primes = sorted(prime_set)
         base = _exponent_vector(b, primes)
         gen_vecs = [
@@ -377,7 +365,10 @@ class Tower:
         """Does the real p-th root of b lie in the current field?"""
         if p < 2:
             raise ValueError("p must be at least 2")
-        if b.sign() < 0 and p % 2 == 0:
+        s = b.sign()
+        if s == 0:
+            return True  # 0 = 0^p
+        if s < 0 and p % 2 == 0:
             raise ValueError("even roots need a nonnegative radicand")
         rb = b.as_rational()
         if rb is not None and self._pure_rational_radicals:

@@ -106,6 +106,27 @@ class TestRoots:
         assert (v**6 - 2).sign() == 0
 
 
+class TestRealRootSpan:
+    def test_two_roots_rejected(self):
+        with pytest.raises(ValueError):
+            AlgebraicNumber.real_root(X**2 - c(2), -2, 2)
+
+    def test_no_root_rejected(self):
+        with pytest.raises(ValueError):
+            AlgebraicNumber.real_root(X**2 - c(2), 0, 1)
+
+    def test_root_on_closed_endpoint_counts(self):
+        # 1 on the lower endpoint plus sqrt(2) inside
+        with pytest.raises(ValueError):
+            AlgebraicNumber.real_root((X - c(1)) * (X**2 - c(2)), 1, 2)
+
+    def test_rational_root_on_endpoint(self):
+        assert AlgebraicNumber.real_root(X**2 - c(4), 2, 3).as_rational() == 2
+
+    def test_cube_root_of_two(self):
+        assert AlgebraicNumber.real_root(X**3 - c(2), 1, 2) == nth_root(2, 3)
+
+
 class TestSign:
     def test_cubic_root_above_three_quarters(self):
         assert (t_star() - Fraction(3, 4)).sign() == 1

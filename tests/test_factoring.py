@@ -14,6 +14,7 @@ from cakelab import (
     rational_roots,
 )
 from cakelab.factoring import kronecker_find_factor, modp_irreducible
+from cakelab.ints import factor_positive
 
 from _oracle import oracle_factor
 
@@ -22,6 +23,17 @@ X = Poly.x()
 
 def c(v):
     return Poly.constant(v)
+
+
+class TestFactorPositive:
+    def test_factors(self):
+        assert factor_positive(1) == {}
+        assert factor_positive(360) == {2: 3, 3: 2, 5: 1}
+
+    @pytest.mark.parametrize("n", [0, -1, -12])
+    def test_rejects_nonpositive(self, n):
+        with pytest.raises(ValueError):
+            factor_positive(n)
 
 
 class TestEisenstein:

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cakelab import DyadicInterval, Poly, ZeroPolynomialError, poly_gcd, rational_roots
 from cakelab.polys import (
+    bisect_root,
     count_roots_in,
     refine_root,
     resultant,
@@ -164,6 +167,29 @@ class TestRefineRoot:
     def test_rejects_non_isolating(self):
         with pytest.raises(ValueError):
             refine_root(X**2 - c(1), DyadicInterval.make(-2, 2), Fraction(1, 4))
+
+
+class TestBisectRoot:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+        st.integers(1, 20),
+        st.integers(0, 40),
+    )
+    def test_agrees_with_oracle_on_squarefree_cubics(self, low, lead, bits):
+        p = Poly(low + [lead])
+        assume(poly_gcd(p, p.derivative()).degree == 0)
+        width = Fraction(1, 1 << bits)
+        # the Cauchy bound of these cubics is at most 21
+        for iv in sturm_isolate(p, DyadicInterval.make(-32, 32)):
+            side = p if p(iv.lo) < 0 else -p
+            assert bisect_root(side, iv.lo, iv.hi, width) == bisect_oracle(p, iv.lo, iv.hi, width)
+
+    def test_midpoint_root(self):
+        assert bisect_root(X - c(Fraction(3, 4)), Fraction(0), Fraction(1), Fraction(1, 64)) == (
+            Fraction(3, 4),
+            Fraction(3, 4),
+        )
 
 
 class TestRationalRoots:

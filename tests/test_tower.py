@@ -133,6 +133,12 @@ class TestIsPthPower:
         with pytest.raises(ValueError):
             Tower().is_pth_power(A(-2), 2)
 
+    def test_zero_is_a_power(self):
+        assert Tower().is_pth_power(A(0), 3) is True
+        tw = Tower()
+        tw.adjoin(nth_root(2, 5), claimed_radical=(5, A(2)))
+        assert tw.is_pth_power(A(0), 2) is True
+
 
 class TestLemma1Report:
     def test_cut_and_choose_trace(self):
