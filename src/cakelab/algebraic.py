@@ -35,6 +35,7 @@ from .ints import factor_positive, is_probable_prime
 from .polys import (
     Poly,
     bisect_root,
+    dyadic_horner,
     rational_roots,
     resultant,
     root_bound,
@@ -586,26 +587,35 @@ def _interval(node: _Node, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
-    p = atom.poly
-    side = p if p(atom.lo) < 0 else -p
-    # p has no root at a midpoint: interned atoms have no rational roots
+    cs = [int(c) for c in atom.poly.coeffs]
+    if atom.poly(atom.lo) > 0:
+        cs = [-c for c in cs]
+
+    def side(m: int, e: int) -> int:
+        return dyadic_horner(cs, m, e)
+
+    # the poly has no root at a midpoint: interned atoms have no rational roots
     atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
     return atom.lo, atom.hi
 
 
 def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
     kc = max(k, 8)
+    den = math.lcm(*[c.denominator for c in atom.cdf.coeffs])
+    cs = [int(c * den) for c in atom.cdf.coeffs]
+    n = len(cs) - 1
 
-    def side(x: Fraction) -> int:
-        """Sign of cdf(x) - target; the target is irrational by construction,
-        so doubling its precision always separates the two."""
+    def side(m: int, e: int) -> int:
+        """Sign of cdf(x) - target at x = m / 2^e, with both sides scaled by
+        den * 2^(e*n); the target is irrational by construction, so doubling
+        its precision always separates the two."""
         nonlocal kc
-        fx = atom.cdf(x)
+        fx = dyadic_horner(cs, m, e)
         while True:
             tlo, thi = _interval(atom.target, kc)
-            if fx < tlo:
+            if fx * tlo.denominator < (tlo.numerator * den) << (e * n):
                 return -1
-            if fx > thi:
+            if fx * thi.denominator > (thi.numerator * den) << (e * n):
                 return 1
             kc *= 2
 
@@ -1057,7 +1067,11 @@ class AlgebraicNumber:
     # enclosures ----------------------------------------------------------------
 
     def approx(self, eps) -> tuple[Fraction, Fraction]:
-        return _refine_to(self._node, Fraction(eps))
+        """An enclosure [lo, hi] of this value at most eps wide, eps > 0."""
+        eps = Fraction(eps)
+        if eps <= 0:
+            raise ValueError(f"approximation width must be positive, got {eps}")
+        return _refine_to(self._node, eps)
 
     def isolating_interval(self) -> DyadicInterval:
         """A dyadic interval containing this value and no other root of its
@@ -1092,6 +1106,8 @@ class AlgebraicNumber:
 
     def decimal(self, digits: int = 12) -> str:
         """Truncated decimal expansion; an ellipsis marks inexactness."""
+        if digits < 0:
+            raise ValueError(f"digits must be non-negative, got {digits}")
         r = self.as_rational()
         scale = 10**digits
         if r is not None:

@@ -1,7 +1,9 @@
 """Dyadic intervals: exact endpoints with power-of-two denominators.
 
-Dyadic endpoints halve without denominator growth, which keeps repeated
-bisection cheap and canonical.  Used as the certified container for real
+A dyadic number m/2^e halves to the midpoint (a + b)/2^(e+1) of two
+mantissas over a common 2^e, so repeated bisection stays in integers:
+`polys.bisect_root` keeps its bracket that way and builds `Fraction`s only
+for the endpoints it returns.  Used as the certified container for real
 roots throughout the package.
 """
 

@@ -6,6 +6,11 @@ floats enter at any point.  The module also houses the Sturm machinery
 (sign variations, root counting, isolation, refinement) and the rational
 roots theorem, which the factorization pipeline and the algebraic-number
 layer build on.
+
+Root refinement has one bisection routine, `bisect_root`.  It works on
+integers: the bracket is a pair of mantissas over a shared 2^e, and a
+polynomial is evaluated at the dyadic midpoint m/2^e as the integer
+2^(e*n) * p(m/2^e) (`dyadic_horner`), which has the sign of p there.
 """
 
 from __future__ import annotations
@@ -324,17 +329,24 @@ def resultant(f: Poly, g: Poly) -> Fraction:
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of the squarefree part of p."""
-    f = squarefree_part(p)
-    if f.degree <= 0:
-        return [f] if not f.is_zero else []
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-        if chain[-1].is_zero:
-            chain.pop()
-            break
-    return chain
+    """Sturm sequence of the squarefree part of p; chain[0] is that part, monic.
+
+    The chain of p itself is built first.  Its last element is a multiple of
+    gcd(p, p'), so when that is non-constant p had repeated roots: divide it
+    out and build the chain of the squarefree part."""
+    f = p.monic()
+    while True:
+        if f.degree <= 0:
+            return [f] if not f.is_zero else []
+        chain = [f, f.derivative()]
+        while chain[-1].degree > 0:
+            r = -(chain[-2] % chain[-1])
+            if r.is_zero:
+                break
+            chain.append(r)
+        if chain[-1].degree == 0:
+            return chain
+        f = f.exact_div(chain[-1]).monic()
 
 
 def sign_variations(values: Sequence[Fraction]) -> int:
@@ -448,22 +460,47 @@ def sturm_isolate(p: Poly, span: DyadicInterval) -> list[DyadicInterval]:
     return _dyadic_subdivide(f, chain, lo, hi)
 
 
+def dyadic_horner(coeffs: Sequence[int], m: int, e: int) -> int:
+    """2^(e*n) * p(m / 2^e) for the integer polynomial p of the given
+    coefficients (lowest degree first, n = len(coeffs) - 1), by integer
+    Horner.  It has the sign of p(m / 2^e)."""
+    acc = 0
+    sh = 0
+    for c in reversed(coeffs):
+        acc = acc * m + (c << sh)
+        sh += e
+    return acc
+
+
 def bisect_root(
-    side: Callable[[Fraction], Fraction | int], lo: Fraction, hi: Fraction, width: Fraction
+    side: Callable[[int, int], int], lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Halve [lo, hi] until it is at most width wide, keeping the sign change
-    of side inside it: side is negative at lo and positive at hi, and only
-    its sign is read.  Returns (mid, mid) when side vanishes at a midpoint."""
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = side(mid)
+    """Halve the dyadic bracket [lo, hi] until it is at most width wide,
+    keeping the sign change of a function inside it.  side(m, e) returns a
+    number with the sign of the function at m / 2^e, which is negative at lo
+    and positive at hi.  Returns (mid, mid) when it vanishes at a midpoint.
+
+    The bracket is kept as integer mantissas over a shared power of two, so
+    side sees the same midpoints as plain Fraction bisection would."""
+    if width <= 0:
+        raise ValueError(f"refinement width must be positive, got {width}")
+    elo, ehi = lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1
+    e = max(elo, ehi)
+    a, b = lo.numerator << (e - elo), hi.numerator << (e - ehi)
+    # b - a is the same at every exponent: each halving doubles one end
+    # and moves the other to the sum
+    gap = (b - a) * width.denominator
+    while gap > width.numerator << e:
+        mid = a + b
+        e += 1
+        v = side(mid, e)
         if v == 0:
-            return mid, mid
+            return Fraction(mid, 1 << e), Fraction(mid, 1 << e)
         if v < 0:
-            lo = mid
+            a, b = mid, b << 1
         else:
-            hi = mid
-    return lo, hi
+            a, b = a << 1, mid
+    return Fraction(a, 1 << e), Fraction(b, 1 << e)
 
 
 def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
@@ -481,7 +518,10 @@ def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
         raise ValueError("interval endpoints must not be roots")
     if sturm_count(chain, iv.lo, iv.hi) != 1:
         raise ValueError("interval does not isolate exactly one root")
-    lo, hi = bisect_root(f if f_lo < 0 else -f, iv.lo, iv.hi, width)
+    cs = f.int_coeffs()
+    if f_lo > 0:
+        cs = [-c for c in cs]
+    lo, hi = bisect_root(lambda m, e: dyadic_horner(cs, m, e), iv.lo, iv.hi, width)
     if lo == hi:
         # the root is exactly a dyadic midpoint: centre an interval on it
         quarter = iv.width / 4

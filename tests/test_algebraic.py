@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cakelab import AlgebraicNumber, Poly, nth_root
+from cakelab import AlgebraicNumber, Measure, Poly, Session, nth_root
+from cakelab.algebraic import _CutRootAtom
 
 X = Poly.x()
 
@@ -221,3 +223,54 @@ class TestEnclosures:
         assert nth_root(2, 2) <= Fraction(3, 2)
         assert t_star() > Fraction(3, 4)
         assert nth_root(Fraction(1, 32), 5) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("eps", [0, Fraction(-1, 8)])
+    def test_non_positive_width_rejected(self, eps):
+        for v in (t_star(), nth_root(2, 2) + nth_root(3, 2), AlgebraicNumber(Fraction(1, 3))):
+            with pytest.raises(ValueError, match="width must be positive"):
+                v.approx(eps)
+
+    def test_negative_digits_rejected(self):
+        for v in (t_star(), AlgebraicNumber(Fraction(1, 3))):
+            with pytest.raises(ValueError, match="digits must be non-negative"):
+                v.decimal(-1)
+
+
+def cut_oracle(cdf, r, a, width):
+    """Plain-Fraction bisection of [0, 1] for the y with cdf(y) = a + cdf(sqrt(r)),
+    enclosing sqrt(r) by integer square roots until the sign is decided."""
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fx = cdf(mid) - a
+        k = 64
+        while True:
+            s = Fraction(math.isqrt(r.numerator * 4**k // r.denominator), 2**k)
+            if fx < cdf(s):
+                lo = mid
+                break
+            if fx > cdf(s + Fraction(1, 2**k)):
+                hi = mid
+                break
+            k *= 2
+    return lo, hi
+
+
+class TestCutRootRefinement:
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            Poly([0, Fraction(1, 2), Fraction(1, 2)]),
+            Poly([0, Fraction(1, 4), 0, Fraction(3, 4)]),
+            Poly([0, Fraction(2, 3), 0, 0, Fraction(1, 3)]),
+        ],
+    )
+    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(3, 5)])
+    def test_agrees_with_fraction_reference(self, cdf, r):
+        a = Fraction(1, 10)
+        v = Session([Measure.make(cdf)]).cut(0, nth_root(r, 2), a)
+        assert isinstance(v._node, _CutRootAtom)
+        for eps in (Fraction(1, 10**6), Fraction(1, 2**100)):
+            lo, hi = v.approx(eps)
+            assert hi - lo <= eps
+            assert (lo, hi) == cut_oracle(cdf, r, a, hi - lo)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -107,6 +108,45 @@ class TestCommands:
         assert "0.754877666246" in out
         assert "x^3 + x^2 - 1" in out
         assert "degree: 3" in out
+
+
+class TestNonPositiveWidth:
+    @pytest.mark.parametrize("width", ["0", "-1/8"])
+    def test_width_is_an_input_error(self, capsys, measures_file, width):
+        code, out, err = run_cli(
+            ["isolate-cutpoint", "--measures", measures_file, f"--width={width}"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: approximation width must be positive, got {width}\n"
+
+    def test_negative_digits_is_an_input_error(self, capsys, measures_file):
+        code, out, err = run_cli(
+            ["--digits", "-1", "isolate-cutpoint", "--measures", measures_file], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == "error: digits must be non-negative, got -1\n"
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestGoldenBytes:
+    """Refined enclosures are pinned byte for byte: a change to how roots are
+    bisected must land on the same dyadic endpoints."""
+
+    @pytest.mark.parametrize("measures", ["power", "mixture"])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_isolate_cutpoint(self, measures, fmt):
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", "--format", fmt, "isolate-cutpoint",
+             "--measures", os.path.join(GOLDEN, f"{measures}.measures"),
+             "--width", f"1/{2**80}"],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert res.returncode == 0
+        with open(os.path.join(GOLDEN, f"isolate-cutpoint-{measures}.{fmt}"), "rb") as fh:
+            assert res.stdout == fh.read()
 
 
 class TestFormats:

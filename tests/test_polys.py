@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cakelab import DyadicInterval, Poly, ZeroPolynomialError, poly_gcd, rational_roots
 from cakelab.polys import (
     bisect_root,
     count_roots_in,
+    dyadic_horner,
     refine_root,
     resultant,
     squarefree_decomposition,
@@ -164,6 +165,20 @@ class TestRefineRoot:
         assert r.lo <= hi and lo <= r.hi
         assert r.lo >= Fraction("1.414212") and r.hi <= Fraction("1.414215")
 
+    @pytest.mark.parametrize("width", [Fraction(1, 3), Fraction(1, 10**12)])
+    @pytest.mark.parametrize("p", [X**3 + X**2 - c(1), X**2 - c(2), -(X**5) + X - c(Fraction(1, 3))])
+    def test_non_dyadic_width_matches_oracle(self, p, width):
+        for iv in sturm_isolate(p, DyadicInterval.make(-4, 4)):
+            r = refine_root(p, iv, width)
+            assert (r.lo, r.hi) == bisect_oracle(p, iv.lo, iv.hi, width)
+
+    @pytest.mark.parametrize("width", [0, Fraction(-1, 8)])
+    def test_non_positive_width_rejected(self, width):
+        p = X**3 + X**2 - c(1)
+        [iv] = sturm_isolate(p, DyadicInterval.make(0, 1))
+        with pytest.raises(ValueError, match="width must be positive"):
+            refine_root(p, iv, width)
+
     def test_rejects_non_isolating(self):
         with pytest.raises(ValueError):
             refine_root(X**2 - c(1), DyadicInterval.make(-2, 2), Fraction(1, 4))
@@ -182,14 +197,35 @@ class TestBisectRoot:
         width = Fraction(1, 1 << bits)
         # the Cauchy bound of these cubics is at most 21
         for iv in sturm_isolate(p, DyadicInterval.make(-32, 32)):
-            side = p if p(iv.lo) < 0 else -p
+            q = p if p(iv.lo) < 0 else -p
+
+            def side(m, e):
+                return q(Fraction(m, 1 << e))
+
             assert bisect_root(side, iv.lo, iv.hi, width) == bisect_oracle(p, iv.lo, iv.hi, width)
 
     def test_midpoint_root(self):
-        assert bisect_root(X - c(Fraction(3, 4)), Fraction(0), Fraction(1), Fraction(1, 64)) == (
+        def side(m, e):
+            return dyadic_horner([-3, 4], m, e)
+
+        assert bisect_root(side, Fraction(0), Fraction(1), Fraction(1, 64)) == (
             Fraction(3, 4),
             Fraction(3, 4),
         )
+
+
+class TestDyadicHorner:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=8),
+        st.integers(-(10**9), 10**9),
+        st.integers(0, 80),
+    )
+    @example([7], -5, 3)
+    @example([2, -3, 1], -7, 0)
+    def test_scaled_value(self, coeffs, m, e):
+        n = len(coeffs) - 1
+        assert dyadic_horner(coeffs, m, e) == 2 ** (e * n) * Poly(coeffs)(Fraction(m, 2**e))
 
 
 class TestRationalRoots:
