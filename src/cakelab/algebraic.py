@@ -31,7 +31,7 @@ from typing import Optional, Union
 from .dyadic import DyadicInterval
 from .errors import DegreeCapExceeded, ZeroPolynomialError
 from .factoring import DEFAULT_DEGREE_CAP, _interpolate, factor_over_Q
-from .ints import factor_positive, is_probable_prime
+from .ints import factor_positive, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
     bisect_root,
@@ -71,20 +71,6 @@ def _tick() -> None:
 # -- integer root helpers ----------------------------------------------------
 
 
-def _int_nth_root(n: int, d: int) -> int:
-    """Floor of the real d-th root of a nonnegative integer."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    x = 1 << (-(-n.bit_length() // d))
-    while True:
-        y = ((d - 1) * x + n // x ** (d - 1)) // d
-        if y >= x:
-            return x
-        x = y
-
-
 def exact_nth_root(r: Fraction, d: int) -> Optional[Fraction]:
     """The exact rational d-th real root of r, or None if irrational."""
     if r < 0:
@@ -92,8 +78,8 @@ def exact_nth_root(r: Fraction, d: int) -> Optional[Fraction]:
             return None
         s = exact_nth_root(-r, d)
         return None if s is None else -s
-    pn = _int_nth_root(r.numerator, d)
-    pd = _int_nth_root(r.denominator, d)
+    pn = int_nth_root(r.numerator, d)
+    pd = int_nth_root(r.denominator, d)
     if pn**d == r.numerator and pd**d == r.denominator:
         return Fraction(pn, pd)
     return None
@@ -105,24 +91,21 @@ def nth_root_bounds(r: Fraction, d: int, k: int) -> tuple[Fraction, Fraction]:
         lo, hi = nth_root_bounds(-r, d, k)
         return -hi, -lo
     scaled = (r.numerator << (d * k)) // r.denominator
-    m = _int_nth_root(scaled, d)
+    m = int_nth_root(scaled, d)
     return Fraction(m, 1 << k), Fraction(m + 1, 1 << k)
 
 
 def _reduce_radical(r: Fraction, d: int) -> tuple[Fraction, int]:
-    """Canonicalize r^(1/d): extract the maximal g with r = s^g and reduce
-    the exponent, so e.g. the fourth root of 4 becomes the square root of 2."""
-    if r in (0, 1) or d == 1:
-        return r, 1
-    limit = max(abs(r.numerator), r.denominator).bit_length()
-    for g in range(min(limit, 64), 1, -1):
-        s = exact_nth_root(r, g)
-        if s is not None:
-            gg = math.gcd(g, d)
-            if gg > 1:
-                base = s ** (g // gg)
-                return _reduce_radical(base, d // gg)
-            break
+    """Canonicalize r^(1/d) as s^(1/e) with e | d and s no q-th power for
+    any prime q dividing e: exact q-th roots are taken while they exist, so
+    e.g. the fourth root of 4 becomes the square root of 2.  With r = t^g
+    and t no perfect power, s = t^(g/gcd(g, d)) and e = d/gcd(g, d)."""
+    for q in factor_positive(d):
+        while d % q == 0:
+            s = exact_nth_root(r, q)
+            if s is None:
+                break
+            r, d = s, d // q
     return r, d
 
 

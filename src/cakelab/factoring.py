@@ -484,10 +484,12 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
 
 def _certify_irreducible(h: Poly) -> bool:
     """Cheap certificates only; False just means no certificate found.
-    Modular certificates are handled by the factor-degree sieve later."""
+    Modular certificates are handled by the factor-degree sieve later.
+
+    h must have no rational root, as in `_factor_squarefree`, which has
+    just looked: then degrees 2 and 3 are irreducible outright."""
     if h.degree in (2, 3):
-        # no rational roots were left by the caller
-        return not rational_roots(h)
+        return True
     coeffs = h.int_coeffs()
     nonlead = 0
     for c in coeffs[:-1]:

@@ -3,9 +3,9 @@
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty coefficient tuple and has degree -1.  Everything here is exact: no
 floats enter at any point.  The module also houses the Sturm machinery
-(sign variations, root counting, isolation, refinement) and the rational
-roots theorem, which the factorization pipeline and the algebraic-number
-layer build on.
+(sign variations, root counting, isolation, refinement) and rational
+roots by p-adic lifting, which the factorization pipeline and the
+algebraic-number layer build on.
 
 Root refinement has one bisection routine, `bisect_root`.  It works on
 integers: the bracket is a pair of mantissas over a shared 2^e, and a
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .dyadic import DyadicInterval
 from .errors import ZeroPolynomialError
-from .ints import divisors
+from .ints import is_probable_prime
 
 
 class Poly:
@@ -531,55 +531,70 @@ def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
     return DyadicInterval(lo, hi)
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All distinct rational roots, by the rational roots theorem plus exact
-    evaluation.  Returned sorted ascending.
+def _horner_mod(coeffs: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
-    Candidates are screened with the classic integer filters before the
-    exact check: a root n/d (in lowest terms) forces (n - d) | p(1) and
-    (n + d) | p(-1), and the check itself runs in scaled integers."""
+
+def rational_roots(p: Poly) -> list[Fraction]:
+    """All distinct rational roots, sorted ascending, by p-adic lifting
+    (Loos 1983).  No integer is factored.
+
+    Take the primitive integer form c_n x^n + ... + c_0 with c_0 != 0.  A
+    rational root r makes c_n r an integer of absolute value at most
+    B = |c_n| + max |c_i| (the Cauchy bound).  At the first prime q not
+    dividing c_n where every root mod q is simple, each rational root
+    reduces to one of those roots, found by trying every residue.  Newton
+    lifting takes each to its q-adic root mod q^(2^i) until the modulus
+    exceeds 2B; the symmetric residue of c_n x is then c_n r, and an exact
+    integer Horner check keeps the true roots.  A multiple root mod q
+    switches to the squarefree part once, after which only the finitely
+    many primes dividing its discriminant are passed over."""
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every rational root")
     coeffs = p.int_coeffs()
     roots: list[Fraction] = []
     k = 0
-    while k < len(coeffs) and coeffs[k] == 0:
+    while coeffs[k] == 0:
         k += 1
     if k > 0:
         roots.append(Fraction(0))
         coeffs = coeffs[k:]
     if len(coeffs) <= 1:
-        return sorted(roots)
-    a0, an = coeffs[0], coeffs[-1]
-    deg = len(coeffs) - 1
-    at1 = sum(coeffs)
-    atm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
-    if at1 == 0:
-        roots.append(Fraction(1))
-    if atm1 == 0:
-        roots.append(Fraction(-1))
-
-    nums = divisors(a0)
-    for den in divisors(an):
-        den_pows = [1]
-        for _ in range(deg):
-            den_pows.append(den_pows[-1] * den)
-        for num in nums:
-            if math.gcd(num, den) != 1:
-                continue
-            for s in (1, -1):
-                n = s * num
-                if (n, den) in ((1, 1), (-1, 1)):
-                    continue  # handled above
-                if at1 != 0 and (n == den or at1 % (n - den) != 0):
-                    continue
-                if atm1 != 0 and (n == -den or atm1 % (n + den) != 0):
-                    continue
-                acc = coeffs[-1]
-                for i in range(deg - 1, -1, -1):
-                    acc = acc * n + coeffs[i] * den_pows[deg - i]
-                if acc == 0:
-                    cand = Fraction(n, den)
-                    if cand not in roots:
-                        roots.append(cand)
+        return roots
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    squarefree = False
+    q = 2
+    while True:
+        if coeffs[-1] % q != 0:
+            residues = [a for a in range(q) if _horner_mod(coeffs, a, q) == 0]
+            if all(_horner_mod(deriv, a, q) != 0 for a in residues):
+                break
+            if not squarefree:
+                coeffs = squarefree_part(Poly(coeffs)).int_coeffs()
+                deriv = [i * c for i, c in enumerate(coeffs)][1:]
+                squarefree = True
+        q += 1
+        while not is_probable_prime(q):
+            q += 1
+    cn = coeffs[-1]
+    bound = 2 * (cn + max(abs(c) for c in coeffs[:-1]))
+    for a in residues:
+        m = q
+        while m <= bound:
+            m *= m
+            a = (a - _horner_mod(coeffs, a, m) * pow(_horner_mod(deriv, a, m), -1, m)) % m
+        s = cn * a % m
+        if s > m // 2:
+            s -= m
+        r = Fraction(s, cn)
+        num, den = r.numerator, r.denominator
+        acc, den_pow = cn, 1
+        for c in reversed(coeffs[:-1]):
+            den_pow *= den
+            acc = acc * num + c * den_pow
+        if acc == 0:
+            roots.append(r)
     return sorted(roots)

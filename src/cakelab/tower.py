@@ -6,8 +6,9 @@ are decided by a layered strategy:
 * rational values are trivial steps;
 * radicals with rational radicands over a tower whose nontrivial
   generators are all of that shape are decided by multiplicative group
-  membership (a lattice problem over prime exponent vectors), which is
-  exact for real radicals and never touches the degree cap;
+  membership (a lattice problem over exponent vectors on a coprime base
+  of the radicands, so no integer is factored), which is exact for real
+  radicals and never touches the degree cap;
 * anything else goes through a primitive-element computation whose
   eliminations are guarded by the degree cap; past the cap the adjunction
   raises MembershipUndecidable instead of guessing.
@@ -23,7 +24,7 @@ from typing import Optional
 
 from .algebraic import AlgebraicNumber, _binary_elimination, degree_cap, rational_radical_form
 from .errors import MembershipUndecidable
-from .ints import factor_positive
+from .ints import coprime_base
 from .polys import Poly, poly_gcd
 
 
@@ -42,10 +43,31 @@ def degree_obstruction(target_degree: int, allowed_primes: set[int]) -> bool:
 # -- lattice membership for real radical groups --------------------------------
 
 
-def _exponent_vector(r: Fraction, primes: list[int]) -> list[int]:
-    num = factor_positive(r.numerator)
-    den = factor_positive(r.denominator)
-    return [num.get(p, 0) - den.get(p, 0) for p in primes]
+def _exponent_vector(r: Fraction, base: list[int]) -> list[int]:
+    """Exponents of |r| over a coprime base that covers it."""
+    num, den = abs(r.numerator), r.denominator
+    out = []
+    for b in base:
+        e = 0
+        while num % b == 0:
+            num //= b
+            e += 1
+        while den % b == 0:
+            den //= b
+            e -= 1
+        out.append(e)
+    return out
+
+
+def _radical_vectors(
+    b: Fraction, gens: list[tuple[Fraction, int]]
+) -> tuple[list[int], list[list[Fraction]]]:
+    """The exponent vector of |b| and those of the radicals |b_i|^(1/d_i),
+    over one coprime base of all the radicands.  No integer is factored."""
+    values = [b] + [r for r, _ in gens]
+    base = coprime_base(n for v in values for n in (v.numerator, v.denominator))
+    target, *vecs = [_exponent_vector(v, base) for v in values]
+    return target, [[Fraction(c, d) for c in v] for v, (_, d) in zip(vecs, gens)]
 
 
 def _hnf_membership(target: list[int], cols: list[list[int]]) -> bool:
@@ -89,8 +111,11 @@ def _group_membership(
     target: list[Fraction], gen_vecs: list[list[Fraction]]
 ) -> bool:
     """Is the target exponent vector in the lattice spanned by the integer
-    vectors and the generator vectors?  Vectors live over a fixed prime
-    basis; signs never obstruct because -1 is a unit of the group."""
+    vectors and the generator vectors?  Vectors live over a fixed coprime
+    base whose parts are not perfect powers, so, as over the primes, a
+    product of rational powers of the parts is rational exactly when every
+    exponent is an integer.  Signs never obstruct because -1 is a unit of
+    the group."""
     if not target:
         return True
     dim = len(target)
@@ -113,18 +138,8 @@ def _radical_group_member(b: Fraction, e: int, gens: list[tuple[Fraction, int]])
     """Is the real |b|^(1/e) in the multiplicative group generated by the
     rationals and the real radicals |b_i|^(1/d_i)?  For real radicals over
     the rationals this group membership coincides with field membership."""
-    b = abs(b)
-    radicands = [abs(r) for r, _ in gens]
-    prime_set: set[int] = set()
-    for v in [b] + radicands:
-        prime_set |= set(factor_positive(v.numerator))
-        prime_set |= set(factor_positive(v.denominator))
-    primes = sorted(prime_set)
-    target = [Fraction(c, e) for c in _exponent_vector(b, primes)]
-    gen_vecs = [
-        [Fraction(c, d) for c in _exponent_vector(abs(r), primes)] for r, d in gens
-    ]
-    return _group_membership(target, gen_vecs)
+    target, gen_vecs = _radical_vectors(b, gens)
+    return _group_membership([Fraction(c, e) for c in target], gen_vecs)
 
 
 # -- compositum degrees ----------------------------------------------------------
@@ -323,24 +338,12 @@ class Tower:
         """Degree of adjoining the real d-th root of a rational over a tower
         of rational-radicand radicals: the least divisor m of d for which
         the m-th power of the new radical already sits in the field.  The
-        radicand is factored once; powers only scale its exponent vector."""
-        b = abs(radicand)
-        gens = self._rational_radical_gens
-        prime_set: set[int] = set(factor_positive(b.numerator)) | set(
-            factor_positive(b.denominator)
-        )
-        for r, _ in gens:
-            prime_set |= set(factor_positive(abs(r).numerator))
-            prime_set |= set(factor_positive(abs(r).denominator))
-        primes = sorted(prime_set)
-        base = _exponent_vector(b, primes)
-        gen_vecs = [
-            [Fraction(c, dg) for c in _exponent_vector(abs(r), primes)] for r, dg in gens
-        ]
+        exponent vectors are built once; powers only scale the radicand's."""
+        vec, gen_vecs = _radical_vectors(radicand, self._rational_radical_gens)
         for m in range(1, d + 1):
             if d % m != 0:
                 continue
-            target = [Fraction(c * m, d) for c in base]
+            target = [Fraction(c * m, d) for c in vec]
             if _group_membership(target, gen_vecs):
                 return m
         return d

@@ -1,13 +1,19 @@
-"""Brute-force factorization oracle, independent of the library pipeline.
+"""Brute-force oracles, independent of the library pipeline.
 
 A divisor of an integer polynomial is found (or ruled out) by exhausting
 every integer candidate inside the Mignotte coefficient box, filtered by
 the necessary divisibility of values at 0, 1 and -1.  Interpolation never
 enters: the search and the library's Kronecker stage share no code path.
+
+Rational roots come from the rational root theorem: every pair of
+divisors of the constant and leading coefficients is tried.  Radical
+degrees come from prime exponent vectors found by trial division, with
+the generator exponents enumerated modulo their indices.
 """
 
 import itertools
 import math
+from fractions import Fraction
 from math import comb, isqrt
 
 
@@ -131,3 +137,84 @@ def oracle_factor(coeffs):
         stack.append(div)
         stack.append(q)
     return sorted(factors.items())
+
+
+def rational_roots_oracle(coeffs):
+    """Distinct rational roots of a nonzero integer polynomial (lowest
+    degree first), ascending, by the rational root theorem: a root n/d in
+    lowest terms has n | c_0 and d | c_n once zero roots are divided out,
+    and (n - d) | p(1) and (n + d) | p(-1) screen the candidates."""
+    coeffs = list(coeffs)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    roots = set()
+    while coeffs[0] == 0:
+        roots.add(Fraction(0))
+        coeffs = coeffs[1:]
+    deg = len(coeffs) - 1
+    if deg == 0:
+        return sorted(roots)
+    at1, atm1 = eval_int(coeffs, 1), eval_int(coeffs, -1)
+    for den in divisors(coeffs[-1]):
+        for num in divisors(coeffs[0]):
+            if math.gcd(num, den) != 1:
+                continue
+            for n in (num, -num):
+                if at1 != 0 and (n == den or at1 % (n - den) != 0):
+                    continue
+                if atm1 != 0 and (n == -den or atm1 % (n + den) != 0):
+                    continue
+                if sum(c * n**i * den ** (deg - i) for i, c in enumerate(coeffs)) == 0:
+                    roots.add(Fraction(n, den))
+    return sorted(roots)
+
+
+def prime_exponents(n):
+    """{prime: exponent} of a positive integer by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def radical_degree_oracle(b, d, gens):
+    """Least m | d with |b|^(m/d) in the group generated by the positive
+    rationals and the |b_i|^(1/d_i) of gens = [(b_i, d_i)].  An element
+    t + sum k_i v_i / d_i (t integral) of that group is rational exactly
+    when its prime exponent vector is integral, and only k_i mod d_i
+    matters, so every residue tuple is tried."""
+    values = [abs(Fraction(b))] + [abs(Fraction(r)) for r, _ in gens]
+    facs = [(prime_exponents(v.numerator), prime_exponents(v.denominator)) for v in values]
+    primes = sorted({p for num, den in facs for p in (*num, *den)})
+    vecs = [[num.get(p, 0) - den.get(p, 0) for p in primes] for num, den in facs]
+    gen_vecs = [[Fraction(c, dg) for c in v] for v, (_, dg) in zip(vecs[1:], gens)]
+    for m in range(1, d + 1):
+        if d % m:
+            continue
+        target = [Fraction(c * m, d) for c in vecs[0]]
+        for ks in itertools.product(*(range(dg) for _, dg in gens)):
+            rest = [t - sum(k * v[i] for k, v in zip(ks, gen_vecs)) for i, t in enumerate(target)]
+            if all(x.denominator == 1 for x in rest):
+                return m
+    return d
+
+
+def is_perfect_power(n):
+    """Is the integer n > 1 some c^k with k >= 2?  Binary search per k."""
+    for k in range(2, n.bit_length() + 1):
+        lo, hi = 1, 1 << (n.bit_length() // k + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid**k < n:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo**k == n:
+            return True
+    return False

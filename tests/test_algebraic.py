@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cakelab import AlgebraicNumber, Measure, Poly, Session, nth_root
 from cakelab.algebraic import _CutRootAtom
@@ -101,6 +103,23 @@ class TestRoots:
             v = nth_root(r, d)
             assert v.degree() == expected
             assert d % v.degree() == 0
+
+    def test_large_power_radicand(self):
+        # 2^70 is a square beyond the 64th power: the fourth root is 2^(35/2)
+        v = AlgebraicNumber.of(2**70).root(4)
+        assert v.minimal_polynomial() == Poly([-(2**35), 0, 1])
+        assert v.degree() == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([Fraction(2), Fraction(6), Fraction(10), Fraction(2, 3), Fraction(5, 12)]),
+        st.integers(1, 160),
+        st.integers(2, 12),
+    )
+    def test_power_radicand_degree(self, t, g, d):
+        # t is no perfect power, so (t^g)^(1/d) = t^(a/b) with a/b = g/d
+        # in lowest terms has degree b
+        assert nth_root(t**g, d).degree() == d // math.gcd(g, d)
 
     def test_root_of_algebraic(self):
         v = nth_root(nth_root(2, 2), 3)  # 2^(1/6)

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cakelab import (
     DegreeCapExceeded,
@@ -14,9 +17,9 @@ from cakelab import (
     rational_roots,
 )
 from cakelab.factoring import kronecker_find_factor, modp_irreducible
-from cakelab.ints import factor_positive
+from cakelab.ints import coprime_base, factor_positive
 
-from _oracle import oracle_factor
+from _oracle import is_perfect_power, oracle_factor
 
 X = Poly.x()
 
@@ -34,6 +37,48 @@ class TestFactorPositive:
     def test_rejects_nonpositive(self, n):
         with pytest.raises(ValueError):
             factor_positive(n)
+
+
+class TestCoprimeBase:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([2, 3, 5, 6, 10, 12, 15, 49, 2**61 - 1, 2**61 + 1]),
+                        st.integers(0, 5),
+                    ),
+                    max_size=4,
+                ),
+                st.sampled_from([1, -1]),
+            ),
+            max_size=5,
+        )
+    )
+    @example([([(2, 70)], 1), ([(6, 2), (10, 3)], -1)])
+    def test_properties(self, specs):
+        ns = []
+        for parts, sign in specs:
+            n = sign
+            for b, e in parts:
+                n *= b**e
+            ns.append(n)
+        base = coprime_base(ns)
+        assert base == sorted(base) and all(b > 1 for b in base)
+        assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1 :])
+        assert not any(is_perfect_power(b) for b in base)
+        for n in ns:
+            n = abs(n)
+            for b in base:
+                while n % b == 0:
+                    n //= b
+            assert n == 1
+
+    def test_units_and_zero(self):
+        assert coprime_base([1, -1]) == []
+        with pytest.raises(ValueError):
+            coprime_base([3, 0])
 
 
 class TestEisenstein:

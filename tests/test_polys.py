@@ -18,6 +18,8 @@ from cakelab.polys import (
     sturm_isolate,
 )
 
+from _oracle import rational_roots_oracle
+
 X = Poly.x()
 
 
@@ -246,3 +248,55 @@ class TestRationalRoots:
                 continue
             for r in rational_roots(p):
                 assert p(r) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(1, 2)), max_size=4
+        ),
+        st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+        st.integers(0, 2),
+        st.sampled_from([1, -1, 2, -3, 6]),
+    )
+    @example([(2, 3, 2), (-1, 1, 1)], [5], 0, -1)
+    @example([(0, 1, 2)], [1, 1], 1, 1)
+    def test_against_divisor_oracle(self, linears, cofactor, zeros, scale):
+        # products of linear factors (repeated, zero or not) and a random
+        # cofactor, with either sign of leading coefficient
+        p = Poly.monomial(zeros, scale) * Poly(cofactor)
+        for n, d, k in linears:
+            p = p * Poly([-n, d]) ** k
+        assume(not p.is_zero)
+        assert rational_roots(p) == rational_roots_oracle([int(v) for v in p.coeffs])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-(10**4), 10**4), st.integers(1, 10**4), st.integers(1, 3)),
+            max_size=3,
+        ),
+        st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=7),
+    )
+    def test_against_sympy(self, linears, cofactor):
+        sympy = pytest.importorskip("sympy")
+        p = Poly(cofactor)
+        for n, d, k in linears:
+            p = p * Poly([-n, d]) ** k
+        assume(not p.is_zero)
+        poly = sympy.Poly([int(v) for v in reversed(p.coeffs)], sympy.Symbol("x"))
+        expected = sorted(
+            {
+                Fraction(-int(b), int(a))
+                for f, _ in poly.factor_list()[1]
+                if f.degree() == 1
+                for a, b in [f.all_coeffs()]
+            }
+        )
+        assert rational_roots(p) == expected
+
+    def test_semiprime_constant(self):
+        # the constant's prime factors have 61 and 89 bits: factoring it
+        # took minutes, lifting takes milliseconds
+        m = (2**61 - 1) * (2**89 - 1)
+        assert rational_roots(X**3 - c(m)) == []
+        assert rational_roots(X**3 - c(8 * m**3)) == [Fraction(2 * m)]

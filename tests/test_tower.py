@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cakelab import (
     AlgebraicNumber,
@@ -13,6 +15,9 @@ from cakelab import (
     degree_obstruction,
     nth_root,
 )
+from cakelab.tower import _radical_group_member
+
+from _oracle import radical_degree_oracle
 
 A = AlgebraicNumber
 
@@ -113,6 +118,41 @@ class TestAdjoin:
         s3 = tw.adjoin(nth_root(Fraction(1, 2), 5), claimed_radical=(5, A(Fraction(1, 2))))
         assert s3.degree == 5
         assert tw.total_degree == 10
+
+
+def _radicand(parts):
+    out = Fraction(1)
+    for b, e in parts:
+        out *= Fraction(b) ** e
+    return out
+
+
+# products of powers of primes, composites sharing them and perfect powers
+_RADICANDS = st.lists(
+    st.tuples(st.sampled_from([2, 3, 5, 6, 10, 12, 15, 36, 7]), st.integers(-6, 6)), max_size=4
+).map(_radicand)
+_GENS = st.lists(st.tuples(_RADICANDS, st.integers(2, 6)), max_size=3)
+
+
+class TestRadicalDegree:
+    @settings(max_examples=150, deadline=None)
+    @given(_RADICANDS, st.integers(2, 12), _GENS)
+    @example(Fraction(2**35), 4, [])
+    @example(Fraction(6), 6, [(Fraction(12), 2), (Fraction(3), 3)])
+    def test_against_prime_oracle(self, b, d, gens):
+        tw = Tower()
+        tw._rational_radical_gens = gens
+        expected = radical_degree_oracle(b, d, gens)
+        assert tw._radical_degree(b, d) == expected
+        assert _radical_group_member(b, d, gens) == (expected == 1)
+
+    def test_semiprime_radicands(self):
+        # factoring M61 * M89 took minutes; the coprime base needs gcds only
+        m = (2**61 - 1) * (2**89 - 1)
+        tw = Tower()
+        assert tw.adjoin(nth_root(m, 3), claimed_radical=(3, A(m))).degree == 3
+        assert tw.adjoin(nth_root(8 * m, 3), claimed_radical=(3, A(8 * m))).degree == 1
+        assert tw.is_pth_power(A(27 * m**2), 3) is True
 
 
 class TestIsPthPower:
