@@ -36,10 +36,10 @@ from .polys import (
     Poly,
     bisect_root,
     dyadic_horner,
-    rational_roots,
     resultant,
     root_bound,
     squarefree_part,
+    squarefree_rational_roots,
     sturm_chain,
     sturm_count,
     sturm_isolate,
@@ -448,7 +448,7 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
             hits.append(idx)
     if len(hits) != 1:
         raise ValueError("the span must contain exactly one root")
-    for r in rational_roots(sqf):
+    for r in squarefree_rational_roots(sqf):
         if lo <= r <= hi:
             return _Rat(r)
     target_idx = hits[0]
@@ -577,7 +577,7 @@ def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
     def side(m: int, e: int) -> int:
         return dyadic_horner(cs, m, e)
 
-    # the poly has no root at a midpoint: interned atoms have no rational roots
+    # the poly has no root at a grid point: interned atoms have no rational roots
     atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
     return atom.lo, atom.hi
 
@@ -587,20 +587,29 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
     den = math.lcm(*[c.denominator for c in atom.cdf.coeffs])
     cs = [int(c * den) for c in atom.cdf.coeffs]
     n = len(cs) - 1
+    centre = None
 
     def side(m: int, e: int) -> int:
-        """Sign of cdf(x) - target at x = m / 2^e, with both sides scaled by
-        den * 2^(e*n); the target is irrational by construction, so doubling
-        its precision always separates the two."""
-        nonlocal kc
+        """cdf(x) - centre at x = m / 2^e, scaled by den * 2^(e*n) and the
+        denominator of centre, the midpoint of the target's first enclosure
+        in this call; but ±1 where that disagrees with the sign of
+        cdf(x) - target.  The target is irrational by construction, so
+        doubling its precision always decides that sign."""
+        nonlocal kc, centre
         fx = dyadic_horner(cs, m, e)
         while True:
             tlo, thi = _interval(atom.target, kc)
+            if centre is None:
+                centre = (tlo + thi) / 2
             if fx * tlo.denominator < (tlo.numerator * den) << (e * n):
-                return -1
+                sign = -1
+                break
             if fx * thi.denominator > (thi.numerator * den) << (e * n):
-                return 1
+                sign = 1
+                break
             kc *= 2
+        v = fx * centre.denominator - ((centre.numerator * den) << (e * n))
+        return v if (v > 0) - (v < 0) == sign else sign
 
     atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
     return atom.lo, atom.hi
@@ -1108,13 +1117,15 @@ class AlgebraicNumber:
         eps = Fraction(1, 10 ** (digits + 2))
         while True:
             lo, hi = _refine_to(self._node, eps)
-            flo = (lo.numerator * scale) // lo.denominator
-            fhi = (hi.numerator * scale) // hi.denominator
-            if flo == fhi:
-                neg = flo < 0
-                mag = -flo if neg else flo
-                whole, fi = divmod(mag, scale)
-                return ("-" if neg else "") + f"{whole}.{fi:0{digits}d}…"
+            # the value is irrational, so strictly inside [lo, hi]: truncate
+            # |value| once both ends have one sign and truncate alike
+            if lo >= 0 or hi <= 0:
+                tlo = (abs(lo.numerator) * scale) // lo.denominator
+                thi = (abs(hi.numerator) * scale) // hi.denominator
+                if tlo == thi:
+                    whole, fi = divmod(tlo, scale)
+                    body = f"{whole}.{fi:0{digits}d}" if digits else str(whole)
+                    return ("-" if hi <= 0 else "") + body + "…"
             eps /= 100  # the value straddles a grid line; keep tightening
 
     def display(self, digits: int = 12) -> str:

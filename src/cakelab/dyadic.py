@@ -1,10 +1,11 @@
 """Dyadic intervals: exact endpoints with power-of-two denominators.
 
-A dyadic number m/2^e halves to the midpoint (a + b)/2^(e+1) of two
-mantissas over a common 2^e, so repeated bisection stays in integers:
-`polys.bisect_root` keeps its bracket that way and builds `Fraction`s only
-for the endpoints it returns.  Used as the certified container for real
-roots throughout the package.
+Halving a dyadic interval k times splits it into 2^k equal cells whose
+ends are integer mantissas over one power of two, so root refinement
+stays in integers: `polys.bisect_root` picks cells of that grid, evaluates
+only at its points, and builds `Fraction`s only for the endpoints it
+returns.  Used as the certified container for real roots throughout the
+package.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
 from .ints import divisors, factor_positive, is_probable_prime
-from .polys import Poly, rational_roots, squarefree_decomposition
+from .polys import Poly, squarefree_decomposition, squarefree_rational_roots
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -447,7 +447,7 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
         if h.degree == 1:
             out.append(h.primitive())
             continue
-        roots = rational_roots(h)
+        roots = squarefree_rational_roots(h)
         if roots:
             for r in roots:
                 lin = Poly([-r.numerator, r.denominator])

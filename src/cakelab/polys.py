@@ -7,10 +7,11 @@ floats enter at any point.  The module also houses the Sturm machinery
 roots by p-adic lifting, which the factorization pipeline and the
 algebraic-number layer build on.
 
-Root refinement has one bisection routine, `bisect_root`.  It works on
-integers: the bracket is a pair of mantissas over a shared 2^e, and a
-polynomial is evaluated at the dyadic midpoint m/2^e as the integer
-2^(e*n) * p(m/2^e) (`dyadic_horner`), which has the sign of p there.
+Root refinement has one routine, `bisect_root`: quadratic interval
+refinement on the dyadic grid that bisection walks, so it ends on the
+cell bisection would.  It works on integers: points are mantissas over
+the grid's final 2^e, and a polynomial is evaluated at m/2^e as the
+integer 2^(e*n) * p(m/2^e) (`dyadic_horner`), proportional to p there.
 """
 
 from __future__ import annotations
@@ -475,36 +476,84 @@ def dyadic_horner(coeffs: Sequence[int], m: int, e: int) -> int:
 def bisect_root(
     side: Callable[[int, int], int], lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Halve the dyadic bracket [lo, hi] until it is at most width wide,
-    keeping the sign change of a function inside it.  side(m, e) returns a
-    number with the sign of the function at m / 2^e, which is negative at lo
-    and positive at hi.  Returns (mid, mid) when it vanishes at a midpoint.
+    """Shrink the dyadic bracket [lo, hi] of the one sign change of a
+    function f to the cell at most width wide that halving it would end on,
+    by quadratic interval refinement (Abbott 2006).
 
-    The bracket is kept as integer mantissas over a shared power of two, so
-    side sees the same midpoints as plain Fraction bisection would."""
+    side(m, e) returns a number (an integer or a Fraction) with the exact
+    sign of f at m / 2^e, negative at lo and positive at hi.  Its magnitude
+    is proportional to f there, on one scale within a call: every call
+    passes the same e.  It is never called at lo or hi.  Returns (g, g)
+    when f vanishes at a point g that halving would test.
+
+    Halving L times, L the least count that brings [lo, hi] to at most
+    width, walks a grid of 2^L equal cells; e is the exponent of that grid.
+    A cell with both end values known is split into N = 2^s parts, and the
+    secant through those values picks the part next to its estimate.  When
+    the signs at that part's ends bracket the root, the part becomes the
+    cell and N squares; otherwise the cell is halved once and N falls to its
+    square root, but not below 4.  A cell is also halved while an end value
+    is unknown.  Parts are never narrower than the final cell, so every
+    point tested is a grid point and the result is exactly the cell (or
+    grid-point root) that halving finds."""
     if width <= 0:
         raise ValueError(f"refinement width must be positive, got {width}")
     elo, ehi = lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1
     e = max(elo, ehi)
     a, b = lo.numerator << (e - elo), hi.numerator << (e - ehi)
-    # b - a is the same at every exponent: each halving doubles one end
-    # and moves the other to the sum
-    gap = (b - a) * width.denominator
-    while gap > width.numerator << e:
-        mid = a + b
-        e += 1
-        v = side(mid, e)
-        if v == 0:
-            return Fraction(mid, 1 << e), Fraction(mid, 1 << e)
-        if v < 0:
-            a, b = mid, b << 1
+    # halving keeps b - a and raises e, until (b - a) / 2^e <= width
+    ratio = -(-(b - a) * width.denominator // (width.numerator << e))
+    levels = max(ratio - 1, 0).bit_length()
+    e += levels
+    a, b = a << levels, b << levels
+    values: dict[int, int] = {}
+
+    def f(m: int) -> int:
+        v = values.get(m)
+        if v is None:
+            v = values[m] = side(m, e)
+        return v
+
+    s = 2
+    while levels:
+        t = min(s, levels)
+        if t > 1 and a in values and b in values:
+            fa, fb = values[a], values[b]
+            part = (b - a) >> t
+            # the grid point nearest the secant root a + (b - a) fa / (fa - fb)
+            g = a + part * ((-fa * (2 << t) + fb - fa) // (2 * (fb - fa)))
+            fg = f(g)
+            if fg == 0:
+                break
+            h = g + part if fg < 0 else g - part
+            fh = f(h)
+            if fh == 0:
+                g = h
+                break
+            if (fh < 0) != (fg < 0):
+                a, b = min(g, h), max(g, h)
+                levels -= t
+                s *= 2
+                continue
+            s = max(s // 2, 2)
+        g = (a + b) >> 1
+        fg = f(g)
+        if fg == 0:
+            break
+        if fg < 0:
+            a = g
         else:
-            a, b = a << 1, mid
-    return Fraction(a, 1 << e), Fraction(b, 1 << e)
+            b = g
+        levels -= 1
+    else:
+        return Fraction(a, 1 << e), Fraction(b, 1 << e)
+    # broken off: f vanishes at the grid point g
+    return Fraction(g, 1 << e), Fraction(g, 1 << e)
 
 
 def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
-    """Shrink an isolating interval below the requested width by bisection.
+    """Shrink an isolating interval below the requested width, to the cell
+    bisection would end on (`bisect_root`).
 
     Requires a certificate that iv isolates exactly one root of p: either a
     sign change of the squarefree part or a Sturm count of one."""
@@ -523,7 +572,7 @@ def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
         cs = [-c for c in cs]
     lo, hi = bisect_root(lambda m, e: dyadic_horner(cs, m, e), iv.lo, iv.hi, width)
     if lo == hi:
-        # the root is exactly a dyadic midpoint: centre an interval on it
+        # the root is exactly a grid point: centre an interval on it
         quarter = iv.width / 4
         while quarter * 2 > width:
             quarter /= 2
@@ -539,8 +588,14 @@ def _horner_mod(coeffs: Sequence[int], x: int, m: int) -> int:
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
-    """All distinct rational roots, sorted ascending, by p-adic lifting
-    (Loos 1983).  No integer is factored.
+    """All distinct rational roots of p, sorted ascending: those of its
+    squarefree part, found by `squarefree_rational_roots`."""
+    return squarefree_rational_roots(squarefree_part(p))
+
+
+def squarefree_rational_roots(p: Poly) -> list[Fraction]:
+    """All rational roots of the squarefree polynomial p, sorted ascending,
+    by p-adic lifting (Loos 1983).  No integer is factored.
 
     Take the primitive integer form c_n x^n + ... + c_0 with c_0 != 0.  A
     rational root r makes c_n r an integer of absolute value at most
@@ -549,9 +604,9 @@ def rational_roots(p: Poly) -> list[Fraction]:
     reduces to one of those roots, found by trying every residue.  Newton
     lifting takes each to its q-adic root mod q^(2^i) until the modulus
     exceeds 2B; the symmetric residue of c_n x is then c_n r, and an exact
-    integer Horner check keeps the true roots.  A multiple root mod q
-    switches to the squarefree part once, after which only the finitely
-    many primes dividing its discriminant are passed over."""
+    integer Horner check keeps the true roots.  A multiple root mod q only
+    moves on to the next prime: as p is squarefree, just the finitely many
+    primes dividing its discriminant have one."""
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every rational root")
     coeffs = p.int_coeffs()
@@ -565,17 +620,12 @@ def rational_roots(p: Poly) -> list[Fraction]:
     if len(coeffs) <= 1:
         return roots
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    squarefree = False
     q = 2
     while True:
         if coeffs[-1] % q != 0:
             residues = [a for a in range(q) if _horner_mod(coeffs, a, q) == 0]
             if all(_horner_mod(deriv, a, q) != 0 for a in residues):
                 break
-            if not squarefree:
-                coeffs = squarefree_part(Poly(coeffs)).int_coeffs()
-                deriv = [i * c for i, c in enumerate(coeffs)][1:]
-                squarefree = True
         q += 1
         while not is_probable_prime(q):
             q += 1

@@ -5,6 +5,8 @@ every integer candidate inside the Mignotte coefficient box, filtered by
 the necessary divisibility of values at 0, 1 and -1.  Interpolation never
 enters: the search and the library's Kronecker stage share no code path.
 
+Root refinement is checked against plain Fraction bisection.
+
 Rational roots come from the rational root theorem: every pair of
 divisors of the constant and leading coefficients is tried.  Radical
 degrees come from prime exponent vectors found by trial division, with
@@ -218,3 +220,21 @@ def is_perfect_power(n):
         if lo**k == n:
             return True
     return False
+
+
+def bisect_oracle(p, lo, hi, width):
+    """Independent sign-change bisection of [lo, hi] until at most width
+    wide, in plain Fractions; (mid, mid) when p vanishes at a midpoint."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    assert p(lo) * p(hi) < 0
+    neg_left = p(lo) < 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = p(mid)
+        if v == 0:
+            return mid, mid
+        if (v < 0) == neg_left:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cakelab import AlgebraicNumber, Measure, Poly, Session, nth_root
-from cakelab.algebraic import _CutRootAtom
+import cakelab.algebraic as alg
+from cakelab import AlgebraicNumber, Measure, Poly, Session, isolate_equitable_cutpoint, nth_root
+from cakelab.algebraic import _CutRootAtom, _interval, _make_cut_root
+from cakelab.cake import poly_at
 
 X = Poly.x()
 
@@ -293,3 +295,112 @@ class TestCutRootRefinement:
             lo, hi = v.approx(eps)
             assert hi - lo <= eps
             assert (lo, hi) == cut_oracle(cdf, r, a, hi - lo)
+
+
+def cut_bisection_reference(cdf, target, eps):
+    """Cut-root refinement as plain Fraction bisection, run the way
+    `approx(eps)` drives it: precisions k = 8, 16, ... until the bracket is
+    at most eps wide.  At each k, [lo, hi] is halved until 2^-k wide; a
+    midpoint's side is decided by cdf(mid) against the target's enclosure
+    at precision kc, from max(k, 8), doubled until the two separate."""
+    lo, hi, k = Fraction(0), Fraction(1), 8
+    while True:
+        kc = max(k, 8)
+        while hi - lo > Fraction(1, 1 << k):
+            mid = (lo + hi) / 2
+            fx = cdf(mid)
+            while True:
+                tlo, thi = _interval(target, kc)
+                if fx < tlo:
+                    lo = mid
+                    break
+                if fx > thi:
+                    hi = mid
+                    break
+                kc *= 2
+        if hi - lo <= eps:
+            return lo, hi
+        k *= 2
+
+
+class TestCutRootHistory:
+    """Refining a cut root ends on bisection's enclosure, with the target
+    refined to the same precision and enclosure as bisection leaves it."""
+
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            Poly([0, Fraction(1, 2), Fraction(1, 2)]),
+            Poly([0, Fraction(1, 4), 0, Fraction(3, 4)]),
+            Poly([0, Fraction(2, 3), 0, 0, Fraction(1, 3)]),
+        ],
+    )
+    @pytest.mark.parametrize("r, d", [(Fraction(1, 2), 2), (Fraction(3, 5), 2), (Fraction(2, 7), 3)])
+    def test_matches_plain_bisection_at_2_to_minus_1024(self, cdf, r, d, monkeypatch):
+        eps = Fraction(1, 2**1024)
+        targets = []
+        for _ in range(2):
+            # a fresh intern table per target gives each its own radical, so
+            # neither sees the other's refinement
+            monkeypatch.setattr(alg, "_root_intern", {})
+            targets.append((poly_at(cdf, nth_root(r, d)) + Fraction(1, 10))._node)
+        atom = _make_cut_root(cdf, targets[0])
+        assert isinstance(atom, _CutRootAtom)
+        assert AlgebraicNumber(atom).approx(eps) == cut_bisection_reference(cdf, targets[1], eps)
+        assert targets[0]._ivc == targets[1]._ivc
+
+
+class TestRefinementWork:
+    def test_quintic_cutpoint_to_2_to_minus_8192(self, monkeypatch):
+        # a fresh atom, so earlier tests' refinement does not shorten the run
+        monkeypatch.setattr(alg, "_polyroot_intern", {})
+        cp = isolate_equitable_cutpoint(Measure.make(X), Measure.make(X**5))
+        cp.value.approx(Fraction(1, 2**64))
+        horner = alg.dyadic_horner
+        calls = []
+
+        def counted(cs, m, e):
+            calls.append(e)
+            return horner(cs, m, e)
+
+        monkeypatch.setattr(alg, "dyadic_horner", counted)
+        lo, hi = cp.value.approx(Fraction(1, 2**8192))
+        assert hi - lo <= Fraction(1, 2**8192)
+        assert cp.minpoly(lo) * cp.minpoly(hi) < 0
+        # bisection evaluates once per halving, 8128 times
+        assert len(calls) <= 400
+
+
+def parse_truncated_decimal(s):
+    """The closed interval a truncated decimal "-1.414…" denotes."""
+    body = s.rstrip("…")
+    v = Fraction(body)
+    if body == s:
+        return v, v
+    ulp = Fraction(1, 10 ** len(body.partition(".")[2]))
+    return (v, v + ulp) if not body.startswith("-") else (v - ulp, v)
+
+
+class TestSignedDecimal:
+    def test_negative_irrational_truncates(self):
+        assert (-nth_root(2, 2)).decimal(3) == "-1.414…"
+        assert (nth_root(2, 2) - Fraction(14143, 10000)).decimal(3) == "-0.000…"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20),
+        st.integers(2, 5),
+        st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20),
+        st.integers(2, 5),
+        st.sampled_from([1, -1]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=8),
+        st.integers(0, 30),
+    )
+    def test_negation_mirrors_and_encloses(self, r1, d1, r2, d2, sign, shift, digits):
+        v = nth_root(r1, d1) + sign * nth_root(r2, d2) + shift
+        if v.sign() == 0:
+            return
+        pos = v if v.sign() > 0 else -v
+        assert (-pos).decimal(digits) == "-" + pos.decimal(digits)
+        lo, hi = parse_truncated_decimal(v.decimal(digits))
+        assert lo <= v <= hi

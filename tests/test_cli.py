@@ -148,6 +148,19 @@ class TestGoldenBytes:
         with open(os.path.join(GOLDEN, f"isolate-cutpoint-{measures}.{fmt}"), "rb") as fh:
             assert res.stdout == fh.read()
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_isolate_cutpoint_to_2_to_minus_4096(self, fmt):
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", "--format", fmt, "isolate-cutpoint",
+             "--measures", os.path.join(GOLDEN, "power.measures"),
+             "--width", f"1/{2**4096}"],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert res.returncode == 0
+        with open(os.path.join(GOLDEN, f"isolate-cutpoint-power-4096.{fmt}"), "rb") as fh:
+            assert res.stdout == fh.read()
+
 
 class TestFormats:
     def test_structured_is_json_with_version(self, capsys, measures_file):

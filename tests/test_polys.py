@@ -13,35 +13,19 @@ from cakelab.polys import (
     refine_root,
     resultant,
     squarefree_decomposition,
+    squarefree_rational_roots,
     sturm_chain,
     sturm_count,
     sturm_isolate,
 )
 
-from _oracle import rational_roots_oracle
+from _oracle import bisect_oracle, rational_roots_oracle
 
 X = Poly.x()
 
 
 def c(v):
     return Poly.constant(v)
-
-
-def bisect_oracle(p, lo, hi, width):
-    """Independent sign-change bisection for cross-checking refinement."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    assert p(lo) * p(hi) < 0
-    neg_left = p(lo) < 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = p(mid)
-        if v == 0:
-            return mid, mid
-        if (v < 0) == neg_left:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 class TestGcd:
@@ -216,6 +200,94 @@ class TestBisectRoot:
         )
 
 
+def oriented_sides(p, lo):
+    """Two sides for bisect_root on the integer form of p, negative at lo:
+    exact scaled values (dyadic_horner) and their signs alone."""
+    cs = p.int_coeffs()
+    if p(lo) > 0:
+        cs = [-v for v in cs]
+
+    def exact(m, e):
+        return dyadic_horner(cs, m, e)
+
+    def sign_only(m, e):
+        v = dyadic_horner(cs, m, e)
+        return (v > 0) - (v < 0)
+
+    return exact, sign_only
+
+
+WIDTHS = st.one_of(
+    st.integers(0, 300).map(lambda bits: Fraction(1, 1 << bits)),
+    st.sampled_from([Fraction(1, 3), Fraction(1, 10**12), Fraction(5, 7), Fraction(3, 2**200)]),
+)
+
+
+class TestQuadraticRefinement:
+    """bisect_root refines quadratically but must end on the very cell, or
+    grid-point root, that plain bisection finds, for exact and sign-only
+    sides alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=6), st.integers(1, 9), WIDTHS)
+    @example([-2, 0], 1, Fraction(1, 3))
+    @example([-1, 0, 1], 1, Fraction(1, 10**12))
+    def test_isolated_roots_match_bisection(self, low, lead, width):
+        p = Poly(low + [lead])
+        assume(poly_gcd(p, p.derivative()).degree == 0)
+        # the Cauchy bound of these polynomials is at most 31
+        for iv in sturm_isolate(p, DyadicInterval.make(-64, 64)):
+            expected = bisect_oracle(p, iv.lo, iv.hi, width)
+            for side in oriented_sides(p, iv.lo):
+                assert bisect_root(side, iv.lo, iv.hi, width) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(-(10**6), 10**6),
+        st.one_of(st.integers(0, 12).map(lambda j: 1 << j), st.integers(1, 999)),
+        st.integers(0, 8),
+        st.integers(0, 50),
+        st.integers(0, 50),
+        WIDTHS,
+    )
+    @example(1, 3, 0, 0, 0, Fraction(1, 3))
+    @example(-7, 1024, 2, 5, 0, Fraction(1, 10**12))
+    def test_rational_root_in_any_dyadic_bracket(self, num, den, e, below, above, width):
+        # one real root num/den in [lo, hi], whose width need not be a
+        # power of two; a dyadic root can be a point of the bisection grid
+        r = Fraction(num, den)
+        p = Poly([-r.numerator, r.denominator]) * Poly([1, 0, 1])
+        scaled = r * (1 << e)
+        lo = Fraction(-((-scaled.numerator) // scaled.denominator) - 1 - below, 1 << e)
+        hi = Fraction(scaled.numerator // scaled.denominator + 1 + above, 1 << e)
+        expected = bisect_oracle(p, lo, hi, width)
+        for side in oriented_sides(p, lo):
+            assert bisect_root(side, lo, hi, width) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 100), st.data())
+    def test_grid_point_root(self, level, extra, data):
+        # g is a point of level `level` of [0, 1]'s bisection grid, which
+        # refinement to 2^-(level + extra) walks past
+        g = Fraction(2 * data.draw(st.integers(0, (1 << (level - 1)) - 1)) + 1, 1 << level)
+        p = Poly([-g.numerator, g.denominator]) * Poly([2, -1, 3])
+        for side in oriented_sides(p, Fraction(0)):
+            assert bisect_root(side, Fraction(0), Fraction(1), Fraction(1, 1 << (level + extra))) == (g, g)
+
+    def test_no_evaluation_at_bracket_ends(self):
+        cs = (X**3 + X**2 - c(1)).int_coeffs()
+        seen = []
+
+        def side(m, e):
+            seen.append(Fraction(m, 1 << e))
+            return dyadic_horner(cs, m, e)
+
+        bisect_root(side, Fraction(1, 2), Fraction(1), Fraction(1, 2**300))
+        # only interior grid points, each once
+        assert seen and all(Fraction(1, 2) < x < 1 for x in seen)
+        assert len(set(seen)) == len(seen)
+
+
 class TestDyadicHorner:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -293,6 +365,20 @@ class TestRationalRoots:
             }
         )
         assert rational_roots(p) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.integers(-(10**4), 10**4), st.integers(0, 3))
+    @example(1, 2, 0)
+    def test_squarefree_core_passes_over_multiple_roots_mod_q(self, lead, b, shift):
+        # lead*(x + shift)^5 + lead*(x + shift) - b has a double root mod 3
+        # for most b; the core must move to the next prime, and never take
+        # a squarefree part
+        p = (Poly([shift, 1]) ** 5 + Poly([shift, 1])).scale(lead) - c(b)
+        assume(poly_gcd(p, p.derivative()).degree == 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cakelab.polys.squarefree_part", None)
+            roots = squarefree_rational_roots(p)
+        assert roots == rational_roots_oracle([int(v) for v in p.coeffs])
 
     def test_semiprime_constant(self):
         # the constant's prime factors have 61 and 89 bits: factoring it
