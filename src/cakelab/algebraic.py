@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 from .dyadic import DyadicInterval
 from .errors import DegreeCapExceeded, ZeroPolynomialError
-from .factoring import DEFAULT_DEGREE_CAP, _interpolate, factor_over_Q
+from .factoring import DEFAULT_DEGREE_CAP, factor_over_Q
 from .ints import factor_positive, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
@@ -754,6 +754,28 @@ def _select_factor(candidates: list[Poly], node: _Node) -> Poly:
         assert surviving, "no candidate contains the value"
         cands = surviving
         k *= 2
+
+
+def _interpolate(points: list[int], values: list[Fraction]) -> list[Fraction]:
+    """Lagrange interpolation; returns coefficients lowest degree first."""
+    n = len(points)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(num) + 1)
+            for k, c in enumerate(num):
+                new[k] -= c * points[j]
+                new[k + 1] += c
+            num = new
+            den *= points[i] - points[j]
+        w = values[i] / den
+        for k, c in enumerate(num):
+            out[k] += w * c
+    return out
 
 
 def _image_minpoly_candidates(m: Poly, g: Poly) -> list[Poly]:

@@ -2,16 +2,23 @@
 
 Pipeline, cheapest certificate first: content extraction, squarefree
 decomposition, rational-root extraction, Eisenstein (direct and on the
-reversal), a factor-degree sieve from reductions modulo small primes
-(subset sums of modular factor-degree patterns bound the degrees any
-rational factor could have, often proving irreducibility outright), and
-finally an exhaustive Kronecker divisor search over the surviving
-degrees.  All factors are returned primitive over the integers with
-positive leading coefficient, so comparisons in tests are canonical.
+reversal, at primes found without factoring), and a factor-degree sieve:
+distinct-degree factorization modulo small primes bounds the degrees any
+rational factor could have (subset sums of the modular factor-degree
+patterns), often proving irreducibility outright.  What survives is
+factored by Zassenhaus's algorithm at the sieve prime p with the fewest
+modular factors: Cantor-Zassenhaus splitting of that prime's
+distinct-degree parts, Hensel lifting until p^k exceeds twice the leading
+coefficient times a Mignotte bound, and recombination of the lifted
+factors in subsets of increasing size, skipping degrees the sieve rules
+out (Zassenhaus 1969; Cantor & Zassenhaus 1981; von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 14-15).  All factors are returned primitive
+over the integers with positive leading coefficient, so comparisons in
+tests are canonical.
 
-A degree cap (default 12) bounds what the exhaustive stage will accept;
-inputs past the cap raise DegreeCapExceeded rather than running forever,
-and the divisor search itself carries a candidate budget.
+A degree cap (default 12) bounds the inputs accepted; inputs past the cap
+raise DegreeCapExceeded rather than running forever, and recombination
+carries a candidate budget.
 """
 
 from __future__ import annotations
@@ -19,18 +26,25 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
-from .ints import divisors, factor_positive, is_probable_prime
+from .ints import is_probable_prime
 from .polys import Poly, squarefree_decomposition, squarefree_rational_roots
 
 DEFAULT_DEGREE_CAP = 12
 
-# Probe primes for the modular irreducibility shortcut.  Primes up to 50
-# are needed in practice: T^10 + T - 1 has no witness below 17.
+# The first primes of the factor-degree sieve, and the only primes
+# Eisenstein is tried at.  Primes up to 50 are needed in practice:
+# T^10 + T - 1 has no modular irreducibility witness below 17.
 PROBE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Recombination candidates tried per polynomial before giving up.  Below
+# the default cap there are at most 12 modular factors, whose subsets of
+# up to half their number are about two thousand.
+RECOMBINATION_BUDGET = 200_000
 
 
 class Eisenstein(enum.Enum):
@@ -63,10 +77,11 @@ def eisenstein(p: Poly, q: int, try_reversal: bool = False) -> Eisenstein:
     return Eisenstein.INCONCLUSIVE
 
 
-# -- irreducibility modulo a prime ------------------------------------------
+# -- polynomials modulo m ------------------------------------------------------
 #
-# Polynomials over F_p are plain int lists (lowest degree first), reduced
-# mod p, no trailing zeros.
+# Plain int lists (lowest degree first), reduced mod m, no trailing zeros.
+# m is a prime p for the modular factorization and p^k for Hensel lifting;
+# division needs only an invertible leading coefficient.
 
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -75,23 +90,47 @@ def _fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
+def _fp_add(a: list[int], b: list[int], m: int) -> list[int]:
+    return _fp_trim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_sub(a: list[int], b: list[int], m: int) -> list[int]:
+    return _fp_trim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _fp_trim([c % m for c in out])
+
+
+def _fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     a = a[:]
-    inv = pow(b[-1], -1, p)
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
-        c = a[-1] * inv % p
+        c = a[-1] * inv % m
         if c:
             off = len(a) - len(b)
+            q[off] = c
             for i, bc in enumerate(b):
-                a[off + i] = (a[off + i] - c * bc) % p
+                a[off + i] = (a[off + i] - c * bc) % m
         a.pop()
         _fp_trim(a)
-        if not a:
-            break
-    return a
+    return _fp_trim(q), a
+
+
+def _fp_rem(a: list[int], b: list[int], m: int) -> list[int]:
+    return _fp_divmod(a, b, m)[1]
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p."""
     while b:
         a, b = b, _fp_rem(a, b, p)
     if a:
@@ -100,323 +139,304 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_rem(_fp_trim(out), mod, p)
+def _fp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """s, t with s*a + t*b = 1 over F_p, deg s < deg b and deg t < deg a,
+    for coprime a and b of positive degree."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _fp_frobenius(a: list[int], mod: list[int], p: int) -> list[int]:
-    """a(x)^p mod (mod, p), by square and multiply."""
+def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """a(x)^e mod (mod, p), by square and multiply."""
     out = [1]
     base = a[:]
-    e = p
     while e:
         if e & 1:
-            out = _fp_mulmod(out, base, mod, p)
-        base = _fp_mulmod(base, base, mod, p)
+            out = _fp_rem(_fp_mul(out, base, p), mod, p)
+        base = _fp_rem(_fp_mul(base, base, p), mod, p)
         e >>= 1
     return out
 
 
-def _fp_exact_div(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        q[len(a) - len(b)] = c
-        if c:
-            off = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[off + i] = (a[off + i] - c * bc) % p
-        a.pop()
-        _fp_trim(a)
-        if not a:
+# -- factorization modulo a prime ---------------------------------------------
+
+
+def _fp_ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree factorization of a monic squarefree f over F_p:
+    pairs (k, monic product of the irreducible factors of degree k), k
+    ascending."""
+    out: list[tuple[int, list[int]]] = []
+    work = f
+    xq = [0, 1]
+    k = 0
+    while len(work) > 1:
+        k += 1
+        if 2 * k > len(work) - 1:
+            out.append((len(work) - 1, work))
             break
-    assert not _fp_trim(a), "division was not exact"
-    return _fp_trim(q)
+        xq = _fp_powmod(xq, p, work, p)
+        diff = _fp_sub(xq, [0, 1], p)
+        if not diff:
+            # every remaining factor has degree dividing k; since none has
+            # degree below k, the remainder splits into degree-k parts
+            out.append((k, work))
+            break
+        g = _fp_gcd(work, diff, p)
+        if len(g) > 1:
+            out.append((k, g))
+            work = _fp_divmod(work, g, p)[0]
+            xq = _fp_rem(xq, work, p)
+    return out
 
 
-def _modp_degree_pattern(h: Poly, q: int) -> list[int] | None:
-    """Multiset of irreducible factor degrees of h modulo q, by
-    distinct-degree splitting.  None when q is unusable (degree drops or
-    the reduction is not squarefree)."""
-    coeffs = [c % q for c in h.int_coeffs()]
-    n = h.degree
-    f = _fp_trim(coeffs)
-    if len(f) - 1 != n:
+def _fp_edf(g: list[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of g, a monic product of distinct
+    irreducibles of degree k over F_p (Cantor-Zassenhaus).  A random a
+    splits g by gcd(g, a^((p^k-1)/2) - 1), or for p = 2 by the gcd with
+    the trace a + a^2 + ... + a^(2^(k-1)), each factor landing on either
+    side with probability about 1/2."""
+    n = len(g) - 1
+    if n == k:
+        return [g]
+    while True:
+        a = _fp_trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        if p == 2:
+            b = t = a
+            for _ in range(k - 1):
+                t = _fp_rem(_fp_mul(t, t, 2), g, 2)
+                b = _fp_sub(b, t, 2)  # subtraction is addition mod 2
+        else:
+            b = _fp_sub(_fp_powmod(a, (p**k - 1) // 2, g, p), [1], p)
+        d = _fp_gcd(g, b, p)
+        if 1 < len(d) < len(g):
+            return _fp_edf(d, k, p, rng) + _fp_edf(_fp_divmod(g, d, p)[0], k, p, rng)
+
+
+def _modp_ddf(h: Poly, q: int) -> list[tuple[int, list[int]]] | None:
+    """Distinct-degree factorization of h modulo q, made monic.  None when
+    q is unusable (degree drops or the reduction is not squarefree)."""
+    f = _fp_trim([c % q for c in h.int_coeffs()])
+    if len(f) - 1 != h.degree:
         return None
     inv = pow(f[-1], -1, q)
     f = [c * inv % q for c in f]
     deriv = _fp_trim([i * c % q for i, c in enumerate(f)][1:])
-    if not deriv or len(_fp_gcd(f[:], deriv[:], q)) != 1:
+    if not deriv or len(_fp_gcd(f, deriv, q)) != 1:
         return None
-    pattern: list[int] = []
-    work = f
-    xq = [0, 1]
-    k = 0
-    while len(work) - 1 > 0:
-        k += 1
-        if 2 * k > len(work) - 1:
-            pattern.append(len(work) - 1)
-            break
-        xq = _fp_frobenius(xq, work, q)
-        diff = _fp_trim(
-            [(a - b) % q for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)]
-        )
-        if not diff:
-            # every remaining factor has degree dividing k; since none has
-            # degree below k, the remainder splits into degree-k parts
-            pattern.extend([k] * ((len(work) - 1) // k))
-            break
-        g = _fp_gcd(work[:], diff, q)
-        if len(g) > 1:
-            pattern.extend([k] * ((len(g) - 1) // k))
-            work = _fp_exact_div(work, g, q)
-            if len(work) - 1 == 0:
-                break
-            xq = _fp_rem(xq, work, q)
-    return pattern
+    return _fp_ddf(f, q)
 
 
-def _possible_proper_degrees(h: Poly) -> set[int] | None:
-    """Degrees a proper rational factor of h could have, as constrained by
-    factor-degree patterns modulo several primes (subset sums).  None when
-    no usable prime was found; an empty set proves irreducibility."""
-    n = h.degree
-    allowed: set[int] | None = None
-    usable = 0
-    for q in PROBE_PRIMES:
-        pattern = _modp_degree_pattern(h, q)
-        if pattern is None:
-            continue
-        sums = {0}
-        for d in pattern:
-            sums |= {s + d for s in sums}
-        cand = {s for s in sums if 0 < s < n}
-        allowed = cand if allowed is None else (allowed & cand)
-        usable += 1
-        if not allowed:
-            return set()
-        if usable >= 4:
-            break
-    return allowed
+def _modp_degree_pattern(h: Poly, q: int) -> list[int] | None:
+    """Multiset of irreducible factor degrees of h modulo q, ascending.
+    None when q is unusable."""
+    ddf = _modp_ddf(h, q)
+    if ddf is None:
+        return None
+    return [k for k, g in ddf for _ in range((len(g) - 1) // k)]
 
 
 def modp_irreducible(p: Poly, q: int) -> bool:
     """True only if the reduction of p mod q has the same degree and is
     irreducible over F_q (which certifies irreducibility over the
     rationals).  False means the probe is inconclusive."""
-    coeffs = [c % q for c in p.int_coeffs()]
-    n = p.degree
-    if n < 1 or len(coeffs) - 1 != n or coeffs[-1] % q == 0:
-        return False
-    f = _fp_trim(coeffs[:])
-    if len(f) - 1 != n:
-        return False
-    x = [0, 1]
-    # f is irreducible iff x^(q^n) == x mod f and gcd(x^(q^(n/r)) - x, f) = 1
-    # for every prime r dividing n.
-    powers = [x]
-    cur = x
-    for _ in range(n):
-        cur = _fp_frobenius(cur, f, q)
-        powers.append(cur)
-    if _fp_trim([(a - b) % q for a, b in itertools.zip_longest(powers[n], x, fillvalue=0)]):
-        return False
-    for r in factor_positive(n):
-        diff = [(a - b) % q for a, b in itertools.zip_longest(powers[n // r], x, fillvalue=0)]
-        g = _fp_gcd(f[:], _fp_trim(diff), q)
-        if len(g) != 1:
-            return False
-    return True
+    return _modp_degree_pattern(p, q) == [p.degree]
 
 
-# -- Kronecker divisor search ------------------------------------------------
+def _sieve_primes():
+    yield from PROBE_PRIMES
+    q = PROBE_PRIMES[-1]
+    while True:
+        q += 2
+        if is_probable_prime(q):
+            yield q
 
 
-def _int_eval(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _degree_sieve(h: Poly) -> tuple[set[int], int, list[tuple[int, list[int]]]]:
+    """Degrees a proper rational factor of h could have, as constrained by
+    factor-degree patterns modulo up to four usable primes (subset sums),
+    with the usable prime of fewest modular factors and its
+    distinct-degree factorization.  An empty set proves irreducibility.
+    Primes past the probe primes are tried while fewer than four were
+    usable; h must be squarefree, so that only finitely many are not."""
+    n = h.degree
+    allowed: set[int] | None = None
+    best: tuple[int, int, list[tuple[int, list[int]]]] | None = None
+    usable = 0
+    for q in _sieve_primes():
+        ddf = _modp_ddf(h, q)
+        if ddf is None:
+            continue
+        count = sum((len(g) - 1) // k for k, g in ddf)
+        if best is None or count < best[0]:
+            best = (count, q, ddf)
+        sums = {0}
+        for k, g in ddf:
+            for _ in range((len(g) - 1) // k):
+                sums |= {s + k for s in sums}
+        cand = {s for s in sums if 0 < s < n}
+        allowed = cand if allowed is None else (allowed & cand)
+        usable += 1
+        if not allowed or usable >= 4:
+            return allowed, best[1], best[2]
 
 
-def _signed_divisors(n: int) -> list[int]:
-    ds = divisors(n)
-    return [d for a in ds for d in (a, -a)]
-
-
-def _kronecker_points(coeffs: list[int], count: int) -> list[tuple[int, int]]:
-    """Pick evaluation points with few divisors to keep the search small."""
-    cands = [0]
-    k = 1
-    while len(cands) < count + 6:
-        cands.extend([k, -k])
-        k += 1
-    scored = []
-    for x in cands:
-        v = _int_eval(coeffs, x)
-        if v == 0:
-            continue  # caller guarantees no integer roots; stay safe anyway
-        scored.append((len(divisors(v)), abs(x), x, v))
-    scored.sort()
-    chosen = scored[:count]
-    chosen.sort(key=lambda t: t[2])
-    return [(t[2], t[3]) for t in chosen]
-
-
-def _interpolate(points: list[int], values: list[Fraction]) -> list[Fraction]:
-    """Lagrange interpolation; returns coefficients lowest degree first."""
-    n = len(points)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k] -= c * points[j]
-                new[k + 1] += c
-            num = new
-            den *= points[i] - points[j]
-        w = values[i] / den
-        for k, c in enumerate(num):
-            out[k] += w * c
-    return out
+# -- Zassenhaus: Hensel lifting and recombination ------------------------------
 
 
 class FactorSearchBudget(DegreeCapExceeded):
-    """The exhaustive divisor search would exceed its candidate budget."""
+    """Recombination of modular factors would exceed its candidate budget."""
 
     def __init__(self, budget: int, context: str = ""):
         self.needed = budget
         self.cap = budget
         self.context = context
-        msg = f"divisor search budget of {budget} candidates exhausted"
+        msg = f"recombination search budget of {budget} candidates exhausted"
         if context:
             msg += f" ({context})"
         CakelabError.__init__(self, msg)
 
 
-KRONECKER_BUDGET = 2_000_000
+def _hensel_step(f, g, h, s, t, m):
+    """From f = g*h and s*g + t*h = 1 modulo some m0 with m0 | m | m0^2,
+    h monic, to the same four equations modulo m with g and h unchanged
+    modulo m0 (von zur Gathen & Gerhard, Algorithm 15.10)."""
+    e = _fp_sub(f, _fp_mul(g, h, m), m)
+    q, r = _fp_divmod(_fp_mul(s, e, m), h, m)
+    g = _fp_add(g, _fp_add(_fp_mul(t, e, m), _fp_mul(q, g, m), m), m)
+    h = _fp_add(h, r, m)
+    b = _fp_sub(_fp_add(_fp_mul(s, g, m), _fp_mul(t, h, m), m), [1], m)
+    c, d = _fp_divmod(_fp_mul(s, b, m), h, m)
+    s = _fp_sub(s, d, m)
+    t = _fp_sub(t, _fp_add(_fp_mul(t, b, m), _fp_mul(c, g, m), m), m)
+    return g, h, s, t
 
 
-def _newton_coeffs_to_poly(xs: list[int], dds: list[int]) -> list[int]:
-    """Expand a Newton-form interpolant with integer divided differences."""
-    out = [dds[0]]
-    basis = [1]
-    for k in range(1, len(dds)):
-        # basis *= (x - xs[k-1])
-        new = [0] * (len(basis) + 1)
-        for i, c in enumerate(basis):
-            new[i] -= c * xs[k - 1]
-            new[i + 1] += c
-        basis = new
-        if dds[k]:
-            while len(out) < len(basis):
-                out.append(0)
-            for i, c in enumerate(basis):
-                out[i] += dds[k] * c
-    return out
+def _hensel_lift(f: list[int], factors: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """Monic lifts modulo p^k of the monic, pairwise coprime factors with
+    f = lc(f) * prod(factors) modulo p, in the same order; lc(f) must be
+    a unit modulo p.  The factors are split in halves, each product pair
+    is lifted quadratically, then each half recursively."""
+    m = p**k
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, m)
+        return [[c * inv % m for c in f]]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:half]:
+        g = _fp_mul(g, u, p)
+    h = [1]
+    for u in factors[half:]:
+        h = _fp_mul(h, u, p)
+    s, t = _fp_xgcd(g, h, p)
+    mod = p
+    while mod < m:
+        mod = min(mod * mod, m)
+        g, h, s, t = _hensel_step(f, g, h, s, t, mod)
+    return _hensel_lift(g, factors[:half], p, k) + _hensel_lift(h, factors[half:], p, k)
 
 
-def kronecker_find_factor(
-    coeffs: list[int], max_degree: int, degrees=None, budget: int = KRONECKER_BUDGET
-) -> list[int] | None:
-    """Search for a nontrivial integer divisor by interpolation through
-    divisors of integer values.  The input must be primitive and free of
-    rational roots.  Candidate degrees default to 2..max_degree and can be
-    pruned by the caller.
-
-    Candidate value tuples are walked in Newton form: divided differences
-    of an integer polynomial over integer points are integers, so any
-    non-integral difference prunes the whole prefix.  A candidate budget
-    turns pathological searches into an explicit error."""
-    n = len(coeffs) - 1
-    if degrees is None:
-        degrees = range(2, max_degree + 1)
-    visited = 0
-    for d in degrees:
-        pts = _kronecker_points(coeffs, d + 1)
-        xs = [x for x, _ in pts]
-        divisor_sets: list[list[int]] = []
-        for idx, (_, v) in enumerate(pts):
-            ds = _signed_divisors(v)
-            if idx == 0:
-                ds = [a for a in ds if a > 0]  # g and -g are the same factor
-            divisor_sets.append(ds)
-        # depth-first over value choices; diag[k] holds the divided
-        # differences ending at the current point
-        stack: list[tuple[int, list[int], int]] = [(0, [], 0)]
-        while stack:
-            level, diag, next_idx = stack.pop()
-            if level == d + 1:
-                dds = diag
-                lead = dds[-1]
-                if lead == 0 or coeffs[-1] % lead != 0:
-                    continue
-                # the running diagonal is the Newton form over the points
-                # in reverse order
-                cand = _newton_coeffs_to_poly(xs[::-1], dds)
-                if len(cand) - 1 != d:
-                    continue
-                if cand[0] != 0 and coeffs[0] % cand[0] != 0:
-                    continue
-                if _int_divides(cand, coeffs):
-                    return cand
-                continue
-            # re-push a resume marker for the next sibling, then the child
-            if next_idx < len(divisor_sets[level]):
-                stack.append((level, diag, next_idx + 1))
-                v = divisor_sets[level][next_idx]
-                visited += 1
-                if visited > budget:
-                    raise FactorSearchBudget(budget, f"degree-{d} divisor search")
-                new_diag = [v]
-                ok = True
-                for j in range(1, level + 1):
-                    num = new_diag[j - 1] - diag[j - 1]
-                    den = xs[level] - xs[level - j]
-                    if num % den != 0:
-                        ok = False
-                        break
-                    new_diag.append(num // den)
-                if ok:
-                    stack.append((level + 1, new_diag, 0))
-    return None
-
-
-def _int_divides(g: list[int], f: list[int]) -> bool:
+def _int_exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g over the integers, or None when g does not divide f."""
     rem = f[:]
     glc = g[-1]
+    q = [0] * (len(f) - len(g) + 1)
     while len(rem) >= len(g):
-        if rem[-1] % glc != 0:
-            return False
-        c = rem[-1] // glc
+        c, r = divmod(rem[-1], glc)
+        if r:
+            return None
         off = len(rem) - len(g)
+        q[off] = c
         for i, gc in enumerate(g):
             rem[off + i] -= c * gc
         rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            return True
-    return not rem
+        _fp_trim(rem)
+    return None if rem else q
 
 
-def _int_exact_div(g: list[int], f: list[int]) -> list[int]:
-    q, r = divmod(Poly(f), Poly(g))
-    assert r.is_zero
-    return [int(c) for c in q.coeffs]
+def _primitive_int(g: list[int]) -> list[int]:
+    content = 0
+    for c in g:
+        content = math.gcd(content, c)
+    if g[-1] < 0:
+        content = -content
+    return [c // content for c in g]
+
+
+def _subsets(r: int, s: int):
+    """Index subsets of size s from range(r); when 2s = r, only those
+    holding 0, since the others are complements of these."""
+    if 2 * s == r:
+        return ((0, *c) for c in itertools.combinations(range(1, r), s - 1))
+    return itertools.combinations(range(r), s)
+
+
+def _recombine(f: list[int], lifted: list[list[int]], m: int, allowed: set[int]) -> list[list[int]]:
+    """Irreducible factors of the primitive f, whose monic modular factors
+    `lifted` are known modulo m > 2 * |lc(f)| * B, B bounding the
+    coefficients of every factor of f.  A factor of f is lc(f) times the
+    product of a subset of `lifted`, read in the symmetric range; subsets
+    are tried by increasing size, and only when their degree is in
+    `allowed`.  f(0) must be nonzero and lc(f) positive."""
+    out = []
+    s = 1
+    tried = 0
+    while 2 * s <= len(lifted):
+        lc = f[-1]
+        for subset in _subsets(len(lifted), s):
+            if sum(len(lifted[i]) - 1 for i in subset) not in allowed:
+                continue
+            tried += 1
+            if tried > RECOMBINATION_BUDGET:
+                raise FactorSearchBudget(
+                    RECOMBINATION_BUDGET, f"degree-{len(f) - 1} recombination"
+                )
+            # the constant term of a factor divides lc(f) * f(0)
+            c0 = lc
+            for i in subset:
+                c0 = c0 * lifted[i][0] % m
+            if c0 > m // 2:
+                c0 -= m
+            if c0 == 0 or lc * f[0] % c0:
+                continue
+            g = [lc]
+            for i in subset:
+                g = _fp_mul(g, lifted[i], m)
+            g = _primitive_int([c - m if c > m // 2 else c for c in g])
+            quot = _int_exact_quotient(f, g)
+            if quot is not None:
+                out.append(g)
+                f = quot
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            s += 1
+    out.append(f)
+    return out
+
+
+def _zassenhaus(
+    f: list[int], p: int, ddf: list[tuple[int, list[int]]], allowed: set[int]
+) -> list[list[int]]:
+    """Irreducible factors of a primitive f, squarefree modulo p with f(0)
+    nonzero, from its distinct-degree factorization `ddf` modulo p."""
+    rng = random.Random(0)
+    modular = [u for k, g in ddf for u in _fp_edf(g, k, p, rng)]
+    n = len(f) - 1
+    # Landau-Mignotte: a factor of degree d < n has coefficients of
+    # absolute value at most 2^d * ||f||_2
+    bound = (math.isqrt(sum(c * c for c in f)) + 1) << (n - 1)
+    k = 1
+    while p**k <= 2 * abs(f[-1]) * bound:
+        k += 1
+    return _recombine(f, _hensel_lift(f, modular, p, k), p**k, allowed)
 
 
 @dataclass(frozen=True)
@@ -459,52 +479,36 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
         if _certify_irreducible(h):
             out.append(h.primitive())
             continue
-        # factor-degree sieve: patterns modulo several primes bound the
-        # degrees any rational factor could have
+        # factor-degree sieve: without rational roots a proper factor has
+        # degree 2..n-2
         n = h.degree
-        allowed = _possible_proper_degrees(h)
-        if allowed is not None:
-            search = sorted(
-                d for d in allowed if 2 <= d <= n // 2 and (n - d) in allowed
-            )
-            if not search:
-                out.append(h.primitive())
-                continue
-        else:
-            search = list(range(2, n // 2 + 1))
-        ic = h.int_coeffs()
-        g = kronecker_find_factor(ic, n // 2, degrees=search)
-        if g is None:
+        allowed, q, ddf = _degree_sieve(h)
+        allowed = {d for d in allowed if 2 <= d <= n - 2}
+        if not allowed:
             out.append(h.primitive())
             continue
-        stack.append(Poly(g))
-        stack.append(Poly(_int_exact_div(g, ic)))
+        out.extend(Poly(g) for g in _zassenhaus(h.int_coeffs(), q, ddf, allowed))
     return out
 
 
 def _certify_irreducible(h: Poly) -> bool:
     """Cheap certificates only; False just means no certificate found.
-    Modular certificates are handled by the factor-degree sieve later.
+    Eisenstein is tried at the probe primes alone: finding larger primes
+    would mean factoring the coefficients.  Modular certificates come from
+    the factor-degree sieve later, and Zassenhaus proves what both miss.
 
     h must have no rational root, as in `_factor_squarefree`, which has
-    just looked: then degrees 2 and 3 are irreducible outright."""
+    just looked: then degrees 2 and 3 are irreducible outright, and h(0)
+    is nonzero."""
     if h.degree in (2, 3):
         return True
     coeffs = h.int_coeffs()
-    nonlead = 0
-    for c in coeffs[:-1]:
-        nonlead = math.gcd(nonlead, abs(c))
-    for q in factor_positive(nonlead):
-        if _eisenstein_int(coeffs, q):
+    for cs in (coeffs, coeffs[::-1]):
+        nonlead = 0
+        for c in cs[:-1]:
+            nonlead = math.gcd(nonlead, c)
+        if any(nonlead % q == 0 and _eisenstein_int(cs, q) for q in PROBE_PRIMES):
             return True
-    if coeffs[0] != 0:
-        rev = list(reversed(coeffs))
-        noncon = 0
-        for c in rev[:-1]:
-            noncon = math.gcd(noncon, abs(c))
-        for q in factor_positive(noncon):
-            if _eisenstein_int(rev, q):
-                return True
     return False
 
 

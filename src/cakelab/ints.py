@@ -5,10 +5,12 @@ deterministic Miller-Rabin primality test covers the rest at far better
 than square-root cost, which matters once polynomial constants reach
 the billions.
 
-Rational roots and radical degrees need no factorization.  They use only
-the factor-free tools here: integer d-th roots and `coprime_base`, which
-splits integers into pairwise coprime parts by gcds alone (Bernstein,
-"Factoring into coprimes in essentially linear time").
+Rational roots, radical degrees and polynomial factoring need no integer
+factorization.  They use only primality tests, trial division by small
+primes and the factor-free tools here: integer d-th roots and
+`coprime_base`, which splits integers into pairwise coprime parts by
+gcds alone (Bernstein, "Factoring into coprimes in essentially linear
+time").
 """
 
 from __future__ import annotations
@@ -85,18 +87,6 @@ def factor_positive(n: int) -> dict[int, int]:
         d = pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending (n may be negative)."""
-    n = abs(n)
-    if n == 0:
-        return []
-    out = [1]
-    for p, e in factor_positive(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    out.sort()
     return out
 
 

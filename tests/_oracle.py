@@ -2,8 +2,10 @@
 
 A divisor of an integer polynomial is found (or ruled out) by exhausting
 every integer candidate inside the Mignotte coefficient box, filtered by
-the necessary divisibility of values at 0, 1 and -1.  Interpolation never
-enters: the search and the library's Kronecker stage share no code path.
+the necessary divisibility of values at 0, 1 and -1.  Kronecker's search
+is a second probe: it interpolates through divisors of integer values.
+Neither works modulo a prime, so they share no step with the library's
+Zassenhaus factoring.
 
 Root refinement is checked against plain Fraction bisection.
 
@@ -91,6 +93,81 @@ def find_divisor(f):
                     res = poly_divmod_int(f, g)
                     if res is not None and not res[1]:
                         return g
+    return None
+
+
+def _kronecker_points(coeffs, count):
+    """Evaluation points with few divisors, to keep the search small."""
+    cands = [0]
+    k = 1
+    while len(cands) < count + 6:
+        cands.extend([k, -k])
+        k += 1
+    scored = []
+    for x in cands:
+        v = eval_int(coeffs, x)
+        if v != 0:
+            scored.append((len(divisors(v)), abs(x), x, v))
+    scored.sort()
+    return sorted(((x, v) for _, _, x, v in scored[:count]))
+
+
+def _newton_to_coeffs(xs, dds):
+    """Expand a Newton-form interpolant with integer divided differences."""
+    out = [dds[0]]
+    basis = [1]
+    for k in range(1, len(dds)):
+        new = [0] * (len(basis) + 1)
+        for i, c in enumerate(basis):
+            new[i] -= c * xs[k - 1]
+            new[i + 1] += c
+        basis = new
+        out.extend([0] * (len(basis) - len(out)))
+        for i, c in enumerate(basis):
+            out[i] += dds[k] * c
+    return out
+
+
+def kronecker_find_factor(coeffs, max_degree):
+    """A divisor of degree 2..max_degree of a primitive integer polynomial
+    free of rational roots, or None, by Kronecker's method: a degree-d
+    divisor g takes at d + 1 integer points values dividing f's values
+    there, and is the interpolant through them.  Value tuples are walked
+    in Newton form, where the divided differences of an integer
+    polynomial at integer points are integers, so a non-integral
+    difference prunes the whole prefix."""
+    for d in range(2, max_degree + 1):
+        pts = _kronecker_points(coeffs, d + 1)
+        xs = [x for x, _ in pts]
+        # g and -g are the same factor: the first value is taken positive
+        signs = [(1,)] + [(1, -1)] * d
+        choices = [[s * a for a in divisors(v) for s in sg] for (_, v), sg in zip(pts, signs)]
+
+        def walk(level, diag):
+            if level == d + 1:
+                cand = _newton_to_coeffs(xs[::-1], diag)
+                while cand and cand[-1] == 0:
+                    cand.pop()
+                if len(cand) - 1 != d:
+                    return None
+                res = poly_divmod_int(coeffs, cand)
+                return cand if res is not None and not res[1] else None
+            for v in choices[level]:
+                new = [v]
+                for j in range(1, level + 1):
+                    num, den = new[j - 1] - diag[j - 1], xs[level] - xs[level - j]
+                    if num % den:
+                        break
+                    new.append(num // den)
+                else:
+                    found = walk(level + 1, new)
+                    if found is not None:
+                        return found
+            return None
+
+        found = walk(0, [])
+        if found is not None:
+            return found
     return None
 
 

@@ -28,11 +28,11 @@ from cakelab import (
     welfare,
 )
 from cakelab.cli import main as cli_main
-from cakelab.factoring import PROBE_PRIMES, kronecker_find_factor, modp_irreducible
+from cakelab.factoring import PROBE_PRIMES, modp_irreducible
 from cakelab.polys import rational_roots
 
 from _corpus import corpus, mixed_quadratic, mixed_quintic, power, uniform
-from _oracle import oracle_factor
+from _oracle import kronecker_find_factor, oracle_factor
 
 X = Poly.x()
 

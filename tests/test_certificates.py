@@ -27,8 +27,10 @@ from cakelab import (
     verify_certificate,
     welfare,
 )
-from cakelab.factoring import PROBE_PRIMES, kronecker_find_factor, modp_irreducible
+from cakelab.factoring import PROBE_PRIMES, modp_irreducible
 from cakelab.polys import rational_roots
+
+from _oracle import kronecker_find_factor
 
 X = Poly.x()
 

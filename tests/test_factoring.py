@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cakelab import (
@@ -16,10 +16,12 @@ from cakelab import (
     is_irreducible,
     rational_roots,
 )
-from cakelab.factoring import kronecker_find_factor, modp_irreducible
+from cakelab import factoring
+from cakelab.cli import main as cli_main
+from cakelab.factoring import FactorSearchBudget, modp_irreducible
 from cakelab.ints import coprime_base, factor_positive
 
-from _oracle import is_perfect_power, oracle_factor
+from _oracle import is_perfect_power, kronecker_find_factor, oracle_factor
 
 X = Poly.x()
 
@@ -175,9 +177,21 @@ class TestFactor:
         assert g is not None
         assert Poly(g).divides(p)
 
+    def test_splits_product_of_quadratics(self):
+        fac = factor_over_Q((X**2 + X + c(1)) * (X**2 - X + c(3)))
+        assert [(str(f), m) for f, m in fac.factors] == [("x^2 + x + 1", 1), ("x^2 - x + 3", 1)]
+
     def test_irreducible_pipeline(self):
         assert is_irreducible(X**3 + X**2 - c(1))
         assert not is_irreducible(X**5 + X - c(1))
+
+    def test_eisenstein_needs_no_integer_factoring(self):
+        # the constant's prime factors have 61 and 89 bits: factoring it
+        # to look for an Eisenstein prime took minutes; Zassenhaus decides
+        p = X**4 + c((2**61 - 1) * (2**89 - 1))
+        assert not factoring._certify_irreducible(p)
+        assert is_irreducible(p)
+        assert factoring._certify_irreducible(X**4 - c(2 * (2**61 - 1) * (2**89 - 1)))
 
 
 class TestOracleAgreement:
@@ -196,3 +210,161 @@ class TestOracleAgreement:
                 (tuple(int(x) for x in f.coeffs), m) for f, m in fac.factors
             )
             assert ours == oracle_factor(coeffs)
+
+
+SWINNERTON_DYER_4 = Poly([1, 0, -10, 0, 1])  # sqrt(2) + sqrt(3)
+SWINNERTON_DYER_8 = Poly([576, 0, -960, 0, 352, 0, -40, 0, 1])  # + sqrt(5)
+
+# a cut-root polynomial of the refine benchmark; the divisor search took
+# over a second to prove it irreducible
+CUT_ROOT_OCTIC = Poly(
+    [28497260281, 0, 0, -162183360000, -1567772480000, 0, 230400000000, 4454400000000, 21529600000000]
+)
+
+
+class TestZassenhaus:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 13, 47]), st.lists(st.integers(0, 46), min_size=1, max_size=12))
+    def test_equal_degree_splitting(self, p, coeffs):
+        f = [v % p for v in coeffs] + [1]
+        deriv = factoring._fp_trim([i * v % p for i, v in enumerate(f)][1:])
+        assume(deriv and len(factoring._fp_gcd(f, deriv, p)) == 1)  # squarefree
+        rng = random.Random(5)
+        product = [1]
+        for k, part in factoring._fp_ddf(f, p):
+            for u in factoring._fp_edf(part, k, p, rng):
+                assert len(u) - 1 == k and u[-1] == 1
+                assert factoring._fp_ddf(u, p) == [(k, u)]
+                product = factoring._fp_mul(product, u, p)
+        assert product == f
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 11]),
+        st.lists(st.integers(-50, 50), min_size=2, max_size=10),
+        st.integers(1, 7),
+        st.integers(1, 40),
+    )
+    def test_hensel_lifting(self, p, coeffs, lead, k):
+        h = Poly(coeffs + [lead])
+        f = h.int_coeffs()
+        ddf = factoring._modp_ddf(h, p)
+        assume(ddf is not None)  # squarefree mod p, lead a unit
+        modular = [u for d, g in ddf for u in factoring._fp_edf(g, d, p, random.Random(0))]
+        lifted = factoring._hensel_lift(f, modular, p, k)
+        m = p**k
+        product = [f[-1] % m]
+        for u, v in zip(lifted, modular):
+            assert u[-1] == 1 and [x % p for x in u] == v
+            product = factoring._fp_mul(product, u, m)
+        assert product == factoring._fp_trim([x % m for x in f])
+
+    def test_no_usable_probe_prime(self):
+        # the leading coefficient vanishes modulo every probe prime, so the
+        # sieve and Zassenhaus work modulo larger primes
+        lead = math.prod(factoring.PROBE_PRIMES)
+        a, b = Poly([1, 1, lead]), X**2 + X + c(1)
+        assert all(factoring._modp_ddf(a * b, q) is None for q in factoring.PROBE_PRIMES)
+        assert [f for f, _ in factor_over_Q(a * b).factors] == [b, a]
+
+    def test_swinnerton_dyer(self, monkeypatch):
+        # reducible modulo every prime, so recombination must prove them
+        assert is_irreducible(SWINNERTON_DYER_4)
+        assert is_irreducible(SWINNERTON_DYER_8)
+        monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 0)
+        for p in (SWINNERTON_DYER_4, SWINNERTON_DYER_8):
+            with pytest.raises(FactorSearchBudget):
+                factor_over_Q(p)
+
+    def test_cut_root_octic(self, monkeypatch):
+        # one recombination candidate: modulo 31 the octic splits into two
+        # quartics, and only one of the two complementary subsets is tried
+        monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 1)
+        assert is_irreducible(CUT_ROOT_OCTIC)
+        monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 0)
+        with pytest.raises(FactorSearchBudget):
+            factor_over_Q(CUT_ROOT_OCTIC)
+
+
+class TestRecombinationBudget:
+    def test_library_error(self, monkeypatch):
+        monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 0)
+        with pytest.raises(FactorSearchBudget) as ei:
+            factor_over_Q(X**5 + X - c(1))
+        # the benchmark classifies by type and by these words
+        assert isinstance(ei.value, DegreeCapExceeded)
+        assert "search budget" in str(ei.value)
+
+    def test_cli_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 0)
+        code = cli_main(["check-impossibility", "equitable", "--d", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "search budget" in err
+
+
+class TestSympyAgreement:
+    @staticmethod
+    def sympy_factors(sympy, p):
+        x = sympy.Symbol("x")
+        _, fl = sympy.factor_list(sympy.Poly([int(v) for v in reversed(p.coeffs)], x))
+        out = []
+        for f, m in fl:
+            cs = [int(v) for v in reversed(f.all_coeffs())]
+            if cs[-1] < 0:
+                cs = [-v for v in cs]
+            out.append((tuple(cs), m))
+        return sorted(out)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-9, 9), min_size=1, max_size=10),
+                st.sampled_from([1, 2, 3, -1, 5]),
+                st.integers(1, 2),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_random_products(self, specs):
+        sympy = pytest.importorskip("sympy")
+        p = c(1)
+        for coeffs, lead, mult in specs:
+            q = Poly(coeffs + [lead])
+            if (p * q**mult).degree > 40:
+                break
+            p = p * q**mult
+        fac = factor_over_Q(p, cap=40)
+        assert fac.reconstruct() == p
+        ours = sorted((tuple(int(v) for v in f.coeffs), m) for f, m in fac.factors)
+        assert ours == self.sympy_factors(sympy, p)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_products_of_degree_34_to_40(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        p = c(1)
+        while p.degree < 34:
+            q = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice([1, 2, 3, -1, 5])])
+            if (p * q).degree <= 40:
+                p = p * q
+        fac = factor_over_Q(p, cap=40)
+        ours = sorted((tuple(int(v) for v in f.coeffs), m) for f, m in fac.factors)
+        assert ours == self.sympy_factors(sympy, p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            SWINNERTON_DYER_8 * SWINNERTON_DYER_4,
+            SWINNERTON_DYER_8 * SWINNERTON_DYER_8.compose(X + c(1)),
+            SWINNERTON_DYER_4 * (X**2 + c(1)) * (X**3 - c(2)),
+            SWINNERTON_DYER_8.compose(X**2 - c(3)) * (X**11 + X - c(1)),
+        ],
+    )
+    def test_swinnerton_dyer_products(self, p):
+        sympy = pytest.importorskip("sympy")
+        fac = factor_over_Q(p, cap=40)
+        ours = sorted((tuple(int(v) for v in f.coeffs), m) for f, m in fac.factors)
+        assert ours == self.sympy_factors(sympy, p)
