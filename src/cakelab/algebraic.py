@@ -11,9 +11,10 @@ Key internals:
 * Values that are rational functions of a single irrational "atom" are
   normalized into the number field Q[y]/(m_atom(y)).  In that form a zero
   test is a polynomial comparison and never needs refinement.
-* Values mixing independent atoms fall back to resultant elimination,
-  guarded by the degree cap; sign queries that cannot be settled
-  symbolically keep refining numerically once the value is known nonzero.
+* Values mixing independent atoms fall back to elimination by power sums
+  (Newton's identities), guarded by the degree cap; sign queries that
+  cannot be settled symbolically keep refining numerically once the value
+  is known nonzero.
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.
@@ -36,7 +37,6 @@ from .polys import (
     Poly,
     bisect_root,
     dyadic_horner,
-    resultant,
     root_bound,
     squarefree_part,
     squarefree_rational_roots,
@@ -205,7 +205,7 @@ _polyroot_intern: dict[tuple[tuple[Fraction, ...], int], _PolyRootAtom] = {}
 # A linear form is (const, {id(atom): (atom, coeff)}) and a monomial form
 # is (coeff, {id(atom): (atom, exponent)}).  They exist only when the DAG
 # is literally of that shape, and let exact cancellations like (a+b)-b and
-# (a*b)/b collapse structurally before any resultant is formed.
+# (a*b)/b collapse structurally before any elimination is formed.
 
 _FORM_NONE = object()
 
@@ -756,54 +756,55 @@ def _select_factor(candidates: list[Poly], node: _Node) -> Poly:
         k *= 2
 
 
-def _interpolate(points: list[int], values: list[Fraction]) -> list[Fraction]:
-    """Lagrange interpolation; returns coefficients lowest degree first."""
-    n = len(points)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k] -= c * points[j]
-                new[k + 1] += c
-            num = new
-            den *= points[i] - points[j]
-        w = values[i] / den
-        for k, c in enumerate(num):
-            out[k] += w * c
-    return out
+# Newton's identities tie the monic y^d + a_1 y^(d-1) + ... + a_d to the
+# power sums p_k of its roots: p_k + a_1 p_(k-1) + ... + a_(k-1) p_1 + k a_k = 0,
+# with a_k = 0 past k = d.  One solves them for p, the other for a.
 
 
-def _image_minpoly_candidates(m: Poly, g: Poly) -> list[Poly]:
-    """Factors of Res_y(m(y), T - g(y)); the image value g(root) satisfies
-    one of them.  Degree of the resultant equals deg m."""
+def _power_sums(m: Poly, n: int) -> list[Fraction]:
+    """Power sums p_0..p_n of the roots of m, with multiplicity."""
+    d = m.degree
+    a = list(reversed(m.monic().coeffs)) + [Fraction(0)] * n
+    ps = [Fraction(d)]
+    for k in range(1, n + 1):
+        ps.append(-k * a[k] - sum(a[i] * ps[k - i] for i in range(1, min(k, d + 1))))
+    return ps
+
+
+def _from_power_sums(ps: list[Fraction]) -> Poly:
+    """The monic polynomial of degree len(ps) - 1 whose roots have power sums ps."""
+    a = [Fraction(1)]
+    for k in range(1, len(ps)):
+        a.append(-(ps[k] + sum(a[i] * ps[k - i] for i in range(1, k))) / k)
+    return Poly(reversed(a))
+
+
+def _image_elimination(m: Poly, g: Poly) -> Poly:
+    """Monic prod (T - g(a)) over the roots a of m, of degree deg m; g of a
+    root of m is one of its roots.  Its power sums are the traces of g^k
+    mod m: p_k = sum_j [y^j](g^k mod m) * p_j(a)."""
     n = m.degree
-    pts = list(range(n + 1))
-    vals = [resultant(m, Poly.constant(t) - g) for t in pts]
-    rpoly = Poly(_interpolate(pts, vals))
-    fac = factor_over_Q(rpoly, degree_cap())
-    return [f for f, _ in fac.factors]
+    pm = _power_sums(m, n - 1)
+    ps = [Fraction(n)]
+    h = Poly.constant(1)
+    for _ in range(n):
+        h = h * g % m
+        ps.append(sum((a * b for a, b in zip(h.coeffs, pm)), Fraction(0)))
+    return _from_power_sums(ps)
 
 
 def _binary_elimination(kind: str, ma: Poly, mb: Poly) -> Poly:
-    """Polynomial of degree deg ma * deg mb whose roots are all pairwise
-    sums ("add") or products ("mul") of roots of ma and mb: the resultant
-    in y of ma(y) against mb(T - y), or against y^deg mb * mb(T / y),
-    interpolated at integer points T."""
-    nb = mb.degree
-    pts = list(range(ma.degree * nb + 1))
-    vals = []
-    for t in pts:
-        if kind == "add":
-            other = mb.compose(Poly([Fraction(t), -1]))
-        else:  # mul
-            other = Poly([mb.coeff(nb - j) * Fraction(t) ** (nb - j) for j in range(nb + 1)])
-        vals.append(resultant(ma, other))
-    return Poly(_interpolate(pts, vals))
+    """Monic polynomial of degree deg ma * deg mb whose roots are all pairwise
+    sums ("add") or products ("mul") of roots of ma and mb, built from power
+    sums (Bostan, Flajolet, Salvy & Schost 2006): p_k(a+b) is
+    sum_i C(k,i) p_i(a) p_{k-i}(b), and p_k(ab) is p_k(a) p_k(b)."""
+    n = ma.degree * mb.degree
+    pa, pb = _power_sums(ma, n), _power_sums(mb, n)
+    if kind == "add":
+        ps = [sum(math.comb(k, i) * pa[i] * pb[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    else:  # mul
+        ps = [a * b for a, b in zip(pa, pb)]
+    return _from_power_sums(ps)
 
 
 def _binary_minpoly_candidates(kind: str, ma: Poly, mb: Poly) -> list[Poly]:
@@ -843,9 +844,8 @@ def _compute_minpoly(node: _Node) -> Poly:
             return Poly([-v.numerator, v.denominator])
         if g == Poly.x():
             return _minpoly(atom)
-        m = _minpoly(atom).monic()
-        cands = _image_minpoly_candidates(m, g)
-        return _select_factor(cands, node).primitive()
+        fac = factor_over_Q(_image_elimination(_minpoly(atom), g), degree_cap())
+        return _select_factor([f for f, _ in fac.factors], node).primitive()
     if isinstance(node, _RootAtom):
         cap = degree_cap()
         if isinstance(node.operand, Fraction):
@@ -943,7 +943,7 @@ def _sign_by_refinement(node: _Node, k: int, limit: Optional[int] = None) -> Opt
 
 def _equal_values(a: _Node, b: _Node) -> bool:
     """Equality via shared minimal polynomial plus interval separation.
-    Never forms the resultant of the difference, so it stays inside the
+    Never eliminates for the difference, so it stays inside the
     cap whenever both operands' minimal polynomials do."""
     ma = _minpoly(a)
     mb = _minpoly(b)

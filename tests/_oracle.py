@@ -13,12 +13,19 @@ Rational roots come from the rational root theorem: every pair of
 divisors of the constant and leading coefficients is tried.  Radical
 degrees come from prime exponent vectors found by trial division, with
 the generator exponents enumerated modulo their indices.
+
+Eliminations (sums, products and polynomial images of conjugates) are
+resultants evaluated at integer points and interpolated by Lagrange, the
+library's method before it moved to power sums.  `polys.resultant` is
+their base, and its own properties are tested separately.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from math import comb, isqrt
+
+from cakelab.polys import Poly, resultant
 
 
 def divisors(n):
@@ -315,3 +322,47 @@ def bisect_oracle(p, lo, hi, width):
         else:
             hi = mid
     return lo, hi
+
+
+def _interpolate(points, values):
+    """Lagrange interpolation; returns coefficients lowest degree first."""
+    n = len(points)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(num) + 1)
+            for k, c in enumerate(num):
+                new[k] -= c * points[j]
+                new[k + 1] += c
+            num = new
+            den *= points[i] - points[j]
+        w = values[i] / den
+        for k, c in enumerate(num):
+            out[k] += w * c
+    return out
+
+
+def elimination_oracle(kind, ma, mb):
+    """Res_y(ma(y), mb(T - y)) for "add", or Res_y(ma(y), y^deg mb * mb(T / y))
+    for "mul", interpolated at T = 0..deg ma * deg mb."""
+    nb = mb.degree
+    pts = list(range(ma.degree * nb + 1))
+    vals = []
+    for t in pts:
+        if kind == "add":
+            other = mb.compose(Poly([Fraction(t), -1]))
+        else:
+            other = Poly([mb.coeff(nb - j) * Fraction(t) ** (nb - j) for j in range(nb + 1)])
+        vals.append(resultant(ma, other))
+    return Poly(_interpolate(pts, vals))
+
+
+def image_oracle(m, g):
+    """Res_y(m(y), T - g(y)) for monic m, interpolated at T = 0..deg m."""
+    pts = list(range(m.degree + 1))
+    vals = [resultant(m, Poly.constant(t) - g) for t in pts]
+    return Poly(_interpolate(pts, vals))

@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 
 import cakelab.algebraic as alg
 from cakelab import AlgebraicNumber, Measure, Poly, Session, isolate_equitable_cutpoint, nth_root
-from cakelab.algebraic import _CutRootAtom, _interval, _make_cut_root
+from cakelab.algebraic import (
+    _binary_elimination,
+    _CutRootAtom,
+    _image_elimination,
+    _interval,
+    _make_cut_root,
+)
 from cakelab.cake import poly_at
+
+from _oracle import elimination_oracle, image_oracle
 
 X = Poly.x()
 
@@ -211,6 +219,49 @@ class TestMinpoly:
     def test_rational_detection_through_mixed_atoms(self):
         v = nth_root(2, 2) + nth_root(3, 2) - nth_root(3, 2) - nth_root(2, 2)
         assert v.sign() == 0
+
+
+@st.composite
+def small_polys(draw, max_degree, monic=False):
+    """lead * prod (x - r) * cofactor: the roots r come from a small range,
+    so repeated and zero roots are common; lead may be negative."""
+    roots = draw(st.lists(st.integers(-2, 2), max_size=max_degree))
+    rest = draw(st.lists(st.integers(-5, 5), max_size=max_degree - len(roots)))
+    lead = 1 if monic else draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    p = Poly(rest + [lead])
+    for r in roots:
+        p = p * (X - c(r))
+    if p.degree == 0:
+        p = p * (X - c(draw(st.integers(-2, 2))))
+    return p
+
+
+class TestPowerSumElimination:
+    """Each elimination equals the resultant it replaced, up to a constant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["add", "mul"]), small_polys(4), small_polys(4))
+    def test_binary_matches_interpolated_resultant(self, kind, ma, mb):
+        assert elimination_oracle(kind, ma, mb).monic() == _binary_elimination(kind, ma, mb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_polys(6, monic=True),
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=6),
+    )
+    def test_image_matches_interpolated_resultant(self, m, gcoeffs):
+        g = Poly(gcoeffs[: m.degree])
+        assert image_oracle(m, g).monic() == _image_elimination(m, g)
+
+    def test_examples(self):
+        # sqrt2 + sqrt3; sqrt2 * sqrt3, each product twice; 0 * 5
+        assert _binary_elimination("add", X**2 - c(2), X**2 - c(3)) == Poly([1, 0, -10, 0, 1])
+        assert _binary_elimination("mul", X**2 - c(2), X**2 - c(3)) == (X**2 - c(6)) ** 2
+        assert _binary_elimination("mul", -X, c(2) * X - c(10)) == X
+        # 1 + sqrt2 + sqrt2/2 as g(y) = 1 + 3/2*y over y^2 - 2; a constant g
+        g = Poly([1, Fraction(3, 2)])
+        assert _image_elimination(X**2 - c(2), g) == X**2 - c(2) * X - c(Fraction(7, 2))
+        assert _image_elimination(X**3 - c(2), c(5)) == (X - c(5)) ** 3
 
 
 class TestEnclosures:

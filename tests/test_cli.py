@@ -131,8 +131,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestGoldenBytes:
-    """Refined enclosures are pinned byte for byte: a change to how roots are
-    bisected must land on the same dyadic endpoints."""
+    """Reports are pinned byte for byte: a change to how roots are bisected
+    must land on the same dyadic endpoints, and a change to how minimal
+    polynomials are eliminated on the same polynomials and tower degrees."""
 
     @pytest.mark.parametrize("measures", ["power", "mixture"])
     @pytest.mark.parametrize("fmt", ["text", "structured"])
@@ -159,6 +160,21 @@ class TestGoldenBytes:
         )
         assert res.returncode == 0
         with open(os.path.join(GOLDEN, f"isolate-cutpoint-power-4096.{fmt}"), "rb") as fh:
+            assert res.stdout == fh.read()
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_even_paz_degree_30_compositum_at_cap_48(self, fmt):
+        # membership needs degree 30 (6 x 5): past the default cap of 12, so
+        # the cap is raised in the child process only
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", "--format", fmt, "run-protocol",
+             "--protocol", "even-paz",
+             "--measures", os.path.join(GOLDEN, "even-paz-deg30.measures")],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8", "CAKELAB_DEGREE_CAP": "48"},
+        )
+        assert res.returncode == 0
+        with open(os.path.join(GOLDEN, f"run-protocol-even-paz-deg30.{fmt}"), "rb") as fh:
             assert res.stdout == fh.read()
 
 

@@ -85,6 +85,42 @@ class TestArithmetic:
         assert resultant(X**2 - c(2), X**2 - c(3)) != 0
 
 
+def _prod(ps):
+    out = Poly.constant(1)
+    for p in ps:
+        out = out * p
+    return out
+
+
+# Products of factors from a small pool, so that two draws often share one.
+_FACTOR_POOL = [X, X - c(1), c(2) * X + c(3), X**2 - c(2), X**2 + X + c(1), c(3) * X**2 - c(5)]
+nonzero_polys = st.builds(
+    lambda lead, idx: Poly.constant(lead) * _prod(_FACTOR_POOL[i] for i in idx),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    st.lists(st.integers(0, len(_FACTOR_POOL) - 1), max_size=3),
+)
+
+
+class TestResultantProperties:
+    """`resultant` is the base of the elimination oracle; no library path
+    calls it, so its own laws are pinned here."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    def test_multiplicative_in_second_argument(self, f, g, h):
+        assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_polys, nonzero_polys)
+    def test_antisymmetric_up_to_degree_sign(self, f, g):
+        assert resultant(g, f) == (-1) ** (f.degree * g.degree) * resultant(f, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_polys, nonzero_polys)
+    def test_zero_iff_common_factor(self, f, g):
+        assert (resultant(f, g) == 0) == (poly_gcd(f, g).degree > 0)
+
+
 class TestIsolation:
     def test_no_real_roots(self):
         assert sturm_isolate(X**2 - X + c(1), DyadicInterval.make(-10, 10)) == []
