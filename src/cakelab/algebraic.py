@@ -32,17 +32,18 @@ from typing import Optional, Union
 from .dyadic import DyadicInterval
 from .errors import DegreeCapExceeded, ZeroPolynomialError
 from .factoring import DEFAULT_DEGREE_CAP, factor_over_Q
-from .ints import factor_positive, int_nth_root, is_probable_prime
+from .ints import _SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
     bisect_root,
-    dyadic_horner,
+    horner,
     root_bound,
     squarefree_part,
     squarefree_rational_roots,
     sturm_chain,
     sturm_count,
     sturm_isolate,
+    sturm_point,
 )
 
 _degree_cap = DEFAULT_DEGREE_CAP
@@ -441,10 +442,13 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
     all_ivs = sturm_isolate(sqf, DyadicInterval(-bound, bound))
     # each isolating interval holds one simple root and sqf changes sign
     # only there, so a sign test at the clipped ends places that root
+    cs = sqf.int_coeffs()
     hits = []
     for idx, iv in enumerate(all_ivs):
         a, b = max(iv.lo, lo), min(iv.hi, hi)
-        if a <= b and sqf(a) * sqf(b) <= 0:
+        if a > b:
+            continue
+        if horner(cs, a.numerator, a.denominator) * horner(cs, b.numerator, b.denominator) <= 0:
             hits.append(idx)
     if len(hits) != 1:
         raise ValueError("the span must contain exactly one root")
@@ -472,16 +476,29 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
 
 
 def _quadratic_root(sqf: Poly, iv: DyadicInterval) -> _Node:
-    """Quadratic roots canonicalize to r0 + r1 * sqrt(D) with D squarefree,
-    so values from different quadratics share one interned atom per D and
-    stay inside the radical machinery."""
+    """Quadratic roots canonicalize to r0 + r1 * sqrt(D), so values from
+    different quadratics share one interned atom per D and stay inside the
+    radical machinery.  D is the discriminant with its square part taken
+    out by trial division over the small primes and an exact square test
+    of the cofactor; no large integer is factored.  D is squarefree unless
+    a prime above the small ones divides the discriminant more than once
+    without the cofactor being a square."""
     a0, a1, a2 = sqf.coeff(0), sqf.coeff(1), sqf.coeff(2)
     disc = int(a1 * a1 - 4 * a2 * a0)
     assert disc > 0
     square, squarefree = 1, 1
-    for prime, e in factor_positive(disc).items():
+    for prime in _SMALL_PRIMES:
+        e = 0
+        while disc % prime == 0:
+            disc //= prime
+            e += 1
         square *= prime ** (e // 2)
         squarefree *= prime ** (e % 2)
+    r = int_nth_root(disc, 2)
+    if r * r == disc:
+        square *= r
+    else:
+        squarefree *= disc
     root = _make_root(Fraction(squarefree), 2)  # interned
     base = -a1 / (2 * a2)
     scale = Fraction(square) / (2 * a2)
@@ -571,11 +588,11 @@ def _interval(node: _Node, k: int) -> tuple[Fraction, Fraction]:
 
 def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
     cs = [int(c) for c in atom.poly.coeffs]
-    if atom.poly(atom.lo) > 0:
+    if horner(cs, atom.lo.numerator, atom.lo.denominator) > 0:
         cs = [-c for c in cs]
 
     def side(m: int, e: int) -> int:
-        return dyadic_horner(cs, m, e)
+        return horner(cs, m, 1 << e)
 
     # the poly has no root at a grid point: interned atoms have no rational roots
     atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
@@ -596,7 +613,7 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
         cdf(x) - target.  The target is irrational by construction, so
         doubling its precision always decides that sign."""
         nonlocal kc, centre
-        fx = dyadic_horner(cs, m, e)
+        fx = horner(cs, m, 1 << e)
         while True:
             tlo, thi = _interval(atom.target, kc)
             if centre is None:
@@ -652,8 +669,10 @@ def _inv_mod(g: Poly, m: Poly) -> Poly:
 
 def _saf_of(node: _Node):
     """Single-atom form: (atom_or_None, poly) with value = poly(atom), the
-    poly reduced modulo the atom's monic minimal polynomial.  Returns the
-    sentinel when the value mixes atoms or the atom is past the cap."""
+    poly reduced modulo the atom's minimal polynomial as it is, not made
+    monic: a remainder or an inverse modulo m is the same for every nonzero
+    multiple of m.  Returns the sentinel when the value mixes atoms or the
+    atom is past the cap."""
     if node._saf is not None:
         return node._saf
     result = _compute_saf(node)
@@ -695,7 +714,7 @@ def _compute_saf(node: _Node):
             return (None, Poly.constant(va * vb))
         return (None, Poly.constant(va / vb))
     try:
-        m = _minpoly(atom).monic()
+        m = _minpoly(atom)
     except DegreeCapExceeded:
         return _SAF_UNAVAILABLE
     if isinstance(node, _Add):
@@ -1105,7 +1124,7 @@ class AlgebraicNumber:
                 unit = Fraction(1, 1 << k)
                 lo = Fraction((r.numerator << k) // r.denominator - 1, 1 << k)
                 hi = lo + 2 * unit
-                if m(lo) != 0 and m(hi) != 0:
+                if lo != r and hi != r:
                     return DyadicInterval(lo, hi)
                 k += 1
         chain = sturm_chain(m)
@@ -1114,7 +1133,9 @@ class AlgebraicNumber:
             lo, hi = _refine_to(self._node, Fraction(1, 1 << k))
             dlo = Fraction((lo.numerator << k) // lo.denominator, 1 << k)
             dhi = Fraction(-((-hi.numerator << k) // hi.denominator), 1 << k)
-            if m(dlo) != 0 and m(dhi) != 0 and sturm_count(chain, dlo, dhi) == 1:
+            s_lo, v_lo = sturm_point(chain, dlo)
+            s_hi, v_hi = sturm_point(chain, dhi)
+            if s_lo != 0 and s_hi != 0 and v_lo - v_hi == 1:
                 return DyadicInterval(dlo, dhi)
             k *= 2
 

@@ -9,13 +9,14 @@ equitability and utilitarian welfare with exact comparisons only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .algebraic import AlgebraicNumber, count_ops
 from .errors import InfeasibleAmountError, InvalidMeasureError, QueryDomainError
-from .polys import Poly, sturm_isolate
+from .polys import Poly, horner, sturm_isolate
 from .dyadic import DyadicInterval
 from .tower import Tower
 
@@ -75,14 +76,16 @@ def validate_cdf(f: Poly) -> None:
     if g.is_zero:
         raise InvalidMeasureError("density is identically zero")
     # the density must be nonnegative on all of [0, 1]: probe every sign
-    # region delimited by its real roots
+    # region delimited by its real roots, on g with its denominators cleared
     ivs = sturm_isolate(g, DyadicInterval.make(0, 1))
+    den = math.lcm(*[c.denominator for c in g.coeffs])
+    cs = [int(c * den) for c in g.coeffs]
     samples = [Fraction(0), Fraction(1)]
     bounds = sorted({iv.lo for iv in ivs} | {iv.hi for iv in ivs} | {Fraction(0), Fraction(1)})
     for lo, hi in zip(bounds, bounds[1:]):
         samples.append((lo + hi) / 2)
     for s in samples:
-        if 0 <= s <= 1 and g(s) < 0:
+        if 0 <= s <= 1 and horner(cs, s.numerator, s.denominator) < 0:
             raise InvalidMeasureError(f"density is negative at x = {s}: not monotone")
 
 

@@ -3,15 +3,23 @@
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty coefficient tuple and has degree -1.  Everything here is exact: no
 floats enter at any point.  The module also houses the Sturm machinery
-(sign variations, root counting, isolation, refinement) and rational
-roots by p-adic lifting, which the factorization pipeline and the
-algebraic-number layer build on.
+(root counting, isolation, refinement) and rational roots by p-adic
+lifting, which the factorization pipeline and the algebraic-number layer
+build on.
+
+Sturm sequences are built and evaluated over the integers.  `sturm_chain`
+is the primitive remainder sequence: each element is a primitive integer
+polynomial and a positive multiple of the rational Sturm sequence's
+element, so it has the same signs everywhere.  Every sign the Sturm code
+needs, at any rational point num/den, comes from one integer evaluator,
+`horner`: the homogeneous den^n * p(num/den), which has the sign of
+p(num/den) and is built with shifts when den is a power of two.
 
 Root refinement has one routine, `bisect_root`: quadratic interval
 refinement on the dyadic grid that bisection walks, so it ends on the
-cell bisection would.  It works on integers: points are mantissas over
-the grid's final 2^e, and a polynomial is evaluated at m/2^e as the
-integer 2^(e*n) * p(m/2^e) (`dyadic_horner`), proportional to p there.
+cell bisection would.  It works on integers too: points are mantissas
+over the grid's final 2^e, and a polynomial is evaluated at m/2^e as
+`horner` at m and 2^e, proportional to p there on one scale.
 """
 
 from __future__ import annotations
@@ -329,37 +337,106 @@ def resultant(f: Poly, g: Poly) -> Fraction:
 # -- Sturm sequences and real roots -----------------------------------------
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of the squarefree part of p; chain[0] is that part, monic.
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """A primitive positive multiple of -(a mod b), as integer coefficients;
+    [] when b divides a.
+
+    Pseudo-division reduces a against b, scaling a at each step by the
+    positive factor |lc(b)| / gcd(lc(b), t), t the coefficient it cancels.
+    Every factor is positive, so the remainder is a positive multiple of
+    a mod b and no sign has to be tracked."""
+    r = list(a)
+    n = len(b)
+    lb = b[-1]
+    for k in range(len(r) - n, -1, -1):
+        t = r.pop()
+        if t:
+            g = math.gcd(t, lb)
+            u, v = lb // g, t // g
+            if u < 0:
+                u, v = -u, -v
+            if u != 1:
+                r = [u * c for c in r]
+            for i in range(n - 1):
+                r[k + i] -= v * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    g = 0
+    for c in r:
+        g = math.gcd(g, c)
+    return [-c // g for c in r]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """The integer polynomial a / b, for primitive a and b with b dividing a."""
+    r = list(a)
+    n = len(b)
+    lb = b[-1]
+    q = [0] * (len(r) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r.pop() // lb
+        if c:
+            for i in range(n - 1):
+                r[k + i] -= c * b[i]
+    return q
+
+
+def sturm_chain(p: Poly) -> list[list[int]]:
+    """Sturm sequence of the squarefree part of p, over the integers.
+
+    Each element is a list of integer coefficients, lowest degree first,
+    primitive, and a positive multiple of the matching element of the
+    rational sequence f, f', -(f mod f'), ...: the primitive remainder
+    sequence (Collins 1967; Brown & Traub 1971).  So both have the same
+    signs at every point.  chain[0] is the squarefree part of p, with a
+    positive leading coefficient; [] for the zero polynomial.
 
     The chain of p itself is built first.  Its last element is a multiple of
     gcd(p, p'), so when that is non-constant p had repeated roots: divide it
     out and build the chain of the squarefree part."""
-    f = p.monic()
+    if p.is_zero:
+        return []
+    f = p.int_coeffs()
     while True:
-        if f.degree <= 0:
-            return [f] if not f.is_zero else []
-        chain = [f, f.derivative()]
-        while chain[-1].degree > 0:
-            r = -(chain[-2] % chain[-1])
-            if r.is_zero:
+        if len(f) == 1:
+            return [f]
+        d = [i * c for i, c in enumerate(f)][1:]
+        g = 0
+        for c in d:
+            g = math.gcd(g, c)
+        chain = [f, [c // g for c in d]]
+        while len(chain[-1]) > 1:
+            r = _neg_prem(chain[-2], chain[-1])
+            if not r:
                 break
             chain.append(r)
-        if chain[-1].degree == 0:
+        if len(chain[-1]) == 1:
             return chain
-        f = f.exact_div(chain[-1]).monic()
+        f = _exact_quotient(f, chain[-1])
+        if f[-1] < 0:
+            f = [-c for c in f]
 
 
-def sign_variations(values: Sequence[Fraction]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for i in range(len(signs) - 1) if (signs[i] > 0) != (signs[i + 1] > 0))
+def sturm_point(chain: list[list[int]], x: Fraction) -> tuple[int, int]:
+    """(sign of chain[0] at x, number of sign variations of the chain at x),
+    by one integer Horner per element.  Zeros are skipped in the count."""
+    num, den = x.numerator, x.denominator
+    last = horner(chain[0], num, den)
+    sign = (last > 0) - (last < 0)
+    count = 0
+    for i in range(1, len(chain)):
+        v = horner(chain[i], num, den)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return sign, count
 
 
-def sturm_count(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    va = sign_variations([q(lo) for q in chain])
-    vb = sign_variations([q(hi) for q in chain])
-    return va - vb
+def sturm_count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in the half-open interval (lo, hi], for
+    the integer chain of `sturm_chain`."""
+    return sturm_point(chain, Fraction(lo))[1] - sturm_point(chain, Fraction(hi))[1]
 
 
 def count_roots_in(p: Poly, lo: Fraction, hi: Fraction) -> int:
@@ -367,11 +444,11 @@ def count_roots_in(p: Poly, lo: Fraction, hi: Fraction) -> int:
     if p.is_zero:
         raise ZeroPolynomialError("cannot count roots of the zero polynomial")
     chain = sturm_chain(p)
-    f = chain[0]
-    if f.degree <= 0:
+    if len(chain[0]) <= 1:
         return 0
-    n = sturm_count(chain, Fraction(lo), Fraction(hi))
-    if f(lo) == 0:
+    s_lo, v_lo = sturm_point(chain, Fraction(lo))
+    n = v_lo - sturm_point(chain, Fraction(hi))[1]
+    if s_lo == 0:
         n += 1
     return n
 
@@ -389,14 +466,19 @@ def root_bound(p: Poly) -> Fraction:
     return out
 
 
-def _dyadic_subdivide(p: Poly, chain: list[Poly], lo: Fraction, hi: Fraction) -> list[DyadicInterval]:
-    """Isolate the roots of squarefree p inside (lo, hi], assuming the
-    endpoints are not roots.  Endpoints must be dyadic."""
+# `sturm_point` of one chain as a function of the point, memoized
+_Probe = Callable[[Fraction], tuple[int, int]]
+
+
+def _dyadic_subdivide(at: _Probe, lo: Fraction, hi: Fraction) -> list[DyadicInterval]:
+    """Isolate the roots of the squarefree chain[0] inside (lo, hi],
+    assuming the endpoints are not roots.  Endpoints must be dyadic.  at(x)
+    is `sturm_point` of the chain at x, computed once per point."""
     out: list[DyadicInterval] = []
     stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
-        n = sturm_count(chain, a, b)
+        n = at(a)[1] - at(b)[1]
         if n == 0:
             continue
         if n == 1:
@@ -405,7 +487,7 @@ def _dyadic_subdivide(p: Poly, chain: list[Poly], lo: Fraction, hi: Fraction) ->
         mid = (a + b) / 2
         # A rational root can sit exactly on the dyadic midpoint; shift the
         # split point until it is root-free (finitely many roots).
-        while p(mid) == 0:
+        while at(mid)[0] == 0:
             mid = (a + mid) / 2
         stack.append((a, mid))
         stack.append((mid, b))
@@ -413,17 +495,17 @@ def _dyadic_subdivide(p: Poly, chain: list[Poly], lo: Fraction, hi: Fraction) ->
     # make touching neighbors strictly disjoint
     for i in range(len(out) - 1):
         while out[i].hi >= out[i + 1].lo:
-            out[i] = _shrink_half(p, chain, out[i])
-            out[i + 1] = _shrink_half(p, chain, out[i + 1])
+            out[i] = _shrink_half(at, out[i])
+            out[i + 1] = _shrink_half(at, out[i + 1])
     return out
 
 
-def _shrink_half(p: Poly, chain: list[Poly], iv: DyadicInterval) -> DyadicInterval:
+def _shrink_half(at: _Probe, iv: DyadicInterval) -> DyadicInterval:
     """Halve an isolating interval, keeping the root and non-root endpoints."""
     mid = iv.midpoint
-    while p(mid) == 0:
+    while at(mid)[0] == 0:
         mid = (iv.lo + mid) / 2
-    if sturm_count(chain, iv.lo, mid) == 1:
+    if at(iv.lo)[1] - at(mid)[1] == 1:
         return DyadicInterval(iv.lo, mid)
     return DyadicInterval(mid, iv.hi)
 
@@ -432,43 +514,61 @@ def sturm_isolate(p: Poly, span: DyadicInterval) -> list[DyadicInterval]:
     """Pairwise disjoint dyadic intervals, each holding exactly one real root
     of p within the span, jointly holding all of them.  Interval endpoints
     are never roots; a root sitting exactly on a span endpoint is captured
-    by nudging that endpoint outward by less than the local root gap."""
+    by nudging that endpoint outward by less than the local root gap.  The
+    chain is evaluated once at each point the isolation visits."""
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     chain = sturm_chain(p)
-    f = chain[0]
-    if f.degree <= 0:
+    if len(chain[0]) <= 1:
         return []
+    # keyed by numerator and denominator: hashing a Fraction is slower
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def at(x: Fraction) -> tuple[int, int]:
+        key = (x.numerator, x.denominator)
+        v = seen.get(key)
+        if v is None:
+            v = seen[key] = sturm_point(chain, x)
+        return v
+
     lo, hi = span.lo, span.hi
     step = max(span.width, Fraction(1)) / 2
-    while f(lo) == 0:
+    while at(lo)[0] == 0:
         nlo = lo - step
         # extend past the boundary root without letting any other root in:
         # (nlo, lo] must contain the boundary root alone
-        if f(nlo) != 0 and sturm_count(chain, nlo, lo) == 1:
+        if at(nlo)[0] != 0 and at(nlo)[1] - at(lo)[1] == 1:
             lo = nlo
         else:
             step /= 2
     step = max(span.width, Fraction(1)) / 2
-    while f(hi) == 0:
+    while at(hi)[0] == 0:
         nhi = hi + step
-        if f(nhi) != 0 and sturm_count(chain, hi, nhi) == 0:
+        if at(nhi)[0] != 0 and at(hi)[1] - at(nhi)[1] == 0:
             hi = nhi
         else:
             step /= 2
     if lo == hi:
         return []
-    return _dyadic_subdivide(f, chain, lo, hi)
+    return _dyadic_subdivide(at, lo, hi)
 
 
-def dyadic_horner(coeffs: Sequence[int], m: int, e: int) -> int:
-    """2^(e*n) * p(m / 2^e) for the integer polynomial p of the given
-    coefficients (lowest degree first, n = len(coeffs) - 1), by integer
-    Horner.  It has the sign of p(m / 2^e)."""
+def horner(coeffs: Sequence[int], num: int, den: int) -> int:
+    """den^n * p(num / den) for the integer polynomial p of the given
+    coefficients (lowest degree first, n = len(coeffs) - 1) and den > 0, by
+    homogeneous integer Horner.  It has the sign of p(num / den).  A power
+    of two den scales by shifts."""
     acc = 0
+    if den & (den - 1):
+        scale = 1
+        for c in reversed(coeffs):
+            acc = acc * num + c * scale
+            scale *= den
+        return acc
+    e = den.bit_length() - 1
     sh = 0
     for c in reversed(coeffs):
-        acc = acc * m + (c << sh)
+        acc = acc * num + (c << sh)
         sh += e
     return acc
 
@@ -561,16 +661,14 @@ def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
         raise ZeroPolynomialError("cannot refine a root of the zero polynomial")
     width = Fraction(width)
     chain = sturm_chain(p)
-    f = chain[0]
-    f_lo = f(iv.lo)
-    if f_lo == 0 or f(iv.hi) == 0:
+    s_lo, v_lo = sturm_point(chain, iv.lo)
+    s_hi, v_hi = sturm_point(chain, iv.hi)
+    if s_lo == 0 or s_hi == 0:
         raise ValueError("interval endpoints must not be roots")
-    if sturm_count(chain, iv.lo, iv.hi) != 1:
+    if v_lo - v_hi != 1:
         raise ValueError("interval does not isolate exactly one root")
-    cs = f.int_coeffs()
-    if f_lo > 0:
-        cs = [-c for c in cs]
-    lo, hi = bisect_root(lambda m, e: dyadic_horner(cs, m, e), iv.lo, iv.hi, width)
+    cs = chain[0] if s_lo < 0 else [-c for c in chain[0]]
+    lo, hi = bisect_root(lambda m, e: horner(cs, m, 1 << e), iv.lo, iv.hi, width)
     if lo == hi:
         # the root is exactly a grid point: centre an interval on it
         quarter = iv.width / 4

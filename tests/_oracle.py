@@ -14,6 +14,11 @@ divisors of the constant and leading coefficients is tried.  Radical
 degrees come from prime exponent vectors found by trial division, with
 the generator exponents enumerated modulo their indices.
 
+Sturm counts and isolations are checked against the rational Sturm
+sequence f, f', -(f mod f'), ... in plain Fractions, evaluated by
+`Poly.__call__` and recounted at every split, the library's method before
+it moved to the integer primitive remainder sequence.
+
 Eliminations (sums, products and polynomial images of conjugates) are
 resultants evaluated at integer points and interpolated by Lagrange, the
 library's method before it moved to power sums.  `polys.resultant` is
@@ -25,6 +30,7 @@ import math
 from fractions import Fraction
 from math import comb, isqrt
 
+from cakelab.dyadic import DyadicInterval
 from cakelab.polys import Poly, resultant
 
 
@@ -366,3 +372,88 @@ def image_oracle(m, g):
     pts = list(range(m.degree + 1))
     vals = [resultant(m, Poly.constant(t) - g) for t in pts]
     return Poly(_interpolate(pts, vals))
+
+
+def sturm_chain_oracle(p):
+    """Rational Sturm sequence of the squarefree part of p; chain[0] is that
+    part, monic.  A non-constant last element of p's own chain is
+    gcd(p, p') up to a constant: divide it out and start again."""
+    f = p.monic()
+    while True:
+        if f.degree <= 0:
+            return [f] if not f.is_zero else []
+        chain = [f, f.derivative()]
+        while chain[-1].degree > 0:
+            r = -(chain[-2] % chain[-1])
+            if r.is_zero:
+                break
+            chain.append(r)
+        if chain[-1].degree == 0:
+            return chain
+        f = f.exact_div(chain[-1]).monic()
+
+
+def _variations(chain, x):
+    signs = [v > 0 for v in (q(x) for q in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_count_oracle(chain, lo, hi):
+    """Distinct real roots in (lo, hi] by the rational chain."""
+    return _variations(chain, Fraction(lo)) - _variations(chain, Fraction(hi))
+
+
+def _shrink_half_oracle(f, chain, iv):
+    mid = iv.midpoint
+    while f(mid) == 0:
+        mid = (iv.lo + mid) / 2
+    if sturm_count_oracle(chain, iv.lo, mid) == 1:
+        return DyadicInterval(iv.lo, mid)
+    return DyadicInterval(mid, iv.hi)
+
+
+def sturm_isolate_oracle(p, span):
+    """Isolation on the rational chain, recounting both ends of every split:
+    span ends that are roots are pushed outward, (lo, hi] is halved until
+    each part holds at most one root, and touching neighbours are halved
+    apart."""
+    chain = sturm_chain_oracle(p)
+    f = chain[0]
+    if f.degree <= 0:
+        return []
+    lo, hi = span.lo, span.hi
+    step = max(span.width, Fraction(1)) / 2
+    while f(lo) == 0:
+        nlo = lo - step
+        if f(nlo) != 0 and sturm_count_oracle(chain, nlo, lo) == 1:
+            lo = nlo
+        else:
+            step /= 2
+    step = max(span.width, Fraction(1)) / 2
+    while f(hi) == 0:
+        nhi = hi + step
+        if f(nhi) != 0 and sturm_count_oracle(chain, hi, nhi) == 0:
+            hi = nhi
+        else:
+            step /= 2
+    if lo == hi:
+        return []
+    out = []
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        n = sturm_count_oracle(chain, a, b)
+        if n == 1:
+            out.append(DyadicInterval(a, b))
+        elif n > 1:
+            mid = (a + b) / 2
+            while f(mid) == 0:
+                mid = (a + mid) / 2
+            stack.append((a, mid))
+            stack.append((mid, b))
+    out.sort(key=lambda iv: iv.lo)
+    for i in range(len(out) - 1):
+        while out[i].hi >= out[i + 1].lo:
+            out[i] = _shrink_half_oracle(f, chain, out[i])
+            out[i + 1] = _shrink_half_oracle(f, chain, out[i + 1])
+    return out

@@ -157,6 +157,21 @@ class TestRealRootSpan:
     def test_cube_root_of_two(self):
         assert AlgebraicNumber.real_root(X**3 - c(2), 1, 2) == nth_root(2, 3)
 
+    def test_quadratic_with_two_large_prime_factors_in_its_discriminant(self):
+        # the discriminant is M61 * M89; factoring it ran Pollard rho for
+        # minutes, an exact square test of the cofactor takes microseconds
+        m = (2**61 - 1) * (2**89 - 1)
+        v = AlgebraicNumber.real_root(X**2 - X - c(Fraction(m - 1, 4)), 0, 2**80)
+        assert v.minimal_polynomial() == X**2 - X - c(Fraction(m - 1, 4))
+        assert v == (1 + nth_root(m, 2)) / 2
+
+    def test_quadratic_discriminant_square_part(self):
+        # 4 * 3^2 * 53^2 * 7: 53 > 47 leaves trial division, and the cofactor
+        # 53^2 * 7 is no square; the value is the same, 1 + 159 * sqrt(7)
+        d = 4 * 9 * 53**2 * 7
+        v = AlgebraicNumber.real_root(X**2 - c(2) * X + c(1 - Fraction(d, 4)), 0, 10**4)
+        assert v == 1 + 159 * nth_root(7, 2)
+
 
 class TestSign:
     def test_cubic_root_above_three_quarters(self):
@@ -407,14 +422,14 @@ class TestRefinementWork:
         monkeypatch.setattr(alg, "_polyroot_intern", {})
         cp = isolate_equitable_cutpoint(Measure.make(X), Measure.make(X**5))
         cp.value.approx(Fraction(1, 2**64))
-        horner = alg.dyadic_horner
+        horner = alg.horner
         calls = []
 
-        def counted(cs, m, e):
-            calls.append(e)
-            return horner(cs, m, e)
+        def counted(cs, num, den):
+            calls.append(den)
+            return horner(cs, num, den)
 
-        monkeypatch.setattr(alg, "dyadic_horner", counted)
+        monkeypatch.setattr(alg, "horner", counted)
         lo, hi = cp.value.approx(Fraction(1, 2**8192))
         assert hi - lo <= Fraction(1, 2**8192)
         assert cp.minpoly(lo) * cp.minpoly(hi) < 0

@@ -178,6 +178,30 @@ class TestGoldenBytes:
             assert res.stdout == fh.read()
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["max-welfare"],
+            ["check-fairness", "--cuts", "1/4,3/4", "--owners", "0,1,0"],
+            ["verify-tower", "--protocol", "cut-and-choose", "--prime", "3"],
+        ],
+        ids=["max-welfare", "check-fairness", "verify-tower"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_mixture_reports(self, command, fmt):
+        # the welfare breakpoints and every measure check isolate roots by
+        # Sturm sequences, so these pin the isolating intervals
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", "--format", fmt, command[0],
+             "--measures", os.path.join(GOLDEN, "welfare-mixture.measures"), *command[1:]],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert res.returncode == 0
+        with open(os.path.join(GOLDEN, f"{command[0]}-mixture.{fmt}"), "rb") as fh:
+            assert res.stdout == fh.read()
+
+
 class TestFormats:
     def test_structured_is_json_with_version(self, capsys, measures_file):
         code, out, _ = run_cli(

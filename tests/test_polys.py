@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,10 +7,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cakelab import DyadicInterval, Poly, ZeroPolynomialError, poly_gcd, rational_roots
+from cakelab import polys
 from cakelab.polys import (
     bisect_root,
     count_roots_in,
-    dyadic_horner,
+    horner,
     refine_root,
     resultant,
     squarefree_decomposition,
@@ -17,9 +19,16 @@ from cakelab.polys import (
     sturm_chain,
     sturm_count,
     sturm_isolate,
+    sturm_point,
 )
 
-from _oracle import bisect_oracle, rational_roots_oracle
+from _oracle import (
+    bisect_oracle,
+    rational_roots_oracle,
+    sturm_chain_oracle,
+    sturm_count_oracle,
+    sturm_isolate_oracle,
+)
 
 X = Poly.x()
 
@@ -166,6 +175,117 @@ class TestIsolation:
             sturm_isolate(Poly(), DyadicInterval.make(0, 1))
 
 
+@st.composite
+def sturm_inputs(draw):
+    """Rational polynomials of degree 0..9 with a signed scalar, a power of
+    x, rational roots of multiplicity up to 3 and an integer cofactor,
+    itself squared at times: repeated, zero and irrational roots, and
+    negative leading coefficients."""
+    p = Poly.constant(draw(st.fractions(min_value=-8, max_value=8, max_denominator=6).filter(bool)))
+    factors = [X] * draw(st.integers(0, 3))
+    roots = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+    for r, m in draw(st.lists(st.tuples(roots, st.integers(1, 3)), max_size=3)):
+        factors += [X - c(r)] * m
+    cofactor = Poly(draw(st.lists(st.integers(-6, 6), max_size=5)))
+    if cofactor.degree > 0:
+        factors += [cofactor] * draw(st.integers(1, 2))
+    for f in factors:
+        if p.degree + f.degree <= 9:
+            p = p * f
+    return p
+
+
+def sturm_points(p, extra):
+    """Points to count at: roots of p and of its chain's members, and the
+    extra points given."""
+    pts = set(rational_roots(p)) | set(extra)
+    for q in sturm_chain_oracle(p):
+        if q.degree > 0:
+            pts |= set(rational_roots(q))
+    return sorted(pts)
+
+
+# dyadic points, and points with other denominators
+EXTRA_POINTS = st.lists(
+    st.one_of(
+        st.integers(-64, 64).map(lambda m: Fraction(m, 8)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=30),
+    ),
+    max_size=8,
+)
+
+
+class TestIntegerSturmChain:
+    """The integer chain against the rational one it replaced (the oracle):
+    the same signs everywhere, so the same counts and isolations."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sturm_inputs())
+    @example(Poly([0, 0, -3]))
+    @example(-((X - c(1)) ** 3) * (X**2 - c(2)) ** 2)
+    # remainders with negative leading coefficients that an odd number of
+    # pseudo-division steps divide by, one with a degree gap
+    @example(Poly([4, 0, 1, 0, 3]))
+    @example(Poly([-2, -3, 0, 0, -4]))
+    def test_elements_are_primitive_positive_multiples(self, p):
+        chain, oracle = sturm_chain(p), sturm_chain_oracle(p)
+        assert len(chain) == len(oracle)
+        assert chain[0][-1] > 0
+        for q, o in zip(chain, oracle):
+            g = 0
+            for v in q:
+                g = math.gcd(g, v)
+            assert g == 1
+            ratio = q[-1] / o.leading
+            assert ratio > 0 and Poly(q) == o.scale(ratio)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sturm_inputs(), EXTRA_POINTS)
+    @example(X**3 * (X - c(Fraction(1, 3))) ** 2 * (X**2 - c(2)), [Fraction(-3, 2), Fraction(7, 5)])
+    def test_counts_agree_with_oracle(self, p, extra):
+        chain, oracle = sturm_chain(p), sturm_chain_oracle(p)
+        pts = sturm_points(p, extra)
+        for x in pts:
+            v = oracle[0](x)
+            assert sturm_point(chain, x)[0] == (v > 0) - (v < 0)
+        for i, lo in enumerate(pts):
+            for hi in pts[i:]:
+                n = sturm_count_oracle(oracle, lo, hi)
+                assert sturm_count(chain, lo, hi) == n
+                if p.degree > 0:
+                    assert count_roots_in(p, lo, hi) == n + (oracle[0](lo) == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sturm_inputs(),
+        st.sampled_from([(-8, 8), (0, 1), (-1, Fraction(1, 2)), (Fraction(-3, 8), Fraction(5, 4)), (1, 1)]),
+    )
+    @example((X - c(1)) ** 2 * X * (X - c(Fraction(1, 2))), (0, 1))
+    def test_isolation_matches_oracle(self, p, span):
+        span = DyadicInterval.make(*span)
+        assert sturm_isolate(p, span) == sturm_isolate_oracle(p, span)
+
+
+class TestIsolationWork:
+    def test_each_point_evaluated_once(self, monkeypatch):
+        # roots on the span's end (-4), on its midpoint (0) and close
+        # together (1/2, 5/8), which the halving refines and shrinks apart
+        p = (X + c(4)) * X * (X - c(Fraction(1, 2))) * (X - c(Fraction(5, 8))) * (X**2 - c(2))
+        horner = polys.horner
+        calls = []
+
+        def counted(cs, num, den):
+            calls.append((tuple(cs), num, den))
+            return horner(cs, num, den)
+
+        monkeypatch.setattr(polys, "horner", counted)
+        ivs = sturm_isolate(p, DyadicInterval.make(-4, 4))
+        assert len(ivs) == 6
+        # every chain member at every point the isolation visits, once
+        points = {(num, den) for _, num, den in calls}
+        assert len(calls) == len(set(calls)) == len(points) * len(sturm_chain(p))
+
+
 class TestRefineRoot:
     def test_cubic_to_twelve_digits(self):
         p = X**3 + X**2 - c(1)
@@ -228,7 +348,7 @@ class TestBisectRoot:
 
     def test_midpoint_root(self):
         def side(m, e):
-            return dyadic_horner([-3, 4], m, e)
+            return horner([-3, 4], m, 1 << e)
 
         assert bisect_root(side, Fraction(0), Fraction(1), Fraction(1, 64)) == (
             Fraction(3, 4),
@@ -238,16 +358,16 @@ class TestBisectRoot:
 
 def oriented_sides(p, lo):
     """Two sides for bisect_root on the integer form of p, negative at lo:
-    exact scaled values (dyadic_horner) and their signs alone."""
+    exact scaled values (`horner` at dyadic points) and their signs alone."""
     cs = p.int_coeffs()
     if p(lo) > 0:
         cs = [-v for v in cs]
 
     def exact(m, e):
-        return dyadic_horner(cs, m, e)
+        return horner(cs, m, 1 << e)
 
     def sign_only(m, e):
-        v = dyadic_horner(cs, m, e)
+        v = horner(cs, m, 1 << e)
         return (v > 0) - (v < 0)
 
     return exact, sign_only
@@ -316,7 +436,7 @@ class TestQuadraticRefinement:
 
         def side(m, e):
             seen.append(Fraction(m, 1 << e))
-            return dyadic_horner(cs, m, e)
+            return horner(cs, m, 1 << e)
 
         bisect_root(side, Fraction(1, 2), Fraction(1), Fraction(1, 2**300))
         # only interior grid points, each once
@@ -335,7 +455,21 @@ class TestDyadicHorner:
     @example([2, -3, 1], -7, 0)
     def test_scaled_value(self, coeffs, m, e):
         n = len(coeffs) - 1
-        assert dyadic_horner(coeffs, m, e) == 2 ** (e * n) * Poly(coeffs)(Fraction(m, 2**e))
+        assert horner(coeffs, m, 1 << e) == 2 ** (e * n) * Poly(coeffs)(Fraction(m, 2**e))
+
+
+class TestRationalHorner:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=8),
+        st.integers(-(10**9), 10**9),
+        st.integers(1, 10**9),
+    )
+    @example([7], -5, 3)
+    @example([2, -3, 1], 2, 1)
+    def test_scaled_value_at_any_rational(self, coeffs, num, den):
+        n = len(coeffs) - 1
+        assert horner(coeffs, num, den) == den**n * Poly(coeffs)(Fraction(num, den))
 
 
 class TestRationalRoots:
