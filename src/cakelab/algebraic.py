@@ -10,7 +10,13 @@ Key internals:
 
 * Values that are rational functions of a single irrational "atom" are
   normalized into the number field Q[y]/(m_atom(y)).  In that form a zero
-  test is a polynomial comparison and never needs refinement.
+  test is a polynomial comparison and never needs refinement.  The form
+  is integer numerators over one positive denominator; sums and products
+  do integer arithmetic only, reducing modulo the primitive m_atom by an
+  integer pseudo-remainder, and only a division's inverse runs the
+  extended Euclid over Fractions.
+* Normal forms and interval enclosures are computed bottom-up with an
+  explicit stack, so deep expression DAGs need no recursion.
 * Values mixing independent atoms fall back to elimination by power sums
   (Newton's identities), guarded by the degree cap; sign queries that
   cannot be settled symbolically keep refining numerically once the value
@@ -25,6 +31,7 @@ unlocked: the module is single-threaded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Union
@@ -35,6 +42,7 @@ from .factoring import DEFAULT_DEGREE_CAP, factor_over_Q
 from .ints import _SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
+    _prem,
     bisect_root,
     horner,
     root_bound,
@@ -540,8 +548,26 @@ def _iv_sub(x, y):
 
 
 def _iv_mul(x, y):
-    ps = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return min(ps), max(ps)
+    """The exact product interval, choosing the extreme products by the
+    signs of the ends: comparing huge products costs more than forming two."""
+    (x0, x1), (y0, y1) = x, y
+    if x0 >= 0:
+        if y0 >= 0:
+            return x0 * y0, x1 * y1
+        if y1 <= 0:
+            return x1 * y0, x0 * y1
+        return x1 * y0, x1 * y1
+    if x1 <= 0:
+        if y0 >= 0:
+            return x0 * y1, x1 * y0
+        if y1 <= 0:
+            return x1 * y1, x0 * y0
+        return x0 * y1, x0 * y0
+    if y0 >= 0:
+        return x0 * y1, x1 * y1
+    if y1 <= 0:
+        return x1 * y0, x0 * y0
+    return min(x0 * y1, x1 * y0), max(x0 * y0, x1 * y1)
 
 
 def _iv_div(x, y):
@@ -551,39 +577,73 @@ def _iv_div(x, y):
     return min(ps), max(ps)
 
 
+def _operands(node: _Node) -> tuple[_Node, ...]:
+    """The nodes whose enclosures enclose this node's value."""
+    if isinstance(node, _Binary):
+        return (node.a, node.b)
+    if isinstance(node, _RootAtom) and not isinstance(node.operand, Fraction):
+        return (node.operand,)
+    return ()
+
+
 def _interval(node: _Node, k: int) -> tuple[Fraction, Fraction]:
+    """An enclosure of the node's value at effort k, cached with k on each
+    node it visits.
+
+    Evaluation is post-order with an explicit stack, so deep DAGs need no
+    recursion.  Operand a is enclosed before b, and each operand's
+    enclosure is taken when it is done, as a recursive descent would: so
+    atoms are refined in one fixed order, and a node combines the values
+    its operands had then even if refining a later operand tightened an
+    earlier one."""
     ck, civ = node._ivc
     if ck >= k:
         return civ
-    if isinstance(node, _Rat):
-        iv = (node.value, node.value)
-    elif isinstance(node, _Add):
-        iv = _iv_add(_interval(node.a, k), _interval(node.b, k))
-    elif isinstance(node, _Sub):
-        iv = _iv_sub(_interval(node.a, k), _interval(node.b, k))
-    elif isinstance(node, _Mul):
-        iv = _iv_mul(_interval(node.a, k), _interval(node.b, k))
-    elif isinstance(node, _Div):
-        iv = _iv_div(_interval(node.a, k), _interval(node.b, k))
-    elif isinstance(node, _RootAtom):
-        if isinstance(node.operand, Fraction):
-            iv = nth_root_bounds(node.operand, node.index, k)
-        else:
-            olo, ohi = _interval(node.operand, k)
-            if node.index % 2 == 0:
-                olo = max(olo, Fraction(0))
-                ohi = max(ohi, Fraction(0))
-            lo = nth_root_bounds(olo, node.index, k)[0]
-            hi = nth_root_bounds(ohi, node.index, k)[1]
-            iv = (lo, hi)
-    elif isinstance(node, _PolyRootAtom):
-        iv = _refine_polyroot(node, k)
-    elif isinstance(node, _CutRootAtom):
-        iv = _refine_cutroot(node, k)
-    else:  # pragma: no cover
-        raise TypeError(node)
-    node._ivc = (k, iv)
-    return iv
+    stack: list[tuple[_Node, bool]] = [(node, False)]
+    done: list[tuple[Fraction, Fraction]] = []  # enclosures of finished operands
+    while stack:
+        n, ready = stack.pop()
+        if not ready:
+            ck, civ = n._ivc
+            if ck >= k:
+                done.append(civ)
+                continue
+            ops = _operands(n)
+            if ops:
+                stack.append((n, True))
+                stack.extend((op, False) for op in reversed(ops))
+                continue
+        if isinstance(n, _Binary):
+            y = done.pop()
+            x = done.pop()
+            if isinstance(n, _Add):
+                iv = _iv_add(x, y)
+            elif isinstance(n, _Sub):
+                iv = _iv_sub(x, y)
+            elif isinstance(n, _Mul):
+                iv = _iv_mul(x, y)
+            else:
+                iv = _iv_div(x, y)
+        elif isinstance(n, _Rat):
+            iv = (n.value, n.value)
+        elif isinstance(n, _RootAtom):
+            if isinstance(n.operand, Fraction):
+                iv = nth_root_bounds(n.operand, n.index, k)
+            else:
+                olo, ohi = done.pop()
+                if n.index % 2 == 0:
+                    olo = max(olo, Fraction(0))
+                    ohi = max(ohi, Fraction(0))
+                iv = (nth_root_bounds(olo, n.index, k)[0], nth_root_bounds(ohi, n.index, k)[1])
+        elif isinstance(n, _PolyRootAtom):
+            iv = _refine_polyroot(n, k)
+        elif isinstance(n, _CutRootAtom):
+            iv = _refine_cutroot(n, k)
+        else:  # pragma: no cover
+            raise TypeError(n)
+        n._ivc = (k, iv)
+        done.append(iv)
+    return done[-1]
 
 
 def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
@@ -668,67 +728,101 @@ def _inv_mod(g: Poly, m: Poly) -> Poly:
 
 
 def _saf_of(node: _Node):
-    """Single-atom form: (atom_or_None, poly) with value = poly(atom), the
-    poly reduced modulo the atom's minimal polynomial as it is, not made
-    monic: a remainder or an inverse modulo m is the same for every nonzero
-    multiple of m.  Returns the sentinel when the value mixes atoms or the
-    atom is past the cap."""
+    """Single-atom form: (atom, nums, den) with value = nums(atom) / den.
+    nums is a tuple of integers, lowest degree first with no trailing zero,
+    den is positive and coprime to the content of nums, and deg nums is
+    below the degree of the atom's minimal polynomial m: the canonical
+    residue of the value in Q[y]/(m).  A constant residue has atom None.
+    Returns the sentinel when the value mixes atoms or the atom is past the
+    cap.
+
+    Forms are built bottom-up with an explicit stack, so deep DAGs need no
+    recursion; operand a is done before b, the order in which the atoms'
+    minimal polynomials are first asked for."""
     if node._saf is not None:
         return node._saf
-    result = _compute_saf(node)
-    node._saf = result
-    return result
+    stack = [(node, False)]
+    while stack:
+        n, ready = stack.pop()
+        if n._saf is not None:
+            continue
+        if isinstance(n, _Binary) and not ready:
+            stack.append((n, True))
+            stack.append((n.b, False))
+            stack.append((n.a, False))
+            continue
+        n._saf = _compute_saf(n)
+    return node._saf
 
 
-def _norm_saf(atom, g: Poly):
-    """A constant residue no longer depends on its atom; dropping the tag
-    lets values from different fields combine when they are rational."""
-    if g.degree <= 0:
-        return (None, g)
-    return (atom, g)
+def _saf_make(atom, nums: list[int], den: int):
+    """The form of nums(atom) / den, for deg nums below deg m and den > 0."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    # a constant residue no longer depends on its atom; dropping the tag
+    # lets values from different fields combine when they are rational
+    return (atom if len(nums) > 1 else None, tuple(nums), den)
+
+
+def _saf_inverse(nums, den: int, m: Optional[Poly]) -> tuple[list[int], int]:
+    """(inums, iden) with inums(y) / iden the inverse of nums(y) / den
+    modulo m; nums is nonzero and reduced modulo m."""
+    if len(nums) == 1:
+        return ([den], nums[0]) if nums[0] > 0 else ([-den], -nums[0])
+    inv = _inv_mod(Poly(nums), m)
+    iden = math.lcm(*[c.denominator for c in inv.coeffs])
+    return [c.numerator * (iden // c.denominator) * den for c in inv.coeffs], iden
 
 
 def _compute_saf(node: _Node):
+    """The form of one node, from the forms of its operands."""
     if isinstance(node, _Rat):
-        return (None, Poly.constant(node.value))
+        return _saf_make(None, [node.value.numerator], node.value.denominator)
     if isinstance(node, (_RootAtom, _PolyRootAtom, _CutRootAtom)):
-        return (node, Poly.x())
+        return (node, (0, 1), 1)
     assert isinstance(node, _Binary)
-    fa = _saf_of(node.a)
-    fb = _saf_of(node.b)
+    fa, fb = node.a._saf, node.b._saf
     if fa is _SAF_UNAVAILABLE or fb is _SAF_UNAVAILABLE:
         return _SAF_UNAVAILABLE
-    atom_a, ga = _norm_saf(*fa)
-    atom_b, gb = _norm_saf(*fb)
+    atom_a, na, da = fa
+    atom_b, nb, db = fb
     if atom_a is not None and atom_b is not None and atom_a is not atom_b:
         return _SAF_UNAVAILABLE
     atom = atom_a if atom_a is not None else atom_b
-    if atom is None:
-        # both rational constants; folding normally prevents this
-        va, vb = ga.coeff(0), gb.coeff(0)
-        if isinstance(node, _Add):
-            return (None, Poly.constant(va + vb))
+    mp = m = None
+    if atom is not None:
+        try:
+            mp = _minpoly(atom)
+        except DegreeCapExceeded:
+            return _SAF_UNAVAILABLE
+        m = [c.numerator for c in mp.coeffs]  # primitive: integer coefficients
+    if isinstance(node, (_Add, _Sub)):
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
         if isinstance(node, _Sub):
-            return (None, Poly.constant(va - vb))
-        if isinstance(node, _Mul):
-            return (None, Poly.constant(va * vb))
-        return (None, Poly.constant(va / vb))
-    try:
-        m = _minpoly(atom)
-    except DegreeCapExceeded:
-        return _SAF_UNAVAILABLE
-    if isinstance(node, _Add):
-        g = (ga + gb) % m
-    elif isinstance(node, _Sub):
-        g = (ga - gb) % m
-    elif isinstance(node, _Mul):
-        g = (ga * gb) % m
-    else:
-        gbr = gb % m
-        if gbr.is_zero:
+            sb = -sb
+        nums = [x * sa + y * sb for x, y in itertools.zip_longest(na, nb, fillvalue=0)]
+        return _saf_make(atom, nums, da * sa)
+    if isinstance(node, _Div):
+        if not nb:
             raise ZeroDivisionError("division by an exact zero")
-        g = (ga * _inv_mod(gbr, m)) % m
-    return _norm_saf(atom, g)
+        nb, db = _saf_inverse(nb, db, mp)
+    if not na or not nb:
+        return (None, (), 1)
+    prod = [0] * (len(na) + len(nb) - 1)
+    for i, x in enumerate(na):
+        if x:
+            for j, y in enumerate(nb):
+                prod[i + j] += x * y
+    den = da * db
+    if m is not None and len(prod) >= len(m):
+        prod, scale = _prem(prod, m)
+        den *= scale
+    return _saf_make(atom, prod, den)
 
 
 def _rational_value(node: _Node) -> Optional[Fraction]:
@@ -736,12 +830,10 @@ def _rational_value(node: _Node) -> Optional[Fraction]:
     if isinstance(node, _Rat):
         return node.value
     saf = _saf_of(node)
-    if saf is _SAF_UNAVAILABLE:
+    if saf is _SAF_UNAVAILABLE or saf[0] is not None:
         return None
-    _, g = saf
-    if g.degree <= 0:
-        return g.coeff(0)
-    return None
+    _, nums, den = saf
+    return Fraction(nums[0], den) if nums else Fraction(0)
 
 
 # -- minimal polynomials --------------------------------------------------------
@@ -857,12 +949,12 @@ def _compute_minpoly(node: _Node) -> Poly:
     if saf is not _SAF_UNAVAILABLE and not isinstance(
         node, (_RootAtom, _PolyRootAtom, _CutRootAtom)
     ):
-        atom, g = saf
-        if atom is None or g.degree <= 0:
-            v = g.coeff(0)
-            return Poly([-v.numerator, v.denominator])
-        if g == Poly.x():
+        atom, nums, den = saf
+        if atom is None:
+            return Poly([-nums[0], den]) if nums else Poly.x()
+        if nums == (0, 1) and den == 1:
             return _minpoly(atom)
+        g = Poly([Fraction(c, den) for c in nums])
         fac = factor_over_Q(_image_elimination(_minpoly(atom), g), degree_cap())
         return _select_factor([f for f, _ in fac.factors], node).primitive()
     if isinstance(node, _RootAtom):
@@ -917,11 +1009,9 @@ def _sign(node: _Node) -> int:
         return (v > 0) - (v < 0)
     saf = _saf_of(node)
     if saf is not _SAF_UNAVAILABLE:
-        atom, g = saf
-        if g.is_zero:
-            return 0
-        if g.degree <= 0:
-            v = g.coeff(0)
+        atom, nums, _ = saf
+        if atom is None:
+            v = nums[0] if nums else 0
             return (v > 0) - (v < 0)
         # nonzero residue modulo an irreducible modulus: the value is not 0
         return _sign_by_refinement(node, max(8, node._ivc[0]))
@@ -1201,16 +1291,11 @@ def rational_radical_form(value: AlgebraicNumber) -> Optional[tuple[Fraction, in
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE:
         return None
-    atom, g = saf
-    if (
-        atom is None
-        or not isinstance(atom, _RootAtom)
-        or not isinstance(atom.operand, Fraction)
-        or g.degree < 1
-    ):
+    atom, nums, _ = saf
+    if atom is None or not isinstance(atom, _RootAtom) or not isinstance(atom.operand, Fraction):
         return None
     d = atom.index
-    if g.degree == 1 or is_probable_prime(d):
+    if len(nums) == 2 or is_probable_prime(d):
         # an affine image generates the whole field; so does any nonconstant
         # image when the field degree is prime (no proper subfields)
         return (atom.operand, d)

@@ -32,7 +32,13 @@ from fractions import Fraction
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
 from .ints import is_probable_prime
-from .polys import Poly, squarefree_decomposition, squarefree_rational_roots
+from .polys import (
+    Poly,
+    _drop_content,
+    _exact_quotient,
+    squarefree_decomposition,
+    squarefree_rational_roots,
+)
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -220,11 +226,11 @@ def _fp_edf(g: list[int], k: int, p: int, rng: random.Random) -> list[list[int]]
             return _fp_edf(d, k, p, rng) + _fp_edf(_fp_divmod(g, d, p)[0], k, p, rng)
 
 
-def _modp_ddf(h: Poly, q: int) -> list[tuple[int, list[int]]] | None:
-    """Distinct-degree factorization of h modulo q, made monic.  None when
-    q is unusable (degree drops or the reduction is not squarefree)."""
-    f = _fp_trim([c % q for c in h.int_coeffs()])
-    if len(f) - 1 != h.degree:
+def _modp_ddf(f: list[int], q: int) -> list[tuple[int, list[int]]] | None:
+    """Distinct-degree factorization modulo q of the integer polynomial f,
+    made monic.  None when q is unusable (q divides the leading coefficient
+    or the reduction is not squarefree)."""
+    if f[-1] % q == 0:
         return None
     inv = pow(f[-1], -1, q)
     f = [c * inv % q for c in f]
@@ -237,7 +243,7 @@ def _modp_ddf(h: Poly, q: int) -> list[tuple[int, list[int]]] | None:
 def _modp_degree_pattern(h: Poly, q: int) -> list[int] | None:
     """Multiset of irreducible factor degrees of h modulo q, ascending.
     None when q is unusable."""
-    ddf = _modp_ddf(h, q)
+    ddf = _modp_ddf(h.int_coeffs(), q)
     if ddf is None:
         return None
     return [k for k, g in ddf for _ in range((len(g) - 1) // k)]
@@ -259,19 +265,20 @@ def _sieve_primes():
             yield q
 
 
-def _degree_sieve(h: Poly) -> tuple[set[int], int, list[tuple[int, list[int]]]]:
-    """Degrees a proper rational factor of h could have, as constrained by
-    factor-degree patterns modulo up to four usable primes (subset sums),
-    with the usable prime of fewest modular factors and its
-    distinct-degree factorization.  An empty set proves irreducibility.
-    Primes past the probe primes are tried while fewer than four were
-    usable; h must be squarefree, so that only finitely many are not."""
-    n = h.degree
+def _degree_sieve(f: list[int]) -> tuple[set[int], int, list[tuple[int, list[int]]]]:
+    """Degrees a proper rational factor of the integer polynomial f could
+    have, as constrained by factor-degree patterns modulo up to four usable
+    primes (subset sums), with the usable prime of fewest modular factors
+    and its distinct-degree factorization.  An empty set proves
+    irreducibility.  Primes past the probe primes are tried while fewer than
+    four were usable; f must be squarefree, so that only finitely many are
+    not."""
+    n = len(f) - 1
     allowed: set[int] | None = None
     best: tuple[int, int, list[tuple[int, list[int]]]] | None = None
     usable = 0
     for q in _sieve_primes():
-        ddf = _modp_ddf(h, q)
+        ddf = _modp_ddf(f, q)
         if ddf is None:
             continue
         count = sum((len(g) - 1) // k for k, g in ddf)
@@ -343,33 +350,6 @@ def _hensel_lift(f: list[int], factors: list[list[int]], p: int, k: int) -> list
     return _hensel_lift(g, factors[:half], p, k) + _hensel_lift(h, factors[half:], p, k)
 
 
-def _int_exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
-    """f / g over the integers, or None when g does not divide f."""
-    rem = f[:]
-    glc = g[-1]
-    q = [0] * (len(f) - len(g) + 1)
-    while len(rem) >= len(g):
-        c, r = divmod(rem[-1], glc)
-        if r:
-            return None
-        off = len(rem) - len(g)
-        q[off] = c
-        for i, gc in enumerate(g):
-            rem[off + i] -= c * gc
-        rem.pop()
-        _fp_trim(rem)
-    return None if rem else q
-
-
-def _primitive_int(g: list[int]) -> list[int]:
-    content = 0
-    for c in g:
-        content = math.gcd(content, c)
-    if g[-1] < 0:
-        content = -content
-    return [c // content for c in g]
-
-
 def _subsets(r: int, s: int):
     """Index subsets of size s from range(r); when 2s = r, only those
     holding 0, since the others are complements of these."""
@@ -409,8 +389,9 @@ def _recombine(f: list[int], lifted: list[list[int]], m: int, allowed: set[int])
             g = [lc]
             for i in subset:
                 g = _fp_mul(g, lifted[i], m)
-            g = _primitive_int([c - m if c > m // 2 else c for c in g])
-            quot = _int_exact_quotient(f, g)
+            # lc(g) = lc(f) > 0, as m > 2 * lc(f)
+            g = _drop_content([c - m if c > m // 2 else c for c in g])
+            quot = _exact_quotient(f, g)
             if quot is not None:
                 out.append(g)
                 f = quot
@@ -457,37 +438,40 @@ class Factorization:
 
 
 def _factor_squarefree(p: Poly) -> list[Poly]:
-    """Irreducible factors of a squarefree polynomial, primitive form."""
+    """Irreducible factors of a squarefree polynomial, primitive form.  The
+    work list holds primitive integer forms with positive leading
+    coefficients; dividing one by a primitive factor leaves another."""
     out: list[Poly] = []
-    stack = [p]
+    stack = [p.int_coeffs()]
     while stack:
-        h = stack.pop()
-        if h.degree <= 0:
+        f = stack.pop()
+        n = len(f) - 1
+        if n <= 0:
             continue
-        if h.degree == 1:
-            out.append(h.primitive())
+        if n == 1:
+            out.append(Poly(f))
             continue
+        h = Poly(f)
         roots = squarefree_rational_roots(h)
         if roots:
+            # h is squarefree: each linear factor divides it once
             for r in roots:
-                lin = Poly([-r.numerator, r.denominator])
-                while lin.divides(h):
-                    out.append(lin)
-                    h = h.exact_div(lin)
-            stack.append(h)
+                lin = [-r.numerator, r.denominator]
+                out.append(Poly(lin))
+                f = _exact_quotient(f, lin)
+            stack.append(f)
             continue
         if _certify_irreducible(h):
-            out.append(h.primitive())
+            out.append(h)
             continue
         # factor-degree sieve: without rational roots a proper factor has
         # degree 2..n-2
-        n = h.degree
-        allowed, q, ddf = _degree_sieve(h)
+        allowed, q, ddf = _degree_sieve(f)
         allowed = {d for d in allowed if 2 <= d <= n - 2}
         if not allowed:
-            out.append(h.primitive())
+            out.append(h)
             continue
-        out.extend(Poly(g) for g in _zassenhaus(h.int_coeffs(), q, ddf, allowed))
+        out.extend(Poly(g) for g in _zassenhaus(f, q, ddf, allowed))
     return out
 
 
@@ -527,16 +511,14 @@ def factor_over_Q(p: Poly, cap: int | None = None) -> Factorization:
     collected: dict[Poly, int] = {}
     for sqf, mult in squarefree_decomposition(prim):
         for f in _factor_squarefree(sqf):
-            fn = f.primitive()
-            collected[fn] = collected.get(fn, 0) + mult
+            collected[f] = collected.get(f, 0) + mult
     factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
     rebuilt = Poly.constant(1)
     for f, m in factors:
         rebuilt = rebuilt * f**m
-    # self-check: the quotient must be an exact rational constant
-    residue = p.exact_div(rebuilt)
-    assert residue.degree == 0
-    return Factorization(residue.coeff(0), factors)
+    # self-check: the primitive factors multiply back to the primitive part
+    assert rebuilt == prim
+    return Factorization(content, factors)
 
 
 def is_irreducible(p: Poly, cap: int | None = None) -> bool:

@@ -2,10 +2,18 @@
 
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty coefficient tuple and has degree -1.  Everything here is exact: no
-floats enter at any point.  The module also houses the Sturm machinery
-(root counting, isolation, refinement) and rational roots by p-adic
-lifting, which the factorization pipeline and the algebraic-number layer
-build on.
+floats enter at any point.  The module also houses gcds, squarefree parts,
+the Sturm machinery (root counting, isolation, refinement) and rational
+roots by p-adic lifting, which the factorization pipeline and the
+algebraic-number layer build on.
+
+Gcds, squarefree parts and resultants run on the primitive integer forms
+(`Poly.int_coeffs`), not on Fractions.  `_prem` is the one integer
+pseudo-remainder: it scales by positive factors only and reports their
+product.  The gcd is the primitive remainder sequence (Collins 1967;
+Brown & Traub 1971), and every quotient by a primitive divisor is exact
+over the integers by Gauss's lemma (`_exact_quotient`, which also reports
+a division that is not exact).
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -24,6 +32,7 @@ over the grid's final 2^e, and a polynomial is evaluated at m/2^e as
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -228,22 +237,20 @@ class Poly:
         of coprime coefficients and positive leading coefficient."""
         if self.is_zero:
             return Fraction(0), self
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        nums = [int(c * den) for c in self.coeffs]
-        g = 0
-        for n in nums:
-            g = math.gcd(g, abs(n))
-        if nums[-1] < 0:
-            g = -g
-        prim = Poly([Fraction(n // g) for n in nums])
-        return Fraction(g, den), prim
+        cs = self.int_coeffs()
+        return self.leading / cs[-1], Poly(cs)
 
     def primitive(self) -> "Poly":
         return self.content_and_primitive()[1]
 
     def int_coeffs(self) -> list[int]:
-        """Coefficients of the primitive integer form, lowest degree first."""
-        return [int(c) for c in self.primitive().coeffs]
+        """Coefficients of the primitive integer form, lowest degree first:
+        coprime, with a positive leading coefficient; [] for zero."""
+        if not self.coeffs:
+            return []
+        den = math.lcm(*[c.denominator for c in self.coeffs])
+        nums = _drop_content([c.numerator * (den // c.denominator) for c in self.coeffs])
+        return nums if nums[-1] > 0 else [-n for n in nums]
 
     # -- display ----------------------------------------------------------
 
@@ -277,77 +284,42 @@ def format_poly(p: Poly, var: str = "x") -> str:
     return "".join(parts)
 
 
-# -- gcd and resultants ----------------------------------------------------
+# -- integer polynomials -----------------------------------------------------
+#
+# Lists of int coefficients, lowest degree first, with no trailing zeros; []
+# is zero.  A rational polynomial enters by `Poly.int_coeffs`.  Divisors
+# here are primitive, so by Gauss's lemma a division that is exact over the
+# rationals is exact over the integers too.
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+def _drop_content(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients, signs kept; [] for []."""
+    g = math.gcd(*a)
+    return a if g <= 1 else [c // g for c in a]
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if p.degree <= 0:
-        return p.monic() if not p.is_zero else p
-    return p.exact_div(poly_gcd(p, p.derivative()).scale(p.leading)).monic()
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: return [(g_i, i)] with p = lc * prod g_i^i, g_i monic
-    squarefree and pairwise coprime (factors of multiplicity i)."""
-    if p.degree <= 0:
-        return []
-    p = p.monic()
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    c = dp.exact_div(a) - b.derivative()
-    out: list[tuple[Poly, int]] = []
-    i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, c)
-        if g.degree > 0:
-            out.append((g, i))
-        b2 = b.exact_div(g)
-        c = c.exact_div(g) - b2.derivative()
-        b = b2
-        i += 1
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
     return out
 
 
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Resultant of two rational polynomials via the Euclidean recurrence."""
-    if f.is_zero or g.is_zero:
-        return Fraction(0)
-    res = Fraction(1)
-    sign = 1
-    while True:
-        if g.degree == 0:
-            return sign * res * g.leading ** f.degree
-        r = f % g
-        if r.is_zero:
-            return Fraction(0)
-        if (f.degree * g.degree) % 2 == 1:
-            sign = -sign
-        res *= g.leading ** (f.degree - r.degree)
-        f, g = g, r
+def _prem(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """(r, s) with s > 0, deg r < deg b and s*a - r a multiple of b: the
+    pseudo-remainder of a by b and its scale.
 
-
-# -- Sturm sequences and real roots -----------------------------------------
-
-
-def _neg_prem(a: list[int], b: list[int]) -> list[int]:
-    """A primitive positive multiple of -(a mod b), as integer coefficients;
-    [] when b divides a.
-
-    Pseudo-division reduces a against b, scaling a at each step by the
-    positive factor |lc(b)| / gcd(lc(b), t), t the coefficient it cancels.
-    Every factor is positive, so the remainder is a positive multiple of
-    a mod b and no sign has to be tracked."""
+    Each step cancels the top coefficient t of the remainder, first scaling
+    the remainder by the positive factor |lc(b)| / gcd(lc(b), t).  So s is
+    their product and no sign has to be tracked."""
     r = list(a)
     n = len(b)
     lb = b[-1]
+    s = 1
     for k in range(len(r) - n, -1, -1):
         t = r.pop()
         if t:
@@ -357,28 +329,122 @@ def _neg_prem(a: list[int], b: list[int]) -> list[int]:
                 u, v = -u, -v
             if u != 1:
                 r = [u * c for c in r]
+                s *= u
             for i in range(n - 1):
                 r[k + i] -= v * b[i]
     while r and r[-1] == 0:
         r.pop()
-    g = 0
-    for c in r:
-        g = math.gcd(g, c)
-    return [-c // g for c in r]
+    return r, s
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """The integer polynomial a / b, for primitive a and b with b dividing a."""
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """A primitive positive multiple of -(a mod b); [] when b divides a."""
+    r, _ = _prem(a, b)
+    return _drop_content([-c for c in r])
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """The integer polynomial a / b for nonzero b, or None when b does not
+    divide a over the integers."""
     r = list(a)
     n = len(b)
+    if len(r) < n:
+        return None if r else []
     lb = b[-1]
     q = [0] * (len(r) - n + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r.pop() // lb
+        c, t = divmod(r.pop(), lb)
+        if t:
+            return None
+        q[k] = c
         if c:
             for i in range(n - 1):
                 r[k + i] -= c * b[i]
-    return q
+    return None if any(r) else q
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two integer polynomials, with a positive leading
+    coefficient; [] for gcd(0, 0).  It is the last element of the primitive
+    remainder sequence (Collins 1967; Brown & Traub 1971)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _drop_content(a), _drop_content(b)
+    while b:
+        a, b = b, _neg_prem(a, b)
+    return a if not a or a[-1] > 0 else [-c for c in a]
+
+
+# -- gcd and resultants ----------------------------------------------------
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor over the rationals; gcd(0, 0) = 0.
+    The integer gcd of the primitive forms, made monic once at the end."""
+    return Poly(_int_gcd(a.int_coeffs(), b.int_coeffs())).monic()
+
+
+def squarefree_part(p: Poly) -> Poly:
+    """The monic product of the distinct irreducible factors of p; a
+    constant gives 1 and zero gives zero.  p / gcd(p, p') over the integers."""
+    if p.degree <= 0:
+        return p.monic() if not p.is_zero else p
+    f = p.int_coeffs()
+    return Poly(_exact_quotient(f, _int_gcd(f, _derivative(f)))).monic()
+
+
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm: return [(g_i, i)] with p = lc * prod g_i^i, g_i monic
+    squarefree and pairwise coprime (factors of multiplicity i).
+
+    It runs on the primitive integer form.  b and c start as p / gcd(p, p')
+    and p' / gcd(p, p'), and every step divides both exactly by a primitive
+    gcd, so they stay integer and keep one common rational scale, the one
+    Yun's identities need."""
+    if p.degree <= 0:
+        return []
+    f = p.int_coeffs()
+    df = _derivative(f)
+    a = _int_gcd(f, df)
+    b = _exact_quotient(f, a)
+    c = _int_sub(_exact_quotient(df, a), _derivative(b))
+    out: list[tuple[Poly, int]] = []
+    i = 1
+    while len(b) > 1:
+        g = _int_gcd(b, c)
+        if len(g) > 1:
+            out.append((Poly(g).monic(), i))
+        b2 = _exact_quotient(b, g)
+        c = _int_sub(_exact_quotient(c, g), _derivative(b2))
+        b = b2
+        i += 1
+    return out
+
+
+def resultant(f: Poly, g: Poly) -> Fraction:
+    """Resultant of two rational polynomials, by the Euclidean recurrence
+    on the primitive integer forms.  With s*a = q*b + r (`_prem`),
+    res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * res(b, r) / s^deg b,
+    and a content c taken out of r, or of an input, comes out as
+    c^(degree of the other)."""
+    if f.is_zero or g.is_zero:
+        return Fraction(0)
+    a, b = f.int_coeffs(), g.int_coeffs()
+    acc = (f.leading / a[-1]) ** g.degree * (g.leading / b[-1]) ** f.degree
+    while len(b) > 1:
+        r, s = _prem(a, b)
+        if not r:
+            return Fraction(0)
+        n, m, k = len(a) - 1, len(b) - 1, len(r) - 1
+        c = math.gcd(*r)
+        acc *= Fraction(b[-1] ** (n - k) * c**m, s**m)
+        if n * m % 2:
+            acc = -acc
+        a, b = b, [x // c for x in r]
+    return acc * b[0] ** (len(a) - 1)
+
+
+# -- Sturm sequences and real roots -----------------------------------------
 
 
 def sturm_chain(p: Poly) -> list[list[int]]:
@@ -400,11 +466,7 @@ def sturm_chain(p: Poly) -> list[list[int]]:
     while True:
         if len(f) == 1:
             return [f]
-        d = [i * c for i, c in enumerate(f)][1:]
-        g = 0
-        for c in d:
-            g = math.gcd(g, c)
-        chain = [f, [c // g for c in d]]
+        chain = [f, _drop_content(_derivative(f))]
         while len(chain[-1]) > 1:
             r = _neg_prem(chain[-2], chain[-1])
             if not r:

@@ -25,7 +25,7 @@ from typing import Optional
 from .algebraic import AlgebraicNumber, _binary_elimination, degree_cap, rational_radical_form
 from .errors import MembershipUndecidable
 from .ints import coprime_base
-from .polys import Poly, poly_gcd
+from .polys import Poly, squarefree_part
 
 
 def degree_obstruction(target_degree: int, allowed_primes: set[int]) -> bool:
@@ -165,7 +165,7 @@ def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[int, AlgebraicN
         else:
             mbc = mb.compose(Poly([Fraction(0), Fraction(1, c)])).primitive()
         elim = _binary_elimination("add", ma, mbc)
-        if poly_gcd(elim, elim.derivative()).degree == 0:
+        if squarefree_part(elim).degree == elim.degree:
             theta = a + b * c
             return theta.minimal_polynomial().degree, theta
         c += 1

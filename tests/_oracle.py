@@ -21,8 +21,13 @@ it moved to the integer primitive remainder sequence.
 
 Eliminations (sums, products and polynomial images of conjugates) are
 resultants evaluated at integer points and interpolated by Lagrange, the
-library's method before it moved to power sums.  `polys.resultant` is
-their base, and its own properties are tested separately.
+library's method before it moved to power sums.  Their base is
+`resultant_oracle`, the Euclidean recurrence over Fractions.
+
+Gcds, squarefree parts and Yun's squarefree decomposition are Euclid over
+Fractions, and single-atom residues are `Poly` remainders modulo the
+atom's minimal polynomial with inverses by the extended Euclid: the
+library's methods before both moved to integer coefficient lists.
 """
 
 import itertools
@@ -31,7 +36,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from cakelab.dyadic import DyadicInterval
-from cakelab.polys import Poly, resultant
+from cakelab.polys import Poly
 
 
 def divisors(n):
@@ -330,6 +335,26 @@ def bisect_oracle(p, lo, hi, width):
     return lo, hi
 
 
+def resultant_oracle(f, g):
+    """Resultant of two rational polynomials by the Euclidean recurrence
+    over Fractions, the library's method before it moved to integer
+    pseudo-remainders."""
+    if f.is_zero or g.is_zero:
+        return Fraction(0)
+    res = Fraction(1)
+    sign = 1
+    while True:
+        if g.degree == 0:
+            return sign * res * g.leading ** f.degree
+        r = f % g
+        if r.is_zero:
+            return Fraction(0)
+        if (f.degree * g.degree) % 2 == 1:
+            sign = -sign
+        res *= g.leading ** (f.degree - r.degree)
+        f, g = g, r
+
+
 def _interpolate(points, values):
     """Lagrange interpolation; returns coefficients lowest degree first."""
     n = len(points)
@@ -363,14 +388,14 @@ def elimination_oracle(kind, ma, mb):
             other = mb.compose(Poly([Fraction(t), -1]))
         else:
             other = Poly([mb.coeff(nb - j) * Fraction(t) ** (nb - j) for j in range(nb + 1)])
-        vals.append(resultant(ma, other))
+        vals.append(resultant_oracle(ma, other))
     return Poly(_interpolate(pts, vals))
 
 
 def image_oracle(m, g):
     """Res_y(m(y), T - g(y)) for monic m, interpolated at T = 0..deg m."""
     pts = list(range(m.degree + 1))
-    vals = [resultant(m, Poly.constant(t) - g) for t in pts]
+    vals = [resultant_oracle(m, Poly.constant(t) - g) for t in pts]
     return Poly(_interpolate(pts, vals))
 
 
@@ -457,3 +482,71 @@ def sturm_isolate_oracle(p, span):
             out[i] = _shrink_half_oracle(f, chain, out[i])
             out[i + 1] = _shrink_half_oracle(f, chain, out[i + 1])
     return out
+
+
+def poly_gcd_oracle(a, b):
+    """Monic gcd by Euclid over the rationals; gcd(0, 0) = 0."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def squarefree_part_oracle(p):
+    if p.degree <= 0:
+        return p.monic() if not p.is_zero else p
+    return p.exact_div(poly_gcd_oracle(p, p.derivative()).scale(p.leading)).monic()
+
+
+def squarefree_decomposition_oracle(p):
+    """Yun's algorithm on the monic p, over the rationals."""
+    if p.degree <= 0:
+        return []
+    p = p.monic()
+    dp = p.derivative()
+    a = poly_gcd_oracle(p, dp)
+    b = p.exact_div(a)
+    c = dp.exact_div(a) - b.derivative()
+    out = []
+    i = 1
+    while b.degree > 0:
+        g = poly_gcd_oracle(b, c)
+        if g.degree > 0:
+            out.append((g, i))
+        b2 = b.exact_div(g)
+        c = c.exact_div(g) - b2.derivative()
+        b = b2
+        i += 1
+    return out
+
+
+def inverse_mod_oracle(g, m):
+    """g^-1 modulo m by the extended Euclid over the rationals, for g prime
+    to m."""
+    r0, r1 = g, m
+    s0, s1 = Poly.constant(1), Poly()
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    return s0.scale(1 / r0.coeff(0)) % m
+
+
+def residue_oracle(expr, m):
+    """The residue modulo m of an expression tree over one atom, a root of
+    m: ("atom",), ("rat", q), or (op, left, right) with op one of "add",
+    "sub", "mul" and "div".  Raises ZeroDivisionError on a zero divisor."""
+    kind = expr[0]
+    if kind == "atom":
+        return Poly.x() % m
+    if kind == "rat":
+        return Poly.constant(expr[1])
+    a, b = residue_oracle(expr[1], m), residue_oracle(expr[2], m)
+    if kind == "add":
+        return (a + b) % m
+    if kind == "sub":
+        return (a - b) % m
+    if kind == "mul":
+        return (a * b) % m
+    if b.is_zero:
+        raise ZeroDivisionError("division by an exact zero")
+    return (a * inverse_mod_oracle(b, m)) % m

@@ -17,7 +17,7 @@ from cakelab.algebraic import (
 )
 from cakelab.cake import poly_at
 
-from _oracle import elimination_oracle, image_oracle
+from _oracle import elimination_oracle, image_oracle, residue_oracle
 
 X = Poly.x()
 
@@ -470,3 +470,144 @@ class TestSignedDecimal:
         assert (-pos).decimal(digits) == "-" + pos.decimal(digits)
         lo, hi = parse_truncated_decimal(v.decimal(digits))
         assert lo <= v <= hi
+
+
+def _horner_expr(coeffs):
+    """Expression tree of the polynomial with these coefficients (lowest
+    degree first) evaluated at the atom by Horner's rule."""
+    expr = ("rat", Fraction(coeffs[-1]))
+    for cf in reversed(coeffs[:-1]):
+        expr = ("add", ("mul", expr, ("atom",)), ("rat", Fraction(cf)))
+    return expr
+
+
+# y^5 + y = 2/3 at the cut of the CDF (t + t^5)/2 for the amount 1/3
+_QUINTIC_CDF = [0, Fraction(1, 2), 0, 0, 0, Fraction(1, 2)]
+# each atom with its minimal polynomial and an expression that is exactly
+# zero at it; for the quintic, eval(cut(1/3)) - 1/3
+_SAF_ATOMS = {
+    "sqrt2": (lambda: nth_root(2, 2), Poly([-2, 0, 1]), _horner_expr([-2, 0, 1])),
+    "cbrt3": (lambda: nth_root(3, 3), Poly([-3, 0, 0, 1]), _horner_expr([-3, 0, 0, 1])),
+    "quintic": (
+        lambda: AlgebraicNumber.real_root(Poly(_QUINTIC_CDF) - c(Fraction(1, 3)), 0, 1),
+        Poly([-2, 3, 0, 0, 0, 3]),
+        ("sub", _horner_expr(_QUINTIC_CDF), ("rat", Fraction(1, 3))),
+    ),
+}
+
+saf_exprs = st.recursive(
+    st.one_of(
+        st.just(("atom",)),
+        st.just(("zero",)),
+        st.tuples(st.just("rat"), st.fractions(min_value=-6, max_value=6, max_denominator=5)),
+    ),
+    lambda kids: st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), kids, kids),
+    max_leaves=10,
+)
+
+
+def _build(expr, atom, zero):
+    kind = expr[0]
+    if kind == "atom":
+        return atom
+    if kind == "zero":
+        return _build(zero, atom, zero)
+    if kind == "rat":
+        return AlgebraicNumber(expr[1])
+    a, b = _build(expr[1], atom, zero), _build(expr[2], atom, zero)
+    return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.__truediv__}[kind](b)
+
+
+def _expand_zero(expr, zero):
+    if expr[0] == "zero":
+        return zero
+    if expr[0] in ("atom", "rat"):
+        return expr
+    return (expr[0], _expand_zero(expr[1], zero), _expand_zero(expr[2], zero))
+
+
+class TestSingleAtomForm:
+    """The integer single-atom form against Fraction residues modulo the
+    atom's minimal polynomial."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_SAF_ATOMS)), saf_exprs)
+    def test_matches_fraction_residue(self, name, expr):
+        make_atom, m, zero = _SAF_ATOMS[name]
+        atom = make_atom()
+        assert atom.minimal_polynomial() == m
+        try:
+            expected = residue_oracle(_expand_zero(expr, zero), m)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _build(expr, atom, zero)
+            return
+        value = _build(expr, atom, zero)
+        form_atom, nums, den = alg._saf_of(value._node)
+        assert Poly([Fraction(n, den) for n in nums]) == expected
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert not nums or nums[-1] != 0
+        assert form_atom is (atom._node if expected.degree >= 1 else None)
+        assert value.is_zero() == expected.is_zero
+        if expected.degree <= 0:
+            assert value.as_rational() == expected.coeff(0)
+
+    def test_exact_zeros(self):
+        for make_atom, m, zero in _SAF_ATOMS.values():
+            value = _build(zero, make_atom(), zero)
+            assert alg._saf_of(value._node) == (None, (), 1)
+            assert value.sign() == 0
+
+
+def _sign_a_plus_b_sqrt2(a, b):
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+        return (a + b > 0) - (a + b < 0)
+    d = a * a - 2 * b * b
+    return (d > 0) - (d < 0) if a > 0 else (d < 0) - (d > 0)
+
+
+def _decimal_a_plus_b_sqrt2(a, b, digits):
+    """Truncated decimal of the irrational a + b*sqrt(2), b != 0."""
+    scale = 10**digits
+    r = math.isqrt(2 * b * b * scale * scale)  # floor(|b| sqrt(2) scale)
+    floor = a * scale + (r if b > 0 else -r - 1)
+    negative = _sign_a_plus_b_sqrt2(a, b) < 0
+    t = -floor - 1 if negative else floor
+    whole, frac = divmod(t, scale)
+    return ("-" if negative else "") + f"{whole}.{frac:0{digits}d}…"
+
+
+class TestDeepDags:
+    def test_700_deep_horner_chain(self):
+        # sign and decimal walk the DAG with explicit stacks: no
+        # RecursionError at a depth near the interpreter's limit
+        r2 = nth_root(2, 2)
+        rng = random.Random(23)
+        acc, a, b = AlgebraicNumber(1), 1, 0  # acc = a + b*sqrt(2)
+        for _ in range(700):
+            cf = rng.randint(-9, 9)
+            acc = acc * r2 + cf
+            a, b = 2 * b + cf, a
+        assert acc.sign() == _sign_a_plus_b_sqrt2(a, b)
+        assert acc.decimal(12) == _decimal_a_plus_b_sqrt2(a, b, 12)
+        assert (-acc).decimal(12) == _decimal_a_plus_b_sqrt2(-a, -b, 12)
+
+    def test_oracles(self):
+        assert _sign_a_plus_b_sqrt2(-3, 2) == -1 and _sign_a_plus_b_sqrt2(3, -2) == 1
+        assert _sign_a_plus_b_sqrt2(-1, 1) == 1 and _sign_a_plus_b_sqrt2(0, 0) == 0
+        assert _decimal_a_plus_b_sqrt2(0, 1, 3) == nth_root(2, 2).decimal(3) == "1.414…"
+        assert _decimal_a_plus_b_sqrt2(1, -1, 3) == "-0.414…"
+
+
+intervals = st.tuples(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+).map(sorted)
+
+
+class TestIntervalProduct:
+    @settings(max_examples=500, deadline=None)
+    @given(intervals, intervals)
+    def test_matches_extremes_of_all_four_products(self, x, y):
+        ps = [x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1]]
+        assert alg._iv_mul(tuple(x), tuple(y)) == (min(ps), max(ps))

@@ -248,7 +248,7 @@ class TestZassenhaus:
     def test_hensel_lifting(self, p, coeffs, lead, k):
         h = Poly(coeffs + [lead])
         f = h.int_coeffs()
-        ddf = factoring._modp_ddf(h, p)
+        ddf = factoring._modp_ddf(f, p)
         assume(ddf is not None)  # squarefree mod p, lead a unit
         modular = [u for d, g in ddf for u in factoring._fp_edf(g, d, p, random.Random(0))]
         lifted = factoring._hensel_lift(f, modular, p, k)
@@ -264,7 +264,7 @@ class TestZassenhaus:
         # sieve and Zassenhaus work modulo larger primes
         lead = math.prod(factoring.PROBE_PRIMES)
         a, b = Poly([1, 1, lead]), X**2 + X + c(1)
-        assert all(factoring._modp_ddf(a * b, q) is None for q in factoring.PROBE_PRIMES)
+        assert all(factoring._modp_ddf((a * b).int_coeffs(), q) is None for q in factoring.PROBE_PRIMES)
         assert [f for f, _ in factor_over_Q(a * b).factors] == [b, a]
 
     def test_swinnerton_dyer(self, monkeypatch):

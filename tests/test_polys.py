@@ -15,6 +15,7 @@ from cakelab.polys import (
     refine_root,
     resultant,
     squarefree_decomposition,
+    squarefree_part,
     squarefree_rational_roots,
     sturm_chain,
     sturm_count,
@@ -24,7 +25,12 @@ from cakelab.polys import (
 
 from _oracle import (
     bisect_oracle,
+    poly_divmod_int,
+    poly_gcd_oracle,
     rational_roots_oracle,
+    resultant_oracle,
+    squarefree_decomposition_oracle,
+    squarefree_part_oracle,
     sturm_chain_oracle,
     sturm_count_oracle,
     sturm_isolate_oracle,
@@ -110,9 +116,30 @@ nonzero_polys = st.builds(
 )
 
 
+# Products of powers of pool factors under a rational leading coefficient
+# of either sign, so repeated factors are common; and zero, constants and
+# polynomials with random rational coefficients.
+_REPEAT_POOL = _FACTOR_POOL + [X**3 - X + c(Fraction(1, 2)), c(5) * X**2 - c(4) * X + c(7)]
+gcd_polys = st.one_of(
+    st.builds(
+        lambda lead, parts: Poly.constant(lead) * _prod(_REPEAT_POOL[i] ** e for i, e in parts),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+        st.lists(st.tuples(st.integers(0, len(_REPEAT_POOL) - 1), st.integers(1, 3)), max_size=4),
+    ),
+    st.just(Poly()),
+    st.builds(Poly.constant, st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+    st.builds(Poly, st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=7)),
+)
+
+
 class TestResultantProperties:
-    """`resultant` is the base of the elimination oracle; no library path
-    calls it, so its own laws are pinned here."""
+    """No library path calls `resultant`, so its own laws are pinned here,
+    and its value against the Euclidean recurrence over Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_polys, gcd_polys)
+    def test_matches_fraction_euclid(self, f, g):
+        assert resultant(f, g) == resultant_oracle(f, g)
 
     @settings(max_examples=150, deadline=None)
     @given(nonzero_polys, nonzero_polys, nonzero_polys)
@@ -128,6 +155,42 @@ class TestResultantProperties:
     @given(nonzero_polys, nonzero_polys)
     def test_zero_iff_common_factor(self, f, g):
         assert (resultant(f, g) == 0) == (poly_gcd(f, g).degree > 0)
+
+
+class TestIntegerGcd:
+    """The integer gcd and squarefree code against Euclid over Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_polys, gcd_polys)
+    @example(Poly(), Poly())
+    @example(Poly(), c(Fraction(-3, 2)))
+    @example(c(Fraction(-3, 2)) * (X - c(1)) ** 2, Poly())
+    def test_gcd_matches_oracle(self, a, b):
+        assert poly_gcd(a, b) == poly_gcd_oracle(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_polys)
+    @example(c(Fraction(-7, 3)) * (X - c(1)) ** 3 * (X**2 + X + c(1)) ** 2 * (c(2) * X + c(3)))
+    def test_squarefree_part_and_decomposition_match_oracle(self, p):
+        assert squarefree_part(p) == squarefree_part_oracle(p)
+        assert squarefree_decomposition(p) == squarefree_decomposition_oracle(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-20, 20), max_size=6),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(lambda b: b[-1] != 0),
+        st.booleans(),
+    )
+    def test_exact_quotient_reports_inexact_division(self, a, b, multiply):
+        if multiply:
+            a = [int(x) for x in (Poly(a) * Poly(b)).coeffs]
+        a = [int(x) for x in Poly(a).coeffs]  # no trailing zeros
+        q = polys._exact_quotient(a, b)
+        expected = poly_divmod_int(a, b) if len(a) >= len(b) else ([], a)
+        if expected is None or any(expected[1]):
+            assert q is None
+        else:
+            assert q == [int(x) for x in Poly(expected[0]).coeffs]
 
 
 class TestIsolation:
