@@ -1,7 +1,10 @@
 """Measures, query sessions, allocations, and exact fairness auditing.
 
 A measure is a strictly increasing polynomial CDF on [0, 1] with rational
-coefficients.  A session executes cut and eval queries against a list of
+coefficients.  Validation accepts a density with no negative coefficient
+at once and isolates the density's roots on [0, 1] only otherwise.
+Allocations must give each piece one owner among the players and tile
+[0, 1] with pieces that run left to right.  A session executes cut and eval queries against a list of
 measures, logging every answer into a transcript and a field tower.  The
 evaluators at the bottom decide proportionality, envy-freeness,
 equitability and utilitarian welfare with exact comparisons only.
@@ -75,8 +78,11 @@ def validate_cdf(f: Poly) -> None:
     g = f.derivative()
     if g.is_zero:
         raise InvalidMeasureError("density is identically zero")
-    # the density must be nonnegative on all of [0, 1]: probe every sign
-    # region delimited by its real roots, on g with its denominators cleared
+    # a density with no negative coefficient is >= 0 on [0, 1] term by term
+    if all(c >= 0 for c in g.coeffs):
+        return
+    # otherwise probe every sign region that its real roots delimit on
+    # [0, 1], on g with its denominators cleared
     ivs = sturm_isolate(g, DyadicInterval.make(0, 1))
     den = math.lcm(*[c.denominator for c in g.coeffs])
     cs = [int(c * den) for c in g.coeffs]
@@ -101,11 +107,17 @@ class Allocation:
     @staticmethod
     def simple(cuts: Sequence[Alg], owners: Optional[Sequence[int]] = None, n: Optional[int] = None) -> "Allocation":
         """Contiguous allocation: cut points split [0, 1] left to right and
-        piece k goes to owners[k] (identity by default)."""
+        piece k goes to owners[k] (identity by default).  There must be one
+        owner per piece, each in range(n)."""
         bounds = [_alg(0)] + [_alg(c) for c in cuts] + [_alg(1)]
         k = len(bounds) - 1
         owners = list(owners) if owners is not None else list(range(k))
+        if len(owners) != k:
+            raise ValueError(f"expected one owner per piece ({k}), got {len(owners)}")
         n = n if n is not None else (max(owners) + 1)
+        for o in owners:
+            if not 0 <= o < n:
+                raise ValueError(f"owner {o} is not a player index in 0..{n - 1}")
         per: list[list[tuple[Alg, Alg]]] = [[] for _ in range(n)]
         for j in range(k):
             per[owners[j]].append((bounds[j], bounds[j + 1]))
@@ -129,7 +141,8 @@ class Allocation:
         return pts
 
     def validate(self) -> None:
-        """Pieces must tile [0, 1] with pairwise disjoint interiors."""
+        """Pieces must tile [0, 1] with pairwise disjoint interiors, each
+        with lo <= hi."""
         all_pieces = [iv for per in self.pieces for iv in per]
         if not all_pieces:
             raise ValueError("empty allocation")
@@ -141,6 +154,11 @@ class Allocation:
                 raise ValueError("pieces must tile without gaps or overlap")
         if (all_pieces[-1][1] - 1).sign() != 0:
             raise ValueError("allocation must end at 1")
+        # sorted by lo and chained hi = next lo, only the last piece can
+        # run backwards
+        lo, hi = all_pieces[-1]
+        if (hi - lo).sign() < 0:
+            raise ValueError(f"piece [{lo}, {hi}] is reversed: hi < lo")
 
 
 class _SortKey:

@@ -5,14 +5,21 @@ inputs always prints the same output.  The structured format is JSON with
 a format_version field and carries exactly the same semantic content as
 the text format.
 
-Exit codes: 0 success (and IMPOSSIBLE verdicts); 1 input or usage errors;
-2 NO-OBSTRUCTION-FOUND (and tower audits with violations); 3 requests
+Exit codes: 0 success (and IMPOSSIBLE verdicts); 1 input errors, such
+as a malformed measures file, a rational option with a zero denominator
+or an allocation that does not tile [0, 1]; 2 NO-OBSTRUCTION-FOUND (and
+tower audits with violations) and argparse usage errors; 3 requests
 outside the covered certificate cases.
+
+The argument parser is built on the first `main` call and shared by every
+later call in the process, so a caller that runs many commands in one
+process pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,6 +43,24 @@ from .parsing import parse_measures
 from .protocols import PROTOCOLS, run_protocol
 
 DEGREE_CAP_ENV = "CAKELAB_DEGREE_CAP"
+
+
+def _rational(text: str, option: str, col: int = 1) -> Fraction:
+    """A rational option value; a malformed one or a zero denominator is a
+    ParseError at its column within the option's value."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{option}: {text!r} is not a rational p/q with q != 0", 1, col) from None
+
+
+def _rationals(text: str, option: str) -> list[Fraction]:
+    out: list[Fraction] = []
+    col = 1
+    for tok in text.split(","):
+        out.append(_rational(tok, option, col))
+        col += len(tok) + 1
+    return out
 
 
 def _read_measures(path: str):
@@ -133,7 +158,7 @@ def cmd_run_protocol(args) -> int:
 
 def cmd_check_fairness(args) -> int:
     measures = _read_measures(args.measures)
-    cuts = [Fraction(tok) for tok in args.cuts.split(",")] if args.cuts else []
+    cuts = _rationals(args.cuts, "--cuts") if args.cuts else []
     owners = [int(t) for t in args.owners.split(",")] if args.owners else None
     alloc = Allocation.simple([AlgebraicNumber(c) for c in cuts], owners, n=len(measures))
     alloc.validate()
@@ -239,7 +264,7 @@ def cmd_isolate_cutpoint(args) -> int:
     if len(measures) != 2:
         raise ParseError("isolate-cutpoint needs exactly two measures", 1, 1)
     cp = isolate_equitable_cutpoint(measures[0], measures[1])
-    width = Fraction(args.width)
+    width = _rational(args.width, "--width")
     lo, hi = cp.value.approx(width)
     data = {
         "command": "isolate-cutpoint",
@@ -273,7 +298,11 @@ def cmd_verify_tower(args) -> int:
     return 0 if report.passed else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one definition of the command-line grammar.  Cached: the parser
+    is built on first use and shared by every later `main` call in the
+    process, which only reads it."""
     parser = argparse.ArgumentParser(
         prog="cakelab",
         description="Exact-arithmetic laboratory for cake-cutting protocols "

@@ -2,8 +2,10 @@
 
 Polynomial terms are `c`, `c*x^k`, `x^k`, `x`, joined by + or -, with
 integer or p/q rational coefficients; whitespace is insignificant.
-A measures file holds one `name: polynomial` line per player.  All
-diagnostics carry line and column positions.
+Exponents are at most MAX_EXPONENT, and integer literals must convert
+within Python's digit limit.  A measures file holds one
+`name: polynomial` line per player.  All diagnostics carry line and
+column positions.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from fractions import Fraction
 from .cake import Measure
 from .errors import InvalidMeasureError, ParseError
 from .polys import Poly, format_poly
+
+MAX_EXPONENT = 1000
 
 
 class _Scanner:
@@ -46,11 +50,15 @@ class _Scanner:
     def expect_int(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise self.error(f"expected {what}")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's integer string limit
+            digits, self.pos = self.pos - start, start
+            raise self.error(f"integer literal of {digits} digits is too long") from None
 
     def at_end(self) -> bool:
         return self.peek() == ""
@@ -58,7 +66,7 @@ class _Scanner:
 
 def _parse_term(sc: _Scanner) -> Poly:
     c = sc.peek()
-    if c.isdigit():
+    if c.isdecimal():
         num = sc.expect_int("an integer coefficient")
         coeff = Fraction(num)
         if sc.peek() == "/":
@@ -84,7 +92,11 @@ def _parse_varpart(sc: _Scanner) -> Poly:
     sc.take()  # the x
     if sc.peek() == "^":
         sc.take()
+        sc.skip_ws()
+        col = sc.col
         k = sc.expect_int("an integer exponent")
+        if k > MAX_EXPONENT:
+            raise ParseError(f"exponent {k} exceeds the maximum {MAX_EXPONENT}", sc.line, col)
         return Poly.monomial(k)
     return Poly.x()
 

@@ -24,6 +24,11 @@ resultants evaluated at integer points and interpolated by Lagrange, the
 library's method before it moved to power sums.  Their base is
 `resultant_oracle`, the Euclidean recurrence over Fractions.
 
+A CDF is validated by probing the density's sign in every region that
+its isolated roots delimit on [0, 1], whatever the signs of its
+coefficients: the library's method before it accepted a density with no
+negative coefficient without isolating.
+
 Gcds, squarefree parts and Yun's squarefree decomposition are Euclid over
 Fractions, and single-atom residues are `Poly` remainders modulo the
 atom's minimal polynomial with inverses by the extended Euclid: the
@@ -36,6 +41,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from cakelab.dyadic import DyadicInterval
+from cakelab.errors import InvalidMeasureError
 from cakelab.polys import Poly
 
 
@@ -482,6 +488,26 @@ def sturm_isolate_oracle(p, span):
             out[i] = _shrink_half_oracle(f, chain, out[i])
             out[i + 1] = _shrink_half_oracle(f, chain, out[i + 1])
     return out
+
+
+def validate_cdf_oracle(f):
+    """Raise InvalidMeasureError, with the library's messages, unless f is
+    a strictly increasing CDF on [0, 1]."""
+    if f(Fraction(0)) != 0:
+        raise InvalidMeasureError(f"f(0) = {f(Fraction(0))}, expected 0")
+    if f(Fraction(1)) != 1:
+        raise InvalidMeasureError(f"f(1) = {f(Fraction(1))}, expected 1")
+    g = f.derivative()
+    if g.is_zero:
+        raise InvalidMeasureError("density is identically zero")
+    ivs = sturm_isolate_oracle(g, DyadicInterval.make(0, 1))
+    samples = [Fraction(0), Fraction(1)]
+    bounds = sorted({iv.lo for iv in ivs} | {iv.hi for iv in ivs} | {Fraction(0), Fraction(1)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        samples.append((lo + hi) / 2)
+    for s in samples:
+        if 0 <= s <= 1 and g(s) < 0:
+            raise InvalidMeasureError(f"density is negative at x = {s}: not monotone")
 
 
 def poly_gcd_oracle(a, b):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cakelab.cake as cake
 from cakelab import (
     AlgebraicNumber,
     Allocation,
@@ -17,6 +20,8 @@ from cakelab import (
     nth_root,
     welfare,
 )
+from _oracle import validate_cdf_oracle
+
 A = AlgebraicNumber
 X = Poly.x()
 
@@ -53,6 +58,63 @@ class TestMeasureValidation:
     def test_flat_density_at_interior_point_ok(self):
         # f = x^2 has f'(0) = 0: fine, still strictly increasing on [0,1]
         Measure.make(Poly.monomial(2))
+
+
+def _cdfs():
+    """Rational f with f(0) = 0 and f(1) = 1: free coefficients of either
+    sign with the top one fixed by f(1) = 1, or nonnegative weights scaled
+    to sum to 1."""
+    q = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 8))
+
+    def signed(cs):
+        return Poly([0, *cs, 1 - sum(cs)])
+
+    def weights(ws):
+        return Poly([0, *(Fraction(w, sum(ws)) for w in ws)])
+
+    return st.one_of(
+        st.lists(q, min_size=0, max_size=5).map(signed),
+        st.lists(st.integers(0, 6), min_size=1, max_size=6).filter(any).map(weights),
+    )
+
+
+class TestValidationShortcut:
+    """A density with no negative coefficient is accepted with no Sturm
+    isolation; every other density keeps the isolation and its messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cdfs())
+    @example(Poly([0, 0, 3, -2]))
+    @example(Poly([0, 0, -3, 4]))
+    @example(Poly([0, Fraction(1, 2), 0, 0, 0, Fraction(1, 2)]))
+    def test_agrees_with_sturm_oracle(self, f):
+        def outcome(check):
+            try:
+                check(f)
+            except InvalidMeasureError as e:
+                return str(e)
+            return None
+
+        assert outcome(cake.validate_cdf) == outcome(validate_cdf_oracle)
+
+    @pytest.mark.parametrize(
+        "coeffs, isolations",
+        [
+            ([0, Fraction(1, 2), 0, 0, 0, Fraction(1, 2)], 0),  # x/2 + x^5/2
+            ([0, 0, 3, -2], 1),  # 3x^2 - 2x^3, valid: f' = 6x(1 - x)
+        ],
+    )
+    def test_isolation_count(self, monkeypatch, coeffs, isolations):
+        calls = []
+        isolate = cake.sturm_isolate
+
+        def counted(p, span):
+            calls.append(p)
+            return isolate(p, span)
+
+        monkeypatch.setattr(cake, "sturm_isolate", counted)
+        Measure.make(Poly(coeffs))
+        assert len(calls) == isolations
 
 
 class TestQueries:
@@ -242,6 +304,26 @@ class TestAllocation:
         )
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_validate_rejects_reversed_piece(self):
+        # the tiling holds, but [3/2, 1] runs backwards
+        bad = Allocation.simple([A(Fraction(3, 2))])
+        with pytest.raises(ValueError, match="reversed"):
+            bad.validate()
+
+    @pytest.mark.parametrize(
+        "cuts, owners",
+        [
+            ([Fraction(1, 2)], [0, 5]),  # owner outside range(2)
+            ([Fraction(1, 2)], [0, -1]),
+            ([Fraction(1, 2), Fraction(3, 4)], None),  # three pieces, two players
+            ([Fraction(1, 2)], [0]),  # two pieces, one owner
+            ([], [0, 1]),  # one piece, two owners
+        ],
+    )
+    def test_simple_needs_one_owner_per_piece_in_range(self, cuts, owners):
+        with pytest.raises(ValueError, match="owner"):
+            Allocation.simple([A(c) for c in cuts], owners, n=2)
 
     def test_cutpoints_sorted_unique(self):
         alloc = Allocation.simple([A(Fraction(1, 3)), A(Fraction(2, 3))], [0, 1, 0])

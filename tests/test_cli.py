@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from cakelab import cli
 from cakelab.cli import main
 
 
@@ -127,7 +129,90 @@ class TestNonPositiveWidth:
         assert err == "error: digits must be non-negative, got -1\n"
 
 
+class TestArgumentErrors:
+    """Bad option values are named input errors: exit 1, one `error:` line
+    on stderr and no report."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["check-fairness", "--cuts", "1/0"], "column 1: --cuts: '1/0' is not a rational"),
+            (["check-fairness", "--cuts", "1/4,1/0"], "column 5: --cuts: '1/0' is not a rational"),
+            (["isolate-cutpoint", "--width", "1/0"], "--width: '1/0' is not a rational"),
+            (["check-fairness", "--cuts", "1/2", "--owners", "0,5"], "owner 5 is not a player index"),
+            (["check-fairness", "--owners", "0,5"], "one owner per piece (1), got 2"),
+            (["check-fairness", "--cuts", "1/2,1/4"], "owner 2 is not a player index"),
+            (["check-fairness", "--cuts", "1/2,1/4", "--owners", "0,1,0"], "pieces must tile"),
+            (["check-fairness", "--cuts", "3/2"], "piece [3/2, 1] is reversed"),
+        ],
+    )
+    def test_exits_1_with_named_error(self, capsys, measures_file, args, message):
+        code, out, err = run_cli([args[0], "--measures", measures_file, *args[1:]], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_huge_exponent_is_positioned(self, capsys, tmp_path):
+        p = tmp_path / "big.txt"
+        p.write_text("a: x\nb: x^99999999\n")
+        code, out, err = run_cli(["check-fairness", "--measures", str(p)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: line 2, column 6: exponent 99999999 exceeds the maximum 1000\n"
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# argparse's own output at a fixed terminal width
+PARSER_GOLDEN = [
+    (["--help"], 0, "help.stdout"),
+    (["run-protocol", "--help"], 0, "run-protocol-help.stdout"),
+    (["run-protocol", "--protocol", "nope", "--measures", "m.txt"], 2, "run-protocol-usage-error.stderr"),
+]
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        return fh.read()
+
+
+class TestSharedParser:
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *a, **kw):
+            built.append(kw.get("prog"))
+            init(self, *a, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        assert run_cli(["analyze-trinomial", "--d", "6"], capsys)[0] == 0
+        once = len(built)
+        assert built.count("cakelab") == 1
+        assert run_cli(["analyze-trinomial", "--d", "7"], capsys)[0] == 0
+        assert len(built) == once
+
+    @pytest.mark.parametrize("args, code, name", PARSER_GOLDEN, ids=[g[2] for g in PARSER_GOLDEN])
+    def test_subprocess_bytes(self, args, code, name):
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", *args],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8", "COLUMNS": "80"},
+        )
+        assert res.returncode == code
+        assert (res.stdout if name.endswith(".stdout") else res.stderr) == _golden(name)
+
+    @pytest.mark.parametrize("args, code, name", PARSER_GOLDEN, ids=[g[2] for g in PARSER_GOLDEN])
+    def test_in_process_bytes_repeat(self, monkeypatch, capsys, args, code, name):
+        # the shared parser prints the same bytes on every call
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(3):
+            with pytest.raises(SystemExit) as e:
+                main(args)
+            assert e.value.code == code
+            out = capsys.readouterr()
+            text = out.out if name.endswith(".stdout") else out.err
+            assert text.encode() == _golden(name)
 
 
 class TestGoldenBytes:

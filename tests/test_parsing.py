@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from cakelab import (
     parse_measures,
     parse_polynomial,
 )
+from cakelab.parsing import MAX_EXPONENT
 
 X = Poly.x()
 
@@ -42,6 +44,29 @@ class TestPolynomialGrammar:
         with pytest.raises(ParseError):
             parse_polynomial("1/0")
 
+    def test_exponent_bound(self):
+        assert parse_polynomial(f"x^{MAX_EXPONENT}") == Poly.monomial(MAX_EXPONENT)
+        with pytest.raises(ParseError, match=f"exponent {MAX_EXPONENT + 1} exceeds the maximum") as e:
+            parse_polynomial(f"1/2*x + x^ {MAX_EXPONENT + 1}")
+        assert (e.value.line, e.value.column) == (1, 12)
+
+    def test_literal_past_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(ParseError, match="integer literal of 641 digits is too long") as e:
+                parse_polynomial("x + " + "7" * 641 + "*x^2")
+            assert e.value.column == 5
+            with pytest.raises(ParseError, match="column 3: integer literal of 700 digits"):
+                parse_polynomial("x^" + "1" * 700)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_non_decimal_digits_are_syntax_errors(self):
+        # superscripts pass str.isdigit but are no integer literal
+        with pytest.raises(ParseError, match="column 3: expected an integer exponent"):
+            parse_polynomial("x^\u00b2")
+
     def test_roundtrip(self):
         for text in ("x^5 + x - 1", "1/2*x^2 + 1/2*x", "2*x - 1", "x"):
             p = parse_polynomial(text)
@@ -70,6 +95,11 @@ class TestMeasuresFile:
         with pytest.raises(ParseError) as e:
             parse_measures("a: x\nb: x^^2\n")
         assert e.value.line == 2
+
+    def test_huge_exponent_positioned_in_file(self):
+        with pytest.raises(ParseError) as e:
+            parse_measures("a: x\nb: x^99999999\n")
+        assert (e.value.line, e.value.column) == (2, 6)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParseError):
