@@ -6,7 +6,7 @@ accounting, protocol simulation through cut/eval queries, and
 mechanically checked impossibility certificates.
 """
 
-from .algebraic import AlgebraicNumber, minimal_polynomial, nth_root, set_degree_cap, sign
+from .algebraic import AlgebraicNumber, minimal_polynomial, nth_root, sign
 from .cake import (
     Allocation,
     FairnessReport,
@@ -54,6 +54,7 @@ from .factoring import (
     eisenstein,
     factor_over_Q,
     is_irreducible,
+    set_degree_cap,
 )
 from .parsing import format_measures, parse_measures, parse_polynomial
 from .polys import (

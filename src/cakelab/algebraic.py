@@ -25,8 +25,8 @@ Key internals:
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.
 
-The intern tables, node caches and the degree cap are process-wide and
-unlocked: the module is single-threaded.
+The intern tables and node caches are process-wide and unlocked: the
+module is single-threaded.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 from .dyadic import DyadicInterval
 from .errors import DegreeCapExceeded, ZeroPolynomialError
-from .factoring import DEFAULT_DEGREE_CAP, factor_over_Q
+from .factoring import check_degree, factor_over_Q
 from .ints import _SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
@@ -53,19 +53,6 @@ from .polys import (
     sturm_isolate,
     sturm_point,
 )
-
-_degree_cap = DEFAULT_DEGREE_CAP
-
-
-def set_degree_cap(cap: int) -> None:
-    """Override the factorization degree cap (process-wide, set at startup)."""
-    global _degree_cap
-    _degree_cap = int(cap)
-
-
-def degree_cap() -> int:
-    return _degree_cap
-
 
 # Counters registered here receive one tick per field operation performed
 # on algebraic numbers; sessions use this to report mediator work.
@@ -918,15 +905,6 @@ def _binary_elimination(kind: str, ma: Poly, mb: Poly) -> Poly:
     return _from_power_sums(ps)
 
 
-def _binary_minpoly_candidates(kind: str, ma: Poly, mb: Poly) -> list[Poly]:
-    dd = ma.degree * mb.degree
-    cap = degree_cap()
-    if dd > cap:
-        raise DegreeCapExceeded(dd, cap, f"{kind} elimination")
-    fac = factor_over_Q(_binary_elimination(kind, ma, mb), cap)
-    return [f for f, _ in fac.factors]
-
-
 def _minpoly(node: _Node) -> Poly:
     cached = node._mp
     if cached is not None:
@@ -943,6 +921,10 @@ def _minpoly(node: _Node) -> Poly:
 
 
 def _compute_minpoly(node: _Node) -> Poly:
+    """The minimal polynomial, as the factor of one annihilating polynomial
+    per node kind that vanishes at the node's value.  Annihilators built by
+    an elimination are checked against the degree cap before they are
+    built."""
     if isinstance(node, _Rat):
         return Poly([-node.value.numerator, node.value.denominator])
     saf = _saf_of(node)
@@ -955,10 +937,8 @@ def _compute_minpoly(node: _Node) -> Poly:
         if nums == (0, 1) and den == 1:
             return _minpoly(atom)
         g = Poly([Fraction(c, den) for c in nums])
-        fac = factor_over_Q(_image_elimination(_minpoly(atom), g), degree_cap())
-        return _select_factor([f for f, _ in fac.factors], node).primitive()
-    if isinstance(node, _RootAtom):
-        cap = degree_cap()
+        annihilator = _image_elimination(_minpoly(atom), g)
+    elif isinstance(node, _RootAtom):
         if isinstance(node.operand, Fraction):
             # interned radicals are exponent-reduced, so no prime dividing
             # the index leaves the radicand a perfect power; the radicand is
@@ -968,36 +948,26 @@ def _compute_minpoly(node: _Node) -> Poly:
             r = node.operand
             return Poly([-r.numerator] + [0] * (node.index - 1) + [r.denominator]).primitive()
         m_op = _minpoly(node.operand)
-        dd = m_op.degree * node.index
-        if dd > cap:
-            raise DegreeCapExceeded(dd, cap, "root adjunction")
-        fac = factor_over_Q(m_op.substitute_power(node.index), cap)
-        return _select_factor([f for f, _ in fac.factors], node).primitive()
-    if isinstance(node, _PolyRootAtom):
-        fac = factor_over_Q(node.poly, degree_cap())
-        return _select_factor([f for f, _ in fac.factors], node).primitive()
-    if isinstance(node, _CutRootAtom):
+        check_degree(m_op.degree * node.index, "root adjunction")
+        annihilator = m_op.substitute_power(node.index)
+    elif isinstance(node, _PolyRootAtom):
+        annihilator = node.poly
+    elif isinstance(node, _CutRootAtom):
         m_c = _minpoly(node.target)
-        cap = degree_cap()
-        dd = m_c.degree * node.cdf.degree
-        if dd > cap:
-            raise DegreeCapExceeded(dd, cap, "cut-root elimination")
-        composed = m_c.compose(node.cdf)
-        fac = factor_over_Q(composed, cap)
-        return _select_factor([f for f, _ in fac.factors], node).primitive()
-    assert isinstance(node, _Binary)
-    ma = _minpoly(node.a)
-    mb = _minpoly(node.b)
-    if isinstance(node, _Add):
-        cands = _binary_minpoly_candidates("add", ma, mb)
-    elif isinstance(node, _Sub):
-        cands = _binary_minpoly_candidates("add", ma, mb.negate_variable())
-    elif isinstance(node, _Mul):
-        cands = _binary_minpoly_candidates("mul", ma, mb)
+        check_degree(m_c.degree * node.cdf.degree, "cut-root elimination")
+        annihilator = m_c.compose(node.cdf)
     else:
-        mb_inv = mb.reverse().primitive()
-        cands = _binary_minpoly_candidates("mul", ma, mb_inv)
-    return _select_factor(cands, node).primitive()
+        ma = _minpoly(node.a)
+        mb = _minpoly(node.b)
+        kind = "add" if isinstance(node, (_Add, _Sub)) else "mul"
+        if isinstance(node, _Sub):
+            mb = mb.negate_variable()
+        elif isinstance(node, _Div):
+            mb = mb.reverse().primitive()
+        check_degree(ma.degree * mb.degree, f"{kind} elimination")
+        annihilator = _binary_elimination(kind, ma, mb)
+    fac = factor_over_Q(annihilator)
+    return _select_factor([f for f, _ in fac.factors], node).primitive()
 
 
 # -- signs and comparisons -------------------------------------------------------

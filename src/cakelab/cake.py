@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebraic import AlgebraicNumber, count_ops
+from .algebraic import AlgebraicNumber, _make_cut_root, count_ops
 from .errors import InfeasibleAmountError, InvalidMeasureError, QueryDomainError
 from .polys import Poly, horner, sturm_isolate
 from .dyadic import DyadicInterval
@@ -216,11 +216,11 @@ class Session:
     recorded; every answer joins the tower (evals are always trivial
     steps since a polynomial CDF maps field points into the field)."""
 
-    def __init__(self, measures: Sequence[Measure], allow_mediator_sqrt: bool = False):
+    def __init__(self, measures: Sequence[Measure]):
         if not measures:
             raise ValueError("need at least one measure")
         self.measures = list(measures)
-        self.transcript = Transcript(tower=Tower(allow_mediator_sqrt=allow_mediator_sqrt))
+        self.transcript = Transcript(tower=Tower())
         self._ops = [0]
 
     @property
@@ -304,11 +304,6 @@ def _monomial_degree(f: Poly) -> Optional[int]:
 
 def _increasing_preimage(f: Poly, target: Alg) -> Alg:
     """The unique y in [0, 1] with f(y) = target, f strictly increasing."""
-    rt = target.as_rational()
-    if rt is not None:
-        return AlgebraicNumber.real_root(f - Poly.constant(rt), 0, 1)
-    from .algebraic import _make_cut_root
-
     return AlgebraicNumber(_make_cut_root(f, target._node))
 
 

@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, set_degree_cap
+from .algebraic import AlgebraicNumber
 from .cake import Allocation, check_fairness, max_welfare, welfare
 from .certificates import (
     Certificate,
@@ -39,6 +39,7 @@ from .certificates import (
     Solvability,
 )
 from .errors import CakelabError, ParseError, UncoveredCaseError
+from .factoring import set_degree_cap
 from .parsing import parse_measures
 from .protocols import PROTOCOLS, run_protocol
 
@@ -362,9 +363,14 @@ def main(argv=None) -> int:
     cap = os.environ.get(DEGREE_CAP_ENV)
     if cap:
         try:
-            set_degree_cap(int(cap))
+            cap = int(cap)
         except ValueError:
             print(f"error: {DEGREE_CAP_ENV} must be an integer", file=sys.stderr)
+            return 1
+        try:
+            set_degree_cap(cap)
+        except ValueError:
+            print(f"error: {DEGREE_CAP_ENV} must be at least 1", file=sys.stderr)
             return 1
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -16,9 +16,12 @@ Modern Computer Algebra, ch. 14-15).  All factors are returned primitive
 over the integers with positive leading coefficient, so comparisons in
 tests are canonical.
 
-A degree cap (default 12) bounds the inputs accepted; inputs past the cap
-raise DegreeCapExceeded rather than running forever, and recombination
-carries a candidate budget.
+This module owns the degree cap (default 12), the one limit on every
+factorization, elimination and certificate in the package: inputs past
+the cap raise DegreeCapExceeded rather than running forever, and
+recombination carries a candidate budget.  `set_degree_cap` changes it
+process-wide, and callers that build a polynomial before factoring it call
+`check_degree` first, so they fail before the build.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
 from .ints import is_probable_prime
 from .polys import (
     Poly,
+    _derivative,
     _drop_content,
     _exact_quotient,
     squarefree_decomposition,
@@ -41,6 +45,29 @@ from .polys import (
 )
 
 DEFAULT_DEGREE_CAP = 12
+
+_degree_cap = DEFAULT_DEGREE_CAP
+
+
+def set_degree_cap(cap: int) -> None:
+    """Set the degree cap (process-wide, set at startup); it must be at
+    least 1."""
+    global _degree_cap
+    cap = int(cap)
+    if cap < 1:
+        raise ValueError(f"the degree cap must be at least 1, not {cap}")
+    _degree_cap = cap
+
+
+def degree_cap() -> int:
+    return _degree_cap
+
+
+def check_degree(n: int, context: str) -> None:
+    """Raise DegreeCapExceeded when degree n is past the cap."""
+    if n > _degree_cap:
+        raise DegreeCapExceeded(n, _degree_cap, context)
+
 
 # The first primes of the factor-degree sieve, and the only primes
 # Eisenstein is tried at.  Primes up to 50 are needed in practice:
@@ -234,7 +261,7 @@ def _modp_ddf(f: list[int], q: int) -> list[tuple[int, list[int]]] | None:
         return None
     inv = pow(f[-1], -1, q)
     f = [c * inv % q for c in f]
-    deriv = _fp_trim([i * c % q for i, c in enumerate(f)][1:])
+    deriv = _fp_trim([c % q for c in _derivative(f)])
     if not deriv or len(_fp_gcd(f, deriv, q)) != 1:
         return None
     return _fp_ddf(f, q)
@@ -496,15 +523,13 @@ def _certify_irreducible(h: Poly) -> bool:
     return False
 
 
-def factor_over_Q(p: Poly, cap: int | None = None) -> Factorization:
+def factor_over_Q(p: Poly) -> Factorization:
     """Full factorization over the rationals into primitive irreducible
-    integer polynomials with positive leading coefficients."""
-    if cap is None:
-        cap = DEFAULT_DEGREE_CAP
+    integer polynomials with positive leading coefficients, for p within
+    the degree cap."""
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    if p.degree > cap:
-        raise DegreeCapExceeded(p.degree, cap, "factor_over_Q input")
+    check_degree(p.degree, "factor_over_Q input")
     content, prim = p.content_and_primitive()
     if prim.degree == 0:
         return Factorization(content, ())
@@ -521,9 +546,9 @@ def factor_over_Q(p: Poly, cap: int | None = None) -> Factorization:
     return Factorization(content, factors)
 
 
-def is_irreducible(p: Poly, cap: int | None = None) -> bool:
+def is_irreducible(p: Poly) -> bool:
     """Irreducibility over the rationals via the full pipeline."""
     if p.degree <= 0:
         return False
-    fac = factor_over_Q(p, cap)
+    fac = factor_over_Q(p)
     return len(fac.factors) == 1 and fac.factors[0][1] == 1

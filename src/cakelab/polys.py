@@ -779,7 +779,7 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
         coeffs = coeffs[k:]
     if len(coeffs) <= 1:
         return roots
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    deriv = _derivative(coeffs)
     q = 2
     while True:
         if coeffs[-1] % q != 0:
@@ -800,11 +800,6 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
         if s > m // 2:
             s -= m
         r = Fraction(s, cn)
-        num, den = r.numerator, r.denominator
-        acc, den_pow = cn, 1
-        for c in reversed(coeffs[:-1]):
-            den_pow *= den
-            acc = acc * num + c * den_pow
-        if acc == 0:
+        if horner(coeffs, r.numerator, r.denominator) == 0:
             roots.append(r)
     return sorted(roots)

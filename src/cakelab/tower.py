@@ -1,17 +1,22 @@
 """Ledger of the field chain produced by query answers.
 
-Each adjunction appends a step with its exact extension degree.  Degrees
-are decided by a layered strategy:
+Each adjunction appends a step with its exact extension degree, decided
+by one routine (`Tower._step_degree`) along one of three routes:
 
 * rational values are trivial steps;
-* radicals with rational radicands over a tower whose nontrivial
-  generators are all of that shape are decided by multiplicative group
-  membership (a lattice problem over exponent vectors on a coprime base
-  of the radicands, so no integer is factored), which is exact for real
+* a value that generates the field of a real radical with a rational
+  radicand (`rational_radical_form`: radicals themselves, their affine
+  images, canonicalized quadratics), over a tower whose nontrivial
+  generators are all of that shape, is decided by multiplicative group
+  membership: a lattice problem over exponent vectors on a coprime base
+  of the radicands, so no integer is factored.  It is exact for real
   radicals and never touches the degree cap;
 * anything else goes through a primitive-element computation whose
   eliminations are guarded by the degree cap; past the cap the adjunction
   raises MembershipUndecidable instead of guessing.
+
+`Tower.is_pth_power` asks the same routine for the degree of the root and
+adjoins nothing.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebraic import AlgebraicNumber, _binary_elimination, degree_cap, rational_radical_form
+from .algebraic import AlgebraicNumber, _binary_elimination, rational_radical_form
 from .errors import MembershipUndecidable
+from .factoring import degree_cap
 from .ints import coprime_base
 from .polys import Poly, squarefree_part
 
@@ -132,14 +138,6 @@ def _group_membership(
         cols.append([int(c * scale) for c in gv])
     tvec = [int(c * scale) for c in target]
     return _hnf_membership(tvec, cols)
-
-
-def _radical_group_member(b: Fraction, e: int, gens: list[tuple[Fraction, int]]) -> bool:
-    """Is the real |b|^(1/e) in the multiplicative group generated by the
-    rationals and the real radicals |b_i|^(1/d_i)?  For real radicals over
-    the rationals this group membership coincides with field membership."""
-    target, gen_vecs = _radical_vectors(b, gens)
-    return _group_membership([Fraction(c, e) for c in target], gen_vecs)
 
 
 # -- compositum degrees ----------------------------------------------------------
@@ -297,42 +295,42 @@ class Tower:
         radicand: Optional[AlgebraicNumber],
         source: str,
     ) -> ExtensionStep:
-        if value.as_rational() is not None:
-            return ExtensionStep(value, StepKind.TRIVIAL, 1, source, index, radicand)
-        if kind in (StepKind.RADICAL, StepKind.SQRT) and radicand is not None:
-            rad_rv = radicand.as_rational()
-            if rad_rv is not None and self._pure_rational_radicals:
-                deg = self._radical_degree(rad_rv, index)
-                if deg == 1:
-                    return ExtensionStep(value, StepKind.TRIVIAL, 1, source, index, radicand)
-                self._rational_radical_gens.append((rad_rv, index))
-                self._gen_values.append(value)
-                self._primitive = None  # rebuilt on demand
-                return ExtensionStep(value, kind, deg, source, index, radicand)
-        if self._pure_rational_radicals:
-            # values generating exactly the field of a rational-radicand
-            # radical (canonicalized quadratics in particular) keep the
-            # tower on the lattice route
-            form = rational_radical_form(value)
-            if form is not None:
-                rad, idx = form
-                deg = self._radical_degree(rad, idx)
-                if deg == 1:
-                    return ExtensionStep(value, StepKind.TRIVIAL, 1, source, index, radicand)
-                self._rational_radical_gens.append((rad, idx))
-                self._gen_values.append(value)
-                self._primitive = None
-                if kind is StepKind.TRIVIAL:
-                    kind = StepKind.ALGEBRAIC
-                return ExtensionStep(value, kind, deg, source, index, radicand)
-        deg = self._general_adjoin_degree(value)
+        deg, form, theta = self._step_degree(value)
         if deg == 1:
             return ExtensionStep(value, StepKind.TRIVIAL, 1, source, index, radicand)
-        self._pure_rational_radicals = False
+        if form is not None:
+            self._rational_radical_gens.append(form)
+            self._primitive = None  # rebuilt on demand
+        else:
+            self._pure_rational_radicals = False
+            self._primitive = theta
         self._gen_values.append(value)
         if kind is StepKind.TRIVIAL:
             kind = StepKind.ALGEBRAIC
         return ExtensionStep(value, kind, deg, source, index, radicand)
+
+    def _step_degree(
+        self, value: AlgebraicNumber
+    ) -> tuple[int, Optional[tuple[Fraction, int]], Optional[AlgebraicNumber]]:
+        """(d, form, theta) with d = [K(value) : K] over the current field K,
+        leaving the tower unchanged.  On the lattice route form is the
+        (radicand, index) of a rational-radicand radical generating the same
+        field as the value; on the general route theta is a primitive
+        element of K(value)."""
+        if value.as_rational() is not None:
+            return 1, None, None
+        if self._pure_rational_radicals:
+            form = rational_radical_form(value)
+            if form is not None:
+                return self._radical_degree(*form), form, None
+        if not self._gen_values:
+            return value.minimal_polynomial().degree, None, value
+        self._ensure_primitive()
+        old_total = self._primitive.minimal_polynomial().degree
+        new_total, new_theta = _compositum(self._primitive, value)
+        if new_total % old_total != 0:
+            raise AssertionError("tower degrees must be multiplicative")
+        return new_total // old_total, None, new_theta
 
     def _radical_degree(self, radicand: Fraction, d: int) -> int:
         """Degree of adjoining the real d-th root of a rational over a tower
@@ -348,24 +346,12 @@ class Tower:
                 return m
         return d
 
-    def _general_adjoin_degree(self, value: AlgebraicNumber) -> int:
-        if not self._gen_values:
-            self._primitive = value
-            return value.minimal_polynomial().degree
-        self._ensure_primitive()
-        theta = self._primitive
-        old_total = theta.minimal_polynomial().degree
-        new_total, new_theta = _compositum(theta, value)
-        if new_total % old_total != 0:
-            raise AssertionError("tower degrees must be multiplicative")
-        if new_total != old_total:
-            self._primitive = new_theta
-        return new_total // old_total
-
     # -- queries -----------------------------------------------------------------
 
     def is_pth_power(self, b: AlgebraicNumber, p: int) -> bool:
-        """Does the real p-th root of b lie in the current field?"""
+        """Does the real p-th root of b lie in the current field?  Decided
+        by the route an adjunction of that root would take, without
+        adjoining it."""
         if p < 2:
             raise ValueError("p must be at least 2")
         s = b.sign()
@@ -373,18 +359,7 @@ class Tower:
             return True  # 0 = 0^p
         if s < 0 and p % 2 == 0:
             raise ValueError("even roots need a nonnegative radicand")
-        rb = b.as_rational()
-        if rb is not None and self._pure_rational_radicals:
-            return _radical_group_member(rb, p, self._rational_radical_gens)
-        root = b.root(p)
-        if root.as_rational() is not None:
-            return True
-        if not self._gen_values:
-            return False
-        self._ensure_primitive()
-        old_total = self._primitive.minimal_polynomial().degree
-        new_total, _ = _compositum(self._primitive, root)
-        return new_total == old_total
+        return self._step_degree(b.root(p))[0] == 1
 
     def verify_lemma1(self, p: int) -> Lemma1Report:
         entries = []

@@ -6,6 +6,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from cakelab import factoring  # noqa: E402
+
 # The CLI tests start `python -m cakelab` in subprocesses; let them import
 # the package from this checkout's src/ as the test process does.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -34,3 +36,18 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def degree_cap(request):
+    """Run the test at the cap of its `degree_cap` marker, if it has one,
+    and restore the process-wide degree cap afterwards, whatever the test
+    (or a CLI run inside it, through CAKELAB_DEGREE_CAP) set.  A marker
+    rather than an argument keeps the fixture out of hypothesis's
+    per-example health check and leaves test ids unchanged."""
+    old = factoring.degree_cap()
+    marker = request.node.get_closest_marker("degree_cap")
+    if marker is not None:
+        factoring.set_degree_cap(*marker.args)
+    yield
+    factoring.set_degree_cap(old)

@@ -152,6 +152,12 @@ class TestSolvability:
         with pytest.raises(UncoveredCaseError):
             solvability_verdict(35)
 
+    @pytest.mark.degree_cap(48)
+    def test_reducible_prime_past_default_cap(self):
+        v = solvability_verdict(17)
+        assert v.kind is Solvability.REDUCIBLE_2_D2
+        assert v.factor_degrees == (2, 15)
+
 
 class TestEquitableCertificates:
     def test_degree_five(self):
@@ -198,6 +204,14 @@ class TestEquitableCertificates:
     def test_uncovered(self):
         with pytest.raises(UncoveredCaseError):
             check_impossibility_equitable(35)
+
+    @pytest.mark.degree_cap(48)
+    @pytest.mark.parametrize("d", range(13, 31))
+    def test_issued_and_verified_at_raised_cap(self, d):
+        # the cap set by set_degree_cap governs issuing and rechecking alike
+        cert = check_impossibility_equitable(d)
+        assert cert.verdict is Verdict.IMPOSSIBLE
+        assert verify_certificate(cert).all_ok
 
     def test_narrative_chain_pinned(self):
         codes = [s.code for s in check_impossibility_equitable(5).narrative]

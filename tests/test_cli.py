@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cakelab import cli
+from cakelab import cli, factoring
 from cakelab.cli import main
 
 
@@ -316,21 +316,45 @@ class TestFormats:
 
 class TestDegreeCapEnv:
     def test_env_override(self, monkeypatch, capsys):
-        import cakelab.algebraic as alg
-
-        old = alg.degree_cap()
+        # the conftest fixture restores the cap that main sets
         monkeypatch.setenv("CAKELAB_DEGREE_CAP", "14")
-        try:
-            code, _, _ = run_cli(["analyze-trinomial", "--d", "6"], capsys)
-            assert code == 0
-            assert alg.degree_cap() == 14
-        finally:
-            alg.set_degree_cap(old)
+        code, _, _ = run_cli(["analyze-trinomial", "--d", "6"], capsys)
+        assert code == 0
+        assert factoring.degree_cap() == 14
 
     def test_env_invalid(self, monkeypatch, capsys):
         monkeypatch.setenv("CAKELAB_DEGREE_CAP", "not-a-number")
         code, _, err = run_cli(["analyze-trinomial", "--d", "6"], capsys)
         assert code == 1 and "CAKELAB_DEGREE_CAP" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("CAKELAB_DEGREE_CAP", value)
+        code, out, err = run_cli(["analyze-trinomial", "--d", "6"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: CAKELAB_DEGREE_CAP must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["check-impossibility", "equitable", "--d", "17"], ["analyze-trinomial", "--d", "17"]],
+        ids=["check-impossibility", "analyze-trinomial"],
+    )
+    def test_env_cap_reaches_certificates(self, args):
+        # degree 17 is past the default cap: the environment's cap must
+        # reach the factorizations behind the verdict
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+        env.pop("CAKELAB_DEGREE_CAP", None)
+        res = subprocess.run([sys.executable, "-m", "cakelab", *args], capture_output=True, env=env)
+        assert res.returncode == 1
+        assert b"degree 17 exceeds the factorization cap 12" in res.stderr
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", *args],
+            capture_output=True,
+            env={**env, "CAKELAB_DEGREE_CAP": "48"},
+        )
+        assert res.returncode == 0 and res.stderr == b""
+        if args[0] == "check-impossibility":
+            assert b"IMPOSSIBLE" in res.stdout
 
 
 class TestDeterminism:

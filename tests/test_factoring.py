@@ -167,9 +167,20 @@ class TestFactor:
             factor_over_Q(X**13 + X - c(1))
         assert ei.value.cap == 12
 
+    @pytest.mark.degree_cap(13)
     def test_cap_override(self):
-        fac = factor_over_Q(X**13 - c(1), cap=13)
+        fac = factor_over_Q(X**13 - c(1))
         assert fac.reconstruct() == X**13 - c(1)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError):
+            factoring.set_degree_cap(cap)
+        assert factoring.degree_cap() == factoring.DEFAULT_DEGREE_CAP
+
+    @pytest.mark.degree_cap(13)
+    def test_cap_reaches_irreducibility(self):
+        assert factoring.is_irreducible(X**13 + X - c(1))
 
     def test_kronecker_finds_quadratic(self):
         p = (X**2 + X + c(1)) * (X**2 - X + c(3))
@@ -316,6 +327,7 @@ class TestSympyAgreement:
             out.append((tuple(cs), m))
         return sorted(out)
 
+    @pytest.mark.degree_cap(40)
     @settings(max_examples=15, deadline=None)
     @given(
         st.lists(
@@ -336,11 +348,12 @@ class TestSympyAgreement:
             if (p * q**mult).degree > 40:
                 break
             p = p * q**mult
-        fac = factor_over_Q(p, cap=40)
+        fac = factor_over_Q(p)
         assert fac.reconstruct() == p
         ours = sorted((tuple(int(v) for v in f.coeffs), m) for f, m in fac.factors)
         assert ours == self.sympy_factors(sympy, p)
 
+    @pytest.mark.degree_cap(40)
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_seeded_products_of_degree_34_to_40(self, seed):
         sympy = pytest.importorskip("sympy")
@@ -350,7 +363,7 @@ class TestSympyAgreement:
             q = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice([1, 2, 3, -1, 5])])
             if (p * q).degree <= 40:
                 p = p * q
-        fac = factor_over_Q(p, cap=40)
+        fac = factor_over_Q(p)
         ours = sorted((tuple(int(v) for v in f.coeffs), m) for f, m in fac.factors)
         assert ours == self.sympy_factors(sympy, p)
 
@@ -363,8 +376,9 @@ class TestSympyAgreement:
             SWINNERTON_DYER_8.compose(X**2 - c(3)) * (X**11 + X - c(1)),
         ],
     )
+    @pytest.mark.degree_cap(40)
     def test_swinnerton_dyer_products(self, p):
         sympy = pytest.importorskip("sympy")
-        fac = factor_over_Q(p, cap=40)
+        fac = factor_over_Q(p)
         ours = sorted((tuple(int(v) for v in f.coeffs), m) for f, m in fac.factors)
         assert ours == self.sympy_factors(sympy, p)

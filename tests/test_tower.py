@@ -15,7 +15,6 @@ from cakelab import (
     degree_obstruction,
     nth_root,
 )
-from cakelab.tower import _radical_group_member
 
 from _oracle import radical_degree_oracle
 
@@ -144,7 +143,32 @@ class TestRadicalDegree:
         tw._rational_radical_gens = gens
         expected = radical_degree_oracle(b, d, gens)
         assert tw._radical_degree(b, d) == expected
-        assert _radical_group_member(b, d, gens) == (expected == 1)
+        assert tw.is_pth_power(A(b), d) == (expected == 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_RADICANDS, st.integers(2, 6)), min_size=1, max_size=4),
+           _RADICANDS, st.integers(2, 12))
+    @example([(Fraction(4), 6), (Fraction(2**70), 4)], Fraction(2), 4)
+    @example([(Fraction(2**70), 4), (Fraction(4), 6)], Fraction(16), 6)
+    @example([(Fraction(36), 4), (Fraction(6), 2), (Fraction(12), 3)], Fraction(3), 6)
+    def test_claimed_radical_sequences(self, claims, b, p):
+        # every claimed rational radical goes through the lattice route,
+        # reducible ones (4^(1/6) is 2^(1/3)) included, and is_pth_power
+        # answers by the same route without adjoining anything
+        tw = Tower()
+        gens = []
+        for r, d in claims:
+            step = tw.adjoin(nth_root(r, d), claimed_radical=(d, A(r)))
+            assert step.degree == radical_degree_oracle(r, d, gens)
+            gens.append((r, d))
+        assert tw._pure_rational_radicals
+
+        def state():
+            return (tw.steps[:], tw._rational_radical_gens[:], tw._gen_values[:], tw._primitive)
+
+        before = state()
+        assert tw.is_pth_power(A(b), p) == (radical_degree_oracle(b, p, gens) == 1)
+        assert state() == before
 
     def test_semiprime_radicands(self):
         # factoring M61 * M89 took minutes; the coprime base needs gcds only
@@ -168,6 +192,20 @@ class TestIsPthPower:
         # 4^(1/5) = (2^(1/5))^2 lies in the field
         assert tw.is_pth_power(A(4), 5) is True
         assert tw.is_pth_power(A(3), 5) is False
+
+    @pytest.mark.degree_cap(18)
+    def test_general_route_adjoins_nothing(self):
+        # roots of irrational radicands take the primitive-element route;
+        # asking must not make the root a generator, even of an empty tower
+        tw = Tower()
+        assert tw.is_pth_power(1 + nth_root(2, 2), 2) is False
+        assert tw._primitive is None and not tw._gen_values and tw._pure_rational_radicals
+        r = A.real_root(Poly([-1, -1, 0, 1]), 1, 2)  # x^3 - x - 1
+        assert tw.adjoin(r).degree == 3
+        theta = tw._primitive
+        assert tw.is_pth_power(r * r, 2) is True
+        assert tw.is_pth_power(r, 2) is False
+        assert tw._primitive is theta and tw._gen_values == [r] and len(tw.steps) == 1
 
     def test_negative_even_rejected(self):
         with pytest.raises(ValueError):
