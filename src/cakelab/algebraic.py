@@ -11,16 +11,22 @@ Key internals:
 * Values that are rational functions of a single irrational "atom" are
   normalized into the number field Q[y]/(m_atom(y)).  In that form a zero
   test is a polynomial comparison and never needs refinement.  The form
-  is integer numerators over one positive denominator; sums and products
-  do integer arithmetic only, reducing modulo the primitive m_atom by an
-  integer pseudo-remainder, and only a division's inverse runs the
-  extended Euclid over Fractions.
+  is integer numerators over one positive denominator, and everything
+  done with it runs on integers: sums and products reduce modulo the
+  primitive m_atom by an integer pseudo-remainder; the characteristic
+  polynomial comes from traces (power sums); a division's inverse comes
+  from the characteristic polynomial by Cayley-Hamilton, and a polynomial
+  at such a value from Horner on residues.  No extended Euclid runs.
+* Minimal polynomials take two routes.  A single-atom value's is the
+  squarefree part of its characteristic polynomial, a power of it since
+  m_atom is irreducible.  Every other node factors one annihilating
+  polynomial and selects the factor that vanishes at its value.
 * Normal forms and interval enclosures are computed bottom-up with an
   explicit stack, so deep expression DAGs need no recursion.
 * Values mixing independent atoms fall back to elimination by power sums
-  (Newton's identities), guarded by the degree cap; sign queries that
-  cannot be settled symbolically keep refining numerically once the value
-  is known nonzero.
+  (Newton's identities) of roots scaled to algebraic integers, guarded by
+  the degree cap; sign queries that cannot be settled symbolically keep
+  refining numerically once the value is known nonzero.
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.
@@ -42,6 +48,9 @@ from .factoring import check_degree, factor_over_Q
 from .ints import _SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
+    _drop_content,
+    _int_mul,
+    _int_squarefree,
     _prem,
     bisect_root,
     horner,
@@ -59,9 +68,9 @@ from .polys import (
 _op_counters: list[list[int]] = []
 
 
-def _tick() -> None:
+def _tick(n: int = 1) -> None:
     for c in _op_counters:
-        c[0] += 1
+        c[0] += n
 
 
 # -- integer root helpers ----------------------------------------------------
@@ -692,26 +701,126 @@ def _refine_to(node: _Node, eps: Fraction) -> tuple[Fraction, Fraction]:
         k *= 2
 
 
+# -- power sums and residues over the integers ----------------------------------
+#
+# A root a of a primitive integer polynomial m of degree n with leading
+# coefficient l scales to A = l*a, a root of the monic integer polynomial
+# M(Y) = l^(n-1) m(Y/l): an algebraic integer.  Power sums of algebraic
+# integers are integers, so Newton's identities, which tie the monic
+# y^n + c_1 y^(n-1) + ... + c_n to the power sums p_k of its roots by
+# p_k + c_1 p_(k-1) + ... + c_(k-1) p_1 + k c_k = 0 (c_k = 0 past n), run
+# on integers with exact division.  Results come as (c, D): the monic
+# integer polynomial of the roots scaled by D, so the roots themselves have
+# the monic polynomial sum c_k / D^k T^(n-k).
+
+
+def _scaled_monic(m: list[int]) -> list[int]:
+    """M(Y) = l^(n-1) m(Y / l) for the integer m of degree n >= 1 and
+    leading coefficient l: its roots are l times those of m."""
+    lc = m[-1]
+    out = [0] * (len(m) - 1) + [1]
+    pw = 1
+    for i in range(len(m) - 2, -1, -1):
+        out[i] = m[i] * pw
+        pw *= lc
+    return out
+
+
+def _newton_sums(mon: list[int], n: int) -> list[int]:
+    """Power sums p_0..p_n of the roots of the monic integer polynomial mon,
+    with multiplicity."""
+    d = len(mon) - 1
+    terms = [(i, mon[d - i]) for i in range(1, d + 1) if mon[d - i]]
+    ps = [d]
+    for k in range(1, n + 1):
+        s = 0
+        for i, a in terms:
+            if i < k:
+                s += a * ps[k - i]
+            elif i == k:
+                s += k * a
+        ps.append(-s)
+    return ps
+
+
+def _from_newton_sums(q: list[int]) -> list[int]:
+    """[1, c_1, ..., c_n]: the monic integer polynomial sum c_k T^(n-k),
+    n = len(q) - 1, whose roots are algebraic integers with power sums q."""
+    c = [1]
+    for k in range(1, len(q)):
+        s = q[k]
+        for i in range(1, k):
+            s += c[i] * q[k - i]
+        ck, r = divmod(-s, k)
+        assert r == 0, "Newton's identities divide exactly on algebraic integers"
+        c.append(ck)
+    return c
+
+
+def _rescaled(c: list[int], scale: int) -> Poly:
+    """The monic Poly sum c_k / scale^k T^(n-k)."""
+    n = len(c) - 1
+    out = [Fraction(0)] * (n + 1)
+    pw = 1
+    for k, ck in enumerate(c):
+        out[n - k] = Fraction(ck, pw)
+        pw *= scale
+    return Poly(out)
+
+
+def _charpoly(m: list[int], nums, den: int) -> tuple[list[int], int]:
+    """(c, D) for the characteristic polynomial of nums(y) / den in
+    Q[y]/(m), m a primitive integer polynomial of degree n >= 1 and den > 0:
+    prod (T - nums(a) / den) over the roots a of m, with multiplicity.
+
+    With e = deg nums, nums(a) = H(A) / l^e for H(Y) = sum nums_i l^(e-i) Y^i,
+    so D = den * l^e.  The power sums of the H(A) are the traces of the
+    powers of H: p_k = sum_j [Y^j](H^k mod M) p_j(A)."""
+    n = len(m) - 1
+    lc = m[-1]
+    e = max(len(nums) - 1, 0)
+    h = [c * lc ** (e - i) for i, c in enumerate(nums)]
+    mon = _scaled_monic(m)
+    pm = _newton_sums(mon, n - 1)
+    q = [n]
+    x = [1]
+    for _ in range(n):
+        x = _int_mul(x, h)
+        if len(x) > n:
+            x, _ = _prem(x, mon)  # monic: the scale is 1
+        q.append(sum(a * b for a, b in zip(x, pm)))
+    return _from_newton_sums(q), den * lc**e
+
+
+def _residue_horner(cs: list[int], nums, den: int, m: list[int]) -> tuple[list[int], int]:
+    """(r, s), s > 0 and deg r < deg m, with r(a) / s = sum_i cs_i
+    (nums(a) / den)^i for a root a of the primitive integer m: Horner on
+    residues, each step reduced by `_prem` with its scale and by the
+    common content of r and s."""
+    r: list[int] = []
+    s = 1
+    for c in reversed(cs):
+        # r/s * nums/den + c = (r * nums + c * s * den) / (s * den)
+        r = _int_mul(r, nums)
+        s *= den
+        if c:
+            if r:
+                r[0] += c * s
+            else:
+                r = [c * s]
+        if len(r) >= len(m):
+            r, t = _prem(r, m)
+            s *= t
+        while r and r[-1] == 0:
+            r.pop()
+        g = math.gcd(s, *r)
+        if g != 1:
+            r = [x // g for x in r]
+            s //= g
+    return r, s
+
+
 # -- single-atom normal form ---------------------------------------------------
-
-
-def _ext_gcd_poly(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (g, s, t) with s*a + t*b = g over the rationals."""
-    r0, r1 = a, b
-    s0, s1 = Poly.constant(1), Poly()
-    t0, t1 = Poly(), Poly.constant(1)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
-def _inv_mod(g: Poly, m: Poly) -> Poly:
-    d, s, _ = _ext_gcd_poly(g, m)
-    assert d.degree == 0 and not d.is_zero, "modulus must be coprime to g"
-    return (s.scale(1 / d.coeff(0))) % m
 
 
 def _saf_of(node: _Node):
@@ -755,14 +864,23 @@ def _saf_make(atom, nums: list[int], den: int):
     return (atom if len(nums) > 1 else None, tuple(nums), den)
 
 
-def _saf_inverse(nums, den: int, m: Optional[Poly]) -> tuple[list[int], int]:
+def _saf_inverse(nums, den: int, m: Optional[list[int]]) -> tuple[list[int], int]:
     """(inums, iden) with inums(y) / iden the inverse of nums(y) / den
-    modulo m; nums is nonzero and reduced modulo m."""
+    modulo the irreducible m; nums is nonzero and reduced modulo m.
+
+    By Cayley-Hamilton g = nums(y) is a root of its characteristic
+    polynomial sum c_k / D^k T^(n-k) (`_charpoly`), whose constant term is
+    nonzero since g is.  So g^-1 = -D^n / c_n * sum_(k<n) c_k / D^k g^(n-1-k),
+    and the sum times D^(n-1) has integer coefficients c_k D^(n-1-k)."""
     if len(nums) == 1:
         return ([den], nums[0]) if nums[0] > 0 else ([-den], -nums[0])
-    inv = _inv_mod(Poly(nums), m)
-    iden = math.lcm(*[c.denominator for c in inv.coeffs])
-    return [c.numerator * (iden // c.denominator) * den for c in inv.coeffs], iden
+    n = len(m) - 1
+    c, scale = _charpoly(m, nums, 1)
+    cofactor = [c[n - 1 - j] * scale**j for j in range(n)]
+    r, s = _residue_horner(cofactor, nums, 1, m)
+    iden = s * c[n]
+    mult = -den * scale if iden > 0 else den * scale
+    return [mult * x for x in r], abs(iden)
 
 
 def _compute_saf(node: _Node):
@@ -780,13 +898,12 @@ def _compute_saf(node: _Node):
     if atom_a is not None and atom_b is not None and atom_a is not atom_b:
         return _SAF_UNAVAILABLE
     atom = atom_a if atom_a is not None else atom_b
-    mp = m = None
+    m = None
     if atom is not None:
         try:
-            mp = _minpoly(atom)
+            m = _int_minpoly(atom)
         except DegreeCapExceeded:
             return _SAF_UNAVAILABLE
-        m = [c.numerator for c in mp.coeffs]  # primitive: integer coefficients
     if isinstance(node, (_Add, _Sub)):
         g = math.gcd(da, db)
         sa, sb = db // g, da // g
@@ -797,19 +914,54 @@ def _compute_saf(node: _Node):
     if isinstance(node, _Div):
         if not nb:
             raise ZeroDivisionError("division by an exact zero")
-        nb, db = _saf_inverse(nb, db, mp)
+        nb, db = _saf_inverse(nb, db, m)
     if not na or not nb:
         return (None, (), 1)
-    prod = [0] * (len(na) + len(nb) - 1)
-    for i, x in enumerate(na):
-        if x:
-            for j, y in enumerate(nb):
-                prod[i + j] += x * y
+    prod = _int_mul(na, nb)
     den = da * db
     if m is not None and len(prod) >= len(m):
         prod, scale = _prem(prod, m)
         den *= scale
     return _saf_make(atom, prod, den)
+
+
+def _int_minpoly(atom: _Node) -> list[int]:
+    """The atom's primitive minimal polynomial as a list of integers."""
+    return [c.numerator for c in _minpoly(atom).coeffs]
+
+
+def _horner_node(form) -> _Node:
+    """A node with the single-atom form (atom, nums, den): a rational, the
+    atom itself, or the Horner form of nums(atom) / den built without folds.
+    The form is set on it, so no fold or elimination ever rebuilds it."""
+    atom, nums, den = form
+    if atom is None:
+        return _Rat(Fraction(nums[0], den) if nums else Fraction(0))
+    if nums == (0, 1) and den == 1:
+        return atom
+    acc: _Node = _Rat(Fraction(nums[-1], den))
+    for c in reversed(nums[:-1]):
+        acc = _Mul(acc, atom)
+        if c:
+            acc = _Add(acc, _Rat(Fraction(c, den)))
+    acc._saf = form
+    return acc
+
+
+def _residue_poly_at(p: Poly, node: _Node) -> Optional[_Node]:
+    """p at the node's value, by Horner on residues modulo its atom's minimal
+    polynomial, when the node has a single-atom form with an atom; None
+    otherwise.  Charges the 2 * len(p.coeffs) ticks of a Horner scheme
+    that folds one multiplication and one addition per coefficient."""
+    saf = _saf_of(node)
+    if saf is _SAF_UNAVAILABLE or saf[0] is None:
+        return None
+    atom, nums, den = saf
+    pden = math.lcm(*[c.denominator for c in p.coeffs])
+    cs = [c.numerator * (pden // c.denominator) for c in p.coeffs]
+    r, s = _residue_horner(cs, nums, den, _int_minpoly(atom))
+    _tick(2 * len(cs))
+    return _horner_node(_saf_make(atom, r, s * pden))
 
 
 def _rational_value(node: _Node) -> Optional[Fraction]:
@@ -854,55 +1006,33 @@ def _select_factor(candidates: list[Poly], node: _Node) -> Poly:
         k *= 2
 
 
-# Newton's identities tie the monic y^d + a_1 y^(d-1) + ... + a_d to the
-# power sums p_k of its roots: p_k + a_1 p_(k-1) + ... + a_(k-1) p_1 + k a_k = 0,
-# with a_k = 0 past k = d.  One solves them for p, the other for a.
-
-
-def _power_sums(m: Poly, n: int) -> list[Fraction]:
-    """Power sums p_0..p_n of the roots of m, with multiplicity."""
-    d = m.degree
-    a = list(reversed(m.monic().coeffs)) + [Fraction(0)] * n
-    ps = [Fraction(d)]
-    for k in range(1, n + 1):
-        ps.append(-k * a[k] - sum(a[i] * ps[k - i] for i in range(1, min(k, d + 1))))
-    return ps
-
-
-def _from_power_sums(ps: list[Fraction]) -> Poly:
-    """The monic polynomial of degree len(ps) - 1 whose roots have power sums ps."""
-    a = [Fraction(1)]
-    for k in range(1, len(ps)):
-        a.append(-(ps[k] + sum(a[i] * ps[k - i] for i in range(1, k))) / k)
-    return Poly(reversed(a))
-
-
 def _image_elimination(m: Poly, g: Poly) -> Poly:
     """Monic prod (T - g(a)) over the roots a of m, of degree deg m; g of a
-    root of m is one of its roots.  Its power sums are the traces of g^k
-    mod m: p_k = sum_j [y^j](g^k mod m) * p_j(a)."""
-    n = m.degree
-    pm = _power_sums(m, n - 1)
-    ps = [Fraction(n)]
-    h = Poly.constant(1)
-    for _ in range(n):
-        h = h * g % m
-        ps.append(sum((a * b for a, b in zip(h.coeffs, pm)), Fraction(0)))
-    return _from_power_sums(ps)
+    root of m is one of its roots.  It is the characteristic polynomial of
+    g in Q[y]/(m) (`_charpoly`)."""
+    den = math.lcm(*[c.denominator for c in g.coeffs])
+    nums = [c.numerator * (den // c.denominator) for c in g.coeffs]
+    return _rescaled(*_charpoly(m.int_coeffs(), nums, den))
 
 
 def _binary_elimination(kind: str, ma: Poly, mb: Poly) -> Poly:
     """Monic polynomial of degree deg ma * deg mb whose roots are all pairwise
     sums ("add") or products ("mul") of roots of ma and mb, built from power
-    sums (Bostan, Flajolet, Salvy & Schost 2006): p_k(a+b) is
-    sum_i C(k,i) p_i(a) p_{k-i}(b), and p_k(ab) is p_k(a) p_k(b)."""
-    n = ma.degree * mb.degree
-    pa, pb = _power_sums(ma, n), _power_sums(mb, n)
+    sums (Bostan, Flajolet, Salvy & Schost 2006).  With the roots scaled to
+    algebraic integers A = la*a and B = lb*b, la*lb*(a + b) = lb*A + la*B
+    has p_k = sum_i C(k,i) lb^i p_i(A) la^(k-i) p_(k-i)(B), and la*lb*(a*b)
+    = A*B has p_k = p_k(A) p_k(B)."""
+    a, b = ma.int_coeffs(), mb.int_coeffs()
+    la, lb = a[-1], b[-1]
+    n = (len(a) - 1) * (len(b) - 1)
+    pa, pb = _newton_sums(_scaled_monic(a), n), _newton_sums(_scaled_monic(b), n)
     if kind == "add":
-        ps = [sum(math.comb(k, i) * pa[i] * pb[k - i] for i in range(k + 1)) for k in range(n + 1)]
+        pa = [p * lb**i for i, p in enumerate(pa)]
+        pb = [p * la**j for j, p in enumerate(pb)]
+        q = [sum(math.comb(k, i) * pa[i] * pb[k - i] for i in range(k + 1)) for k in range(n + 1)]
     else:  # mul
-        ps = [a * b for a, b in zip(pa, pb)]
-    return _from_power_sums(ps)
+        q = [x * y for x, y in zip(pa, pb)]
+    return _rescaled(_from_newton_sums(q), la * lb)
 
 
 def _minpoly(node: _Node) -> Poly:
@@ -921,10 +1051,11 @@ def _minpoly(node: _Node) -> Poly:
 
 
 def _compute_minpoly(node: _Node) -> Poly:
-    """The minimal polynomial, as the factor of one annihilating polynomial
-    per node kind that vanishes at the node's value.  Annihilators built by
-    an elimination are checked against the degree cap before they are
-    built."""
+    """The minimal polynomial.  A value with a single-atom form takes the
+    squarefree part of its characteristic polynomial; every other node kind
+    takes the factor of one annihilating polynomial that vanishes at the
+    node's value.  Annihilators built by an elimination are checked against
+    the degree cap before they are built."""
     if isinstance(node, _Rat):
         return Poly([-node.value.numerator, node.value.denominator])
     saf = _saf_of(node)
@@ -936,8 +1067,18 @@ def _compute_minpoly(node: _Node) -> Poly:
             return Poly([-nums[0], den]) if nums else Poly.x()
         if nums == (0, 1) and den == 1:
             return _minpoly(atom)
-        g = Poly([Fraction(c, den) for c in nums])
-        annihilator = _image_elimination(_minpoly(atom), g)
+        # the characteristic polynomial of a value of Q(atom) is its minimal
+        # polynomial to the power [Q(atom) : Q(value)], as the atom's
+        # minimal polynomial m is irreducible: no factoring is needed
+        m = _int_minpoly(atom)
+        n = len(m) - 1
+        # the cap bounds this route as it bounds factoring: past it, the
+        # value gets the diagnostic of factoring its characteristic polynomial
+        check_degree(n, "factor_over_Q input")
+        c, scale = _charpoly(m, nums, den)
+        # prod (scale*T - scale*conjugate) = sum_k c_k scale^(n-k) T^(n-k)
+        f = _drop_content([c[n - j] * scale**j for j in range(n + 1)])
+        return Poly(_int_squarefree(f))
     elif isinstance(node, _RootAtom):
         if isinstance(node.operand, Fraction):
             # interned radicals are exponent-reduced, so no prime dividing

@@ -40,6 +40,7 @@ from .polys import (
     _derivative,
     _drop_content,
     _exact_quotient,
+    _int_mul,
     squarefree_decomposition,
     squarefree_rational_roots,
 )
@@ -538,11 +539,13 @@ def factor_over_Q(p: Poly) -> Factorization:
         for f in _factor_squarefree(sqf):
             collected[f] = collected.get(f, 0) + mult
     factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
-    rebuilt = Poly.constant(1)
-    for f, m in factors:
-        rebuilt = rebuilt * f**m
     # self-check: the primitive factors multiply back to the primitive part
-    assert rebuilt == prim
+    rebuilt = [1]
+    for f, m in factors:
+        cs = [c.numerator for c in f.coeffs]
+        for _ in range(m):
+            rebuilt = _int_mul(rebuilt, cs)
+    assert rebuilt == [c.numerator for c in prim.coeffs]
     return Factorization(content, factors)
 
 

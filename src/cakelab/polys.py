@@ -302,6 +302,18 @@ def _derivative(a: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer polynomials, by schoolbook."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _int_sub(a: list[int], b: list[int]) -> list[int]:
     out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
     while out and out[-1] == 0:
@@ -375,6 +387,12 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a if not a or a[-1] > 0 else [-c for c in a]
 
 
+def _int_squarefree(f: list[int]) -> list[int]:
+    """The squarefree part f / gcd(f, f') of a primitive integer polynomial
+    of positive degree: primitive, with the sign of f's leading coefficient."""
+    return _exact_quotient(f, _int_gcd(f, _derivative(f)))
+
+
 # -- gcd and resultants ----------------------------------------------------
 
 
@@ -389,8 +407,7 @@ def squarefree_part(p: Poly) -> Poly:
     constant gives 1 and zero gives zero.  p / gcd(p, p') over the integers."""
     if p.degree <= 0:
         return p.monic() if not p.is_zero else p
-    f = p.int_coeffs()
-    return Poly(_exact_quotient(f, _int_gcd(f, _derivative(f)))).monic()
+    return Poly(_int_squarefree(p.int_coeffs())).monic()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:

@@ -33,6 +33,14 @@ Gcds, squarefree parts and Yun's squarefree decomposition are Euclid over
 Fractions, and single-atom residues are `Poly` remainders modulo the
 atom's minimal polynomial with inverses by the extended Euclid: the
 library's methods before both moved to integer coefficient lists.
+
+The minimal polynomial of a value of one atom's field is the irreducible
+factor of its characteristic polynomial (`image_oracle`) that vanishes at
+it, found by `factor_over_Q` and checked on residues: the library's
+factor-and-select route before it took the characteristic polynomial's
+squarefree part.  A polynomial at an algebraic point is Horner's rule
+folded one field operation at a time, the library's method before it
+evaluated on residues.
 """
 
 import itertools
@@ -41,7 +49,9 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from cakelab.dyadic import DyadicInterval
+from cakelab.algebraic import AlgebraicNumber
 from cakelab.errors import InvalidMeasureError
+from cakelab.factoring import factor_over_Q
 from cakelab.polys import Poly
 
 
@@ -576,3 +586,25 @@ def residue_oracle(expr, m):
     if b.is_zero:
         raise ZeroDivisionError("division by an exact zero")
     return (a * inverse_mod_oracle(b, m)) % m
+
+
+def minpoly_by_factoring_oracle(g, m):
+    """The minimal polynomial of g(a), a a root of the irreducible m, made
+    primitive: the irreducible factor f of the characteristic polynomial of
+    g modulo m with f(g) = 0 modulo m."""
+    for f, _ in factor_over_Q(image_oracle(m.monic(), g)).factors:
+        if (f.compose(g) % m).is_zero:
+            return f.primitive()
+    raise AssertionError("no factor vanishes at the value")
+
+
+def poly_at_fold_oracle(p, v):
+    """p at the AlgebraicNumber v by Horner's rule, one folded field
+    operation per step: two per coefficient, none at a rational point."""
+    r = v.as_rational()
+    if r is not None:
+        return AlgebraicNumber(p(r))
+    acc = AlgebraicNumber(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc

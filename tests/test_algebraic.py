@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cakelab.algebraic as alg
@@ -17,7 +18,14 @@ from cakelab.algebraic import (
 )
 from cakelab.cake import poly_at
 
-from _oracle import elimination_oracle, image_oracle, residue_oracle
+from _oracle import (
+    elimination_oracle,
+    image_oracle,
+    inverse_mod_oracle,
+    minpoly_by_factoring_oracle,
+    poly_at_fold_oracle,
+    residue_oracle,
+)
 
 X = Poly.x()
 
@@ -251,8 +259,49 @@ def small_polys(draw, max_degree, monic=False):
     return p
 
 
+@st.composite
+def fraction_polys(draw, max_degree):
+    """lead * x^z * prod (x - r) * cofactor with Fraction roots, cofactor
+    coefficients and lead: never monic by construction, often with zero or
+    repeated roots."""
+    zeros = draw(st.integers(0, 2))
+    roots = draw(st.lists(st.fractions(-2, 2, max_denominator=3), max_size=max_degree - zeros))
+    rest = draw(
+        st.lists(st.fractions(-4, 4, max_denominator=5), max_size=max_degree - zeros - len(roots))
+    )
+    lead = draw(st.fractions(-3, 3, max_denominator=4).filter(lambda q: q not in (0, 1)))
+    p = Poly(rest + [lead]) * X**zeros
+    for r in roots:
+        p = p * (X - c(r))
+    if p.degree == 0:
+        p = p * (X - c(draw(st.fractions(-2, 2, max_denominator=3))))
+    return p
+
+
+# degree 6 each, with zero, repeated and fractional roots and a fractional lead
+_SEXTIC_A = Poly([0, 0, Fraction(-2, 3), 1, Fraction(5, 2)]) * (X - c(Fraction(1, 2))) ** 2
+_SEXTIC_B = (c(Fraction(-3, 4)) * X**3 + X - c(Fraction(2, 5))) * X * (X + c(Fraction(4, 3))) ** 2
+
+
 class TestPowerSumElimination:
     """Each elimination equals the resultant it replaced, up to a constant."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["add", "mul"]), fraction_polys(6), fraction_polys(6))
+    @example("add", _SEXTIC_A, _SEXTIC_B)
+    @example("mul", _SEXTIC_A, _SEXTIC_B)
+    def test_binary_on_fraction_inputs(self, kind, ma, mb):
+        assert elimination_oracle(kind, ma, mb).monic() == _binary_elimination(kind, ma, mb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fraction_polys(8),
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=10),
+    )
+    def test_image_on_fraction_inputs(self, m, gcoeffs):
+        # g of any degree, reduced modulo the non-monic m inside
+        g = Poly(gcoeffs)
+        assert image_oracle(m.monic(), g).monic() == _image_elimination(m, g)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["add", "mul"]), small_polys(4), small_polys(4))
@@ -526,6 +575,17 @@ def _expand_zero(expr, zero):
     return (expr[0], _expand_zero(expr[1], zero), _expand_zero(expr[2], zero))
 
 
+# irreducible moduli, monic or not, as integer coefficient lists
+_INVERSE_MODULI = {
+    "x^2-x-1": [-1, -1, 1],
+    "x^4-2": [-2, 0, 0, 0, 1],
+    "2x^5-1": [-1, 0, 0, 0, 0, 2],
+    "3x^5+3x-2": [-2, 3, 0, 0, 0, 3],
+    "x^6-3": [-3, 0, 0, 0, 0, 0, 1],
+    "9x^3-6x+2": [2, -6, 0, 9],
+}
+
+
 class TestSingleAtomForm:
     """The integer single-atom form against Fraction residues modulo the
     atom's minimal polynomial."""
@@ -557,6 +617,144 @@ class TestSingleAtomForm:
             value = _build(zero, make_atom(), zero)
             assert alg._saf_of(value._node) == (None, (), 1)
             assert value.sign() == 0
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(_INVERSE_MODULI)),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+        st.integers(1, 12),
+    )
+    def test_inverse_matches_extended_euclid(self, name, nums, den):
+        m = _INVERSE_MODULI[name]
+        nums = nums[: len(m) - 1]
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if not nums:
+            return
+        inums, iden = alg._saf_inverse(tuple(nums), den, m)
+        assert iden > 0
+        expected = inverse_mod_oracle(Poly([Fraction(x, den) for x in nums]), Poly(m))
+        assert Poly([Fraction(x, iden) for x in inums]) == expected
+
+
+def _cut_root_generator():
+    # the y in [0, 1] with (y + y^3)/2 = sqrt(2)/4, a cut-root atom
+    node = _make_cut_root(Poly([0, Fraction(1, 2), 0, Fraction(1, 2)]), (nth_root(2, 2) / 4)._node)
+    assert isinstance(node, _CutRootAtom)
+    return AlgebraicNumber(node)
+
+
+# generators of single-atom fields: radicals, a quadratic root (whose form
+# is over the interned sqrt(5)), a quintic poly-root atom and a cut root
+_FIELDS = {
+    "2^(1/4)": lambda: nth_root(2, 4),
+    "3^(1/6)": lambda: nth_root(3, 6),
+    "golden": lambda: AlgebraicNumber.real_root(X**2 - X - c(1), 1, 2),
+    "quintic": _SAF_ATOMS["quintic"][0],
+    "cut root": _cut_root_generator,
+}
+
+
+def _at(g, alpha):
+    """g(alpha) by folded Horner."""
+    acc = AlgebraicNumber(0)
+    for cf in reversed(g.coeffs):
+        acc = acc * alpha + cf
+    return acc
+
+
+class TestCharacteristicPolynomialRoute:
+    """Minimal polynomials of single-atom values from the squarefree part of
+    the characteristic polynomial, against factoring it and selecting the
+    factor that vanishes at the value."""
+
+    @staticmethod
+    def _minpoly_unfactored(v):
+        with mock.patch.object(alg, "factor_over_Q", side_effect=AssertionError("factored")):
+            with mock.patch.object(alg, "_select_factor", side_effect=AssertionError("selected")):
+                return v.minimal_polynomial()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(_FIELDS)),
+        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=6),
+    )
+    def test_matches_factor_and_select(self, name, gcoeffs):
+        alpha = _FIELDS[name]()
+        m = alpha.minimal_polynomial()  # the atom's own, computed before patching
+        g = Poly(gcoeffs[: m.degree])
+        assert self._minpoly_unfactored(_at(g, alpha)) == minpoly_by_factoring_oracle(g, m)
+
+    def test_proper_subfields(self):
+        # sqrt(2) = (2^(1/4))^2 and sqrt(3) + 1 = (3^(1/6))^3 + 1 have
+        # characteristic polynomials that are a square and a cube
+        for alpha, g, expected, power in (
+            (nth_root(2, 4), X**2, X**2 - c(2), 2),
+            (nth_root(3, 6), X**3 + c(1), X**2 - c(2) * X - c(2), 3),
+        ):
+            m = alpha.minimal_polynomial()
+            assert m.degree == expected.degree * power
+            assert _image_elimination(m, g) == expected**power
+            assert self._minpoly_unfactored(_at(g, alpha)) == expected
+            assert minpoly_by_factoring_oracle(g, m) == expected
+
+    def test_field_degrees(self):
+        degrees = {name: make().minimal_polynomial().degree for name, make in _FIELDS.items()}
+        assert degrees == {"2^(1/4)": 4, "3^(1/6)": 6, "golden": 2, "quintic": 5, "cut root": 6}
+
+
+# points of poly_at: rational, in one atom's field, and mixing two atoms
+_POINTS = {
+    "rational": lambda: AlgebraicNumber(Fraction(3, 7)),
+    "2^(1/4)": lambda: nth_root(2, 4) / 3 + Fraction(1, 5),
+    "golden": _FIELDS["golden"],
+    "quintic": lambda: _FIELDS["quintic"]() * 2 - 1,
+    "cut root": _cut_root_generator,
+    "mixed": lambda: nth_root(2, 2) + nth_root(3, 3),
+}
+
+
+def _same_dag(a, b):
+    """Both node trees have one shape, the same rationals and the same atoms."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, alg._Rat):
+        return a.value == b.value
+    if isinstance(a, alg._Binary):
+        return _same_dag(a.a, b.a) and _same_dag(a.b, b.b)
+    return a is b
+
+
+class TestResiduePolyAt:
+    """poly_at against folded Horner: the same value, the same single-atom
+    form and the same mediator ticks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(_POINTS)),
+        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=8),
+    )
+    def test_matches_folded_horner(self, name, coeffs):
+        v = _POINTS[name]()
+        p = Poly(coeffs)
+        with alg.count_ops([0]) as got_ticks:
+            got = poly_at(p, v)
+        with alg.count_ops([0]) as want_ticks:
+            want = poly_at_fold_oracle(p, v)
+        assert got_ticks == want_ticks == [0 if name == "rational" else 2 * len(p.coeffs)]
+        form = alg._saf_of(got._node)
+        assert form == alg._saf_of(want._node)
+        if name == "mixed":
+            assert (form is alg._SAF_UNAVAILABLE) == (p.degree >= 1)
+            assert _same_dag(got._node, want._node)
+        else:
+            assert isinstance(got._node, alg._Rat) == (form[0] is None)
+            assert got.as_rational() == want.as_rational()
+            # the node's own tree, not only the form set on it, has the value
+            glo, ghi = got.approx(Fraction(1, 2**40))
+            wlo, whi = want.approx(Fraction(1, 2**40))
+            assert glo <= whi and wlo <= ghi
 
 
 def _sign_a_plus_b_sqrt2(a, b):
