@@ -44,6 +44,7 @@ from .errors import (
     MembershipUndecidable,
     ParseError,
     QueryDomainError,
+    TowerCertificateError,
     UncoveredCaseError,
     ZeroPolynomialError,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "Solvability",
     "StepKind",
     "Tower",
+    "TowerCertificateError",
     "Transcript",
     "TrinomialClass",
     "TrinomialFamily",

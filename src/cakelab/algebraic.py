@@ -30,6 +30,9 @@ Key internals:
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.
+* The tower reads the DAG directly: `_dag_atoms` lists the atoms a value
+  is built from, and `_residue_mod` carries its field operations out
+  modulo a prime, each atom replaced by a residue.
 
 The intern tables and node caches are process-wide and unlocked: the
 module is single-threaded.
@@ -37,6 +40,7 @@ module is single-threaded.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -1441,3 +1445,101 @@ class count_ops:
     def __exit__(self, *exc):
         _op_counters.remove(self.counter)
         return False
+
+
+@contextlib.contextmanager
+def uncounted():
+    """Suspend every registered counter: the field operations inside are
+    nobody's mediator work (the tower's degree computations)."""
+    saved = _op_counters[:]
+    _op_counters.clear()
+    try:
+        yield
+    finally:
+        _op_counters[:] = saved
+
+
+# -- DAG walks for the tower ---------------------------------------------------------
+
+
+_ATOM_TYPES = (_RootAtom, _PolyRootAtom, _CutRootAtom)
+
+
+def _is_atom(node: _Node) -> bool:
+    return isinstance(node, _ATOM_TYPES)
+
+
+def _dag_atoms(node: _Node) -> list[_Node]:
+    """The distinct atoms the value is built from by field operations, in
+    first-visit order.  A root or cut atom is a leaf: its operand or target
+    is not entered."""
+    seen: set[int] = set()
+    atoms: list[_Node] = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if isinstance(n, _Binary):
+            stack.append(n.b)
+            stack.append(n.a)
+        elif not isinstance(n, _Rat):
+            atoms.append(n)
+    return atoms
+
+
+def _generating_atom(node: _Node) -> Optional[_Node]:
+    """An atom a with Q(a) = Q(value): the value itself when it is an atom,
+    else the atom of its single-atom form when both have the same degree
+    over Q.  None otherwise."""
+    if _is_atom(node):
+        return node
+    saf = _saf_of(node)
+    if saf is _SAF_UNAVAILABLE or saf[0] is None:
+        return None
+    try:
+        same = _minpoly(saf[0]).degree == _minpoly(node).degree
+    except DegreeCapExceeded:
+        return None
+    return saf[0] if same else None
+
+
+def _residue_mod(node: _Node, p: int, images: dict[int, int]) -> Optional[int]:
+    """The value modulo the prime p, with each atom replaced by its image
+    images[id(atom)] in F_p: the DAG's field operations carried out in F_p.
+    None when a rational leaf's denominator or a divisor vanishes mod p.
+    Every atom of the DAG must have an image."""
+    done: dict[int, int] = {}
+    stack: list[tuple[_Node, bool]] = [(node, False)]
+    while stack:
+        n, ready = stack.pop()
+        key = id(n)
+        if key in done:
+            continue
+        if isinstance(n, _Binary):
+            if not ready:
+                stack.append((n, True))
+                stack.append((n.b, False))
+                stack.append((n.a, False))
+                continue
+            x, y = done[id(n.a)], done[id(n.b)]
+            if isinstance(n, _Add):
+                v = (x + y) % p
+            elif isinstance(n, _Sub):
+                v = (x - y) % p
+            elif isinstance(n, _Mul):
+                v = x * y % p
+            else:
+                if y == 0:
+                    return None
+                v = x * pow(y, -1, p) % p
+        elif isinstance(n, _Rat):
+            den = n.value.denominator % p
+            if den == 0:
+                return None
+            v = n.value.numerator * pow(den, -1, p) % p
+        else:
+            v = images[key]
+        done[key] = v
+    return done[id(node)]

@@ -28,6 +28,10 @@ class MembershipUndecidable(CakelabError):
     """Field membership could not be decided within the degree cap."""
 
 
+class TowerCertificateError(CakelabError):
+    """A stored tower-degree certificate does not recheck."""
+
+
 class InvalidMeasureError(CakelabError):
     """A CDF fails one of the measure invariants (names the violated one)."""
 

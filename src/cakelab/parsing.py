@@ -64,7 +64,8 @@ class _Scanner:
         return self.peek() == ""
 
 
-def _parse_term(sc: _Scanner) -> Poly:
+def _parse_term(sc: _Scanner) -> tuple[int, Fraction]:
+    """One term as (exponent, coefficient)."""
     c = sc.peek()
     if c.isdecimal():
         num = sc.expect_int("an integer coefficient")
@@ -79,16 +80,17 @@ def _parse_term(sc: _Scanner) -> Poly:
             sc.take()
             if sc.peek() != "x":
                 raise sc.error("expected the variable x after '*'")
-            return _parse_varpart(sc).scale(coeff)
-        return Poly.constant(coeff)
+            return _parse_varpart(sc), coeff
+        return 0, coeff
     if c == "x":
-        return _parse_varpart(sc)
+        return _parse_varpart(sc), Fraction(1)
     if c == "":
         raise sc.error("unexpected end of polynomial")
     raise sc.error(f"unexpected character {c!r}")
 
 
-def _parse_varpart(sc: _Scanner) -> Poly:
+def _parse_varpart(sc: _Scanner) -> int:
+    """The exponent of `x` or `x^k`."""
     sc.take()  # the x
     if sc.peek() == "^":
         sc.take()
@@ -97,25 +99,30 @@ def _parse_varpart(sc: _Scanner) -> Poly:
         k = sc.expect_int("an integer exponent")
         if k > MAX_EXPONENT:
             raise ParseError(f"exponent {k} exceeds the maximum {MAX_EXPONENT}", sc.line, col)
-        return Poly.monomial(k)
-    return Poly.x()
+        return k
+    return 1
 
 
 def parse_polynomial(text: str, line: int = 1, col_offset: int = 0) -> Poly:
-    """Parse the term grammar into an exact polynomial."""
+    """Parse the term grammar into an exact polynomial, summing the terms
+    into one coefficient list."""
     sc = _Scanner(text, line, col_offset)
     sign = 1
     if sc.peek() in "+-":
         sign = -1 if sc.take() == "-" else 1
-    acc = _parse_term(sc).scale(sign)
-    while not sc.at_end():
+    coeffs: list[Fraction] = []
+    while True:
+        k, c = _parse_term(sc)
+        if k >= len(coeffs):
+            coeffs.extend([Fraction(0)] * (k + 1 - len(coeffs)))
+        coeffs[k] += c if sign > 0 else -c
+        if sc.at_end():
+            return Poly(coeffs)
         op = sc.peek()
         if op not in "+-":
             raise sc.error(f"expected '+' or '-', found {op!r}")
         sc.take()
-        term = _parse_term(sc)
-        acc = acc + (term if op == "+" else -term)
-    return acc
+        sign = 1 if op == "+" else -1
 
 
 def parse_measures(text: str) -> list[Measure]:

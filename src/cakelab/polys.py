@@ -45,7 +45,7 @@ from .ints import is_probable_prime
 class Poly:
     """Immutable univariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_cleared")
 
     coeffs: tuple[Fraction, ...]
 
@@ -192,11 +192,19 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) at a rational x: one integer `horner` on the coefficients,
+        their denominators cleared once per polynomial, and one Fraction."""
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        try:
+            nums, den = self._cleared
+        except AttributeError:
+            den = math.lcm(*[c.denominator for c in self.coeffs])
+            nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            object.__setattr__(self, "_cleared", (nums, den))
+        if not nums:
+            return Fraction(0)
+        return Fraction(horner(nums, x.numerator, x.denominator), den * x.denominator ** (len(nums) - 1))
 
     def compose(self, inner: "Poly") -> "Poly":
         acc = Poly()

@@ -1,20 +1,50 @@
 """Ledger of the field chain produced by query answers.
 
-Each adjunction appends a step with its exact extension degree, decided
-by one routine (`Tower._step_degree`) along one of three routes:
+Each adjunction appends a step with its exact extension degree [K(v) : K]
+over the current field K.  One routine, `Tower._step_degree`, decides it
+and leaves the tower unchanged.  It tries four routes in order, each an
+exact decision:
 
-* rational values are trivial steps;
-* a value that generates the field of a real radical with a rational
-  radicand (`rational_radical_form`: radicals themselves, their affine
-  images, canonicalized quadratics), over a tower whose nontrivial
-  generators are all of that shape, is decided by multiplicative group
-  membership: a lattice problem over exponent vectors on a coprime base
-  of the radicands, so no integer is factored.  It is exact for real
-  radicals and never touches the degree cap;
-* anything else goes through a primitive-element computation whose
-  eliminations are guarded by the degree cap; past the cap the adjunction
-  raises MembershipUndecidable instead of guessing.
+1. v in K.  Rational values are trivial steps, and so is every value built
+   by field operations from tower atoms alone.  A tower atom is an atom of
+   the expression DAG (`algebraic`) that provably lies in K: the atom a
+   step adjoined, or the atom of a step's generator in single-atom form of
+   the same degree over Q.
+2. Lattice.  A value that generates the field of a real radical with a
+   rational radicand (`rational_radical_form`: radicals themselves, their
+   affine images, canonicalized quadratics; claimed radicals whose
+   radicand is rational), over a tower whose nontrivial generators are all
+   of that shape, is decided by multiplicative group membership: a lattice
+   problem over exponent vectors on a coprime base of the radicands, so no
+   integer is factored.  It is exact for real radicals and never touches
+   the degree cap.
+3. Relative polynomial.  Every other v has a polynomial R over K: its
+   minimal polynomial over Q, or F(t) - target for a cut answer of the CDF
+   F whose target lies in K (t^d - radicand for a d-th root).
+   * Coprime degrees: when R has rational coefficients and its degree m is
+     coprime to [K : Q], the step degree is m.
+   * Degree-1 prime certificate.  The steps so far that have a relative
+     polynomial of their own degree form a triangular set (Lazard 1992):
+     step i adjoins a tower atom a_i, a root of R_i, irreducible over
+     K_(i-1).  At a prime p, a chain of simple roots r_i of R_i mod p, its
+     coefficients reduced at r_1..r_(i-1), embeds K in the p-adic numbers
+     by Hensel's lemma (dynamic evaluation: Della Dora, Dicrescenzo &
+     Duval 1985).  Values of K reduce mod p by evaluating their DAG with
+     each a_i mapped to r_i.  If R then reduces to an irreducible
+     polynomial of full degree, R is irreducible over the p-adic numbers
+     by Gauss's lemma, hence over K, and the step degree is deg R.  The
+     step stores (p, chain), and `verify_lemma1` rechecks it.  Every chain
+     at a prime is tried, chains are cached per prime across steps, and
+     at most CERTIFICATE_PRIMES primes are tried per step.
+4. Compositum.  Otherwise a primitive element of K(v) is built
+   (`_compositum`), with eliminations guarded by the degree cap; past the
+   cap the adjunction raises MembershipUndecidable instead of guessing.  A
+   step decided here joins the triangular set only when one of v's
+   polynomials has the step's degree.  Once a step does not, the tower has
+   no chain, and later general steps come here as well.
 
+The routes run with the field-operation counters suspended, so
+`bss_op_count` counts the mediator's work and not the ledger's.
 `Tower.is_pth_power` asks the same routine for the degree of the root and
 adjoins nothing.
 """
@@ -27,11 +57,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebraic import AlgebraicNumber, _binary_elimination, rational_radical_form
-from .errors import MembershipUndecidable
-from .factoring import degree_cap
-from .ints import coprime_base
-from .polys import Poly, squarefree_part
+from .algebraic import (
+    AlgebraicNumber,
+    _binary_elimination,
+    _CutRootAtom,
+    _dag_atoms,
+    _generating_atom,
+    _minpoly,
+    _Node,
+    _residue_mod,
+    _RootAtom,
+    nth_root,
+    rational_radical_form,
+    uncounted,
+)
+from .errors import DegreeCapExceeded, MembershipUndecidable, TowerCertificateError
+from .factoring import _fp_gcd, _fp_powmod, _fp_rem, _fp_sub, _modp_ddf, _sieve_primes, degree_cap
+from .ints import coprime_base, factor_positive, is_probable_prime
+from .polys import Poly, _derivative, _horner_mod, squarefree_part
+
+# Primes a degree certificate tries per step before the compositum takes
+# over: primes that `RelativePoly.may_certify` admits, whether or not K has
+# a chain there.  Sized on the cli-mix bench at seed 1 with no budget: in
+# the 44 items that end decided, the most demanding certificate of each
+# needed at most 12 such primes for half of them and at most 51 for all
+# but one, which needed 448 and took 0.9 s.  The budget bounds the work on
+# a reducible step, which no prime certifies.
+CERTIFICATE_PRIMES = 64
 
 
 def degree_obstruction(target_degree: int, allowed_primes: set[int]) -> bool:
@@ -169,6 +221,104 @@ def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[int, AlgebraicN
         c += 1
 
 
+# -- relative polynomials modulo degree-1 primes -----------------------------------
+
+
+@dataclass(frozen=True)
+class RelativePoly:
+    """R(t) = cdf(t) - target, a polynomial over the field below a step
+    with a root at the step's generator: cdf has rational coefficients, and
+    target, a value of that field, is None when R = cdf.  atom is the tower
+    atom that the step adjoins and R vanishes at, None when the generator
+    is no atom's equal."""
+
+    atom: Optional[_Node]
+    cdf: Poly
+    target: Optional[_Node] = None
+
+    @property
+    def degree(self) -> int:
+        return self.cdf.degree
+
+    def may_certify(self, p: int) -> bool:
+        """Can R reduce mod p to an irreducible polynomial of full degree?
+        Not when p divides a denominator or the leading coefficient of
+        cdf.  Nor, for a binomial a*t^d - b (cdf = t^d, or a rational
+        binomial), unless every prime dividing d divides p - 1, and 4
+        divides p - 1 when it divides d (Lidl & Niederreiter, Finite Fields,
+        Theorem 3.75)."""
+        cs = self.cdf.coeffs
+        if any(c.denominator % p == 0 for c in cs) or cs[-1].numerator % p == 0:
+            return False
+        d = self.degree
+        if d < 2 or any(cs[1:-1]):
+            return True
+        return all((p - 1) % q == 0 for q in factor_positive(d)) and (d % 4 != 0 or p % 4 == 1)
+
+    def reduce(self, p: int, images: dict[int, int]) -> Optional[list[int]]:
+        """R's coefficients mod p, with the target's tower atoms mapped to
+        their images; None when a denominator or the leading coefficient
+        vanishes mod p."""
+        cs = []
+        for c in self.cdf.coeffs:
+            den = c.denominator % p
+            if den == 0:
+                return None
+            cs.append(c.numerator * pow(den, -1, p) % p)
+        if cs[-1] == 0:
+            return None
+        if self.target is not None:
+            t = _residue_mod(self.target, p, images)
+            if t is None:
+                return None
+            cs[0] = (cs[0] - t) % p
+        return cs
+
+
+def _monic_mod(cs: list[int], p: int) -> list[int]:
+    inv = pow(cs[-1], -1, p)
+    return [c * inv % p for c in cs]
+
+
+def _simple_roots(cs: list[int], p: int) -> list[int]:
+    """The simple roots mod p, ascending, of the polynomial with
+    coefficients cs (reduced, nonzero leading coefficient).  They are roots
+    of g = gcd(f, x^p - x), squarefree of degree k: found directly when
+    k = 1, else by scanning the residues until k of them are."""
+    f = _monic_mod(cs, p)
+    x = _fp_rem([0, 1], f, p)
+    g = _fp_gcd(f, _fp_sub(_fp_powmod(x, p, f, p), x, p), p)
+    k = len(g) - 1
+    if k == 0:
+        return []
+    if k == 1:
+        roots = [-g[0] % p]
+    else:
+        roots = []
+        for r in range(p):
+            if _horner_mod(g, r, p) == 0:
+                roots.append(r)
+                if len(roots) == k:
+                    break
+    df = _derivative(f)
+    return [r for r in roots if _horner_mod(df, r, p)]
+
+
+def _irreducible_mod(cs: list[int], p: int) -> bool:
+    """Rabin's test: a monic f of degree m is irreducible over F_p exactly
+    when x^(p^m) = x mod f and x^(p^(m/q)) - x is coprime to f for every
+    prime q dividing m."""
+    f = _monic_mod(cs, p)
+    m = len(f) - 1
+    x = _fp_rem([0, 1], f, p)
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(m):
+        frob.append(_fp_powmod(frob[-1], p, f, p))
+    if frob[m] != x:
+        return False
+    return all(len(_fp_gcd(f, _fp_sub(frob[m // q], x, p), p)) == 1 for q in factor_positive(m))
+
+
 # -- tower types -----------------------------------------------------------------
 
 
@@ -181,12 +331,19 @@ class StepKind(enum.Enum):
 
 @dataclass
 class ExtensionStep:
+    """One adjunction.  relative is the minimal polynomial of the step's
+    tower atom over the field below, when known; certificate is (p, chain)
+    when a degree-1 prime decided the degree, chain holding the roots mod p
+    of the earlier steps' relative polynomials."""
+
     generator: AlgebraicNumber
     kind: StepKind
     degree: int
     source: str
     radical_index: Optional[int] = None
     radicand: Optional[AlgebraicNumber] = None
+    relative: Optional[RelativePoly] = None
+    certificate: Optional[tuple[int, tuple[int, ...]]] = None
 
     def kind_label(self) -> str:
         if self.kind is StepKind.RADICAL:
@@ -207,6 +364,21 @@ class Lemma1Report:
         return not self.violations
 
 
+@dataclass
+class _Decision:
+    """What `Tower._step_degree` decided: the degree, and for a nontrivial
+    step the state it brings.  form is the lattice route's (radicand,
+    index); theta a primitive element of K(v) when one is at hand; atom the
+    new tower atom."""
+
+    degree: int
+    form: Optional[tuple[Fraction, int]] = None
+    theta: Optional[AlgebraicNumber] = None
+    atom: Optional[_Node] = None
+    relative: Optional[RelativePoly] = None
+    certificate: Optional[tuple[int, tuple[int, ...]]] = None
+
+
 class Tower:
     """Single-writer ledger of field extensions above the rationals."""
 
@@ -217,6 +389,13 @@ class Tower:
         self._pure_rational_radicals = True
         self._gen_values: list[AlgebraicNumber] = []
         self._primitive: Optional[AlgebraicNumber] = None
+        self._atoms: dict[int, _Node] = {}  # tower atoms by id
+        # the triangular set, one relative polynomial per nontrivial step;
+        # None once a step has none of its degree
+        self._chain: Optional[list[RelativePoly]] = []
+        # (depth, chains) per prime: the chains of simple roots through the
+        # first depth steps of the triangular set
+        self._roots: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
 
     @property
     def total_degree(self) -> int:
@@ -256,12 +435,16 @@ class Tower:
         kind = StepKind.TRIVIAL
         index: Optional[int] = None
         radicand: Optional[AlgebraicNumber] = None
+        claim: Optional[tuple[Fraction, int]] = None
         if claimed_radical is not None:
             index, radicand = claimed_radical
             if (value**index - radicand).sign() != 0:
                 raise ValueError("radical witness does not verify")
             kind = StepKind.RADICAL
-        step = self._adjoin_value(value, kind, index, radicand, source)
+            r = radicand.as_rational()
+            if r is not None:
+                claim = (r, index)
+        step = self._adjoin_value(value, kind, index, radicand, source, claim)
         self.steps.append(step)
         return step
 
@@ -294,43 +477,143 @@ class Tower:
         index: Optional[int],
         radicand: Optional[AlgebraicNumber],
         source: str,
+        claim: Optional[tuple[Fraction, int]] = None,
     ) -> ExtensionStep:
-        deg, form, theta = self._step_degree(value)
-        if deg == 1:
+        d = self._step_degree(value, claim)
+        if d.degree == 1:
             return ExtensionStep(value, StepKind.TRIVIAL, 1, source, index, radicand)
-        if form is not None:
-            self._rational_radical_gens.append(form)
-            self._primitive = None  # rebuilt on demand
+        if d.form is not None:
+            self._rational_radical_gens.append(d.form)
         else:
             self._pure_rational_radicals = False
-            self._primitive = theta
+        self._primitive = d.theta  # None: rebuilt on demand
         self._gen_values.append(value)
+        if d.atom is not None:
+            self._atoms[id(d.atom)] = d.atom
+        if self._chain is not None:
+            if d.relative is not None and d.relative.atom is not None:
+                self._chain.append(d.relative)
+            else:
+                self._chain = None
+                self._roots.clear()
         if kind is StepKind.TRIVIAL:
             kind = StepKind.ALGEBRAIC
-        return ExtensionStep(value, kind, deg, source, index, radicand)
+        return ExtensionStep(value, kind, d.degree, source, index, radicand, d.relative, d.certificate)
 
     def _step_degree(
-        self, value: AlgebraicNumber
-    ) -> tuple[int, Optional[tuple[Fraction, int]], Optional[AlgebraicNumber]]:
-        """(d, form, theta) with d = [K(value) : K] over the current field K,
-        leaving the tower unchanged.  On the lattice route form is the
-        (radicand, index) of a rational-radicand radical generating the same
-        field as the value; on the general route theta is a primitive
-        element of K(value)."""
-        if value.as_rational() is not None:
-            return 1, None, None
+        self, value: AlgebraicNumber, claim: Optional[tuple[Fraction, int]] = None
+    ) -> _Decision:
+        """[K(value) : K] over the current field K and the state a step
+        would bring, leaving the tower unchanged.  claim is the (radicand,
+        index) of a verified radical witness with a rational radicand."""
+        with uncounted():
+            return self._decide(value, claim)
+
+    def _decide(self, value: AlgebraicNumber, claim: Optional[tuple[Fraction, int]]) -> _Decision:
+        node = value._node
+        if value.as_rational() is not None or self._in_field(node):
+            return _Decision(1)
         if self._pure_rational_radicals:
-            form = rational_radical_form(value)
+            form = rational_radical_form(value) or claim
             if form is not None:
-                return self._radical_degree(*form), form, None
+                deg = self._radical_degree(*form)
+                if deg == 1:
+                    return _Decision(1)
+                atom = nth_root(*form)._node
+                m = _minpoly(atom)
+                rel = RelativePoly(atom, m) if m.degree == deg else None
+                return _Decision(deg, form=form, atom=atom, relative=rel)
+        rel = self._cut_relative(node)
+        if rel is None:
+            try:
+                mv = value.minimal_polynomial()
+            except DegreeCapExceeded:
+                mv = None  # the compositum reports it
+            if mv is not None:
+                atom = _generating_atom(node)
+                rel = RelativePoly(atom, mv if atom is None else _minpoly(atom))
+                if math.gcd(rel.degree, self.total_degree) == 1:
+                    theta = None if self._gen_values else value
+                    return _Decision(rel.degree, theta=theta, atom=atom, relative=rel)
+        if rel is not None and self._chain is not None:
+            cert = self._certify(rel)
+            if cert is not None:
+                return _Decision(rel.degree, atom=rel.atom, relative=rel, certificate=cert)
         if not self._gen_values:
-            return value.minimal_polynomial().degree, None, value
+            return _Decision(value.minimal_polynomial().degree, theta=value)
         self._ensure_primitive()
         old_total = self._primitive.minimal_polynomial().degree
-        new_total, new_theta = _compositum(self._primitive, value)
+        new_total, theta = _compositum(self._primitive, value)
         if new_total % old_total != 0:
             raise AssertionError("tower degrees must be multiplicative")
-        return new_total // old_total, None, new_theta
+        deg = new_total // old_total
+        relative = None
+        if rel is not None and rel.atom is not None:
+            if rel.degree == deg:
+                relative = rel
+            elif rel.target is not None and value.minimal_polynomial().degree == deg:
+                relative = RelativePoly(rel.atom, value.minimal_polynomial())
+        return _Decision(deg, theta=theta, atom=rel.atom if rel else None, relative=relative)
+
+    def _in_field(self, node: _Node) -> bool:
+        """Is the value built from tower atoms alone?  Then it lies in K."""
+        return bool(self._atoms) and all(id(a) in self._atoms for a in _dag_atoms(node))
+
+    def _cut_relative(self, node: _Node) -> Optional[RelativePoly]:
+        """F(t) - target for a cut answer of the CDF F, and t^d - radicand
+        for a d-th root, when the target lies in K; None otherwise."""
+        if isinstance(node, _CutRootAtom):
+            cdf, target = node.cdf, node.target
+        elif isinstance(node, _RootAtom) and not isinstance(node.operand, Fraction):
+            cdf, target = Poly.monomial(node.index), node.operand
+        else:
+            return None
+        return RelativePoly(node, cdf, target) if self._in_field(target) else None
+
+    def _images(self, chain: tuple[int, ...]) -> dict[int, int]:
+        return {id(rel.atom): r for rel, r in zip(self._chain, chain)}
+
+    def _chains(self, p: int) -> list[tuple[int, ...]]:
+        """Every chain of simple roots at p through the triangular set,
+        in lexicographic order: the degree-1 primes of K above p at which
+        the chain embeds K.  Cached per prime and extended as steps come."""
+        depth, chains = self._roots.get(p, (0, [()]))
+        while chains and depth < len(self._chain):
+            rel = self._chain[depth]
+            grown = []
+            for c in chains:
+                cs = rel.reduce(p, self._images(c))
+                if cs is not None:
+                    grown.extend(c + (r,) for r in _simple_roots(cs, p))
+            chains = grown
+            depth += 1
+        self._roots[p] = (len(self._chain), chains)
+        return chains
+
+    def _certify(self, rel: RelativePoly) -> Optional[tuple[int, tuple[int, ...]]]:
+        """(p, chain) for the first chain at which R reduces to an
+        irreducible polynomial of full degree, trying at most
+        CERTIFICATE_PRIMES primes that `RelativePoly.may_certify` admits."""
+
+        def irreducible_at(p: int, chain: tuple[int, ...]) -> bool:
+            cs = rel.reduce(p, self._images(chain))
+            ddf = None if cs is None else _modp_ddf(cs, p)
+            return ddf is not None and ddf[0][0] == rel.degree
+
+        tried = 0
+        for p in _sieve_primes():
+            if not rel.may_certify(p):
+                continue
+            if rel.target is None:
+                # R reduces alike at every chain of p: test it before building any
+                chain = next(iter(self._chains(p)), None) if irreducible_at(p, ()) else None
+            else:
+                chain = next((c for c in self._chains(p) if irreducible_at(p, c)), None)
+            if chain is not None:
+                return p, chain
+            tried += 1
+            if tried == CERTIFICATE_PRIMES:
+                return None
 
     def _radical_degree(self, radicand: Fraction, d: int) -> int:
         """Degree of adjoining the real d-th root of a rational over a tower
@@ -359,9 +642,12 @@ class Tower:
             return True  # 0 = 0^p
         if s < 0 and p % 2 == 0:
             raise ValueError("even roots need a nonnegative radicand")
-        return self._step_degree(b.root(p))[0] == 1
+        return self._step_degree(b.root(p)).degree == 1
 
     def verify_lemma1(self, p: int) -> Lemma1Report:
+        """Audit every step's degree against {1, p}, after rechecking every
+        stored degree certificate (`_recheck_certificates`)."""
+        _recheck_certificates(self.steps)
         entries = []
         violations = []
         for i, s in enumerate(self.steps):
@@ -375,3 +661,46 @@ class Tower:
         for i, s in enumerate(self.steps):
             lines.append(f"step {i}: deg={s.degree} kind={s.kind_label()} source={s.source}")
         return "\n".join(lines)
+
+
+def _recheck_certificates(steps: list[ExtensionStep]) -> None:
+    """Recheck each step's (p, chain) from the steps alone: p is prime,
+    each chain root is a simple root mod p of its step's relative
+    polynomial reduced at the roots before it, and the step's own relative
+    polynomial reduces to an irreducible one of the step's degree (Rabin's
+    test, not the distinct-degree factorization that issued it).  Raises
+    TowerCertificateError on the first mismatch."""
+    chain: Optional[list[RelativePoly]] = []
+    for i, s in enumerate(steps):
+        if s.certificate is not None:
+            _recheck_step(i, s, chain)
+        if s.degree > 1 and chain is not None:
+            if s.relative is not None and s.relative.atom is not None:
+                chain.append(s.relative)
+            else:
+                chain = None
+
+
+def _recheck_step(i: int, step: ExtensionStep, chain: Optional[list[RelativePoly]]) -> None:
+    p, roots = step.certificate
+
+    def fail(why: str) -> TowerCertificateError:
+        return TowerCertificateError(f"step {i}: degree certificate at p = {p}: {why}")
+
+    if chain is None or step.relative is None:
+        raise fail("the field below has no triangular set")
+    if not is_probable_prime(p):
+        raise fail("p is not prime")
+    if len(roots) != len(chain):
+        raise fail(f"{len(roots)} chain roots for {len(chain)} steps")
+    images: dict[int, int] = {}
+    for level, (rel, r) in enumerate(zip(chain, roots)):
+        cs = rel.reduce(p, images)
+        if cs is None or not 0 <= r < p:
+            raise fail(f"chain level {level} does not reduce")
+        if _horner_mod(cs, r, p) != 0 or _horner_mod(_derivative(cs), r, p) == 0:
+            raise fail(f"{r} is not a simple root at chain level {level}")
+        images[id(rel.atom)] = r
+    cs = step.relative.reduce(p, images)
+    if cs is None or len(cs) - 1 != step.degree or not _irreducible_mod(cs, p):
+        raise fail(f"the relative polynomial is not irreducible of degree {step.degree}")

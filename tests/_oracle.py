@@ -40,7 +40,16 @@ it, found by `factor_over_Q` and checked on residues: the library's
 factor-and-select route before it took the characteristic polynomial's
 squarefree part.  A polynomial at an algebraic point is Horner's rule
 folded one field operation at a time, the library's method before it
-evaluated on residues.
+evaluated on residues.  A polynomial at a rational point is Horner's rule
+over Fractions (`fraction_horner_oracle`), the method of `Poly.__call__`
+before it cleared denominators for one integer Horner.
+
+Tower step degrees come from primitive elements (`compositum_step_degrees`):
+each new value joins the field's primitive element in a shifted sum
+a + c*b whose elimination polynomial is squarefree, and the step degree is
+the quotient of the sum's degree by the field's.  It is the tower's route
+before it certified step degrees at degree-1 primes, and its fallback
+since.
 """
 
 import itertools
@@ -49,10 +58,10 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from cakelab.dyadic import DyadicInterval
-from cakelab.algebraic import AlgebraicNumber
-from cakelab.errors import InvalidMeasureError
-from cakelab.factoring import factor_over_Q
-from cakelab.polys import Poly
+from cakelab.algebraic import AlgebraicNumber, _binary_elimination
+from cakelab.errors import DegreeCapExceeded, InvalidMeasureError
+from cakelab.factoring import check_degree, factor_over_Q
+from cakelab.polys import Poly, squarefree_part
 
 
 def divisors(n):
@@ -608,3 +617,47 @@ def poly_at_fold_oracle(p, v):
     for c in reversed(p.coeffs):
         acc = acc * v + c
     return acc
+
+
+def fraction_horner_oracle(p, x):
+    """p(x) at a rational x by Horner's rule over Fractions."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _compositum_oracle(a, b):
+    """([Q(a, b) : Q], primitive element a + c*b) for the least c >= 1 whose
+    elimination polynomial is squarefree."""
+    ma, mb = a.minimal_polynomial(), b.minimal_polynomial()
+    check_degree(ma.degree * mb.degree, "compositum oracle")
+    c = 1
+    while True:
+        mbc = mb if c == 1 else mb.compose(Poly([0, Fraction(1, c)])).primitive()
+        elim = _binary_elimination("add", ma, mbc)
+        if squarefree_part(elim).degree == elim.degree:
+            theta = a + b * c
+            return theta.minimal_polynomial().degree, theta
+        c += 1
+
+
+def compositum_step_degrees(values):
+    """[K(v) : K] for each value v in turn, K growing from Q by each value,
+    up to the first value whose compositum is past the degree cap."""
+    out = []
+    theta, total = None, 1
+    for v in values:
+        try:
+            if theta is None:
+                new_total, new_theta = v.minimal_polynomial().degree, v
+            else:
+                new_total, new_theta = _compositum_oracle(theta, v)
+        except DegreeCapExceeded:
+            break
+        assert new_total % total == 0
+        out.append(new_total // total)
+        if new_total > total:
+            theta, total = new_theta, new_total
+    return out

@@ -249,8 +249,10 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_even_paz_degree_30_compositum_at_cap_48(self, fmt):
-        # membership needs degree 30 (6 x 5): past the default cap of 12, so
-        # the cap is raised in the child process only
+        # the compositum of this tower has degree 30 (6 x 5), past the
+        # default cap of 12; the step degrees 6 and 5 are coprime, so the
+        # tower no longer builds it, and the report is the same at either
+        # cap.  The cap is raised in the child process only
         res = subprocess.run(
             [sys.executable, "-m", "cakelab", "--format", fmt, "run-protocol",
              "--protocol", "even-paz",

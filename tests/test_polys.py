@@ -25,6 +25,7 @@ from cakelab.polys import (
 
 from _oracle import (
     bisect_oracle,
+    fraction_horner_oracle,
     poly_divmod_int,
     poly_gcd_oracle,
     rational_roots_oracle,
@@ -518,7 +519,7 @@ class TestDyadicHorner:
     @example([2, -3, 1], -7, 0)
     def test_scaled_value(self, coeffs, m, e):
         n = len(coeffs) - 1
-        assert horner(coeffs, m, 1 << e) == 2 ** (e * n) * Poly(coeffs)(Fraction(m, 2**e))
+        assert horner(coeffs, m, 1 << e) == 2 ** (e * n) * fraction_horner_oracle(Poly(coeffs), Fraction(m, 2**e))
 
 
 class TestRationalHorner:
@@ -532,7 +533,24 @@ class TestRationalHorner:
     @example([2, -3, 1], 2, 1)
     def test_scaled_value_at_any_rational(self, coeffs, num, den):
         n = len(coeffs) - 1
-        assert horner(coeffs, num, den) == den**n * Poly(coeffs)(Fraction(num, den))
+        assert horner(coeffs, num, den) == den**n * fraction_horner_oracle(Poly(coeffs), Fraction(num, den))
+
+
+class TestPolyCall:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.fractions(max_denominator=10**4).map(lambda q: q * 7), max_size=9),
+        st.one_of(st.fractions(max_denominator=10**9), st.integers(-(10**6), 10**6)),
+    )
+    @example([], Fraction(1, 3))
+    @example([Fraction(5, 3)], 0)
+    @example([0, Fraction(25, 32), 0, 0, 0, 0, Fraction(7, 32)], Fraction(-37, 64))
+    def test_matches_fraction_horner(self, coeffs, x):
+        p = Poly(coeffs)
+        expected = fraction_horner_oracle(p, x)
+        # the second call reads the cleared coefficients the first one cached
+        assert p(x) == expected and p(x) == expected
+        assert isinstance(p(x), Fraction)
 
 
 class TestRationalRoots:

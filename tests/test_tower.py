@@ -1,22 +1,29 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cakelab import (
     AlgebraicNumber,
+    DegreeCapExceeded,
     Measure,
     MembershipUndecidable,
     Poly,
     Tower,
+    TowerCertificateError,
     cut_and_choose,
     degree_obstruction,
+    even_paz,
     nth_root,
 )
+from cakelab.cake import _increasing_preimage, poly_at
+from cakelab.factoring import _modp_ddf
+from cakelab.tower import _irreducible_mod, _simple_roots
 
-from _oracle import radical_degree_oracle
+from _oracle import compositum_step_degrees, radical_degree_oracle
 
 A = AlgebraicNumber
 
@@ -258,3 +265,160 @@ class TestMediatorSqrt:
         assert lines[0] == "step 0: deg=5 kind=radical^5 source=#0"
         assert lines[1] == "step 1: deg=1 kind=trivial source=#1"
         assert lines[2] == "step 2: deg=2 kind=sqrt source=mediator-sqrt"
+
+
+def _mixture(k, i, j):
+    """k/8 * x^i + (1 - k/8) * x^j."""
+    c = [Fraction(0)] * (max(i, j) + 1)
+    c[i] += Fraction(k, 8)
+    c[j] += 1 - Fraction(k, 8)
+    return Poly(c)
+
+
+def _cut(cdf, x, share):
+    """The cut answer from x for share of the value right of x."""
+    fx = poly_at(cdf, x)
+    return _increasing_preimage(cdf, fx + (1 - fx) * share)
+
+
+def _adjoin_all(tw, values):
+    """Step degrees of the values in turn, up to the first one the tower
+    cannot decide within the cap."""
+    degrees = []
+    for v in values:
+        try:
+            degrees.append(tw.adjoin(v).degree)
+        except (MembershipUndecidable, DegreeCapExceeded):
+            break
+    return degrees
+
+
+# mixtures of exponents up to 4, even pairs (F(t) = G(t^2)) included; the
+# product of the CDF degrees bounds the compositum's degree by the cap
+_CDFS = st.tuples(st.sampled_from([1, 3, 5, 7]), st.sampled_from([(1, 2), (1, 3), (2, 3), (2, 4)]))
+_CUTS = st.lists(
+    st.tuples(_CDFS, st.integers(0, 4), st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])),
+    min_size=2,
+    max_size=4,
+).filter(lambda cuts: math.prod(j for (_, (_, j)), _, _ in cuts) <= 48)
+
+
+class TestRelativeTower:
+    @pytest.mark.degree_cap(48)
+    @settings(max_examples=25, deadline=None)
+    @given(_CUTS, st.booleans(), st.integers(-1, 3))
+    @example([((3, (1, 3)), 0, Fraction(1, 2)), ((1, (2, 4)), 1, Fraction(1, 3))], True, 0)
+    @example([((5, (1, 2)), 0, Fraction(1, 2)), ((3, (1, 3)), 2, Fraction(1, 2))], False, 1)
+    def test_agrees_with_compositum(self, cuts, in_field, landing):
+        # each cut starts at 0, at 1/5 or at an earlier answer; then,
+        # optionally, a value of the field, and a cut from 0 that lands on
+        # an earlier answer y (F(t) - F(y) has the root y in K)
+        values = []
+        for (k, (i, j)), start, share in cuts:
+            starts = [A(0), A(Fraction(1, 5))] + values
+            values.append(_cut(_mixture(k, i, j), starts[start % len(starts)], share))
+        answers = values[:]
+        if in_field:
+            values.append(answers[0] * answers[-1] + Fraction(1, 3))
+        if landing >= 0:
+            (k, (i, j)), _, _ = cuts[landing % len(cuts)]
+            f, y = _mixture(k, i, j), answers[landing % len(cuts)]
+            values.append(_increasing_preimage(f, poly_at(f, y)))
+        tw = Tower()
+        degrees = _adjoin_all(tw, values)
+        expected = compositum_step_degrees(values)
+        assert degrees[: len(expected)] == expected
+        assert len(degrees) >= len(expected)
+        tw.verify_lemma1(2)  # every stored certificate rechecks
+
+    @pytest.mark.degree_cap(48)
+    def test_cut_landing_on_a_tower_point(self):
+        # y's target is irrational, so the landing cut is a new atom whose
+        # cut polynomial has the root y in K: no prime certifies it, and the
+        # compositum finds degree 1
+        f, g = _mixture(3, 1, 3), _mixture(5, 1, 2)
+        x = _cut(f, A(0), Fraction(1, 2))
+        y = _cut(g, x, Fraction(1, 2))
+        tw = Tower()
+        assert _adjoin_all(tw, [x, y]) == [3, 2]
+        again = _increasing_preimage(g, poly_at(g, y))
+        assert again._node is not y._node
+        assert tw.adjoin(again).degree == 1
+
+    def test_value_of_the_field_is_trivial(self):
+        f, g = _mixture(3, 1, 3), _mixture(5, 2, 4)
+        y1 = _cut(f, A(0), Fraction(1, 2))
+        y2 = _cut(g, y1, Fraction(1, 3))
+        tw = Tower()
+        assert _adjoin_all(tw, [y1, y2]) == [3, 4]
+        primitive = tw._primitive
+        assert tw.adjoin(y1 * y2 - y2 / 7).degree == 1
+        assert tw._primitive is primitive  # decided without a primitive element
+
+    def _even_paz_3_6(self):
+        # a cubic cut point, then (1/2)^(1/6): the compositum needs degree
+        # 18, past the default cap
+        m1 = Measure.make(Poly([0, Fraction(1, 4), 0, Fraction(3, 4)]), "p1")
+        m2 = Measure.make(Poly.monomial(6), "p2")
+        return even_paz([m1, m2]).transcript.tower
+
+    def test_even_paz_steps_3_and_6_at_the_default_cap(self):
+        tw = self._even_paz_3_6()
+        assert [s.degree for s in tw.steps] == [1, 3, 1, 6]
+        assert tw.steps[3].certificate is not None
+        assert tw.verify_lemma1(3).violations == [3]
+
+    def test_corrupted_prime_fails_the_recheck(self):
+        tw = self._even_paz_3_6()
+        p, roots = tw.steps[3].certificate
+        for bad in (p + 2, p + 4, 2 * p + 1):
+            tw.steps[3].certificate = (bad, roots)
+            with pytest.raises(TowerCertificateError):
+                tw.verify_lemma1(3)
+
+    def test_corrupted_root_fails_the_recheck(self):
+        tw = self._even_paz_3_6()
+        p, (r,) = tw.steps[3].certificate
+        for bad in ((r + 1) % p, (r + 2) % p, p + r):
+            tw.steps[3].certificate = (p, (bad,))
+            with pytest.raises(TowerCertificateError):
+                tw.verify_lemma1(3)
+
+    def test_certificate_at_a_splitting_prime_fails_the_recheck(self):
+        # for q = 5 mod 6, t^6 - 1/2 has no irreducible reduction mod q, so a
+        # valid chain root there still cannot certify degree 6
+        tw = self._even_paz_3_6()
+        cubic = tw.steps[1].relative
+        for q in (5, 11, 17, 23, 29, 41, 47, 53, 59, 71):
+            roots = _simple_roots(cubic.reduce(q, {}), q)
+            if roots:
+                break
+        tw.steps[3].certificate = (q, (roots[0],))
+        with pytest.raises(TowerCertificateError, match="not irreducible"):
+            tw.verify_lemma1(3)
+
+    def test_claimed_radical_without_atom_form_keeps_the_lattice(self):
+        tw = Tower()
+        step = tw.adjoin(nth_root(2, 2) * nth_root(3, 2), claimed_radical=(2, A(6)))
+        assert step.degree == 2 and tw._pure_rational_radicals
+        assert tw.adjoin(nth_root(10, 2), claimed_radical=(2, A(10))).degree == 2
+        assert tw._pure_rational_radicals and tw._primitive is None
+        assert tw._rational_radical_gens == [(6, 2), (10, 2)]
+        # sqrt(15) = sqrt(6) sqrt(10) / 2 is in the field; sqrt(2) is not
+        assert tw.adjoin(nth_root(15, 2), claimed_radical=(2, A(15))).degree == 1
+        assert tw.is_pth_power(A(2), 2) is False
+
+
+class TestModularTools:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 13, 31, 97]), st.lists(st.integers(-50, 50), min_size=2, max_size=8))
+    def test_against_brute_force_and_factoring(self, p, coeffs):
+        cs = [c % p for c in coeffs]
+        assume(cs[-1] != 0)
+        f = Poly(cs)
+        df = f.derivative()
+        simple = [r for r in range(p) if f(r) % p == 0 and df(r) % p != 0]
+        assert _simple_roots(cs, p) == simple
+        ddf = _modp_ddf(cs, p)
+        irreducible = ddf is not None and ddf[0][0] == len(cs) - 1
+        assert _irreducible_mod(cs, p) == irreducible
