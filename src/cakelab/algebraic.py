@@ -22,14 +22,18 @@ Key internals:
   m_atom is irreducible.  Every other node factors one annihilating
   polynomial and selects the factor that vanishes at its value.
 * Normal forms and interval enclosures are computed bottom-up with an
-  explicit stack, so deep expression DAGs need no recursion.
+  explicit stack, so deep expression DAGs need no recursion.  Minimal
+  polynomials recurse once per level and raise `ExpressionTooDeep` past
+  the interpreter's limit.
 * Values mixing independent atoms fall back to elimination by power sums
   (Newton's identities) of roots scaled to algebraic integers, guarded by
   the degree cap; sign queries that cannot be settled symbolically keep
   refining numerically once the value is known nonzero.
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
-  fold to zero without any elimination.
+  fold to zero without any elimination.  Folds cancel by operand
+  identity only: a node that would undo its operand's last operation,
+  as (p+q)-q or (p*q)/q would, is replaced by the p that operand holds.
 * The tower reads the DAG directly: `_dag_atoms` lists the atoms a value
   is built from, and `_residue_mod` carries its field operations out
   modulo a prime, each atom replaced by a residue.
@@ -47,7 +51,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .dyadic import DyadicInterval
-from .errors import DegreeCapExceeded, ZeroPolynomialError
+from .errors import DegreeCapExceeded, ExpressionTooDeep, ZeroPolynomialError
 from .factoring import check_degree, factor_over_Q
 from .ints import _SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
 from .polys import (
@@ -124,15 +128,13 @@ _SAF_UNAVAILABLE = object()
 
 
 class _Node:
-    __slots__ = ("_mp", "_saf", "_ivc", "_lin", "_mono", "_iso")
+    __slots__ = ("_mp", "_saf", "_ivc", "_iso")
 
     def __init__(self) -> None:
         self._mp = None  # cached minpoly, or a cached DegreeCapExceeded
         self._saf = None  # cached single-atom form
         self._ivc = (-1, None)  # (effort level, enclosure), one atomic slot
         self._iso = None  # cached isolating interval
-        self._lin = None  # cached linear form over atoms, or _FORM_NONE
-        self._mono = None  # cached monomial form over atoms, or _FORM_NONE
 
 
 class _Rat(_Node):
@@ -209,105 +211,22 @@ _root_intern: dict[tuple[Fraction, int], _RootAtom] = {}
 _polyroot_intern: dict[tuple[tuple[Fraction, ...], int], _PolyRootAtom] = {}
 
 
-# -- linear and monomial forms over atoms ---------------------------------------
-#
-# A linear form is (const, {id(atom): (atom, coeff)}) and a monomial form
-# is (coeff, {id(atom): (atom, exponent)}).  They exist only when the DAG
-# is literally of that shape, and let exact cancellations like (a+b)-b and
-# (a*b)/b collapse structurally before any elimination is formed.
-
-_FORM_NONE = object()
-
-
-def _lin_of(node: _Node):
-    cached = node._lin
-    if cached is not None:
-        return None if cached is _FORM_NONE else cached
-    if isinstance(node, _Rat):
-        form = (node.value, {})
-    elif isinstance(node, (_RootAtom, _PolyRootAtom, _CutRootAtom)):
-        form = (Fraction(0), {id(node): (node, Fraction(1))})
-    else:
-        form = None  # op nodes get forms at construction or not at all
-    node._lin = form if form is not None else _FORM_NONE
-    return form
-
-
-def _mono_of(node: _Node):
-    cached = node._mono
-    if cached is not None:
-        return None if cached is _FORM_NONE else cached
-    if isinstance(node, _Rat):
-        form = (node.value, {})
-    elif isinstance(node, (_RootAtom, _PolyRootAtom, _CutRootAtom)):
-        form = (Fraction(1), {id(node): (node, 1)})
-    else:
-        form = None
-    node._mono = form if form is not None else _FORM_NONE
-    return form
-
-
-def _lin_combine(fa, fb, sign: int):
-    const = fa[0] + sign * fb[0]
-    atoms = dict(fa[1])
-    for key, (atom, coeff) in fb[1].items():
-        cur = atoms.get(key)
-        new = (cur[1] if cur else Fraction(0)) + sign * coeff
-        if new == 0:
-            atoms.pop(key, None)
-        else:
-            atoms[key] = (atom, new)
-    return (const, atoms)
-
-
-def _lin_scale(form, q: Fraction):
-    if q == 0:
-        return (Fraction(0), {})
-    return (form[0] * q, {k: (a, c * q) for k, (a, c) in form[1].items()})
-
-
-def _collapse_lin(form) -> Optional[_Node]:
-    const, atoms = form
-    if not atoms:
-        return _Rat(const)
-    if const == 0 and len(atoms) == 1:
-        (atom, coeff), = atoms.values()
-        if coeff == 1:
-            return atom
-    return None
-
-
-def _mono_combine(fa, fb, sign: int):
-    coeff = fa[0] * fb[0] if sign > 0 else fa[0] / fb[0]
-    atoms = dict(fa[1])
-    for key, (atom, exp) in fb[1].items():
-        cur = atoms.get(key)
-        new = (cur[1] if cur else 0) + sign * exp
-        if new == 0:
-            atoms.pop(key, None)
-        else:
-            atoms[key] = (atom, new)
-    return (coeff, atoms)
-
-
-def _collapse_mono(form) -> Optional[_Node]:
-    coeff, atoms = form
-    if coeff == 0:
-        return _Rat(Fraction(0))
-    if not atoms:
-        return _Rat(coeff)
-    if coeff == 1 and len(atoms) == 1:
-        (atom, exp), = atoms.values()
-        if exp == 1:
-            return atom
-    return None
-
-
 # -- construction with folding ------------------------------------------------
 
 
 def _rat(v) -> _Rat:
     return _Rat(Fraction(v))
+
+
+def _same(x: _Node, y: _Node) -> bool:
+    """Operand identity: the same node, or two rationals of equal value."""
+    return x is y or (isinstance(x, _Rat) and isinstance(y, _Rat) and x.value == y.value)
+
+
+# Besides rational arithmetic, x - x = 0 and x / x = 1, a fold cancels only
+# by operand identity: it returns an operand it already holds when the new
+# node undoes that operand's last operation, as (p+q)-q, (p-q)+q, (p*q)/q
+# and (p/q)*q are p.  A reordered sum such as (a+b)-(b+a) is left to _sign.
 
 
 def _fold_add(a: _Node, b: _Node) -> _Node:
@@ -318,16 +237,11 @@ def _fold_add(a: _Node, b: _Node) -> _Node:
         return b
     if isinstance(b, _Rat) and b.value == 0:
         return a
-    fa, fb = _lin_of(a), _lin_of(b)
-    form = _lin_combine(fa, fb, +1) if fa is not None and fb is not None else None
-    if form is not None:
-        collapsed = _collapse_lin(form)
-        if collapsed is not None:
-            return collapsed
-    node = _Add(a, b)
-    if form is not None:
-        node._lin = form
-    return node
+    if isinstance(a, _Sub) and _same(a.b, b):
+        return a.a
+    if isinstance(b, _Sub) and _same(b.b, a):
+        return b.a
+    return _Add(a, b)
 
 
 def _fold_sub(a: _Node, b: _Node) -> _Node:
@@ -338,16 +252,12 @@ def _fold_sub(a: _Node, b: _Node) -> _Node:
         return _Rat(a.value - b.value)
     if isinstance(b, _Rat) and b.value == 0:
         return a
-    fa, fb = _lin_of(a), _lin_of(b)
-    form = _lin_combine(fa, fb, -1) if fa is not None and fb is not None else None
-    if form is not None:
-        collapsed = _collapse_lin(form)
-        if collapsed is not None:
-            return collapsed
-    node = _Sub(a, b)
-    if form is not None:
-        node._lin = form
-    return node
+    if isinstance(a, _Add):
+        if _same(a.b, b):
+            return a.a
+        if _same(a.a, b):
+            return a.b
+    return _Sub(a, b)
 
 
 def _fold_mul(a: _Node, b: _Node) -> _Node:
@@ -360,28 +270,12 @@ def _fold_mul(a: _Node, b: _Node) -> _Node:
                 return _rat(0)
             if x.value == 1:
                 return y
-    lin = None
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, _Rat):
-            fy = _lin_of(y)
-            if fy is not None:
-                lin = _lin_scale(fy, x.value)
-    fa, fb = _mono_of(a), _mono_of(b)
-    mono = _mono_combine(fa, fb, +1) if fa is not None and fb is not None else None
-    if mono is not None:
-        collapsed = _collapse_mono(mono)
-        if collapsed is not None:
-            return collapsed
-    if lin is not None:
-        collapsed = _collapse_lin(lin)
-        if collapsed is not None:
-            return collapsed
-    node = _Mul(a, b)
-    if lin is not None:
-        node._lin = lin
-    if mono is not None:
-        node._mono = mono
-    return node
+    # only _fold_div builds a _Div, after proving its divisor nonzero
+    if isinstance(a, _Div) and _same(a.b, b):
+        return a.a
+    if isinstance(b, _Div) and _same(b.b, a):
+        return b.a
+    return _Mul(a, b)
 
 
 def _fold_div(a: _Node, b: _Node) -> _Node:
@@ -391,23 +285,21 @@ def _fold_div(a: _Node, b: _Node) -> _Node:
             raise ZeroDivisionError("division by zero")
         if isinstance(a, _Rat):
             return _Rat(a.value / b.value)
-        return _fold_mul(_Rat(1 / b.value), a)
-    if _sign(b) == 0:
+    elif _sign(b) == 0:
         raise ZeroDivisionError("division by an exact zero")
+    # before a rational divisor becomes a multiplication by its inverse
+    if isinstance(a, _Mul):
+        if _same(a.b, b):
+            return a.a
+        if _same(a.a, b):
+            return a.b
+    if isinstance(b, _Rat):
+        return _fold_mul(_Rat(1 / b.value), a)
     if a is b:
         return _rat(1)
     if isinstance(a, _Rat) and a.value == 0:
         return _rat(0)
-    fa, fb = _mono_of(a), _mono_of(b)
-    mono = _mono_combine(fa, fb, -1) if fa is not None and fb is not None else None
-    if mono is not None:
-        collapsed = _collapse_mono(mono)
-        if collapsed is not None:
-            return collapsed
-    node = _Div(a, b)
-    if mono is not None:
-        node._mono = mono
-    return node
+    return _Div(a, b)
 
 
 def _make_root(operand: Union[Fraction, _Node], d: int) -> _Node:
@@ -1050,6 +942,10 @@ def _minpoly(node: _Node) -> Poly:
     except DegreeCapExceeded as e:
         node._mp = e
         raise
+    except RecursionError:
+        # the recursion runs once per DAG level; nothing is cached on the
+        # way out, so shallower nodes still get their minimal polynomials
+        raise ExpressionTooDeep("expression too deep for a minimal polynomial") from None
     node._mp = result
     return result
 

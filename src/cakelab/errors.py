@@ -20,6 +20,10 @@ class DegreeCapExceeded(CakelabError):
         super().__init__(msg)
 
 
+class ExpressionTooDeep(CakelabError):
+    """An expression DAG is too deep for a recursive symbolic computation."""
+
+
 class ZeroPolynomialError(CakelabError):
     """Root isolation or factorization was asked about the zero polynomial."""
 

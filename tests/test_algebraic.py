@@ -1,14 +1,23 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cakelab.algebraic as alg
-from cakelab import AlgebraicNumber, Measure, Poly, Session, isolate_equitable_cutpoint, nth_root
+from cakelab import (
+    AlgebraicNumber,
+    ExpressionTooDeep,
+    Measure,
+    Poly,
+    Session,
+    isolate_equitable_cutpoint,
+    nth_root,
+)
 from cakelab.algebraic import (
     _binary_elimination,
     _CutRootAtom,
@@ -57,6 +66,10 @@ class TestArithmetic:
         zero = nth_root(2, 2) * nth_root(2, 2) - 2
         with pytest.raises(ZeroDivisionError):
             AlgebraicNumber(1) / zero
+        # the zero test comes before (p*q)/q folds to p
+        p = nth_root(Fraction(1, 2), 5) * t_star()
+        with pytest.raises(ZeroDivisionError):
+            (p * zero) / zero
 
     def test_field_axioms(self):
         rng = random.Random(5)
@@ -65,6 +78,8 @@ class TestArithmetic:
             nth_root(2, 2),
             nth_root(Fraction(1, 2), 5),
             t_star(),
+            # degree 15: sums and quotients with it pass the cap unless folded
+            nth_root(Fraction(1, 2), 5) * t_star(),
         ]
         for a in values:
             for b in values:
@@ -207,6 +222,15 @@ class TestSign:
                 for d in pool:
                     if a.compare(b) < 0 and b.compare(d) < 0:
                         assert a.compare(d) < 0
+
+    def test_reordered_two_atom_sum_is_zero_by_equal_values(self):
+        # no fold cancels a reordered sum; the elimination for the
+        # difference passes the cap and _equal_values decides it
+        r2, fifth = nth_root(2, 2), nth_root(Fraction(1, 2), 5)
+        diff = (r2 + fifth) - (fifth + r2)
+        with mock.patch.object(alg, "_equal_values", wraps=alg._equal_values) as eq:
+            assert diff.sign() == 0
+        assert eq.called
 
     def test_deep_identity(self):
         t = t_star()
@@ -790,11 +814,84 @@ class TestDeepDags:
         assert acc.decimal(12) == _decimal_a_plus_b_sqrt2(a, b, 12)
         assert (-acc).decimal(12) == _decimal_a_plus_b_sqrt2(-a, -b, 12)
 
+    def test_deep_minimal_polynomial_raises_a_named_error(self):
+        # _minpoly recurses once per DAG level; past the interpreter's limit
+        # it raises a CakelabError and caches nothing on the nodes it unwinds
+        r2, r3 = nth_root(2, 2), nth_root(3, 2)
+        acc, chain = AlgebraicNumber(1), []
+        for _ in range(700):
+            acc = acc * r2 + r3
+            chain.append(acc)
+        with pytest.raises(ExpressionTooDeep):
+            acc.minimal_polynomial()
+        assert chain[4].degree() == 4
+
     def test_oracles(self):
         assert _sign_a_plus_b_sqrt2(-3, 2) == -1 and _sign_a_plus_b_sqrt2(3, -2) == 1
         assert _sign_a_plus_b_sqrt2(-1, 1) == 1 and _sign_a_plus_b_sqrt2(0, 0) == 0
         assert _decimal_a_plus_b_sqrt2(0, 1, 3) == nth_root(2, 2).decimal(3) == "1.414…"
         assert _decimal_a_plus_b_sqrt2(1, -1, 3) == "-0.414…"
+
+
+_UNFOLDED = {"+": alg._Add, "-": alg._Sub, "*": alg._Mul, "/": alg._Div}
+_FOLDED = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _sign_terminates(node):
+    """Whether _sign of the node ends: a single-atom form decides a zero,
+    and refinement decides a nonzero that 2^-128 separates from 0."""
+    return alg._saf_of(node) is not alg._SAF_UNAVAILABLE or (
+        alg._sign_by_refinement(node, 8, 128) is not None
+    )
+
+
+class TestFoldSoundness:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.sampled_from("+-*/uu"), st.integers(0, 4), st.integers(0, 4)),
+            min_size=2,
+            max_size=10,
+        ),
+    )
+    def test_folded_build_encloses_the_unfolded_value(self, rats, ops):
+        # operands are counted back from the newest subtree; "u" undoes the
+        # last operation of the i-th newest built subtree with one of its own
+        # operands, the shape the folds cancel
+        leaves = [nth_root(2, 2), nth_root(Fraction(1, 2), 5), t_star()]
+        leaves += [AlgebraicNumber(r) for r in rats]
+        folded, unfolded = list(leaves), [v._node for v in leaves]
+        recipes = [None] * len(leaves)
+        for op, i, j in ops:
+            j = len(folded) - 1 - j % len(folded)
+            if op == "u":
+                built = [k for k, r in enumerate(recipes) if r is not None]
+                if not built:
+                    continue
+                i = built[-1 - i % len(built)]
+                last, x, y = recipes[i]
+                op = {"+": "-", "-": "+", "*": "/", "/": "*"}[last]
+                if j % 2:
+                    i, j = (i, x) if last in "+*" else (y, i)
+                else:
+                    j = y
+            else:
+                i = len(folded) - 1 - i % len(folded)
+            if op == "/":
+                # an undetected zero divisor would make _sign refine forever
+                assume(_sign_terminates(folded[j]._node))
+            try:
+                folded.append(_FOLDED[op](folded[i], folded[j]))
+            except ZeroDivisionError:
+                return
+            unfolded.append(_UNFOLDED[op](unfolded[i], unfolded[j]))
+            recipes.append((op, i, j))
+        eps = Fraction(1, 1 << 64)
+        for v, node in zip(folded[len(leaves):], unfolded[len(leaves):]):
+            lo, hi = v.approx(eps)
+            ulo, uhi = alg._refine_to(node, eps)
+            assert lo <= uhi and ulo <= hi
 
 
 intervals = st.tuples(
