@@ -27,8 +27,10 @@ Key internals:
   the interpreter's limit.
 * Values mixing independent atoms fall back to elimination by power sums
   (Newton's identities) of roots scaled to algebraic integers, guarded by
-  the degree cap; sign queries that cannot be settled symbolically keep
-  refining numerically once the value is known nonzero.
+  the degree cap.  Past the cap, a sign query decides a zero from the
+  node's operands: a product or quotient multiplies their signs, and a
+  sum or difference compares their minimal polynomials.  Refinement with
+  no limit runs only on a value known to be nonzero.
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.  Folds cancel by operand
@@ -207,6 +209,7 @@ class _CutRootAtom(_Node):
         self.hi = Fraction(1)
 
 
+_ATOM_TYPES = (_RootAtom, _PolyRootAtom, _CutRootAtom)
 _root_intern: dict[tuple[Fraction, int], _RootAtom] = {}
 _polyroot_intern: dict[tuple[tuple[Fraction, ...], int], _PolyRootAtom] = {}
 
@@ -783,7 +786,7 @@ def _compute_saf(node: _Node):
     """The form of one node, from the forms of its operands."""
     if isinstance(node, _Rat):
         return _saf_make(None, [node.value.numerator], node.value.denominator)
-    if isinstance(node, (_RootAtom, _PolyRootAtom, _CutRootAtom)):
+    if isinstance(node, _ATOM_TYPES):
         return (node, (0, 1), 1)
     assert isinstance(node, _Binary)
     fa, fb = node.a._saf, node.b._saf
@@ -959,9 +962,7 @@ def _compute_minpoly(node: _Node) -> Poly:
     if isinstance(node, _Rat):
         return Poly([-node.value.numerator, node.value.denominator])
     saf = _saf_of(node)
-    if saf is not _SAF_UNAVAILABLE and not isinstance(
-        node, (_RootAtom, _PolyRootAtom, _CutRootAtom)
-    ):
+    if saf is not _SAF_UNAVAILABLE and not isinstance(node, _ATOM_TYPES):
         atom, nums, den = saf
         if atom is None:
             return Poly([-nums[0], den]) if nums else Poly.x()
@@ -1032,13 +1033,17 @@ def _sign(node: _Node) -> int:
         return s
     try:
         m = _minpoly(node)
-        if m == Poly([0, 1]):
-            return 0
         if m.degree == 1:
             v = -m.coeff(0) / m.coeff(1)
             return (v > 0) - (v < 0)
     except DegreeCapExceeded:
-        if isinstance(node, _Sub) and _equal_values(node.a, node.b):
+        # atoms have single-atom forms, so the node is a binary operation:
+        # decide a zero from its operands, so that the refinement below
+        # runs only on a value known to be nonzero
+        if isinstance(node, (_Mul, _Div)):
+            s = _sign(node.a)
+            return s and s * _sign(node.b)
+        if _equal_values(node.a, node.b, negated=isinstance(node, _Add)):
             return 0
     return _sign_by_refinement(node, max(8, node._ivc[0]))
 
@@ -1061,12 +1066,14 @@ def _sign_by_refinement(node: _Node, k: int, limit: Optional[int] = None) -> Opt
     return None
 
 
-def _equal_values(a: _Node, b: _Node) -> bool:
-    """Equality via shared minimal polynomial plus interval separation.
-    Never eliminates for the difference, so it stays inside the
-    cap whenever both operands' minimal polynomials do."""
+def _equal_values(a: _Node, b: _Node, negated: bool = False) -> bool:
+    """Whether a = b, or a = -b if negated, via shared minimal polynomial
+    plus interval separation.  Never eliminates for the difference, so it
+    stays inside the cap whenever both operands' minimal polynomials do."""
     ma = _minpoly(a)
     mb = _minpoly(b)
+    if negated:
+        mb = mb.negate_variable().primitive()
     if ma != mb:
         return False
     if ma.degree == 1:
@@ -1076,6 +1083,8 @@ def _equal_values(a: _Node, b: _Node) -> bool:
     while True:
         alo, ahi = _refine_to(a, Fraction(1, 1 << k))
         blo, bhi = _refine_to(b, Fraction(1, 1 << k))
+        if negated:
+            blo, bhi = -bhi, -blo
         if ahi < blo or bhi < alo:
             return False
         lo, hi = min(alo, blo), max(ahi, bhi)
@@ -1358,13 +1367,6 @@ def uncounted():
 # -- DAG walks for the tower ---------------------------------------------------------
 
 
-_ATOM_TYPES = (_RootAtom, _PolyRootAtom, _CutRootAtom)
-
-
-def _is_atom(node: _Node) -> bool:
-    return isinstance(node, _ATOM_TYPES)
-
-
 def _dag_atoms(node: _Node) -> list[_Node]:
     """The distinct atoms the value is built from by field operations, in
     first-visit order.  A root or cut atom is a leaf: its operand or target
@@ -1389,7 +1391,7 @@ def _generating_atom(node: _Node) -> Optional[_Node]:
     """An atom a with Q(a) = Q(value): the value itself when it is an atom,
     else the atom of its single-atom form when both have the same degree
     over Q.  None otherwise."""
-    if _is_atom(node):
+    if isinstance(node, _ATOM_TYPES):
         return node
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE or saf[0] is None:
