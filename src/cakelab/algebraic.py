@@ -17,6 +17,8 @@ Key internals:
   polynomial comes from traces (power sums); a division's inverse comes
   from the characteristic polynomial by Cayley-Hamilton, and a polynomial
   at such a value from Horner on residues.  No extended Euclid runs.
+  An atom of degree 1, a cut root at a rational point, reduces every
+  form built on it to a constant.
 * Minimal polynomials take two routes.  A single-atom value's is the
   squarefree part of its characteristic polynomial, a power of it since
   m_atom is irreducible.  Every other node factors one annihilating
@@ -36,6 +38,7 @@ Key internals:
   fold to zero without any elimination.  Folds cancel by operand
   identity only: a node that would undo its operand's last operation,
   as (p+q)-q or (p*q)/q would, is replaced by the p that operand holds.
+  Rational coefficients merge, c*(d*p) = (cd)*p.
 * The tower reads the DAG directly: `_dag_atoms` lists the atoms a value
   is built from, and `_residue_mod` carries its field operations out
   modulo a prime, each atom replaced by a residue.
@@ -65,7 +68,6 @@ from .polys import (
     bisect_root,
     horner,
     root_bound,
-    squarefree_part,
     squarefree_rational_roots,
     sturm_chain,
     sturm_count,
@@ -273,6 +275,12 @@ def _fold_mul(a: _Node, b: _Node) -> _Node:
                 return _rat(0)
             if x.value == 1:
                 return y
+            # c*(d*p) = (cd)*p, so that p/d*d, built as (1/d)*p*d, is p
+            if isinstance(y, _Mul):
+                for d, p in ((y.a, y.b), (y.b, y.a)):
+                    if isinstance(d, _Rat):
+                        c = x.value * d.value
+                        return p if c == 1 else _Mul(_Rat(c), p)
     # only _fold_div builds a _Div, after proving its divisor nonzero
     if isinstance(a, _Div) and _same(a.b, b):
         return a.a
@@ -340,7 +348,7 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
     """The unique real root of p inside [lo, hi], folded and interned."""
     if p.is_zero:
         raise ZeroPolynomialError("cannot take a root of the zero polynomial")
-    sqf = squarefree_part(p).primitive()
+    sqf = Poly(_int_squarefree(p.int_coeffs()))
     bound = root_bound(sqf)
     all_ivs = sturm_isolate(sqf, DyadicInterval(-bound, bound))
     # each isolating interval holds one simple root and sqf changes sign
@@ -560,14 +568,20 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
     cs = [int(c * den) for c in atom.cdf.coeffs]
     n = len(cs) - 1
     centre = None
+    # a target with a single-atom form is irrational (`_make_cut_root`);
+    # any other is decided exactly once 2^-limit cannot separate it
+    limit = 2 * max(k, 64) if _saf_of(atom.target) is _SAF_UNAVAILABLE else None
+    value = None
 
     def side(m: int, e: int) -> int:
         """cdf(x) - centre at x = m / 2^e, scaled by den * 2^(e*n) and the
         denominator of centre, the midpoint of the target's first enclosure
         in this call; but ±1 where that disagrees with the sign of
-        cdf(x) - target.  The target is irrational by construction, so
-        doubling its precision always decides that sign."""
-        nonlocal kc, centre
+        cdf(x) - target, and 0 where they are equal.  Doubling the
+        target's precision decides that sign unless they are equal, which
+        only a rational target can be: past the limit, its minimal
+        polynomial says whether it is, and its value then decides."""
+        nonlocal kc, centre, limit, value
         fx = horner(cs, m, 1 << e)
         while True:
             tlo, thi = _interval(atom.target, kc)
@@ -579,12 +593,31 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
             if fx * thi.denominator > (thi.numerator * den) << (e * n):
                 sign = 1
                 break
+            if limit is not None and kc >= limit:
+                value, limit = _value_if_rational(atom.target), None
+            if value is not None:
+                v = fx * value.denominator - ((value.numerator * den) << (e * n))
+                if v == 0:
+                    return 0
+                sign = 1 if v > 0 else -1
+                break
             kc *= 2
         v = fx * centre.denominator - ((centre.numerator * den) << (e * n))
         return v if (v > 0) - (v < 0) == sign else sign
 
     atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
     return atom.lo, atom.hi
+
+
+def _value_if_rational(node: _Node) -> Optional[Fraction]:
+    """The node's value when its minimal polynomial is linear; None when
+    it is not, or when that polynomial is past the cap."""
+    try:
+        with uncounted():
+            m = _minpoly(node)
+    except DegreeCapExceeded:
+        return None
+    return -m.coeff(0) / m.coeff(1) if m.degree == 1 else None
 
 
 def _refine_to(node: _Node, eps: Fraction) -> tuple[Fraction, Fraction]:
@@ -803,6 +836,11 @@ def _compute_saf(node: _Node):
             m = _int_minpoly(atom)
         except DegreeCapExceeded:
             return _SAF_UNAVAILABLE
+        if len(m) == 2:
+            # a rational atom, a cut root at a rational point: its form
+            # (0, 1) is not reduced, and reducing both gives constants
+            (na, sa), (nb, sb) = _prem(list(na), m), _prem(list(nb), m)
+            da, db = da * sa, db * sb
     if isinstance(node, (_Add, _Sub)):
         g = math.gcd(da, db)
         sa, sb = db // g, da // g
@@ -878,7 +916,10 @@ def _rational_value(node: _Node) -> Optional[Fraction]:
 
 
 def _select_factor(candidates: list[Poly], node: _Node) -> Poly:
-    """The unique irreducible candidate vanishing at the node's value."""
+    """The unique irreducible candidate vanishing at the node's value; a
+    lone candidate without refining."""
+    if len(candidates) == 1:
+        return candidates[0]
     cands = []
     for f in candidates:
         if f.degree == 1:

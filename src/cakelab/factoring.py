@@ -1,20 +1,27 @@
 """Factorization of rational polynomials into irreducibles.
 
 Pipeline, cheapest certificate first: content extraction, squarefree
-decomposition, rational-root extraction, Eisenstein (direct and on the
-reversal, at primes found without factoring), and a factor-degree sieve:
+decomposition (no Yun at all when f is squarefree modulo one of the first
+two primes not dividing lc(f), `polys._squarefree_mod_prime`),
+rational-root extraction, Eisenstein (direct and on the reversal, at
+primes found without factoring), and a factor-degree sieve:
 distinct-degree factorization modulo small primes bounds the degrees any
 rational factor could have (subset sums of the modular factor-degree
-patterns), often proving irreducibility outright.  What survives is
-factored by Zassenhaus's algorithm at the sieve prime p with the fewest
-modular factors: Cantor-Zassenhaus splitting of that prime's
+patterns), often proving irreducibility outright.  With the rational
+roots gone only degrees 2..n-2 matter, and the sieve stops at the first
+usable prime after which none survives, else after four usable primes
+(von zur Gathen & Gerhard, Modern Computer Algebra, §14).  What survives
+is factored by Zassenhaus's algorithm at the sieve prime p with the
+fewest modular factors: Cantor-Zassenhaus splitting of that prime's
 distinct-degree parts, Hensel lifting until p^k exceeds twice the leading
 coefficient times a Mignotte bound, and recombination of the lifted
 factors in subsets of increasing size, skipping degrees the sieve rules
 out (Zassenhaus 1969; Cantor & Zassenhaus 1981; von zur Gathen & Gerhard,
-Modern Computer Algebra, ch. 14-15).  All factors are returned primitive
-over the integers with positive leading coefficient, so comparisons in
-tests are canonical.
+Modern Computer Algebra, ch. 14-15).  The pipeline runs on primitive
+integer coefficient lists from the content split on, and its arithmetic
+mod p and p^k on the list kernel of `polys`.  All factors are returned
+primitive over the integers with positive leading coefficient, so
+comparisons in tests are canonical.
 
 This module owns the degree cap (default 12), the one limit on every
 factorization, elimination and certificate in the package: inputs past
@@ -40,8 +47,17 @@ from .polys import (
     _derivative,
     _drop_content,
     _exact_quotient,
+    _fp_add,
+    _fp_divmod,
+    _fp_gcd,
+    _fp_mul,
+    _fp_powmod,
+    _fp_rem,
+    _fp_sub,
+    _fp_trim,
+    _fp_xgcd,
     _int_mul,
-    squarefree_decomposition,
+    _int_squarefree_decomposition,
     squarefree_rational_roots,
 )
 
@@ -109,93 +125,6 @@ def eisenstein(p: Poly, q: int, try_reversal: bool = False) -> Eisenstein:
         if _eisenstein_int(list(reversed(coeffs)), q):
             return Eisenstein.IRREDUCIBLE_CERTIFIED
     return Eisenstein.INCONCLUSIVE
-
-
-# -- polynomials modulo m ------------------------------------------------------
-#
-# Plain int lists (lowest degree first), reduced mod m, no trailing zeros.
-# m is a prime p for the modular factorization and p^k for Hensel lifting;
-# division needs only an invertible leading coefficient.
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_add(a: list[int], b: list[int], m: int) -> list[int]:
-    return _fp_trim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _fp_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    return _fp_trim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _fp_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _fp_trim([c % m for c in out])
-
-
-def _fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    a = a[:]
-    inv = pow(b[-1], -1, m)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] * inv % m
-        if c:
-            off = len(a) - len(b)
-            q[off] = c
-            for i, bc in enumerate(b):
-                a[off + i] = (a[off + i] - c * bc) % m
-        a.pop()
-        _fp_trim(a)
-    return _fp_trim(q), a
-
-
-def _fp_rem(a: list[int], b: list[int], m: int) -> list[int]:
-    return _fp_divmod(a, b, m)[1]
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p."""
-    while b:
-        a, b = b, _fp_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _fp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """s, t with s*a + t*b = 1 over F_p, deg s < deg b and deg t < deg a,
-    for coprime a and b of positive degree."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """a(x)^e mod (mod, p), by square and multiply."""
-    out = [1]
-    base = a[:]
-    while e:
-        if e & 1:
-            out = _fp_rem(_fp_mul(out, base, p), mod, p)
-        base = _fp_rem(_fp_mul(base, base, p), mod, p)
-        e >>= 1
-    return out
 
 
 # -- factorization modulo a prime ---------------------------------------------
@@ -294,13 +223,15 @@ def _sieve_primes():
 
 
 def _degree_sieve(f: list[int]) -> tuple[set[int], int, list[tuple[int, list[int]]]]:
-    """Degrees a proper rational factor of the integer polynomial f could
-    have, as constrained by factor-degree patterns modulo up to four usable
-    primes (subset sums), with the usable prime of fewest modular factors
-    and its distinct-degree factorization.  An empty set proves
-    irreducibility.  Primes past the probe primes are tried while fewer than
-    four were usable; f must be squarefree, so that only finitely many are
-    not."""
+    """Degrees in 2..n-2 that a proper rational factor of the integer
+    polynomial f of degree n could have, as constrained by factor-degree
+    patterns modulo up to four usable primes (subset sums), with the usable
+    prime of fewest modular factors and its distinct-degree factorization.
+    f must be squarefree, so that only finitely many primes are unusable,
+    and have no rational root, so that no factor has degree 1 or n-1.  The
+    sieve stops at the first usable prime after which no degree survives:
+    an empty set proves irreducibility.  Primes past the probe primes are
+    tried while neither has happened."""
     n = len(f) - 1
     allowed: set[int] | None = None
     best: tuple[int, int, list[tuple[int, list[int]]]] | None = None
@@ -316,7 +247,7 @@ def _degree_sieve(f: list[int]) -> tuple[set[int], int, list[tuple[int, list[int
         for k, g in ddf:
             for _ in range((len(g) - 1) // k):
                 sums |= {s + k for s in sums}
-        cand = {s for s in sums if 0 < s < n}
+        cand = {s for s in sums if 2 <= s <= n - 2}
         allowed = cand if allowed is None else (allowed & cand)
         usable += 1
         if not allowed or usable >= 4:
@@ -465,12 +396,13 @@ class Factorization:
         return sorted(f.degree for f, _ in self.factors)
 
 
-def _factor_squarefree(p: Poly) -> list[Poly]:
-    """Irreducible factors of a squarefree polynomial, primitive form.  The
-    work list holds primitive integer forms with positive leading
-    coefficients; dividing one by a primitive factor leaves another."""
+def _factor_squarefree(f: list[int]) -> list[Poly]:
+    """Irreducible factors of a squarefree primitive integer polynomial
+    with a positive leading coefficient, primitive form.  The work list
+    holds such polynomials; dividing one by a primitive factor leaves
+    another."""
     out: list[Poly] = []
-    stack = [p.int_coeffs()]
+    stack = [f]
     while stack:
         f = stack.pop()
         n = len(f) - 1
@@ -492,10 +424,7 @@ def _factor_squarefree(p: Poly) -> list[Poly]:
         if _certify_irreducible(h):
             out.append(h)
             continue
-        # factor-degree sieve: without rational roots a proper factor has
-        # degree 2..n-2
         allowed, q, ddf = _degree_sieve(f)
-        allowed = {d for d in allowed if 2 <= d <= n - 2}
         if not allowed:
             out.append(h)
             continue
@@ -531,11 +460,12 @@ def factor_over_Q(p: Poly) -> Factorization:
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     check_degree(p.degree, "factor_over_Q input")
-    content, prim = p.content_and_primitive()
-    if prim.degree == 0:
+    prim = p.int_coeffs()
+    content = p.leading / prim[-1]
+    if len(prim) == 1:
         return Factorization(content, ())
     collected: dict[Poly, int] = {}
-    for sqf, mult in squarefree_decomposition(prim):
+    for sqf, mult in _int_squarefree_decomposition(prim):
         for f in _factor_squarefree(sqf):
             collected[f] = collected.get(f, 0) + mult
     factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
@@ -545,7 +475,7 @@ def factor_over_Q(p: Poly) -> Factorization:
         cs = [c.numerator for c in f.coeffs]
         for _ in range(m):
             rebuilt = _int_mul(rebuilt, cs)
-    assert rebuilt == [c.numerator for c in prim.coeffs]
+    assert rebuilt == prim
     return Factorization(content, factors)
 
 

@@ -13,7 +13,11 @@ pseudo-remainder: it scales by positive factors only and reports their
 product.  The gcd is the primitive remainder sequence (Collins 1967;
 Brown & Traub 1971), and every quotient by a primitive divisor is exact
 over the integers by Gauss's lemma (`_exact_quotient`, which also reports
-a division that is not exact).
+a division that is not exact).  Squarefree parts and Yun's decomposition
+first try a certificate mod a small prime (`_squarefree_mod_prime`): f
+squarefree mod q, for q not dividing lc(f), is squarefree.  The module
+also holds the one kernel for polynomials mod m (`_fp_*`), which the
+factorization and the tower's degree certificates share.
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -395,9 +399,33 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a if not a or a[-1] > 0 else [-c for c in a]
 
 
+def _squarefree_mod_prime(f: list[int]) -> bool:
+    """True when f reduces to a squarefree polynomial modulo one of the
+    first two primes q not dividing lc(f), which proves f squarefree over
+    the rationals: a square factor g^2 of f has lc(g) prime to q, so it
+    stays a square factor of positive degree mod q.  False is inconclusive:
+    a squarefree f can have a repeated factor mod both primes (or f' can
+    vanish mod q, for q up to deg f)."""
+    df = _derivative(f)
+    q, tried = 2, 0
+    while tried < 2:
+        if f[-1] % q:
+            tried += 1
+            dq = _fp_trim([c % q for c in df])
+            if dq and len(_fp_gcd([c % q for c in f], dq, q)) == 1:
+                return True
+        q += 1
+        while not is_probable_prime(q):
+            q += 1
+    return False
+
+
 def _int_squarefree(f: list[int]) -> list[int]:
     """The squarefree part f / gcd(f, f') of a primitive integer polynomial
-    of positive degree: primitive, with the sign of f's leading coefficient."""
+    of positive degree: primitive, with the sign of f's leading coefficient.
+    f itself when it is squarefree modulo a small prime."""
+    if _squarefree_mod_prime(f):
+        return f
     return _exact_quotient(f, _int_gcd(f, _derivative(f)))
 
 
@@ -420,25 +448,35 @@ def squarefree_part(p: Poly) -> Poly:
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: return [(g_i, i)] with p = lc * prod g_i^i, g_i monic
-    squarefree and pairwise coprime (factors of multiplicity i).
-
-    It runs on the primitive integer form.  b and c start as p / gcd(p, p')
-    and p' / gcd(p, p'), and every step divides both exactly by a primitive
-    gcd, so they stay integer and keep one common rational scale, the one
-    Yun's identities need."""
+    squarefree and pairwise coprime (factors of multiplicity i).  The
+    monic forms of `_int_squarefree_decomposition` on p's integer form."""
     if p.degree <= 0:
         return []
-    f = p.int_coeffs()
+    return [(Poly(g).monic(), i) for g, i in _int_squarefree_decomposition(p.int_coeffs())]
+
+
+def _int_squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a primitive integer polynomial f of positive
+    degree with a positive leading coefficient: [(g_i, i)], g_i primitive
+    with positive leading coefficients, of the factors of multiplicity i.
+
+    b and c start as f / gcd(f, f') and f' / gcd(f, f'), and every step
+    divides both exactly by a primitive gcd, so they stay integer and keep
+    one common rational scale, the one Yun's identities need.  An f that
+    is squarefree modulo a small prime (`_squarefree_mod_prime`) is its
+    own single part."""
+    if _squarefree_mod_prime(f):
+        return [(f, 1)]
     df = _derivative(f)
     a = _int_gcd(f, df)
     b = _exact_quotient(f, a)
     c = _int_sub(_exact_quotient(df, a), _derivative(b))
-    out: list[tuple[Poly, int]] = []
+    out: list[tuple[list[int], int]] = []
     i = 1
     while len(b) > 1:
         g = _int_gcd(b, c)
         if len(g) > 1:
-            out.append((Poly(g).monic(), i))
+            out.append((g, i))
         b2 = _exact_quotient(b, g)
         c = _int_sub(_exact_quotient(c, g), _derivative(b2))
         b = b2
@@ -765,11 +803,103 @@ def refine_root(p: Poly, iv: DyadicInterval, width: Fraction) -> DyadicInterval:
     return DyadicInterval(lo, hi)
 
 
+# -- polynomials modulo m ------------------------------------------------------
+#
+# Plain int lists (lowest degree first), reduced mod m, no trailing zeros:
+# the one mod-m kernel of the package.  m is a prime p for squarefree
+# certificates, modular factorization and tower degree certificates, and
+# p^k for Hensel lifting; division needs only an invertible leading
+# coefficient.
+
+
 def _horner_mod(coeffs: Sequence[int], x: int, m: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % m
     return acc
+
+
+def _fp_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_add(a: list[int], b: list[int], m: int) -> list[int]:
+    return _fp_trim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_sub(a: list[int], b: list[int], m: int) -> list[int]:
+    return _fp_trim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _fp_trim([c % m for c in out])
+
+
+def _fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    a = a[:]
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] * inv % m
+        if c:
+            off = len(a) - len(b)
+            q[off] = c
+            for i, bc in enumerate(b):
+                a[off + i] = (a[off + i] - c * bc) % m
+        a.pop()
+        _fp_trim(a)
+    return _fp_trim(q), a
+
+
+def _fp_rem(a: list[int], b: list[int], m: int) -> list[int]:
+    return _fp_divmod(a, b, m)[1]
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p."""
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _fp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """s, t with s*a + t*b = 1 over F_p, deg s < deg b and deg t < deg a,
+    for coprime a and b of positive degree."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """a(x)^e mod (mod, p), by square and multiply."""
+    out = [1]
+    base = a[:]
+    while e:
+        if e & 1:
+            out = _fp_rem(_fp_mul(out, base, p), mod, p)
+        base = _fp_rem(_fp_mul(base, base, p), mod, p)
+        e >>= 1
+    return out
+
+
+# -- rational roots ------------------------------------------------------------
 
 
 def rational_roots(p: Poly) -> list[Fraction]:

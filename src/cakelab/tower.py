@@ -31,8 +31,9 @@ exact decision:
      by Hensel's lemma (dynamic evaluation: Della Dora, Dicrescenzo &
      Duval 1985).  Values of K reduce mod p by evaluating their DAG with
      each a_i mapped to r_i.  If R then reduces to an irreducible
-     polynomial of full degree, R is irreducible over the p-adic numbers
-     by Gauss's lemma, hence over K, and the step degree is deg R.  The
+     polynomial of full degree (`_irreducible_ddf`, distinct degrees with
+     an early exit), R is irreducible over the p-adic numbers by Gauss's
+     lemma, hence over K, and the step degree is deg R.  The
      step stores (p, chain), and `verify_lemma1` rechecks it.  Every chain
      at a prime is tried, chains are cached per prime across steps, and
      at most CERTIFICATE_PRIMES primes are tried per step.
@@ -72,9 +73,18 @@ from .algebraic import (
     uncounted,
 )
 from .errors import DegreeCapExceeded, MembershipUndecidable, TowerCertificateError
-from .factoring import _fp_gcd, _fp_powmod, _fp_rem, _fp_sub, _modp_ddf, _sieve_primes, degree_cap
+from .factoring import _sieve_primes, degree_cap
 from .ints import coprime_base, factor_positive, is_probable_prime
-from .polys import Poly, _derivative, _horner_mod, squarefree_part
+from .polys import (
+    Poly,
+    _derivative,
+    _fp_gcd,
+    _fp_powmod,
+    _fp_rem,
+    _fp_sub,
+    _horner_mod,
+    squarefree_part,
+)
 
 # Primes a degree certificate tries per step before the compositum takes
 # over: primes that `RelativePoly.may_certify` admits, whether or not K has
@@ -302,6 +312,22 @@ def _simple_roots(cs: list[int], p: int) -> list[int]:
                     break
     df = _derivative(f)
     return [r for r in roots if _horner_mod(df, r, p)]
+
+
+def _irreducible_ddf(cs: list[int], p: int) -> bool:
+    """Is the polynomial with coefficients cs (reduced, nonzero leading
+    coefficient) irreducible over F_p?  A monic f of degree n is exactly
+    when gcd(f, x^(p^k) - x) = 1 for k = 1..n/2, since any other f,
+    repeated factors included, has an irreducible factor of degree at most
+    n/2.  Stops at the first k with a common factor."""
+    f = _monic_mod(cs, p)
+    x = _fp_rem([0, 1], f, p)
+    xq = x  # x^(p^k) mod f
+    for _ in range((len(f) - 1) // 2):
+        xq = _fp_powmod(xq, p, f, p)
+        if len(_fp_gcd(f, _fp_sub(xq, x, p), p)) > 1:
+            return False
+    return True
 
 
 def _irreducible_mod(cs: list[int], p: int) -> bool:
@@ -597,8 +623,7 @@ class Tower:
 
         def irreducible_at(p: int, chain: tuple[int, ...]) -> bool:
             cs = rel.reduce(p, self._images(chain))
-            ddf = None if cs is None else _modp_ddf(cs, p)
-            return ddf is not None and ddf[0][0] == rel.degree
+            return cs is not None and _irreducible_ddf(cs, p)
 
         tried = 0
         for p in _sieve_primes():
@@ -668,7 +693,7 @@ def _recheck_certificates(steps: list[ExtensionStep]) -> None:
     each chain root is a simple root mod p of its step's relative
     polynomial reduced at the roots before it, and the step's own relative
     polynomial reduces to an irreducible one of the step's degree (Rabin's
-    test, not the distinct-degree factorization that issued it).  Raises
+    test, not the early-exit distinct-degree test that issued it).  Raises
     TowerCertificateError on the first mismatch."""
     chain: Optional[list[RelativePoly]] = []
     for i, s in enumerate(steps):

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -253,6 +254,23 @@ class TestSign:
         t = t_star()
         assert (t**5 + t - 1).sign() == 0  # t^5+t-1 = (t^2-t+1)(t^3+t^2-1)
 
+    def test_rational_coefficients_merge(self):
+        # p / (3/7) is built as (7/3)*p; multiplying back merges the two
+        # rationals to 1, so the difference folds to 0 with no elimination
+        # (the mul elimination for it has degree 15, past the cap)
+        p = nth_root(Fraction(1, 2), 5) * t_star()
+        start = time.perf_counter()
+        with alg.count_ops([0]) as ticks:
+            back = (p / Fraction(3, 7)) * Fraction(3, 7)
+        assert back._node is p._node and ticks == [3]  # one per fold call
+        assert (back - p).sign() == 0
+        assert time.perf_counter() - start < 1
+        with alg.count_ops([0]) as ticks:
+            merged = Fraction(2) * (p * Fraction(3))
+        assert ticks == [2]
+        assert isinstance(merged._node, alg._Mul) and merged._node.a.value == 6 and merged._node.b is p._node
+        assert (-(-p))._node is p._node
+
 
 class TestMinpoly:
     def test_examples(self):
@@ -451,6 +469,19 @@ class TestCutRootRefinement:
             lo, hi = v.approx(eps)
             assert hi - lo <= eps
             assert (lo, hi) == cut_oracle(cdf, r, a, hi - lo)
+
+
+    def test_rational_target_without_atom_form(self):
+        # sqrt2 sqrt3 - sqrt6 + 3/8 is 3/8 but has no single-atom form; the
+        # CDF reaches it at 1/2, a point bisection tests, where only the
+        # target's minimal polynomial can decide equality
+        r2, r3, r6 = nth_root(2, 2), nth_root(3, 2), nth_root(6, 2)
+        start = time.perf_counter()
+        v = Session([Measure.make(Poly([0, Fraction(1, 2), Fraction(1, 2)]))]).cut(0, 0, r2 * r3 - r6 + Fraction(3, 8))
+        assert isinstance(v._node, _CutRootAtom)
+        assert v == Fraction(1, 2) and v.minimal_polynomial() == Poly([-1, 2])
+        assert v.approx(Fraction(1, 1 << 40)) == (Fraction(1, 2), Fraction(1, 2))
+        assert time.perf_counter() - start < 1
 
 
 def cut_bisection_reference(cdf, target, eps):

@@ -14,9 +14,10 @@ from cakelab import (
     eisenstein,
     factor_over_Q,
     is_irreducible,
+    poly_gcd,
     rational_roots,
 )
-from cakelab import factoring
+from cakelab import factoring, polys
 from cakelab.cli import main as cli_main
 from cakelab.factoring import FactorSearchBudget, modp_irreducible
 from cakelab.ints import coprime_base, factor_positive
@@ -223,6 +224,79 @@ class TestOracleAgreement:
             assert ours == oracle_factor(coeffs)
 
 
+def cut_quintics(count=40):
+    """x/2 + x^5/2 - c for the targets c = F(x) + (1 - F(x)) j/1000 of
+    single-player cuts from grid points x, F = x/2 + x^5/2."""
+    cdf = Poly([0, Fraction(1, 2), 0, 0, 0, Fraction(1, 2)])
+    rng = random.Random(16)
+    for _ in range(count):
+        fx = cdf(Fraction(rng.randint(0, 999), 1000))
+        yield cdf - c(fx + (1 - fx) * Fraction(rng.randint(1, 1000), 1000))
+
+
+class TestDegreeSieve:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=4, max_size=9), st.integers(1, 4))
+    def test_stops_at_the_first_prime_without_a_degree(self, coeffs, lead):
+        h = Poly(coeffs + [lead])
+        assume(poly_gcd(h, h.derivative()).degree == 0 and not rational_roots(h))
+        f = h.int_coeffs()
+        n = len(f) - 1
+        seen = []
+        original = factoring._modp_ddf
+
+        def recording(g, q):
+            ddf = original(g, q)
+            if ddf is not None:
+                seen.append((q, ddf))
+            return ddf
+
+        factoring._modp_ddf = recording
+        try:
+            allowed, q, ddf = factoring._degree_sieve(f)
+        finally:
+            factoring._modp_ddf = original
+        # replay the intersection of subset sums in 2..n-2 over the usable primes
+        running = set(range(2, n - 1))
+        for i, (_, part) in enumerate(seen):
+            degrees = [k for k, g in part for _ in range((len(g) - 1) // k)]
+            sums = {0}
+            for k in degrees:
+                sums |= {s + k for s in sums}
+            running &= sums
+            if i < len(seen) - 1:
+                assert running and i < 3  # it went on only while degrees survived
+        assert allowed == running and (not allowed or len(seen) == 4)
+        counts = [sum((len(g) - 1) // k for k, g in part) for _, part in seen]
+        assert (q, ddf) == seen[counts.index(min(counts))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=4, max_size=7), st.integers(1, 3))
+    @example([-1, 1, 0, 0, 0], 1)  # x^5 + x - 1 = (x^2 - x + 1)(x^3 + x^2 - 1)
+    def test_factorization_agrees_with_oracle(self, coeffs, lead):
+        fac = factor_over_Q(Poly(coeffs + [lead]))
+        ours = sorted((tuple(int(v) for v in f.coeffs), m) for f, m in fac.factors)
+        assert ours == oracle_factor(coeffs + [lead])
+
+    def test_cut_quintics_agree_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for p in cut_quintics(12):
+            fac = factor_over_Q(p)
+            ours = sorted((tuple(int(v) for v in f.coeffs), m) for f, m in fac.factors)
+            assert ours == TestSympyAgreement.sympy_factors(sympy, p.primitive())
+
+    def test_modular_work_on_cut_quintics(self, monkeypatch):
+        # 40 irreducible quintics: the sieve stops once no degree in 2..3
+        # survives.  With four usable primes each they took 115
+        # distinct-degree factorizations; with the early stop, 74.
+        calls = []
+        ddf = factoring._fp_ddf
+        monkeypatch.setattr(factoring, "_fp_ddf", lambda f, p: calls.append(p) or ddf(f, p))
+        for p in cut_quintics():
+            assert factor_over_Q(p).degrees() == [5]
+        assert len(calls) <= 74
+
+
 SWINNERTON_DYER_4 = Poly([1, 0, -10, 0, 1])  # sqrt(2) + sqrt(3)
 SWINNERTON_DYER_8 = Poly([576, 0, -960, 0, 352, 0, -40, 0, 1])  # + sqrt(5)
 
@@ -238,15 +312,15 @@ class TestZassenhaus:
     @given(st.sampled_from([2, 3, 5, 7, 13, 47]), st.lists(st.integers(0, 46), min_size=1, max_size=12))
     def test_equal_degree_splitting(self, p, coeffs):
         f = [v % p for v in coeffs] + [1]
-        deriv = factoring._fp_trim([i * v % p for i, v in enumerate(f)][1:])
-        assume(deriv and len(factoring._fp_gcd(f, deriv, p)) == 1)  # squarefree
+        deriv = polys._fp_trim([i * v % p for i, v in enumerate(f)][1:])
+        assume(deriv and len(polys._fp_gcd(f, deriv, p)) == 1)  # squarefree
         rng = random.Random(5)
         product = [1]
         for k, part in factoring._fp_ddf(f, p):
             for u in factoring._fp_edf(part, k, p, rng):
                 assert len(u) - 1 == k and u[-1] == 1
                 assert factoring._fp_ddf(u, p) == [(k, u)]
-                product = factoring._fp_mul(product, u, p)
+                product = polys._fp_mul(product, u, p)
         assert product == f
 
     @settings(max_examples=100, deadline=None)
@@ -267,8 +341,8 @@ class TestZassenhaus:
         product = [f[-1] % m]
         for u, v in zip(lifted, modular):
             assert u[-1] == 1 and [x % p for x in u] == v
-            product = factoring._fp_mul(product, u, m)
-        assert product == factoring._fp_trim([x % m for x in f])
+            product = polys._fp_mul(product, u, m)
+        assert product == polys._fp_trim([x % m for x in f])
 
     def test_no_usable_probe_prime(self):
         # the leading coefficient vanishes modulo every probe prime, so the

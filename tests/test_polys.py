@@ -193,6 +193,40 @@ class TestIntegerGcd:
         else:
             assert q == [int(x) for x in Poly(expected[0]).coeffs]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=4), max_size=2),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        st.sampled_from([1, 2, 3, 6, 10, 30, -15]),
+    )
+    @example([], [-6, 0], 1)  # x^2 - 6: square mod 2 and mod 3, squarefree
+    @example([[1, 1]], [0, 0, 0, 0], 6)  # 6x^4 (x + 1)^2: skips 2 and 3
+    def test_mod_prime_certificate_agrees_with_integer_yun(self, planted, rest, lead):
+        # planted factors appear squared; a lead divisible by the first
+        # primes moves the certificate to larger ones, and degrees up to 13
+        # let f' vanish mod primes up to deg f
+        p = Poly(rest + [lead])
+        for g in planted:
+            p = p * Poly(g) ** 2
+        assume(p.degree >= 1)
+        f = p.int_coeffs()
+        g = polys._int_gcd(f, polys._derivative(f))
+        if polys._squarefree_mod_prime(f):
+            assert len(g) == 1
+        assert polys._int_squarefree(f) == polys._exact_quotient(f, g)
+        assert squarefree_part(p) == squarefree_part_oracle(p)
+        assert squarefree_decomposition(p) == squarefree_decomposition_oracle(p)
+
+    def test_mod_prime_certificate_primes(self):
+        # x^5 + x - 2c: x (x + 1)^4 mod 2, squarefree mod 3
+        assert polys._squarefree_mod_prime([-6, 1, 0, 0, 0, 1])
+        # x^2 - 6 is x^2 mod 2 and mod 3: inconclusive, though squarefree
+        assert not polys._squarefree_mod_prime([-6, 0, 1])
+        # lc 6: the primes are 5 and 7, and 6x^2 - 1 is squarefree mod 5
+        assert polys._squarefree_mod_prime([-1, 0, 6])
+        # (x - 1)^2 (x + 2) stays square mod every prime
+        assert not polys._squarefree_mod_prime([2, -3, 0, 1])
+
 
 class TestIsolation:
     def test_no_real_roots(self):

@@ -21,7 +21,7 @@ from cakelab import (
 )
 from cakelab.cake import _increasing_preimage, poly_at
 from cakelab.factoring import _modp_ddf
-from cakelab.tower import _irreducible_mod, _simple_roots
+from cakelab.tower import _irreducible_ddf, _irreducible_mod, _simple_roots
 
 from _oracle import compositum_step_degrees, radical_degree_oracle
 
@@ -422,3 +422,22 @@ class TestModularTools:
         ddf = _modp_ddf(cs, p)
         irreducible = ddf is not None and ddf[0][0] == len(cs) - 1
         assert _irreducible_mod(cs, p) == irreducible
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 13, 31, 97]),
+        st.lists(st.integers(0, 96), min_size=1, max_size=9),
+        st.lists(st.integers(0, 96), max_size=3),
+    )
+    @example(3, [1, 0], [1, 1])  # (x^2 + 1)(x + 1)^2: not squarefree mod 3
+    def test_early_exit_irreducibility_matches_distinct_degrees(self, p, coeffs, squared):
+        # the issuing test of tower certificates against the full
+        # distinct-degree factorization on random reductions, with some
+        # factors planted twice
+        f = Poly(coeffs + [1])
+        if len(squared) > 1:
+            f = f * Poly(squared) ** 2
+        cs = [int(c) % p for c in f.coeffs]
+        assume(cs and cs[-1] != 0)
+        ddf = _modp_ddf(cs, p)
+        assert _irreducible_ddf(cs, p) == (ddf is not None and ddf[0][0] == len(cs) - 1)
