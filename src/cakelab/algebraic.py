@@ -29,10 +29,12 @@ Key internals:
   the interpreter's limit.
 * Values mixing independent atoms fall back to elimination by power sums
   (Newton's identities) of roots scaled to algebraic integers, guarded by
-  the degree cap.  Past the cap, a sign query decides a zero from the
-  node's operands: a product or quotient multiplies their signs, and a
-  sum or difference compares their minimal polynomials.  Refinement with
-  no limit runs only on a value known to be nonzero.
+  the degree cap.  A sign query that refinement to 2^-128 cannot decide,
+  on a value with no single-atom form, decides a zero from the node's
+  operands and never from the node's own minimal polynomial: a product
+  or quotient multiplies their signs, and a sum or difference compares
+  their minimal polynomials.  Refinement with no limit runs only on a
+  value known to be nonzero.
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.  Folds cancel by operand
@@ -58,7 +60,7 @@ from typing import Optional, Union
 from .dyadic import DyadicInterval
 from .errors import DegreeCapExceeded, ExpressionTooDeep, ZeroPolynomialError
 from .factoring import check_degree, factor_over_Q
-from .ints import _SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
+from .ints import SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
     _drop_content,
@@ -398,7 +400,7 @@ def _quadratic_root(sqf: Poly, iv: DyadicInterval) -> _Node:
     disc = int(a1 * a1 - 4 * a2 * a0)
     assert disc > 0
     square, squarefree = 1, 1
-    for prime in _SMALL_PRIMES:
+    for prime in SMALL_PRIMES:
         e = 0
         while disc % prime == 0:
             disc //= prime
@@ -1072,20 +1074,14 @@ def _sign(node: _Node) -> int:
     s = _sign_by_refinement(node, 8, 128)
     if s is not None:
         return s
-    try:
-        m = _minpoly(node)
-        if m.degree == 1:
-            v = -m.coeff(0) / m.coeff(1)
-            return (v > 0) - (v < 0)
-    except DegreeCapExceeded:
-        # atoms have single-atom forms, so the node is a binary operation:
-        # decide a zero from its operands, so that the refinement below
-        # runs only on a value known to be nonzero
-        if isinstance(node, (_Mul, _Div)):
-            s = _sign(node.a)
-            return s and s * _sign(node.b)
-        if _equal_values(node.a, node.b, negated=isinstance(node, _Add)):
-            return 0
+    # atoms have single-atom forms, so the node is a binary operation:
+    # decide a zero from its operands, so that the refinement below runs
+    # only on a value known to be nonzero
+    if isinstance(node, (_Mul, _Div)):
+        s = _sign(node.a)
+        return s and s * _sign(node.b)
+    if _equal_values(node.a, node.b, negated=isinstance(node, _Add)):
+        return 0
     return _sign_by_refinement(node, max(8, node._ivc[0]))
 
 

@@ -39,9 +39,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
-from .ints import is_probable_prime
+from .ints import SMALL_PRIMES, is_probable_prime, primes
 from .polys import (
     Poly,
     _derivative,
@@ -58,6 +59,7 @@ from .polys import (
     _fp_xgcd,
     _int_mul,
     _int_squarefree_decomposition,
+    _monic_mod,
     squarefree_rational_roots,
 )
 
@@ -85,11 +87,6 @@ def check_degree(n: int, context: str) -> None:
     if n > _degree_cap:
         raise DegreeCapExceeded(n, _degree_cap, context)
 
-
-# The first primes of the factor-degree sieve, and the only primes
-# Eisenstein is tried at.  Primes up to 50 are needed in practice:
-# T^10 + T - 1 has no modular irreducibility witness below 17.
-PROBE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Recombination candidates tried per polynomial before giving up.  Below
 # the default cap there are at most 12 modular factors, whose subsets of
@@ -130,32 +127,33 @@ def eisenstein(p: Poly, q: int, try_reversal: bool = False) -> Eisenstein:
 # -- factorization modulo a prime ---------------------------------------------
 
 
-def _fp_ddf(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[int, list[int]]]:
     """Distinct-degree factorization of a monic squarefree f over F_p:
     pairs (k, monic product of the irreducible factors of degree k), k
-    ascending."""
-    out: list[tuple[int, list[int]]] = []
+    ascending, generated one at a time.  On any monic f of positive degree
+    n the first pair is (n, f) exactly when f is irreducible: otherwise f
+    has an irreducible factor of degree k <= n/2, repeated factors
+    included, and a pair for some k up to that one comes first."""
     work = f
     xq = [0, 1]
     k = 0
     while len(work) > 1:
         k += 1
         if 2 * k > len(work) - 1:
-            out.append((len(work) - 1, work))
-            break
+            yield len(work) - 1, work
+            return
         xq = _fp_powmod(xq, p, work, p)
         diff = _fp_sub(xq, [0, 1], p)
         if not diff:
             # every remaining factor has degree dividing k; since none has
             # degree below k, the remainder splits into degree-k parts
-            out.append((k, work))
-            break
+            yield k, work
+            return
         g = _fp_gcd(work, diff, p)
         if len(g) > 1:
-            out.append((k, g))
+            yield k, g
             work = _fp_divmod(work, g, p)[0]
             xq = _fp_rem(xq, work, p)
-    return out
 
 
 def _fp_edf(g: list[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -189,12 +187,11 @@ def _modp_ddf(f: list[int], q: int) -> list[tuple[int, list[int]]] | None:
     or the reduction is not squarefree)."""
     if f[-1] % q == 0:
         return None
-    inv = pow(f[-1], -1, q)
-    f = [c * inv % q for c in f]
+    f = _monic_mod(f, q)
     deriv = _fp_trim([c % q for c in _derivative(f)])
     if not deriv or len(_fp_gcd(f, deriv, q)) != 1:
         return None
-    return _fp_ddf(f, q)
+    return list(_fp_ddf(f, q))
 
 
 def _modp_degree_pattern(h: Poly, q: int) -> list[int] | None:
@@ -213,15 +210,6 @@ def modp_irreducible(p: Poly, q: int) -> bool:
     return _modp_degree_pattern(p, q) == [p.degree]
 
 
-def _sieve_primes():
-    yield from PROBE_PRIMES
-    q = PROBE_PRIMES[-1]
-    while True:
-        q += 2
-        if is_probable_prime(q):
-            yield q
-
-
 def _degree_sieve(f: list[int]) -> tuple[set[int], int, list[tuple[int, list[int]]]]:
     """Degrees in 2..n-2 that a proper rational factor of the integer
     polynomial f of degree n could have, as constrained by factor-degree
@@ -230,13 +218,13 @@ def _degree_sieve(f: list[int]) -> tuple[set[int], int, list[tuple[int, list[int
     f must be squarefree, so that only finitely many primes are unusable,
     and have no rational root, so that no factor has degree 1 or n-1.  The
     sieve stops at the first usable prime after which no degree survives:
-    an empty set proves irreducibility.  Primes past the probe primes are
-    tried while neither has happened."""
+    an empty set proves irreducibility.  Primes are tried in ascending
+    order while neither has happened."""
     n = len(f) - 1
     allowed: set[int] | None = None
     best: tuple[int, int, list[tuple[int, list[int]]]] | None = None
     usable = 0
-    for q in _sieve_primes():
+    for q in primes():
         ddf = _modp_ddf(f, q)
         if ddf is None:
             continue
@@ -434,7 +422,7 @@ def _factor_squarefree(f: list[int]) -> list[Poly]:
 
 def _certify_irreducible(h: Poly) -> bool:
     """Cheap certificates only; False just means no certificate found.
-    Eisenstein is tried at the probe primes alone: finding larger primes
+    Eisenstein is tried at the small primes alone: finding larger primes
     would mean factoring the coefficients.  Modular certificates come from
     the factor-degree sieve later, and Zassenhaus proves what both miss.
 
@@ -448,7 +436,7 @@ def _certify_irreducible(h: Poly) -> bool:
         nonlead = 0
         for c in cs[:-1]:
             nonlead = math.gcd(nonlead, c)
-        if any(nonlead % q == 0 and _eisenstein_int(cs, q) for q in PROBE_PRIMES):
+        if any(nonlead % q == 0 and _eisenstein_int(cs, q) for q in SMALL_PRIMES):
             return True
     return False
 

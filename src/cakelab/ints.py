@@ -16,9 +16,11 @@ time").
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# The primes below 50: trial division here, the first primes of `primes`,
+# and the only primes Eisenstein's criterion is tried at in factoring.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -49,6 +51,17 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def primes() -> Iterator[int]:
+    """Every prime, ascending: the small primes, then the odd numbers past
+    them that pass `is_probable_prime`."""
+    yield from SMALL_PRIMES
+    q = SMALL_PRIMES[-1]
+    while True:
+        q += 2
+        if is_probable_prime(q):
+            yield q
+
+
 def pollard_rho(n: int) -> int:
     if n % 2 == 0:
         return 2
@@ -72,7 +85,7 @@ def factor_positive(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"cannot factor {n}: not a positive integer")
     out: dict[int, int] = {}
-    for d in _SMALL_PRIMES:
+    for d in SMALL_PRIMES:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -112,7 +125,7 @@ def _perfect_power_root(n: int) -> int:
     bounds k by a fifth of the bit length of n."""
     while True:
         g, m = 0, n
-        for p in _SMALL_PRIMES:
+        for p in SMALL_PRIMES:
             if m % p == 0:
                 e = 0
                 while m % p == 0:

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 
 from .dyadic import DyadicInterval
 from .errors import ZeroPolynomialError
-from .ints import is_probable_prime
+from .ints import primes
 
 
 class Poly:
@@ -407,16 +407,10 @@ def _squarefree_mod_prime(f: list[int]) -> bool:
     a squarefree f can have a repeated factor mod both primes (or f' can
     vanish mod q, for q up to deg f)."""
     df = _derivative(f)
-    q, tried = 2, 0
-    while tried < 2:
-        if f[-1] % q:
-            tried += 1
-            dq = _fp_trim([c % q for c in df])
-            if dq and len(_fp_gcd([c % q for c in f], dq, q)) == 1:
-                return True
-        q += 1
-        while not is_probable_prime(q):
-            q += 1
+    for q in itertools.islice((q for q in primes() if f[-1] % q), 2):
+        dq = _fp_trim([c % q for c in df])
+        if dq and len(_fp_gcd([c % q for c in f], dq, q)) == 1:
+            return True
     return False
 
 
@@ -819,6 +813,11 @@ def _horner_mod(coeffs: Sequence[int], x: int, m: int) -> int:
     return acc
 
 
+def _monic_mod(cs: list[int], p: int) -> list[int]:
+    inv = pow(cs[-1], -1, p)
+    return [c * inv % p for c in cs]
+
+
 def _fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -935,15 +934,11 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
     if len(coeffs) <= 1:
         return roots
     deriv = _derivative(coeffs)
-    q = 2
-    while True:
+    for q in primes():
         if coeffs[-1] % q != 0:
             residues = [a for a in range(q) if _horner_mod(coeffs, a, q) == 0]
             if all(_horner_mod(deriv, a, q) != 0 for a in residues):
                 break
-        q += 1
-        while not is_probable_prime(q):
-            q += 1
     cn = coeffs[-1]
     bound = 2 * (cn + max(abs(c) for c in coeffs[:-1]))
     for a in residues:

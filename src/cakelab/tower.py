@@ -1,9 +1,12 @@
 """Ledger of the field chain produced by query answers.
 
 Each adjunction appends a step with its exact extension degree [K(v) : K]
-over the current field K.  One routine, `Tower._step_degree`, decides it
-and leaves the tower unchanged.  It tries four routes in order, each an
-exact decision:
+over the current field K.  The steps are the tower's state: a nontrivial
+step records the tower atom it adjoins, its lattice form and its relative
+polynomial, and the field's generators, tower atoms, radical lattice and
+triangular set are read off the steps.  One routine, `Tower._step_degree`,
+decides the next step and leaves the tower unchanged.  It tries four
+routes in order, each an exact decision:
 
 1. v in K.  Rational values are trivial steps, and so is every value built
    by field operations from tower atoms alone.  A tower atom is an atom of
@@ -31,13 +34,15 @@ exact decision:
      by Hensel's lemma (dynamic evaluation: Della Dora, Dicrescenzo &
      Duval 1985).  Values of K reduce mod p by evaluating their DAG with
      each a_i mapped to r_i.  If R then reduces to an irreducible
-     polynomial of full degree (`_irreducible_ddf`, distinct degrees with
-     an early exit), R is irreducible over the p-adic numbers by Gauss's
-     lemma, hence over K, and the step degree is deg R.  The
-     step stores (p, chain), and `verify_lemma1` rechecks it.  Every chain
-     at a prime is tried, chains are cached per prime across steps, and
-     at most CERTIFICATE_PRIMES primes are tried per step.
-4. Compositum.  Otherwise a primitive element of K(v) is built
+     polynomial of full degree (its distinct-degree factorization,
+     `factoring._fp_ddf`, starts at deg R), R is irreducible over the
+     p-adic numbers by Gauss's lemma, hence over K, and the step degree
+     is deg R.  The step stores (p, chain), and `verify_lemma1` rechecks
+     it.  Every chain at a prime is tried, chains are cached per prime
+     across steps, and at most CERTIFICATE_PRIMES primes are tried per
+     step.
+4. Compositum.  Otherwise a primitive element of K is folded from the
+   generators of the nontrivial steps on demand, and then one of K(v)
    (`_compositum`), with eliminations guarded by the degree cap; past the
    cap the adjunction raises MembershipUndecidable instead of guessing.  A
    step decided here joins the triangular set only when one of v's
@@ -73,8 +78,8 @@ from .algebraic import (
     uncounted,
 )
 from .errors import DegreeCapExceeded, MembershipUndecidable, TowerCertificateError
-from .factoring import _sieve_primes, degree_cap
-from .ints import coprime_base, factor_positive, is_probable_prime
+from .factoring import _fp_ddf, degree_cap
+from .ints import coprime_base, factor_positive, is_probable_prime, primes
 from .polys import (
     Poly,
     _derivative,
@@ -83,6 +88,7 @@ from .polys import (
     _fp_rem,
     _fp_sub,
     _horner_mod,
+    _monic_mod,
     squarefree_part,
 )
 
@@ -202,11 +208,27 @@ def _group_membership(
     return _hnf_membership(tvec, cols)
 
 
+def _radical_degree(radicand: Fraction, d: int, gens: list[tuple[Fraction, int]]) -> int:
+    """Degree of adjoining the real d-th root of a rational over the field
+    of the radicals gens = [(radicand, index)] with rational radicands: the
+    least divisor m of d for which the m-th power of the new radical
+    already sits in the field.  The exponent vectors are built once; powers
+    only scale the radicand's."""
+    vec, gen_vecs = _radical_vectors(radicand, gens)
+    for m in range(1, d + 1):
+        if d % m != 0:
+            continue
+        target = [Fraction(c * m, d) for c in vec]
+        if _group_membership(target, gen_vecs):
+            return m
+    return d
+
+
 # -- compositum degrees ----------------------------------------------------------
 
 
-def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[int, AlgebraicNumber]:
-    """([Q(a,b) : Q], primitive element) via a shifted sum a + c*b.
+def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
+    """A primitive element of Q(a, b), a shifted sum a + c*b.
 
     A shift is accepted once the elimination polynomial is squarefree,
     which forces a + c*b to separate conjugate pairs and hence generate
@@ -226,9 +248,21 @@ def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> tuple[int, AlgebraicN
             mbc = mb.compose(Poly([Fraction(0), Fraction(1, c)])).primitive()
         elim = _binary_elimination("add", ma, mbc)
         if squarefree_part(elim).degree == elim.degree:
-            theta = a + b * c
-            return theta.minimal_polynomial().degree, theta
+            return a + b * c
         c += 1
+
+
+def _compositum_degree(gens: list[AlgebraicNumber], value: AlgebraicNumber) -> int:
+    """[K(value) : K] for K = Q(gens): a primitive element of K folded
+    from the generators by `_compositum`, then its compositum with value."""
+    theta = gens[0]
+    for g in gens[1:]:
+        theta = _compositum(theta, g)
+    old_total = theta.minimal_polynomial().degree
+    new_total = _compositum(theta, value).minimal_polynomial().degree
+    if new_total % old_total != 0:
+        raise AssertionError("tower degrees must be multiplicative")
+    return new_total // old_total
 
 
 # -- relative polynomials modulo degree-1 primes -----------------------------------
@@ -285,11 +319,6 @@ class RelativePoly:
         return cs
 
 
-def _monic_mod(cs: list[int], p: int) -> list[int]:
-    inv = pow(cs[-1], -1, p)
-    return [c * inv % p for c in cs]
-
-
 def _simple_roots(cs: list[int], p: int) -> list[int]:
     """The simple roots mod p, ascending, of the polynomial with
     coefficients cs (reduced, nonzero leading coefficient).  They are roots
@@ -312,22 +341,6 @@ def _simple_roots(cs: list[int], p: int) -> list[int]:
                     break
     df = _derivative(f)
     return [r for r in roots if _horner_mod(df, r, p)]
-
-
-def _irreducible_ddf(cs: list[int], p: int) -> bool:
-    """Is the polynomial with coefficients cs (reduced, nonzero leading
-    coefficient) irreducible over F_p?  A monic f of degree n is exactly
-    when gcd(f, x^(p^k) - x) = 1 for k = 1..n/2, since any other f,
-    repeated factors included, has an irreducible factor of degree at most
-    n/2.  Stops at the first k with a common factor."""
-    f = _monic_mod(cs, p)
-    x = _fp_rem([0, 1], f, p)
-    xq = x  # x^(p^k) mod f
-    for _ in range((len(f) - 1) // 2):
-        xq = _fp_powmod(xq, p, f, p)
-        if len(_fp_gcd(f, _fp_sub(xq, x, p), p)) > 1:
-            return False
-    return True
 
 
 def _irreducible_mod(cs: list[int], p: int) -> bool:
@@ -357,10 +370,12 @@ class StepKind(enum.Enum):
 
 @dataclass
 class ExtensionStep:
-    """One adjunction.  relative is the minimal polynomial of the step's
-    tower atom over the field below, when known; certificate is (p, chain)
-    when a degree-1 prime decided the degree, chain holding the roots mod p
-    of the earlier steps' relative polynomials."""
+    """One adjunction.  A nontrivial step also records what it brings to
+    the field: atom, the tower atom it adjoins, when known; form, the
+    (radicand, index) of a step decided on the radical lattice; relative,
+    the minimal polynomial of atom over the field below, when known; and
+    certificate, (p, chain) when a degree-1 prime decided the degree, chain
+    holding the roots mod p of the earlier steps' relative polynomials."""
 
     generator: AlgebraicNumber
     kind: StepKind
@@ -370,11 +385,55 @@ class ExtensionStep:
     radicand: Optional[AlgebraicNumber] = None
     relative: Optional[RelativePoly] = None
     certificate: Optional[tuple[int, tuple[int, ...]]] = None
+    form: Optional[tuple[Fraction, int]] = None
+    atom: Optional[_Node] = None
 
     def kind_label(self) -> str:
         if self.kind is StepKind.RADICAL:
             return f"radical^{self.radical_index}"
         return self.kind.value
+
+
+def _step(value: AlgebraicNumber, degree: int, **parts) -> ExtensionStep:
+    """A decided step, before the adjunction names its kind and source; a
+    trivial step brings nothing to the field."""
+    if degree == 1:
+        return ExtensionStep(value, StepKind.TRIVIAL, 1, "")
+    return ExtensionStep(value, StepKind.ALGEBRAIC, degree, "", **parts)
+
+
+def _triangular_set(steps: list[ExtensionStep]) -> Optional[list[RelativePoly]]:
+    """The relative polynomials of the nontrivial steps, in order: the
+    triangular set of the field the steps generate.  None once a
+    nontrivial step has no relative polynomial of its degree at an atom."""
+    out = []
+    for s in steps:
+        if s.degree > 1:
+            if s.relative is None or s.relative.atom is None:
+                return None
+            out.append(s.relative)
+    return out
+
+
+def _images(tri: list[RelativePoly], chain: tuple[int, ...]) -> dict[int, int]:
+    return {id(rel.atom): r for rel, r in zip(tri, chain)}
+
+
+def _in_field(node: _Node, atoms: set[int]) -> bool:
+    """Is the value built from tower atoms (by id) alone?  Then it lies in K."""
+    return bool(atoms) and all(id(a) in atoms for a in _dag_atoms(node))
+
+
+def _cut_relative(node: _Node, atoms: set[int]) -> Optional[RelativePoly]:
+    """F(t) - target for a cut answer of the CDF F, and t^d - radicand for
+    a d-th root, when the target lies in K; None otherwise."""
+    if isinstance(node, _CutRootAtom):
+        cdf, target = node.cdf, node.target
+    elif isinstance(node, _RootAtom) and not isinstance(node.operand, Fraction):
+        cdf, target = Poly.monomial(node.index), node.operand
+    else:
+        return None
+    return RelativePoly(node, cdf, target) if _in_field(target, atoms) else None
 
 
 @dataclass
@@ -390,35 +449,14 @@ class Lemma1Report:
         return not self.violations
 
 
-@dataclass
-class _Decision:
-    """What `Tower._step_degree` decided: the degree, and for a nontrivial
-    step the state it brings.  form is the lattice route's (radicand,
-    index); theta a primitive element of K(v) when one is at hand; atom the
-    new tower atom."""
-
-    degree: int
-    form: Optional[tuple[Fraction, int]] = None
-    theta: Optional[AlgebraicNumber] = None
-    atom: Optional[_Node] = None
-    relative: Optional[RelativePoly] = None
-    certificate: Optional[tuple[int, tuple[int, ...]]] = None
-
-
 class Tower:
-    """Single-writer ledger of field extensions above the rationals."""
+    """Single-writer ledger of field extensions above the rationals.  The
+    steps are its state: the generators, tower atoms, lattice forms and
+    triangular set of the current field are read off them."""
 
     def __init__(self, allow_mediator_sqrt: bool = False):
         self.steps: list[ExtensionStep] = []
         self.allow_mediator_sqrt = allow_mediator_sqrt
-        self._rational_radical_gens: list[tuple[Fraction, int]] = []
-        self._pure_rational_radicals = True
-        self._gen_values: list[AlgebraicNumber] = []
-        self._primitive: Optional[AlgebraicNumber] = None
-        self._atoms: dict[int, _Node] = {}  # tower atoms by id
-        # the triangular set, one relative polynomial per nontrivial step;
-        # None once a step has none of its degree
-        self._chain: Optional[list[RelativePoly]] = []
         # (depth, chains) per prime: the chains of simple roots through the
         # first depth steps of the triangular set
         self._roots: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
@@ -430,26 +468,6 @@ class Tower:
             out *= s.degree
         return out
 
-    def primitive_element(self) -> Optional[AlgebraicNumber]:
-        """Primitive element of the current field (None while it is Q).
-        Built on demand; may raise MembershipUndecidable past the cap."""
-        self._ensure_primitive()
-        return self._primitive
-
-    def primitive_minpoly(self) -> Poly:
-        theta = self.primitive_element()
-        if theta is None:
-            return Poly([0, 1])
-        return theta.minimal_polynomial()
-
-    def _ensure_primitive(self) -> None:
-        if self._primitive is not None or not self._gen_values:
-            return
-        theta = self._gen_values[0]
-        for g in self._gen_values[1:]:
-            _, theta = _compositum(theta, g)
-        self._primitive = theta
-
     # -- adjunction -------------------------------------------------------------
 
     def adjoin(
@@ -458,21 +476,14 @@ class Tower:
         claimed_radical: Optional[tuple[int, AlgebraicNumber]] = None,
         source: str = "",
     ) -> ExtensionStep:
-        kind = StepKind.TRIVIAL
-        index: Optional[int] = None
-        radicand: Optional[AlgebraicNumber] = None
-        claim: Optional[tuple[Fraction, int]] = None
-        if claimed_radical is not None:
-            index, radicand = claimed_radical
-            if (value**index - radicand).sign() != 0:
-                raise ValueError("radical witness does not verify")
-            kind = StepKind.RADICAL
-            r = radicand.as_rational()
-            if r is not None:
-                claim = (r, index)
-        step = self._adjoin_value(value, kind, index, radicand, source, claim)
-        self.steps.append(step)
-        return step
+        if claimed_radical is None:
+            return self._adjoin_value(value, StepKind.TRIVIAL, None, None, source)
+        index, radicand = claimed_radical
+        if (value**index - radicand).sign() != 0:
+            raise ValueError("radical witness does not verify")
+        r = radicand.as_rational()
+        claim = None if r is None else (r, index)
+        return self._adjoin_value(value, StepKind.RADICAL, index, radicand, source, claim)
 
     def adjoin_trivial(self, value: AlgebraicNumber, source: str = "") -> ExtensionStep:
         """Record a step for a value already known to lie in the current
@@ -491,10 +502,7 @@ class Tower:
             raise MembershipUndecidable("mediator square roots are disabled for this tower")
         if radicand.sign() < 0:
             raise ValueError("square root of a negative value")
-        value = radicand.root(2)
-        step = self._adjoin_value(value, StepKind.SQRT, 2, radicand, source)
-        self.steps.append(step)
-        return step
+        return self._adjoin_value(radicand.root(2), StepKind.SQRT, 2, radicand, source)
 
     def _adjoin_value(
         self,
@@ -505,51 +513,37 @@ class Tower:
         source: str,
         claim: Optional[tuple[Fraction, int]] = None,
     ) -> ExtensionStep:
-        d = self._step_degree(value, claim)
-        if d.degree == 1:
-            return ExtensionStep(value, StepKind.TRIVIAL, 1, source, index, radicand)
-        if d.form is not None:
-            self._rational_radical_gens.append(d.form)
-        else:
-            self._pure_rational_radicals = False
-        self._primitive = d.theta  # None: rebuilt on demand
-        self._gen_values.append(value)
-        if d.atom is not None:
-            self._atoms[id(d.atom)] = d.atom
-        if self._chain is not None:
-            if d.relative is not None and d.relative.atom is not None:
-                self._chain.append(d.relative)
-            else:
-                self._chain = None
-                self._roots.clear()
-        if kind is StepKind.TRIVIAL:
-            kind = StepKind.ALGEBRAIC
-        return ExtensionStep(value, kind, d.degree, source, index, radicand, d.relative, d.certificate)
+        step = self._step_degree(value, claim)
+        if step.degree > 1 and kind is not StepKind.TRIVIAL:
+            step.kind = kind
+        step.source, step.radical_index, step.radicand = source, index, radicand
+        self.steps.append(step)
+        return step
 
+    @uncounted()
     def _step_degree(
         self, value: AlgebraicNumber, claim: Optional[tuple[Fraction, int]] = None
-    ) -> _Decision:
-        """[K(value) : K] over the current field K and the state a step
-        would bring, leaving the tower unchanged.  claim is the (radicand,
-        index) of a verified radical witness with a rational radicand."""
-        with uncounted():
-            return self._decide(value, claim)
-
-    def _decide(self, value: AlgebraicNumber, claim: Optional[tuple[Fraction, int]]) -> _Decision:
+    ) -> ExtensionStep:
+        """The step that adjoining value would append, its degree
+        [K(value) : K] decided over the current field K, leaving the tower
+        unchanged.  claim is the (radicand, index) of a verified radical
+        witness with a rational radicand."""
         node = value._node
-        if value.as_rational() is not None or self._in_field(node):
-            return _Decision(1)
-        if self._pure_rational_radicals:
+        below = [s for s in self.steps if s.degree > 1]
+        atoms = {id(s.atom) for s in below if s.atom is not None}
+        if value.as_rational() is not None or _in_field(node, atoms):
+            return _step(value, 1)
+        if all(s.form is not None for s in below):
             form = rational_radical_form(value) or claim
             if form is not None:
-                deg = self._radical_degree(*form)
+                deg = _radical_degree(*form, [s.form for s in below])
                 if deg == 1:
-                    return _Decision(1)
+                    return _step(value, 1)
                 atom = nth_root(*form)._node
                 m = _minpoly(atom)
                 rel = RelativePoly(atom, m) if m.degree == deg else None
-                return _Decision(deg, form=form, atom=atom, relative=rel)
-        rel = self._cut_relative(node)
+                return _step(value, deg, form=form, atom=atom, relative=rel)
+        rel = _cut_relative(node, atoms)
         if rel is None:
             try:
                 mv = value.minimal_polynomial()
@@ -559,100 +553,65 @@ class Tower:
                 atom = _generating_atom(node)
                 rel = RelativePoly(atom, mv if atom is None else _minpoly(atom))
                 if math.gcd(rel.degree, self.total_degree) == 1:
-                    theta = None if self._gen_values else value
-                    return _Decision(rel.degree, theta=theta, atom=atom, relative=rel)
-        if rel is not None and self._chain is not None:
-            cert = self._certify(rel)
+                    return _step(value, rel.degree, atom=atom, relative=rel)
+        tri = _triangular_set(self.steps)
+        if rel is not None and tri is not None:
+            cert = self._certify(rel, tri)
             if cert is not None:
-                return _Decision(rel.degree, atom=rel.atom, relative=rel, certificate=cert)
-        if not self._gen_values:
-            return _Decision(value.minimal_polynomial().degree, theta=value)
-        self._ensure_primitive()
-        old_total = self._primitive.minimal_polynomial().degree
-        new_total, theta = _compositum(self._primitive, value)
-        if new_total % old_total != 0:
-            raise AssertionError("tower degrees must be multiplicative")
-        deg = new_total // old_total
+                return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=cert)
+        if not below:
+            return _step(value, value.minimal_polynomial().degree)
+        deg = _compositum_degree([s.generator for s in below], value)
         relative = None
         if rel is not None and rel.atom is not None:
             if rel.degree == deg:
                 relative = rel
             elif rel.target is not None and value.minimal_polynomial().degree == deg:
                 relative = RelativePoly(rel.atom, value.minimal_polynomial())
-        return _Decision(deg, theta=theta, atom=rel.atom if rel else None, relative=relative)
+        return _step(value, deg, atom=rel.atom if rel else None, relative=relative)
 
-    def _in_field(self, node: _Node) -> bool:
-        """Is the value built from tower atoms alone?  Then it lies in K."""
-        return bool(self._atoms) and all(id(a) in self._atoms for a in _dag_atoms(node))
-
-    def _cut_relative(self, node: _Node) -> Optional[RelativePoly]:
-        """F(t) - target for a cut answer of the CDF F, and t^d - radicand
-        for a d-th root, when the target lies in K; None otherwise."""
-        if isinstance(node, _CutRootAtom):
-            cdf, target = node.cdf, node.target
-        elif isinstance(node, _RootAtom) and not isinstance(node.operand, Fraction):
-            cdf, target = Poly.monomial(node.index), node.operand
-        else:
-            return None
-        return RelativePoly(node, cdf, target) if self._in_field(target) else None
-
-    def _images(self, chain: tuple[int, ...]) -> dict[int, int]:
-        return {id(rel.atom): r for rel, r in zip(self._chain, chain)}
-
-    def _chains(self, p: int) -> list[tuple[int, ...]]:
-        """Every chain of simple roots at p through the triangular set,
+    def _chains(self, p: int, tri: list[RelativePoly]) -> list[tuple[int, ...]]:
+        """Every chain of simple roots at p through the triangular set tri,
         in lexicographic order: the degree-1 primes of K above p at which
         the chain embeds K.  Cached per prime and extended as steps come."""
         depth, chains = self._roots.get(p, (0, [()]))
-        while chains and depth < len(self._chain):
-            rel = self._chain[depth]
+        while chains and depth < len(tri):
+            rel = tri[depth]
             grown = []
             for c in chains:
-                cs = rel.reduce(p, self._images(c))
+                cs = rel.reduce(p, _images(tri, c))
                 if cs is not None:
                     grown.extend(c + (r,) for r in _simple_roots(cs, p))
             chains = grown
             depth += 1
-        self._roots[p] = (len(self._chain), chains)
+        self._roots[p] = (len(tri), chains)
         return chains
 
-    def _certify(self, rel: RelativePoly) -> Optional[tuple[int, tuple[int, ...]]]:
+    def _certify(self, rel: RelativePoly, tri: list[RelativePoly]) -> Optional[tuple[int, tuple[int, ...]]]:
         """(p, chain) for the first chain at which R reduces to an
         irreducible polynomial of full degree, trying at most
-        CERTIFICATE_PRIMES primes that `RelativePoly.may_certify` admits."""
+        CERTIFICATE_PRIMES primes that `RelativePoly.may_certify` admits.
+        The reduction is irreducible exactly when its distinct-degree
+        factorization starts at its own degree."""
 
         def irreducible_at(p: int, chain: tuple[int, ...]) -> bool:
-            cs = rel.reduce(p, self._images(chain))
-            return cs is not None and _irreducible_ddf(cs, p)
+            cs = rel.reduce(p, _images(tri, chain))
+            return cs is not None and next(_fp_ddf(_monic_mod(cs, p), p))[0] == rel.degree
 
         tried = 0
-        for p in _sieve_primes():
+        for p in primes():
             if not rel.may_certify(p):
                 continue
             if rel.target is None:
                 # R reduces alike at every chain of p: test it before building any
-                chain = next(iter(self._chains(p)), None) if irreducible_at(p, ()) else None
+                chain = next(iter(self._chains(p, tri)), None) if irreducible_at(p, ()) else None
             else:
-                chain = next((c for c in self._chains(p) if irreducible_at(p, c)), None)
+                chain = next((c for c in self._chains(p, tri) if irreducible_at(p, c)), None)
             if chain is not None:
                 return p, chain
             tried += 1
             if tried == CERTIFICATE_PRIMES:
                 return None
-
-    def _radical_degree(self, radicand: Fraction, d: int) -> int:
-        """Degree of adjoining the real d-th root of a rational over a tower
-        of rational-radicand radicals: the least divisor m of d for which
-        the m-th power of the new radical already sits in the field.  The
-        exponent vectors are built once; powers only scale the radicand's."""
-        vec, gen_vecs = _radical_vectors(radicand, self._rational_radical_gens)
-        for m in range(1, d + 1):
-            if d % m != 0:
-                continue
-            target = [Fraction(c * m, d) for c in vec]
-            if _group_membership(target, gen_vecs):
-                return m
-        return d
 
     # -- queries -----------------------------------------------------------------
 
@@ -693,17 +652,11 @@ def _recheck_certificates(steps: list[ExtensionStep]) -> None:
     each chain root is a simple root mod p of its step's relative
     polynomial reduced at the roots before it, and the step's own relative
     polynomial reduces to an irreducible one of the step's degree (Rabin's
-    test, not the early-exit distinct-degree test that issued it).  Raises
+    test, not the distinct-degree test that issued it).  Raises
     TowerCertificateError on the first mismatch."""
-    chain: Optional[list[RelativePoly]] = []
     for i, s in enumerate(steps):
         if s.certificate is not None:
-            _recheck_step(i, s, chain)
-        if s.degree > 1 and chain is not None:
-            if s.relative is not None and s.relative.atom is not None:
-                chain.append(s.relative)
-            else:
-                chain = None
+            _recheck_step(i, s, _triangular_set(steps[:i]))
 
 
 def _recheck_step(i: int, step: ExtensionStep, chain: Optional[list[RelativePoly]]) -> None:

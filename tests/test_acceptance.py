@@ -28,7 +28,8 @@ from cakelab import (
     welfare,
 )
 from cakelab.cli import main as cli_main
-from cakelab.factoring import PROBE_PRIMES, modp_irreducible
+from cakelab.factoring import modp_irreducible
+from cakelab.ints import SMALL_PRIMES
 from cakelab.polys import rational_roots
 
 from _corpus import corpus, mixed_quadratic, mixed_quintic, power, uniform
@@ -127,7 +128,7 @@ def test_05_selmer_conformance():
                 assert not rational_roots(p)
                 assert kronecker_find_factor(p.int_coeffs(), d // 2) is None
             else:
-                assert any(modp_irreducible(p, q) for q in PROBE_PRIMES)
+                assert any(modp_irreducible(p, q) for q in SMALL_PRIMES)
     assert reducible == [5, 11]
     report(5, "trinomial classification reducible exactly at d in {5, 11}")
 

@@ -250,6 +250,19 @@ class TestSign:
         assert ((r2 + fifth) + (0 - (fifth + r2))).sign() == 0
         assert ((r2 + fifth) + (fifth + r2)).sign() == 1
 
+    def test_tie_leaves_the_nodes_minimal_polynomial_unset(self):
+        # refinement cannot separate these zeros and neither has a
+        # single-atom form; the operands decide them, so neither node's
+        # own minimal polynomial is built, although the difference's is
+        # within the cap
+        r2, r3 = nth_root(2, 2), nth_root(3, 2)
+        z = r2 * r3 - r3 * r2
+        v = z * t_star()
+        assert isinstance(z._node, alg._Sub) and isinstance(v._node, alg._Mul)
+        assert v.sign() == 0 and z.sign() == 0
+        assert z._node._mp is None and v._node._mp is None
+        assert str(z.minimal_polynomial()) == "x"
+
     def test_deep_identity(self):
         t = t_star()
         assert (t**5 + t - 1).sign() == 0  # t^5+t-1 = (t^2-t+1)(t^3+t^2-1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from cakelab import (
     poly_gcd,
     rational_roots,
 )
-from cakelab import factoring, polys
+from cakelab import factoring, ints, polys
 from cakelab.cli import main as cli_main
 from cakelab.factoring import FactorSearchBudget, modp_irreducible
 from cakelab.ints import coprime_base, factor_positive
@@ -40,6 +41,19 @@ class TestFactorPositive:
     def test_rejects_nonpositive(self, n):
         with pytest.raises(ValueError):
             factor_positive(n)
+
+
+class TestPrimes:
+    def test_against_a_sieve(self):
+        n = 10**4
+        sieve = [True] * (n + 1)
+        sieve[0] = sieve[1] = False
+        for i in range(2, math.isqrt(n) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(range(i * i, n + 1, i))
+        expected = [i for i, is_prime in enumerate(sieve) if is_prime]
+        assert list(itertools.takewhile(lambda q: q <= n, ints.primes())) == expected
+        assert ints.SMALL_PRIMES == tuple(q for q in expected if q < 50)
 
 
 class TestCoprimeBase:
@@ -319,7 +333,7 @@ class TestZassenhaus:
         for k, part in factoring._fp_ddf(f, p):
             for u in factoring._fp_edf(part, k, p, rng):
                 assert len(u) - 1 == k and u[-1] == 1
-                assert factoring._fp_ddf(u, p) == [(k, u)]
+                assert list(factoring._fp_ddf(u, p)) == [(k, u)]
                 product = polys._fp_mul(product, u, p)
         assert product == f
 
@@ -347,9 +361,9 @@ class TestZassenhaus:
     def test_no_usable_probe_prime(self):
         # the leading coefficient vanishes modulo every probe prime, so the
         # sieve and Zassenhaus work modulo larger primes
-        lead = math.prod(factoring.PROBE_PRIMES)
+        lead = math.prod(ints.SMALL_PRIMES)
         a, b = Poly([1, 1, lead]), X**2 + X + c(1)
-        assert all(factoring._modp_ddf((a * b).int_coeffs(), q) is None for q in factoring.PROBE_PRIMES)
+        assert all(factoring._modp_ddf((a * b).int_coeffs(), q) is None for q in ints.SMALL_PRIMES)
         assert [f for f, _ in factor_over_Q(a * b).factors] == [b, a]
 
     def test_swinnerton_dyer(self, monkeypatch):

@@ -19,13 +19,25 @@ from cakelab import (
     even_paz,
     nth_root,
 )
+from cakelab import tower
 from cakelab.cake import _increasing_preimage, poly_at
-from cakelab.factoring import _modp_ddf
-from cakelab.tower import _irreducible_ddf, _irreducible_mod, _simple_roots
+from cakelab.factoring import _fp_ddf, _modp_ddf
+from cakelab.polys import _monic_mod
+from cakelab.tower import _irreducible_mod, _radical_degree, _simple_roots
 
 from _oracle import compositum_step_degrees, radical_degree_oracle
 
 A = AlgebraicNumber
+
+
+def _ledger(tw):
+    """A snapshot of every field of every step: the whole of the tower's
+    state but its cache of root chains."""
+    return [dict(vars(s)) for s in tw.steps]
+
+
+def _no_compositum(a, b):
+    raise AssertionError("decided through a primitive element")
 
 
 class TestDegreeObstruction:
@@ -82,12 +94,13 @@ class TestAdjoin:
         assert step.degree == 2
 
     def test_multiplicativity_with_primitive(self):
-        # total degree must match the primitive element's minpoly degree
+        # total degree must match the degree of a primitive element
         tw = Tower()
-        tw.adjoin(nth_root(2, 2), claimed_radical=(2, A(2)))
-        tw.adjoin(nth_root(3, 2), claimed_radical=(2, A(3)))
+        values = [nth_root(2, 2), nth_root(3, 2)]
+        tw.adjoin(values[0], claimed_radical=(2, A(2)))
+        tw.adjoin(values[1], claimed_radical=(2, A(3)))
         assert tw.total_degree == 4
-        assert tw.primitive_minpoly().degree == 4
+        assert math.prod(compositum_step_degrees(values)) == 4
         prod = 1
         for s in tw.steps:
             prod *= s.degree
@@ -147,9 +160,10 @@ class TestRadicalDegree:
     @example(Fraction(6), 6, [(Fraction(12), 2), (Fraction(3), 3)])
     def test_against_prime_oracle(self, b, d, gens):
         tw = Tower()
-        tw._rational_radical_gens = gens
+        for r, k in gens:
+            tw.adjoin(nth_root(r, k), claimed_radical=(k, A(r)))
         expected = radical_degree_oracle(b, d, gens)
-        assert tw._radical_degree(b, d) == expected
+        assert _radical_degree(b, d, gens) == expected
         assert tw.is_pth_power(A(b), d) == (expected == 1)
 
     @settings(max_examples=60, deadline=None)
@@ -168,14 +182,10 @@ class TestRadicalDegree:
             step = tw.adjoin(nth_root(r, d), claimed_radical=(d, A(r)))
             assert step.degree == radical_degree_oracle(r, d, gens)
             gens.append((r, d))
-        assert tw._pure_rational_radicals
-
-        def state():
-            return (tw.steps[:], tw._rational_radical_gens[:], tw._gen_values[:], tw._primitive)
-
-        before = state()
+        assert all(s.form is not None for s in tw.steps if s.degree > 1)
+        before = _ledger(tw)
         assert tw.is_pth_power(A(b), p) == (radical_degree_oracle(b, p, gens) == 1)
-        assert state() == before
+        assert _ledger(tw) == before
 
     def test_semiprime_radicands(self):
         # factoring M61 * M89 took minutes; the coprime base needs gcds only
@@ -206,13 +216,13 @@ class TestIsPthPower:
         # asking must not make the root a generator, even of an empty tower
         tw = Tower()
         assert tw.is_pth_power(1 + nth_root(2, 2), 2) is False
-        assert tw._primitive is None and not tw._gen_values and tw._pure_rational_radicals
+        assert tw.steps == []
         r = A.real_root(Poly([-1, -1, 0, 1]), 1, 2)  # x^3 - x - 1
         assert tw.adjoin(r).degree == 3
-        theta = tw._primitive
+        before = _ledger(tw)
         assert tw.is_pth_power(r * r, 2) is True
         assert tw.is_pth_power(r, 2) is False
-        assert tw._primitive is theta and tw._gen_values == [r] and len(tw.steps) == 1
+        assert _ledger(tw) == before and len(tw.steps) == 1 and tw.steps[0].generator is r
 
     def test_negative_even_rejected(self):
         with pytest.raises(ValueError):
@@ -332,6 +342,26 @@ class TestRelativeTower:
         tw.verify_lemma1(2)  # every stored certificate rechecks
 
     @pytest.mark.degree_cap(48)
+    @settings(max_examples=25, deadline=None)
+    @given(_CUTS, st.sampled_from([Fraction(2), Fraction(1, 3)]), st.sampled_from([2, 3]))
+    def test_pth_power_queries_leave_the_steps_alone(self, cuts, b, p):
+        values = []
+        for (k, (i, j)), start, share in cuts:
+            starts = [A(0), A(Fraction(1, 5))] + values
+            values.append(_cut(_mixture(k, i, j), starts[start % len(starts)], share))
+        tw = Tower()
+        _adjoin_all(tw, values)
+        before = _ledger(tw)
+        for v in (A(b), tw.steps[0].generator):
+            try:
+                tw.is_pth_power(v, p)
+            except (MembershipUndecidable, DegreeCapExceeded):
+                pass
+            assert _ledger(tw) == before
+        report = tw.verify_lemma1(p)  # every stored certificate rechecks
+        assert report.violations == [i for i, s in enumerate(tw.steps) if s.degree not in (1, p)]
+
+    @pytest.mark.degree_cap(48)
     def test_cut_landing_on_a_tower_point(self):
         # y's target is irrational, so the landing cut is a new atom whose
         # cut polynomial has the root y in K: no prime certifies it, and the
@@ -345,15 +375,14 @@ class TestRelativeTower:
         assert again._node is not y._node
         assert tw.adjoin(again).degree == 1
 
-    def test_value_of_the_field_is_trivial(self):
+    def test_value_of_the_field_is_trivial(self, monkeypatch):
         f, g = _mixture(3, 1, 3), _mixture(5, 2, 4)
         y1 = _cut(f, A(0), Fraction(1, 2))
         y2 = _cut(g, y1, Fraction(1, 3))
         tw = Tower()
         assert _adjoin_all(tw, [y1, y2]) == [3, 4]
-        primitive = tw._primitive
+        monkeypatch.setattr(tower, "_compositum", _no_compositum)
         assert tw.adjoin(y1 * y2 - y2 / 7).degree == 1
-        assert tw._primitive is primitive  # decided without a primitive element
 
     def _even_paz_3_6(self):
         # a cubic cut point, then (1/2)^(1/6): the compositum needs degree
@@ -397,13 +426,13 @@ class TestRelativeTower:
         with pytest.raises(TowerCertificateError, match="not irreducible"):
             tw.verify_lemma1(3)
 
-    def test_claimed_radical_without_atom_form_keeps_the_lattice(self):
+    def test_claimed_radical_without_atom_form_keeps_the_lattice(self, monkeypatch):
+        monkeypatch.setattr(tower, "_compositum", _no_compositum)
         tw = Tower()
         step = tw.adjoin(nth_root(2, 2) * nth_root(3, 2), claimed_radical=(2, A(6)))
-        assert step.degree == 2 and tw._pure_rational_radicals
+        assert step.degree == 2 and step.form == (6, 2)
         assert tw.adjoin(nth_root(10, 2), claimed_radical=(2, A(10))).degree == 2
-        assert tw._pure_rational_radicals and tw._primitive is None
-        assert tw._rational_radical_gens == [(6, 2), (10, 2)]
+        assert [s.form for s in tw.steps if s.degree > 1] == [(6, 2), (10, 2)]
         # sqrt(15) = sqrt(6) sqrt(10) / 2 is in the field; sqrt(2) is not
         assert tw.adjoin(nth_root(15, 2), claimed_radical=(2, A(15))).degree == 1
         assert tw.is_pth_power(A(2), 2) is False
@@ -431,13 +460,14 @@ class TestModularTools:
     )
     @example(3, [1, 0], [1, 1])  # (x^2 + 1)(x + 1)^2: not squarefree mod 3
     def test_early_exit_irreducibility_matches_distinct_degrees(self, p, coeffs, squared):
-        # the issuing test of tower certificates against the full
-        # distinct-degree factorization on random reductions, with some
-        # factors planted twice
+        # the issuing test of tower certificates, the first pair of the
+        # distinct-degree generator, against the full factorization on
+        # random reductions, with some factors planted twice
         f = Poly(coeffs + [1])
         if len(squared) > 1:
             f = f * Poly(squared) ** 2
         cs = [int(c) % p for c in f.coeffs]
         assume(cs and cs[-1] != 0)
         ddf = _modp_ddf(cs, p)
-        assert _irreducible_ddf(cs, p) == (ddf is not None and ddf[0][0] == len(cs) - 1)
+        first = next(_fp_ddf(_monic_mod(cs, p), p))
+        assert (first[0] == len(cs) - 1) == (ddf is not None and ddf[0][0] == len(cs) - 1)
