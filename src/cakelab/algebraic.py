@@ -622,7 +622,24 @@ def _value_if_rational(node: _Node) -> Optional[Fraction]:
     return -m.coeff(0) / m.coeff(1) if m.degree == 1 else None
 
 
-def _refine_to(node: _Node, eps: Fraction) -> tuple[Fraction, Fraction]:
+def _log2_ceil(q: Fraction) -> int:
+    """The least j >= 0 with 2^j >= q."""
+    n, d = q.numerator, q.denominator
+    j = max(0, n.bit_length() - d.bit_length())
+    return j + 1 if d << j < n else j
+
+
+def _refine_to(node: _Node, eps: Fraction, b: Optional[int] = None) -> tuple[Fraction, Fraction]:
+    """An enclosure of the node's value at most eps wide.
+
+    The effort reaches its target b, by default the least with 2^-b <= eps,
+    once: it doubles from 8 while 4k <= b and then steps to b, where an
+    atom's enclosure is at most 2^-b wide.  A compound node's enclosure w
+    scales with its operands', so when w is still wider than eps, the
+    effort gains the missing ceil(log2(w/eps)) + 1 bits instead of
+    doubling.  An operand enclosing 0 under a division doubles it."""
+    if b is None:
+        b = _log2_ceil(1 / eps)
     k = max(8, node._ivc[0])
     while True:
         try:
@@ -632,7 +649,12 @@ def _refine_to(node: _Node, eps: Fraction) -> tuple[Fraction, Fraction]:
             continue
         if hi - lo <= eps:
             return lo, hi
-        k *= 2
+        if 4 * k <= b:
+            k *= 2
+        elif k < b:
+            k = b
+        else:
+            k += _log2_ceil((hi - lo) / eps) + 1
 
 
 # -- power sums and residues over the integers ----------------------------------
@@ -1188,9 +1210,17 @@ class AlgebraicNumber:
         return AlgebraicNumber(_fold_mul(_rat(-1), self._node))
 
     def __pow__(self, k: int) -> "AlgebraicNumber":
+        k = int(k)
+        node = self._node
+        if k > 0 and isinstance(node, _RootAtom) and k % node.index == 0:
+            # (x^(1/e))^(m*e) = x^m for the real root: x itself, or the
+            # rational x^m; charged the ticks of square-and-multiply
+            x, m = node.operand, k // node.index
+            if isinstance(x, Fraction) or m == 1:
+                _tick(k.bit_length() + k.bit_count() - 1)
+                return AlgebraicNumber(x**m if isinstance(x, Fraction) else x)
         out = AlgebraicNumber(1)
         base = self
-        k = int(k)
         if k < 0:
             base = AlgebraicNumber(1) / base
             k = -k
@@ -1251,7 +1281,10 @@ class AlgebraicNumber:
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError(f"approximation width must be positive, got {eps}")
-        return _refine_to(self._node, eps)
+        # aim at the effort 8 * 2^j that refinement by doubling reached, so
+        # an atom's enclosure stays the one that schedule returned
+        b = _log2_ceil(1 / eps)
+        return _refine_to(self._node, eps, 8 << _log2_ceil(Fraction(b, 8)))
 
     def isolating_interval(self) -> DyadicInterval:
         """A dyadic interval containing this value and no other root of its

@@ -104,12 +104,28 @@ def factor_positive(n: int) -> dict[int, int]:
 
 
 def int_nth_root(n: int, d: int) -> int:
-    """Floor of the real d-th root of a nonnegative integer."""
+    """Floor of the real d-th root of a nonnegative integer.
+
+    Square roots are `math.isqrt`.  Otherwise Newton's iteration runs from
+    above, where every step stays at or above the floor and falls until it
+    returns it, seeded by the root of n's top bits: half the root's bits
+    from a recursive call, or a float estimate once the root is short
+    (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.5.2)."""
     if n < 0:
         raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    x = 1 << (-(-n.bit_length() // d))
+    if d == 2:
+        return math.isqrt(n)
+    if n < 2 or d == 1:
+        return n
+    r = -(-n.bit_length() // d)  # 2^r > the root
+    if r <= 48:
+        x = int(math.exp(math.log(n) / d)) + 1
+        if x**d <= n:
+            x = 1 << r
+    else:
+        # (root of n >> dh) + 1 > root(n) / 2^h, so x lies above the root
+        h = r // 2 - 4
+        x = (int_nth_root(n >> (d * h), d) + 1) << h
     while True:
         y = ((d - 1) * x + n // x ** (d - 1)) // d
         if y >= x:

@@ -144,11 +144,10 @@ def _radical_vectors(
     return target, [[Fraction(c, d) for c in v] for v, (_, d) in zip(vecs, gens)]
 
 
-def _hnf_membership(target: list[int], cols: list[list[int]]) -> bool:
-    """Does the integer vector lie in the lattice spanned by the columns?
-    The column set always contains a scaled standard basis, so the lattice
-    has full rank and triangular reduction suffices."""
-    dim = len(target)
+def _triangular_basis(cols: list[list[int]], dim: int) -> list[list[int]]:
+    """A basis of the lattice the integer columns span: the pivot of row r
+    is zero before r and positive at r.  The columns always contain a
+    scaled standard basis, so the lattice has full rank."""
     work = [c[:] for c in cols]
     pivots: list[list[int]] = []
     for r in range(dim):
@@ -167,59 +166,43 @@ def _hnf_membership(target: list[int], cols: list[list[int]]) -> bool:
             raise AssertionError("lattice lost full rank")
         piv = nz[0]
         work.remove(piv)
-        if piv[r] < 0:
-            piv = [-v for v in piv]
-        pivots.append(piv)
-    x = target[:]
-    for r in range(dim):
-        piv = pivots[r]
-        if x[r] % piv[r] != 0:
-            return False
-        q = x[r] // piv[r]
-        for i in range(dim):
-            x[i] -= q * piv[i]
-    return all(v == 0 for v in x)
-
-
-def _group_membership(
-    target: list[Fraction], gen_vecs: list[list[Fraction]]
-) -> bool:
-    """Is the target exponent vector in the lattice spanned by the integer
-    vectors and the generator vectors?  Vectors live over a fixed coprime
-    base whose parts are not perfect powers, so, as over the primes, a
-    product of rational powers of the parts is rational exactly when every
-    exponent is an integer.  Signs never obstruct because -1 is a unit of
-    the group."""
-    if not target:
-        return True
-    dim = len(target)
-    dens = [c.denominator for c in target]
-    for gv in gen_vecs:
-        dens.extend(c.denominator for c in gv)
-    scale = math.lcm(*dens)
-    cols = []
-    for j in range(dim):
-        col = [0] * dim
-        col[j] = scale
-        cols.append(col)
-    for gv in gen_vecs:
-        cols.append([int(c * scale) for c in gv])
-    tvec = [int(c * scale) for c in target]
-    return _hnf_membership(tvec, cols)
+        pivots.append(piv if piv[r] > 0 else [-v for v in piv])
+    return pivots
 
 
 def _radical_degree(radicand: Fraction, d: int, gens: list[tuple[Fraction, int]]) -> int:
     """Degree of adjoining the real d-th root of a rational over the field
     of the radicals gens = [(radicand, index)] with rational radicands: the
     least divisor m of d for which the m-th power of the new radical
-    already sits in the field.  The exponent vectors are built once; powers
-    only scale the radicand's."""
+    already sits in the field.
+
+    Over a coprime base of the radicands, whose parts are not perfect
+    powers, a product of rational powers of the parts is rational exactly
+    when every exponent is an integer, as over the primes.  So the m-th
+    power lies in the field when (m/d) times the radicand's exponent
+    vector lies in the lattice spanned by the integer vectors and the
+    generators' vectors; signs never obstruct, as -1 is a unit of the
+    group.  The lattice is reduced once, scaled to integers, and each
+    divisor's vector is reduced against it."""
     vec, gen_vecs = _radical_vectors(radicand, gens)
-    for m in range(1, d + 1):
+    dim = len(vec)
+    if dim == 0:
+        return 1
+    scale = math.lcm(d, *(c.denominator for gv in gen_vecs for c in gv))
+    cols = [[scale if i == j else 0 for i in range(dim)] for j in range(dim)]
+    cols.extend([int(c * scale) for c in gv] for gv in gen_vecs)
+    pivots = _triangular_basis(cols, dim)
+    for m in range(1, d):
         if d % m != 0:
             continue
-        target = [Fraction(c * m, d) for c in vec]
-        if _group_membership(target, gen_vecs):
+        x = [c * m * (scale // d) for c in vec]
+        for r, piv in enumerate(pivots):
+            q, rem = divmod(x[r], piv[r])
+            if rem:
+                break
+            for i in range(r, dim):
+                x[i] -= q * piv[i]
+        else:
             return m
     return d
 

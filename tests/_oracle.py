@@ -9,6 +9,9 @@ Zassenhaus factoring.
 
 Root refinement is checked against plain Fraction bisection.
 
+Integer d-th roots are Newton's iteration from a power of two above the
+root, with no seed from the top bits (`int_nth_root_oracle`).
+
 Rational roots come from the rational root theorem: every pair of
 divisors of the constant and leading coefficients is tried.  Radical
 degrees come from prime exponent vectors found by trial division, with
@@ -325,6 +328,20 @@ def radical_degree_oracle(b, d, gens):
             if all(x.denominator == 1 for x in rest):
                 return m
     return d
+
+
+def int_nth_root_oracle(n, d):
+    """Floor of the real d-th root of n >= 0: Newton's iteration from the
+    power of two above the root, the library's method before it took its
+    seed from the top bits of n."""
+    if n == 0:
+        return 0
+    x = 1 << (-(-n.bit_length() // d))
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
 
 
 def is_perfect_power(n):

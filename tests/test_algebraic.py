@@ -93,6 +93,23 @@ class TestArithmetic:
         v = AlgebraicNumber(Fraction(1, 3)) + Fraction(2, 3)
         assert v.as_rational() == 1
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_radical_powers_fold_at_square_and_multiply_cost(self, k):
+        # (2^(1/3))^(3m) is the rational 2^m; no node is built, yet the
+        # power charges the ticks of the multiplications it replaces
+        r = nth_root(2, 3)
+        plain = AlgebraicNumber.real_root(Poly([-3, 1, 0, 0, 0, 1]), 0, 2)
+        with alg.count_ops([0]) as ticks:
+            folded = r**k
+        with alg.count_ops([0]) as want:
+            plain**k
+        assert ticks == want == [k.bit_length() + k.bit_count() - 1]
+        assert folded.as_rational() == (2 ** (k // 3) if k % 3 == 0 else None)
+        assert (folded - r * r ** (k - 1)).sign() == 0
+        target = nth_root(2, 2) + Fraction(1, 5)
+        if k > 1:
+            assert (target.root(k) ** k)._node is target._node
+
 
 class TestRoots:
     def test_fifth_root_of_half(self):
@@ -569,6 +586,56 @@ class TestRefinementWork:
         assert cp.minpoly(lo) * cp.minpoly(hi) < 0
         # bisection evaluates once per halving, 8128 times
         assert len(calls) <= 400
+
+
+class TestRefinementSchedule:
+    """Refinement reaches the precision asked for once, without doubling
+    past it."""
+
+    @staticmethod
+    def _fresh_quintic_root(monkeypatch):
+        monkeypatch.setattr(alg, "_polyroot_intern", {})
+        return AlgebraicNumber.real_root(Poly([-3, 1, 0, 0, 0, 1]), 0, 2)
+
+    def test_decimal_308_stops_near_1030_bits(self, monkeypatch):
+        v = self._fresh_quintic_root(monkeypatch)
+        lo, hi = parse_truncated_decimal(v.decimal(308))
+        f = Poly([-3, 1, 0, 0, 0, 1])
+        assert f(lo) < 0 < f(hi)
+        # 10^-310 needs 1030 bits, not the 2048 that doubling from 8 reaches
+        assert v._node._ivc[0] <= 1040
+
+    def test_fresh_atom_approx_visits_the_doubling_efforts(self, monkeypatch):
+        v = self._fresh_quintic_root(monkeypatch)
+        efforts = []
+
+        def recorded(node, k):
+            if node is v._node:
+                efforts.append(k)
+            return _interval(node, k)
+
+        monkeypatch.setattr(alg, "_interval", recorded)
+        lo, hi = v.approx(Fraction(1, 2**1024))
+        assert hi - lo <= Fraction(1, 2**1024)
+        assert efforts == [8 << j for j in range(8)]
+
+    def test_radical_sum_gains_only_the_missing_bits(self, monkeypatch):
+        monkeypatch.setattr(alg, "_root_intern", {})
+        v = nth_root(2, 3) + nth_root(Fraction(3, 5), 5)
+        lo, hi = v.approx(Fraction(1, 2**1024))
+        assert hi - lo <= Fraction(1, 2**1024)
+        # each atom is 2^-1024 wide at effort 1024, the sum twice that
+        assert v._node._ivc[0] == 1026
+
+    @pytest.mark.parametrize(
+        "eps, k",
+        [(Fraction(1, 10**12), 64), (Fraction(3, 2**100), 128), (Fraction(5, 7), 8), (Fraction(4), 8)],
+    )
+    def test_approx_of_an_atom_lands_on_a_doubling_effort(self, eps, k, monkeypatch):
+        # the enclosure refinement by doubling from 8 returned
+        v = self._fresh_quintic_root(monkeypatch)
+        lo, hi = v.approx(eps)
+        assert v._node._ivc[0] == k and hi - lo == Fraction(1, 2**k)
 
 
 def parse_truncated_decimal(s):

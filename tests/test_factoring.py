@@ -21,9 +21,9 @@ from cakelab import (
 from cakelab import factoring, ints, polys
 from cakelab.cli import main as cli_main
 from cakelab.factoring import FactorSearchBudget, modp_irreducible
-from cakelab.ints import coprime_base, factor_positive
+from cakelab.ints import coprime_base, factor_positive, int_nth_root
 
-from _oracle import is_perfect_power, kronecker_find_factor, oracle_factor
+from _oracle import int_nth_root_oracle, is_perfect_power, kronecker_find_factor, oracle_factor
 
 X = Poly.x()
 
@@ -54,6 +54,31 @@ class TestPrimes:
         expected = [i for i, is_prime in enumerate(sieve) if is_prime]
         assert list(itertools.takewhile(lambda q: q <= n, ints.primes())) == expected
         assert ints.SMALL_PRIMES == tuple(q for q in expected if q < 50)
+
+
+class TestIntNthRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 9),
+        st.one_of(st.integers(0, 2**64), st.integers(0, 2**6000)),
+        st.integers(1, 2**666),  # c^9 < 2^6000
+        st.sampled_from([-1, 0, 1]),
+    )
+    @example(3, 0, 2**666, -1)
+    @example(9, 0, 2**666 - 1, 1)
+    def test_agrees_with_unseeded_newton(self, d, n, c, shift):
+        for m in (n, c**d + shift):
+            assert int_nth_root(m, d) == int_nth_root_oracle(m, d)
+
+    def test_exact_powers_and_neighbours(self):
+        for d in range(2, 10):
+            for c in (1, 2, 3, 2**48 - 1, 2**48, 3**300, 2**(6000 // d)):
+                assert int_nth_root(c**d, d) == c
+                assert int_nth_root(c**d - 1, d) == c - 1
+                assert int_nth_root(c**d + 1, d) == c
+        assert int_nth_root(0, 5) == 0 and int_nth_root(1, 5) == 1
+        with pytest.raises(ValueError):
+            int_nth_root(-8, 3)
 
 
 class TestCoprimeBase:

@@ -19,7 +19,7 @@ from cakelab import (
     even_paz,
     nth_root,
 )
-from cakelab import tower
+from cakelab import algebraic, tower
 from cakelab.cake import _increasing_preimage, poly_at
 from cakelab.factoring import _fp_ddf, _modp_ddf
 from cakelab.polys import _monic_mod
@@ -86,6 +86,23 @@ class TestAdjoin:
         tw = Tower()
         with pytest.raises(ValueError):
             tw.adjoin(nth_root(2, 2), claimed_radical=(2, A(3)))
+
+    def test_radical_witness_of_an_irrational_target_needs_no_zero_test(self, monkeypatch):
+        # the claimed cube root of sqrt(2) + 1/5, cubed, is its target node
+        # again, so the witness holds by construction: a zero test would
+        # compare minimal polynomials by elimination, past the cap in
+        # larger towers
+        target = nth_root(2, 2) + Fraction(1, 5)
+        value = target.root(3)
+
+        def no_zero_test(*args, **kwargs):
+            raise AssertionError("the radical witness ran a zero test")
+
+        monkeypatch.setattr(algebraic, "_equal_values", no_zero_test)
+        with algebraic.count_ops([0]) as ticks:
+            step = Tower().adjoin(value, claimed_radical=(3, target))
+        assert step.degree == 6 and step.kind_label() == "radical^3"
+        assert ticks == [4]  # value^3 as two products, then the difference
 
     def test_dependent_radical_partial_degree(self):
         # the fourth root of 4 is the square root of 2
