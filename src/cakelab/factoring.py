@@ -10,7 +10,11 @@ rational factor could have (subset sums of the modular factor-degree
 patterns), often proving irreducibility outright.  With the rational
 roots gone only degrees 2..n-2 matter, and the sieve stops at the first
 usable prime after which none survives, else after four usable primes
-(von zur Gathen & Gerhard, Modern Computer Algebra, §14).  What survives
+(von zur Gathen & Gerhard, Modern Computer Algebra, §14).  Each prime's
+distinct-degree factorization is cached per monic image mod q
+(`_image_ddf`, bounded by `polys.IMAGE_CACHE_SIZE`), as are the
+squarefree test and the roots mod q in `polys`: a player's cut
+polynomials F - c share their images.  What survives
 is factored by Zassenhaus's algorithm at the sieve prime p with the
 fewest modular factors: Cantor-Zassenhaus splitting of that prime's
 distinct-degree parts, Hensel lifting until p^k exceeds twice the leading
@@ -34,18 +38,19 @@ process-wide, and callers that build a polynomial before factoring it call
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
 from .ints import SMALL_PRIMES, is_probable_prime, primes
 from .polys import (
+    IMAGE_CACHE_SIZE,
     Poly,
-    _derivative,
     _drop_content,
     _exact_quotient,
     _fp_add,
@@ -57,6 +62,7 @@ from .polys import (
     _fp_sub,
     _fp_trim,
     _fp_xgcd,
+    _image_squarefree,
     _int_mul,
     _int_squarefree_decomposition,
     _monic_mod,
@@ -156,12 +162,13 @@ def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[int, list[int]]]:
             xq = _fp_rem(xq, work, p)
 
 
-def _fp_edf(g: list[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
+def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
     """Monic irreducible factors of g, a monic product of distinct
-    irreducibles of degree k over F_p (Cantor-Zassenhaus).  A random a
-    splits g by gcd(g, a^((p^k-1)/2) - 1), or for p = 2 by the gcd with
-    the trace a + a^2 + ... + a^(2^(k-1)), each factor landing on either
-    side with probability about 1/2."""
+    irreducibles of degree k over F_p (Cantor-Zassenhaus), as new lists.
+    A random a splits g by gcd(g, a^((p^k-1)/2) - 1), or for p = 2 by the
+    gcd with the trace a + a^2 + ... + a^(2^(k-1)), each factor landing on
+    either side with probability about 1/2."""
+    g = list(g)
     n = len(g) - 1
     if n == k:
         return [g]
@@ -181,17 +188,28 @@ def _fp_edf(g: list[int], k: int, p: int, rng: random.Random) -> list[list[int]]
             return _fp_edf(d, k, p, rng) + _fp_edf(_fp_divmod(g, d, p)[0], k, p, rng)
 
 
-def _modp_ddf(f: list[int], q: int) -> list[tuple[int, list[int]]] | None:
+# a distinct-degree factorization: pairs (k, monic product of the degree-k
+# irreducible factors), k ascending
+DDF = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _image_ddf(f: tuple[int, ...], q: int) -> DDF | None:
+    """The distinct-degree factorization of the monic image f over F_q,
+    cached per image like `polys._image_squarefree`, whose cached answer
+    decides usability; None when f is not squarefree."""
+    if not _image_squarefree(f, q):
+        return None
+    return tuple((k, tuple(g)) for k, g in _fp_ddf(list(f), q))
+
+
+def _modp_ddf(f: list[int], q: int) -> DDF | None:
     """Distinct-degree factorization modulo q of the integer polynomial f,
     made monic.  None when q is unusable (q divides the leading coefficient
     or the reduction is not squarefree)."""
     if f[-1] % q == 0:
         return None
-    f = _monic_mod(f, q)
-    deriv = _fp_trim([c % q for c in _derivative(f)])
-    if not deriv or len(_fp_gcd(f, deriv, q)) != 1:
-        return None
-    return list(_fp_ddf(f, q))
+    return _image_ddf(tuple(_monic_mod(f, q)), q)
 
 
 def _modp_degree_pattern(h: Poly, q: int) -> list[int] | None:
@@ -210,7 +228,7 @@ def modp_irreducible(p: Poly, q: int) -> bool:
     return _modp_degree_pattern(p, q) == [p.degree]
 
 
-def _degree_sieve(f: list[int]) -> tuple[set[int], int, list[tuple[int, list[int]]]]:
+def _degree_sieve(f: list[int]) -> tuple[set[int], int, DDF]:
     """Degrees in 2..n-2 that a proper rational factor of the integer
     polynomial f of degree n could have, as constrained by factor-degree
     patterns modulo up to four usable primes (subset sums), with the usable
@@ -222,7 +240,7 @@ def _degree_sieve(f: list[int]) -> tuple[set[int], int, list[tuple[int, list[int
     order while neither has happened."""
     n = len(f) - 1
     allowed: set[int] | None = None
-    best: tuple[int, int, list[tuple[int, list[int]]]] | None = None
+    best: tuple[int, int, DDF] | None = None
     usable = 0
     for q in primes():
         ddf = _modp_ddf(f, q)
@@ -350,9 +368,7 @@ def _recombine(f: list[int], lifted: list[list[int]], m: int, allowed: set[int])
     return out
 
 
-def _zassenhaus(
-    f: list[int], p: int, ddf: list[tuple[int, list[int]]], allowed: set[int]
-) -> list[list[int]]:
+def _zassenhaus(f: list[int], p: int, ddf: DDF, allowed: set[int]) -> list[list[int]]:
     """Irreducible factors of a primitive f, squarefree modulo p with f(0)
     nonzero, from its distinct-degree factorization `ddf` modulo p."""
     rng = random.Random(0)

@@ -17,7 +17,10 @@ a division that is not exact).  Squarefree parts and Yun's decomposition
 first try a certificate mod a small prime (`_squarefree_mod_prime`): f
 squarefree mod q, for q not dividing lc(f), is squarefree.  The module
 also holds the one kernel for polynomials mod m (`_fp_*`), which the
-factorization and the tower's degree certificates share.
+factorization and the tower's degree certificates share.  Per-prime
+results that depend only on the monic image of f mod q (the squarefree
+test, the roots mod q) are cached per (image, q) in bounded
+`lru_cache`s holding immutable values (`IMAGE_CACHE_SIZE`).
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -36,6 +39,7 @@ over the grid's final 2^e, and a polynomial is evaluated at m/2^e as
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -406,10 +410,8 @@ def _squarefree_mod_prime(f: list[int]) -> bool:
     stays a square factor of positive degree mod q.  False is inconclusive:
     a squarefree f can have a repeated factor mod both primes (or f' can
     vanish mod q, for q up to deg f)."""
-    df = _derivative(f)
     for q in itertools.islice((q for q in primes() if f[-1] % q), 2):
-        dq = _fp_trim([c % q for c in df])
-        if dq and len(_fp_gcd([c % q for c in f], dq, q)) == 1:
+        if _image_squarefree(tuple(_monic_mod(f, q)), q):
             return True
     return False
 
@@ -573,16 +575,14 @@ def count_roots_in(p: Poly, lo: Fraction, hi: Fraction) -> int:
 
 
 def root_bound(p: Poly) -> Fraction:
-    """Cauchy bound: every real root lies in [-B, B], B a power of two."""
+    """Cauchy bound: every real root lies in [-B, B], B the least power of
+    two at least 1 + max |c_i| / |c_n|, computed on the integer form."""
     if p.degree < 1:
         return Fraction(1)
-    lc = abs(p.leading)
-    m = max(abs(c) / lc for c in p.coeffs[:-1]) if p.degree >= 1 else Fraction(0)
-    b = 1 + m
-    out = Fraction(1)
-    while out < b:
-        out *= 2
-    return out
+    cs = p.int_coeffs()
+    lc = cs[-1]
+    k = -(-(lc + max(abs(c) for c in cs[:-1])) // lc)
+    return Fraction(1 << (k - 1).bit_length())
 
 
 # `sturm_point` of one chain as a function of the point, memoized
@@ -898,6 +898,37 @@ def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return out
 
 
+# -- images modulo a prime ----------------------------------------------------
+#
+# Integer polynomials with one monic image mod q share every result below:
+# a player's cut polynomials F - c differ only in their constant term, so
+# modulo q they take at most q images.  Each per-prime result is a pure
+# function of (the image as a tuple, q), cached up to IMAGE_CACHE_SIZE
+# entries per routine, and immutable, so no caller can change an entry.
+# `factoring._image_ddf` shares the bound.
+
+IMAGE_CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _image_squarefree(f: tuple[int, ...], q: int) -> bool:
+    """True when the monic image f is squarefree over F_q: f' is not zero
+    and gcd(f, f') = 1."""
+    df = _fp_trim([i * c % q for i, c in enumerate(f)][1:])
+    return bool(df) and len(_fp_gcd(list(f), df, q)) == 1
+
+
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _image_roots(f: tuple[int, ...], q: int) -> tuple[int, ...] | None:
+    """The roots in F_q of the monic image f, ascending, found by trying
+    every residue; None when one of them is a multiple root."""
+    roots = tuple(a for a in range(q) if _horner_mod(f, a, q) == 0)
+    df = _derivative(f)
+    if any(_horner_mod(df, a, q) == 0 for a in roots):
+        return None
+    return roots
+
+
 # -- rational roots ------------------------------------------------------------
 
 
@@ -918,9 +949,13 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
     reduces to one of those roots, found by trying every residue.  Newton
     lifting takes each to its q-adic root mod q^(2^i) until the modulus
     exceeds 2B; the symmetric residue of c_n x is then c_n r, and an exact
-    integer Horner check keeps the true roots.  A multiple root mod q only
-    moves on to the next prime: as p is squarefree, just the finitely many
-    primes dividing its discriminant have one."""
+    integer Horner check keeps the true roots.  The roots mod q are cached
+    per monic image (`_image_roots`).  A multiple root mod q moves on to the
+    next prime: if p is squarefree, just the finitely many primes dividing
+    its discriminant have one.  The first one also replaces p, once, by its
+    squarefree part, so that a p with a repeated factor, which has a
+    multiple root mod every prime, still ends; on a squarefree p that is
+    p itself."""
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every rational root")
     coeffs = p.int_coeffs()
@@ -933,12 +968,15 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
         coeffs = coeffs[k:]
     if len(coeffs) <= 1:
         return roots
-    deriv = _derivative(coeffs)
+    switched = False
     for q in primes():
         if coeffs[-1] % q != 0:
-            residues = [a for a in range(q) if _horner_mod(coeffs, a, q) == 0]
-            if all(_horner_mod(deriv, a, q) != 0 for a in residues):
+            residues = _image_roots(tuple(_monic_mod(coeffs, q)), q)
+            if residues is not None:
                 break
+            if not switched:
+                coeffs, switched = _int_squarefree(coeffs), True
+    deriv = _derivative(coeffs)
     cn = coeffs[-1]
     bound = 2 * (cn + max(abs(c) for c in coeffs[:-1]))
     for a in residues:

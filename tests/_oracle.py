@@ -47,6 +47,10 @@ evaluated on residues.  A polynomial at a rational point is Horner's rule
 over Fractions (`fraction_horner_oracle`), the method of `Poly.__call__`
 before it cleared denominators for one integer Horner.
 
+The Cauchy root bound is the power-of-two doubling loop over Fraction
+ratios (`root_bound_oracle`), the library's method before it computed the
+bound on the integer form.
+
 Tower step degrees come from primitive elements (`compositum_step_degrees`):
 each new value joins the field's primitive element in a shifted sum
 a + c*b whose elimination polynomial is squarefree, and the step degree is
@@ -357,6 +361,18 @@ def is_perfect_power(n):
         if lo**k == n:
             return True
     return False
+
+
+def root_bound_oracle(p):
+    """The least power of two at least 1 + max |c_i / c_n|, by doubling."""
+    if p.degree < 1:
+        return Fraction(1)
+    lc = abs(p.leading)
+    b = 1 + max(abs(c) / lc for c in p.coeffs[:-1])
+    out = Fraction(1)
+    while out < b:
+        out *= 2
+    return out
 
 
 def bisect_oracle(p, lo, hi, width):

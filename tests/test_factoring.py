@@ -273,6 +273,79 @@ def cut_quintics(count=40):
         yield cdf - c(fx + (1 - fx) * Fraction(rng.randint(1, 1000), 1000))
 
 
+def clear_image_caches():
+    for cached in (polys._image_squarefree, polys._image_roots, factoring._image_ddf):
+        cached.cache_clear()
+
+
+class TestImageCaches:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 47]),
+        st.lists(st.integers(0, 46), max_size=8),
+        st.lists(st.integers(0, 46), max_size=3),
+    )
+    @example(3, [1, 0], [1, 1])  # (x^2 + 1)(x + 1)^2 mod 3
+    @example(2, [], [])  # the image 1
+    def test_cached_agrees_with_uncached(self, q, coeffs, squared):
+        # monic images, some with a factor planted twice
+        f = [v % q for v in coeffs] + [1]
+        if len(squared) > 1:
+            f = polys._fp_mul(f, polys._fp_mul(squared, squared, q), q)
+            assume(f)
+            f = polys._monic_mod(f, q)
+        key = tuple(f)
+        for cached in (polys._image_squarefree, polys._image_roots, factoring._image_ddf):
+            assert cached(key, q) == cached.__wrapped__(key, q)
+        roots = polys._image_roots(key, q)
+        brute = [a for a in range(q) if polys._horner_mod(f, a, q) == 0]
+        multiple = any(polys._horner_mod(polys._derivative(f), a, q) == 0 for a in brute)
+        assert roots == (None if multiple else tuple(brute))
+        ddf = factoring._image_ddf(key, q)
+        assert (ddf is None) == (not polys._image_squarefree(key, q))
+        if ddf is not None:
+            product = [1]
+            for _, g in ddf:
+                product = polys._fp_mul(product, list(g), q)
+            assert product == f
+
+    def test_same_monic_image_shares_one_entry(self):
+        # 3x^5 + 3x - 6 and x^5 + x + 5: both x^5 + x + 5 mod 7, monic
+        clear_image_caches()
+        first = factoring._modp_ddf([-6, 3, 0, 0, 0, 3], 7)
+        second = factoring._modp_ddf([5, 1, 0, 0, 0, 1], 7)
+        assert second is first
+        info = factoring._image_ddf.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert polys._image_squarefree.cache_info().currsize == 1
+        # x^5 + x - 2 and x^5 + x + 28 agree mod 2, 3 and 5, where the
+        # root search of the first ends
+        clear_image_caches()
+        assert polys.squarefree_rational_roots(Poly([-2, 1, 0, 0, 0, 1])) == [Fraction(1)]
+        cold = polys._image_roots.cache_info()
+        assert polys.squarefree_rational_roots(Poly([28, 1, 0, 0, 0, 1])) == []
+        warm = polys._image_roots.cache_info()
+        assert (warm.misses, warm.currsize) == (cold.misses, cold.currsize)
+        assert warm.hits == cold.hits + cold.misses
+
+    def test_cached_values_are_immutable(self):
+        clear_image_caches()
+        f = (X**4 + X + c(1)) * (X**2 + c(1))  # squarefree mod 7
+        ddf = factoring._modp_ddf(f.int_coeffs(), 7)
+        assert isinstance(ddf, tuple) and all(isinstance(g, tuple) for _, g in ddf)
+        with pytest.raises(TypeError):
+            ddf[0][1][0] = 2
+        roots = polys._image_roots((0, 1, 1), 5)  # x^2 + x: roots 0 and 4
+        assert roots == (0, 4)
+        with pytest.raises(TypeError):
+            roots[0] = 1
+        # consumers copy: splitting and lifting leave the entry as it was
+        snapshot = [(k, list(g)) for k, g in ddf]
+        factors = factoring._zassenhaus(f.int_coeffs(), 7, ddf, {2, 4})
+        assert sorted(factors) == [[1, 0, 1], [1, 1, 0, 0, 1]]
+        assert [(k, list(g)) for k, g in factoring._modp_ddf(f.int_coeffs(), 7)] == snapshot
+
+
 class TestDegreeSieve:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-30, 30), min_size=4, max_size=9), st.integers(1, 4))
@@ -327,13 +400,20 @@ class TestDegreeSieve:
     def test_modular_work_on_cut_quintics(self, monkeypatch):
         # 40 irreducible quintics: the sieve stops once no degree in 2..3
         # survives.  With four usable primes each they took 115
-        # distinct-degree factorizations; with the early stop, 74.
+        # distinct-degree factorizations; with the early stop, 74; from cold
+        # image caches, whose entries the quintics share, 32.  A second
+        # pass computes none.
+        clear_image_caches()
         calls = []
         ddf = factoring._fp_ddf
         monkeypatch.setattr(factoring, "_fp_ddf", lambda f, p: calls.append(p) or ddf(f, p))
         for p in cut_quintics():
             assert factor_over_Q(p).degrees() == [5]
-        assert len(calls) <= 74
+        assert len(calls) == 32
+        calls.clear()
+        for p in cut_quintics():
+            assert factor_over_Q(p).degrees() == [5]
+        assert calls == []
 
 
 SWINNERTON_DYER_4 = Poly([1, 0, -10, 0, 1])  # sqrt(2) + sqrt(3)

@@ -14,6 +14,7 @@ from cakelab.polys import (
     horner,
     refine_root,
     resultant,
+    root_bound,
     squarefree_decomposition,
     squarefree_part,
     squarefree_rational_roots,
@@ -30,6 +31,7 @@ from _oracle import (
     poly_gcd_oracle,
     rational_roots_oracle,
     resultant_oracle,
+    root_bound_oracle,
     squarefree_decomposition_oracle,
     squarefree_part_oracle,
     sturm_chain_oracle,
@@ -625,6 +627,8 @@ class TestRationalRoots:
             p = p * Poly([-n, d]) ** k
         assume(not p.is_zero)
         assert rational_roots(p) == rational_roots_oracle([int(v) for v in p.coeffs])
+        # repeated factors reach the core, which takes the squarefree part
+        assert squarefree_rational_roots(p) == rational_roots(p)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -656,14 +660,25 @@ class TestRationalRoots:
     @example(1, 2, 0)
     def test_squarefree_core_passes_over_multiple_roots_mod_q(self, lead, b, shift):
         # lead*(x + shift)^5 + lead*(x + shift) - b has a double root mod 3
-        # for most b; the core must move to the next prime, and never take
-        # a squarefree part
+        # for most b; the core must move to the next prime, never call
+        # squarefree_part, and take the integer squarefree part at most once
         p = (Poly([shift, 1]) ** 5 + Poly([shift, 1])).scale(lead) - c(b)
         assume(poly_gcd(p, p.derivative()).degree == 0)
+        seen = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("cakelab.polys.squarefree_part", None)
+            original = polys._int_squarefree
+            mp.setattr(polys, "_int_squarefree", lambda f: seen.append(f) or original(f))
             roots = squarefree_rational_roots(p)
         assert roots == rational_roots_oracle([int(v) for v in p.coeffs])
+        assert len(seen) <= 1
+
+    def test_repeated_factor_ends(self):
+        # (x + 1)^2 has a double root mod every prime: the core switches
+        # once to the squarefree part instead of trying primes forever
+        assert squarefree_rational_roots(Poly([1, 2, 1])) == [Fraction(-1)]
+        p = Poly([-2, 3]) ** 3 * (X**2 - c(2)) ** 2 * X
+        assert squarefree_rational_roots(p) == [Fraction(0), Fraction(2, 3)]
 
     def test_semiprime_constant(self):
         # the constant's prime factors have 61 and 89 bits: factoring it
@@ -671,3 +686,23 @@ class TestRationalRoots:
         m = (2**61 - 1) * (2**89 - 1)
         assert rational_roots(X**3 - c(m)) == []
         assert rational_roots(X**3 - c(8 * m**3)) == [Fraction(2 * m)]
+
+
+class TestRootBound:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    @example([Fraction(0), Fraction(1)])  # x: the bound is 1
+    @example([Fraction(-3), Fraction(1)])  # x - 3: 1 + 3 is a power of two
+    @example([Fraction(1, 3), Fraction(0), Fraction(2, 3)])  # 1 + 1/2 rounds up to 2
+    def test_matches_doubling_oracle(self, coeffs):
+        p = Poly(coeffs)
+        bound = root_bound(p)
+        assert bound == root_bound_oracle(p)
+        if p.degree >= 1:
+            assert count_roots_in(p, -bound, bound) == count_roots_in(p, -(2**40), 2**40)
