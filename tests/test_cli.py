@@ -288,6 +288,30 @@ class TestGoldenBytes:
         with open(os.path.join(GOLDEN, f"{command[0]}-mixture.{fmt}"), "rb") as fh:
             assert res.stdout == fh.read()
 
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("check-impossibility-welfare-n2-p5", ["check-impossibility", "welfare", "--n", "2", "--p", "5"]),
+            ("check-impossibility-equitable-d7", ["check-impossibility", "equitable", "--d", "7"]),
+            ("run-protocol-cut-and-choose-quadratic",
+             ["run-protocol", "--protocol", "cut-and-choose",
+              "--measures", os.path.join(GOLDEN, "quadratic.measures")]),
+        ],
+        ids=["welfare-isolator", "equitable-isolator", "quadratic-cut-op-count"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_isolators_and_op_counts(self, name, args, fmt):
+        # the certificates' real_root_isolator is the value's isolating
+        # interval; the first cut of quadratic.measures is the root of
+        # 27x^2 + 5x - 16, whose construction bss_op_count charges
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", "--format", fmt, *args],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert res.returncode == 0
+        assert res.stdout == _golden(f"{name}.{fmt}")
+
 
 class TestFormats:
     def test_structured_is_json_with_version(self, capsys, measures_file):
