@@ -23,6 +23,13 @@ Key internals:
   squarefree part of its characteristic polynomial, a power of it since
   m_atom is irreducible.  Every other node factors one annihilating
   polynomial and selects the factor that vanishes at its value.
+* One routine, `_pin`, names a value among the roots of coprime
+  squarefree polynomials: it rounds the value's enclosure at 2^-k outward
+  to the 2^-k grid, k doubling from 8, until exactly one of their roots
+  lies inside.  It selects the minimal polynomial among the factors and
+  gives the isolating interval; two values with one minimal polynomial
+  are equal when one's enclosure falls inside the other's isolating
+  interval.  A quadratic root is chosen by its ordinal, with no refining.
 * Normal forms and interval enclosures are computed bottom-up with an
   explicit stack, so deep expression DAGs need no recursion.  Minimal
   polynomials recurse once per level and raise `ExpressionTooDeep` past
@@ -33,7 +40,7 @@ Key internals:
   on a value with no single-atom form, decides a zero from the node's
   operands and never from the node's own minimal polynomial: a product
   or quotient multiplies their signs, and a sum or difference compares
-  their minimal polynomials.  Refinement with no limit runs only on a
+  its operands (`_equal_values`).  Refinement with no limit runs only on a
   value known to be nonzero.
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
@@ -72,7 +79,6 @@ from .polys import (
     root_bound,
     squarefree_rational_roots,
     sturm_chain,
-    sturm_count,
     sturm_isolate,
     sturm_point,
 )
@@ -379,7 +385,7 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
             return _make_root(radicand, d)
         return _fold_mul(_rat(-1), _make_root(radicand, d))
     if sqf.degree == 2:
-        return _quadratic_root(sqf, iv)
+        return _quadratic_root(sqf, target_idx)
     key = (sqf.coeffs, target_idx)
     atom = _polyroot_intern.get(key)
     if atom is None:
@@ -388,14 +394,18 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
     return atom
 
 
-def _quadratic_root(sqf: Poly, iv: DyadicInterval) -> _Node:
-    """Quadratic roots canonicalize to r0 + r1 * sqrt(D), so values from
-    different quadratics share one interned atom per D and stay inside the
-    radical machinery.  D is the discriminant with its square part taken
-    out by trial division over the small primes and an exact square test
-    of the cofactor; no large integer is factored.  D is squarefree unless
-    a prime above the small ones divides the discriminant more than once
-    without the cofactor being a square."""
+def _quadratic_root(sqf: Poly, ordinal: int) -> _Node:
+    """The smaller (ordinal 0) or larger (ordinal 1) real root of the
+    irreducible quadratic sqf.  Quadratic roots canonicalize to
+    r0 + r1 * sqrt(D), so values from different quadratics share one
+    interned atom per D and stay inside the radical machinery.  D is the
+    discriminant with its square part taken out by trial division over the
+    small primes and an exact square test of the cofactor; no large integer
+    is factored.  D is squarefree unless a prime above the small ones
+    divides the discriminant more than once without the cofactor being a
+    square.  The ordinal sets the sign of r1, so nothing is refined.  The
+    two folds of the conjugate are charged too: `bss_op_count` counts four
+    ticks for every quadratic root."""
     a0, a1, a2 = sqf.coeff(0), sqf.coeff(1), sqf.coeff(2)
     disc = int(a1 * a1 - 4 * a2 * a0)
     assert disc > 0
@@ -415,19 +425,10 @@ def _quadratic_root(sqf: Poly, iv: DyadicInterval) -> _Node:
     root = _make_root(Fraction(squarefree), 2)  # interned
     base = -a1 / (2 * a2)
     scale = Fraction(square) / (2 * a2)
-    plus = _fold_add(_rat(base), _fold_mul(_rat(scale), root))
-    minus = _fold_add(_rat(base), _fold_mul(_rat(-scale), root))
-    k = 8
-    while True:
-        plo, phi = _interval(plus, k)
-        mlo, mhi = _interval(minus, k)
-        p_in = phi >= iv.lo and plo <= iv.hi
-        m_in = mhi >= iv.lo and mlo <= iv.hi
-        if p_in and not m_in:
-            return plus
-        if m_in and not p_in:
-            return minus
-        k *= 2
+    if (ordinal == 1) != (scale > 0):
+        scale = -scale
+    _tick(2)
+    return _fold_add(_rat(base), _fold_mul(_rat(scale), root))
 
 
 def _make_cut_root(cdf: Poly, target: _Node) -> _Node:
@@ -939,44 +940,54 @@ def _rational_value(node: _Node) -> Optional[Fraction]:
 # -- minimal polynomials --------------------------------------------------------
 
 
+def _pin(node: _Node, polys: list[Poly]) -> tuple[int, DyadicInterval]:
+    """(i, iv): polys[i] vanishes at the node's value, and the dyadic iv
+    holds that value and no other root of any of the polys, which are
+    squarefree and pairwise coprime, one of them vanishing there; no end
+    of iv is a root of any of them.
+
+    The node's enclosure at 2^-k, rounded outward to the 2^-k grid, gives
+    iv.  An end that is a root of one of the polys steps out by one grid
+    cell, so a rational value on the grid still ends.  k doubles from 8
+    until the polys have exactly one root in iv together."""
+    chains = [sturm_chain(f) for f in polys]
+
+    def at(x: Fraction, step: Fraction):
+        """x, or x + step when x is a root, and the chains' (sign, count)
+        there."""
+        pts = [sturm_point(c, x) for c in chains]
+        if any(s == 0 for s, _ in pts):
+            x += step
+            pts = [sturm_point(c, x) for c in chains]
+        return x, pts
+
+    k = 8
+    while True:
+        lo, hi = _refine_to(node, Fraction(1, 1 << k))
+        unit = Fraction(1, 1 << k)
+        dlo, lo_pts = at(Fraction((lo.numerator << k) // lo.denominator, 1 << k), -unit)
+        dhi, hi_pts = at(Fraction(-((-hi.numerator << k) // hi.denominator), 1 << k), unit)
+        if all(s != 0 for s, _ in lo_pts + hi_pts):
+            counts = [vl - vh for (_, vl), (_, vh) in zip(lo_pts, hi_pts)]
+            if sum(counts) == 1:
+                return counts.index(1), DyadicInterval(dlo, dhi)
+        k *= 2
+
+
+def _isolating_interval(node: _Node) -> DyadicInterval:
+    """The node's value pinned among the roots of its minimal polynomial;
+    cached on the node."""
+    if node._iso is None:
+        node._iso = _pin(node, [_minpoly(node)])[1]
+    return node._iso
+
+
 def _select_factor(candidates: list[Poly], node: _Node) -> Poly:
     """The unique irreducible candidate vanishing at the node's value; a
     lone candidate without refining."""
     if len(candidates) == 1:
         return candidates[0]
-    cands = []
-    for f in candidates:
-        if f.degree == 1:
-            cands.append((f, None, -f.coeff(0) / f.coeff(1)))
-        else:
-            cands.append((f, sturm_chain(f), None))
-    k = 8
-    while True:
-        lo, hi = _refine_to(node, Fraction(1, 1 << k))
-        surviving = []
-        for f, chain, root in cands:
-            if root is not None:
-                if lo <= root <= hi:
-                    surviving.append((f, chain, root))
-            else:
-                # irreducible of degree >= 2: rational endpoints are never
-                # roots, so the half-open Sturm count equals the closed one
-                if sturm_count(chain, lo, hi) >= 1:
-                    surviving.append((f, chain, root))
-        if len(surviving) == 1:
-            return surviving[0][0]
-        assert surviving, "no candidate contains the value"
-        cands = surviving
-        k *= 2
-
-
-def _image_elimination(m: Poly, g: Poly) -> Poly:
-    """Monic prod (T - g(a)) over the roots a of m, of degree deg m; g of a
-    root of m is one of its roots.  It is the characteristic polynomial of
-    g in Q[y]/(m) (`_charpoly`)."""
-    den = math.lcm(*[c.denominator for c in g.coeffs])
-    nums = [c.numerator * (den // c.denominator) for c in g.coeffs]
-    return _rescaled(*_charpoly(m.int_coeffs(), nums, den))
+    return candidates[_pin(node, candidates)[0]]
 
 
 def _binary_elimination(kind: str, ma: Poly, mb: Poly) -> Poly:
@@ -1127,8 +1138,10 @@ def _sign_by_refinement(node: _Node, k: int, limit: Optional[int] = None) -> Opt
 
 def _equal_values(a: _Node, b: _Node, negated: bool = False) -> bool:
     """Whether a = b, or a = -b if negated, via shared minimal polynomial
-    plus interval separation.  Never eliminates for the difference, so it
-    stays inside the cap whenever both operands' minimal polynomials do."""
+    plus interval separation: with one minimal polynomial, b (or -b) is a
+    iff its enclosure falls inside a's isolating interval, which holds no
+    other root.  Never eliminates for the difference, so it stays inside
+    the cap whenever both operands' minimal polynomials do."""
     ma = _minpoly(a)
     mb = _minpoly(b)
     if negated:
@@ -1137,18 +1150,16 @@ def _equal_values(a: _Node, b: _Node, negated: bool = False) -> bool:
         return False
     if ma.degree == 1:
         return True
-    chain = sturm_chain(ma)
+    iso = _isolating_interval(a)
     k = 16
     while True:
-        alo, ahi = _refine_to(a, Fraction(1, 1 << k))
         blo, bhi = _refine_to(b, Fraction(1, 1 << k))
         if negated:
             blo, bhi = -bhi, -blo
-        if ahi < blo or bhi < alo:
-            return False
-        lo, hi = min(alo, blo), max(ahi, bhi)
-        if sturm_count(chain, lo, hi) == 1:
+        if iso.lo <= blo and bhi <= iso.hi:
             return True
+        if bhi < iso.lo or iso.hi < blo:
+            return False
         k *= 2
 
 
@@ -1288,36 +1299,9 @@ class AlgebraicNumber:
 
     def isolating_interval(self) -> DyadicInterval:
         """A dyadic interval containing this value and no other root of its
-        minimal polynomial.  Cached on the underlying node."""
-        if self._node._iso is not None:
-            return self._node._iso
-        iso = self._compute_isolating_interval()
-        self._node._iso = iso
-        return iso
-
-    def _compute_isolating_interval(self) -> DyadicInterval:
-        m = self.minimal_polynomial()
-        if m.degree == 1:
-            r = -m.coeff(0) / m.coeff(1)
-            k = 4
-            while True:
-                unit = Fraction(1, 1 << k)
-                lo = Fraction((r.numerator << k) // r.denominator - 1, 1 << k)
-                hi = lo + 2 * unit
-                if lo != r and hi != r:
-                    return DyadicInterval(lo, hi)
-                k += 1
-        chain = sturm_chain(m)
-        k = 8
-        while True:
-            lo, hi = _refine_to(self._node, Fraction(1, 1 << k))
-            dlo = Fraction((lo.numerator << k) // lo.denominator, 1 << k)
-            dhi = Fraction(-((-hi.numerator << k) // hi.denominator), 1 << k)
-            s_lo, v_lo = sturm_point(chain, dlo)
-            s_hi, v_hi = sturm_point(chain, dhi)
-            if s_lo != 0 and s_hi != 0 and v_lo - v_hi == 1:
-                return DyadicInterval(dlo, dhi)
-            k *= 2
+        minimal polynomial, with no root at its ends.  Cached on the
+        underlying node."""
+        return _isolating_interval(self._node)
 
     def decimal(self, digits: int = 12) -> str:
         """Truncated decimal expansion; an ellipsis marks inexactness."""

@@ -142,7 +142,7 @@ class Allocation:
                         continue
                     if not any((e - q).sign() == 0 for q in pts):
                         pts.append(e)
-        pts.sort(key=_SortKey)
+        pts.sort()
         return pts
 
     def validate(self) -> None:
@@ -151,7 +151,7 @@ class Allocation:
         all_pieces = [iv for per in self.pieces for iv in per]
         if not all_pieces:
             raise ValueError("empty allocation")
-        all_pieces.sort(key=lambda iv: _SortKey(iv[0]))
+        all_pieces.sort(key=lambda iv: iv[0])
         if all_pieces[0][0].sign() != 0:
             raise ValueError("allocation must start at 0")
         for (alo, ahi), (blo, bhi) in zip(all_pieces, all_pieces[1:]):
@@ -164,18 +164,6 @@ class Allocation:
         lo, hi = all_pieces[-1]
         if (hi - lo).sign() < 0:
             raise ValueError(f"piece [{lo}, {hi}] is reversed: hi < lo")
-
-
-class _SortKey:
-    """Sort adapter: algebraic numbers ordered by exact comparison."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: Alg):
-        self.v = v
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return self.v.compare(other.v) < 0
 
 
 # -- query sessions ----------------------------------------------------------------
@@ -436,7 +424,7 @@ def max_welfare(measures: Sequence[Measure]) -> Allocation:
                     continue
                 if not any((root - b).sign() == 0 for b in breakpoints):
                     breakpoints.append(root)
-    breakpoints.sort(key=_SortKey)
+    breakpoints.sort()
     bounds: list[Alg] = [_alg(0)] + breakpoints + [_alg(1)]
     owners: list[int] = []
     for lo, hi in zip(bounds, bounds[1:]):

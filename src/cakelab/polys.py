@@ -69,10 +69,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def constant(c) -> "Poly":
         return Poly([Fraction(c)])
 
@@ -228,10 +224,6 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return Poly(out)
-
-    def translate(self, r) -> "Poly":
-        """Return p(T + r)."""
-        return self.compose(Poly([Fraction(r), 1]))
 
     def reverse(self) -> "Poly":
         """Return T^deg * p(1/T).  Swaps each root with its reciprocal."""
@@ -442,15 +434,6 @@ def squarefree_part(p: Poly) -> Poly:
     return Poly(_int_squarefree(p.int_coeffs())).monic()
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: return [(g_i, i)] with p = lc * prod g_i^i, g_i monic
-    squarefree and pairwise coprime (factors of multiplicity i).  The
-    monic forms of `_int_squarefree_decomposition` on p's integer form."""
-    if p.degree <= 0:
-        return []
-    return [(Poly(g).monic(), i) for g, i in _int_squarefree_decomposition(p.int_coeffs())]
-
-
 def _int_squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
     """Yun's algorithm on a primitive integer polynomial f of positive
     degree with a positive leading coefficient: [(g_i, i)], g_i primitive
@@ -552,12 +535,6 @@ def sturm_point(chain: list[list[int]], x: Fraction) -> tuple[int, int]:
                 count += 1
             last = v
     return sign, count
-
-
-def sturm_count(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi], for
-    the integer chain of `sturm_chain`."""
-    return sturm_point(chain, Fraction(lo))[1] - sturm_point(chain, Fraction(hi))[1]
 
 
 def count_roots_in(p: Poly, lo: Fraction, hi: Fraction) -> int:
@@ -952,10 +929,10 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
     integer Horner check keeps the true roots.  The roots mod q are cached
     per monic image (`_image_roots`).  A multiple root mod q moves on to the
     next prime: if p is squarefree, just the finitely many primes dividing
-    its discriminant have one.  The first one also replaces p, once, by its
-    squarefree part, so that a p with a repeated factor, which has a
-    multiple root mod every prime, still ends; on a squarefree p that is
-    p itself."""
+    its discriminant have one.  The third such prime also replaces p, once,
+    by its squarefree part, so that a p with a repeated factor, which has a
+    multiple root mod every prime, still ends; a squarefree p rarely meets
+    three, and its squarefree part is p itself."""
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every rational root")
     coeffs = p.int_coeffs()
@@ -968,14 +945,15 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
         coeffs = coeffs[k:]
     if len(coeffs) <= 1:
         return roots
-    switched = False
+    misses = 0
     for q in primes():
         if coeffs[-1] % q != 0:
             residues = _image_roots(tuple(_monic_mod(coeffs, q)), q)
             if residues is not None:
                 break
-            if not switched:
-                coeffs, switched = _int_squarefree(coeffs), True
+            misses += 1
+            if misses == 3:
+                coeffs = _int_squarefree(coeffs)
     deriv = _derivative(coeffs)
     cn = coeffs[-1]
     bound = 2 * (cn + max(abs(c) for c in coeffs[:-1]))

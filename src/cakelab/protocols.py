@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebraic import AlgebraicNumber
-from .cake import Allocation, Measure, Session, Transcript, _SortKey
+from .cake import Allocation, Measure, Session, Transcript
 
 Alg = AlgebraicNumber
 
@@ -34,7 +34,7 @@ def _assemble(pieces_by_player: dict[int, list[tuple[Alg, Alg]]], n: int) -> All
     per = []
     for i in range(n):
         ivs = pieces_by_player.get(i, [])
-        ivs.sort(key=lambda iv: _SortKey(iv[0]))
+        ivs.sort(key=lambda iv: iv[0])
         per.append(tuple(ivs))
     return Allocation(tuple(per))
 
@@ -108,7 +108,7 @@ def even_paz(measures: Sequence[Measure]) -> ProtocolRun:
             marks.append((mark, p))
         # marks are built in ascending player order, and the stable sort
         # keeps that order among exactly tied marks
-        marks.sort(key=lambda mp: _SortKey(mp[0]))
+        marks.sort(key=lambda mp: mp[0])
         pivot = marks[half - 1][0]
         left_group = sorted(p for _, p in marks[:half])
         right_group = sorted(p for _, p in marks[half:])

@@ -51,6 +51,14 @@ The Cauchy root bound is the power-of-two doubling loop over Fraction
 ratios (`root_bound_oracle`), the library's method before it computed the
 bound on the integer form.
 
+The factor of several candidates that vanishes at a value, and a value's
+isolating interval, come from the library's separate refinement loops
+before one routine pinned a value among polynomial roots: candidates are
+dropped as the value's enclosure at 2^-k shrinks (`select_factor_oracle`),
+and the enclosure rounded outward to the 2^-k grid is an isolating
+interval once the rational Sturm chain counts one root inside it
+(`isolating_interval_oracle`).
+
 Tower step degrees come from primitive elements (`compositum_step_degrees`):
 each new value joins the field's primitive element in a shifted sum
 a + c*b whose elimination polynomial is squarefree, and the step degree is
@@ -540,6 +548,47 @@ def sturm_isolate_oracle(p, span):
             out[i] = _shrink_half_oracle(f, chain, out[i])
             out[i + 1] = _shrink_half_oracle(f, chain, out[i + 1])
     return out
+
+
+def select_factor_oracle(candidates, v):
+    """The candidate vanishing at the AlgebraicNumber v, from distinct
+    irreducible candidates: v's enclosure at 2^-k, k doubling from 8, keeps
+    a linear candidate whose root it contains and any other with a root in
+    (lo, hi], until one is left.  An irreducible candidate of degree 2 or
+    more has no rational root, so its half-open count is the closed one."""
+    cands = list(candidates)
+    k = 8
+    while len(cands) > 1:
+        lo, hi = v.approx(Fraction(1, 1 << k))
+        kept = []
+        for f in cands:
+            if f.degree == 1:
+                if lo <= -f.coeff(0) / f.coeff(1) <= hi:
+                    kept.append(f)
+            elif sturm_count_oracle(sturm_chain_oracle(f), lo, hi) >= 1:
+                kept.append(f)
+        assert kept, "no candidate contains the value"
+        cands = kept
+        k *= 2
+    return cands[0]
+
+
+def isolating_interval_oracle(v):
+    """An isolating interval of the irrational AlgebraicNumber v: its
+    enclosure at 2^-k, k doubling from 8, rounded outward to the 2^-k grid,
+    once its minimal polynomial has exactly one root inside and none at the
+    ends."""
+    m = v.minimal_polynomial()
+    assert m.degree >= 2, "a rational value took a separate branch"
+    chain = sturm_chain_oracle(m)
+    k = 8
+    while True:
+        lo, hi = v.approx(Fraction(1, 1 << k))
+        dlo = Fraction(math.floor(lo * (1 << k)), 1 << k)
+        dhi = Fraction(math.ceil(hi * (1 << k)), 1 << k)
+        if m(dlo) != 0 and m(dhi) != 0 and sturm_count_oracle(chain, dlo, dhi) == 1:
+            return DyadicInterval(dlo, dhi)
+        k *= 2
 
 
 def validate_cdf_oracle(f):

@@ -22,20 +22,27 @@ from cakelab import (
 )
 from cakelab.algebraic import (
     _binary_elimination,
+    _charpoly,
     _CutRootAtom,
-    _image_elimination,
     _interval,
     _make_cut_root,
+    _rescaled,
 )
 from cakelab.cake import poly_at
+from cakelab.dyadic import DyadicInterval
+from cakelab.polys import root_bound, sturm_isolate
 
 from _oracle import (
     elimination_oracle,
     image_oracle,
     inverse_mod_oracle,
+    isolating_interval_oracle,
     minpoly_by_factoring_oracle,
     poly_at_fold_oracle,
     residue_oracle,
+    select_factor_oracle,
+    sturm_chain_oracle,
+    sturm_count_oracle,
 )
 
 X = Poly.x()
@@ -47,6 +54,14 @@ def c(v):
 
 def t_star():
     return AlgebraicNumber.real_root(X**3 + X**2 - c(1), 0, 1)
+
+
+def charpoly_of(m, g):
+    """Monic prod (T - g(a)) over the roots a of m: the characteristic
+    polynomial of g in Q[y]/(m), by `_charpoly` on integer numerators."""
+    den = math.lcm(*[x.denominator for x in g.coeffs])
+    nums = [x.numerator * (den // x.denominator) for x in g.coeffs]
+    return _rescaled(*_charpoly(m.int_coeffs(), nums, den))
 
 
 class TestArithmetic:
@@ -390,7 +405,7 @@ class TestPowerSumElimination:
     def test_image_on_fraction_inputs(self, m, gcoeffs):
         # g of any degree, reduced modulo the non-monic m inside
         g = Poly(gcoeffs)
-        assert image_oracle(m.monic(), g).monic() == _image_elimination(m, g)
+        assert image_oracle(m.monic(), g).monic() == charpoly_of(m, g)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["add", "mul"]), small_polys(4), small_polys(4))
@@ -404,7 +419,7 @@ class TestPowerSumElimination:
     )
     def test_image_matches_interpolated_resultant(self, m, gcoeffs):
         g = Poly(gcoeffs[: m.degree])
-        assert image_oracle(m, g).monic() == _image_elimination(m, g)
+        assert image_oracle(m, g).monic() == charpoly_of(m, g)
 
     def test_examples(self):
         # sqrt2 + sqrt3; sqrt2 * sqrt3, each product twice; 0 * 5
@@ -413,8 +428,8 @@ class TestPowerSumElimination:
         assert _binary_elimination("mul", -X, c(2) * X - c(10)) == X
         # 1 + sqrt2 + sqrt2/2 as g(y) = 1 + 3/2*y over y^2 - 2; a constant g
         g = Poly([1, Fraction(3, 2)])
-        assert _image_elimination(X**2 - c(2), g) == X**2 - c(2) * X - c(Fraction(7, 2))
-        assert _image_elimination(X**3 - c(2), c(5)) == (X - c(5)) ** 3
+        assert charpoly_of(X**2 - c(2), g) == X**2 - c(2) * X - c(Fraction(7, 2))
+        assert charpoly_of(X**3 - c(2), c(5)) == (X - c(5)) ** 3
 
 
 class TestEnclosures:
@@ -459,6 +474,116 @@ class TestEnclosures:
         for v in (t_star(), AlgebraicNumber(Fraction(1, 3))):
             with pytest.raises(ValueError, match="digits must be non-negative"):
                 v.decimal(-1)
+
+
+# distinct irreducible polynomials, so any subset is pairwise coprime: a
+# rational on the grid (1/2), one just below sqrt2 (1393/985), roots close
+# together (x^3 - 3x + 1) and one with no real root
+_PIN_POOL = [
+    X - c(Fraction(1, 2)),
+    c(3) * X - c(1),
+    c(985) * X - c(1393),
+    X**2 - c(2),
+    c(2) * X**2 - c(1),
+    X**2 - X - c(1),
+    X**2 + c(1),
+    X**3 - c(2),
+    X**3 + X**2 - c(1),
+    X**3 - c(3) * X + c(1),
+    X**4 - c(10) * X**2 + c(1),
+    X**5 - X - c(1),
+]
+
+
+def _real_roots(f):
+    b = root_bound(f)
+    return [AlgebraicNumber.real_root(f, iv.lo, iv.hi) for iv in sturm_isolate(f, DyadicInterval(-b, b))]
+
+
+class TestPin:
+    """`_pin` selects the factor of a value and its isolating interval: the
+    candidate it names is the one the former selection loop kept, and its
+    interval holds the value and no other root of any candidate."""
+
+    @staticmethod
+    def _check(v, cands, f):
+        i, iv = alg._pin(v._node, cands)
+        assert cands[i] == f == select_factor_oracle(cands, v)
+        assert v.compare(iv.lo) > 0 > v.compare(iv.hi)
+        assert all(g(iv.lo) != 0 and g(iv.hi) != 0 for g in cands)
+        assert sum(sturm_count_oracle(sturm_chain_oracle(g), iv.lo, iv.hi) for g in cands) == 1
+        return iv
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(range(len(_PIN_POOL))), min_size=1, max_size=4, unique=True),
+        st.integers(0, 3),
+        st.integers(0, 4),
+    )
+    def test_picks_the_oracles_factor(self, picks, which, ordinal):
+        cands = [_PIN_POOL[j] for j in picks]
+        with_roots = [f for f in cands if _real_roots(f)]
+        if not with_roots:
+            return
+        f = with_roots[which % len(with_roots)]
+        roots = _real_roots(f)
+        self._check(roots[ordinal % len(roots)], cands, f)
+
+    def test_rational_on_the_grid_steps_out(self):
+        # 1/2 is its own enclosure and a grid point: both ends step out
+        half = AlgebraicNumber(Fraction(1, 2))
+        iv = self._check(half, [c(2) * X**2 - c(1), X - c(Fraction(1, 2))], X - c(Fraction(1, 2)))
+        assert iv == DyadicInterval(Fraction(127, 256), Fraction(129, 256))
+        assert half.isolating_interval() == iv
+
+    def test_compound_value_and_lone_candidate(self):
+        r2, r3 = nth_root(2, 2), nth_root(3, 2)
+        m = X**4 - c(10) * X**2 + c(1)
+        self._check(r2 + r3, [X - c(Fraction(22, 7)), m, X**2 - c(10)], m)
+        fresh = r2 * r3 + t_star()
+        assert alg._select_factor([m], fresh._node) == m
+        assert fresh._node._ivc[0] == -1  # a lone candidate refines nothing
+
+    def test_isolating_interval_matches_the_former_loop(self):
+        # cut roots are not interned: each fresh atom refines from scratch
+        quintic, quadratic = Poly(_QUINTIC_CDF), Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        for cdf, target in (
+            (quintic, nth_root(2, 2) / 2),
+            (quadratic, t_star() / 2),
+            (quadratic, nth_root(Fraction(1, 3), 3)),
+        ):
+            expected = isolating_interval_oracle(AlgebraicNumber(_make_cut_root(cdf, target._node)))
+            assert AlgebraicNumber(_make_cut_root(cdf, target._node)).isolating_interval() == expected
+
+    def test_equal_values_against_conjugate_rebuilt_and_negated(self):
+        # the roots 1 -+ sqrt2/10^6 of (x - 1)^2 - 2/10^12 agree to 2^-18
+        lo, hi = _real_roots(Poly([1 - Fraction(2, 10**12), -2, 1]))
+        rebuilt = 1 - nth_root(2, 2) * Fraction(1, 10**6)
+        assert rebuilt._node is not lo._node
+        assert alg._equal_values(lo._node, rebuilt._node)
+        assert not alg._equal_values(lo._node, hi._node)
+        assert not alg._equal_values(hi._node, rebuilt._node)
+        assert alg._equal_values(lo._node, (-rebuilt)._node, negated=True)
+        assert not alg._equal_values(hi._node, (-rebuilt)._node, negated=True)
+        r2, r3 = nth_root(2, 2), nth_root(3, 2)
+        assert alg._equal_values((r2 + r3)._node, (r3 + r2)._node)
+        assert alg._equal_values((r2 + r3)._node, (-r2 - r3)._node, negated=True)
+        assert not alg._equal_values((r2 + r3)._node, (r2 - r3)._node)
+        assert not alg._equal_values((r2 + r3)._node, (r2 - r3)._node, negated=True)
+
+    @pytest.mark.parametrize("lead", [1, -1])
+    @pytest.mark.parametrize("ordinal", [0, 1])
+    def test_quadratic_root_by_ordinal(self, lead, ordinal):
+        sqf = Poly([-16, 5, 27]).scale(lead)
+        with alg.count_ops([0]) as ticks:
+            node = alg._quadratic_root(sqf, ordinal)
+        assert node._ivc[0] == -1  # chosen without refining
+        assert ticks == [4]  # its two folds and the two of its conjugate
+        v = AlgebraicNumber(node)
+        assert v.minimal_polynomial() == Poly([-16, 5, 27])
+        assert v.compare(AlgebraicNumber(alg._quadratic_root(sqf, 1 - ordinal))) == (-1 if ordinal == 0 else 1)
+        iv = sturm_isolate(sqf, DyadicInterval(Fraction(-2), Fraction(2)))[ordinal]
+        assert v.compare(iv.lo) > 0 > v.compare(iv.hi)
 
 
 def cut_oracle(cdf, r, a, width):
@@ -847,7 +972,7 @@ class TestCharacteristicPolynomialRoute:
         ):
             m = alpha.minimal_polynomial()
             assert m.degree == expected.degree * power
-            assert _image_elimination(m, g) == expected**power
+            assert charpoly_of(m, g) == expected**power
             assert self._minpoly_unfactored(_at(g, alpha)) == expected
             assert minpoly_by_factoring_oracle(g, m) == expected
 
