@@ -969,6 +969,7 @@ def _pin(node: _Node, polys: list[Poly]) -> tuple[int, DyadicInterval]:
         dhi, hi_pts = at(Fraction(-((-hi.numerator << k) // hi.denominator), 1 << k), unit)
         if all(s != 0 for s, _ in lo_pts + hi_pts):
             counts = [vl - vh for (_, vl), (_, vh) in zip(lo_pts, hi_pts)]
+            assert any(counts), "no polynomial vanishes at the value"
             if sum(counts) == 1:
                 return counts.index(1), DyadicInterval(dlo, dhi)
         k *= 2
