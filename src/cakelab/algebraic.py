@@ -574,7 +574,6 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
     # a target with a single-atom form is irrational (`_make_cut_root`);
     # any other is decided exactly once 2^-limit cannot separate it
     limit = 2 * max(k, 64) if _saf_of(atom.target) is _SAF_UNAVAILABLE else None
-    value = None
 
     def side(m: int, e: int) -> int:
         """cdf(x) - centre at x = m / 2^e, scaled by den * 2^(e*n) and the
@@ -582,9 +581,10 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
         in this call; but ±1 where that disagrees with the sign of
         cdf(x) - target, and 0 where they are equal.  Doubling the
         target's precision decides that sign unless they are equal, which
-        only a rational target can be: past the limit, its minimal
-        polynomial says whether it is, and its value then decides."""
-        nonlocal kc, centre, limit, value
+        only a rational target can be: past the limit, the exact sign of
+        target - cdf(x) decides (`_sign`, which raises DegreeCapExceeded
+        rather than refine a tie it cannot decide)."""
+        nonlocal kc, centre
         fx = horner(cs, m, 1 << e)
         while True:
             tlo, thi = _interval(atom.target, kc)
@@ -597,12 +597,10 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
                 sign = 1
                 break
             if limit is not None and kc >= limit:
-                value, limit = _value_if_rational(atom.target), None
-            if value is not None:
-                v = fx * value.denominator - ((value.numerator * den) << (e * n))
-                if v == 0:
+                with uncounted():
+                    sign = -_sign(_fold_sub(atom.target, _rat(Fraction(fx, den << (e * n)))))
+                if sign == 0:
                     return 0
-                sign = 1 if v > 0 else -1
                 break
             kc *= 2
         v = fx * centre.denominator - ((centre.numerator * den) << (e * n))
@@ -610,17 +608,6 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
 
     atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
     return atom.lo, atom.hi
-
-
-def _value_if_rational(node: _Node) -> Optional[Fraction]:
-    """The node's value when its minimal polynomial is linear; None when
-    it is not, or when that polynomial is past the cap."""
-    try:
-        with uncounted():
-            m = _minpoly(node)
-    except DegreeCapExceeded:
-        return None
-    return -m.coeff(0) / m.coeff(1) if m.degree == 1 else None
 
 
 def _log2_ceil(q: Fraction) -> int:
@@ -1322,11 +1309,12 @@ class AlgebraicNumber:
             if not body or body == "-":
                 body = "0"
             return ("-" if neg and (whole or fi or not exact) else "") + body + ("" if exact else "…")
+        # with no single-atom form the value may still be rational
+        tie = _saf_of(self._node) is _SAF_UNAVAILABLE
         eps = Fraction(1, 10 ** (digits + 2))
         while True:
             lo, hi = _refine_to(self._node, eps)
-            # the value is irrational, so strictly inside [lo, hi]: truncate
-            # |value| once both ends have one sign and truncate alike
+            # truncate |value| once both ends have one sign and truncate alike
             if lo >= 0 or hi <= 0:
                 tlo = (abs(lo.numerator) * scale) // lo.denominator
                 thi = (abs(hi.numerator) * scale) // hi.denominator
@@ -1334,7 +1322,16 @@ class AlgebraicNumber:
                     whole, fi = divmod(tlo, scale)
                     body = f"{whole}.{fi:0{digits}d}" if digits else str(whole)
                     return ("-" if hi <= 0 else "") + body + "…"
-            eps /= 100  # the value straddles a grid line; keep tightening
+                g = Fraction(max(tlo, thi), scale) * (-1 if hi <= 0 else 1)
+            else:
+                g = Fraction(0)
+            # the value straddles the grid line g: unless it is g, which only
+            # a value with no single-atom form can be, keep tightening
+            if tie:
+                with uncounted():
+                    if _sign(_fold_sub(self._node, _rat(g))) == 0:
+                        return AlgebraicNumber(g).decimal(digits)
+            eps /= 100
 
     def display(self, digits: int = 12) -> str:
         """Decimal approximation plus the exact minimal polynomial."""

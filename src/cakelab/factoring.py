@@ -11,10 +11,10 @@ patterns), often proving irreducibility outright.  With the rational
 roots gone only degrees 2..n-2 matter, and the sieve stops at the first
 usable prime after which none survives, else after four usable primes
 (von zur Gathen & Gerhard, Modern Computer Algebra, §14).  Each prime's
-distinct-degree factorization is cached per monic image mod q
-(`_image_ddf`, bounded by `polys.IMAGE_CACHE_SIZE`), as are the
-squarefree test and the roots mod q in `polys`: a player's cut
-polynomials F - c share their images.  What survives
+distinct-degree factorization comes from the one cache over monic images
+mod q (`polys._modp_ddf`), which the squarefree certificate and the
+rational-root search fill too: a player's cut polynomials F - c share
+their images.  What survives
 is factored by Zassenhaus's algorithm at the sieve prime p with the
 fewest modular factors: Cantor-Zassenhaus splitting of that prime's
 distinct-degree parts, Hensel lifting until p^k exceeds twice the leading
@@ -38,18 +38,17 @@ process-wide, and callers that build a polynomial before factoring it call
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
 from .ints import SMALL_PRIMES, is_probable_prime, primes
 from .polys import (
-    IMAGE_CACHE_SIZE,
+    DDF,
     Poly,
     _drop_content,
     _exact_quotient,
@@ -62,10 +61,9 @@ from .polys import (
     _fp_sub,
     _fp_trim,
     _fp_xgcd,
-    _image_squarefree,
     _int_mul,
     _int_squarefree_decomposition,
-    _monic_mod,
+    _modp_ddf,
     squarefree_rational_roots,
 )
 
@@ -133,35 +131,6 @@ def eisenstein(p: Poly, q: int, try_reversal: bool = False) -> Eisenstein:
 # -- factorization modulo a prime ---------------------------------------------
 
 
-def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[int, list[int]]]:
-    """Distinct-degree factorization of a monic squarefree f over F_p:
-    pairs (k, monic product of the irreducible factors of degree k), k
-    ascending, generated one at a time.  On any monic f of positive degree
-    n the first pair is (n, f) exactly when f is irreducible: otherwise f
-    has an irreducible factor of degree k <= n/2, repeated factors
-    included, and a pair for some k up to that one comes first."""
-    work = f
-    xq = [0, 1]
-    k = 0
-    while len(work) > 1:
-        k += 1
-        if 2 * k > len(work) - 1:
-            yield len(work) - 1, work
-            return
-        xq = _fp_powmod(xq, p, work, p)
-        diff = _fp_sub(xq, [0, 1], p)
-        if not diff:
-            # every remaining factor has degree dividing k; since none has
-            # degree below k, the remainder splits into degree-k parts
-            yield k, work
-            return
-        g = _fp_gcd(work, diff, p)
-        if len(g) > 1:
-            yield k, g
-            work = _fp_divmod(work, g, p)[0]
-            xq = _fp_rem(xq, work, p)
-
-
 def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
     """Monic irreducible factors of g, a monic product of distinct
     irreducibles of degree k over F_p (Cantor-Zassenhaus), as new lists.
@@ -186,46 +155,6 @@ def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[i
         d = _fp_gcd(g, b, p)
         if 1 < len(d) < len(g):
             return _fp_edf(d, k, p, rng) + _fp_edf(_fp_divmod(g, d, p)[0], k, p, rng)
-
-
-# a distinct-degree factorization: pairs (k, monic product of the degree-k
-# irreducible factors), k ascending
-DDF = tuple[tuple[int, tuple[int, ...]], ...]
-
-
-@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _image_ddf(f: tuple[int, ...], q: int) -> DDF | None:
-    """The distinct-degree factorization of the monic image f over F_q,
-    cached per image like `polys._image_squarefree`, whose cached answer
-    decides usability; None when f is not squarefree."""
-    if not _image_squarefree(f, q):
-        return None
-    return tuple((k, tuple(g)) for k, g in _fp_ddf(list(f), q))
-
-
-def _modp_ddf(f: list[int], q: int) -> DDF | None:
-    """Distinct-degree factorization modulo q of the integer polynomial f,
-    made monic.  None when q is unusable (q divides the leading coefficient
-    or the reduction is not squarefree)."""
-    if f[-1] % q == 0:
-        return None
-    return _image_ddf(tuple(_monic_mod(f, q)), q)
-
-
-def _modp_degree_pattern(h: Poly, q: int) -> list[int] | None:
-    """Multiset of irreducible factor degrees of h modulo q, ascending.
-    None when q is unusable."""
-    ddf = _modp_ddf(h.int_coeffs(), q)
-    if ddf is None:
-        return None
-    return [k for k, g in ddf for _ in range((len(g) - 1) // k)]
-
-
-def modp_irreducible(p: Poly, q: int) -> bool:
-    """True only if the reduction of p mod q has the same degree and is
-    irreducible over F_q (which certifies irreducibility over the
-    rationals).  False means the probe is inconclusive."""
-    return _modp_degree_pattern(p, q) == [p.degree]
 
 
 def _degree_sieve(f: list[int]) -> tuple[set[int], int, DDF]:

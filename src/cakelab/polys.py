@@ -17,10 +17,11 @@ a division that is not exact).  Squarefree parts and Yun's decomposition
 first try a certificate mod a small prime (`_squarefree_mod_prime`): f
 squarefree mod q, for q not dividing lc(f), is squarefree.  The module
 also holds the one kernel for polynomials mod m (`_fp_*`), which the
-factorization and the tower's degree certificates share.  Per-prime
-results that depend only on the monic image of f mod q (the squarefree
-test, the roots mod q) are cached per (image, q) in bounded
-`lru_cache`s holding immutable values (`IMAGE_CACHE_SIZE`).
+factorization and the tower's degree certificates share, and the one
+cache over images mod a prime: the distinct-degree factorization of the
+monic image of f mod q, or None when it is not squarefree
+(`_image_ddf`, bounded by `IMAGE_CACHE_SIZE`), from which the squarefree
+test, the roots mod q and the degree patterns are read.
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -43,7 +44,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dyadic import DyadicInterval
 from .errors import ZeroPolynomialError
@@ -401,11 +402,11 @@ def _squarefree_mod_prime(f: list[int]) -> bool:
     the rationals: a square factor g^2 of f has lc(g) prime to q, so it
     stays a square factor of positive degree mod q.  False is inconclusive:
     a squarefree f can have a repeated factor mod both primes (or f' can
-    vanish mod q, for q up to deg f)."""
-    for q in itertools.islice((q for q in primes() if f[-1] % q), 2):
-        if _image_squarefree(tuple(_monic_mod(f, q)), q):
-            return True
-    return False
+    vanish mod q, for q up to deg f).  The test is whether the image has
+    a distinct-degree factorization (`_modp_ddf`), so the factorization's
+    sieve finds it cached."""
+    usable = itertools.islice((q for q in primes() if f[-1] % q), 2)
+    return any(_modp_ddf(f, q) is not None for q in usable)
 
 
 def _int_squarefree(f: list[int]) -> list[int]:
@@ -879,31 +880,81 @@ def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
 #
 # Integer polynomials with one monic image mod q share every result below:
 # a player's cut polynomials F - c differ only in their constant term, so
-# modulo q they take at most q images.  Each per-prime result is a pure
-# function of (the image as a tuple, q), cached up to IMAGE_CACHE_SIZE
-# entries per routine, and immutable, so no caller can change an entry.
-# `factoring._image_ddf` shares the bound.
+# modulo q they take at most q images.  One cache holds them: the
+# distinct-degree factorization of (the image as a tuple, q), up to
+# IMAGE_CACHE_SIZE entries, immutable, so no caller can change an entry.
+# The squarefree certificate, the rational-root search, the factorization's
+# degree sieve and the tower's root chains and certificates all read it.
 
 IMAGE_CACHE_SIZE = 2048
 
+# a distinct-degree factorization: pairs (k, monic product of the degree-k
+# irreducible factors), k ascending
+DDF = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[int, list[int]]]:
+    """Distinct-degree factorization of a monic squarefree f over F_p:
+    pairs (k, monic product of the irreducible factors of degree k), k
+    ascending, generated one at a time.  On any monic f of positive degree
+    n the first pair is (n, f) exactly when f is irreducible: otherwise f
+    has an irreducible factor of degree k <= n/2, repeated factors
+    included, and a pair for some k up to that one comes first."""
+    work = f
+    xq = [0, 1]
+    k = 0
+    while len(work) > 1:
+        k += 1
+        if 2 * k > len(work) - 1:
+            yield len(work) - 1, work
+            return
+        xq = _fp_powmod(xq, p, work, p)
+        diff = _fp_sub(xq, [0, 1], p)
+        if not diff:
+            # every remaining factor has degree dividing k; since none has
+            # degree below k, the remainder splits into degree-k parts
+            yield k, work
+            return
+        g = _fp_gcd(work, diff, p)
+        if len(g) > 1:
+            yield k, g
+            work = _fp_divmod(work, g, p)[0]
+            xq = _fp_rem(xq, work, p)
+
 
 @functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _image_squarefree(f: tuple[int, ...], q: int) -> bool:
-    """True when the monic image f is squarefree over F_q: f' is not zero
-    and gcd(f, f') = 1."""
+def _image_ddf(f: tuple[int, ...], q: int) -> DDF | None:
+    """The distinct-degree factorization of the monic image f over F_q;
+    None when f is not squarefree: f' is zero or shares a factor with f."""
     df = _fp_trim([i * c % q for i, c in enumerate(f)][1:])
-    return bool(df) and len(_fp_gcd(list(f), df, q)) == 1
-
-
-@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _image_roots(f: tuple[int, ...], q: int) -> tuple[int, ...] | None:
-    """The roots in F_q of the monic image f, ascending, found by trying
-    every residue; None when one of them is a multiple root."""
-    roots = tuple(a for a in range(q) if _horner_mod(f, a, q) == 0)
-    df = _derivative(f)
-    if any(_horner_mod(df, a, q) == 0 for a in roots):
+    if not df or len(_fp_gcd(list(f), df, q)) > 1:
         return None
-    return roots
+    return tuple((k, tuple(g)) for k, g in _fp_ddf(list(f), q))
+
+
+def _modp_ddf(f: list[int], q: int) -> DDF | None:
+    """Distinct-degree factorization modulo q of the integer polynomial f,
+    made monic.  None when q is unusable: q divides the leading coefficient
+    or the reduction is not squarefree."""
+    if f[-1] % q == 0:
+        return None
+    return _image_ddf(tuple(_monic_mod(f, q)), q)
+
+
+def _modp_roots(f: list[int], q: int) -> tuple[int, ...] | None:
+    """The roots mod q of the integer polynomial f, ascending, all simple:
+    the roots of the degree-1 part of its distinct-degree factorization,
+    found by trying residues until all are.  None when q is unusable
+    (`_modp_ddf`)."""
+    ddf = _modp_ddf(f, q)
+    if ddf is None:
+        return None
+    if not ddf or ddf[0][0] != 1:
+        return ()
+    g = ddf[0][1]
+    if len(g) == 2:
+        return (-g[0] % q,)
+    return tuple(itertools.islice((a for a in range(q) if _horner_mod(g, a, q) == 0), len(g) - 1))
 
 
 # -- rational roots ------------------------------------------------------------
@@ -922,17 +973,17 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
     Take the primitive integer form c_n x^n + ... + c_0 with c_0 != 0.  A
     rational root r makes c_n r an integer of absolute value at most
     B = |c_n| + max |c_i| (the Cauchy bound).  At the first prime q not
-    dividing c_n where every root mod q is simple, each rational root
-    reduces to one of those roots, found by trying every residue.  Newton
+    dividing c_n where p reduces to a squarefree image, each rational root
+    reduces to one of its roots mod q (`_modp_roots`), all simple.  Newton
     lifting takes each to its q-adic root mod q^(2^i) until the modulus
     exceeds 2B; the symmetric residue of c_n x is then c_n r, and an exact
-    integer Horner check keeps the true roots.  The roots mod q are cached
-    per monic image (`_image_roots`).  A multiple root mod q moves on to the
-    next prime: if p is squarefree, just the finitely many primes dividing
-    its discriminant have one.  The third such prime also replaces p, once,
-    by its squarefree part, so that a p with a repeated factor, which has a
-    multiple root mod every prime, still ends; a squarefree p rarely meets
-    three, and its squarefree part is p itself."""
+    integer Horner check keeps the true roots.  An image that is not
+    squarefree moves on to the next prime: if p is squarefree, just the
+    finitely many primes dividing its discriminant give one.  The third
+    such prime also replaces p, once, by its squarefree part, so that a p
+    with a repeated factor, which is not squarefree mod any prime, still
+    ends; a squarefree p rarely meets three, and its squarefree part is p
+    itself."""
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every rational root")
     coeffs = p.int_coeffs()
@@ -948,7 +999,7 @@ def squarefree_rational_roots(p: Poly) -> list[Fraction]:
     misses = 0
     for q in primes():
         if coeffs[-1] % q != 0:
-            residues = _image_roots(tuple(_monic_mod(coeffs, q)), q)
+            residues = _modp_roots(coeffs, q)
             if residues is not None:
                 break
             misses += 1

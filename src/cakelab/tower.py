@@ -35,12 +35,14 @@ routes in order, each an exact decision:
      Duval 1985).  Values of K reduce mod p by evaluating their DAG with
      each a_i mapped to r_i.  If R then reduces to an irreducible
      polynomial of full degree (its distinct-degree factorization,
-     `factoring._fp_ddf`, starts at deg R), R is irreducible over the
+     `polys._modp_ddf`, starts at deg R), R is irreducible over the
      p-adic numbers by Gauss's lemma, hence over K, and the step degree
      is deg R.  The step stores (p, chain), and `verify_lemma1` rechecks
-     it.  Every chain at a prime is tried, chains are cached per prime
-     across steps, and at most CERTIFICATE_PRIMES primes are tried per
-     step.
+     it.  Every chain at a prime is tried, depth first and generated as
+     needed; a level's roots mod p are read off the one image cache of
+     `polys` (`_modp_roots`), and a level whose reduction is not
+     squarefree extends no chain.  At most CERTIFICATE_PRIMES primes are
+     tried per step.
 4. Compositum.  Otherwise a primitive element of K is folded from the
    generators of the nontrivial steps on demand, and then one of K(v)
    (`_compositum`), with eliminations guarded by the degree cap; past the
@@ -61,7 +63,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebraic import (
     AlgebraicNumber,
@@ -78,7 +80,7 @@ from .algebraic import (
     uncounted,
 )
 from .errors import DegreeCapExceeded, MembershipUndecidable, TowerCertificateError
-from .factoring import _fp_ddf, degree_cap
+from .factoring import degree_cap
 from .ints import coprime_base, factor_positive, is_probable_prime, primes
 from .polys import (
     Poly,
@@ -88,6 +90,8 @@ from .polys import (
     _fp_rem,
     _fp_sub,
     _horner_mod,
+    _modp_ddf,
+    _modp_roots,
     _monic_mod,
     squarefree_part,
 )
@@ -302,30 +306,6 @@ class RelativePoly:
         return cs
 
 
-def _simple_roots(cs: list[int], p: int) -> list[int]:
-    """The simple roots mod p, ascending, of the polynomial with
-    coefficients cs (reduced, nonzero leading coefficient).  They are roots
-    of g = gcd(f, x^p - x), squarefree of degree k: found directly when
-    k = 1, else by scanning the residues until k of them are."""
-    f = _monic_mod(cs, p)
-    x = _fp_rem([0, 1], f, p)
-    g = _fp_gcd(f, _fp_sub(_fp_powmod(x, p, f, p), x, p), p)
-    k = len(g) - 1
-    if k == 0:
-        return []
-    if k == 1:
-        roots = [-g[0] % p]
-    else:
-        roots = []
-        for r in range(p):
-            if _horner_mod(g, r, p) == 0:
-                roots.append(r)
-                if len(roots) == k:
-                    break
-    df = _derivative(f)
-    return [r for r in roots if _horner_mod(df, r, p)]
-
-
 def _irreducible_mod(cs: list[int], p: int) -> bool:
     """Rabin's test: a monic f of degree m is irreducible over F_p exactly
     when x^(p^m) = x mod f and x^(p^(m/q)) - x is coprime to f for every
@@ -402,6 +382,19 @@ def _images(tri: list[RelativePoly], chain: tuple[int, ...]) -> dict[int, int]:
     return {id(rel.atom): r for rel, r in zip(tri, chain)}
 
 
+def _chains(p: int, tri: list[RelativePoly], chain: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Every chain of simple roots at p through the triangular set tri that
+    extends chain, in lexicographic order and depth first: the degree-1
+    primes of K above p at which the chain embeds K.  A level whose
+    reduction is not squarefree mod p extends no chain (`_modp_roots`)."""
+    if len(chain) == len(tri):
+        yield chain
+        return
+    cs = tri[len(chain)].reduce(p, _images(tri, chain))
+    for r in (None if cs is None else _modp_roots(cs, p)) or ():
+        yield from _chains(p, tri, chain + (r,))
+
+
 def _in_field(node: _Node, atoms: set[int]) -> bool:
     """Is the value built from tower atoms (by id) alone?  Then it lies in K."""
     return bool(atoms) and all(id(a) in atoms for a in _dag_atoms(node))
@@ -440,9 +433,6 @@ class Tower:
     def __init__(self, allow_mediator_sqrt: bool = False):
         self.steps: list[ExtensionStep] = []
         self.allow_mediator_sqrt = allow_mediator_sqrt
-        # (depth, chains) per prime: the chains of simple roots through the
-        # first depth steps of the triangular set
-        self._roots: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
 
     @property
     def total_degree(self) -> int:
@@ -553,23 +543,6 @@ class Tower:
                 relative = RelativePoly(rel.atom, value.minimal_polynomial())
         return _step(value, deg, atom=rel.atom if rel else None, relative=relative)
 
-    def _chains(self, p: int, tri: list[RelativePoly]) -> list[tuple[int, ...]]:
-        """Every chain of simple roots at p through the triangular set tri,
-        in lexicographic order: the degree-1 primes of K above p at which
-        the chain embeds K.  Cached per prime and extended as steps come."""
-        depth, chains = self._roots.get(p, (0, [()]))
-        while chains and depth < len(tri):
-            rel = tri[depth]
-            grown = []
-            for c in chains:
-                cs = rel.reduce(p, _images(tri, c))
-                if cs is not None:
-                    grown.extend(c + (r,) for r in _simple_roots(cs, p))
-            chains = grown
-            depth += 1
-        self._roots[p] = (len(tri), chains)
-        return chains
-
     def _certify(self, rel: RelativePoly, tri: list[RelativePoly]) -> Optional[tuple[int, tuple[int, ...]]]:
         """(p, chain) for the first chain at which R reduces to an
         irreducible polynomial of full degree, trying at most
@@ -579,7 +552,8 @@ class Tower:
 
         def irreducible_at(p: int, chain: tuple[int, ...]) -> bool:
             cs = rel.reduce(p, _images(tri, chain))
-            return cs is not None and next(_fp_ddf(_monic_mod(cs, p), p))[0] == rel.degree
+            ddf = None if cs is None else _modp_ddf(cs, p)
+            return ddf is not None and ddf[0][0] == rel.degree
 
         tried = 0
         for p in primes():
@@ -587,9 +561,9 @@ class Tower:
                 continue
             if rel.target is None:
                 # R reduces alike at every chain of p: test it before building any
-                chain = next(iter(self._chains(p, tri)), None) if irreducible_at(p, ()) else None
+                chain = next(_chains(p, tri), None) if irreducible_at(p, ()) else None
             else:
-                chain = next((c for c in self._chains(p, tri) if irreducible_at(p, c)), None)
+                chain = next((c for c in _chains(p, tri) if irreducible_at(p, c)), None)
             if chain is not None:
                 return p, chain
             tried += 1

@@ -65,6 +65,13 @@ a + c*b whose elimination polynomial is squarefree, and the step degree is
 the quotient of the sum's degree by the field's.  It is the tower's route
 before it certified step degrees at degree-1 primes, and its fallback
 since.
+
+Chains of simple roots through a tower's triangular set come from the
+tower's method before it read roots off the image cache of `polys`
+(`ChainCacheOracle`): the simple roots mod p of each level are those of
+gcd(f, x^p - x), found by scanning residues and kept where f' does not
+vanish (`simple_roots_oracle`), and the chains are grown level by level
+and cached per prime across steps.
 """
 
 import itertools
@@ -76,7 +83,17 @@ from cakelab.dyadic import DyadicInterval
 from cakelab.algebraic import AlgebraicNumber, _binary_elimination
 from cakelab.errors import DegreeCapExceeded, InvalidMeasureError
 from cakelab.factoring import check_degree, factor_over_Q
-from cakelab.polys import Poly, squarefree_part
+from cakelab.polys import (
+    Poly,
+    _derivative,
+    _fp_gcd,
+    _fp_powmod,
+    _fp_rem,
+    _fp_sub,
+    _horner_mod,
+    _monic_mod,
+    squarefree_part,
+)
 
 
 def divisors(n):
@@ -743,3 +760,52 @@ def compositum_step_degrees(values):
         if new_total > total:
             theta, total = new_theta, new_total
     return out
+
+
+def simple_roots_oracle(cs, p):
+    """The simple roots mod p, ascending, of the polynomial with
+    coefficients cs (reduced, nonzero leading coefficient).  They are roots
+    of g = gcd(f, x^p - x), squarefree of degree k: found directly when
+    k = 1, else by scanning the residues until k of them are."""
+    f = _monic_mod(cs, p)
+    x = _fp_rem([0, 1], f, p)
+    g = _fp_gcd(f, _fp_sub(_fp_powmod(x, p, f, p), x, p), p)
+    k = len(g) - 1
+    if k == 0:
+        return []
+    if k == 1:
+        roots = [-g[0] % p]
+    else:
+        roots = []
+        for r in range(p):
+            if _horner_mod(g, r, p) == 0:
+                roots.append(r)
+                if len(roots) == k:
+                    break
+    df = _derivative(f)
+    return [r for r in roots if _horner_mod(df, r, p)]
+
+
+class ChainCacheOracle:
+    """Chains of simple roots through a triangular set, cached per prime
+    as (depth, chains) and extended level by level as steps come."""
+
+    def __init__(self):
+        self.roots = {}
+
+    def chains(self, p, tri):
+        """Every chain of simple roots at p through tri, in lexicographic
+        order."""
+        depth, chains = self.roots.get(p, (0, [()]))
+        while chains and depth < len(tri):
+            rel = tri[depth]
+            grown = []
+            for c in chains:
+                images = {id(r.atom): v for r, v in zip(tri, c)}
+                cs = rel.reduce(p, images)
+                if cs is not None:
+                    grown.extend(c + (r,) for r in simple_roots_oracle(cs, p))
+            chains = grown
+            depth += 1
+        self.roots[p] = (len(tri), chains)
+        return chains

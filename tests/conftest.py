@@ -1,6 +1,8 @@
+import contextlib
 import os
 import signal
 import sys
+import time
 
 import pytest
 
@@ -36,6 +38,26 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the block, instead of hanging, once it runs past seconds.  The
+    per-test limit resumes afterwards with the time it had left."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 0.001))
 
 
 @pytest.fixture(autouse=True)

@@ -28,9 +28,8 @@ from cakelab import (
     welfare,
 )
 from cakelab.cli import main as cli_main
-from cakelab.factoring import modp_irreducible
 from cakelab.ints import SMALL_PRIMES
-from cakelab.polys import rational_roots
+from cakelab.polys import _modp_ddf, rational_roots
 
 from _corpus import corpus, mixed_quadratic, mixed_quintic, power, uniform
 from _oracle import kronecker_find_factor, oracle_factor
@@ -128,7 +127,8 @@ def test_05_selmer_conformance():
                 assert not rational_roots(p)
                 assert kronecker_find_factor(p.int_coeffs(), d // 2) is None
             else:
-                assert any(modp_irreducible(p, q) for q in SMALL_PRIMES)
+                ddfs = [_modp_ddf(p.int_coeffs(), q) for q in SMALL_PRIMES]
+                assert any(ddf is not None and ddf[0][0] == d for ddf in ddfs)
     assert reducible == [5, 11]
     report(5, "trinomial classification reducible exactly at d in {5, 11}")
 

@@ -44,6 +44,7 @@ from _oracle import (
     sturm_chain_oracle,
     sturm_count_oracle,
 )
+from conftest import time_limit
 
 X = Poly.x()
 
@@ -638,6 +639,20 @@ class TestCutRootRefinement:
         assert v.approx(Fraction(1, 1 << 40)) == (Fraction(1, 2), Fraction(1, 2))
         assert time.perf_counter() - start < 1
 
+    def test_rational_target_past_the_cap(self):
+        # both targets are 3/8 with no single-atom form, and the CDF reaches
+        # 3/8 at the grid point 1/2: past the limit the cut side decides
+        # target - cdf(1/2) exactly, or raises where that passes the cap
+        cdf = Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        a, b = nth_root(2, 2), nth_root(3, 2)
+        with time_limit(2):
+            v = AlgebraicNumber(_make_cut_root(cdf, ((a + b) - (b + a) + Fraction(3, 8))._node))
+            assert v.approx(Fraction(1, 1024)) == (Fraction(1, 2), Fraction(1, 2))
+        a, b = nth_root(2, 4), nth_root(3, 4)
+        t = (a + b) * (a - b) - (a * a - b * b) + Fraction(3, 8)
+        with time_limit(2), pytest.raises(DegreeCapExceeded):
+            AlgebraicNumber(_make_cut_root(cdf, t._node)).approx(Fraction(1, 1024))
+
 
 def cut_bisection_reference(cdf, target, eps):
     """Cut-root refinement as plain Fraction bisection, run the way
@@ -796,6 +811,21 @@ class TestSignedDecimal:
         assert (-pos).decimal(digits) == "-" + pos.decimal(digits)
         lo, hi = parse_truncated_decimal(v.decimal(digits))
         assert lo <= v <= hi
+
+    def test_rational_value_with_no_single_atom_form(self):
+        # (a+b) - (b+a) is 0 by the operands' tie rule, but it has no
+        # single-atom form, and its enclosures straddle 0 at every precision
+        a, b = nth_root(2, 2), nth_root(3, 2)
+        z = (a + b) - (b + a)
+        with time_limit(2):
+            assert z.sign() == 0
+            assert (z.decimal(6), str(z), repr(z)) == ("0", "0", "AlgebraicNumber(0)")
+            assert (z + Fraction(1, 4)).decimal(6) == "0.25"
+            # deciding the tie at -1/4 may need an elimination past the cap
+            try:
+                assert (z - Fraction(1, 4)).decimal(3) == "-0.25"
+            except DegreeCapExceeded:
+                pass
 
 
 def _horner_expr(coeffs):

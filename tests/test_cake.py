@@ -9,6 +9,7 @@ import cakelab.cake as cake
 from cakelab import (
     AlgebraicNumber,
     Allocation,
+    DegreeCapExceeded,
     InfeasibleAmountError,
     InvalidMeasureError,
     Measure,
@@ -21,6 +22,7 @@ from cakelab import (
     welfare,
 )
 from _oracle import validate_cdf_oracle
+from conftest import time_limit
 
 A = AlgebraicNumber
 X = Poly.x()
@@ -122,6 +124,20 @@ class TestQueries:
         s = Session([uniform(), power(5)])
         assert s.eval(1, 0, Fraction(1, 2)).as_rational() == Fraction(1, 32)
         assert s.eval(0, Fraction(1, 4), Fraction(3, 4)).as_rational() == Fraction(1, 2)
+
+    def test_transcript_of_a_cut_at_a_rational_target_past_the_cap(self):
+        # t is 3/8 with no single-atom form, and its minimal polynomial needs
+        # a degree-16 elimination; the CDF reaches 3/8 at the grid point 1/2
+        a, b = nth_root(2, 4), nth_root(3, 4)
+        t = (a + b) * (a - b) - (a * a - b * b) + Fraction(3, 8)
+        s = Session([Measure.make(Poly([0, Fraction(1, 2), Fraction(1, 2)]))])
+        with time_limit(2):
+            with pytest.raises(DegreeCapExceeded):
+                s.cut(0, 0, t)
+            try:
+                s.transcript.dump()
+            except DegreeCapExceeded:
+                pass
 
     def test_eval_at_cut_point_is_definitional_inverse(self):
         s = Session([uniform(), power(5)])

@@ -27,9 +27,8 @@ from cakelab import (
     verify_certificate,
     welfare,
 )
-from cakelab.factoring import modp_irreducible
 from cakelab.ints import SMALL_PRIMES
-from cakelab.polys import rational_roots
+from cakelab.polys import _modp_ddf, rational_roots
 
 from _oracle import kronecker_find_factor
 
@@ -101,7 +100,8 @@ class TestSelmer:
                 assert not rational_roots(p)
                 assert kronecker_find_factor(p.int_coeffs(), d // 2) is None
             else:
-                assert any(modp_irreducible(p, q) for q in SMALL_PRIMES)
+                ddfs = [_modp_ddf(p.int_coeffs(), q) for q in SMALL_PRIMES]
+                assert any(ddf is not None and ddf[0][0] == d for ddf in ddfs)
 
     def test_always_irreducible_family(self):
         for d in (2, 3, 5, 8, 11):

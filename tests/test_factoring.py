@@ -20,7 +20,7 @@ from cakelab import (
 )
 from cakelab import factoring, ints, polys
 from cakelab.cli import main as cli_main
-from cakelab.factoring import FactorSearchBudget, modp_irreducible
+from cakelab.factoring import FactorSearchBudget
 from cakelab.ints import coprime_base, factor_positive, int_nth_root
 
 from _oracle import int_nth_root_oracle, is_perfect_power, kronecker_find_factor, oracle_factor
@@ -156,16 +156,24 @@ class TestEisenstein:
                 assert eisenstein(prod, q, try_reversal=True) is Eisenstein.INCONCLUSIVE
 
 
+def irreducible_mod(p, q):
+    """True when p reduces mod q to an irreducible polynomial of the same
+    degree: the first pair of its distinct-degree factorization has full
+    degree.  That certifies p irreducible over the rationals."""
+    ddf = polys._modp_ddf(p.int_coeffs(), q)
+    return ddf is not None and ddf[0][0] == p.degree
+
+
 class TestModularProbe:
     def test_certifies_known_irreducible(self):
-        assert modp_irreducible(X**2 + X + c(1), 2)
-        assert modp_irreducible(X**10 + X - c(1), 17)
+        assert irreducible_mod(X**2 + X + c(1), 2)
+        assert irreducible_mod(X**10 + X - c(1), 17)
 
     def test_rejects_degree_drop(self):
-        assert not modp_irreducible(Poly([1, 1, 2]), 2)
+        assert not irreducible_mod(Poly([1, 1, 2]), 2)
 
     def test_reducible_input(self):
-        assert not modp_irreducible(X**2 - c(1), 5)
+        assert not irreducible_mod(X**2 - c(1), 5)
 
 
 class TestFactor:
@@ -273,9 +281,8 @@ def cut_quintics(count=40):
         yield cdf - c(fx + (1 - fx) * Fraction(rng.randint(1, 1000), 1000))
 
 
-def clear_image_caches():
-    for cached in (polys._image_squarefree, polys._image_roots, factoring._image_ddf):
-        cached.cache_clear()
+def clear_image_cache():
+    polys._image_ddf.cache_clear()
 
 
 class TestImageCaches:
@@ -286,6 +293,7 @@ class TestImageCaches:
         st.lists(st.integers(0, 46), max_size=3),
     )
     @example(3, [1, 0], [1, 1])  # (x^2 + 1)(x + 1)^2 mod 3
+    @example(3, [1, 0], [1, 0, 1])  # (x^2 + 1)^3 mod 3: no root, not squarefree
     @example(2, [], [])  # the image 1
     def test_cached_agrees_with_uncached(self, q, coeffs, squared):
         # monic images, some with a factor planted twice
@@ -295,14 +303,13 @@ class TestImageCaches:
             assume(f)
             f = polys._monic_mod(f, q)
         key = tuple(f)
-        for cached in (polys._image_squarefree, polys._image_roots, factoring._image_ddf):
-            assert cached(key, q) == cached.__wrapped__(key, q)
-        roots = polys._image_roots(key, q)
-        brute = [a for a in range(q) if polys._horner_mod(f, a, q) == 0]
-        multiple = any(polys._horner_mod(polys._derivative(f), a, q) == 0 for a in brute)
-        assert roots == (None if multiple else tuple(brute))
-        ddf = factoring._image_ddf(key, q)
-        assert (ddf is None) == (not polys._image_squarefree(key, q))
+        ddf = polys._image_ddf(key, q)
+        assert ddf == polys._image_ddf.__wrapped__(key, q)
+        df = polys._fp_trim([i * v % q for i, v in enumerate(f)][1:])
+        squarefree = bool(df) and len(polys._fp_gcd(f, df, q)) == 1
+        assert (ddf is None) == (not squarefree)
+        brute = tuple(a for a in range(q) if polys._horner_mod(f, a, q) == 0)
+        assert polys._modp_roots(f, q) == (brute if squarefree else None)
         if ddf is not None:
             product = [1]
             for _, g in ddf:
@@ -311,31 +318,30 @@ class TestImageCaches:
 
     def test_same_monic_image_shares_one_entry(self):
         # 3x^5 + 3x - 6 and x^5 + x + 5: both x^5 + x + 5 mod 7, monic
-        clear_image_caches()
-        first = factoring._modp_ddf([-6, 3, 0, 0, 0, 3], 7)
-        second = factoring._modp_ddf([5, 1, 0, 0, 0, 1], 7)
+        clear_image_cache()
+        first = polys._modp_ddf([-6, 3, 0, 0, 0, 3], 7)
+        second = polys._modp_ddf([5, 1, 0, 0, 0, 1], 7)
         assert second is first
-        info = factoring._image_ddf.cache_info()
+        info = polys._image_ddf.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert polys._image_squarefree.cache_info().currsize == 1
         # x^5 + x - 2 and x^5 + x + 28 agree mod 2, 3 and 5, where the
         # root search of the first ends
-        clear_image_caches()
+        clear_image_cache()
         assert polys.squarefree_rational_roots(Poly([-2, 1, 0, 0, 0, 1])) == [Fraction(1)]
-        cold = polys._image_roots.cache_info()
+        cold = polys._image_ddf.cache_info()
         assert polys.squarefree_rational_roots(Poly([28, 1, 0, 0, 0, 1])) == []
-        warm = polys._image_roots.cache_info()
+        warm = polys._image_ddf.cache_info()
         assert (warm.misses, warm.currsize) == (cold.misses, cold.currsize)
         assert warm.hits == cold.hits + cold.misses
 
     def test_cached_values_are_immutable(self):
-        clear_image_caches()
+        clear_image_cache()
         f = (X**4 + X + c(1)) * (X**2 + c(1))  # squarefree mod 7
-        ddf = factoring._modp_ddf(f.int_coeffs(), 7)
+        ddf = polys._modp_ddf(f.int_coeffs(), 7)
         assert isinstance(ddf, tuple) and all(isinstance(g, tuple) for _, g in ddf)
         with pytest.raises(TypeError):
             ddf[0][1][0] = 2
-        roots = polys._image_roots((0, 1, 1), 5)  # x^2 + x: roots 0 and 4
+        roots = polys._modp_roots([0, 1, 1], 5)  # x^2 + x: roots 0 and 4
         assert roots == (0, 4)
         with pytest.raises(TypeError):
             roots[0] = 1
@@ -343,7 +349,7 @@ class TestImageCaches:
         snapshot = [(k, list(g)) for k, g in ddf]
         factors = factoring._zassenhaus(f.int_coeffs(), 7, ddf, {2, 4})
         assert sorted(factors) == [[1, 0, 1], [1, 1, 0, 0, 1]]
-        assert [(k, list(g)) for k, g in factoring._modp_ddf(f.int_coeffs(), 7)] == snapshot
+        assert [(k, list(g)) for k, g in polys._modp_ddf(f.int_coeffs(), 7)] == snapshot
 
 
 class TestDegreeSieve:
@@ -400,13 +406,14 @@ class TestDegreeSieve:
     def test_modular_work_on_cut_quintics(self, monkeypatch):
         # 40 irreducible quintics: the sieve stops once no degree in 2..3
         # survives.  With four usable primes each they took 115
-        # distinct-degree factorizations; with the early stop, 74; from cold
-        # image caches, whose entries the quintics share, 32.  A second
-        # pass computes none.
-        clear_image_caches()
+        # distinct-degree factorizations; with the early stop, 74; from a
+        # cold image cache, whose entries the quintics share, 32.  A second
+        # pass computes none.  The cache then holds those 32 and 5 images
+        # that are not squarefree.
+        clear_image_cache()
         calls = []
-        ddf = factoring._fp_ddf
-        monkeypatch.setattr(factoring, "_fp_ddf", lambda f, p: calls.append(p) or ddf(f, p))
+        ddf = polys._fp_ddf
+        monkeypatch.setattr(polys, "_fp_ddf", lambda f, p: calls.append(p) or ddf(f, p))
         for p in cut_quintics():
             assert factor_over_Q(p).degrees() == [5]
         assert len(calls) == 32
@@ -414,6 +421,7 @@ class TestDegreeSieve:
         for p in cut_quintics():
             assert factor_over_Q(p).degrees() == [5]
         assert calls == []
+        assert polys._image_ddf.cache_info().currsize == 37
 
 
 SWINNERTON_DYER_4 = Poly([1, 0, -10, 0, 1])  # sqrt(2) + sqrt(3)
@@ -435,10 +443,10 @@ class TestZassenhaus:
         assume(deriv and len(polys._fp_gcd(f, deriv, p)) == 1)  # squarefree
         rng = random.Random(5)
         product = [1]
-        for k, part in factoring._fp_ddf(f, p):
+        for k, part in polys._fp_ddf(f, p):
             for u in factoring._fp_edf(part, k, p, rng):
                 assert len(u) - 1 == k and u[-1] == 1
-                assert list(factoring._fp_ddf(u, p)) == [(k, u)]
+                assert list(polys._fp_ddf(u, p)) == [(k, u)]
                 product = polys._fp_mul(product, u, p)
         assert product == f
 
@@ -452,7 +460,7 @@ class TestZassenhaus:
     def test_hensel_lifting(self, p, coeffs, lead, k):
         h = Poly(coeffs + [lead])
         f = h.int_coeffs()
-        ddf = factoring._modp_ddf(f, p)
+        ddf = polys._modp_ddf(f, p)
         assume(ddf is not None)  # squarefree mod p, lead a unit
         modular = [u for d, g in ddf for u in factoring._fp_edf(g, d, p, random.Random(0))]
         lifted = factoring._hensel_lift(f, modular, p, k)
@@ -468,7 +476,7 @@ class TestZassenhaus:
         # sieve and Zassenhaus work modulo larger primes
         lead = math.prod(ints.SMALL_PRIMES)
         a, b = Poly([1, 1, lead]), X**2 + X + c(1)
-        assert all(factoring._modp_ddf((a * b).int_coeffs(), q) is None for q in ints.SMALL_PRIMES)
+        assert all(polys._modp_ddf((a * b).int_coeffs(), q) is None for q in ints.SMALL_PRIMES)
         assert [f for f, _ in factor_over_Q(a * b).factors] == [b, a]
 
     def test_swinnerton_dyer(self, monkeypatch):

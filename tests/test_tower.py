@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,18 +22,18 @@ from cakelab import (
 )
 from cakelab import algebraic, tower
 from cakelab.cake import _increasing_preimage, poly_at
-from cakelab.factoring import _fp_ddf, _modp_ddf
-from cakelab.polys import _monic_mod
-from cakelab.tower import _irreducible_mod, _radical_degree, _simple_roots
+from cakelab.ints import primes
+from cakelab.polys import _fp_ddf, _fp_gcd, _fp_trim, _modp_ddf, _modp_roots, _monic_mod
+from cakelab.tower import _irreducible_mod, _radical_degree
 
-from _oracle import compositum_step_degrees, radical_degree_oracle
+from _oracle import ChainCacheOracle, compositum_step_degrees, radical_degree_oracle, simple_roots_oracle
 
 A = AlgebraicNumber
 
 
 def _ledger(tw):
     """A snapshot of every field of every step: the whole of the tower's
-    state but its cache of root chains."""
+    state."""
     return [dict(vars(s)) for s in tw.steps]
 
 
@@ -330,6 +331,19 @@ _CUTS = st.lists(
 ).filter(lambda cuts: math.prod(j for (_, (_, j)), _, _ in cuts) <= 48)
 
 
+def _squarefree_levels(p, tri, chain):
+    """Does each level of tri reduce mod p, at the roots of chain before
+    it, to a squarefree polynomial?"""
+    images = {}
+    for rel, r in zip(tri, chain):
+        f = _monic_mod(rel.reduce(p, images), p)
+        df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
+        if not df or len(_fp_gcd(f, df, p)) > 1:
+            return False
+        images[id(rel.atom)] = r
+    return True
+
+
 class TestRelativeTower:
     @pytest.mark.degree_cap(48)
     @settings(max_examples=25, deadline=None)
@@ -377,6 +391,29 @@ class TestRelativeTower:
             assert _ledger(tw) == before
         report = tw.verify_lemma1(p)  # every stored certificate rechecks
         assert report.violations == [i for i, s in enumerate(tw.steps) if s.degree not in (1, p)]
+
+    @pytest.mark.degree_cap(48)
+    @settings(max_examples=25, deadline=None)
+    @given(_CUTS)
+    @example([((3, (1, 3)), 0, Fraction(1, 2)), ((1, (2, 4)), 1, Fraction(1, 3))])
+    def test_lazy_chains_agree_with_the_cached_oracle(self, cuts):
+        # at each prime the chains are the oracle's but those through a
+        # level whose reduction is not squarefree there: all of them at a
+        # prime where every level's reduction is squarefree
+        values = []
+        for (k, (i, j)), start, share in cuts:
+            starts = [A(0), A(Fraction(1, 5))] + values
+            values.append(_cut(_mixture(k, i, j), starts[start % len(starts)], share))
+        tw = Tower()
+        _adjoin_all(tw, values)
+        assert set(vars(tw)) == {"steps", "allow_mediator_sqrt"}
+        tri = tower._triangular_set(tw.steps)
+        assume(tri)
+        oracle = ChainCacheOracle()  # cached across steps, as the tower once did
+        for depth in range(1, len(tri) + 1):
+            for p in itertools.islice(primes(), 40):
+                expected = [c for c in oracle.chains(p, tri[:depth]) if _squarefree_levels(p, tri, c)]
+                assert list(tower._chains(p, tri[:depth])) == expected
 
     @pytest.mark.degree_cap(48)
     def test_cut_landing_on_a_tower_point(self):
@@ -436,7 +473,7 @@ class TestRelativeTower:
         tw = self._even_paz_3_6()
         cubic = tw.steps[1].relative
         for q in (5, 11, 17, 23, 29, 41, 47, 53, 59, 71):
-            roots = _simple_roots(cubic.reduce(q, {}), q)
+            roots = _modp_roots(cubic.reduce(q, {}), q)
             if roots:
                 break
         tw.steps[3].certificate = (q, (roots[0],))
@@ -464,8 +501,9 @@ class TestModularTools:
         f = Poly(cs)
         df = f.derivative()
         simple = [r for r in range(p) if f(r) % p == 0 and df(r) % p != 0]
-        assert _simple_roots(cs, p) == simple
+        assert simple_roots_oracle(cs, p) == simple
         ddf = _modp_ddf(cs, p)
+        assert _modp_roots(cs, p) == (None if ddf is None else tuple(simple))
         irreducible = ddf is not None and ddf[0][0] == len(cs) - 1
         assert _irreducible_mod(cs, p) == irreducible
 
@@ -477,9 +515,10 @@ class TestModularTools:
     )
     @example(3, [1, 0], [1, 1])  # (x^2 + 1)(x + 1)^2: not squarefree mod 3
     def test_early_exit_irreducibility_matches_distinct_degrees(self, p, coeffs, squared):
-        # the issuing test of tower certificates, the first pair of the
-        # distinct-degree generator, against the full factorization on
-        # random reductions, with some factors planted twice
+        # the first pair of the distinct-degree generator decides
+        # irreducibility on any monic image, as the tower's certificate
+        # test over the cached factorization does, on random reductions
+        # with some factors planted twice
         f = Poly(coeffs + [1])
         if len(squared) > 1:
             f = f * Poly(squared) ** 2
