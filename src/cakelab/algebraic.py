@@ -77,7 +77,7 @@ from .polys import (
     bisect_root,
     horner,
     root_bound,
-    squarefree_rational_roots,
+    rational_roots,
     sturm_chain,
     sturm_isolate,
     sturm_point,
@@ -196,12 +196,11 @@ class _RootAtom(_Node):
 class _PolyRootAtom(_Node):
     """A specific real root of a rational polynomial, tracked by bracket."""
 
-    __slots__ = ("poly", "ordinal", "lo", "hi")
+    __slots__ = ("poly", "lo", "hi")
 
-    def __init__(self, poly: Poly, ordinal: int, lo: Fraction, hi: Fraction):
+    def __init__(self, poly: Poly, lo: Fraction, hi: Fraction):
         super().__init__()
         self.poly = poly  # primitive squarefree, positive leading coefficient
-        self.ordinal = ordinal  # index among all real roots, ascending
         self.lo = lo
         self.hi = hi
 
@@ -221,7 +220,7 @@ class _CutRootAtom(_Node):
 
 _ATOM_TYPES = (_RootAtom, _PolyRootAtom, _CutRootAtom)
 _root_intern: dict[tuple[Fraction, int], _RootAtom] = {}
-_polyroot_intern: dict[tuple[tuple[Fraction, ...], int], _PolyRootAtom] = {}
+_polyroot_intern: dict[tuple[tuple[int, ...], int], _PolyRootAtom] = {}
 
 
 # -- construction with folding ------------------------------------------------
@@ -361,7 +360,7 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
     all_ivs = sturm_isolate(sqf, DyadicInterval(-bound, bound))
     # each isolating interval holds one simple root and sqf changes sign
     # only there, so a sign test at the clipped ends places that root
-    cs = sqf.int_coeffs()
+    cs = sqf.nums
     hits = []
     for idx, iv in enumerate(all_ivs):
         a, b = max(iv.lo, lo), min(iv.hi, hi)
@@ -371,25 +370,25 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
             hits.append(idx)
     if len(hits) != 1:
         raise ValueError("the span must contain exactly one root")
-    for r in squarefree_rational_roots(sqf):
+    for r in rational_roots(sqf):
         if lo <= r <= hi:
             return _Rat(r)
     target_idx = hits[0]
     iv = all_ivs[target_idx]
-    nonzero = [(i, c) for i, c in enumerate(sqf.coeffs) if c != 0]
+    nonzero = [(i, c) for i, c in enumerate(cs) if c != 0]
     if len(nonzero) == 2 and nonzero[0][0] == 0:
         # binomial c*T^d + e: the root is a pure radical
         d = nonzero[1][0]
-        radicand = -nonzero[0][1] / nonzero[1][1]
+        radicand = Fraction(-nonzero[0][1], nonzero[1][1])
         if d % 2 == 1 or iv.lo >= 0:
             return _make_root(radicand, d)
         return _fold_mul(_rat(-1), _make_root(radicand, d))
     if sqf.degree == 2:
         return _quadratic_root(sqf, target_idx)
-    key = (sqf.coeffs, target_idx)
+    key = (cs, target_idx)
     atom = _polyroot_intern.get(key)
     if atom is None:
-        atom = _PolyRootAtom(sqf, target_idx, iv.lo, iv.hi)
+        atom = _PolyRootAtom(sqf, iv.lo, iv.hi)
         _polyroot_intern[key] = atom
     return atom
 
@@ -406,8 +405,8 @@ def _quadratic_root(sqf: Poly, ordinal: int) -> _Node:
     square.  The ordinal sets the sign of r1, so nothing is refined.  The
     two folds of the conjugate are charged too: `bss_op_count` counts four
     ticks for every quadratic root."""
-    a0, a1, a2 = sqf.coeff(0), sqf.coeff(1), sqf.coeff(2)
-    disc = int(a1 * a1 - 4 * a2 * a0)
+    a0, a1, a2 = sqf.nums
+    disc = a1 * a1 - 4 * a2 * a0
     assert disc > 0
     square, squarefree = 1, 1
     for prime in SMALL_PRIMES:
@@ -423,8 +422,8 @@ def _quadratic_root(sqf: Poly, ordinal: int) -> _Node:
     else:
         squarefree *= disc
     root = _make_root(Fraction(squarefree), 2)  # interned
-    base = -a1 / (2 * a2)
-    scale = Fraction(square) / (2 * a2)
+    base = Fraction(-a1, 2 * a2)
+    scale = Fraction(square, 2 * a2)
     if (ordinal == 1) != (scale > 0):
         scale = -scale
     _tick(2)
@@ -553,7 +552,7 @@ def _interval(node: _Node, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
-    cs = [int(c) for c in atom.poly.coeffs]
+    cs = atom.poly.nums
     if horner(cs, atom.lo.numerator, atom.lo.denominator) > 0:
         cs = [-c for c in cs]
 
@@ -567,8 +566,7 @@ def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
 
 def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
     kc = max(k, 8)
-    den = math.lcm(*[c.denominator for c in atom.cdf.coeffs])
-    cs = [int(c * den) for c in atom.cdf.coeffs]
+    cs, den = atom.cdf.nums, atom.cdf.den
     n = len(cs) - 1
     centre = None
     # a target with a single-atom form is irrational (`_make_cut_root`);
@@ -704,12 +702,7 @@ def _from_newton_sums(q: list[int]) -> list[int]:
 def _rescaled(c: list[int], scale: int) -> Poly:
     """The monic Poly sum c_k / scale^k T^(n-k)."""
     n = len(c) - 1
-    out = [Fraction(0)] * (n + 1)
-    pw = 1
-    for k, ck in enumerate(c):
-        out[n - k] = Fraction(ck, pw)
-        pw *= scale
-    return Poly(out)
+    return Poly([c[n - j] * scale**j for j in range(n + 1)], scale**n)
 
 
 def _charpoly(m: list[int], nums, den: int) -> tuple[list[int], int]:
@@ -845,7 +838,7 @@ def _compute_saf(node: _Node):
     m = None
     if atom is not None:
         try:
-            m = _int_minpoly(atom)
+            m = _minpoly(atom).nums
         except DegreeCapExceeded:
             return _SAF_UNAVAILABLE
         if len(m) == 2:
@@ -874,11 +867,6 @@ def _compute_saf(node: _Node):
     return _saf_make(atom, prod, den)
 
 
-def _int_minpoly(atom: _Node) -> list[int]:
-    """The atom's primitive minimal polynomial as a list of integers."""
-    return [c.numerator for c in _minpoly(atom).coeffs]
-
-
 def _horner_node(form) -> _Node:
     """A node with the single-atom form (atom, nums, den): a rational, the
     atom itself, or the Horner form of nums(atom) / den built without folds.
@@ -900,17 +888,15 @@ def _horner_node(form) -> _Node:
 def _residue_poly_at(p: Poly, node: _Node) -> Optional[_Node]:
     """p at the node's value, by Horner on residues modulo its atom's minimal
     polynomial, when the node has a single-atom form with an atom; None
-    otherwise.  Charges the 2 * len(p.coeffs) ticks of a Horner scheme
+    otherwise.  Charges the 2 * len(p.nums) ticks of a Horner scheme
     that folds one multiplication and one addition per coefficient."""
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE or saf[0] is None:
         return None
     atom, nums, den = saf
-    pden = math.lcm(*[c.denominator for c in p.coeffs])
-    cs = [c.numerator * (pden // c.denominator) for c in p.coeffs]
-    r, s = _residue_horner(cs, nums, den, _int_minpoly(atom))
-    _tick(2 * len(cs))
-    return _horner_node(_saf_make(atom, r, s * pden))
+    r, s = _residue_horner(p.nums, nums, den, _minpoly(atom).nums)
+    _tick(2 * len(p.nums))
+    return _horner_node(_saf_make(atom, r, s * p.den))
 
 
 def _rational_value(node: _Node) -> Optional[Fraction]:
@@ -1035,7 +1021,7 @@ def _compute_minpoly(node: _Node) -> Poly:
         # the characteristic polynomial of a value of Q(atom) is its minimal
         # polynomial to the power [Q(atom) : Q(value)], as the atom's
         # minimal polynomial m is irreducible: no factoring is needed
-        m = _int_minpoly(atom)
+        m = _minpoly(atom).nums
         n = len(m) - 1
         # the cap bounds this route as it bounds factoring: past it, the
         # value gets the diagnostic of factoring its characteristic polynomial
@@ -1359,24 +1345,9 @@ def rational_radical_form(value: AlgebraicNumber) -> Optional[tuple[Fraction, in
     """When the value generates exactly the field of a radical with a
     rational radicand, return (radicand, index); None otherwise.  Used by
     the tower to keep such adjunctions on the lattice route."""
-    node = value._node
-    saf = _saf_of(node)
-    if saf is _SAF_UNAVAILABLE:
-        return None
-    atom, nums, _ = saf
-    if atom is None or not isinstance(atom, _RootAtom) or not isinstance(atom.operand, Fraction):
-        return None
-    d = atom.index
-    if len(nums) == 2 or is_probable_prime(d):
-        # an affine image generates the whole field; so does any nonconstant
-        # image when the field degree is prime (no proper subfields)
-        return (atom.operand, d)
-    try:
-        m = _minpoly(node)
-    except DegreeCapExceeded:
-        return None
-    if m.degree == d:
-        return (atom.operand, d)
+    atom = _generating_atom(value._node)
+    if isinstance(atom, _RootAtom) and isinstance(atom.operand, Fraction):
+        return (atom.operand, atom.index)
     return None
 
 
@@ -1441,18 +1412,23 @@ def _dag_atoms(node: _Node) -> list[_Node]:
 
 def _generating_atom(node: _Node) -> Optional[_Node]:
     """An atom a with Q(a) = Q(value): the value itself when it is an atom,
-    else the atom of its single-atom form when both have the same degree
-    over Q.  None otherwise."""
+    else the atom of its single-atom form when that form is affine, when
+    the atom's degree is prime (a field of prime degree has no proper
+    subfield but Q), or when the value has the atom's degree over Q.
+    None otherwise."""
     if isinstance(node, _ATOM_TYPES):
         return node
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE or saf[0] is None:
         return None
+    atom, nums, _ = saf
+    if len(nums) == 2:
+        return atom
     try:
-        same = _minpoly(saf[0]).degree == _minpoly(node).degree
+        d = _minpoly(atom).degree
+        return atom if is_probable_prime(d) or d == _minpoly(node).degree else None
     except DegreeCapExceeded:
         return None
-    return saf[0] if same else None
 
 
 def _residue_mod(node: _Node, p: int, images: dict[int, int]) -> Optional[int]:

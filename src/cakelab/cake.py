@@ -12,7 +12,6 @@ equitability and utilitarian welfare with exact comparisons only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -84,19 +83,17 @@ def validate_cdf(f: Poly) -> None:
     if g.is_zero:
         raise InvalidMeasureError("density is identically zero")
     # a density with no negative coefficient is >= 0 on [0, 1] term by term
-    if all(c >= 0 for c in g.coeffs):
+    if all(c >= 0 for c in g.nums):
         return
     # otherwise probe every sign region that its real roots delimit on
-    # [0, 1], on g with its denominators cleared
+    # [0, 1], on g's numerators
     ivs = sturm_isolate(g, DyadicInterval.make(0, 1))
-    den = math.lcm(*[c.denominator for c in g.coeffs])
-    cs = [int(c * den) for c in g.coeffs]
     samples = [Fraction(0), Fraction(1)]
     bounds = sorted({iv.lo for iv in ivs} | {iv.hi for iv in ivs} | {Fraction(0), Fraction(1)})
     for lo, hi in zip(bounds, bounds[1:]):
         samples.append((lo + hi) / 2)
     for s in samples:
-        if 0 <= s <= 1 and horner(cs, s.numerator, s.denominator) < 0:
+        if 0 <= s <= 1 and horner(g.nums, s.numerator, s.denominator) < 0:
             raise InvalidMeasureError(f"density is negative at x = {s}: not monotone")
 
 
@@ -289,9 +286,8 @@ class Session:
 
 
 def _monomial_degree(f: Poly) -> Optional[int]:
-    nz = [(i, c) for i, c in enumerate(f.coeffs) if c != 0]
-    if len(nz) == 1 and nz[0][1] == 1:
-        return nz[0][0]
+    if f.nums and f.nums[-1] == f.den and not any(f.nums[:-1]):
+        return f.degree
     return None
 
 

@@ -64,7 +64,7 @@ from .polys import (
     _int_mul,
     _int_squarefree_decomposition,
     _modp_ddf,
-    squarefree_rational_roots,
+    rational_roots,
 )
 
 DEFAULT_DEGREE_CAP = 12
@@ -345,7 +345,7 @@ def _factor_squarefree(f: list[int]) -> list[Poly]:
             out.append(Poly(f))
             continue
         h = Poly(f)
-        roots = squarefree_rational_roots(h)
+        roots = rational_roots(h)
         if roots:
             # h is squarefree: each linear factor divides it once
             for r in roots:
@@ -401,13 +401,12 @@ def factor_over_Q(p: Poly) -> Factorization:
     for sqf, mult in _int_squarefree_decomposition(prim):
         for f in _factor_squarefree(sqf):
             collected[f] = collected.get(f, 0) + mult
-    factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
+    factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].nums)))
     # self-check: the primitive factors multiply back to the primitive part
     rebuilt = [1]
     for f, m in factors:
-        cs = [c.numerator for c in f.coeffs]
         for _ in range(m):
-            rebuilt = _int_mul(rebuilt, cs)
+            rebuilt = _int_mul(rebuilt, f.nums)
     assert rebuilt == prim
     return Factorization(content, factors)
 

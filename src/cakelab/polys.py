@@ -1,27 +1,32 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are stored lowest degree first; the zero polynomial is the
-empty coefficient tuple and has degree -1.  Everything here is exact: no
-floats enter at any point.  The module also houses gcds, squarefree parts,
-the Sturm machinery (root counting, isolation, refinement) and rational
-roots by p-adic lifting, which the factorization pipeline and the
-algebraic-number layer build on.
+A `Poly` is integer numerators over one positive denominator coprime to
+them (`Poly.nums`, `Poly.den`), lowest degree first; the zero polynomial
+has no numerators, denominator 1 and degree -1.  `Poly.coeffs` is the
+Fraction view of that form.  Arithmetic runs on the numerators, and
+`_int_mul` is the one schoolbook product: `Poly` products, compositions
+and the products mod m (`_fp_mul`) all call it.  No code outside this
+module clears denominators; it reads `nums` and `den`.  Everything here is
+exact: no floats enter at any point.  The module also houses gcds,
+squarefree parts, the Sturm machinery (root counting, isolation,
+refinement) and rational roots by p-adic lifting, which the factorization
+pipeline and the algebraic-number layer build on.
 
 Gcds, squarefree parts and resultants run on the primitive integer forms
-(`Poly.int_coeffs`), not on Fractions.  `_prem` is the one integer
-pseudo-remainder: it scales by positive factors only and reports their
-product.  The gcd is the primitive remainder sequence (Collins 1967;
-Brown & Traub 1971), and every quotient by a primitive divisor is exact
-over the integers by Gauss's lemma (`_exact_quotient`, which also reports
-a division that is not exact).  Squarefree parts and Yun's decomposition
-first try a certificate mod a small prime (`_squarefree_mod_prime`): f
-squarefree mod q, for q not dividing lc(f), is squarefree.  The module
-also holds the one kernel for polynomials mod m (`_fp_*`), which the
-factorization and the tower's degree certificates share, and the one
-cache over images mod a prime: the distinct-degree factorization of the
-monic image of f mod q, or None when it is not squarefree
-(`_image_ddf`, bounded by `IMAGE_CACHE_SIZE`), from which the squarefree
-test, the roots mod q and the degree patterns are read.
+(`Poly.int_coeffs`: the numerators without their content).  `_prem` is
+the one integer pseudo-remainder: it scales by positive factors only and
+reports their product.  The gcd is the primitive remainder sequence
+(Collins 1967; Brown & Traub 1971), and every quotient by a primitive
+divisor is exact over the integers by Gauss's lemma (`_exact_quotient`,
+which also reports a division that is not exact).  Squarefree parts and
+Yun's decomposition first try a certificate mod a small prime
+(`_squarefree_mod_prime`): f squarefree mod q, for q not dividing lc(f),
+is squarefree.  The module also holds the one kernel for polynomials mod
+m (`_fp_*`), which the factorization and the tower's degree certificates
+share, and the one cache over images mod a prime: the distinct-degree
+factorization of the monic image of f mod q, or None when it is not
+squarefree (`_image_ddf`, bounded by `IMAGE_CACHE_SIZE`), from which the
+squarefree test, the roots mod q and the degree patterns are read.
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -52,17 +57,37 @@ from .ints import primes
 
 
 class Poly:
-    """Immutable univariate polynomial with Fraction coefficients."""
+    """Immutable univariate polynomial with rational coefficients, stored
+    as integer numerators `nums` over one positive denominator `den`
+    coprime to them.  Poly(coeffs, den) is sum coeffs_i / den * T^i, for
+    any coefficients `Fraction` accepts and a nonzero integer den; it is
+    brought to that form, so equal polynomials have equal `nums` and
+    `den`."""
 
-    __slots__ = ("coeffs", "_cleared")
+    __slots__ = ("nums", "den")
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable = (), den: int = 1):
+        nums = list(coeffs)
+        if not all(type(c) is int for c in nums):
+            fs = [Fraction(c) for c in nums]
+            lcm = math.lcm(*[f.denominator for f in fs])
+            nums = [f.numerator * (lcm // f.denominator) for f in fs]
+            den *= lcm
+        if not den:
+            raise ZeroDivisionError("polynomial with a zero denominator")
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -71,7 +96,7 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly([Fraction(c)])
+        return Poly([c])
 
     @staticmethod
     def x() -> "Poly":
@@ -79,90 +104,71 @@ class Poly:
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
-        return Poly([0] * k + [Fraction(c)])
+        return Poly([0] * k + [c])
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, lowest degree first; () for zero."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        g = math.gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        nums = [x * sa + y * sb for x, y in itertools.zip_longest(self.nums, other.nums, fillvalue=0)]
+        return Poly(nums, self.den * sa)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+        return Poly(_int_mul(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
-        if c == 0:
-            return Poly()
-        return Poly([a * c for a in self.coeffs])
+        return Poly([x * c.numerator for x in self.nums], self.den * c.denominator)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """On the numerators a of self and b of other: s*a = q*b + r, with
+        r and s from `_prem` and q the exact quotient of s*a - r by b."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        dlc = other.leading
-        dcs = other.coeffs
-        for k in range(dq, -1, -1):
-            c = rem[k + len(dcs) - 1] / dlc
-            quot[k] = c
-            if c:
-                for i, dc in enumerate(dcs):
-                    rem[k + i] -= c * dc
-        return Poly(quot), Poly(rem[: len(dcs) - 1])
+        r, s = _prem(self.nums, other.nums)
+        q = _exact_quotient(_int_sub([s * c for c in self.nums], r), other.nums)
+        s *= self.den
+        return Poly([c * other.den for c in q], s), Poly(r, s)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -182,6 +188,8 @@ class Poly:
         return q
 
     def __pow__(self, k: int) -> "Poly":
+        if k < 0:
+            raise ValueError(f"a polynomial has no negative power, got {k}")
         out = Poly.constant(1)
         base = self
         while k:
@@ -194,52 +202,51 @@ class Poly:
     # -- calculus and substitution --------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def __call__(self, x) -> Fraction:
-        """p(x) at a rational x: one integer `horner` on the coefficients,
-        their denominators cleared once per polynomial, and one Fraction."""
+        """p(x) at a rational x: one integer `horner` on the numerators and
+        one Fraction."""
         if not isinstance(x, Fraction):
             x = Fraction(x)
-        try:
-            nums, den = self._cleared
-        except AttributeError:
-            den = math.lcm(*[c.denominator for c in self.coeffs])
-            nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            object.__setattr__(self, "_cleared", (nums, den))
-        if not nums:
+        if not self.nums:
             return Fraction(0)
-        return Fraction(horner(nums, x.numerator, x.denominator), den * x.denominator ** (len(nums) - 1))
+        return Fraction(horner(self.nums, x.numerator, x.denominator), self.den * x.denominator**self.degree)
 
     def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
+        """p(inner), by Horner on the numerators: acc / s * N / d + c is
+        (acc * N + c * s * d) / (s * d) for inner = N / d."""
+        acc: list[int] = []
+        s = 1
+        for c in reversed(self.nums):
+            acc = _int_mul(acc, inner.nums) or [0]
+            s *= inner.den
+            acc[0] += c * s
+        return Poly(acc, s * self.den)
 
     def substitute_power(self, k: int) -> "Poly":
         """Return p(T^k) by spreading coefficients; cheaper than compose."""
         if self.is_zero:
             return self
-        out = [Fraction(0)] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
+        out = [0] * (self.degree * k + 1)
+        for i, c in enumerate(self.nums):
             out[i * k] = c
-        return Poly(out)
+        return Poly(out, self.den)
 
     def reverse(self) -> "Poly":
         """Return T^deg * p(1/T).  Swaps each root with its reciprocal."""
-        return Poly(tuple(reversed(self.coeffs)))
+        return Poly(self.nums[::-1], self.den)
 
     def negate_variable(self) -> "Poly":
         """Return p(-T)."""
-        return Poly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
+        return Poly([c if i % 2 == 0 else -c for i, c in enumerate(self.nums)], self.den)
 
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
+        return Poly(self.nums, self.nums[-1])
 
     def content_and_primitive(self) -> tuple[Fraction, "Poly"]:
         """Split p = content * primitive with primitive an integer polynomial
@@ -255,11 +262,12 @@ class Poly:
     def int_coeffs(self) -> list[int]:
         """Coefficients of the primitive integer form, lowest degree first:
         coprime, with a positive leading coefficient; [] for zero."""
-        if not self.coeffs:
+        if not self.nums:
             return []
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        nums = _drop_content([c.numerator * (den // c.denominator) for c in self.coeffs])
-        return nums if nums[-1] > 0 else [-n for n in nums]
+        g = math.gcd(*self.nums)
+        if self.nums[-1] < 0:
+            g = -g
+        return [c // g for c in self.nums]
 
     # -- display ----------------------------------------------------------
 
@@ -296,7 +304,8 @@ def format_poly(p: Poly, var: str = "x") -> str:
 # -- integer polynomials -----------------------------------------------------
 #
 # Lists of int coefficients, lowest degree first, with no trailing zeros; []
-# is zero.  A rational polynomial enters by `Poly.int_coeffs`.  Divisors
+# is zero.  A rational polynomial enters by `Poly.nums` or, primitive, by
+# `Poly.int_coeffs`.  Divisors
 # here are primitive, so by Gauss's lemma a division that is exact over the
 # rationals is exact over the integers too.
 
@@ -312,7 +321,8 @@ def _derivative(a: list[int]) -> list[int]:
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    """The product of two integer polynomials, by schoolbook."""
+    """The product of two integer polynomials, by schoolbook: the
+    package's one product loop."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -811,14 +821,7 @@ def _fp_sub(a: list[int], b: list[int], m: int) -> list[int]:
 
 
 def _fp_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _fp_trim([c % m for c in out])
+    return _fp_trim([c % m for c in _int_mul(a, b)])
 
 
 def _fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -961,14 +964,8 @@ def _modp_roots(f: list[int], q: int) -> tuple[int, ...] | None:
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
-    """All distinct rational roots of p, sorted ascending: those of its
-    squarefree part, found by `squarefree_rational_roots`."""
-    return squarefree_rational_roots(squarefree_part(p))
-
-
-def squarefree_rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of the squarefree polynomial p, sorted ascending,
-    by p-adic lifting (Loos 1983).  No integer is factored.
+    """All distinct rational roots of p, sorted ascending, by p-adic
+    lifting (Loos 1983).  No integer is factored.
 
     Take the primitive integer form c_n x^n + ... + c_0 with c_0 != 0.  A
     rational root r makes c_n r an integer of absolute value at most

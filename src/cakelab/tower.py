@@ -232,7 +232,7 @@ def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
         if c == 1:
             mbc = mb
         else:
-            mbc = mb.compose(Poly([Fraction(0), Fraction(1, c)])).primitive()
+            mbc = mb.compose(Poly([0, 1], c)).primitive()
         elim = _binary_elimination("add", ma, mbc)
         if squarefree_part(elim).degree == elim.degree:
             return a + b * c
@@ -273,13 +273,13 @@ class RelativePoly:
 
     def may_certify(self, p: int) -> bool:
         """Can R reduce mod p to an irreducible polynomial of full degree?
-        Not when p divides a denominator or the leading coefficient of
+        Not when p divides the denominator or the leading numerator of
         cdf.  Nor, for a binomial a*t^d - b (cdf = t^d, or a rational
         binomial), unless every prime dividing d divides p - 1, and 4
         divides p - 1 when it divides d (Lidl & Niederreiter, Finite Fields,
         Theorem 3.75)."""
-        cs = self.cdf.coeffs
-        if any(c.denominator % p == 0 for c in cs) or cs[-1].numerator % p == 0:
+        cs = self.cdf.nums
+        if self.cdf.den % p == 0 or cs[-1] % p == 0:
             return False
         d = self.degree
         if d < 2 or any(cs[1:-1]):
@@ -288,16 +288,12 @@ class RelativePoly:
 
     def reduce(self, p: int, images: dict[int, int]) -> Optional[list[int]]:
         """R's coefficients mod p, with the target's tower atoms mapped to
-        their images; None when a denominator or the leading coefficient
-        vanishes mod p."""
-        cs = []
-        for c in self.cdf.coeffs:
-            den = c.denominator % p
-            if den == 0:
-                return None
-            cs.append(c.numerator * pow(den, -1, p) % p)
-        if cs[-1] == 0:
+        their images; None when the denominator or the leading numerator
+        of cdf vanishes mod p."""
+        if self.cdf.den % p == 0 or self.cdf.nums[-1] % p == 0:
             return None
+        inv = pow(self.cdf.den, -1, p)
+        cs = [c * inv % p for c in self.cdf.nums]
         if self.target is not None:
             t = _residue_mod(self.target, p, images)
             if t is None:

@@ -72,6 +72,10 @@ tower's method before it read roots off the image cache of `polys`
 gcd(f, x^p - x), found by scanning residues and kept where f' does not
 vanish (`simple_roots_oracle`), and the chains are grown level by level
 and cached per prime across steps.
+
+Polynomial arithmetic is checked against `FractionPoly`: coefficients
+stored as a tuple of Fractions, with the schoolbook loops over Fractions
+that `Poly` ran before it stored integer numerators over one denominator.
 """
 
 import itertools
@@ -809,3 +813,112 @@ class ChainCacheOracle:
             depth += 1
         self.roots[p] = (len(tri), chains)
         return chains
+
+
+class FractionPoly:
+    """A polynomial as its tuple of Fraction coefficients, lowest degree
+    first with no trailing zero, and the Fraction algorithms of `Poly`
+    before it stored integer numerators over one denominator."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self):
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return FractionPoly()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    if cb:
+                        out[i + j] += ca * cb
+        return FractionPoly(out)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return FractionPoly([a * c for a in self.coeffs])
+
+    def __divmod__(self, other):
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dcs = other.coeffs
+        dq = len(rem) - len(dcs)
+        if dq < 0:
+            return FractionPoly(), self
+        quot = [Fraction(0)] * (dq + 1)
+        for k in range(dq, -1, -1):
+            c = rem[k + len(dcs) - 1] / other.leading
+            quot[k] = c
+            if c:
+                for i, dc in enumerate(dcs):
+                    rem[k + i] -= c * dc
+        return FractionPoly(quot), FractionPoly(rem[: len(dcs) - 1])
+
+    def derivative(self):
+        return FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, x):
+        return fraction_horner_oracle(self, x)
+
+    def compose(self, inner):
+        acc = FractionPoly()
+        for c in reversed(self.coeffs):
+            acc = acc * inner + FractionPoly([c])
+        return acc
+
+    def substitute_power(self, k):
+        if not self.coeffs:
+            return self
+        out = [Fraction(0)] * (self.degree * k + 1)
+        for i, c in enumerate(self.coeffs):
+            out[i * k] = c
+        return FractionPoly(out)
+
+    def reverse(self):
+        return FractionPoly(reversed(self.coeffs))
+
+    def negate_variable(self):
+        return FractionPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
+
+    def monic(self):
+        if not self.coeffs:
+            return self
+        return self.scale(1 / self.leading)
+
+    def int_coeffs(self):
+        if not self.coeffs:
+            return []
+        den = math.lcm(*[c.denominator for c in self.coeffs])
+        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        g = math.gcd(*nums)
+        return [n // g if nums[-1] > 0 else -n // g for n in nums]

@@ -925,6 +925,17 @@ class TestSingleAtomForm:
             assert alg._saf_of(value._node) == (None, (), 1)
             assert value.sign() == 0
 
+    def test_affine_value_generates_past_the_cap(self):
+        # 3 * 2^(1/13) + 1 has degree 13, past the default cap of 12: its
+        # field's generator is read off its affine form, with no minimal
+        # polynomial of the value
+        radical = nth_root(2, 13)
+        value = 3 * radical + 1
+        with pytest.raises(DegreeCapExceeded):
+            value.minimal_polynomial()
+        assert alg._generating_atom(value._node) is radical._node
+        assert alg.rational_radical_form(value) == (2, 13)
+
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -16,13 +16,14 @@ from cakelab.polys import (
     resultant,
     root_bound,
     squarefree_part,
-    squarefree_rational_roots,
     sturm_chain,
     sturm_isolate,
     sturm_point,
 )
 
+from conftest import time_limit
 from _oracle import (
+    FractionPoly,
     bisect_oracle,
     fraction_horner_oracle,
     poly_divmod_int,
@@ -107,6 +108,96 @@ class TestArithmetic:
     def test_resultant_shares_root_iff_zero(self):
         assert resultant(X**2 - c(1), X - c(1)) == 0
         assert resultant(X**2 - c(2), X**2 - c(3)) != 0
+
+
+# A polynomial as Poly(nums, den), with a denominator of either sign and
+# up to 40 digits, or as Poly(coeffs) with Fraction or int coefficients;
+# zero and constants included.  Each comes with its FractionPoly.
+int_form_polys = st.one_of(
+    st.builds(
+        lambda nums, den: (Poly(nums, den), FractionPoly(Fraction(n, den) for n in nums)),
+        st.lists(st.integers(-(10**6), 10**6) | st.just(0), max_size=6),
+        st.integers(-(10**40), 10**40).filter(bool) | st.sampled_from([1, -1, 2, -6]),
+    ),
+    st.builds(
+        lambda cs: (Poly(cs), FractionPoly(cs)),
+        st.lists(st.fractions(max_denominator=10**12) | st.integers(-9, 9), max_size=6),
+    ),
+)
+
+
+def assert_integer_form(p):
+    """nums over a positive den coprime to them, with no trailing zero."""
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert all(type(c) is int for c in p.nums)
+
+
+class TestIntegerForm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        int_form_polys,
+        int_form_polys,
+        st.fractions(max_denominator=10**9) | st.integers(-3, 3),
+        st.fractions(max_denominator=10**9),
+        st.integers(1, 4),
+    )
+    @example((Poly(), FractionPoly()), (Poly([3]), FractionPoly([3])), 0, Fraction(1, 2), 1)
+    @example((Poly([1, 2], -3), FractionPoly([Fraction(-1, 3), Fraction(-2, 3)])), (Poly(), FractionPoly()), 5, 0, 2)
+    def test_matches_fraction_reference(self, pa, pb, c, x, k):
+        (a, fa), (b, fb) = pa, pb
+        assert a.coeffs == fa.coeffs
+        results = [
+            (a + b, fa + fb),
+            (a - b, fa - fb),
+            (a * b, fa * fb),
+            (a.scale(c), fa.scale(c)),
+            (a.compose(b), fa.compose(fb)),
+            (a.derivative(), fa.derivative()),
+            (a.substitute_power(k), fa.substitute_power(k)),
+            (a.reverse(), fa.reverse()),
+            (a.negate_variable(), fa.negate_variable()),
+            (a.monic(), fa.monic()),
+        ]
+        if b:
+            results.extend(zip(divmod(a, b), divmod(fa, fb)))
+        for got, want in results:
+            assert_integer_form(got)
+            assert got.coeffs == want.coeffs
+            assert got == Poly(want.coeffs) and hash(got) == hash(Poly(want.coeffs))
+        assert a(x) == fa(x)
+        assert a.int_coeffs() == fa.int_coeffs()
+
+    def test_spellings_give_one_polynomial(self):
+        spellings = [
+            Poly([Fraction(1, 2), 1]),
+            Poly([Fraction(2, 4), Fraction(3, 3)]),
+            Poly([Fraction(1, 2), 1, 0, Fraction(0)]),
+            Poly(["1/2", 1.0]),
+            Poly([1, 2], 2),
+            Poly([-2, -4], -4),
+            Poly([Fraction(3, 2), 3], 3),
+        ]
+        first = spellings[0]
+        for p in spellings:
+            assert_integer_form(p)
+            assert p == first and hash(p) == hash(first)
+            assert p.coeffs == (Fraction(1, 2), Fraction(1))
+            assert (p.nums, p.den) == ((1, 2), 2)
+        ints = Poly([2, 0, -1, 0])
+        fractions = Poly([Fraction(2), Fraction(0), Fraction(-1)])
+        assert ints == fractions and hash(ints) == hash(fractions) and ints.coeffs == fractions.coeffs
+        zeros = [Poly(), Poly([0, 0]), Poly([Fraction(0)]), Poly([], -5), Poly([0], 7)]
+        for z in zeros:
+            assert z == Poly() and hash(z) == hash(Poly()) and z.coeffs == () and z.den == 1
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            Poly([1, 2], 0)
+
+    def test_negative_power_raises(self):
+        with time_limit(2), pytest.raises(ValueError):
+            X**-1
 
 
 def _prod(ps):
@@ -590,7 +681,6 @@ class TestPolyCall:
     def test_matches_fraction_horner(self, coeffs, x):
         p = Poly(coeffs)
         expected = fraction_horner_oracle(p, x)
-        # the second call reads the cleared coefficients the first one cached
         assert p(x) == expected and p(x) == expected
         assert isinstance(p(x), Fraction)
 
@@ -633,8 +723,6 @@ class TestRationalRoots:
             p = p * Poly([-n, d]) ** k
         assume(not p.is_zero)
         assert rational_roots(p) == rational_roots_oracle([int(v) for v in p.coeffs])
-        # repeated factors reach the core, which takes the squarefree part
-        assert squarefree_rational_roots(p) == rational_roots(p)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -666,7 +754,7 @@ class TestRationalRoots:
     @example(1, 2, 0)
     def test_squarefree_core_passes_over_multiple_roots_mod_q(self, lead, b, shift):
         # lead*(x + shift)^5 + lead*(x + shift) - b has a double root mod 3
-        # for most b; the core must move to the next prime, never call
+        # for most b; the search must move to the next prime, never call
         # squarefree_part, and take the integer squarefree part at most once
         p = (Poly([shift, 1]) ** 5 + Poly([shift, 1])).scale(lead) - c(b)
         assume(poly_gcd(p, p.derivative()).degree == 0)
@@ -675,16 +763,16 @@ class TestRationalRoots:
             mp.setattr("cakelab.polys.squarefree_part", None)
             original = polys._int_squarefree
             mp.setattr(polys, "_int_squarefree", lambda f: seen.append(f) or original(f))
-            roots = squarefree_rational_roots(p)
+            roots = rational_roots(p)
         assert roots == rational_roots_oracle([int(v) for v in p.coeffs])
         assert len(seen) <= 1
 
     def test_repeated_factor_ends(self):
-        # (x + 1)^2 has a double root mod every prime: the core switches
+        # (x + 1)^2 has a double root mod every prime: the search switches
         # once to the squarefree part instead of trying primes forever
-        assert squarefree_rational_roots(Poly([1, 2, 1])) == [Fraction(-1)]
+        assert rational_roots(Poly([1, 2, 1])) == [Fraction(-1)]
         p = Poly([-2, 3]) ** 3 * (X**2 - c(2)) ** 2 * X
-        assert squarefree_rational_roots(p) == [Fraction(0), Fraction(2, 3)]
+        assert rational_roots(p) == [Fraction(0), Fraction(2, 3)]
 
     def test_semiprime_constant(self):
         # the constant's prime factors have 61 and 89 bits: factoring it
