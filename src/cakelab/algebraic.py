@@ -59,6 +59,7 @@ module is single-threaded.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import itertools
 import math
 from fractions import Fraction
@@ -83,13 +84,15 @@ from .polys import (
     sturm_point,
 )
 
-# Counters registered here receive one tick per field operation performed
-# on algebraic numbers; sessions use this to report mediator work.
-_op_counters: list[list[int]] = []
+# The counter of the run in progress, or None: it receives one tick per
+# field operation performed on algebraic numbers, and a session reports it
+# as mediator work.  A thread or context that did not open it sees None.
+_op_counter = contextvars.ContextVar("cakelab_op_counter", default=None)
 
 
 def _tick(n: int = 1) -> None:
-    for c in _op_counters:
+    c = _op_counter.get()
+    if c is not None:
         c[0] += n
 
 
@@ -1300,6 +1303,9 @@ class AlgebraicNumber:
         eps = Fraction(1, 10 ** (digits + 2))
         while True:
             lo, hi = _refine_to(self._node, eps)
+            if lo == hi:
+                # a point enclosure is the value itself, which is rational
+                return AlgebraicNumber(lo).decimal(digits)
             # truncate |value| once both ends have one sign and truncate alike
             if lo >= 0 or hi <= 0:
                 tlo = (abs(lo.numerator) * scale) // lo.denominator
@@ -1360,31 +1366,22 @@ def minimal_polynomial(value) -> Poly:
     return AlgebraicNumber.of(value).minimal_polynomial()
 
 
-class count_ops:
-    """Context manager collecting field-operation ticks into a counter."""
-
-    def __init__(self, counter: list[int]):
-        self.counter = counter
-
-    def __enter__(self):
-        _op_counters.append(self.counter)
-        return self.counter
-
-    def __exit__(self, *exc):
-        _op_counters.remove(self.counter)
-        return False
-
-
 @contextlib.contextmanager
-def uncounted():
-    """Suspend every registered counter: the field operations inside are
-    nobody's mediator work (the tower's degree computations)."""
-    saved = _op_counters[:]
-    _op_counters.clear()
+def count_ops(counter: Optional[list[int]]):
+    """Tick the field operations done inside, in this context only, into
+    counter[0]; the counter open outside is restored on exit.  A counter of
+    None counts nothing."""
+    token = _op_counter.set(counter)
     try:
-        yield
+        yield counter
     finally:
-        _op_counters[:] = saved
+        _op_counter.reset(token)
+
+
+def uncounted():
+    """The field operations inside are nobody's mediator work (the tower's
+    degree computations)."""
+    return count_ops(None)
 
 
 # -- DAG walks for the tower ---------------------------------------------------------

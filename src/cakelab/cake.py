@@ -7,7 +7,8 @@ Allocations must give each piece one owner among the players and tile
 [0, 1] with pieces that run left to right.  A session executes cut and eval queries against a list of
 measures, logging every answer into a transcript and a field tower.  The
 evaluators at the bottom decide proportionality, envy-freeness,
-equitability and utilitarian welfare with exact comparisons only.
+equitability and utilitarian welfare with exact comparisons only; a
+fairness report keeps the values it compared, and the CLI prints those.
 """
 
 from __future__ import annotations
@@ -330,9 +331,11 @@ class FairnessReport:
     envy_free: bool
     equitable: bool
     witnesses: list[FairnessWitness]
+    values: list[list[Alg]]  # [i][j]: player i's value of player j's share
 
-    def flag(self, name: str) -> bool:
-        return getattr(self, name)
+    @property
+    def own_values(self) -> list[Alg]:
+        return [row[i] for i, row in enumerate(self.values)]
 
 
 def _piece_value(measure: Measure, pieces: Iterable[tuple[Alg, Alg]]) -> Alg:
@@ -343,15 +346,21 @@ def _piece_value(measure: Measure, pieces: Iterable[tuple[Alg, Alg]]) -> Alg:
 
 
 def value_matrix(alloc: Allocation, measures: Sequence[Measure]) -> list[list[Alg]]:
-    return [
-        [_piece_value(m, alloc.pieces[j]) for j in range(alloc.n_players)]
-        for m in measures
-    ]
+    return [[_piece_value(m, per) for per in alloc.pieces] for m in measures]
+
+
+def own_values(alloc: Allocation, measures: Sequence[Measure]) -> list[Alg]:
+    """Each player's value of their own share."""
+    if len(measures) != alloc.n_players:
+        raise ValueError("measure count must match the allocation")
+    return [_piece_value(m, per) for m, per in zip(measures, alloc.pieces)]
 
 
 def check_fairness(alloc: Allocation, measures: Sequence[Measure]) -> FairnessReport:
     """Decide the three fairness flags with exact comparisons; each failed
-    flag carries a witness naming the violating pair and both values."""
+    flag carries a witness naming the violating pair and both values.  The
+    report keeps the value matrix, so a caller prints the values the audit
+    compared instead of valuing the shares again."""
     n = alloc.n_players
     if len(measures) != n:
         raise ValueError("measure count must match the allocation")
@@ -382,18 +391,13 @@ def check_fairness(alloc: Allocation, measures: Sequence[Measure]) -> FairnessRe
                 break
         if not equitable:
             break
-    return FairnessReport(proportional, envy_free, equitable, witnesses)
+    return FairnessReport(proportional, envy_free, equitable, witnesses, vm)
 
 
 def welfare(alloc: Allocation, measures: Sequence[Measure]) -> Alg:
-    """Utilitarian social welfare: the sum of own-piece values."""
-    n = alloc.n_players
-    if len(measures) != n:
-        raise ValueError("measure count must match the allocation")
-    total: Alg = _alg(0)
-    for i in range(n):
-        total = total + _piece_value(measures[i], alloc.pieces[i])
-    return total
+    """Utilitarian social welfare: the sum of own-piece values, folded left
+    from 0."""
+    return sum(own_values(alloc, measures), _alg(0))
 
 
 def max_welfare(measures: Sequence[Measure]) -> Allocation:

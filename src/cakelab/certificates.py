@@ -101,18 +101,14 @@ class OsadaResult(enum.Enum):
     INAPPLICABLE = "criterion-inapplicable"
 
 
-def osada_sd(d: int, a: int, b: int, c: int = 1) -> OsadaResult:
-    """Symmetric-group certificate for the trinomial x^d + a*x + b where
-    a = a0*c^d and b = b0*c^d: the group is the full symmetric group when
-    the trinomial is irreducible and gcd(a0*c*(d-1), d*b0) = 1.  Returns
-    INAPPLICABLE when either condition fails; never asserts "not S_d"."""
+def osada_sd(d: int, a: int, b: int) -> OsadaResult:
+    """Symmetric-group certificate for the trinomial x^d + a*x + b: the
+    group is the full symmetric group when the trinomial is irreducible and
+    gcd(a*(d-1), d*b) = 1.  Returns INAPPLICABLE when either condition
+    fails; never asserts "not S_d"."""
     if d < 2:
         raise ValueError("degree must be at least 2")
-    cd = c**d
-    if a % cd != 0 or b % cd != 0:
-        raise ValueError("a and b must be divisible by c^d")
-    a0, b0 = a // cd, b // cd
-    if math.gcd(abs(a0 * c * (d - 1)), abs(d * b0)) != 1:
+    if math.gcd(a * (d - 1), d * b) != 1:
         return OsadaResult.INAPPLICABLE
     tri = Poly([b, a] + [0] * (d - 2) + [1])
     if not _trinomial_irreducible(d, a, b, tri):

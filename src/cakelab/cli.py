@@ -1,9 +1,12 @@
 """Command-line frontend.
 
 Reports are deterministic byte for byte: the same command over the same
-inputs always prints the same output.  The structured format is JSON with
-a format_version field and carries exactly the same semantic content as
-the text format.
+inputs prints the same output in a fresh process.  Within one process an
+earlier command can refine the cached enclosure of a value a later one
+prints (`isolate-cutpoint`'s `refined_interval`).  The structured format
+is JSON with a format_version field and carries exactly the same semantic
+content as the text format.  A report prints the share values that `cake`
+built for its audit or its welfare, and values no share again.
 
 Exit codes: 0 success (and IMPOSSIBLE verdicts); 1 input errors, such
 as a malformed measures file, a rational option with a zero denominator
@@ -26,7 +29,7 @@ import sys
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber
-from .cake import Allocation, check_fairness, max_welfare, welfare
+from .cake import Allocation, check_fairness, max_welfare, own_values
 from .certificates import (
     Certificate,
     TrinomialFamily,
@@ -114,22 +117,18 @@ def _render_text(data: dict, indent: int = 0) -> str:
 # -- subcommands ----------------------------------------------------------------------
 
 
-def _allocation_data(alloc: Allocation, measures, digits: int) -> list[dict]:
-    out = []
-    for i, per in enumerate(alloc.pieces):
-        total = AlgebraicNumber(0)
-        pieces = []
-        for lo, hi in per:
-            pieces.append({"lo": _point_str(lo, digits), "hi": _point_str(hi, digits)})
-            total = total + measures[i].value(lo, hi)
-        out.append(
-            {
-                "player": measures[i].label or f"player{i + 1}",
-                "pieces": pieces,
-                "value": _alg_data(total, digits),
-            }
-        )
-    return out
+def _allocation_data(alloc: Allocation, measures, values, digits: int) -> list[dict]:
+    """Each player's pieces and their own value of them, as `cake` built it."""
+    return [
+        {
+            "player": m.label or f"player{i + 1}",
+            "pieces": [
+                {"lo": _point_str(lo, digits), "hi": _point_str(hi, digits)} for lo, hi in per
+            ],
+            "value": _alg_data(v, digits),
+        }
+        for i, (m, per, v) in enumerate(zip(measures, alloc.pieces, values))
+    ]
 
 
 def cmd_run_protocol(args) -> int:
@@ -145,7 +144,7 @@ def cmd_run_protocol(args) -> int:
         "command": "run-protocol",
         "protocol": run.protocol,
         "players": [m.label for m in measures],
-        "allocation": _allocation_data(run.allocation, measures, args.digits),
+        "allocation": _allocation_data(run.allocation, measures, rep.own_values, args.digits),
         "fairness": flags,
         "guarantees": sorted(run.guarantees),
         "guarantees_hold": all(flags[g] for g in run.guarantees),
@@ -167,7 +166,7 @@ def cmd_check_fairness(args) -> int:
     data = {
         "command": "check-fairness",
         "players": [m.label for m in measures],
-        "allocation": _allocation_data(alloc, measures, args.digits),
+        "allocation": _allocation_data(alloc, measures, rep.own_values, args.digits),
         "fairness": {
             "proportional": rep.proportional,
             "envy_free": rep.envy_free,
@@ -182,12 +181,13 @@ def cmd_check_fairness(args) -> int:
 def cmd_max_welfare(args) -> int:
     measures = _read_measures(args.measures)
     alloc = max_welfare(measures)
-    total = welfare(alloc, measures)
+    values = own_values(alloc, measures)
     data = {
         "command": "max-welfare",
         "players": [m.label for m in measures],
-        "allocation": _allocation_data(alloc, measures, args.digits),
-        "welfare": _alg_data(total, args.digits),
+        "allocation": _allocation_data(alloc, measures, values, args.digits),
+        # welfare()'s fold over the values printed above
+        "welfare": _alg_data(sum(values, AlgebraicNumber(0)), args.digits),
     }
     _emit(args, data)
     return 0

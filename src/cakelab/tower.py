@@ -51,7 +51,7 @@ routes in order, each an exact decision:
    polynomials has the step's degree.  Once a step does not, the tower has
    no chain, and later general steps come here as well.
 
-The routes run with the field-operation counters suspended, so
+The routes run uncounted (`algebraic.uncounted`), so
 `bss_op_count` counts the mediator's work and not the ledger's.
 `Tower.is_pth_power` asks the same routine for the degree of the root and
 adjoins nothing.

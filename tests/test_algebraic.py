@@ -1,6 +1,8 @@
+import contextvars
 import math
 import operator
 import random
+import threading
 import time
 from fractions import Fraction
 from unittest import mock
@@ -1180,6 +1182,53 @@ class TestFoldSoundness:
             lo, hi = v.approx(eps)
             ulo, uhi = alg._refine_to(node, eps)
             assert lo <= uhi and ulo <= hi
+
+
+class TestRationalCutRoot:
+    def test_point_enclosure_prints_exactly(self):
+        # z is 0 with no single-atom form, so the cut root of the target
+        # 3/8 + z is 1/2, which refinement reaches as the point [1/2, 1/2]
+        a, b = nth_root(2, 2), nth_root(3, 2)
+        z = (a + b) - (b + a)
+        cdf = Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        v = AlgebraicNumber(_make_cut_root(cdf, (z + Fraction(3, 8))._node))
+        assert v.decimal(6) == "0.5"
+        session = Session([Measure.make(cdf)])
+        with pytest.raises(DegreeCapExceeded):
+            # the tower's degree of the answer needs the target's degree-16
+            # minimal polynomial; the answer is recorded first
+            session.cut(0, 0, z + Fraction(3, 8))
+        assert session.transcript.dump() == "#0 player1 cut args=(0, 0.375) answer=0.5"
+
+
+class TestOpCounter:
+    @staticmethod
+    def _two_ops():
+        r = nth_root(2, 2)
+        return (r + r) * r
+
+    def test_counts_the_block_only(self):
+        with alg.count_ops([0]) as ticks:
+            self._two_ops()
+            with alg.uncounted():
+                self._two_ops()
+            with alg.count_ops([0]) as inner:
+                self._two_ops()
+            self._two_ops()
+        self._two_ops()
+        assert ticks == [4] and inner == [2]
+
+    def test_other_contexts_and_threads_do_not_tick(self):
+        # the counter belongs to the context that opened it: a fresh
+        # context, or a thread, starts with no counter open
+        with alg.count_ops([0]) as ticks:
+            self._two_ops()
+            contextvars.Context().run(self._two_ops)
+            worker = threading.Thread(target=self._two_ops)
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert ticks == [2]
 
 
 intervals = st.tuples(

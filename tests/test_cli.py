@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from cakelab import cli, factoring
+from cakelab import cake, cli, factoring, parse_measures, run_protocol
 from cakelab.cli import main
 
 
@@ -311,6 +312,44 @@ class TestGoldenBytes:
         )
         assert res.returncode == 0
         assert res.stdout == _golden(f"{name}.{fmt}")
+
+
+class TestReportValuesOnce:
+    """A report prints the share values its library call built: it adds no
+    CDF evaluation to those of the audit, or for max-welfare to those of
+    `welfare`, which values each own share once."""
+
+    @pytest.mark.parametrize(
+        "argv, audit, evaluations",
+        [
+            (["max-welfare", "--measures", "welfare-mixture.measures"],
+             lambda ms: cake.welfare(cake.max_welfare(ms), ms), 6),
+            (["check-fairness", "--measures", "welfare-mixture.measures", "--cuts", "1/4,3/4", "--owners", "0,1,0"],
+             lambda ms: cake.check_fairness(
+                 cake.Allocation.simple([Fraction(1, 4), Fraction(3, 4)], [0, 1, 0], n=len(ms)), ms
+             ), 12),
+            (["run-protocol", "--protocol", "cut-and-choose", "--measures", "quadratic.measures"],
+             lambda ms: cake.check_fairness(run_protocol("cut-and-choose", ms).allocation, ms), 11),
+        ],
+        ids=["max-welfare", "check-fairness", "run-protocol"],
+    )
+    def test_report_adds_no_evaluation(self, monkeypatch, capsys, argv, audit, evaluations):
+        calls = []
+        poly_at = cake.poly_at
+
+        def counted(p, v):
+            calls.append(p)
+            return poly_at(p, v)
+
+        monkeypatch.setattr(cake, "poly_at", counted)
+        at = argv.index("--measures") + 1
+        path = os.path.join(GOLDEN, argv[at])
+        with open(path) as fh:
+            audit(parse_measures(fh.read()))
+        assert len(calls) == evaluations
+        calls.clear()
+        assert run_cli([*argv[:at], path, *argv[at + 1:]], capsys)[0] == 0
+        assert len(calls) == evaluations
 
 
 class TestFormats:

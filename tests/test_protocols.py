@@ -5,6 +5,7 @@ import pytest
 
 from cakelab import (
     AlgebraicNumber,
+    cake,
     check_fairness,
     cut_and_choose,
     even_paz,
@@ -21,6 +22,42 @@ A = AlgebraicNumber
 
 def piece_bounds(alloc, player):
     return [(lo, hi) for lo, hi in alloc.pieces[player]]
+
+
+class TestOpCount:
+    """`bss_op_count` is the session's count when its last query ends: the
+    ticks inside each query and the protocol's comparisons between them.
+    A comparison after the last query is not counted."""
+
+    @pytest.fixture()
+    def spans(self, monkeypatch):
+        spans = []
+        for name in ("cut", "eval"):
+            query = getattr(cake.Session, name)
+
+            def spanned(self, *args, _query=query, _name=name):
+                before = self._ops[0]
+                answer = _query(self, *args)
+                spans.append((_name, before, self._ops[0]))
+                return answer
+
+            monkeypatch.setattr(cake.Session, name, spanned)
+        return spans
+
+    def test_cut_and_choose(self, spans):
+        run = cut_and_choose(uniform("a"), power(2, "b"))
+        # 4 ticks in the cut and 4 in the eval; the chooser's comparison
+        # comes after the last query
+        assert spans == [("cut", 0, 4), ("eval", 4, 8)]
+        assert run.transcript.bss_op_count == 8
+
+    def test_last_diminisher(self, spans):
+        run = last_diminisher([uniform("a"), power(2, "b"), power(3, "c")])
+        # 23 ticks in five queries, and one comparison of 1 tick after
+        # each of the first two evals
+        assert spans == [("cut", 0, 4), ("eval", 4, 8), ("eval", 9, 13), ("cut", 14, 21), ("eval", 21, 25)]
+        assert sum(end - start for _, start, end in spans) == 23
+        assert run.transcript.bss_op_count == 25
 
 
 class TestCutAndChoose:
