@@ -891,13 +891,18 @@ def _horner_node(form) -> _Node:
 def _residue_poly_at(p: Poly, node: _Node) -> Optional[_Node]:
     """p at the node's value, by Horner on residues modulo its atom's minimal
     polynomial, when the node has a single-atom form with an atom; None
-    otherwise.  Charges the 2 * len(p.nums) ticks of a Horner scheme
-    that folds one multiplication and one addition per coefficient."""
+    otherwise, and None when that minimal polynomial is past the degree
+    cap.  Charges the 2 * len(p.nums) ticks of a Horner scheme that folds
+    one multiplication and one addition per coefficient."""
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE or saf[0] is None:
         return None
     atom, nums, den = saf
-    r, s = _residue_horner(p.nums, nums, den, _minpoly(atom).nums)
+    try:
+        m = _minpoly(atom)
+    except DegreeCapExceeded:
+        return None
+    r, s = _residue_horner(p.nums, nums, den, m.nums)
     _tick(2 * len(p.nums))
     return _horner_node(_saf_make(atom, r, s * p.den))
 

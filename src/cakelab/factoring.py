@@ -12,9 +12,9 @@ roots gone only degrees 2..n-2 matter, and the sieve stops at the first
 usable prime after which none survives, else after four usable primes
 (von zur Gathen & Gerhard, Modern Computer Algebra, §14).  Each prime's
 distinct-degree factorization comes from the one cache over monic images
-mod q (`polys._modp_ddf`), which the squarefree certificate and the
-rational-root search fill too: a player's cut polynomials F - c share
-their images.  What survives
+mod q (`polys._modp_ddf`), whose entries the squarefree certificate and the
+rational-root search create too, computing only the degrees they read: a
+player's cut polynomials F - c share their images.  What survives
 is factored by Zassenhaus's algorithm at the sieve prime p with the
 fewest modular factors: Cantor-Zassenhaus splitting of that prime's
 distinct-degree parts, Hensel lifting until p^k exceeds twice the leading
@@ -27,7 +27,7 @@ mod p and p^k on the list kernel of `polys`.  All factors are returned
 primitive over the integers with positive leading coefficient, so
 comparisons in tests are canonical.
 
-This module owns the degree cap (default 12), the one limit on every
+This module owns the degree cap (default 24), the one limit on every
 factorization, elimination and certificate in the package: inputs past
 the cap raise DegreeCapExceeded rather than running forever, and
 recombination carries a candidate budget.  `set_degree_cap` changes it
@@ -67,7 +67,7 @@ from .polys import (
     rational_roots,
 )
 
-DEFAULT_DEGREE_CAP = 12
+DEFAULT_DEGREE_CAP = 24
 
 _degree_cap = DEFAULT_DEGREE_CAP
 
@@ -93,8 +93,11 @@ def check_degree(n: int, context: str) -> None:
 
 
 # Recombination candidates tried per polynomial before giving up.  Below
-# the default cap there are at most 12 modular factors, whose subsets of
-# up to half their number are about two thousand.
+# the default cap there are at most 24 modular factors, whose subsets of up
+# to half their number are about eight million, so the budget is what
+# bounds the worst case.  Recombination skips the degrees the sieve rules
+# out: random products up to degree 40 and the Swinnerton-Dyer
+# polynomials each needed fewer than two thousand candidates.
 RECOMBINATION_BUDGET = 200_000
 
 

@@ -26,7 +26,9 @@ m (`_fp_*`), which the factorization and the tower's degree certificates
 share, and the one cache over images mod a prime: the distinct-degree
 factorization of the monic image of f mod q, or None when it is not
 squarefree (`_image_ddf`, bounded by `IMAGE_CACHE_SIZE`), from which the
-squarefree test, the roots mod q and the degree patterns are read.
+squarefree test, the roots mod q and the degree patterns are read.  An
+entry computes its degrees on demand, so each question pays only for the
+degrees it reads.
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -49,7 +51,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .dyadic import DyadicInterval
 from .errors import ZeroPolynomialError
@@ -413,10 +415,10 @@ def _squarefree_mod_prime(f: list[int]) -> bool:
     stays a square factor of positive degree mod q.  False is inconclusive:
     a squarefree f can have a repeated factor mod both primes (or f' can
     vanish mod q, for q up to deg f).  The test is whether the image has
-    a distinct-degree factorization (`_modp_ddf`), so the factorization's
-    sieve finds it cached."""
+    a distinct-degree factorization (`_modp_image`), which computes none of
+    its degrees, so the factorization's sieve finds the entry cached."""
     usable = itertools.islice((q for q in primes() if f[-1] % q), 2)
-    return any(_modp_ddf(f, q) is not None for q in usable)
+    return any(_modp_image(f, q) is not None for q in usable)
 
 
 def _int_squarefree(f: list[int]) -> list[int]:
@@ -883,11 +885,15 @@ def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
 #
 # Integer polynomials with one monic image mod q share every result below:
 # a player's cut polynomials F - c differ only in their constant term, so
-# modulo q they take at most q images.  One cache holds them: the
-# distinct-degree factorization of (the image as a tuple, q), up to
-# IMAGE_CACHE_SIZE entries, immutable, so no caller can change an entry.
-# The squarefree certificate, the rational-root search, the factorization's
-# degree sieve and the tower's root chains and certificates all read it.
+# modulo q they take at most q images.  One cache holds them: for each
+# (image as a tuple, q), up to IMAGE_CACHE_SIZE entries, None when the
+# image is not squarefree, and otherwise an `_ImageDDF` that computes the
+# distinct-degree factorization one degree at a time, only as far as a
+# question reads it.  The squarefree certificate reads no degree, the
+# rational-root search and the tower's root chains read degree 1, the
+# tower's degree certificates the first part, and the factorization's
+# degree sieve all of it.  Every value an entry returns is a tuple, so no
+# caller can change it.
 
 IMAGE_CACHE_SIZE = 2048
 
@@ -896,65 +902,99 @@ IMAGE_CACHE_SIZE = 2048
 DDF = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[int, list[int]]]:
-    """Distinct-degree factorization of a monic squarefree f over F_p:
-    pairs (k, monic product of the irreducible factors of degree k), k
-    ascending, generated one at a time.  On any monic f of positive degree
-    n the first pair is (n, f) exactly when f is irreducible: otherwise f
-    has an irreducible factor of degree k <= n/2, repeated factors
-    included, and a pair for some k up to that one comes first."""
-    work = f
-    xq = [0, 1]
-    k = 0
-    while len(work) > 1:
+class _ImageDDF:
+    """The distinct-degree factorization of a monic squarefree f over F_q,
+    extended one degree k at a time as far as it is read.  Its state is one
+    tuple (k, parts, work, xq), replaced whole after each degree: parts
+    holds the pairs of degree at most k, work is the product of the
+    irreducible factors of degree above k and xq is x^(q^k) mod work.  A
+    time limit that interrupts a degree midway leaves the state of the
+    degree before, so a cached entry never holds a half-done degree."""
+
+    __slots__ = ("q", "_state")
+
+    def __init__(self, f: tuple[int, ...], q: int):
+        self.q = q
+        self._state: tuple[int, DDF, tuple[int, ...], tuple[int, ...]] = (0, (), f, (0, 1))
+
+    def _extend(self) -> None:
+        k, parts, work, xq = self._state
+        q = self.q
+        n = len(work) - 1
         k += 1
-        if 2 * k > len(work) - 1:
-            yield len(work) - 1, work
+        if 2 * k > n:
+            # every factor left has degree k or more, so work is irreducible
+            self._state = (n, parts + ((n, work),), (1,), ())
             return
-        xq = _fp_powmod(xq, p, work, p)
-        diff = _fp_sub(xq, [0, 1], p)
+        w = list(work)
+        x = _fp_powmod(list(xq), q, w, q)
+        diff = _fp_sub(x, [0, 1], q)
         if not diff:
-            # every remaining factor has degree dividing k; since none has
-            # degree below k, the remainder splits into degree-k parts
-            yield k, work
+            # every factor left has a degree dividing k and none below k
+            self._state = (k, parts + ((k, work),), (1,), ())
             return
-        g = _fp_gcd(work, diff, p)
+        g = _fp_gcd(w, diff, q)
         if len(g) > 1:
-            yield k, g
-            work = _fp_divmod(work, g, p)[0]
-            xq = _fp_rem(xq, work, p)
+            parts += ((k, tuple(g)),)
+            w = _fp_divmod(w, g, q)[0]
+            x = _fp_rem(x, w, q)
+        self._state = (k, parts, tuple(w), tuple(x))
+
+    def parts(self, upto: int | None = None) -> DDF:
+        """The pairs (k, monic product of the degree-k irreducible factors),
+        k ascending: those with k <= upto, or all of them."""
+        while len(self._state[2]) > 1 and (upto is None or self._state[0] < upto):
+            self._extend()
+        parts = self._state[1]
+        return parts if upto is None else tuple(part for part in parts if part[0] <= upto)
+
+    def first(self) -> tuple[int, tuple[int, ...]]:
+        """The pair of least degree, for f of positive degree n: (n, f)
+        exactly when f is irreducible."""
+        while not self._state[1] and len(self._state[2]) > 1:
+            self._extend()
+        return self._state[1][0]
 
 
 @functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _image_ddf(f: tuple[int, ...], q: int) -> DDF | None:
-    """The distinct-degree factorization of the monic image f over F_q;
-    None when f is not squarefree: f' is zero or shares a factor with f."""
+def _image_ddf(f: tuple[int, ...], q: int) -> _ImageDDF | None:
+    """The distinct-degree factorization of the monic image f over F_q, not
+    yet extended to any degree; None when f is not squarefree: f' is zero
+    or shares a factor with f."""
     df = _fp_trim([i * c % q for i, c in enumerate(f)][1:])
     if not df or len(_fp_gcd(list(f), df, q)) > 1:
         return None
-    return tuple((k, tuple(g)) for k, g in _fp_ddf(list(f), q))
+    return _ImageDDF(f, q)
 
 
-def _modp_ddf(f: list[int], q: int) -> DDF | None:
-    """Distinct-degree factorization modulo q of the integer polynomial f,
-    made monic.  None when q is unusable: q divides the leading coefficient
-    or the reduction is not squarefree."""
+def _modp_image(f: list[int], q: int) -> _ImageDDF | None:
+    """The cached distinct-degree factorization modulo q of the integer
+    polynomial f, made monic.  None when q is unusable: q divides the
+    leading coefficient or the reduction is not squarefree."""
     if f[-1] % q == 0:
         return None
     return _image_ddf(tuple(_monic_mod(f, q)), q)
+
+
+def _modp_ddf(f: list[int], q: int) -> DDF | None:
+    """Every part of the distinct-degree factorization modulo q of f
+    (`_modp_image`); None when q is unusable."""
+    image = _modp_image(f, q)
+    return None if image is None else image.parts()
 
 
 def _modp_roots(f: list[int], q: int) -> tuple[int, ...] | None:
     """The roots mod q of the integer polynomial f, ascending, all simple:
     the roots of the degree-1 part of its distinct-degree factorization,
     found by trying residues until all are.  None when q is unusable
-    (`_modp_ddf`)."""
-    ddf = _modp_ddf(f, q)
-    if ddf is None:
+    (`_modp_image`)."""
+    image = _modp_image(f, q)
+    if image is None:
         return None
-    if not ddf or ddf[0][0] != 1:
+    linear = image.parts(1)
+    if not linear:
         return ()
-    g = ddf[0][1]
+    g = linear[0][1]
     if len(g) == 2:
         return (-g[0] % q,)
     return tuple(itertools.islice((a for a in range(q) if _horner_mod(g, a, q) == 0), len(g) - 1))

@@ -34,8 +34,9 @@ routes in order, each an exact decision:
      by Hensel's lemma (dynamic evaluation: Della Dora, Dicrescenzo &
      Duval 1985).  Values of K reduce mod p by evaluating their DAG with
      each a_i mapped to r_i.  If R then reduces to an irreducible
-     polynomial of full degree (its distinct-degree factorization,
-     `polys._modp_ddf`, starts at deg R), R is irreducible over the
+     polynomial of full degree (the first part of its distinct-degree
+     factorization, `polys._modp_image`, has degree deg R, and no later
+     degree is computed), R is irreducible over the
      p-adic numbers by Gauss's lemma, hence over K, and the step degree
      is deg R.  The step stores (p, chain), and `verify_lemma1` rechecks
      it.  Every chain at a prime is tried, depth first and generated as
@@ -90,7 +91,7 @@ from .polys import (
     _fp_rem,
     _fp_sub,
     _horner_mod,
-    _modp_ddf,
+    _modp_image,
     _modp_roots,
     _monic_mod,
     squarefree_part,
@@ -543,13 +544,13 @@ class Tower:
         """(p, chain) for the first chain at which R reduces to an
         irreducible polynomial of full degree, trying at most
         CERTIFICATE_PRIMES primes that `RelativePoly.may_certify` admits.
-        The reduction is irreducible exactly when its distinct-degree
-        factorization starts at its own degree."""
+        The reduction is irreducible exactly when the first part of its
+        distinct-degree factorization has its own degree."""
 
         def irreducible_at(p: int, chain: tuple[int, ...]) -> bool:
             cs = rel.reduce(p, _images(tri, chain))
-            ddf = None if cs is None else _modp_ddf(cs, p)
-            return ddf is not None and ddf[0][0] == rel.degree
+            image = None if cs is None else _modp_image(cs, p)
+            return image is not None and image.first()[0] == rel.degree
 
         tried = 0
         for p in primes():

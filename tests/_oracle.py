@@ -17,6 +17,10 @@ divisors of the constant and leading coefficients is tried.  Radical
 degrees come from prime exponent vectors found by trial division, with
 the generator exponents enumerated modulo their indices.
 
+Distinct-degree factorizations mod p are checked against the eager
+generator the library used before its image cache computed degrees on
+demand (`fp_ddf_oracle`).
+
 Sturm counts and isolations are checked against the rational Sturm
 sequence f, f', -(f mod f'), ... in plain Fractions, evaluated by
 `Poly.__call__` and recounted at every split, the library's method before
@@ -90,6 +94,7 @@ from cakelab.factoring import check_degree, factor_over_Q
 from cakelab.polys import (
     Poly,
     _derivative,
+    _fp_divmod,
     _fp_gcd,
     _fp_powmod,
     _fp_rem,
@@ -764,6 +769,33 @@ def compositum_step_degrees(values):
         if new_total > total:
             theta, total = new_theta, new_total
     return out
+
+
+def fp_ddf_oracle(f, p):
+    """Distinct-degree factorization of a monic squarefree f over F_p:
+    pairs (k, monic product of the irreducible factors of degree k), k
+    ascending, generated one at a time.  On any monic f of positive degree
+    n the first pair is (n, f) exactly when f is irreducible: otherwise f
+    has an irreducible factor of degree k <= n/2, repeated factors
+    included, and a pair for some k up to that one comes first."""
+    work = f
+    xq = [0, 1]
+    k = 0
+    while len(work) > 1:
+        k += 1
+        if 2 * k > len(work) - 1:
+            yield len(work) - 1, work
+            return
+        xq = _fp_powmod(xq, p, work, p)
+        diff = _fp_sub(xq, [0, 1], p)
+        if not diff:
+            yield k, work
+            return
+        g = _fp_gcd(work, diff, p)
+        if len(g) > 1:
+            yield k, g
+            work = _fp_divmod(work, g, p)[0]
+            xq = _fp_rem(xq, work, p)
 
 
 def simple_roots_oracle(cs, p):

@@ -305,7 +305,7 @@ class TestSign:
     def test_rational_coefficients_merge(self):
         # p / (3/7) is built as (7/3)*p; multiplying back merges the two
         # rationals to 1, so the difference folds to 0 with no elimination
-        # (the mul elimination for it has degree 15, past the cap)
+        # (the mul elimination for it would have degree 15)
         p = nth_root(Fraction(1, 2), 5) * t_star()
         start = time.perf_counter()
         with alg.count_ops([0]) as ticks:
@@ -928,15 +928,15 @@ class TestSingleAtomForm:
             assert value.sign() == 0
 
     def test_affine_value_generates_past_the_cap(self):
-        # 3 * 2^(1/13) + 1 has degree 13, past the default cap of 12: its
+        # 3 * 2^(1/29) + 1 has degree 29, past the default cap of 24: its
         # field's generator is read off its affine form, with no minimal
         # polynomial of the value
-        radical = nth_root(2, 13)
+        radical = nth_root(2, 29)
         value = 3 * radical + 1
         with pytest.raises(DegreeCapExceeded):
             value.minimal_polynomial()
         assert alg._generating_atom(value._node) is radical._node
-        assert alg.rational_radical_form(value) == (2, 13)
+        assert alg.rational_radical_form(value) == (2, 29)
 
 
     @settings(max_examples=150, deadline=None)
@@ -1185,6 +1185,7 @@ class TestFoldSoundness:
 
 
 class TestRationalCutRoot:
+    @pytest.mark.degree_cap(12)
     def test_point_enclosure_prints_exactly(self):
         # z is 0 with no single-atom form, so the cut root of the target
         # 3/8 + z is 1/2, which refinement reaches as the point [1/2, 1/2]
@@ -1196,7 +1197,8 @@ class TestRationalCutRoot:
         session = Session([Measure.make(cdf)])
         with pytest.raises(DegreeCapExceeded):
             # the tower's degree of the answer needs the target's degree-16
-            # minimal polynomial; the answer is recorded first
+            # minimal polynomial, past the pinned cap of 12; the answer is
+            # recorded first
             session.cut(0, 0, z + Fraction(3, 8))
         assert session.transcript.dump() == "#0 player1 cut args=(0, 0.375) answer=0.5"
 

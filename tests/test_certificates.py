@@ -27,6 +27,7 @@ from cakelab import (
     verify_certificate,
     welfare,
 )
+from cakelab import factoring
 from cakelab.ints import SMALL_PRIMES
 from cakelab.polys import _modp_ddf, rational_roots
 
@@ -205,6 +206,15 @@ class TestEquitableCertificates:
     def test_uncovered(self):
         with pytest.raises(UncoveredCaseError):
             check_impossibility_equitable(35)
+
+    @pytest.mark.parametrize("d", range(13, 25))
+    def test_issued_and_verified_at_default_cap(self, d):
+        # every degree up to the default cap of 24 is issued and rechecked
+        # with no cap set
+        assert factoring.degree_cap() == factoring.DEFAULT_DEGREE_CAP == 24
+        cert = check_impossibility_equitable(d)
+        assert cert.verdict is Verdict.IMPOSSIBLE
+        assert verify_certificate(cert).all_ok
 
     @pytest.mark.degree_cap(48)
     @pytest.mark.parametrize("d", range(13, 31))

@@ -251,7 +251,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_even_paz_degree_30_compositum_at_cap_48(self, fmt):
         # the compositum of this tower has degree 30 (6 x 5), past the
-        # default cap of 12; the step degrees 6 and 5 are coprime, so the
+        # default cap of 24; the step degrees 6 and 5 are coprime, so the
         # tower no longer builds it, and the report is the same at either
         # cap.  The cap is raised in the child process only
         res = subprocess.run(
@@ -401,17 +401,17 @@ class TestDegreeCapEnv:
 
     @pytest.mark.parametrize(
         "args",
-        [["check-impossibility", "equitable", "--d", "17"], ["analyze-trinomial", "--d", "17"]],
+        [["check-impossibility", "equitable", "--d", "29"], ["analyze-trinomial", "--d", "29"]],
         ids=["check-impossibility", "analyze-trinomial"],
     )
     def test_env_cap_reaches_certificates(self, args):
-        # degree 17 is past the default cap: the environment's cap must
+        # degree 29 is past the default cap: the environment's cap must
         # reach the factorizations behind the verdict
         env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
         env.pop("CAKELAB_DEGREE_CAP", None)
         res = subprocess.run([sys.executable, "-m", "cakelab", *args], capture_output=True, env=env)
         assert res.returncode == 1
-        assert b"degree 17 exceeds the factorization cap 12" in res.stderr
+        assert b"degree 29 exceeds the factorization cap 24" in res.stderr
         res = subprocess.run(
             [sys.executable, "-m", "cakelab", *args],
             capture_output=True,

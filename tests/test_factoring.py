@@ -23,7 +23,7 @@ from cakelab.cli import main as cli_main
 from cakelab.factoring import FactorSearchBudget
 from cakelab.ints import coprime_base, factor_positive, int_nth_root
 
-from _oracle import int_nth_root_oracle, is_perfect_power, kronecker_find_factor, oracle_factor
+from _oracle import fp_ddf_oracle, int_nth_root_oracle, is_perfect_power, kronecker_find_factor, oracle_factor
 
 X = Poly.x()
 
@@ -210,6 +210,7 @@ class TestFactor:
         with pytest.raises(ZeroPolynomialError):
             factor_over_Q(Poly())
 
+    @pytest.mark.degree_cap(12)
     def test_degree_cap(self):
         with pytest.raises(DegreeCapExceeded) as ei:
             factor_over_Q(X**13 + X - c(1))
@@ -285,6 +286,19 @@ def clear_image_cache():
     polys._image_ddf.cache_clear()
 
 
+def eager_ddf(f, q):
+    return tuple((k, tuple(g)) for k, g in fp_ddf_oracle(list(f), q))
+
+
+def frozen(value):
+    """Is the value built of tuples and integers alone?"""
+    return isinstance(value, int) or (isinstance(value, tuple) and all(frozen(v) for v in value))
+
+
+class Interrupted(BaseException):
+    """Stands in for a time limit's signal landing inside a computation."""
+
+
 class TestImageCaches:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -303,18 +317,80 @@ class TestImageCaches:
             assume(f)
             f = polys._monic_mod(f, q)
         key = tuple(f)
-        ddf = polys._image_ddf(key, q)
-        assert ddf == polys._image_ddf.__wrapped__(key, q)
+        entry = polys._image_ddf(key, q)
+        uncached = polys._image_ddf.__wrapped__(key, q)
         df = polys._fp_trim([i * v % q for i, v in enumerate(f)][1:])
         squarefree = bool(df) and len(polys._fp_gcd(f, df, q)) == 1
-        assert (ddf is None) == (not squarefree)
+        assert (entry is None) == (uncached is None) == (not squarefree)
         brute = tuple(a for a in range(q) if polys._horner_mod(f, a, q) == 0)
         assert polys._modp_roots(f, q) == (brute if squarefree else None)
-        if ddf is not None:
+        if entry is not None:
+            ddf = entry.parts()
+            assert ddf == uncached.parts() == eager_ddf(f, q)
             product = [1]
             for _, g in ddf:
                 product = polys._fp_mul(product, list(g), q)
             assert product == f
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(ints.SMALL_PRIMES + (53, 97, 251)),
+        st.lists(st.integers(0, 250), max_size=12),
+        st.lists(st.one_of(st.sampled_from(["roots", "first", "all"]), st.integers(0, 13)), min_size=1, max_size=6),
+    )
+    @example(2, [1, 1], ["first", "all"])  # x^2 + x + 1 mod 2: irreducible
+    @example(7, [1, 0, 0, 1], ["roots", 2, "all"])  # x^4 + x + 1 mod 7
+    def test_lazy_reads_in_any_order_agree_with_eager(self, q, coeffs, reads):
+        # a cold cache entry answers roots, the first part, the parts up to
+        # a degree and the whole factorization in any order, each exactly
+        # as the eager factorization does, and only with tuples of integers
+        f = [v % q for v in coeffs] + [1]
+        image = polys._monic_mod(f, q)
+        df = polys._fp_trim([i * v % q for i, v in enumerate(image)][1:])
+        assume(df and len(polys._fp_gcd(image, df, q)) == 1)
+        eager = eager_ddf(image, q)
+        clear_image_cache()
+        for read in reads:
+            if read == "roots":
+                value = polys._modp_roots(f, q)
+                expected = tuple(a for a in range(q) if polys._horner_mod(f, a, q) == 0)
+            elif read == "first":
+                value = polys._modp_image(f, q).first()
+                expected = eager[0]
+            elif read == "all":
+                value = polys._modp_ddf(f, q)
+                expected = eager
+            else:
+                value = polys._modp_image(f, q).parts(read)
+                expected = tuple(part for part in eager if part[0] <= read)
+            assert value == expected
+            assert frozen(value)
+        assert polys._image_ddf.cache_info().currsize == 1
+
+    def test_interrupted_degree_leaves_the_entry_whole(self, monkeypatch):
+        # a time limit can end a computation inside any degree; the cached
+        # entry keeps the degrees it finished, and a later read completes it
+        f = ((X**4 + X + c(1)) * (X**2 + c(1)) * (X - c(2))).int_coeffs()  # squarefree mod 7
+        eager = eager_ddf(polys._monic_mod(f, 7), 7)
+        assert [k for k, _ in eager] == [1, 2, 4]
+        powmod = polys._fp_powmod
+        for stop in (1, 2):
+            clear_image_cache()
+            calls = []
+
+            def interrupted(*args):
+                calls.append(args)
+                if len(calls) == stop:
+                    raise Interrupted
+                return powmod(*args)
+
+            monkeypatch.setattr(polys, "_fp_powmod", interrupted)
+            with pytest.raises(Interrupted):
+                polys._modp_ddf(f, 7)
+            monkeypatch.setattr(polys, "_fp_powmod", powmod)
+            assert polys._modp_roots(f, 7) == (2,)
+            assert polys._modp_ddf(f, 7) == eager
+            assert polys._image_ddf.cache_info().currsize == 1
 
     def test_same_monic_image_shares_one_entry(self):
         # 3x^5 + 3x - 6 and x^5 + x + 5: both x^5 + x + 5 mod 7, monic
@@ -322,8 +398,9 @@ class TestImageCaches:
         first = polys._modp_ddf([-6, 3, 0, 0, 0, 3], 7)
         second = polys._modp_ddf([5, 1, 0, 0, 0, 1], 7)
         assert second is first
+        assert polys._modp_image([-6, 3, 0, 0, 0, 3], 7) is polys._modp_image([5, 1, 0, 0, 0, 1], 7)
         info = polys._image_ddf.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
         # x^5 + x - 2 and x^5 + x + 28 agree mod 2, 3 and 5, where the
         # root search of the first ends
         clear_image_cache()
@@ -337,6 +414,10 @@ class TestImageCaches:
     def test_cached_values_are_immutable(self):
         clear_image_cache()
         f = (X**4 + X + c(1)) * (X**2 + c(1))  # squarefree mod 7
+        image = polys._modp_image(f.int_coeffs(), 7)
+        first = image.first()
+        assert first == (2, (1, 0, 1)) and frozen(first)
+        assert image.parts(3) == (first,) and frozen(image.parts(3))
         ddf = polys._modp_ddf(f.int_coeffs(), 7)
         assert isinstance(ddf, tuple) and all(isinstance(g, tuple) for _, g in ddf)
         with pytest.raises(TypeError):
@@ -407,20 +488,23 @@ class TestDegreeSieve:
         # 40 irreducible quintics: the sieve stops once no degree in 2..3
         # survives.  With four usable primes each they took 115
         # distinct-degree factorizations; with the early stop, 74; from a
-        # cold image cache, whose entries the quintics share, 32.  A second
-        # pass computes none.  The cache then holds those 32 and 5 images
-        # that are not squarefree.
+        # cold image cache, whose entries the quintics share, 32, extended
+        # by 82 degrees in all.  A second pass creates and extends none.
+        # The cache then holds those 32 and 5 images that are not
+        # squarefree.
         clear_image_cache()
-        calls = []
-        ddf = polys._fp_ddf
-        monkeypatch.setattr(polys, "_fp_ddf", lambda f, p: calls.append(p) or ddf(f, p))
+        created, extended = [], []
+        init, extend = polys._ImageDDF.__init__, polys._ImageDDF._extend
+        monkeypatch.setattr(polys._ImageDDF, "__init__", lambda e, f, q: created.append(q) or init(e, f, q))
+        monkeypatch.setattr(polys._ImageDDF, "_extend", lambda e: extended.append(e) or extend(e))
         for p in cut_quintics():
             assert factor_over_Q(p).degrees() == [5]
-        assert len(calls) == 32
-        calls.clear()
+        assert (len(created), len(extended)) == (32, 82)
+        created.clear()
+        extended.clear()
         for p in cut_quintics():
             assert factor_over_Q(p).degrees() == [5]
-        assert calls == []
+        assert created == extended == []
         assert polys._image_ddf.cache_info().currsize == 37
 
 
@@ -443,10 +527,10 @@ class TestZassenhaus:
         assume(deriv and len(polys._fp_gcd(f, deriv, p)) == 1)  # squarefree
         rng = random.Random(5)
         product = [1]
-        for k, part in polys._fp_ddf(f, p):
+        for k, part in fp_ddf_oracle(f, p):
             for u in factoring._fp_edf(part, k, p, rng):
                 assert len(u) - 1 == k and u[-1] == 1
-                assert list(polys._fp_ddf(u, p)) == [(k, u)]
+                assert list(fp_ddf_oracle(u, p)) == [(k, u)]
                 product = polys._fp_mul(product, u, p)
         assert product == f
 

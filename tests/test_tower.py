@@ -23,10 +23,16 @@ from cakelab import (
 from cakelab import algebraic, tower
 from cakelab.cake import _increasing_preimage, poly_at
 from cakelab.ints import primes
-from cakelab.polys import _fp_ddf, _fp_gcd, _fp_trim, _modp_ddf, _modp_roots, _monic_mod
+from cakelab.polys import _fp_gcd, _fp_trim, _image_ddf, _modp_ddf, _modp_roots, _monic_mod
 from cakelab.tower import _irreducible_mod, _radical_degree
 
-from _oracle import ChainCacheOracle, compositum_step_degrees, radical_degree_oracle, simple_roots_oracle
+from _oracle import (
+    ChainCacheOracle,
+    compositum_step_degrees,
+    fp_ddf_oracle,
+    radical_degree_oracle,
+    simple_roots_oracle,
+)
 
 A = AlgebraicNumber
 
@@ -440,7 +446,7 @@ class TestRelativeTower:
 
     def _even_paz_3_6(self):
         # a cubic cut point, then (1/2)^(1/6): the compositum needs degree
-        # 18, past the default cap
+        # 18, which the steps below decide without building it
         m1 = Measure.make(Poly([0, Fraction(1, 4), 0, Fraction(3, 4)]), "p1")
         m2 = Measure.make(Poly.monomial(6), "p2")
         return even_paz([m1, m2]).transcript.tower
@@ -515,15 +521,20 @@ class TestModularTools:
     )
     @example(3, [1, 0], [1, 1])  # (x^2 + 1)(x + 1)^2: not squarefree mod 3
     def test_early_exit_irreducibility_matches_distinct_degrees(self, p, coeffs, squared):
-        # the first pair of the distinct-degree generator decides
-        # irreducibility on any monic image, as the tower's certificate
-        # test over the cached factorization does, on random reductions
-        # with some factors planted twice
+        # the first pair of the distinct-degree factorization decides
+        # irreducibility on any monic image, and the tower's certificate
+        # test reads only that pair of a fresh cache entry, on random
+        # reductions with some factors planted twice
         f = Poly(coeffs + [1])
         if len(squared) > 1:
             f = f * Poly(squared) ** 2
         cs = [int(c) % p for c in f.coeffs]
         assume(cs and cs[-1] != 0)
+        n = len(cs) - 1
+        first = next(fp_ddf_oracle(_monic_mod(cs, p), p))
+        assert (first[0] == n) == _irreducible_mod(cs, p)
         ddf = _modp_ddf(cs, p)
-        first = next(_fp_ddf(_monic_mod(cs, p), p))
-        assert (first[0] == len(cs) - 1) == (ddf is not None and ddf[0][0] == len(cs) - 1)
+        fresh = _image_ddf.__wrapped__(tuple(_monic_mod(cs, p)), p)
+        assert (fresh is None) == (ddf is None)
+        if fresh is not None:
+            assert fresh.first() == ddf[0] == (first[0], tuple(first[1]))
