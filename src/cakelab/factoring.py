@@ -27,7 +27,7 @@ mod p and p^k on the list kernel of `polys`.  All factors are returned
 primitive over the integers with positive leading coefficient, so
 comparisons in tests are canonical.
 
-This module owns the degree cap (default 24), the one limit on every
+This module owns the degree cap (default 48), the one limit on every
 factorization, elimination and certificate in the package: inputs past
 the cap raise DegreeCapExceeded rather than running forever, and
 recombination carries a candidate budget.  `set_degree_cap` changes it
@@ -56,8 +56,8 @@ from .polys import (
     _fp_divmod,
     _fp_gcd,
     _fp_mul,
+    _fp_mulmod,
     _fp_powmod,
-    _fp_rem,
     _fp_sub,
     _fp_trim,
     _fp_xgcd,
@@ -67,7 +67,7 @@ from .polys import (
     rational_roots,
 )
 
-DEFAULT_DEGREE_CAP = 24
+DEFAULT_DEGREE_CAP = 48
 
 _degree_cap = DEFAULT_DEGREE_CAP
 
@@ -93,11 +93,11 @@ def check_degree(n: int, context: str) -> None:
 
 
 # Recombination candidates tried per polynomial before giving up.  Below
-# the default cap there are at most 24 modular factors, whose subsets of up
-# to half their number are about eight million, so the budget is what
-# bounds the worst case.  Recombination skips the degrees the sieve rules
-# out: random products up to degree 40 and the Swinnerton-Dyer
-# polynomials each needed fewer than two thousand candidates.
+# the default cap there are at most 48 modular factors, whose subsets of up
+# to half their number are about 1.6 * 10^14, so the budget is what bounds
+# the worst case.  Recombination skips the degrees the sieve rules out:
+# random products up to degree 40 and the Swinnerton-Dyer polynomials each
+# needed fewer than two thousand candidates.
 RECOMBINATION_BUDGET = 200_000
 
 
@@ -142,6 +142,7 @@ def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[i
     either side with probability about 1/2."""
     g = list(g)
     n = len(g) - 1
+    assert g[-1] == 1, "the product must be monic"
     if n == k:
         return [g]
     while True:
@@ -151,7 +152,7 @@ def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[i
         if p == 2:
             b = t = a
             for _ in range(k - 1):
-                t = _fp_rem(_fp_mul(t, t, 2), g, 2)
+                t = _fp_mulmod(t, t, g, 2)
                 b = _fp_sub(b, t, 2)  # subtraction is addition mod 2
         else:
             b = _fp_sub(_fp_powmod(a, (p**k - 1) // 2, g, p), [1], p)

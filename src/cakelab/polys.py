@@ -15,10 +15,13 @@ pipeline and the algebraic-number layer build on.
 Gcds, squarefree parts and resultants run on the primitive integer forms
 (`Poly.int_coeffs`: the numerators without their content).  `_prem` is
 the one integer pseudo-remainder: it scales by positive factors only and
-reports their product.  The gcd is the primitive remainder sequence
-(Collins 1967; Brown & Traub 1971), and every quotient by a primitive
-divisor is exact over the integers by Gauss's lemma (`_exact_quotient`,
-which also reports a division that is not exact).  Squarefree parts and
+reports their product.  The gcd is the heuristic gcd (Char, Geddes &
+Gonnet 1989): one integer gcd of two values, whose digits give a
+candidate that exact division accepts or rejects; after a few failed
+points it is the primitive remainder sequence (Collins 1967; Brown &
+Traub 1971).  Every quotient by a primitive divisor is exact over the
+integers by Gauss's lemma (`_exact_quotient`, which also reports a
+division that is not exact).  Squarefree parts and
 Yun's decomposition first try a certificate mod a small prime
 (`_squarefree_mod_prime`): f squarefree mod q, for q not dividing lc(f),
 is squarefree.  The module also holds the one kernel for polynomials mod
@@ -28,7 +31,8 @@ factorization of the monic image of f mod q, or None when it is not
 squarefree (`_image_ddf`, bounded by `IMAGE_CACHE_SIZE`), from which the
 squarefree test, the roots mod q and the degree patterns are read.  An
 entry computes its degrees on demand, so each question pays only for the
-degrees it reads.
+degrees it reads.  Powers modulo a monic f (`_fp_powmod`) multiply and
+reduce in one fused step (`_fp_mulmod`), with no quotient.
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -330,8 +334,8 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for k, y in enumerate(b, i):
+                out[k] += x * y
     return out
 
 
@@ -396,13 +400,56 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(r) else q
 
 
+# Evaluation points the heuristic gcd tries before the remainder sequence.
+HEUGCD_POINTS = 6
+
+
+def _heuristic_gcd(a: list[int], b: list[int]) -> list[int] | None:
+    """The primitive gcd of two nonzero primitive integer polynomials, with
+    a positive leading coefficient, by the heuristic gcd (Char, Geddes &
+    Gonnet 1989); None when HEUGCD_POINTS evaluation points all fail.
+
+    At an integer xi > 2 * min(|a|, |b|) + 2 (max norms), h = gcd(a(xi),
+    b(xi)) is one integer gcd, and the candidate G is the primitive part of
+    the polynomial whose coefficients are the balanced xi-adic digits of h.
+    G is accepted only when it divides both a and b, and then it is the
+    gcd g: g = G * c with c(xi) dividing G's content, which is at most xi/2,
+    while a nonconstant c, whose roots lie below 1 + min(|a|, |b|) < xi/2
+    by Cauchy's bound, has |c(xi)| > xi/2."""
+    # a start well above the bound makes a spurious common factor of the
+    # two values, which spoils the digits, rarer
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(HEUGCD_POINTS):
+        h = math.gcd(horner(a, xi, 1), horner(b, xi, 1))
+        half = xi // 2
+        digits = []
+        while h:
+            d = h % xi
+            if d > half:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        g = _drop_content(digits)
+        if g[-1] < 0:
+            g = [-c for c in g]
+        if _exact_quotient(a, g) is not None and _exact_quotient(b, g) is not None:
+            return g
+        xi = xi * 73794 // 27011  # an irregular growth factor, about e
+    return None
+
+
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     """The primitive gcd of two integer polynomials, with a positive leading
-    coefficient; [] for gcd(0, 0).  It is the last element of the primitive
-    remainder sequence (Collins 1967; Brown & Traub 1971)."""
+    coefficient; [] for gcd(0, 0).  The heuristic gcd (`_heuristic_gcd`)
+    answers almost always; when it does not, the gcd is the last element of
+    the primitive remainder sequence (Collins 1967; Brown & Traub 1971)."""
     if len(a) < len(b):
         a, b = b, a
     a, b = _drop_content(a), _drop_content(b)
+    if b:
+        g = _heuristic_gcd(a, b)
+        if g is not None:
+            return g
     while b:
         a, b = b, _neg_prem(a, b)
     return a if not a or a[-1] > 0 else [-c for c in a]
@@ -829,21 +876,33 @@ def _fp_mul(a: list[int], b: list[int], m: int) -> list[int]:
 def _fp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     a = a[:]
     inv = pow(b[-1], -1, m)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
+    n = len(b)
+    q = [0] * max(len(a) - n + 1, 0)
+    while len(a) >= n:
         c = a[-1] * inv % m
         if c:
-            off = len(a) - len(b)
+            off = len(a) - n
             q[off] = c
-            for i, bc in enumerate(b):
-                a[off + i] = (a[off + i] - c * bc) % m
+            for i, y in enumerate(b, off):
+                a[i] = (a[i] - c * y) % m
         a.pop()
         _fp_trim(a)
     return _fp_trim(q), a
 
 
 def _fp_rem(a: list[int], b: list[int], m: int) -> list[int]:
-    return _fp_divmod(a, b, m)[1]
+    """a mod (b, m): `_fp_divmod`'s loop with no quotient kept."""
+    a = a[:]
+    inv = pow(b[-1], -1, m)
+    n = len(b)
+    low = b[:-1]
+    while len(a) >= n:
+        c = a.pop() * inv % m
+        if c:
+            for i, y in enumerate(low, len(a) - n + 1):
+                a[i] = (a[i] - c * y) % m
+        _fp_trim(a)
+    return a
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -869,15 +928,35 @@ def _fp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
+def _fp_mulmod(a: list[int], b: list[int], f: list[int], m: int) -> list[int]:
+    """a * b mod (f, m) for a monic f of degree n, in one fused step: the
+    schoolbook product goes into one list, its coefficients of degree n and
+    up fold back through f from the top, each reduced mod m as it is
+    folded, and the rest are reduced once at the end.  No quotient is
+    kept."""
+    n = len(f) - 1
+    low = f[:-1]
+    prod = _int_mul(a, b)
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod.pop() % m
+        if c:
+            for i, y in enumerate(low, k - n):
+                prod[i] -= c * y
+    return _fp_trim([c % m for c in prod])
+
+
 def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """a(x)^e mod (mod, p), by square and multiply."""
+    """a(x)^e mod (mod, p) for a monic modulus of positive degree, by
+    square and multiply with the fused step `_fp_mulmod`."""
+    assert len(mod) > 1 and mod[-1] == 1, "the modulus must be monic"
     out = [1]
-    base = a[:]
+    base = _fp_mulmod(a, [1], mod, p)
     while e:
         if e & 1:
-            out = _fp_rem(_fp_mul(out, base, p), mod, p)
-        base = _fp_rem(_fp_mul(base, base, p), mod, p)
+            out = _fp_mulmod(out, base, mod, p)
         e >>= 1
+        if e:
+            base = _fp_mulmod(base, base, mod, p)
     return out
 
 

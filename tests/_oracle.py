@@ -39,7 +39,13 @@ negative coefficient without isolating.
 Gcds, squarefree parts and Yun's squarefree decomposition are Euclid over
 Fractions, and single-atom residues are `Poly` remainders modulo the
 atom's minimal polynomial with inverses by the extended Euclid: the
-library's methods before both moved to integer coefficient lists.
+library's methods before both moved to integer coefficient lists.  The
+integer gcd is also checked against the primitive remainder sequence
+alone (`int_gcd_prs_oracle`), the library's method before it tried the
+heuristic gcd first, and powers mod (f, p) against square and multiply
+with a product and then a remainder per step (`fp_powmod_oracle`), the
+library's method before it fused the two; the distinct-degree and root
+oracles below raise to powers by that loop.
 
 The minimal polynomial of a value of one atom's field is the irreducible
 factor of its characteristic polynomial (`image_oracle`) that vanishes at
@@ -94,13 +100,15 @@ from cakelab.factoring import check_degree, factor_over_Q
 from cakelab.polys import (
     Poly,
     _derivative,
+    _drop_content,
     _fp_divmod,
     _fp_gcd,
-    _fp_powmod,
+    _fp_mul,
     _fp_rem,
     _fp_sub,
     _horner_mod,
     _monic_mod,
+    _neg_prem,
     squarefree_part,
 )
 
@@ -672,6 +680,31 @@ def squarefree_decomposition_oracle(p):
     return out
 
 
+def int_gcd_prs_oracle(a, b):
+    """The primitive gcd of two integer polynomials, with a positive
+    leading coefficient, [] for gcd(0, 0): the last element of the
+    primitive remainder sequence, with no heuristic gcd before it."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _drop_content(a), _drop_content(b)
+    while b:
+        a, b = b, _neg_prem(a, b)
+    return a if not a or a[-1] > 0 else [-c for c in a]
+
+
+def fp_powmod_oracle(a, e, mod, p):
+    """a(x)^e mod (mod, p) by square and multiply, each step a product mod
+    p and then a remainder by division."""
+    out = [1]
+    base = a[:]
+    while e:
+        if e & 1:
+            out = _fp_divmod(_fp_mul(out, base, p), mod, p)[1]
+        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
+        e >>= 1
+    return out
+
+
 def inverse_mod_oracle(g, m):
     """g^-1 modulo m by the extended Euclid over the rationals, for g prime
     to m."""
@@ -786,7 +819,7 @@ def fp_ddf_oracle(f, p):
         if 2 * k > len(work) - 1:
             yield len(work) - 1, work
             return
-        xq = _fp_powmod(xq, p, work, p)
+        xq = fp_powmod_oracle(xq, p, work, p)
         diff = _fp_sub(xq, [0, 1], p)
         if not diff:
             yield k, work
@@ -805,7 +838,7 @@ def simple_roots_oracle(cs, p):
     k = 1, else by scanning the residues until k of them are."""
     f = _monic_mod(cs, p)
     x = _fp_rem([0, 1], f, p)
-    g = _fp_gcd(f, _fp_sub(_fp_powmod(x, p, f, p), x, p), p)
+    g = _fp_gcd(f, _fp_sub(fp_powmod_oracle(x, p, f, p), x, p), p)
     k = len(g) - 1
     if k == 0:
         return []

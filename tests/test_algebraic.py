@@ -928,15 +928,15 @@ class TestSingleAtomForm:
             assert value.sign() == 0
 
     def test_affine_value_generates_past_the_cap(self):
-        # 3 * 2^(1/29) + 1 has degree 29, past the default cap of 24: its
+        # 3 * 2^(1/53) + 1 has degree 53, past the default cap of 48: its
         # field's generator is read off its affine form, with no minimal
         # polynomial of the value
-        radical = nth_root(2, 29)
+        radical = nth_root(2, 53)
         value = 3 * radical + 1
         with pytest.raises(DegreeCapExceeded):
             value.minimal_polynomial()
         assert alg._generating_atom(value._node) is radical._node
-        assert alg.rational_radical_form(value) == (2, 29)
+        assert alg.rational_radical_form(value) == (2, 53)
 
 
     @settings(max_examples=150, deadline=None)

@@ -146,15 +146,15 @@ class TestQueries:
         assert s.eval(1, 0, y).as_rational() == Fraction(1, 2)
 
     def test_eval_at_a_cut_point_past_the_cap(self):
-        # b solves b/2 + b^5/2 = a for a = (1/2)^(1/5): degree 5 over the
-        # tower's field, 25 over Q, past the default cap.  Evaluating x^2 at
+        # b solves b/2 + b^7/2 = a for a = (1/2)^(1/7): degree 7 over the
+        # tower's field, 49 over Q, past the default cap.  Evaluating x^2 at
         # b has no residue form then; it folds one multiplication and one
         # addition per coefficient instead, which charges the same ticks as
         # the residue form does at a cap that admits b's minimal polynomial
-        quintic = Measure.make(Poly([0, Fraction(1, 2), 0, 0, 0, Fraction(1, 2)]))
+        septic = Measure.make(Poly([0, Fraction(1, 2), 0, 0, 0, 0, 0, Fraction(1, 2)]))
 
         def run():
-            s = Session([power(5), quintic, power(2)])
+            s = Session([power(7), septic, power(2)])
             with s.counting():
                 a = s.cut(0, 0, Fraction(1, 2))
                 b = s.cut(1, 0, a)
@@ -167,11 +167,11 @@ class TestQueries:
         eps = Fraction(1, 1 << 64)
         (lo, hi), (vlo, vhi) = b.approx(eps), v.approx(eps)
         assert vlo <= hi * hi and lo * lo <= vhi
-        assert [st.degree for st in s.transcript.tower.steps] == [5, 5, 1]
-        factoring.set_degree_cap(48)  # the fixture restores the default
+        assert [st.degree for st in s.transcript.tower.steps] == [7, 7, 1]
+        factoring.set_degree_cap(64)  # the fixture restores the default
         ref, ref_b, ref_v = run()
-        assert ref_b.minimal_polynomial().degree == 25
-        assert s.transcript.bss_op_count == ref.transcript.bss_op_count == 23
+        assert ref_b.minimal_polynomial().degree == 49
+        assert s.transcript.bss_op_count == ref.transcript.bss_op_count == 24
         assert v.approx(eps) == ref_v.approx(eps)
 
     def test_cut_examples(self):

@@ -401,21 +401,21 @@ class TestDegreeCapEnv:
 
     @pytest.mark.parametrize(
         "args",
-        [["check-impossibility", "equitable", "--d", "29"], ["analyze-trinomial", "--d", "29"]],
+        [["check-impossibility", "equitable", "--d", "53"], ["analyze-trinomial", "--d", "53"]],
         ids=["check-impossibility", "analyze-trinomial"],
     )
     def test_env_cap_reaches_certificates(self, args):
-        # degree 29 is past the default cap: the environment's cap must
+        # degree 53 is past the default cap: the environment's cap must
         # reach the factorizations behind the verdict
         env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
         env.pop("CAKELAB_DEGREE_CAP", None)
         res = subprocess.run([sys.executable, "-m", "cakelab", *args], capture_output=True, env=env)
         assert res.returncode == 1
-        assert b"degree 29 exceeds the factorization cap 24" in res.stderr
+        assert b"degree 53 exceeds the factorization cap 48" in res.stderr
         res = subprocess.run(
             [sys.executable, "-m", "cakelab", *args],
             capture_output=True,
-            env={**env, "CAKELAB_DEGREE_CAP": "48"},
+            env={**env, "CAKELAB_DEGREE_CAP": "64"},
         )
         assert res.returncode == 0 and res.stderr == b""
         if args[0] == "check-impossibility":

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cakelab import DyadicInterval, Poly, ZeroPolynomialError, poly_gcd, rational_roots
 from cakelab import polys
+from cakelab.ints import is_probable_prime
 from cakelab.polys import (
     bisect_root,
     count_roots_in,
@@ -25,7 +27,9 @@ from conftest import time_limit
 from _oracle import (
     FractionPoly,
     bisect_oracle,
+    fp_powmod_oracle,
     fraction_horner_oracle,
+    int_gcd_prs_oracle,
     poly_divmod_int,
     poly_gcd_oracle,
     rational_roots_oracle,
@@ -255,6 +259,142 @@ class TestResultantProperties:
     @given(nonzero_polys, nonzero_polys)
     def test_zero_iff_common_factor(self, f, g):
         assert (resultant(f, g) == 0) == (poly_gcd(f, g).degree > 0)
+
+
+# Integer polynomials for the heuristic gcd: a planted common factor (or
+# none, so mostly coprime pairs) times two cofactors, with coefficients
+# small or past 2^200; and zero and constants.
+_SMALL = st.integers(-9, 9)
+_HUGE = st.integers(-(1 << 220), 1 << 220)
+
+
+def _int_poly(coeff, max_size):
+    return st.lists(coeff, max_size=max_size).map(lambda cs: polys._fp_trim(list(cs)))
+
+
+@st.composite
+def gcd_int_pairs(draw):
+    coeff = draw(st.sampled_from([_SMALL, _HUGE]))
+    g = draw(_int_poly(coeff, 5)) or [1]
+    a, b = (draw(st.one_of(_int_poly(coeff, 7), st.just([]), _int_poly(coeff, 1))) for _ in range(2))
+    return polys._int_mul(g, a), polys._int_mul(g, b)
+
+
+@st.composite
+def yun_inputs(draw):
+    """A primitive integer polynomial of positive degree with a positive
+    leading coefficient, of planted factors up to the fourth power."""
+    coeff = draw(st.sampled_from([_SMALL, _HUGE]))
+    f = [draw(st.integers(1, 6))]
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.lists(coeff, min_size=2, max_size=4).filter(lambda cs: cs[-1] != 0))
+        for _ in range(draw(st.integers(1, 4))):
+            f = polys._int_mul(f, g)
+    assume(len(f) > 1)
+    return Poly(f).int_coeffs()
+
+
+# x^13 - x is divisible by 2 * 3 * 5 * 7 * 13 = 2730 at every integer
+# (Fermat), and so is x^13 - x + 2730: their values share 2730 at every
+# point the heuristic gcd tries, whose digits then never divide both, though
+# the polynomials are coprime.
+_FIXED_DIVISOR_PAIR = ([0, -1] + [0] * 11 + [1], [2730, -1] + [0] * 11 + [1])
+
+
+class TestHeuristicGcd:
+    """The heuristic gcd against the primitive remainder sequence alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_int_pairs())
+    @example(([], []))
+    @example(([], [-6, 4]))
+    @example(([7], [0, 0, 5]))
+    @example(([12, 17, 3, -2], [12, 11, -4, 5, 6]))  # the first two points fail
+    @example(_FIXED_DIVISOR_PAIR)
+    def test_int_gcd_matches_prs(self, pair):
+        a, b = pair
+        g = int_gcd_prs_oracle(a, b)
+        assert polys._int_gcd(a, b) == g
+        assert polys._int_gcd(b, a) == g
+        with mock.patch.object(polys, "_int_gcd", int_gcd_prs_oracle):
+            expected = poly_gcd(Poly(a), Poly(b))
+        assert poly_gcd(Poly(a), Poly(b)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(yun_inputs())
+    @example([2, -3, 0, 1])  # (x - 1)^2 (x + 2)
+    def test_yun_matches_prs(self, f):
+        with mock.patch.object(polys, "_int_gcd", int_gcd_prs_oracle):
+            expected = polys._int_squarefree_decomposition(f)
+            expected_part = polys._int_squarefree(f)
+        assert polys._int_squarefree_decomposition(f) == expected
+        assert polys._int_squarefree(f) == expected_part
+
+    def test_fixed_divisor_forces_the_remainder_sequence(self):
+        a, b = _FIXED_DIVISOR_PAIR
+        assert polys._heuristic_gcd(a, b) is None
+        assert polys._int_gcd(a, b) == int_gcd_prs_oracle(a, b) == [1]
+        g = [5, 1]
+        a, b = polys._int_mul(a, g), polys._int_mul(b, g)
+        assert polys._heuristic_gcd(a, b) is None
+        assert polys._int_gcd(a, b) == int_gcd_prs_oracle(a, b) == g
+
+    def test_failed_points_then_success(self):
+        a, b = [12, 17, 3, -2], [12, 11, -4, 5, 6]
+        with mock.patch.object(polys, "HEUGCD_POINTS", 2):
+            assert polys._heuristic_gcd(a, b) is None
+        assert polys._heuristic_gcd(a, b) == int_gcd_prs_oracle(a, b) == [3, 2]
+
+
+PRIMES_TO_10K = [q for q in range(2, 10_000) if is_probable_prime(q)]
+
+
+@st.composite
+def powmod_inputs(draw):
+    """(a, e, f, m): f monic of degree 1-60 mod m, and a base up to twice
+    as long as f."""
+    m = draw(st.one_of(st.sampled_from([2, 3]), st.sampled_from(PRIMES_TO_10K)))
+    n = draw(st.integers(1, 60))
+    residue = st.integers(0, m - 1)
+    f = draw(st.lists(residue, min_size=n, max_size=n)) + [1]
+    a = polys._fp_trim(draw(st.lists(residue, max_size=2 * n + 3)))
+    e = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 10**6)))
+    return a, e, f, m
+
+
+class TestFusedModKernels:
+    """The fused multiply-and-reduce step and the remainder with no quotient
+    against a product mod m and then a division."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(powmod_inputs())
+    @example(([1, 1], 0, [1, 1], 2))
+    @example(([2, 0, 1, 1], 1, [1, 1], 3))
+    @example(([5, 3, 0, 0, 0, 0, 1], 1, [1, 2, 1], 9973))
+    def test_powmod_matches_reference(self, case):
+        a, e, f, m = case
+        assert polys._fp_powmod(a, e, f, m) == fp_powmod_oracle(a, e, f, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(powmod_inputs())
+    def test_mulmod_matches_reference(self, case):
+        a, _, f, m = case
+        b = list(reversed(a))
+        assert polys._fp_mulmod(a, b, f, m) == polys._fp_divmod(polys._fp_mul(a, b, m), f, m)[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 7, 9973, 7**5, 3**20]),
+        st.lists(st.integers(0, 10**12), max_size=30),
+        st.lists(st.integers(0, 10**12), min_size=1, max_size=12),
+    )
+    def test_remainder_matches_division(self, m, a, b):
+        # any divisor with an invertible leading coefficient, mod a prime
+        # or a prime power as in Hensel lifting
+        a = polys._fp_trim([c % m for c in a])
+        b = polys._fp_trim([c % m for c in b])
+        assume(b and math.gcd(b[-1], m) == 1)
+        assert polys._fp_rem(a, b, m) == polys._fp_divmod(a, b, m)[1]
 
 
 class TestIntegerGcd:
