@@ -30,10 +30,12 @@ Key internals:
   gives the isolating interval; two values with one minimal polynomial
   are equal when one's enclosure falls inside the other's isolating
   interval.  A quadratic root is chosen by its ordinal, with no refining.
-* Normal forms and interval enclosures are computed bottom-up with an
-  explicit stack, so deep expression DAGs need no recursion.  Minimal
-  polynomials recurse once per level and raise `ExpressionTooDeep` past
-  the interpreter's limit.
+* One walk, `_walk`, evaluates a DAG bottom-up with an explicit stack,
+  so deep expression DAGs need no recursion.  Interval enclosures,
+  single-atom forms, residues modulo a prime and atom lists are each one
+  function of a node and its operands' values, and operand a is finished
+  before b is entered.  Minimal polynomials still recurse once per level
+  and raise `ExpressionTooDeep` past the interpreter's limit.
 * Values mixing independent atoms fall back to elimination by power sums
   (Newton's identities) of roots scaled to algebraic integers, guarded by
   the degree cap.  A sign query that refinement to 2^-128 cannot decide,
@@ -48,9 +50,9 @@ Key internals:
   identity only: a node that would undo its operand's last operation,
   as (p+q)-q or (p*q)/q would, is replaced by the p that operand holds.
   Rational coefficients merge, c*(d*p) = (cd)*p.
-* The tower reads the DAG directly: `_dag_atoms` lists the atoms a value
-  is built from, and `_residue_mod` carries its field operations out
-  modulo a prime, each atom replaced by a residue.
+* The tower reads the DAG through the walk: `_dag_atoms` lists the atoms
+  a value is built from, and `_residue_mod` carries its field operations
+  out modulo a prime, each atom replaced by a residue.
 
 The intern tables and node caches are process-wide and unlocked: the
 module is single-threaded.
@@ -62,6 +64,7 @@ import contextlib
 import contextvars
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -440,19 +443,49 @@ def _make_cut_root(cdf: Poly, target: _Node) -> _Node:
     return _CutRootAtom(cdf, target)
 
 
+# -- one walk over the DAG ----------------------------------------------------
+
+
+def _walk(node: _Node, cached, compute, enter_roots: bool = False):
+    """The node's value under one bottom-up evaluation of its DAG.
+
+    The walk is post-order with an explicit stack, so deep DAGs need no
+    recursion.  cached(n) is n's value when already known, else None;
+    compute(n, *operand values) computes it and records it where cached
+    reads it.  A binary node's operands are a and b; with enter_roots, a
+    root atom over a value has that value as its operand; every other node
+    is a leaf.  Operand a is finished, and its value taken, before b is
+    entered, as a recursive descent would: so atoms are visited in one
+    fixed order, and a node combines the values its operands had when they
+    finished, even if finishing a later operand changed an earlier one's."""
+    stack: list[tuple[_Node, bool]] = [(node, False)]
+    done: list = []  # values of finished operands
+    while stack:
+        n, ready = stack.pop()
+        if ready:
+            if isinstance(n, _Binary):
+                y = done.pop()
+                done.append(compute(n, done.pop(), y))
+            else:
+                done.append(compute(n, done.pop()))
+            continue
+        v = cached(n)
+        if v is not None:
+            done.append(v)
+        elif isinstance(n, _Binary):
+            stack += ((n, True), (n.b, False), (n.a, False))
+        elif enter_roots and isinstance(n, _RootAtom) and not isinstance(n.operand, Fraction):
+            stack += ((n, True), (n.operand, False))
+        else:
+            done.append(compute(n))
+    return done[-1]
+
+
 # -- interval evaluation -------------------------------------------------------
 
 
 class _MorePrecision(Exception):
     pass
-
-
-def _iv_add(x, y):
-    return x[0] + y[0], x[1] + y[1]
-
-
-def _iv_sub(x, y):
-    return x[0] - y[1], x[1] - y[0]
 
 
 def _iv_mul(x, y):
@@ -485,73 +518,46 @@ def _iv_div(x, y):
     return min(ps), max(ps)
 
 
-def _operands(node: _Node) -> tuple[_Node, ...]:
-    """The nodes whose enclosures enclose this node's value."""
-    if isinstance(node, _Binary):
-        return (node.a, node.b)
-    if isinstance(node, _RootAtom) and not isinstance(node.operand, Fraction):
-        return (node.operand,)
-    return ()
-
-
 def _interval(node: _Node, k: int) -> tuple[Fraction, Fraction]:
     """An enclosure of the node's value at effort k, cached with k on each
-    node it visits.
-
-    Evaluation is post-order with an explicit stack, so deep DAGs need no
-    recursion.  Operand a is enclosed before b, and each operand's
-    enclosure is taken when it is done, as a recursive descent would: so
-    atoms are refined in one fixed order, and a node combines the values
-    its operands had then even if refining a later operand tightened an
-    earlier one."""
+    node the walk computes.  Atoms are refined in the walk's fixed order;
+    a root atom over a value encloses it from its operand's enclosure."""
     ck, civ = node._ivc
     if ck >= k:
         return civ
-    stack: list[tuple[_Node, bool]] = [(node, False)]
-    done: list[tuple[Fraction, Fraction]] = []  # enclosures of finished operands
-    while stack:
-        n, ready = stack.pop()
-        if not ready:
-            ck, civ = n._ivc
-            if ck >= k:
-                done.append(civ)
-                continue
-            ops = _operands(n)
-            if ops:
-                stack.append((n, True))
-                stack.extend((op, False) for op in reversed(ops))
-                continue
-        if isinstance(n, _Binary):
-            y = done.pop()
-            x = done.pop()
-            if isinstance(n, _Add):
-                iv = _iv_add(x, y)
-            elif isinstance(n, _Sub):
-                iv = _iv_sub(x, y)
-            elif isinstance(n, _Mul):
-                iv = _iv_mul(x, y)
-            else:
-                iv = _iv_div(x, y)
+
+    def cached(n: _Node):
+        ck, civ = n._ivc
+        return civ if ck >= k else None
+
+    def compute(n: _Node, x=None, y=None):
+        if isinstance(n, _Add):
+            iv = (x[0] + y[0], x[1] + y[1])
+        elif isinstance(n, _Sub):
+            iv = (x[0] - y[1], x[1] - y[0])
+        elif isinstance(n, _Mul):
+            iv = _iv_mul(x, y)
+        elif isinstance(n, _Div):
+            iv = _iv_div(x, y)
         elif isinstance(n, _Rat):
             iv = (n.value, n.value)
         elif isinstance(n, _RootAtom):
-            if isinstance(n.operand, Fraction):
+            if x is None:
                 iv = nth_root_bounds(n.operand, n.index, k)
             else:
-                olo, ohi = done.pop()
+                olo, ohi = x
                 if n.index % 2 == 0:
                     olo = max(olo, Fraction(0))
                     ohi = max(ohi, Fraction(0))
                 iv = (nth_root_bounds(olo, n.index, k)[0], nth_root_bounds(ohi, n.index, k)[1])
         elif isinstance(n, _PolyRootAtom):
             iv = _refine_polyroot(n, k)
-        elif isinstance(n, _CutRootAtom):
+        else:
             iv = _refine_cutroot(n, k)
-        else:  # pragma: no cover
-            raise TypeError(n)
         n._ivc = (k, iv)
-        done.append(iv)
-    return done[-1]
+        return iv
+
+    return _walk(node, cached, compute, enter_roots=True)
 
 
 def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
@@ -772,23 +778,19 @@ def _saf_of(node: _Node):
     Returns the sentinel when the value mixes atoms or the atom is past the
     cap.
 
-    Forms are built bottom-up with an explicit stack, so deep DAGs need no
-    recursion; operand a is done before b, the order in which the atoms'
-    minimal polynomials are first asked for."""
-    if node._saf is not None:
-        return node._saf
-    stack = [(node, False)]
-    while stack:
-        n, ready = stack.pop()
-        if n._saf is not None:
-            continue
-        if isinstance(n, _Binary) and not ready:
-            stack.append((n, True))
-            stack.append((n.b, False))
-            stack.append((n.a, False))
-            continue
-        n._saf = _compute_saf(n)
-    return node._saf
+    Forms are computed by the walk (`_walk`), where a root atom is a leaf:
+    operand a is done before b, the order in which the atoms' minimal
+    polynomials are first asked for."""
+    saf = node._saf
+    return saf if saf is not None else _walk(node, _saf_cached, _saf_step)
+
+
+_saf_cached = operator.attrgetter("_saf")
+
+
+def _saf_step(n: _Node, *forms):
+    n._saf = _compute_saf(n, *forms)
+    return n._saf
 
 
 def _saf_make(atom, nums: list[int], den: int):
@@ -823,14 +825,12 @@ def _saf_inverse(nums, den: int, m: Optional[list[int]]) -> tuple[list[int], int
     return [mult * x for x in r], abs(iden)
 
 
-def _compute_saf(node: _Node):
-    """The form of one node, from the forms of its operands."""
+def _compute_saf(node: _Node, fa=None, fb=None):
+    """The form of one node, from the forms fa and fb of its operands."""
     if isinstance(node, _Rat):
         return _saf_make(None, [node.value.numerator], node.value.denominator)
     if isinstance(node, _ATOM_TYPES):
         return (node, (0, 1), 1)
-    assert isinstance(node, _Binary)
-    fa, fb = node.a._saf, node.b._saf
     if fa is _SAF_UNAVAILABLE or fb is _SAF_UNAVAILABLE:
         return _SAF_UNAVAILABLE
     atom_a, na, da = fa
@@ -1396,20 +1396,14 @@ def _dag_atoms(node: _Node) -> list[_Node]:
     """The distinct atoms the value is built from by field operations, in
     first-visit order.  A root or cut atom is a leaf: its operand or target
     is not entered."""
-    seen: set[int] = set()
-    atoms: list[_Node] = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if isinstance(n, _Binary):
-            stack.append(n.b)
-            stack.append(n.a)
-        elif not isinstance(n, _Rat):
-            atoms.append(n)
-    return atoms
+    seen: dict[int, _Node] = {}  # in the order the walk finishes them
+
+    def visit(n: _Node, *_) -> _Node:
+        seen[id(n)] = n
+        return n
+
+    _walk(node, lambda n: seen.get(id(n)), visit)
+    return [n for n in seen.values() if isinstance(n, _ATOM_TYPES)]
 
 
 def _generating_atom(node: _Node) -> Optional[_Node]:
@@ -1439,35 +1433,24 @@ def _residue_mod(node: _Node, p: int, images: dict[int, int]) -> Optional[int]:
     None when a rational leaf's denominator or a divisor vanishes mod p.
     Every atom of the DAG must have an image."""
     done: dict[int, int] = {}
-    stack: list[tuple[_Node, bool]] = [(node, False)]
-    while stack:
-        n, ready = stack.pop()
-        key = id(n)
-        if key in done:
-            continue
-        if isinstance(n, _Binary):
-            if not ready:
-                stack.append((n, True))
-                stack.append((n.b, False))
-                stack.append((n.a, False))
-                continue
-            x, y = done[id(n.a)], done[id(n.b)]
-            if isinstance(n, _Add):
-                v = (x + y) % p
-            elif isinstance(n, _Sub):
-                v = (x - y) % p
-            elif isinstance(n, _Mul):
-                v = x * y % p
-            else:
-                if y == 0:
-                    return None
-                v = x * pow(y, -1, p) % p
+
+    def compute(n: _Node, x=None, y=None) -> int:
+        if isinstance(n, _Add):
+            v = (x + y) % p
+        elif isinstance(n, _Sub):
+            v = (x - y) % p
+        elif isinstance(n, _Mul):
+            v = x * y % p
+        elif isinstance(n, _Div):
+            v = x * pow(y, -1, p) % p
         elif isinstance(n, _Rat):
-            den = n.value.denominator % p
-            if den == 0:
-                return None
-            v = n.value.numerator * pow(den, -1, p) % p
+            v = n.value.numerator * pow(n.value.denominator, -1, p) % p
         else:
-            v = images[key]
-        done[key] = v
-    return done[id(node)]
+            v = images[id(n)]
+        done[id(n)] = v
+        return v
+
+    try:
+        return _walk(node, lambda n: done.get(id(n)), compute)
+    except ValueError:  # pow of a residue 0 to the power -1
+        return None

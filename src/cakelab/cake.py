@@ -433,18 +433,13 @@ def max_welfare(measures: Sequence[Measure]) -> Allocation:
         best = max(vals)
         owners.append(vals.index(best))
     # merge equal neighbors
-    merged_bounds: list[Alg] = [bounds[0]]
-    merged_owners: list[int] = [owners[0]]
+    cuts: list[Alg] = []
+    merged_owners = owners[:1]
     for k in range(1, len(owners)):
-        if owners[k] == merged_owners[-1]:
-            continue
-        merged_bounds.append(bounds[k])
-        merged_owners.append(owners[k])
-    merged_bounds.append(bounds[-1])
-    per: list[list[tuple[Alg, Alg]]] = [[] for _ in range(n)]
-    for k, owner in enumerate(merged_owners):
-        per[owner].append((merged_bounds[k], merged_bounds[k + 1]))
-    return Allocation(tuple(tuple(p) for p in per))
+        if owners[k] != merged_owners[-1]:
+            cuts.append(bounds[k])
+            merged_owners.append(owners[k])
+    return Allocation.simple(cuts, merged_owners, n)
 
 
 def _rational_inside(lo: Alg, hi: Alg) -> Fraction:

@@ -1,19 +1,17 @@
 """Factorization of rational polynomials into irreducibles.
 
-Pipeline, cheapest certificate first: content extraction, squarefree
-decomposition (no Yun at all when f is squarefree modulo one of the first
-two primes not dividing lc(f), `polys._squarefree_mod_prime`),
-rational-root extraction, Eisenstein (direct and on the reversal, at
-primes found without factoring), and a factor-degree sieve:
-distinct-degree factorization modulo small primes bounds the degrees any
-rational factor could have (subset sums of the modular factor-degree
-patterns), often proving irreducibility outright.  With the rational
-roots gone only degrees 2..n-2 matter, and the sieve stops at the first
-usable prime after which none survives, else after four usable primes
-(von zur Gathen & Gerhard, Modern Computer Algebra, §14).  Each prime's
-distinct-degree factorization comes from the one cache over monic images
-mod q (`polys._modp_ddf`), whose entries the squarefree certificate and the
-rational-root search create too, computing only the degrees they read: a
+Pipeline, cheapest certificate first: content extraction, Yun's
+squarefree decomposition, rational-root extraction, Eisenstein (direct
+and on the reversal, at primes found without factoring), and a
+factor-degree sieve: distinct-degree factorization modulo small primes
+bounds the degrees any rational factor could have (subset sums of the
+modular factor-degree patterns), often proving irreducibility outright.
+With the rational roots gone only degrees 2..n-2 matter, and the sieve
+stops at the first usable prime after which none survives, else after
+four usable primes (von zur Gathen & Gerhard, Modern Computer Algebra,
+§14).  Each prime's distinct-degree factorization comes from the one
+cache over monic images mod q (`polys._modp_ddf`), whose entries the
+rational-root search creates too, computing only the degrees it reads: a
 player's cut polynomials F - c share their images.  What survives
 is factored by Zassenhaus's algorithm at the sieve prime p with the
 fewest modular factors: Cantor-Zassenhaus splitting of that prime's

@@ -21,18 +21,17 @@ candidate that exact division accepts or rejects; after a few failed
 points it is the primitive remainder sequence (Collins 1967; Brown &
 Traub 1971).  Every quotient by a primitive divisor is exact over the
 integers by Gauss's lemma (`_exact_quotient`, which also reports a
-division that is not exact).  Squarefree parts and
-Yun's decomposition first try a certificate mod a small prime
-(`_squarefree_mod_prime`): f squarefree mod q, for q not dividing lc(f),
-is squarefree.  The module also holds the one kernel for polynomials mod
-m (`_fp_*`), which the factorization and the tower's degree certificates
-share, and the one cache over images mod a prime: the distinct-degree
-factorization of the monic image of f mod q, or None when it is not
-squarefree (`_image_ddf`, bounded by `IMAGE_CACHE_SIZE`), from which the
-squarefree test, the roots mod q and the degree patterns are read.  An
-entry computes its degrees on demand, so each question pays only for the
-degrees it reads.  Powers modulo a monic f (`_fp_powmod`) multiply and
-reduce in one fused step (`_fp_mulmod`), with no quotient.
+division that is not exact).  Squarefree parts and Yun's decomposition
+take gcd(f, f') from that integer gcd.  The module also holds the one
+kernel for polynomials mod m (`_fp_*`), which the factorization and the
+tower's degree certificates share, and the one cache over images mod a
+prime: the distinct-degree factorization of the monic image of f mod q,
+or None when it is not squarefree (`_image_ddf`, bounded by
+`IMAGE_CACHE_SIZE`), from which the squarefree test, the roots mod q and
+the degree patterns are read.  An entry computes its degrees on demand,
+so each question pays only for the degrees it reads.  Powers modulo a
+monic f (`_fp_powmod`) multiply and reduce in one fused step
+(`_fp_mulmod`), with no quotient.
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -455,25 +454,9 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a if not a or a[-1] > 0 else [-c for c in a]
 
 
-def _squarefree_mod_prime(f: list[int]) -> bool:
-    """True when f reduces to a squarefree polynomial modulo one of the
-    first two primes q not dividing lc(f), which proves f squarefree over
-    the rationals: a square factor g^2 of f has lc(g) prime to q, so it
-    stays a square factor of positive degree mod q.  False is inconclusive:
-    a squarefree f can have a repeated factor mod both primes (or f' can
-    vanish mod q, for q up to deg f).  The test is whether the image has
-    a distinct-degree factorization (`_modp_image`), which computes none of
-    its degrees, so the factorization's sieve finds the entry cached."""
-    usable = itertools.islice((q for q in primes() if f[-1] % q), 2)
-    return any(_modp_image(f, q) is not None for q in usable)
-
-
 def _int_squarefree(f: list[int]) -> list[int]:
     """The squarefree part f / gcd(f, f') of a primitive integer polynomial
-    of positive degree: primitive, with the sign of f's leading coefficient.
-    f itself when it is squarefree modulo a small prime."""
-    if _squarefree_mod_prime(f):
-        return f
+    of positive degree: primitive, with the sign of f's leading coefficient."""
     return _exact_quotient(f, _int_gcd(f, _derivative(f)))
 
 
@@ -501,11 +484,7 @@ def _int_squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
 
     b and c start as f / gcd(f, f') and f' / gcd(f, f'), and every step
     divides both exactly by a primitive gcd, so they stay integer and keep
-    one common rational scale, the one Yun's identities need.  An f that
-    is squarefree modulo a small prime (`_squarefree_mod_prime`) is its
-    own single part."""
-    if _squarefree_mod_prime(f):
-        return [(f, 1)]
+    one common rational scale, the one Yun's identities need."""
     df = _derivative(f)
     a = _int_gcd(f, df)
     b = _exact_quotient(f, a)
@@ -968,10 +947,9 @@ def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
 # (image as a tuple, q), up to IMAGE_CACHE_SIZE entries, None when the
 # image is not squarefree, and otherwise an `_ImageDDF` that computes the
 # distinct-degree factorization one degree at a time, only as far as a
-# question reads it.  The squarefree certificate reads no degree, the
-# rational-root search and the tower's root chains read degree 1, the
-# tower's degree certificates the first part, and the factorization's
-# degree sieve all of it.  Every value an entry returns is a tuple, so no
+# question reads it.  The rational-root search and the tower's root chains
+# read degree 1, the tower's degree certificates the first part, and the
+# factorization's degree sieve all of it.  Every value an entry returns is a tuple, so no
 # caller can change it.
 
 IMAGE_CACHE_SIZE = 2048

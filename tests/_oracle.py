@@ -83,6 +83,11 @@ gcd(f, x^p - x), found by scanning residues and kept where f' does not
 vanish (`simple_roots_oracle`), and the chains are grown level by level
 and cached per prime across steps.
 
+A DAG's value modulo a prime and its list of atoms come from recursive
+descent over the nodes (`residue_mod_oracle`, `dag_atoms_oracle`), with
+inverses mod p by Fermat's little theorem, independent of the library's
+one explicit-stack walk.
+
 Polynomial arithmetic is checked against `FractionPoly`: coefficients
 stored as a tuple of Fractions, with the schoolbook loops over Fractions
 that `Poly` ran before it stored integer numerators over one denominator.
@@ -94,7 +99,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from cakelab.dyadic import DyadicInterval
-from cakelab.algebraic import AlgebraicNumber, _binary_elimination
+from cakelab.algebraic import AlgebraicNumber, _Add, _Binary, _binary_elimination, _Div, _Mul, _Rat, _Sub
 from cakelab.errors import DegreeCapExceeded, InvalidMeasureError
 from cakelab.factoring import check_degree, factor_over_Q
 from cakelab.polys import (
@@ -767,6 +772,57 @@ def fraction_horner_oracle(p, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def residue_mod_oracle(node, p, images):
+    """The DAG's value mod the prime p by recursive descent, each atom
+    replaced by images[id(atom)]; None when any rational leaf's denominator
+    or any divisor vanishes mod p.  A shared node is evaluated once."""
+    memo = {}
+
+    def value(n):
+        if id(n) not in memo:
+            if isinstance(n, _Rat):
+                num, den = n.value.numerator, n.value.denominator
+                v = None if den % p == 0 else num * pow(den, p - 2, p) % p
+            elif isinstance(n, _Binary):
+                x, y = value(n.a), value(n.b)
+                if x is None or y is None:
+                    v = None
+                elif isinstance(n, _Add):
+                    v = (x + y) % p
+                elif isinstance(n, _Sub):
+                    v = (x - y) % p
+                elif isinstance(n, _Mul):
+                    v = x * y % p
+                else:
+                    assert isinstance(n, _Div)
+                    v = None if y == 0 else x * pow(y, p - 2, p) % p
+            else:
+                v = images[id(n)]
+            memo[id(n)] = v
+        return memo[id(n)]
+
+    return value(node)
+
+
+def dag_atoms_oracle(node):
+    """The distinct atoms of a DAG in first-visit order, by recursive
+    descent into binary nodes only: a root or cut atom is a leaf."""
+    seen, atoms = set(), []
+
+    def visit(n):
+        if id(n) in seen:
+            return
+        seen.add(id(n))
+        if isinstance(n, _Binary):
+            visit(n.a)
+            visit(n.b)
+        elif not isinstance(n, _Rat):
+            atoms.append(n)
+
+    visit(node)
+    return atoms
 
 
 def _compositum_oracle(a, b):

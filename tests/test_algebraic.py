@@ -35,12 +35,14 @@ from cakelab.dyadic import DyadicInterval
 from cakelab.polys import root_bound, sturm_isolate
 
 from _oracle import (
+    dag_atoms_oracle,
     elimination_oracle,
     image_oracle,
     inverse_mod_oracle,
     isolating_interval_oracle,
     minpoly_by_factoring_oracle,
     poly_at_fold_oracle,
+    residue_mod_oracle,
     residue_oracle,
     select_factor_oracle,
     sturm_chain_oracle,
@@ -1122,6 +1124,18 @@ class TestDeepDags:
             acc.minimal_polynomial()
         assert chain[4].degree() == 4
 
+    def test_10000_deep_chain_residue_and_atoms(self):
+        # the tower's walks run on the same explicit stack as sign and
+        # decimal: far past the recursion limit, no RecursionError
+        r2, r3 = nth_root(2, 2)._node, nth_root(3, 2)._node
+        p, images = 10007, {id(r2): 5, id(r3): 7}
+        acc, v = alg._Rat(Fraction(1)), 1
+        for _ in range(10_000):
+            acc = alg._Add(alg._Mul(acc, r2), r3)
+            v = (v * 5 + 7) % p
+        assert alg._residue_mod(acc, p, images) == v
+        assert alg._dag_atoms(acc) == [r2, r3]
+
     def test_oracles(self):
         assert _sign_a_plus_b_sqrt2(-3, 2) == -1 and _sign_a_plus_b_sqrt2(3, -2) == 1
         assert _sign_a_plus_b_sqrt2(-1, 1) == 1 and _sign_a_plus_b_sqrt2(0, 0) == 0
@@ -1131,6 +1145,48 @@ class TestDeepDags:
 
 _UNFOLDED = {"+": alg._Add, "-": alg._Sub, "*": alg._Mul, "/": alg._Div}
 _FOLDED = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class TestWalk:
+    """The one DAG walk against recursive descent, and its operand order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_dags_match_recursive_oracles(self, data):
+        # pool indices repeat, so subnodes are shared; "r" puts a root atom
+        # over a node, a leaf for residues and atom lists
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 101]))
+        atoms = [nth_root(2, 2)._node, nth_root(3, 2)._node, nth_root(5, 3)._node]
+        pool = atoms[: data.draw(st.integers(2, 3))]
+        rats = st.fractions(min_value=-4, max_value=4, max_denominator=14)
+        pool += [alg._Rat(r) for r in data.draw(st.lists(rats, min_size=1, max_size=3))]
+        steps = st.tuples(st.sampled_from("+-*/r"), st.integers(0, 99), st.integers(0, 99))
+        for op, i, j in data.draw(st.lists(steps, min_size=1, max_size=16)):
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            pool.append(alg._RootAtom(a, 3) if op == "r" else _UNFOLDED[op](a, b))
+        node = pool[-1]
+        want = dag_atoms_oracle(node)
+        assert [id(a) for a in alg._dag_atoms(node)] == [id(a) for a in want]
+        images = {id(a): data.draw(st.integers(0, p - 1)) for a in want}
+        assert alg._residue_mod(node, p, images) == residue_mod_oracle(node, p, images)
+
+    def test_operand_enclosures_combine_as_finished(self, monkeypatch):
+        # the cut root's target refines the atom, the parent's operand a,
+        # past the effort the parent asked for; the parent still adds the
+        # enclosure the atom had when it was finished
+        def fresh_atom():
+            monkeypatch.setattr(alg, "_polyroot_intern", {})
+            return AlgebraicNumber.real_root(X**3 - X - c(1), 1, 2)._node
+
+        atom = fresh_atom()
+        target = alg._Sub(alg._Mul(atom, alg._Rat(Fraction(100))), alg._Rat(Fraction(132)))
+        cut = _make_cut_root(Poly([0, Fraction(1, 2), Fraction(1, 2)]), target)
+        assert isinstance(cut, _CutRootAtom)
+        lo, hi = _interval(alg._Add(atom, cut), 8)
+        alo, ahi = _interval(fresh_atom(), 8)
+        assert atom._ivc[0] > 8 and atom._ivc[1] != (alo, ahi)
+        (clo, chi) = cut._ivc[1]
+        assert (lo, hi) == (alo + clo, ahi + chi)
 
 
 class TestFoldSoundness:

@@ -441,30 +441,18 @@ class TestIntegerGcd:
     @example([], [-6, 0], 1)  # x^2 - 6: square mod 2 and mod 3, squarefree
     @example([[1, 1]], [0, 0, 0, 0], 6)  # 6x^4 (x + 1)^2: skips 2 and 3
     def test_mod_prime_certificate_agrees_with_integer_yun(self, planted, rest, lead):
-        # planted factors appear squared; a lead divisible by the first
-        # primes moves the certificate to larger ones, and degrees up to 13
-        # let f' vanish mod primes up to deg f
+        # planted factors appear squared; leads divisible by the first
+        # primes and degrees up to 13, which let f' vanish mod primes up to
+        # deg f, are the cases a squarefree test mod a small prime misses
         p = Poly(rest + [lead])
         for g in planted:
             p = p * Poly(g) ** 2
         assume(p.degree >= 1)
         f = p.int_coeffs()
         g = polys._int_gcd(f, polys._derivative(f))
-        if polys._squarefree_mod_prime(f):
-            assert len(g) == 1
         assert polys._int_squarefree(f) == polys._exact_quotient(f, g)
         assert squarefree_part(p) == squarefree_part_oracle(p)
         assert_yun_matches_oracle(p)
-
-    def test_mod_prime_certificate_primes(self):
-        # x^5 + x - 2c: x (x + 1)^4 mod 2, squarefree mod 3
-        assert polys._squarefree_mod_prime([-6, 1, 0, 0, 0, 1])
-        # x^2 - 6 is x^2 mod 2 and mod 3: inconclusive, though squarefree
-        assert not polys._squarefree_mod_prime([-6, 0, 1])
-        # lc 6: the primes are 5 and 7, and 6x^2 - 1 is squarefree mod 5
-        assert polys._squarefree_mod_prime([-1, 0, 6])
-        # (x - 1)^2 (x + 2) stays square mod every prime
-        assert not polys._squarefree_mod_prime([2, -3, 0, 1])
 
 
 class TestIsolation:
