@@ -420,8 +420,6 @@ def max_welfare(measures: Sequence[Measure]) -> Allocation:
                 if diff(Fraction(1)) == 0 and iv.contains(Fraction(1)):
                     continue
                 root = AlgebraicNumber.real_root(diff, iv.lo, iv.hi)
-                if root.sign() <= 0 or (root - 1).sign() >= 0:
-                    continue
                 if not any((root - b).sign() == 0 for b in breakpoints):
                     breakpoints.append(root)
     breakpoints.sort()

@@ -5,9 +5,13 @@ Two families of verdicts:
 * equitable-simple(d): no exact-arithmetic protocol over the measure pair
   (x, x^d) can output the equitable split point, because that point is a
   root of T^d + T - 1 and the reachable field towers cannot contain it.
-  Depending on d the obstruction is either a degree-divisibility clash
-  (the trinomial factors with a real-root factor of incompatible degree)
-  or nonsolvability of the Galois group against radical towers.
+  Every fact about the trinomial comes from one classification,
+  `selmer_classify`: x^2 - x + 1 divides it exactly when d is odd and
+  d = 2 (mod 3) (Selmer 1956), checked by exact division.  For prime such
+  d the cofactor of degree d - 2 is proved irreducible and its degree
+  clashes with the tower degrees; otherwise the trinomial is irreducible,
+  Osada's criterion (1987) gives the symmetric group, and nonsolvability
+  rules out radical towers.
 
 * welfare(n, p): no such protocol maximizes utilitarian welfare for
   (x, ..., x, x^p), because the optimal interior cutpoint has degree
@@ -29,7 +33,7 @@ from .algebraic import AlgebraicNumber, nth_root
 from .cake import Measure
 from .dyadic import DyadicInterval
 from .errors import UncoveredCaseError
-from .factoring import Eisenstein, eisenstein, factor_over_Q, is_irreducible
+from .factoring import Eisenstein, eisenstein, is_irreducible
 from .ints import is_probable_prime
 from .polys import Poly, count_roots_in, refine_root, sturm_isolate
 from .tower import degree_obstruction
@@ -69,6 +73,20 @@ class TrinomialClass:
     galois: str  # "S_<d>", "unknown" or "n/a"
 
 
+def _selmer_factor(d: int, a: int, b: int) -> Optional[Poly]:
+    """The quadratic x^2 +- x + 1 that divides x^d + a*x + b for a, b = +-1,
+    or None when none does, and then the trinomial is irreducible.  With
+    e = a*b, substituting e*x and multiplying by e^d gives x^d + c*x + c,
+    c = b*e^d.  Selmer (1956): x^d - x - 1 is irreducible, and x^d + x + 1
+    is irreducible unless d = 2 (mod 3), when x^2 + x + 1 divides it;
+    undoing the substitution gives x^2 + e*x + 1.  At d = 2 that quadratic
+    is the trinomial itself, which is irreducible."""
+    e = a * b
+    if b * e**d == 1 and d % 3 == 2:
+        return Poly([1, e, 1])
+    return None
+
+
 def selmer_classify(d: int, family: TrinomialFamily) -> TrinomialClass:
     """Irreducibility classification of the trinomial families x^d - x - 1,
     x^d + x + 1, x^d + x - 1, depending only on parity and d mod 3; each
@@ -76,24 +94,14 @@ def selmer_classify(d: int, family: TrinomialFamily) -> TrinomialClass:
     if d < 2:
         raise ValueError("degree must be at least 2")
     p = family.poly(d)
-    factor: Optional[Poly] = None
-    status = TrinomialStatus.IRREDUCIBLE
-    if family is TrinomialFamily.PLUS_PLUS and d % 3 == 2:
-        factor = Poly([1, 1, 1])
-        status = TrinomialStatus.FACTOR_PLUS
-    elif family is TrinomialFamily.PLUS_MINUS and d % 2 == 1 and d % 3 == 2:
-        # substituting -x turns this family into x^d + x + 1 for odd d
-        factor = Poly([1, -1, 1])
-        status = TrinomialStatus.FACTOR_MINUS
-    cofactor: Optional[Poly] = None
-    if factor is not None:
-        cofactor = p.exact_div(factor)  # raises if the classification lied
-        galois = "n/a"
-    else:
-        a = int(p.coeff(1))
-        b = int(p.coeff(0))
+    a, b = int(p.coeff(1)), int(p.coeff(0))
+    factor = _selmer_factor(d, a, b)
+    if factor is None:
         galois = f"S_{d}" if osada_sd(d, a, b) is OsadaResult.S_D_CERTIFIED else "unknown"
-    return TrinomialClass(d, family, status, factor, cofactor, galois)
+        return TrinomialClass(d, family, TrinomialStatus.IRREDUCIBLE, None, None, galois)
+    status = TrinomialStatus.FACTOR_PLUS if factor.coeff(1) > 0 else TrinomialStatus.FACTOR_MINUS
+    # exact_div raises if the classification lied
+    return TrinomialClass(d, family, status, factor, p.exact_div(factor), "n/a")
 
 
 class OsadaResult(enum.Enum):
@@ -105,27 +113,19 @@ def osada_sd(d: int, a: int, b: int) -> OsadaResult:
     """Symmetric-group certificate for the trinomial x^d + a*x + b: the
     group is the full symmetric group when the trinomial is irreducible and
     gcd(a*(d-1), d*b) = 1.  Returns INAPPLICABLE when either condition
-    fails; never asserts "not S_d"."""
+    fails; never asserts "not S_d".  Irreducibility comes from Selmer's
+    classification for a, b = +-1 and from the factorization pipeline
+    otherwise."""
     if d < 2:
         raise ValueError("degree must be at least 2")
     if math.gcd(a * (d - 1), d * b) != 1:
         return OsadaResult.INAPPLICABLE
-    tri = Poly([b, a] + [0] * (d - 2) + [1])
-    if not _trinomial_irreducible(d, a, b, tri):
-        return OsadaResult.INAPPLICABLE
-    return OsadaResult.S_D_CERTIFIED
-
-
-def _trinomial_irreducible(d: int, a: int, b: int, tri: Poly) -> bool:
-    """Irreducibility by the trinomial classification when it applies,
-    otherwise by the factorization pipeline."""
-    if (a, b) == (-1, -1):
-        return True
-    if (a, b) == (1, 1):
-        return d % 3 != 2
-    if (a, b) == (1, -1):
-        return d % 2 == 0 or d % 3 != 2
-    return is_irreducible(tri)
+    if abs(a) == abs(b) == 1:
+        factor = _selmer_factor(d, a, b)
+        irreducible = factor is None or factor.degree == d
+    else:
+        irreducible = is_irreducible(Poly([b, a] + [0] * (d - 2) + [1]))
+    return OsadaResult.S_D_CERTIFIED if irreducible else OsadaResult.INAPPLICABLE
 
 
 class Solvability(enum.Enum):
@@ -162,11 +162,9 @@ def solvability_verdict(d: int) -> SolvabilityVerdict:
         raise UncoveredCaseError(
             f"x^{d}+x-1 with composite odd d = 2 (mod 3) is outside the covered cases"
         )
-    fac = factor_over_Q(TrinomialFamily.PLUS_MINUS.poly(d))
-    degrees = tuple(sorted(f.degree for f, _ in fac.factors))
-    if degrees != (2, d - 2):
-        raise AssertionError(f"expected factor degrees (2, {d - 2}), got {degrees}")
-    return SolvabilityVerdict(d, Solvability.REDUCIBLE_2_D2, degrees)
+    if not is_irreducible(cls.cofactor):
+        raise AssertionError(f"expected an irreducible cofactor of degree {d - 2}")
+    return SolvabilityVerdict(d, Solvability.REDUCIBLE_2_D2, (2, d - 2))
 
 
 # -- equitable cutpoints ------------------------------------------------------------
@@ -281,58 +279,44 @@ def check_impossibility_equitable(d: int, allow_sqrt: bool = False) -> Certifica
             (("equation", str(equation)),),
         )
     ]
-    if d <= 4:
-        steps.append(
-            NarrativeStep(
-                "small-degree",
-                f"degree {d} polynomials are solvable by radicals; no degree or "
-                "solvability obstruction applies",
-            )
+    kind = solvability_verdict(d).kind
+    if kind is Solvability.REDUCIBLE_2_D2:
+        return _equitable_by_degree(d, equation, steps, primes)
+    if kind is Solvability.NONSOLVABLE_SD:
+        return _equitable_by_solvability(d, equation, steps, primes)
+    steps.append(
+        NarrativeStep(
+            "small-degree",
+            f"degree {d} polynomials are solvable by radicals; no degree or "
+            "solvability obstruction applies",
         )
-        steps.append(NarrativeStep("verdict", "no obstruction found"))
-        fac = factor_over_Q(equation)
-        real_factor = _real_root_factor(fac)
-        return Certificate(
-            target=f"equitable-simple(d={d})",
-            equation=equation,
-            factorization=tuple((f, f.degree) for f, _ in fac.factors),
-            real_root_factor=real_factor,
-            real_root_isolator=_unit_root_isolator(real_factor),
-            tower_prime_set=primes,
-            galois_fact=GaloisFact("none"),
-            verdict=Verdict.NO_OBSTRUCTION_FOUND,
-            narrative=tuple(steps),
-        )
-    if is_probable_prime(d) and d % 3 == 2:
-        return _equitable_by_degree(d, allow_sqrt, equation, steps)
-    if d % 2 == 0 or d % 3 != 2:
-        return _equitable_by_solvability(d, allow_sqrt, equation, steps, primes)
-    raise UncoveredCaseError(
-        f"equitable certificate for composite odd d={d} with d = 2 (mod 3) is not covered"
+    )
+    steps.append(NarrativeStep("verdict", "no obstruction found"))
+    return Certificate(
+        target=f"equitable-simple(d={d})",
+        equation=equation,
+        factorization=((equation, d),),
+        real_root_factor=equation,
+        real_root_isolator=_unit_root_isolator(equation),
+        tower_prime_set=primes,
+        galois_fact=GaloisFact("none"),
+        verdict=Verdict.NO_OBSTRUCTION_FOUND,
+        narrative=tuple(steps),
     )
 
 
-def _real_root_factor(fac) -> Poly:
-    """The unique factor with a root in (0, 1)."""
-    hits = [f for f, _ in fac.factors if count_roots_in(f, Fraction(0), Fraction(1)) >= 1]
-    assert len(hits) == 1, "expected a single factor carrying the unit-interval root"
-    return hits[0]
-
-
-def _equitable_by_degree(d: int, allow_sqrt: bool, equation: Poly, steps: list[NarrativeStep]) -> Certificate:
-    fac = factor_over_Q(equation)
-    factors = tuple((f, f.degree) for f, _ in fac.factors)
-    degrees = sorted(f.degree for f, _ in fac.factors)
-    assert degrees == [2, d - 2]
+def _equitable_by_degree(d: int, equation: Poly, steps: list[NarrativeStep], primes: frozenset[int]) -> Certificate:
+    # solvability_verdict proved the cofactor irreducible
+    cls = selmer_classify(d, TrinomialFamily.PLUS_MINUS)
+    quad, real_factor = cls.factor, cls.cofactor
     steps.append(
         NarrativeStep(
             "factorization",
             f"t^{d} + t - 1 factors into verified irreducible parts of degrees "
-            f"{degrees[0]} and {degrees[1]}",
-            (("factors", [str(f) for f, _ in fac.factors]),),
+            f"2 and {d - 2}",
+            (("factors", [str(quad), str(real_factor)]),),
         )
     )
-    quad = next(f for f, _ in fac.factors if f.degree == 2)
     disc = quad.coeff(1) ** 2 - 4 * quad.coeff(2) * quad.coeff(0)
     assert disc < 0
     steps.append(
@@ -343,7 +327,6 @@ def _equitable_by_degree(d: int, allow_sqrt: bool, equation: Poly, steps: list[N
             (("discriminant", str(disc)),),
         )
     )
-    real_factor = next(f for f, _ in fac.factors if f.degree == d - 2)
     isolator = _unit_root_isolator(real_factor)
     steps.append(
         NarrativeStep(
@@ -359,8 +342,7 @@ def _equitable_by_degree(d: int, allow_sqrt: bool, equation: Poly, steps: list[N
             (("degree", d - 2),),
         )
     )
-    primes = frozenset({d}) | (frozenset({2}) if allow_sqrt else frozenset())
-    sqrt_note = " (and 2 for mediator square roots)" if allow_sqrt else ""
+    sqrt_note = " (and 2 for mediator square roots)" if 2 in primes else ""
     steps.append(
         NarrativeStep(
             "tower-primes",
@@ -384,7 +366,7 @@ def _equitable_by_degree(d: int, allow_sqrt: bool, equation: Poly, steps: list[N
     return Certificate(
         target=f"equitable-simple(d={d})",
         equation=equation,
-        factorization=factors,
+        factorization=((quad, 2), (real_factor, d - 2)),
         real_root_factor=real_factor,
         real_root_isolator=isolator,
         tower_prime_set=primes,
@@ -398,10 +380,8 @@ def _equitable_by_degree(d: int, allow_sqrt: bool, equation: Poly, steps: list[N
 
 
 def _equitable_by_solvability(
-    d: int, allow_sqrt: bool, equation: Poly, steps: list[NarrativeStep], primes: frozenset[int]
+    d: int, equation: Poly, steps: list[NarrativeStep], primes: frozenset[int]
 ) -> Certificate:
-    verdict = solvability_verdict(d)
-    assert verdict.kind is Solvability.NONSOLVABLE_SD
     steps.append(
         NarrativeStep(
             "irreducible-trinomial",

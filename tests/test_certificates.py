@@ -122,6 +122,43 @@ class TestSelmer:
             selmer_classify(1, TrinomialFamily.PLUS_MINUS)
 
 
+class TestOneClassification:
+    """Every trinomial fact the certificates use comes from the one
+    classification; the factorization pipeline checks it independently."""
+
+    @pytest.mark.parametrize("family", list(TrinomialFamily), ids=lambda f: f.name)
+    def test_agrees_with_the_pipeline(self, family):
+        for d in range(2, 31):
+            p = family.poly(d)
+            cls = selmer_classify(d, family)
+            irreducible = is_irreducible(p)
+            if cls.status is TrinomialStatus.IRREDUCIBLE:
+                assert irreducible and cls.factor is None and cls.cofactor is None
+            else:
+                assert cls.factor * cls.cofactor == p
+                # at d = 2 the quadratic x^2 + x + 1 is the trinomial itself
+                assert irreducible == (cls.cofactor.degree == 0)
+            a, b = int(p.coeff(1)), int(p.coeff(0))
+            certified = irreducible and math.gcd(a * (d - 1), d * b) == 1
+            assert (osada_sd(d, a, b) is OsadaResult.S_D_CERTIFIED) == certified
+
+    def test_fourth_sign_pattern_agrees_with_the_pipeline(self):
+        # x^d - x + 1 is not a family, but the same rule decides it
+        for d in range(2, 31):
+            certified = is_irreducible(Poly([1, -1] + [0] * (d - 2) + [1]))
+            assert (osada_sd(d, -1, 1) is OsadaResult.S_D_CERTIFIED) == certified
+
+    @pytest.mark.parametrize("d", [5, 11, 17, 23, 29, 41, 47])
+    def test_reducible_certificates_without_recombination(self, monkeypatch, d):
+        # the (2, d - 2) split comes from exact division, so no Zassenhaus
+        # recombination of x^d + x - 1 is needed to issue or recheck it
+        monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 0)
+        assert solvability_verdict(d).factor_degrees == (2, d - 2)
+        cert = check_impossibility_equitable(d)
+        assert cert.verdict is Verdict.IMPOSSIBLE
+        assert verify_certificate(cert).all_ok
+
+
 class TestOsada:
     def test_degree_six(self):
         assert osada_sd(6, 1, -1) is OsadaResult.S_D_CERTIFIED

@@ -290,27 +290,32 @@ class TestGoldenBytes:
             assert res.stdout == fh.read()
 
     @pytest.mark.parametrize(
-        "name, args",
+        "name, args, code",
         [
-            ("check-impossibility-welfare-n2-p5", ["check-impossibility", "welfare", "--n", "2", "--p", "5"]),
-            ("check-impossibility-equitable-d7", ["check-impossibility", "equitable", "--d", "7"]),
+            ("check-impossibility-welfare-n2-p5", ["check-impossibility", "welfare", "--n", "2", "--p", "5"], 0),
+            ("check-impossibility-equitable-d7", ["check-impossibility", "equitable", "--d", "7"], 0),
+            ("check-impossibility-equitable-d3", ["check-impossibility", "equitable", "--d", "3"], 2),
+            ("check-impossibility-equitable-d11", ["check-impossibility", "equitable", "--d", "11"], 0),
             ("run-protocol-cut-and-choose-quadratic",
              ["run-protocol", "--protocol", "cut-and-choose",
-              "--measures", os.path.join(GOLDEN, "quadratic.measures")]),
+              "--measures", os.path.join(GOLDEN, "quadratic.measures")], 0),
         ],
-        ids=["welfare-isolator", "equitable-isolator", "quadratic-cut-op-count"],
+        ids=["welfare-isolator", "equitable-isolator", "equitable-small-degree",
+             "equitable-reducible", "quadratic-cut-op-count"],
     )
     @pytest.mark.parametrize("fmt", ["text", "structured"])
-    def test_isolators_and_op_counts(self, name, args, fmt):
+    def test_isolators_and_op_counts(self, name, args, code, fmt):
         # the certificates' real_root_isolator is the value's isolating
-        # interval; the first cut of quadratic.measures is the root of
-        # 27x^2 + 5x - 16, whose construction bss_op_count charges
+        # interval, d = 3 and d = 11 pin the small-degree and reducible
+        # certificates (NO-OBSTRUCTION-FOUND exits 2); the first cut of
+        # quadratic.measures is the root of 27x^2 + 5x - 16, whose
+        # construction bss_op_count charges
         res = subprocess.run(
             [sys.executable, "-m", "cakelab", "--format", fmt, *args],
             capture_output=True,
             env={**os.environ, "PYTHONIOENCODING": "utf-8"},
         )
-        assert res.returncode == 0
+        assert res.returncode == code
         assert res.stdout == _golden(f"{name}.{fmt}")
 
 
@@ -405,13 +410,14 @@ class TestDegreeCapEnv:
         ids=["check-impossibility", "analyze-trinomial"],
     )
     def test_env_cap_reaches_certificates(self, args):
-        # degree 53 is past the default cap: the environment's cap must
-        # reach the factorizations behind the verdict
+        # x^53 + x - 1 = (x^2 - x + 1) * cofactor, whose degree 51 is past
+        # the default cap: the environment's cap must reach the cofactor's
+        # irreducibility proof behind the verdict
         env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
         env.pop("CAKELAB_DEGREE_CAP", None)
         res = subprocess.run([sys.executable, "-m", "cakelab", *args], capture_output=True, env=env)
         assert res.returncode == 1
-        assert b"degree 53 exceeds the factorization cap 48" in res.stderr
+        assert b"degree 51 exceeds the factorization cap 48" in res.stderr
         res = subprocess.run(
             [sys.executable, "-m", "cakelab", *args],
             capture_output=True,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cakelab.algebraic as alg
 from cakelab import (
     DegreeCapExceeded,
     Eisenstein,
@@ -591,9 +592,16 @@ class TestRecombinationBudget:
         assert isinstance(ei.value, DegreeCapExceeded)
         assert "search budget" in str(ei.value)
 
-    def test_cli_exit_code(self, monkeypatch, capsys):
+    def test_cli_exit_code(self, monkeypatch, capsys, tmp_path):
+        # the equitable cutpoint of (x, x^5) has minimal polynomial
+        # x^3 + x^2 - 1, which isolate-cutpoint finds by factoring
+        # x^5 + x - 1; a fresh intern table keeps an earlier test's cached
+        # minimal polynomial from answering
+        measures = tmp_path / "m.txt"
+        measures.write_text("a: x\nb: x^5\n")
+        monkeypatch.setattr(alg, "_polyroot_intern", {})
         monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 0)
-        code = cli_main(["check-impossibility", "equitable", "--d", "5"])
+        code = cli_main(["isolate-cutpoint", "--measures", str(measures)])
         err = capsys.readouterr().err
         assert code == 1
         assert "search budget" in err

@@ -440,10 +440,10 @@ class TestIntegerGcd:
     )
     @example([], [-6, 0], 1)  # x^2 - 6: square mod 2 and mod 3, squarefree
     @example([[1, 1]], [0, 0, 0, 0], 6)  # 6x^4 (x + 1)^2: skips 2 and 3
-    def test_mod_prime_certificate_agrees_with_integer_yun(self, planted, rest, lead):
+    def test_squarefree_of_planted_squares_matches_oracle(self, planted, rest, lead):
         # planted factors appear squared; leads divisible by the first
         # primes and degrees up to 13, which let f' vanish mod primes up to
-        # deg f, are the cases a squarefree test mod a small prime misses
+        # deg f, are the hard cases for a squarefree part and for Yun
         p = Poly(rest + [lead])
         for g in planted:
             p = p * Poly(g) ** 2
