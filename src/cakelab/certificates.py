@@ -11,7 +11,11 @@ Two families of verdicts:
   d the cofactor of degree d - 2 is proved irreducible and its degree
   clashes with the tower degrees; otherwise the trinomial is irreducible,
   Osada's criterion (1987) gives the symmetric group, and nonsolvability
-  rules out radical towers.
+  rules out radical towers.  `check_impossibility_equitable` is the one
+  builder of this certificate: `solvability_verdict` hands it the
+  classification it read, each case (d = 1, small degree, reducible,
+  nonsolvable) gives its factorization, Galois fact, verdict and narrative
+  steps, and the real root is isolated once.
 
 * welfare(n, p): no such protocol maximizes utilitarian welfare for
   (x, ..., x, x^p), because the optimal interior cutpoint has degree
@@ -19,11 +23,15 @@ Two families of verdicts:
 
 A verdict of IMPOSSIBLE always carries a complete justification chain in
 the narrative; NO-OBSTRUCTION-FOUND never claims possibility.
+`verify_certificate` rechecks each irreducibility claim by a prime at which
+the factor stays irreducible of full degree before it asks the capped
+factorization pipeline.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,9 +42,9 @@ from .cake import Measure
 from .dyadic import DyadicInterval
 from .errors import UncoveredCaseError
 from .factoring import Eisenstein, eisenstein, is_irreducible
-from .ints import is_probable_prime
-from .polys import Poly, count_roots_in, refine_root, sturm_isolate
-from .tower import degree_obstruction
+from .ints import is_probable_prime, primes
+from .polys import Poly, _modp_image, count_roots_in, refine_root, sturm_isolate
+from .tower import CERTIFICATE_PRIMES, degree_obstruction
 
 
 # -- trinomial classification -----------------------------------------------------
@@ -139,6 +147,7 @@ class SolvabilityVerdict:
     d: int
     kind: Solvability
     factor_degrees: tuple[int, ...] = ()
+    trinomial: Optional[TrinomialClass] = None  # the classification read, from degree 5 on
 
 
 def solvability_verdict(d: int) -> SolvabilityVerdict:
@@ -148,7 +157,8 @@ def solvability_verdict(d: int) -> SolvabilityVerdict:
     irreducible cases have symmetric Galois group, hence are not
     solvable; the reducible cases (prime d with d = 2 mod 3) split into
     verified factors of degree 2 and d - 2.  Odd composite d with
-    d = 2 mod 3 is not covered and raises."""
+    d = 2 mod 3 is not covered and raises.  From degree 5 on the verdict
+    carries the classification it read."""
     if d < 2:
         raise ValueError("degree must be at least 2")
     if d <= 4:
@@ -157,14 +167,14 @@ def solvability_verdict(d: int) -> SolvabilityVerdict:
     if cls.status is TrinomialStatus.IRREDUCIBLE:
         if cls.galois != f"S_{d}":
             raise AssertionError("symmetric-group certificate unexpectedly failed")
-        return SolvabilityVerdict(d, Solvability.NONSOLVABLE_SD)
+        return SolvabilityVerdict(d, Solvability.NONSOLVABLE_SD, trinomial=cls)
     if not is_probable_prime(d):
         raise UncoveredCaseError(
             f"x^{d}+x-1 with composite odd d = 2 (mod 3) is outside the covered cases"
         )
     if not is_irreducible(cls.cofactor):
         raise AssertionError(f"expected an irreducible cofactor of degree {d - 2}")
-    return SolvabilityVerdict(d, Solvability.REDUCIBLE_2_D2, (2, d - 2))
+    return SolvabilityVerdict(d, Solvability.REDUCIBLE_2_D2, (2, d - 2), cls)
 
 
 # -- equitable cutpoints ------------------------------------------------------------
@@ -240,189 +250,138 @@ def _unit_root_isolator(p: Poly) -> DyadicInterval:
 
 
 def check_impossibility_equitable(d: int, allow_sqrt: bool = False) -> Certificate:
-    """Certificate for the equitable-split question over (x, x^d)."""
+    """Certificate for the equitable-split question over (x, x^d).  Each
+    case (d = 1, small degree, reducible, nonsolvable) gives the
+    factorization, whose last factor holds the real root, the Galois fact,
+    the verdict and its own narrative steps; the real root is isolated and
+    the certificate built once, here."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if d == 1:
-        equation = Poly([-1, 2])
-        narrative = (
+        kind, equation = None, Poly([-1, 2])
+        factorization = ((equation.primitive(), 1),)
+        steps = [
             NarrativeStep(
                 "equation",
                 "an equitable simple split at t over (x, x) forces 2t - 1 = 0",
                 (("equation", str(equation)),),
-            ),
+            )
+        ]
+    else:
+        solvability = solvability_verdict(d)
+        kind, cls = solvability.kind, solvability.trinomial
+        equation = TrinomialFamily.PLUS_MINUS.poly(d)
+        if kind is Solvability.REDUCIBLE_2_D2:
+            # solvability_verdict proved the cofactor irreducible
+            factorization = ((cls.factor, 2), (cls.cofactor, d - 2))
+        else:
+            factorization = ((equation, d),)
+        steps = [
+            NarrativeStep(
+                "equation",
+                f"an equitable simple split at t over (x, x^{d}) forces t^{d} + t - 1 = 0; "
+                "such a t exists and is unique in (0, 1) since the equation is -1 at 0, "
+                "+1 at 1, and strictly increasing (derived here, not assumed)",
+                (("equation", str(equation)),),
+            )
+        ]
+    real_factor = factorization[-1][0]
+    isolator = _unit_root_isolator(real_factor)
+    tower_primes = frozenset({d} if is_probable_prime(d) else set()) | frozenset({2} if allow_sqrt else set())
+    galois, verdict = GaloisFact("none"), Verdict.NO_OBSTRUCTION_FOUND
+    if kind is None:
+        steps.append(
             NarrativeStep(
                 "rational-cutpoint",
                 "the cutpoint 1/2 is rational, so exact protocols can output it",
+            )
+        )
+    elif kind is Solvability.SOLVABLE_SMALL_DEGREE:
+        steps.append(
+            NarrativeStep(
+                "small-degree",
+                f"degree {d} polynomials are solvable by radicals; no degree or "
+                "solvability obstruction applies",
+            )
+        )
+    elif kind is Solvability.REDUCIBLE_2_D2:
+        quad = cls.factor
+        disc = quad.coeff(1) ** 2 - 4 * quad.coeff(2) * quad.coeff(0)
+        obstruction = (("target_degree", d - 2), ("allowed_primes", sorted(tower_primes)))
+        assert disc < 0 and degree_obstruction(d - 2, set(tower_primes))
+        sqrt_note = " (and 2 for mediator square roots)" if allow_sqrt else ""
+        steps += [
+            NarrativeStep(
+                "factorization",
+                f"t^{d} + t - 1 factors into verified irreducible parts of degrees "
+                f"2 and {d - 2}",
+                (("factors", [str(quad), str(real_factor)]),),
             ),
-            NarrativeStep("verdict", "no obstruction found"),
-        )
-        return Certificate(
-            target=f"equitable-simple(d={d})",
-            equation=equation,
-            factorization=((equation.primitive(), 1),),
-            real_root_factor=equation.primitive(),
-            real_root_isolator=_unit_root_isolator(equation),
-            tower_prime_set=frozenset({2} if allow_sqrt else set()),
-            galois_fact=GaloisFact("none"),
-            verdict=Verdict.NO_OBSTRUCTION_FOUND,
-            narrative=narrative,
-        )
-    equation = TrinomialFamily.PLUS_MINUS.poly(d)
-    primes = frozenset({d} if is_probable_prime(d) else set()) | frozenset({2} if allow_sqrt else set())
-    steps: list[NarrativeStep] = [
-        NarrativeStep(
-            "equation",
-            f"an equitable simple split at t over (x, x^{d}) forces t^{d} + t - 1 = 0; "
-            "such a t exists and is unique in (0, 1) since the equation is -1 at 0, "
-            "+1 at 1, and strictly increasing (derived here, not assumed)",
-            (("equation", str(equation)),),
-        )
-    ]
-    kind = solvability_verdict(d).kind
-    if kind is Solvability.REDUCIBLE_2_D2:
-        return _equitable_by_degree(d, equation, steps, primes)
-    if kind is Solvability.NONSOLVABLE_SD:
-        return _equitable_by_solvability(d, equation, steps, primes)
-    steps.append(
-        NarrativeStep(
-            "small-degree",
-            f"degree {d} polynomials are solvable by radicals; no degree or "
-            "solvability obstruction applies",
-        )
-    )
-    steps.append(NarrativeStep("verdict", "no obstruction found"))
+            NarrativeStep(
+                "quadratic-no-real-roots",
+                f"the quadratic factor {quad} has negative discriminant {disc}, "
+                "hence no real roots; the real cutpoint must satisfy the other factor",
+                (("discriminant", str(disc)),),
+            ),
+            NarrativeStep(
+                "real-root-factor",
+                f"the degree-{d - 2} factor has exactly one root in (0, 1)",
+                (("factor", str(real_factor)), ("isolator", str(isolator))),
+            ),
+            NarrativeStep(
+                "cutpoint-degree",
+                f"the cutpoint generates a field of degree {d - 2} over the rationals",
+                (("degree", d - 2),),
+            ),
+            NarrativeStep(
+                "tower-primes",
+                f"every query answer over (x, x^{d}) extends the field by degree 1 or "
+                f"{d}{sqrt_note}, so the final field degree is a product of powers of "
+                f"{sorted(tower_primes)}",
+                (("primes", sorted(tower_primes)),),
+            ),
+            NarrativeStep(
+                "degree-obstruction",
+                f"{d - 2} has a prime factor outside {sorted(tower_primes)}, so it divides no "
+                "reachable field degree; the multiplicative degree law fails",
+                obstruction,
+            ),
+        ]
+        galois, verdict = GaloisFact("degree-obstruction", obstruction), Verdict.IMPOSSIBLE
+    else:
+        steps += [
+            NarrativeStep(
+                "irreducible-trinomial",
+                f"t^{d} + t - 1 is irreducible by the trinomial classification "
+                "(substituting -t reduces it to a family irreducible at this degree)",
+            ),
+            NarrativeStep(
+                "galois-symmetric",
+                f"the trinomial criterion certifies Galois group {cls.galois} "
+                f"(irreducible and gcd({d - 1}, {d}) = 1)",
+                (("group", cls.galois),),
+            ),
+            NarrativeStep("nonsolvable", f"{cls.galois} is not solvable for degree {d} >= 5"),
+            NarrativeStep(
+                "radical-tower",
+                "every reachable cutpoint lies in a radical extension of the rationals "
+                "(each cut answer is a d-th root over the previous field, and mediator "
+                "square roots stay radical), so an exact protocol output would make the "
+                "irreducible equation solvable by radicals",
+            ),
+        ]
+        galois, verdict = GaloisFact("symmetric-nonsolvable", (("group", cls.galois),)), Verdict.IMPOSSIBLE
+    closing = "the equitable cutpoint is unreachable" if verdict is Verdict.IMPOSSIBLE else "no obstruction found"
+    steps.append(NarrativeStep("verdict", closing))
     return Certificate(
         target=f"equitable-simple(d={d})",
         equation=equation,
-        factorization=((equation, d),),
-        real_root_factor=equation,
-        real_root_isolator=_unit_root_isolator(equation),
-        tower_prime_set=primes,
-        galois_fact=GaloisFact("none"),
-        verdict=Verdict.NO_OBSTRUCTION_FOUND,
-        narrative=tuple(steps),
-    )
-
-
-def _equitable_by_degree(d: int, equation: Poly, steps: list[NarrativeStep], primes: frozenset[int]) -> Certificate:
-    # solvability_verdict proved the cofactor irreducible
-    cls = selmer_classify(d, TrinomialFamily.PLUS_MINUS)
-    quad, real_factor = cls.factor, cls.cofactor
-    steps.append(
-        NarrativeStep(
-            "factorization",
-            f"t^{d} + t - 1 factors into verified irreducible parts of degrees "
-            f"2 and {d - 2}",
-            (("factors", [str(quad), str(real_factor)]),),
-        )
-    )
-    disc = quad.coeff(1) ** 2 - 4 * quad.coeff(2) * quad.coeff(0)
-    assert disc < 0
-    steps.append(
-        NarrativeStep(
-            "quadratic-no-real-roots",
-            f"the quadratic factor {quad} has negative discriminant {disc}, "
-            "hence no real roots; the real cutpoint must satisfy the other factor",
-            (("discriminant", str(disc)),),
-        )
-    )
-    isolator = _unit_root_isolator(real_factor)
-    steps.append(
-        NarrativeStep(
-            "real-root-factor",
-            f"the degree-{d - 2} factor has exactly one root in (0, 1)",
-            (("factor", str(real_factor)), ("isolator", str(isolator))),
-        )
-    )
-    steps.append(
-        NarrativeStep(
-            "cutpoint-degree",
-            f"the cutpoint generates a field of degree {d - 2} over the rationals",
-            (("degree", d - 2),),
-        )
-    )
-    sqrt_note = " (and 2 for mediator square roots)" if 2 in primes else ""
-    steps.append(
-        NarrativeStep(
-            "tower-primes",
-            f"every query answer over (x, x^{d}) extends the field by degree 1 or "
-            f"{d}{sqrt_note}, so the final field degree is a product of powers of "
-            f"{sorted(primes)}",
-            (("primes", sorted(primes)),),
-        )
-    )
-    obstructed = degree_obstruction(d - 2, set(primes))
-    assert obstructed
-    steps.append(
-        NarrativeStep(
-            "degree-obstruction",
-            f"{d - 2} has a prime factor outside {sorted(primes)}, so it divides no "
-            "reachable field degree; the multiplicative degree law fails",
-            (("target_degree", d - 2), ("allowed_primes", sorted(primes))),
-        )
-    )
-    steps.append(NarrativeStep("verdict", "the equitable cutpoint is unreachable"))
-    return Certificate(
-        target=f"equitable-simple(d={d})",
-        equation=equation,
-        factorization=((quad, 2), (real_factor, d - 2)),
+        factorization=factorization,
         real_root_factor=real_factor,
         real_root_isolator=isolator,
-        tower_prime_set=primes,
-        galois_fact=GaloisFact(
-            "degree-obstruction",
-            (("target_degree", d - 2), ("allowed_primes", sorted(primes))),
-        ),
-        verdict=Verdict.IMPOSSIBLE,
-        narrative=tuple(steps),
-    )
-
-
-def _equitable_by_solvability(
-    d: int, equation: Poly, steps: list[NarrativeStep], primes: frozenset[int]
-) -> Certificate:
-    steps.append(
-        NarrativeStep(
-            "irreducible-trinomial",
-            f"t^{d} + t - 1 is irreducible by the trinomial classification "
-            "(substituting -t reduces it to a family irreducible at this degree)",
-        )
-    )
-    steps.append(
-        NarrativeStep(
-            "galois-symmetric",
-            f"the trinomial criterion certifies Galois group S_{d} "
-            f"(irreducible and gcd({d - 1}, {d}) = 1)",
-            (("group", f"S_{d}"),),
-        )
-    )
-    steps.append(
-        NarrativeStep(
-            "nonsolvable",
-            f"S_{d} is not solvable for degree {d} >= 5",
-        )
-    )
-    steps.append(
-        NarrativeStep(
-            "radical-tower",
-            "every reachable cutpoint lies in a radical extension of the rationals "
-            "(each cut answer is a d-th root over the previous field, and mediator "
-            "square roots stay radical), so an exact protocol output would make the "
-            "irreducible equation solvable by radicals",
-        )
-    )
-    steps.append(NarrativeStep("verdict", "the equitable cutpoint is unreachable"))
-    isolator = _unit_root_isolator(equation)
-    return Certificate(
-        target=f"equitable-simple(d={d})",
-        equation=equation,
-        factorization=((equation, d),),
-        real_root_factor=equation,
-        real_root_isolator=isolator,
-        tower_prime_set=primes,
-        galois_fact=GaloisFact("symmetric-nonsolvable", (("group", f"S_{d}"),)),
-        verdict=Verdict.IMPOSSIBLE,
+        tower_prime_set=tower_primes,
+        galois_fact=galois,
+        verdict=verdict,
         narrative=tuple(steps),
     )
 
@@ -436,7 +395,7 @@ def check_impossibility_welfare(n: int, p: int) -> Certificate:
         raise ValueError(
             "p = 2 gives a cutpoint of degree 1 over a degree-2^l tower: no obstruction"
         )
-    if not is_probable_prime(p) or p < 3:
+    if not is_probable_prime(p):
         raise ValueError("p must be a prime >= 3")
     station = Poly([-1] + [0] * (p - 2) + [p])  # p*T^(p-1) - 1
     steps: list[NarrativeStep] = [
@@ -465,7 +424,6 @@ def check_impossibility_welfare(n: int, p: int) -> Certificate:
             (("degree", p - 1),),
         )
     )
-    assert 1 < p - 1 < p
     steps.append(
         NarrativeStep(
             "degree-bounds",
@@ -529,17 +487,32 @@ class CertificateCheck:
         )
 
 
+def _irreducible(f: Poly) -> bool:
+    """f is irreducible over the rationals.  A prime q that does not divide
+    the leading coefficient and at which f reduces to an irreducible
+    polynomial of full degree proves it, since a factorization over the
+    integers would reduce to one mod q; this needs no factoring and no
+    degree cap.  When none of the first CERTIFICATE_PRIMES primes does,
+    the factorization pipeline decides."""
+    cs = f.int_coeffs()
+    for q in itertools.islice(primes(), CERTIFICATE_PRIMES):
+        image = _modp_image(cs, q)
+        if image is not None and image.first()[0] == f.degree:
+            return True
+    return is_irreducible(f)
+
+
 def verify_certificate(cert: Certificate) -> CertificateCheck:
     """Recompute every load-bearing claim of an IMPOSSIBLE certificate:
-    the factorization product identity, each irreducibility claim via the
-    pipeline, the real-root location via Sturm counting, and the final
-    obstruction step."""
+    the factorization product identity, each irreducibility claim by a
+    prime witness or the pipeline, the real-root location via Sturm
+    counting, and the final obstruction step."""
     rebuilt = Poly.constant(1)
     for f, _ in cert.factorization:
         rebuilt = rebuilt * f
     q, r = divmod(cert.equation, rebuilt)
     product_ok = r.is_zero and q.degree == 0
-    irreducible_ok = all(is_irreducible(f) for f, _ in cert.factorization)
+    irreducible_ok = all(_irreducible(f) for f, _ in cert.factorization)
     iso = cert.real_root_isolator
     root_ok = (
         count_roots_in(cert.real_root_factor, iso.lo, iso.hi) == 1

@@ -518,6 +518,8 @@ class Tower:
             try:
                 mv = value.minimal_polynomial()
             except DegreeCapExceeded:
+                if not below:
+                    raise
                 mv = None  # the compositum reports it
             if mv is not None:
                 atom = _generating_atom(node)
@@ -529,8 +531,6 @@ class Tower:
             cert = self._certify(rel, tri)
             if cert is not None:
                 return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=cert)
-        if not below:
-            return _step(value, value.minimal_polynomial().degree)
         deg = _compositum_degree([s.generator for s in below], value)
         relative = None
         if rel is not None and rel.atom is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from cakelab import (
     AlgebraicNumber,
     Allocation,
+    DegreeCapExceeded,
     Measure,
     OsadaResult,
     Poly,
@@ -27,7 +29,7 @@ from cakelab import (
     verify_certificate,
     welfare,
 )
-from cakelab import factoring
+from cakelab import certificates, factoring
 from cakelab.ints import SMALL_PRIMES
 from cakelab.polys import _modp_ddf, rational_roots
 
@@ -245,13 +247,20 @@ class TestEquitableCertificates:
         with pytest.raises(UncoveredCaseError):
             check_impossibility_equitable(35)
 
-    @pytest.mark.parametrize("d", range(13, 49))
+    @pytest.mark.parametrize("d", range(13, 65))
     def test_issued_and_verified_at_default_cap(self, d):
-        # every degree up to the default cap of 48 but 35 is issued and
-        # rechecked with no cap set, each within 0.05 s when last measured
+        # every degree up to 64 but 35, 53 and 59 is issued and rechecked
+        # with no cap set, each within 0.5 s when last measured: the recheck
+        # proves each factor irreducible by a prime witness, past the cap
+        # too.  53 and 59 fail at issuance, on the proof that their
+        # cofactors of degree 51 and 57 are irreducible
         assert factoring.degree_cap() == factoring.DEFAULT_DEGREE_CAP == 48
         if d == 35:
             with pytest.raises(UncoveredCaseError):
+                check_impossibility_equitable(d)
+            return
+        if d in (53, 59):
+            with pytest.raises(DegreeCapExceeded, match=f"degree {d - 2} exceeds"):
                 check_impossibility_equitable(d)
             return
         with time_limit(1):
@@ -267,6 +276,23 @@ class TestEquitableCertificates:
         cert = check_impossibility_equitable(d)
         assert cert.verdict is Verdict.IMPOSSIBLE
         assert verify_certificate(cert).all_ok
+
+    def test_recheck_by_prime_witness_needs_no_pipeline(self, monkeypatch):
+        # x^50 + x - 1 reduces to an irreducible polynomial of full degree at
+        # some prime, so the recheck never reaches the capped pipeline
+        cert = check_impossibility_equitable(50)
+        monkeypatch.setattr(certificates, "is_irreducible", None)
+        assert verify_certificate(cert).all_ok
+
+    def test_recheck_rejects_a_reducible_factor(self):
+        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2) reduces to a product at
+        # every prime, so no witness is found and the pipeline refutes the
+        # claim
+        cert = check_impossibility_equitable(6)
+        f = Poly([4, 0, 0, 0, 1])
+        forged = dataclasses.replace(cert, equation=f, factorization=((f, 4),))
+        check = verify_certificate(forged)
+        assert check.product_identity and not check.irreducibility
 
     def test_narrative_chain_pinned(self):
         codes = [s.code for s in check_impossibility_equitable(5).narrative]

@@ -296,18 +296,23 @@ class TestGoldenBytes:
             ("check-impossibility-equitable-d7", ["check-impossibility", "equitable", "--d", "7"], 0),
             ("check-impossibility-equitable-d3", ["check-impossibility", "equitable", "--d", "3"], 2),
             ("check-impossibility-equitable-d11", ["check-impossibility", "equitable", "--d", "11"], 0),
+            ("check-impossibility-equitable-d1", ["check-impossibility", "equitable", "--d", "1"], 2),
+            ("check-impossibility-equitable-d11-sqrt",
+             ["check-impossibility", "equitable", "--d", "11", "--allow-sqrt"], 0),
             ("run-protocol-cut-and-choose-quadratic",
              ["run-protocol", "--protocol", "cut-and-choose",
               "--measures", os.path.join(GOLDEN, "quadratic.measures")], 0),
         ],
         ids=["welfare-isolator", "equitable-isolator", "equitable-small-degree",
-             "equitable-reducible", "quadratic-cut-op-count"],
+             "equitable-reducible", "equitable-rational", "equitable-reducible-sqrt",
+             "quadratic-cut-op-count"],
     )
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_isolators_and_op_counts(self, name, args, code, fmt):
         # the certificates' real_root_isolator is the value's isolating
         # interval, d = 3 and d = 11 pin the small-degree and reducible
-        # certificates (NO-OBSTRUCTION-FOUND exits 2); the first cut of
+        # certificates (NO-OBSTRUCTION-FOUND exits 2), d = 1 the rational
+        # cutpoint and --allow-sqrt the tower primes [2, 11]; the first cut of
         # quadratic.measures is the root of 27x^2 + 5x - 16, whose
         # construction bss_op_count charges
         res = subprocess.run(

@@ -162,6 +162,15 @@ class TestAdjoin:
         assert s3.degree == 5
         assert tw.total_degree == 10
 
+    @pytest.mark.degree_cap(12)
+    def test_empty_tower_past_the_cap_raises(self):
+        # over Q the step degree is the minimal polynomial's degree, here
+        # 16: past the cap the adjunction raises and appends nothing
+        tw = Tower()
+        with pytest.raises(DegreeCapExceeded, match=r"degree 16 .*\(add elimination\)"):
+            tw.adjoin(nth_root(2, 4) + nth_root(3, 4))
+        assert tw.steps == []
+
 
 def _radicand(parts):
     out = Fraction(1)
