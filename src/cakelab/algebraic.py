@@ -19,10 +19,18 @@ Key internals:
   at such a value from Horner on residues.  No extended Euclid runs.
   An atom of degree 1, a cut root at a rational point, reduces every
   form built on it to a constant.
-* Minimal polynomials take two routes.  A single-atom value's is the
-  squarefree part of its characteristic polynomial, a power of it since
-  m_atom is irreducible.  Every other node factors one annihilating
-  polynomial and selects the factor that vanishes at its value.
+* Minimal polynomials take three routes, in this order.  A single-atom
+  value's is the squarefree part of its characteristic polynomial, a
+  power of it since m_atom is irreducible.  A sum, product or quotient
+  mixing atoms takes its characteristic polynomial in the algebra
+  Q[y_1..y_k]/(m_1(y_1), ..., m_k(y_k)) of its distinct atoms, or of its
+  maximal single-atom subexpressions when they span fewer dimensions
+  (`_Algebra`), of degree D = deg m_1 ... deg m_k, when D is within the
+  degree cap; the same algebra of one atom serves the first route.
+  Every other node, and a value the algebra declines, eliminates its
+  operands' minimal polynomials.  The last two routes factor the one
+  annihilating polynomial and select the factor that vanishes at the
+  value.
 * One routine, `_pin`, names a value among the roots of coprime
   squarefree polynomials: it rounds the value's enclosure at 2^-k outward
   to the 2^-k grid, k doubling from 8, until exactly one of their roots
@@ -34,16 +42,17 @@ Key internals:
   so deep expression DAGs need no recursion.  Interval enclosures,
   single-atom forms, residues modulo a prime and atom lists are each one
   function of a node and its operands' values, and operand a is finished
-  before b is entered.  Minimal polynomials still recurse once per level
-  and raise `ExpressionTooDeep` past the interpreter's limit.
-* Values mixing independent atoms fall back to elimination by power sums
-  (Newton's identities) of roots scaled to algebraic integers, guarded by
-  the degree cap.  A sign query that refinement to 2^-128 cannot decide,
-  on a value with no single-atom form, decides a zero from the node's
-  operands and never from the node's own minimal polynomial: a product
-  or quotient multiplies their signs, and a sum or difference compares
-  its operands (`_equal_values`).  Refinement with no limit runs only on a
-  value known to be nonzero.
+  before b is entered; so is a value in its atoms' algebra.  Elimination
+  still recurses once per level and raises `ExpressionTooDeep` past the
+  interpreter's limit.
+* Eliminations use power sums (Newton's identities) of roots scaled to
+  algebraic integers, guarded by the degree cap.  A sign query that
+  refinement to 2^-128 cannot decide, on a value with no single-atom
+  form, decides a zero from the node's operands and never from the
+  node's own minimal polynomial: a product or quotient multiplies their
+  signs, and a sum or difference compares its operands
+  (`_equal_values`).  Refinement with no limit runs only on a value known
+  to be nonzero.
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.  Folds cancel by operand
@@ -70,7 +79,7 @@ from typing import Optional, Union
 
 from .dyadic import DyadicInterval
 from .errors import DegreeCapExceeded, ExpressionTooDeep, ZeroPolynomialError
-from .factoring import check_degree, factor_over_Q
+from .factoring import check_degree, degree_cap, factor_over_Q
 from .ints import SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
@@ -146,13 +155,14 @@ _SAF_UNAVAILABLE = object()
 
 
 class _Node:
-    __slots__ = ("_mp", "_saf", "_ivc", "_iso")
+    __slots__ = ("_mp", "_saf", "_ivc", "_iso", "_leaves")
 
     def __init__(self) -> None:
         self._mp = None  # cached minpoly, or a cached DegreeCapExceeded
         self._saf = None  # cached single-atom form
         self._ivc = (-1, None)  # (effort level, enclosure), one atomic slot
         self._iso = None  # cached isolating interval
+        self._leaves = None  # cached maximal single-atom subexpressions
 
 
 class _Rat(_Node):
@@ -714,28 +724,133 @@ def _rescaled(c: list[int], scale: int) -> Poly:
     return Poly([c[n - j] * scale**j for j in range(n + 1)], scale**n)
 
 
-def _charpoly(m: list[int], nums, den: int) -> tuple[list[int], int]:
-    """(c, D) for the characteristic polynomial of nums(y) / den in
-    Q[y]/(m), m a primitive integer polynomial of degree n >= 1 and den > 0:
-    prod (T - nums(a) / den) over the roots a of m, with multiplicity.
+class _Algebra:
+    """The algebra Q[y_1, ..., y_k]/(m_1(y_1), ..., m_k(y_k)) of k atoms,
+    each m_i a primitive integer polynomial of degree n_i >= 2 with leading
+    coefficient l_i, of dimension D = n_1 ... n_k, run on integers.
 
-    With e = deg nums, nums(a) = H(A) / l^e for H(Y) = sum nums_i l^(e-i) Y^i,
-    so D = den * l^e.  The power sums of the H(A) are the traces of the
-    powers of H: p_k = sum_j [Y^j](H^k mod M) p_j(A)."""
-    n = len(m) - 1
-    lc = m[-1]
-    e = max(len(nums) - 1, 0)
-    h = [c * lc ** (e - i) for i, c in enumerate(nums)]
-    mon = _scaled_monic(m)
-    pm = _newton_sums(mon, n - 1)
-    q = [n]
-    x = [1]
-    for _ in range(n):
-        x = _int_mul(x, h)
-        if len(x) > n:
-            x, _ = _prem(x, mon)  # monic: the scale is 1
-        q.append(sum(a * b for a, b in zip(x, pm)))
-    return _from_newton_sums(q), den * lc**e
+    An element is (x, s), s > 0 and coprime to the content of x: the value
+    x(Y_1, ..., Y_k) / s in the scaled atoms Y_i = l_i y_i, roots of the
+    monic integer M_i (`_scaled_monic`), so products reduce modulo monic
+    polynomials and numerators stay integer.  x is a list of integers in
+    Kronecker layout: Y_1^e_1 ... Y_k^e_k sits at sum e_i w_i, w_1 = 1 and
+    w_(i+1) = w_i (2 n_i - 1), so the product of two reduced numerators is
+    one product of univariate lists that carries nothing between variables.
+
+    The trace of Y_1^e_1 ... Y_k^e_k is the product of the power sums
+    p_(e_i) of the roots of the M_i, so the traces of the first D powers of
+    x are integers, and Newton's identities turn them into the
+    characteristic polynomial of x, of degree D.  Evaluating each y_i at
+    its atom is a ring map, so that polynomial vanishes at the value the
+    element takes there; for one atom it is prod (T - g(a)) over the roots
+    a of m_1, with multiplicity."""
+
+    __slots__ = ("lcs", "weights", "dim", "traces", "rules")
+
+    def __init__(self, ms: list[list[int]]):
+        self.lcs = [m[-1] for m in ms]
+        self.weights = []
+        self.dim = 1
+        # per variable, the last first: n_i, w_i, the radix 2 n_i - 1 (None
+        # for the last variable) and the (offset, coefficient) pairs of
+        # Y_i^(n_i) = -sum_j M_i[j] Y_i^j
+        self.rules = []
+        traces, w = [1], 1
+        for i, m in enumerate(ms):
+            mon, n = _scaled_monic(m), len(m) - 1
+            self.weights.append(w)
+            self.dim *= n
+            radix = 2 * n - 1 if i < len(ms) - 1 else None
+            self.rules.insert(0, (n, w, radix, [(j * w, a) for j, a in enumerate(mon[:-1]) if a]))
+            # the reduced monomials of the variables so far lie below w
+            row = traces + [0] * (w - len(traces))
+            traces = [p * t for p in _newton_sums(mon, n - 1) for t in row]
+            w *= 2 * n - 1
+        self.traces = traces
+
+    def lift(self, nums, den: int, i: int = 0) -> tuple[list[int], int]:
+        """nums(y_i) / den, for deg nums < 2 n_i - 1 unless y_i is the last
+        variable: with e = deg nums, nums(y_i) = H(Y_i) / l_i^e for
+        H(Y) = sum nums_j l_i^(e-j) Y^j."""
+        lc, w = self.lcs[i], self.weights[i]
+        e = max(len(nums) - 1, 0)
+        x = [0] * (e * w + 1)
+        for j, c in enumerate(nums):
+            x[j * w] = c * lc ** (e - j)
+        return self.element(self._reduce(x), den * lc**e)
+
+    @staticmethod
+    def element(x: list[int], s: int) -> tuple[list[int], int]:
+        """(x, s) with s made positive and coprime to the content of x."""
+        while x and x[-1] == 0:
+            x.pop()
+        g = math.gcd(s, *x)
+        if s < 0:
+            g = -g
+        return ([c // g for c in x], s // g) if g != 1 else (x, s)
+
+    def add(self, a, b, sign: int = 1) -> tuple[list[int], int]:
+        """a + b, or a - b for sign -1."""
+        (x, s), (y, t) = a, b
+        g = math.gcd(s, t)
+        u, v = t // g, sign * (s // g)
+        z = [p * u + q * v for p, q in itertools.zip_longest(x, y, fillvalue=0)]
+        return self.element(z, s * u)
+
+    def mul(self, a, b) -> tuple[list[int], int]:
+        (x, s), (y, t) = a, b
+        return self.element(self._reduce(_int_mul(x, y)), s * t)
+
+    def _reduce(self, x: list[int]) -> list[int]:
+        """x modulo the M_i, in place, from the last variable down: a
+        monomial with e_i >= n_i sheds Y_i^(n_i) = -sum_(j < n_i) M_i[j] Y_i^j.
+        Indices run down, so what a step moves lower is reduced later in
+        the same pass.  The last variable's degree is unbounded: every
+        index from n_k w_k up has e_k >= n_k."""
+        for n, w, radix, low in self.rules:
+            for idx in range(len(x) - 1, n * w - 1, -1):
+                c = x[idx]
+                if c and (radix is None or idx // w % radix >= n):
+                    x[idx] = 0
+                    base = idx - n * w
+                    for off, a in low:
+                        x[base + off] -= c * a
+        while x and x[-1] == 0:
+            x.pop()
+        return x
+
+    def _powers(self, x: list[int]) -> tuple[list[int], list[list[int]]]:
+        """(c, [x^0, ..., x^D]): the characteristic polynomial
+        sum c_k T^(D-k) of the numerator x, c_0 = 1, and its powers."""
+        powers = [[1]]
+        q = [self.dim]
+        for _ in range(self.dim):
+            p = self._reduce(_int_mul(x, powers[-1]))
+            q.append(sum(a * b for a, b in zip(p, self.traces)))
+            powers.append(p)
+        return _from_newton_sums(q), powers
+
+    def charpoly(self, a) -> list[int]:
+        """The primitive integer characteristic polynomial of a = x / s:
+        prod (s*T - s*conjugate) = sum_k c_k s^(D-k) T^(D-k)."""
+        x, s = a
+        c, _ = self._powers(x)
+        n = self.dim
+        return _drop_content([c[n - j] * s**j for j in range(n + 1)])
+
+    def inverse(self, a) -> Optional[tuple[list[int], int]]:
+        """1 / a, or None when a is a zero divisor, whose characteristic
+        polynomial has constant term 0.  By Cayley-Hamilton,
+        x^-1 = -sum_(k<D) c_k x^(D-1-k) / c_D, so a^-1 = s * x^-1."""
+        x, s = a
+        c, powers = self._powers(x)
+        n = self.dim
+        if not c[n]:
+            return None
+        acc: list[int] = []
+        for k in range(n):
+            acc = [u + c[k] * v for u, v in itertools.zip_longest(acc, powers[n - 1 - k], fillvalue=0)]
+        return self.element([-s * v for v in acc], c[n])
 
 
 def _residue_horner(cs: list[int], nums, den: int, m: list[int]) -> tuple[list[int], int]:
@@ -808,21 +923,15 @@ def _saf_make(atom, nums: list[int], den: int):
 
 def _saf_inverse(nums, den: int, m: Optional[list[int]]) -> tuple[list[int], int]:
     """(inums, iden) with inums(y) / iden the inverse of nums(y) / den
-    modulo the irreducible m; nums is nonzero and reduced modulo m.
-
-    By Cayley-Hamilton g = nums(y) is a root of its characteristic
-    polynomial sum c_k / D^k T^(n-k) (`_charpoly`), whose constant term is
-    nonzero since g is.  So g^-1 = -D^n / c_n * sum_(k<n) c_k / D^k g^(n-1-k),
-    and the sum times D^(n-1) has integer coefficients c_k D^(n-1-k)."""
+    modulo the irreducible m; nums is nonzero and reduced modulo m.  The
+    algebra of the one atom inverts it (`_Algebra.inverse`), and
+    Y^j = l^j y^j takes its numerator back to y."""
     if len(nums) == 1:
         return ([den], nums[0]) if nums[0] > 0 else ([-den], -nums[0])
-    n = len(m) - 1
-    c, scale = _charpoly(m, nums, 1)
-    cofactor = [c[n - 1 - j] * scale**j for j in range(n)]
-    r, s = _residue_horner(cofactor, nums, 1, m)
-    iden = s * c[n]
-    mult = -den * scale if iden > 0 else den * scale
-    return [mult * x for x in r], abs(iden)
+    algebra = _Algebra([m])
+    x, s = algebra.inverse(algebra.lift(nums, den))
+    lc = m[-1]
+    return [c * lc**j for j, c in enumerate(x)], s
 
 
 def _compute_saf(node: _Node, fa=None, fb=None):
@@ -992,6 +1101,77 @@ def _binary_elimination(kind: str, ma: Poly, mb: Poly) -> Poly:
     return _rescaled(_from_newton_sums(q), la * lb)
 
 
+class _ZeroDivisor(Exception):
+    pass
+
+
+def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
+    """The characteristic polynomial of the value in the algebra of its
+    generators (`_Algebra`), a primitive integer polynomial of degree D,
+    the product of the generators' degrees.  The value is a rational
+    function of its maximal subexpressions with a single-atom form
+    (`_form_leaves`), and each of those a polynomial in its atom.  The
+    generators are those atoms, or the subexpressions themselves when
+    their degrees give the smaller D: two values of degree 3 in fields of
+    degrees 15 and 3 span 9 dimensions, not 45.  A generator of degree 1
+    enters as its rational value.  None, before any arithmetic in the
+    algebra, when a generator's minimal polynomial or D passes the degree
+    cap, and None when a divisor is a zero divisor of the algebra."""
+    leaves = _form_leaves(node)
+    forms = [_saf_of(leaf) for leaf in leaves]
+    atoms = list({id(f[0]): f[0] for f in forms if f[0] is not None}.values())
+    best = None
+    compound = any(not isinstance(n, (_Rat, *_ATOM_TYPES)) for n in leaves)
+    for gens in (atoms, leaves) if compound else (atoms,):
+        try:
+            ms = [_minpoly(g).nums for g in gens]
+        except DegreeCapExceeded:
+            continue
+        dim = math.prod(len(m) - 1 for m in ms)
+        if best is None or dim < best[0]:
+            best = dim, gens, ms
+    if best is None or best[0] > degree_cap():
+        return None
+    _, gens, ms = best
+    algebra = _Algebra([m for m in ms if len(m) > 2])
+    # a generator of degree 1 is its rational root, the others y_0, y_1, ...
+    place: dict[int, Union[Fraction, int]] = {}
+    variables = iter(range(len(algebra.weights)))
+    for g, m in zip(gens, ms):
+        place[id(g)] = Fraction(-m[0], m[1]) if len(m) == 2 else next(variables)
+    values: dict[int, tuple[list[int], int]] = {}
+    for leaf, (atom, nums, den) in zip(leaves, forms):
+        if gens is leaves:
+            atom, nums, den = leaf, (0, 1), 1  # the leaf is its own generator
+        if atom is None:
+            values[id(leaf)] = algebra.element(list(nums), den)
+        elif isinstance(place[id(atom)], Fraction):
+            q = sum(c * place[id(atom)] ** j for j, c in enumerate(nums)) / den
+            values[id(leaf)] = algebra.element([q.numerator], q.denominator)
+        else:
+            values[id(leaf)] = algebra.lift(nums, den, place[id(atom)])
+
+    def compute(n: _Binary, x, y):
+        if isinstance(n, _Add):
+            v = algebra.add(x, y)
+        elif isinstance(n, _Sub):
+            v = algebra.add(x, y, -1)
+        elif isinstance(n, _Mul):
+            v = algebra.mul(x, y)
+        else:
+            inv = algebra.inverse(y)
+            if inv is None:
+                raise _ZeroDivisor
+            v = algebra.mul(x, inv)
+        values[id(n)] = v
+        return v
+
+    try:
+        return algebra.charpoly(_walk(node, lambda n: values.get(id(n)), compute))
+    except _ZeroDivisor:
+        return None
+
+
 def _minpoly(node: _Node) -> Poly:
     cached = node._mp
     if cached is not None:
@@ -1034,10 +1214,8 @@ def _compute_minpoly(node: _Node) -> Poly:
         # the cap bounds this route as it bounds factoring: past it, the
         # value gets the diagnostic of factoring its characteristic polynomial
         check_degree(n, "factor_over_Q input")
-        c, scale = _charpoly(m, nums, den)
-        # prod (scale*T - scale*conjugate) = sum_k c_k scale^(n-k) T^(n-k)
-        f = _drop_content([c[n - j] * scale**j for j in range(n + 1)])
-        return Poly(_int_squarefree(f))
+        algebra = _Algebra([m])
+        return Poly(_int_squarefree(algebra.charpoly(algebra.lift(nums, den))))
     elif isinstance(node, _RootAtom):
         if isinstance(node.operand, Fraction):
             # interned radicals are exponent-reduced, so no prime dividing
@@ -1057,15 +1235,20 @@ def _compute_minpoly(node: _Node) -> Poly:
         check_degree(m_c.degree * node.cdf.degree, "cut-root elimination")
         annihilator = m_c.compose(node.cdf)
     else:
-        ma = _minpoly(node.a)
-        mb = _minpoly(node.b)
-        kind = "add" if isinstance(node, (_Add, _Sub)) else "mul"
-        if isinstance(node, _Sub):
-            mb = mb.negate_variable()
-        elif isinstance(node, _Div):
-            mb = mb.reverse().primitive()
-        check_degree(ma.degree * mb.degree, f"{kind} elimination")
-        annihilator = _binary_elimination(kind, ma, mb)
+        f = _atoms_charpoly(node)
+        if f is not None:
+            annihilator = Poly(f)
+        else:
+            # the fallback: one elimination of the operands' minimal polynomials
+            ma = _minpoly(node.a)
+            mb = _minpoly(node.b)
+            kind = "add" if isinstance(node, (_Add, _Sub)) else "mul"
+            if isinstance(node, _Sub):
+                mb = mb.negate_variable()
+            elif isinstance(node, _Div):
+                mb = mb.reverse().primitive()
+            check_degree(ma.degree * mb.degree, f"{kind} elimination")
+            annihilator = _binary_elimination(kind, ma, mb)
     fac = factor_over_Q(annihilator)
     return _select_factor([f for f, _ in fac.factors], node).primitive()
 
@@ -1404,6 +1587,23 @@ def _dag_atoms(node: _Node) -> list[_Node]:
 
     _walk(node, lambda n: seen.get(id(n)), visit)
     return [n for n in seen.values() if isinstance(n, _ATOM_TYPES)]
+
+
+def _form_leaves(node: _Node) -> tuple[_Node, ...]:
+    """The distinct maximal subexpressions of a value with no single-atom
+    form that have one, in first-visit order: atoms, rationals and values
+    of one atom's field, of which the value is a rational function.  Each
+    node without a form caches its tuple, so asking again at every level
+    of a deep DAG costs one merge per node."""
+
+    def cached(n: _Node):
+        return (n,) if _saf_of(n) is not _SAF_UNAVAILABLE else n._leaves
+
+    def compute(n: _Node, la, lb):
+        n._leaves = la + tuple(x for x in lb if x not in la)
+        return n._leaves
+
+    return _walk(node, cached, compute)
 
 
 def _generating_atom(node: _Node) -> Optional[_Node]:

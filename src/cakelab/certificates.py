@@ -42,7 +42,7 @@ from .cake import Measure
 from .dyadic import DyadicInterval
 from .errors import UncoveredCaseError
 from .factoring import Eisenstein, eisenstein, is_irreducible
-from .ints import is_probable_prime, primes
+from .ints import factor_positive, is_probable_prime, primes
 from .polys import Poly, _modp_image, count_roots_in, refine_root, sturm_isolate
 from .tower import CERTIFICATE_PRIMES, degree_obstruction
 
@@ -488,13 +488,20 @@ class CertificateCheck:
 
 
 def _irreducible(f: Poly) -> bool:
-    """f is irreducible over the rationals.  A prime q that does not divide
-    the leading coefficient and at which f reduces to an irreducible
-    polynomial of full degree proves it, since a factorization over the
-    integers would reduce to one mod q; this needs no factoring and no
-    degree cap.  When none of the first CERTIFICATE_PRIMES primes does,
-    the factorization pipeline decides."""
+    """f is irreducible over the rationals.  Two witnesses need no factoring
+    and no degree cap.  First, Eisenstein's criterion on f or on its
+    reversal, at a prime dividing the gcd of the non-leading coefficients.
+    Then a prime q that does not divide the leading coefficient and at
+    which f reduces to an irreducible polynomial of full degree, since a
+    factorization over the integers would reduce to one mod q.  When none
+    of the first CERTIFICATE_PRIMES primes does, the factorization pipeline
+    decides."""
     cs = f.int_coeffs()
+    for coeffs in (cs, cs[::-1]):
+        g = math.gcd(*coeffs[:-1])
+        if coeffs[-1] and g > 1:
+            if any(eisenstein(Poly(coeffs), q) is Eisenstein.IRREDUCIBLE_CERTIFIED for q in factor_positive(g)):
+                return True
     for q in itertools.islice(primes(), CERTIFICATE_PRIMES):
         image = _modp_image(cs, q)
         if image is not None and image.first()[0] == f.degree:

@@ -431,7 +431,8 @@ def _heuristic_gcd(a: list[int], b: list[int]) -> list[int] | None:
         g = _drop_content(digits)
         if g[-1] < 0:
             g = [-c for c in g]
-        if _exact_quotient(a, g) is not None and _exact_quotient(b, g) is not None:
+        # a constant divides both, so it needs no trial division
+        if len(g) == 1 or (_exact_quotient(a, g) is not None and _exact_quotient(b, g) is not None):
             return g
         xi = xi * 73794 // 27011  # an irregular growth factor, about e
     return None
@@ -456,8 +457,10 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 def _int_squarefree(f: list[int]) -> list[int]:
     """The squarefree part f / gcd(f, f') of a primitive integer polynomial
-    of positive degree: primitive, with the sign of f's leading coefficient."""
-    return _exact_quotient(f, _int_gcd(f, _derivative(f)))
+    of positive degree: primitive, with the sign of f's leading coefficient.
+    A constant gcd(f, f') returns f itself, with no division."""
+    g = _int_gcd(f, _derivative(f))
+    return f if len(g) == 1 else _exact_quotient(f, g)
 
 
 # -- gcd and resultants ----------------------------------------------------
@@ -487,6 +490,8 @@ def _int_squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
     one common rational scale, the one Yun's identities need."""
     df = _derivative(f)
     a = _int_gcd(f, df)
+    if len(a) == 1:
+        return [(f, 1)]  # squarefree
     b = _exact_quotient(f, a)
     c = _int_sub(_exact_quotient(df, a), _derivative(b))
     out: list[tuple[list[int], int]] = []

@@ -1,11 +1,11 @@
 """Brute-force oracles, independent of the library pipeline.
 
-A divisor of an integer polynomial is found (or ruled out) by exhausting
-every integer candidate inside the Mignotte coefficient box, filtered by
-the necessary divisibility of values at 0, 1 and -1.  Kronecker's search
-is a second probe: it interpolates through divisors of integer values.
-Neither works modulo a prime, so they share no step with the library's
-Zassenhaus factoring.
+A divisor of an integer polynomial is found (or ruled out) by Kronecker's
+search, which interpolates through divisors of integer values; a linear
+divisor is tried first over the divisors of the end coefficients, filtered
+by the necessary divisibility of the values at 1 and -1.  Neither works
+modulo a prime, so they share no step with the library's Zassenhaus
+factoring.
 
 Root refinement is checked against plain Fraction bisection.
 
@@ -96,7 +96,6 @@ that `Poly` ran before it stored integer numerators over one denominator.
 import itertools
 import math
 from fractions import Fraction
-from math import comb, isqrt
 
 from cakelab.dyadic import DyadicInterval
 from cakelab.algebraic import AlgebraicNumber, _Add, _Binary, _binary_elimination, _Div, _Mul, _Rat, _Sub
@@ -119,16 +118,25 @@ from cakelab.polys import (
 
 
 def divisors(n):
+    """The positive divisors of n, ascending; none for 0.  Trial division
+    divides each prime out as it is found, so only the cofactor's square
+    root bounds the search."""
     n = abs(n)
-    small, large = [], []
-    d = 1
+    if n == 0:
+        return []
+    divs = [1]
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            divs = [x * d**k for x in divs for k in range(e + 1)]
         d += 1
-    return small + large[::-1]
+    if n > 1:
+        divs += [x * n for x in divs]
+    return sorted(divs)
 
 
 def eval_int(coeffs, x):
@@ -157,40 +165,30 @@ def poly_divmod_int(f, g):
     return (q, rem)
 
 
-def mignotte_box(f, d):
-    """Per-coefficient bound for degree-d divisors of f."""
-    norm2 = isqrt(sum(c * c for c in f)) + 1
-    lc = abs(f[-1])
-    return [comb(d - 1, i) * norm2 + (comb(d - 1, i - 1) * lc if i >= 1 else 0) for i in range(d + 1)]
-
-
 def find_divisor(f):
-    """Smallest-degree nontrivial divisor within the Mignotte box, or None.
-    Assumes f primitive with f(0) != 0."""
+    """Smallest-degree nontrivial divisor, or None: a linear one b0 + bd*x
+    with b0 dividing f(0) and bd the leading coefficient, else one of degree
+    2..n/2 by Kronecker's method (`kronecker_find_factor`), which needs f
+    free of rational roots.  Assumes f primitive with f(0) != 0."""
     n = len(f) - 1
-    f0, f1, fm1 = f[0], eval_int(f, 1), eval_int(f, -1)
-    lead_divs = [d for d in divisors(f[-1])]
-    const_divs = divisors(f0)
-    const_divs = [d for a in const_divs for d in (a, -a)]
+    if n < 2:
+        return None
+    f1, fm1 = eval_int(f, 1), eval_int(f, -1)
+    const_divs = [d for a in divisors(f[0]) for d in (a, -a)]
     div1 = set(divisors(f1)) if f1 != 0 else None
     divm1 = set(divisors(fm1)) if fm1 != 0 else None
-    for d in range(1, n // 2 + 1):
-        box = mignotte_box(f, d)
-        middle_ranges = [range(-box[i], box[i] + 1) for i in range(1, d)]
-        for bd in lead_divs:
-            for b0 in const_divs:
-                for mid in itertools.product(*middle_ranges):
-                    g = [b0, *mid, bd]
-                    s = sum(g)
-                    if div1 is not None and (s == 0 or abs(s) not in div1):
-                        continue
-                    a = sum(c if i % 2 == 0 else -c for i, c in enumerate(g))
-                    if divm1 is not None and (a == 0 or abs(a) not in divm1):
-                        continue
-                    res = poly_divmod_int(f, g)
-                    if res is not None and not res[1]:
-                        return g
-    return None
+    for bd in divisors(f[-1]):
+        for b0 in const_divs:
+            g = [b0, bd]
+            # g(1) divides f(1) and g(-1) divides f(-1)
+            if div1 is not None and (b0 + bd == 0 or abs(b0 + bd) not in div1):
+                continue
+            if divm1 is not None and (b0 - bd == 0 or abs(b0 - bd) not in divm1):
+                continue
+            res = poly_divmod_int(f, g)
+            if res is not None and not res[1]:
+                return g
+    return kronecker_find_factor(f, n // 2) if n >= 4 else None
 
 
 def _kronecker_points(coeffs, count):
@@ -587,6 +585,39 @@ def sturm_isolate_oracle(p, span):
             out[i] = _shrink_half_oracle(f, chain, out[i])
             out[i + 1] = _shrink_half_oracle(f, chain, out[i + 1])
     return out
+
+
+def nested_elimination_minpoly(v, known=None):
+    """The minimal polynomial of the AlgebraicNumber v by nested pairwise
+    elimination, the route `algebraic` took for every value mixing atoms
+    before the atoms' algebra: at each field operation, the operands'
+    minimal polynomials give the sum or product polynomial
+    (`elimination_oracle`), whose irreducible factors (`oracle_factor`)
+    name the one vanishing at the node's value (`select_factor_oracle`).
+    A rational is its linear polynomial, and an atom brings its own
+    minimal polynomial from the library.  known maps id(node) to the
+    nodes seen so far, kept alive so that no id is reused, with their
+    minimal polynomials; it is filled in."""
+    known = {} if known is None else known
+    node = v._node
+    if id(node) in known:
+        return known[id(node)][1]
+    if isinstance(node, _Rat):
+        m = Poly([-node.value.numerator, node.value.denominator])
+    elif not isinstance(node, _Binary):
+        m = v.minimal_polynomial()
+    else:
+        ma = nested_elimination_minpoly(AlgebraicNumber(node.a), known)
+        mb = nested_elimination_minpoly(AlgebraicNumber(node.b), known)
+        if isinstance(node, _Sub):
+            mb = mb.negate_variable()
+        elif isinstance(node, _Div):
+            mb = mb.reverse()
+        elim = elimination_oracle("add" if isinstance(node, (_Add, _Sub)) else "mul", ma, mb)
+        cands = [Poly(list(f)) for f, _ in oracle_factor(elim.int_coeffs())]
+        m = select_factor_oracle(cands, v).primitive()
+    known[id(node)] = node, m
+    return m
 
 
 def select_factor_oracle(candidates, v):

@@ -23,12 +23,11 @@ from cakelab import (
     nth_root,
 )
 from cakelab.algebraic import (
+    _Algebra,
     _binary_elimination,
-    _charpoly,
     _CutRootAtom,
     _interval,
     _make_cut_root,
-    _rescaled,
 )
 from cakelab.cake import poly_at
 from cakelab.dyadic import DyadicInterval
@@ -41,6 +40,7 @@ from _oracle import (
     inverse_mod_oracle,
     isolating_interval_oracle,
     minpoly_by_factoring_oracle,
+    nested_elimination_minpoly,
     poly_at_fold_oracle,
     residue_mod_oracle,
     residue_oracle,
@@ -63,10 +63,12 @@ def t_star():
 
 def charpoly_of(m, g):
     """Monic prod (T - g(a)) over the roots a of m: the characteristic
-    polynomial of g in Q[y]/(m), by `_charpoly` on integer numerators."""
+    polynomial of g in Q[y]/(m), by the one-atom `_Algebra` on integer
+    numerators."""
     den = math.lcm(*[x.denominator for x in g.coeffs])
     nums = [x.numerator * (den // x.denominator) for x in g.coeffs]
-    return _rescaled(*_charpoly(m.int_coeffs(), nums, den))
+    algebra = _Algebra([m.int_coeffs()])
+    return Poly(algebra.charpoly(algebra.lift(nums, den))).monic()
 
 
 class TestArithmetic:
@@ -646,13 +648,27 @@ class TestCutRootRefinement:
     def test_rational_target_past_the_cap(self):
         # both targets are 3/8 with no single-atom form, and the CDF reaches
         # 3/8 at the grid point 1/2: past the limit the cut side decides
-        # target - cdf(1/2) exactly, or raises where that passes the cap
+        # target - cdf(1/2) exactly.  Over 2^(1/4) and 3^(1/4), whose
+        # (a+b)(a-b) elimination needs degree 64, the atoms' algebra has
+        # dimension 16 and gives the target's minimal polynomial 8x - 3
         cdf = Poly([0, Fraction(1, 2), Fraction(1, 2)])
         a, b = nth_root(2, 2), nth_root(3, 2)
         with time_limit(2):
             v = AlgebraicNumber(_make_cut_root(cdf, ((a + b) - (b + a) + Fraction(3, 8))._node))
             assert v.approx(Fraction(1, 1024)) == (Fraction(1, 2), Fraction(1, 2))
         a, b = nth_root(2, 4), nth_root(3, 4)
+        t = (a + b) * (a - b) - (a * a - b * b) + Fraction(3, 8)
+        with time_limit(2):
+            v = AlgebraicNumber(_make_cut_root(cdf, t._node))
+            assert v.approx(Fraction(1, 1024)) == (Fraction(1, 2), Fraction(1, 2))
+            assert t.minimal_polynomial() == Poly([-3, 8]) and v.minimal_polynomial() == Poly([-1, 2])
+
+    def test_rational_target_past_the_algebra_cap(self):
+        # over seventh roots the atoms' algebra has dimension 49, past the
+        # cap of 48, so the zero test falls back to elimination, which asks
+        # for degree 49 and raises
+        cdf = Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        a, b = nth_root(2, 7), nth_root(3, 7)
         t = (a + b) * (a - b) - (a * a - b * b) + Fraction(3, 8)
         with time_limit(2), pytest.raises(DegreeCapExceeded):
             AlgebraicNumber(_make_cut_root(cdf, t._node)).approx(Fraction(1, 1024))
@@ -1026,6 +1042,114 @@ class TestCharacteristicPolynomialRoute:
         assert degrees == {"2^(1/4)": 4, "3^(1/6)": 6, "golden": 2, "quintic": 5, "cut root": 6}
 
 
+# the atoms of the differential test: radicals, a quadratic form over the
+# interned sqrt(5), polynomial roots and the cut root of (x + x^3)/2 at the
+# rational target 1/3, a root of 3x^3 + 3x - 2
+_ATOMS_POOL = {
+    "sqrt2": lambda: nth_root(2, 2),
+    "sqrt3": lambda: nth_root(3, 2),
+    "cbrt2": lambda: nth_root(2, 3),
+    "golden": _FIELDS["golden"],
+    "(1+sqrt2)/3": lambda: (1 + nth_root(2, 2)) / 3,
+    "x^3-x-1": lambda: AlgebraicNumber.real_root(X**3 - X - c(1), 1, 2),
+    "x^3-3x+1": lambda: AlgebraicNumber.real_root(X**3 - c(3) * X + c(1), 0, 1),
+    "cut at 1/3": lambda: AlgebraicNumber(
+        _make_cut_root(Poly([0, Fraction(1, 2), 0, Fraction(1, 2)]), AlgebraicNumber(Fraction(1, 3))._node)
+    ),
+}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class TestAtomsAlgebra:
+    """Minimal polynomials of values mixing atoms from one characteristic
+    polynomial in the atoms' algebra, against nested pairwise elimination."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(sorted(_ATOMS_POOL)), min_size=2, max_size=3, unique=True),
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_OPS)),
+                st.integers(0, 5),
+                st.integers(0, 5),
+                st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_matches_nested_elimination(self, names, steps):
+        # the first step combines the first two atoms, each later one two
+        # earlier values, the second shifted by a small rational; steps
+        # whose elimination would pass degree 9, where the oracle's
+        # factoring by Kronecker's method slows down, are skipped
+        values = [_ATOMS_POOL[name]() for name in names]
+        known = {}
+        built = []
+        for k, (op, i, j, q) in enumerate(steps):
+            i, j = (0, 1) if k == 0 else (i % len(values), j % len(values))
+            x, y = values[i], values[j] + q
+            if nested_elimination_minpoly(x, known).degree * nested_elimination_minpoly(y, known).degree > 9:
+                continue
+            try:
+                built.append(_OPS[op](x, y))
+            except ZeroDivisionError:
+                continue
+            values.append(built[-1])
+        for v in built:
+            assert v.minimal_polynomial() == nested_elimination_minpoly(v, known)
+
+    def test_route_is_taken(self):
+        # sqrt2 + cbrt2 and (sqrt2 + sqrt3)/(1 + sqrt2*sqrt3): no single-atom
+        # form, so the algebra of dimension 6 and 4 gives the annihilator
+        r2, r3, c2 = nth_root(2, 2), nth_root(3, 2), nth_root(2, 3)
+        for v, dim in ((r2 + c2, 6), ((r2 + r3) / (1 + r2 * r3), 4)):
+            f = alg._atoms_charpoly(v._node)
+            assert f is not None and len(f) - 1 == dim
+            assert v.minimal_polynomial() == nested_elimination_minpoly(v)
+
+    def test_probe_is_decided_inside_the_cap(self):
+        # (a+b)(a-b) - (a^2 - b^2) + 3/8 for a = 2^(1/4), b = 3^(1/4) is 3/8:
+        # the algebra has dimension 16, where the eliminations ask for 64
+        a, b = nth_root(2, 4), nth_root(3, 4)
+        z = (a + b) * (a - b) - (a * a - b * b)
+        with time_limit(1):
+            assert (z + Fraction(3, 8)).minimal_polynomial() == Poly([-3, 8])
+            assert z.sign() == 0
+
+    def test_declines(self):
+        # D = 49 passes the cap of 48; 2^(1/4)^2 + sqrt2 = 2*sqrt2 is a zero
+        # divisor of Q[y, z]/(y^4 - 2, z^2 - 2), where y^2 + z can vanish
+        a, b = nth_root(2, 7), nth_root(3, 7)
+        assert alg._atoms_charpoly((a + b)._node) is None
+        q, r2 = nth_root(2, 4), nth_root(2, 2)
+        v = nth_root(3, 2) / (q * q + r2)
+        assert alg._atoms_charpoly(v._node) is None
+        assert v.minimal_polynomial() == Poly([-3, 0, 8])  # sqrt3 / (2 sqrt2)
+
+    def test_generator_of_degree_one(self):
+        # the cut root c of (x + x^2)/2 at the target 3/8 + z, z an exact 0
+        # with no single-atom form, is an atom of degree 1 with value 1/2: it
+        # enters the algebra of c and sqrt5 as its rational value
+        a, b = nth_root(2, 2), nth_root(3, 2)
+        target = (a + b) - (b + a) + Fraction(3, 8)
+        cut = AlgebraicNumber(_make_cut_root(Poly([0, Fraction(1, 2), Fraction(1, 2)]), target._node))
+        assert isinstance(cut._node, _CutRootAtom) and cut.minimal_polynomial() == Poly([-1, 2])
+        r5 = nth_root(5, 2)
+        assert (cut + r5).minimal_polynomial() == Poly([-19, -4, 4])  # 1/2 + sqrt5
+        assert (r5 / (cut + 1)).minimal_polynomial() == Poly([-20, 0, 9])  # 2 sqrt5 / 3
+
+    def test_generators_of_smaller_dimension(self):
+        # x^5 = 2^(1/3) and y^2 = 9^(1/3) lie in fields of degree 15 and 3
+        # over Q: their sum spans 9 dimensions as two generators, 45 as two
+        # atoms, and its minimal polynomial is the whole sum polynomial
+        x, y = nth_root(2, 15), nth_root(3, 3)
+        v = x**5 + y**2
+        assert len(alg._atoms_charpoly(v._node)) - 1 == 9
+        expected = elimination_oracle("add", X**3 - c(2), X**3 - c(9))
+        assert v.minimal_polynomial() == expected.primitive()
+
+
 # points of poly_at: rational, in one atom's field, and mixing two atoms
 _POINTS = {
     "rational": lambda: AlgebraicNumber(Fraction(3, 7)),
@@ -1097,6 +1221,16 @@ def _decimal_a_plus_b_sqrt2(a, b, digits):
     return ("-" if negative else "") + f"{whole}.{frac:0{digits}d}…"
 
 
+def _biquadratic_minpoly(p, q, r, s):
+    """The primitive prod (T - x) over the four conjugates x of
+    p + q√2 + r√3 + s√6: with u = p + q√2 and w = r + s√2, u ± w√3 are the
+    roots of T^2 + B T + C over Q(√2), B = -2u and C = u^2 - 3w^2, and the
+    quartic is that quadratic times its conjugate under √2 -> -√2."""
+    b0, b1 = -2 * p, -2 * q
+    c0, c1 = p * p + 2 * q * q - 3 * r * r - 6 * s * s, 2 * p * q - 6 * r * s
+    return Poly([c0 * c0 - 2 * c1 * c1, 2 * (b0 * c0 - 2 * b1 * c1), 2 * c0 + b0 * b0 - 2 * b1 * b1, 2 * b0, 1]).primitive()
+
+
 class TestDeepDags:
     def test_700_deep_horner_chain(self):
         # sign and decimal walk the DAG with explicit stacks: no
@@ -1113,16 +1247,31 @@ class TestDeepDags:
         assert (-acc).decimal(12) == _decimal_a_plus_b_sqrt2(-a, -b, 12)
 
     def test_deep_minimal_polynomial_raises_a_named_error(self):
-        # _minpoly recurses once per DAG level; past the interpreter's limit
-        # it raises a CakelabError and caches nothing on the nodes it unwinds
+        # the atoms' algebra of sqrt2 and sqrt3 evaluates the 700-deep chain
+        # on the walk's explicit stack: no recursion, and the exact quartic
         r2, r3 = nth_root(2, 2), nth_root(3, 2)
-        acc, chain = AlgebraicNumber(1), []
+        acc, pqrs = AlgebraicNumber(1), (1, 0, 0, 0)  # p + q√2 + r√3 + s√6
         for _ in range(700):
             acc = acc * r2 + r3
+            p, q, r, s = pqrs
+            pqrs = (2 * q, p, 2 * s + 1, r)
+        assert acc.minimal_polynomial() == _biquadratic_minpoly(*pqrs)
+
+    def test_deep_minimal_polynomial_past_the_algebra_cap(self):
+        # over seventh roots the algebra's dimension 49 passes the cap, and
+        # elimination recurses once per DAG level: past the interpreter's
+        # limit it raises a CakelabError and caches nothing on the nodes it
+        # unwinds
+        a, b = nth_root(2, 7), nth_root(3, 7)
+        acc, chain = AlgebraicNumber(1), []
+        for _ in range(700):
+            acc = acc * a + b
             chain.append(acc)
         with pytest.raises(ExpressionTooDeep):
             acc.minimal_polynomial()
-        assert chain[4].degree() == 4
+        assert all(v._node._mp is None for v in chain)
+        with pytest.raises(DegreeCapExceeded):
+            chain[0].minimal_polynomial()  # a + b, an elimination of degree 49
 
     def test_10000_deep_chain_residue_and_atoms(self):
         # the tower's walks run on the same explicit stack as sign and
@@ -1250,11 +1399,28 @@ class TestRationalCutRoot:
         cdf = Poly([0, Fraction(1, 2), Fraction(1, 2)])
         v = AlgebraicNumber(_make_cut_root(cdf, (z + Fraction(3, 8))._node))
         assert v.decimal(6) == "0.5"
+        # the tower's degree of the answer needs the target's minimal
+        # polynomial: elimination would ask for degree 16, past the pinned
+        # cap of 12, and the atoms' algebra has dimension 4
+        session = Session([Measure.make(cdf)])
+        assert session.cut(0, 0, z + Fraction(3, 8)) == Fraction(1, 2)
+        assert (z + Fraction(3, 8)).minimal_polynomial() == Poly([-3, 8])
+        assert session.transcript.dump() == (
+            "#0 player1 cut args=(0, 0.375) answer=0.5\nstep 0: deg=1 kind=trivial source=#0"
+        )
+
+    @pytest.mark.degree_cap(12)
+    def test_point_enclosure_past_the_cap(self):
+        # z = 2^(1/4) - (2^(1/8))^2 is 0, decided from its operands' minimal
+        # polynomials, both x^4 - 2; the target's needs the atoms' algebra of
+        # dimension 32 or an elimination of degree 16, both past the pinned
+        # cap of 12, so the tower raises once the answer is recorded
+        z = nth_root(2, 4) - nth_root(2, 8) * nth_root(2, 8)
+        cdf = Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        v = AlgebraicNumber(_make_cut_root(cdf, (z + Fraction(3, 8))._node))
+        assert v.decimal(6) == "0.5"
         session = Session([Measure.make(cdf)])
         with pytest.raises(DegreeCapExceeded):
-            # the tower's degree of the answer needs the target's degree-16
-            # minimal polynomial, past the pinned cap of 12; the answer is
-            # recorded first
             session.cut(0, 0, z + Fraction(3, 8))
         assert session.transcript.dump() == "#0 player1 cut args=(0, 0.375) answer=0.5"
 

@@ -127,9 +127,23 @@ class TestQueries:
         assert s.eval(0, Fraction(1, 4), Fraction(3, 4)).as_rational() == Fraction(1, 2)
 
     def test_transcript_of_a_cut_at_a_rational_target_past_the_cap(self):
-        # t is 3/8 with no single-atom form, and its minimal polynomial needs
-        # a degree-16 elimination; the CDF reaches 3/8 at the grid point 1/2
+        # t is 3/8 with no single-atom form, and elimination would need
+        # degree 64 for (a+b)(a-b); the atoms' algebra of 2^(1/4) and
+        # 3^(1/4) has dimension 16 and decides it.  The CDF reaches 3/8 at
+        # the grid point 1/2
         a, b = nth_root(2, 4), nth_root(3, 4)
+        t = (a + b) * (a - b) - (a * a - b * b) + Fraction(3, 8)
+        s = Session([Measure.make(Poly([0, Fraction(1, 2), Fraction(1, 2)]))])
+        with time_limit(2):
+            assert s.cut(0, 0, t) == Fraction(1, 2)
+            assert s.transcript.dump() == (
+                "#0 player1 cut args=(0, 0.375) answer=0.5\nstep 0: deg=1 kind=trivial source=#0"
+            )
+
+    def test_transcript_of_a_cut_at_a_rational_target_past_the_algebra_cap(self):
+        # over seventh roots the algebra has dimension 49, past the cap of
+        # 48, and the elimination for a+b asks for degree 49
+        a, b = nth_root(2, 7), nth_root(3, 7)
         t = (a + b) * (a - b) - (a * a - b * b) + Fraction(3, 8)
         s = Session([Measure.make(Poly([0, Fraction(1, 2), Fraction(1, 2)]))])
         with time_limit(2):

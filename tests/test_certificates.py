@@ -336,6 +336,27 @@ class TestWelfareCertificates:
         assert str(cert.equation) == "5*x^4 - 1"
         assert cert.real_root_factor.degree == 4
 
+    def test_recheck_for_every_prime_below_110(self, monkeypatch):
+        # the binomial p*x^(p-1) - 1 is Eisenstein at p on its reversal; for
+        # p = 61, 67, 79, 83, 89, 103 and 107 no prime among the first 64
+        # keeps it irreducible of full degree, and the capped pipeline
+        # would raise.  The recheck reads the Eisenstein witness first
+        def no_pipeline(f):
+            raise AssertionError(f"the pipeline was asked about {f}")
+
+        monkeypatch.setattr(certificates, "is_irreducible", no_pipeline)
+        for p in range(3, 110):
+            if p in SMALL_PRIMES or (p > SMALL_PRIMES[-1] and all(p % q for q in range(2, p))):
+                assert verify_certificate(check_impossibility_welfare(2, p)).all_ok, p
+
+    def test_eisenstein_witness_divides_the_non_leading_gcd(self):
+        # x^3 + 6 is Eisenstein at 2 and 3; 6x^3 + 1 on its reversal.  For
+        # x^2 - 4 the only prime of the gcd 4 is 2, whose square divides the
+        # constant, and the pipeline finds the factors
+        assert certificates._irreducible(X**3 + Poly.constant(6))
+        assert certificates._irreducible(Poly([1, 0, 0, 6]))
+        assert not certificates._irreducible(X**2 - Poly.constant(4))
+
     def test_n_independent(self):
         for n in (2, 3, 4):
             cert = check_impossibility_welfare(n, 3)

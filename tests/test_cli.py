@@ -302,10 +302,12 @@ class TestGoldenBytes:
             ("run-protocol-cut-and-choose-quadratic",
              ["run-protocol", "--protocol", "cut-and-choose",
               "--measures", os.path.join(GOLDEN, "quadratic.measures")], 0),
+            ("max-welfare-probe",
+             ["max-welfare", "--measures", os.path.join(GOLDEN, "max-welfare-probe.measures")], 0),
         ],
         ids=["welfare-isolator", "equitable-isolator", "equitable-small-degree",
              "equitable-reducible", "equitable-rational", "equitable-reducible-sqrt",
-             "quadratic-cut-op-count"],
+             "quadratic-cut-op-count", "max-welfare-probe"],
     )
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_isolators_and_op_counts(self, name, args, code, fmt):
@@ -314,7 +316,9 @@ class TestGoldenBytes:
         # certificates (NO-OBSTRUCTION-FOUND exits 2), d = 1 the rational
         # cutpoint and --allow-sqrt the tower primes [2, 11]; the first cut of
         # quadratic.measures is the root of 27x^2 + 5x - 16, whose
-        # construction bss_op_count charges
+        # construction bss_op_count charges; the max-welfare probe's welfare
+        # total, a sum over two atoms of degrees 2 and 5, has degree 10 in
+        # their algebra, where elimination needs degree 50
         res = subprocess.run(
             [sys.executable, "-m", "cakelab", "--format", fmt, *args],
             capture_output=True,
