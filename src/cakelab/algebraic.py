@@ -1116,21 +1116,28 @@ def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
     degrees 15 and 3 span 9 dimensions, not 45.  A generator of degree 1
     enters as its rational value.  None, before any arithmetic in the
     algebra, when a generator's minimal polynomial or D passes the degree
-    cap, and None when a divisor is a zero divisor of the algebra."""
+    cap, and None when a divisor is a zero divisor of the algebra.  The
+    generators' minimal polynomials are computed in order only while the
+    product of their degrees, a lower bound on D, stays within the cap."""
     leaves = _form_leaves(node)
     forms = [_saf_of(leaf) for leaf in leaves]
     atoms = list({id(f[0]): f[0] for f in forms if f[0] is not None}.values())
     best = None
+    cap = degree_cap()
     compound = any(not isinstance(n, (_Rat, *_ATOM_TYPES)) for n in leaves)
     for gens in (atoms, leaves) if compound else (atoms,):
+        ms, dim = [], 1
         try:
-            ms = [_minpoly(g).nums for g in gens]
+            for g in gens:
+                ms.append(_minpoly(g).nums)
+                dim *= len(ms[-1]) - 1
+                if dim > cap:
+                    break
         except DegreeCapExceeded:
             continue
-        dim = math.prod(len(m) - 1 for m in ms)
-        if best is None or dim < best[0]:
+        if dim <= cap and (best is None or dim < best[0]):
             best = dim, gens, ms
-    if best is None or best[0] > degree_cap():
+    if best is None:
         return None
     _, gens, ms = best
     algebra = _Algebra([m for m in ms if len(m) > 2])
@@ -1533,6 +1540,22 @@ class AlgebraicNumber:
 def nth_root(value, d: int) -> AlgebraicNumber:
     """The real d-th root of a rational or algebraic value."""
     return AlgebraicNumber.of(value).root(d)
+
+
+def poly_at(p: Poly, v: AlgebraicNumber) -> AlgebraicNumber:
+    """Evaluate a rational polynomial at an algebraic point, exactly: on
+    residues when the point lies in one atom's field, otherwise by folding
+    one multiplication and one addition per coefficient."""
+    r = v.as_rational()
+    if r is not None:
+        return AlgebraicNumber.of(p(r))
+    node = _residue_poly_at(p, v._node)
+    if node is not None:
+        return AlgebraicNumber(node)
+    acc = AlgebraicNumber.of(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
 
 
 def rational_radical_form(value: AlgebraicNumber) -> Optional[tuple[Fraction, int]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebraic import AlgebraicNumber, _make_cut_root, _residue_poly_at, count_ops
+from .algebraic import AlgebraicNumber, _make_cut_root, count_ops, poly_at
 from .errors import InfeasibleAmountError, InvalidMeasureError, QueryDomainError
 from .polys import Poly, horner, sturm_isolate
 from .dyadic import DyadicInterval
@@ -28,22 +28,6 @@ Alg = AlgebraicNumber
 
 def _alg(x) -> Alg:
     return AlgebraicNumber.of(x)
-
-
-def poly_at(p: Poly, v: Alg) -> Alg:
-    """Evaluate a rational polynomial at an algebraic point, exactly: on
-    residues when the point lies in one atom's field, otherwise by folding
-    one multiplication and one addition per coefficient."""
-    r = v.as_rational()
-    if r is not None:
-        return _alg(p(r))
-    node = _residue_poly_at(p, v._node)
-    if node is not None:
-        return AlgebraicNumber(node)
-    acc: Alg = _alg(0)
-    for c in reversed(p.coeffs):
-        acc = acc * v + c
-    return acc
 
 
 # -- measures -------------------------------------------------------------------

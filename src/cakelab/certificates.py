@@ -23,9 +23,9 @@ Two families of verdicts:
 
 A verdict of IMPOSSIBLE always carries a complete justification chain in
 the narrative; NO-OBSTRUCTION-FOUND never claims possibility.
-`verify_certificate` rechecks each irreducibility claim by a prime at which
-the factor stays irreducible of full degree before it asks the capped
-factorization pipeline.
+`verify_certificate` rechecks each irreducibility claim by an Eisenstein
+prime or by factor-degree patterns mod primes that leave no proper degree
+before it asks the capped factorization pipeline.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .dyadic import DyadicInterval
 from .errors import UncoveredCaseError
 from .factoring import Eisenstein, eisenstein, is_irreducible
 from .ints import factor_positive, is_probable_prime, primes
-from .polys import Poly, _modp_image, count_roots_in, refine_root, sturm_isolate
+from .polys import Poly, _modp_ddf, _pattern, _sieve_degrees, count_roots_in, refine_root, sturm_isolate
 from .tower import CERTIFICATE_PRIMES, degree_obstruction
 
 
@@ -491,28 +491,26 @@ def _irreducible(f: Poly) -> bool:
     """f is irreducible over the rationals.  Two witnesses need no factoring
     and no degree cap.  First, Eisenstein's criterion on f or on its
     reversal, at a prime dividing the gcd of the non-leading coefficients.
-    Then a prime q that does not divide the leading coefficient and at
-    which f reduces to an irreducible polynomial of full degree, since a
-    factorization over the integers would reduce to one mod q.  When none
-    of the first CERTIFICATE_PRIMES primes does, the factorization pipeline
-    decides."""
+    Then the factor-degree sieve (`polys._sieve_degrees`) over the images
+    mod the first CERTIFICATE_PRIMES primes that do not divide the leading
+    coefficient and keep f squarefree: a factorization over the integers
+    reduces to one mod each of them, so no proper degree left means no
+    proper factor.  Otherwise the factorization pipeline decides."""
     cs = f.int_coeffs()
     for coeffs in (cs, cs[::-1]):
         g = math.gcd(*coeffs[:-1])
         if coeffs[-1] and g > 1:
             if any(eisenstein(Poly(coeffs), q) is Eisenstein.IRREDUCIBLE_CERTIFIED for q in factor_positive(g)):
                 return True
-    for q in itertools.islice(primes(), CERTIFICATE_PRIMES):
-        image = _modp_image(cs, q)
-        if image is not None and image.first()[0] == f.degree:
-            return True
-    return is_irreducible(f)
+    ddfs = ((q, _modp_ddf(cs, q)) for q in itertools.islice(primes(), CERTIFICATE_PRIMES))
+    patterns = ((q, _pattern(ddf)) for q, ddf in ddfs if ddf is not None)
+    return not _sieve_degrees(patterns, set(range(1, f.degree)))[0] or is_irreducible(f)
 
 
 def verify_certificate(cert: Certificate) -> CertificateCheck:
     """Recompute every load-bearing claim of an IMPOSSIBLE certificate:
-    the factorization product identity, each irreducibility claim by a
-    prime witness or the pipeline, the real-root location via Sturm
+    the factorization product identity, each irreducibility claim by
+    `_irreducible`, the real-root location via Sturm
     counting, and the final obstruction step."""
     rebuilt = Poly.constant(1)
     for f, _ in cert.factorization:

@@ -41,7 +41,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
 from .ints import SMALL_PRIMES, is_probable_prime, primes
@@ -52,16 +51,15 @@ from .polys import (
     _exact_quotient,
     _fp_add,
     _fp_divmod,
-    _fp_gcd,
+    _fp_edf,
     _fp_mul,
-    _fp_mulmod,
-    _fp_powmod,
     _fp_sub,
-    _fp_trim,
     _fp_xgcd,
     _int_mul,
     _int_squarefree_decomposition,
     _modp_ddf,
+    _pattern,
+    _sieve_degrees,
     rational_roots,
 )
 
@@ -129,66 +127,33 @@ def eisenstein(p: Poly, q: int, try_reversal: bool = False) -> Eisenstein:
     return Eisenstein.INCONCLUSIVE
 
 
-# -- factorization modulo a prime ---------------------------------------------
-
-
-def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors of g, a monic product of distinct
-    irreducibles of degree k over F_p (Cantor-Zassenhaus), as new lists.
-    A random a splits g by gcd(g, a^((p^k-1)/2) - 1), or for p = 2 by the
-    gcd with the trace a + a^2 + ... + a^(2^(k-1)), each factor landing on
-    either side with probability about 1/2."""
-    g = list(g)
-    n = len(g) - 1
-    assert g[-1] == 1, "the product must be monic"
-    if n == k:
-        return [g]
-    while True:
-        a = _fp_trim([rng.randrange(p) for _ in range(n)])
-        if len(a) < 2:
-            continue
-        if p == 2:
-            b = t = a
-            for _ in range(k - 1):
-                t = _fp_mulmod(t, t, g, 2)
-                b = _fp_sub(b, t, 2)  # subtraction is addition mod 2
-        else:
-            b = _fp_sub(_fp_powmod(a, (p**k - 1) // 2, g, p), [1], p)
-        d = _fp_gcd(g, b, p)
-        if 1 < len(d) < len(g):
-            return _fp_edf(d, k, p, rng) + _fp_edf(_fp_divmod(g, d, p)[0], k, p, rng)
+# -- the factor-degree sieve ---------------------------------------------------
 
 
 def _degree_sieve(f: list[int]) -> tuple[set[int], int, DDF]:
     """Degrees in 2..n-2 that a proper rational factor of the integer
     polynomial f of degree n could have, as constrained by factor-degree
-    patterns modulo up to four usable primes (subset sums), with the usable
-    prime of fewest modular factors and its distinct-degree factorization.
-    f must be squarefree, so that only finitely many primes are unusable,
-    and have no rational root, so that no factor has degree 1 or n-1.  The
-    sieve stops at the first usable prime after which no degree survives:
-    an empty set proves irreducibility.  Primes are tried in ascending
-    order while neither has happened."""
+    patterns modulo up to four usable primes (`polys._sieve_degrees`), with
+    the usable prime of fewest modular factors and its distinct-degree
+    factorization.  f must be squarefree, so that only finitely many primes
+    are unusable, and have no rational root, so that no factor has degree 1
+    or n-1.  The sieve stops at the first usable prime after which no
+    degree survives: an empty set proves irreducibility.  Primes are tried
+    in ascending order while neither has happened."""
     n = len(f) - 1
-    allowed: set[int] | None = None
-    best: tuple[int, int, DDF] | None = None
-    usable = 0
-    for q in primes():
-        ddf = _modp_ddf(f, q)
-        if ddf is None:
-            continue
-        count = sum((len(g) - 1) // k for k, g in ddf)
-        if best is None or count < best[0]:
-            best = (count, q, ddf)
-        sums = {0}
-        for k, g in ddf:
-            for _ in range((len(g) - 1) // k):
-                sums |= {s + k for s in sums}
-        cand = {s for s in sums if 2 <= s <= n - 2}
-        allowed = cand if allowed is None else (allowed & cand)
-        usable += 1
-        if not allowed or usable >= 4:
-            return allowed, best[1], best[2]
+    read: list[tuple[int, int, DDF]] = []  # (factor count, q, ddf) per usable prime
+
+    def patterns():
+        for q in primes():
+            ddf = _modp_ddf(f, q)
+            if ddf is not None:
+                pattern = _pattern(ddf)
+                read.append((len(pattern), q, ddf))
+                yield q, pattern
+
+    allowed, _ = _sieve_degrees(patterns(), set(range(2, n - 1)), 4)
+    _, q, ddf = min(read, key=lambda r: r[0])
+    return allowed, q, ddf
 
 
 # -- Zassenhaus: Hensel lifting and recombination ------------------------------

@@ -29,7 +29,10 @@ prime: the distinct-degree factorization of the monic image of f mod q,
 or None when it is not squarefree (`_image_ddf`, bounded by
 `IMAGE_CACHE_SIZE`), from which the squarefree test, the roots mod q and
 the degree patterns are read.  An entry computes its degrees on demand,
-so each question pays only for the degrees it reads.  Powers modulo a
+so each question pays only for the degrees it reads.  One factor-degree
+sieve (`_sieve_degrees`) intersects the subset sums of those patterns for
+the factorization, the tower's degree certificates and the certificate
+recheck.  Powers modulo a
 monic f (`_fp_powmod`) multiply and reduce in one fused step
 (`_fp_mulmod`), with no quotient.
 
@@ -53,6 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -931,8 +935,22 @@ def _fp_mulmod(a: list[int], b: list[int], f: list[int], m: int) -> list[int]:
 
 def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """a(x)^e mod (mod, p) for a monic modulus of positive degree, by
-    square and multiply with the fused step `_fp_mulmod`."""
+    square and multiply with the fused step `_fp_mulmod`.  For a = x, the
+    Frobenius power of every distinct-degree factorization, the exponent is
+    read from the top, and multiplying by x is a shift that folds one
+    coefficient back through the modulus."""
     assert len(mod) > 1 and mod[-1] == 1, "the modulus must be monic"
+    if a == [0, 1]:
+        low = mod[:-1]
+        out = [1]
+        for bit in bin(e)[2:]:
+            out = _fp_mulmod(out, out, mod, p)
+            if bit == "1" and out:
+                out = [0] + out
+                if len(out) == len(mod):
+                    c = out.pop()
+                    out = _fp_trim([(y - c * z) % p for y, z in zip(out, low)])
+        return out
     out = [1]
     base = _fp_mulmod(a, [1], mod, p)
     while e:
@@ -942,6 +960,33 @@ def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
         if e:
             base = _fp_mulmod(base, base, mod, p)
     return out
+
+
+def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of g, a monic product of distinct
+    irreducibles of degree k over F_p (Cantor-Zassenhaus), as new lists.
+    A random a splits g by gcd(g, a^((p^k-1)/2) - 1), or for p = 2 by the
+    gcd with the trace a + a^2 + ... + a^(2^(k-1)), each factor landing on
+    either side with probability about 1/2."""
+    g = list(g)
+    n = len(g) - 1
+    assert g[-1] == 1, "the product must be monic"
+    if n == k:
+        return [g]
+    while True:
+        a = _fp_trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        if p == 2:
+            b = t = a
+            for _ in range(k - 1):
+                t = _fp_mulmod(t, t, g, 2)
+                b = _fp_sub(b, t, 2)  # subtraction is addition mod 2
+        else:
+            b = _fp_sub(_fp_powmod(a, (p**k - 1) // 2, g, p), [1], p)
+        d = _fp_gcd(g, b, p)
+        if 1 < len(d) < len(g):
+            return _fp_edf(d, k, p, rng) + _fp_edf(_fp_divmod(g, d, p)[0], k, p, rng)
 
 
 # -- images modulo a prime ----------------------------------------------------
@@ -1047,8 +1092,11 @@ def _modp_ddf(f: list[int], q: int) -> DDF | None:
 
 def _modp_roots(f: list[int], q: int) -> tuple[int, ...] | None:
     """The roots mod q of the integer polynomial f, ascending, all simple:
-    the roots of the degree-1 part of its distinct-degree factorization,
-    found by trying residues until all are.  None when q is unusable
+    the roots of the degree-1 part of its distinct-degree factorization.
+    Below q = 512 they are found by trying residues until all are, past it
+    by splitting that part (`_fp_edf`): a scan costs up to q evaluations,
+    a split a few powers mod the part, and the scan measured faster up to
+    q of about 500 for two to six roots.  None when q is unusable
     (`_modp_image`)."""
     image = _modp_image(f, q)
     if image is None:
@@ -1057,9 +1105,49 @@ def _modp_roots(f: list[int], q: int) -> tuple[int, ...] | None:
     if not linear:
         return ()
     g = linear[0][1]
-    if len(g) == 2:
+    n = len(g) - 1
+    if n == 1:
         return (-g[0] % q,)
-    return tuple(itertools.islice((a for a in range(q) if _horner_mod(g, a, q) == 0), len(g) - 1))
+    if q > 512:
+        return tuple(sorted(-h[0] % q for h in _fp_edf(g, 1, q, random.Random(0))))
+    return tuple(itertools.islice((a for a in range(q) if _horner_mod(g, a, q) == 0), n))
+
+
+def _pattern(ddf: DDF) -> tuple[int, ...]:
+    """The degrees of the irreducible factors of a distinct-degree
+    factorization, ascending."""
+    return tuple(k for k, g in ddf for _ in range((len(g) - 1) // k))
+
+
+def _sieve_degrees(
+    patterns: Iterable[tuple[object, tuple[int, ...]]], degrees: set[int], budget: int | None = None
+) -> tuple[set[int], list[tuple[object, tuple[int, ...]]]]:
+    """Musser's factor-degree sieve ("On the efficiency of a polynomial
+    irreducibility test", J. ACM 25, 1978).  patterns is a stream of
+    (key, pattern): the factor-degree patterns (`_pattern`) of squarefree
+    images, of full degree, of one polynomial over a field at primes where
+    the field embeds in the p-adic numbers.  A factor over the field keeps
+    its degree over the p-adic numbers, where by Hensel's lemma it is a
+    product of lifts of irreducible factors of the image, so its degree is
+    a subset sum of every pattern.  The sieve keeps the degrees of the set
+    that are, and stops once none is left or after budget patterns.  It
+    returns the degrees left, empty when the polynomial has no factor of
+    any degree asked about, and the witnesses (key, pattern) of the
+    patterns that removed a degree, which alone leave the same set."""
+    witnesses: list[tuple[object, tuple[int, ...]]] = []
+    if not degrees:
+        return degrees, witnesses
+    for read, (key, pattern) in enumerate(patterns, 1):
+        sums = 1  # bit s is set when s is a subset sum
+        for k in pattern:
+            sums |= sums << k
+        left = {d for d in degrees if sums >> d & 1}
+        if left != degrees:
+            degrees = left
+            witnesses.append((key, pattern))
+        if not degrees or read == budget:
+            break
+    return degrees, witnesses
 
 
 # -- rational roots ------------------------------------------------------------

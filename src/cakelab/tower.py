@@ -36,21 +36,27 @@ routes in order, each an exact decision:
      each a_i mapped to r_i.  If R then reduces to an irreducible
      polynomial of full degree (the first part of its distinct-degree
      factorization, `polys._modp_image`, has degree deg R, and no later
-     degree is computed), R is irreducible over the
-     p-adic numbers by Gauss's lemma, hence over K, and the step degree
-     is deg R.  The step stores (p, chain), and `verify_lemma1` rechecks
-     it.  Every chain at a prime is tried, depth first and generated as
-     needed; a level's roots mod p are read off the one image cache of
-     `polys` (`_modp_roots`), and a level whose reduction is not
-     squarefree extends no chain.  At most CERTIFICATE_PRIMES primes are
-     tried per step.
-4. Compositum.  Otherwise a primitive element of K is folded from the
-   generators of the nontrivial steps on demand, and then one of K(v)
-   (`_compositum`), with eliminations guarded by the degree cap; past the
-   cap the adjunction raises MembershipUndecidable instead of guessing.  A
-   step decided here joins the triangular set only when one of v's
-   polynomials has the step's degree.  Once a step does not, the tower has
-   no chain, and later general steps come here as well.
+     degree is computed), R is irreducible over the p-adic numbers by
+     Gauss's lemma, hence over K, and the step degree is deg R.  Every
+     chain at a prime is tried, depth first and generated as needed; a
+     level's roots mod p are read off the one image cache of `polys`
+     (`_modp_roots`), and a level whose reduction is not squarefree
+     extends no chain.  The chains of at most CERTIFICATE_PRIMES primes
+     are tried per step, in order, and the first such chain is the step's
+     one witness (p, chain, (deg R,)).
+   * Landing rule.  For a cut answer or a root whose R = F(t) - target
+     vanishes at a step generator w where F is increasing (w in [0, 1],
+     or w >= 0 for t^d), w is the value itself, and the step is trivial.
+4. Degree sieve.  Otherwise the squarefree images of R at the chains
+   read above feed Musser's factor-degree sieve (`polys._sieve_degrees`):
+   a factor of R over K keeps its degree over the p-adic numbers, so its
+   degree is a subset sum of every image's factor-degree pattern.  When
+   no proper degree is left, R is irreducible over K and the step degree
+   is deg R; the step stores the witnesses (p, chain, pattern) that
+   removed the degrees.  Otherwise, and when the field below has no
+   triangular set, the adjunction raises MembershipUndecidable instead of
+   guessing.  `verify_lemma1` rechecks every witness, recomputing each
+   pattern without the image cache.
 
 The routes run uncounted (`algebraic.uncounted`), so
 `bss_op_count` counts the mediator's work and not the ledger's.
@@ -68,7 +74,6 @@ from typing import Iterator, Optional
 
 from .algebraic import (
     AlgebraicNumber,
-    _binary_elimination,
     _CutRootAtom,
     _dag_atoms,
     _generating_atom,
@@ -77,11 +82,11 @@ from .algebraic import (
     _residue_mod,
     _RootAtom,
     nth_root,
+    poly_at,
     rational_radical_form,
     uncounted,
 )
 from .errors import DegreeCapExceeded, MembershipUndecidable, TowerCertificateError
-from .factoring import degree_cap
 from .ints import coprime_base, factor_positive, is_probable_prime, primes
 from .polys import (
     Poly,
@@ -90,21 +95,24 @@ from .polys import (
     _fp_powmod,
     _fp_rem,
     _fp_sub,
+    _fp_trim,
     _horner_mod,
     _modp_image,
     _modp_roots,
     _monic_mod,
-    squarefree_part,
+    _pattern,
+    _sieve_degrees,
 )
 
-# Primes a degree certificate tries per step before the compositum takes
-# over: primes that `RelativePoly.may_certify` admits, whether or not K has
-# a chain there.  Sized on the cli-mix bench at seed 1 with no budget: in
-# the 44 items that end decided, the most demanding certificate of each
-# needed at most 12 such primes for half of them and at most 51 for all
-# but one, which needed 448 and took 0.9 s.  The budget bounds the work on
-# a reducible step, which no prime certifies.
-CERTIFICATE_PRIMES = 64
+# Primes whose chains a degree certificate reads per step, for a single
+# prime and then for the sieve: primes that `RelativePoly.may_certify`
+# admits, whether or not K has a chain there.  Also the primes
+# `certificates` sieves with.  Sized on the cli-mix bench at seed 1, where
+# the even-paz and last-diminisher n=3 steps that 64 primes left undecided
+# were decided at p = 491, 1021, 2029 and 7069, the 908th prime, and a step
+# left undecided reads all 1024 (up to p near 8200) in 0.3-0.5 s.  A count,
+# not a time, so every host reaches the same verdict.
+CERTIFICATE_PRIMES = 1024
 
 
 def degree_obstruction(target_degree: int, allowed_primes: set[int]) -> bool:
@@ -212,47 +220,6 @@ def _radical_degree(radicand: Fraction, d: int, gens: list[tuple[Fraction, int]]
     return d
 
 
-# -- compositum degrees ----------------------------------------------------------
-
-
-def _compositum(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
-    """A primitive element of Q(a, b), a shifted sum a + c*b.
-
-    A shift is accepted once the elimination polynomial is squarefree,
-    which forces a + c*b to separate conjugate pairs and hence generate
-    the compositum."""
-    ma = a.minimal_polynomial()
-    mb = b.minimal_polynomial()
-    cap = degree_cap()
-    if ma.degree * mb.degree > cap:
-        raise MembershipUndecidable(
-            f"membership needs degree {ma.degree * mb.degree} past the cap {cap}"
-        )
-    c = 1
-    while True:
-        if c == 1:
-            mbc = mb
-        else:
-            mbc = mb.compose(Poly([0, 1], c)).primitive()
-        elim = _binary_elimination("add", ma, mbc)
-        if squarefree_part(elim).degree == elim.degree:
-            return a + b * c
-        c += 1
-
-
-def _compositum_degree(gens: list[AlgebraicNumber], value: AlgebraicNumber) -> int:
-    """[K(value) : K] for K = Q(gens): a primitive element of K folded
-    from the generators by `_compositum`, then its compositum with value."""
-    theta = gens[0]
-    for g in gens[1:]:
-        theta = _compositum(theta, g)
-    old_total = theta.minimal_polynomial().degree
-    new_total = _compositum(theta, value).minimal_polynomial().degree
-    if new_total % old_total != 0:
-        raise AssertionError("tower degrees must be multiplicative")
-    return new_total // old_total
-
-
 # -- relative polynomials modulo degree-1 primes -----------------------------------
 
 
@@ -303,19 +270,30 @@ class RelativePoly:
         return cs
 
 
-def _irreducible_mod(cs: list[int], p: int) -> bool:
-    """Rabin's test: a monic f of degree m is irreducible over F_p exactly
-    when x^(p^m) = x mod f and x^(p^(m/q)) - x is coprime to f for every
-    prime q dividing m."""
+def _pattern_mod(cs: list[int], p: int) -> Optional[tuple[int, ...]]:
+    """The factor-degree pattern of cs over F_p, ascending, or None when
+    cs is not squarefree there.  Computed afresh, without the image cache
+    and without dividing out a factor: for a monic squarefree f, the
+    degree of gcd(f, x^(p^k) - x) is the sum of the degrees of the
+    irreducible factors whose degree divides k, so the number of degree-k
+    factors is that degree, less the degrees of the factors whose degree
+    properly divides k, over k."""
     f = _monic_mod(cs, p)
-    m = len(f) - 1
+    n = len(f) - 1
+    df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
+    if not df or len(_fp_gcd(f, df, p)) > 1:
+        return None
     x = _fp_rem([0, 1], f, p)
-    frob = [x]  # frob[k] = x^(p^k) mod f
-    for _ in range(m):
-        frob.append(_fp_powmod(frob[-1], p, f, p))
-    if frob[m] != x:
-        return False
-    return all(len(_fp_gcd(f, _fp_sub(frob[m // q], x, p), p)) == 1 for q in factor_positive(m))
+    frob = x  # x^(p^k) mod f
+    counts: dict[int, int] = {}
+    pattern: list[int] = []
+    while sum(pattern) < n:
+        k = len(counts) + 1
+        frob = _fp_powmod(frob, p, f, p)
+        total = len(_fp_gcd(f, _fp_sub(frob, x, p), p)) - 1
+        counts[k] = (total - sum(d * c for d, c in counts.items() if k % d == 0)) // k
+        pattern += [k] * counts[k]
+    return tuple(pattern)
 
 
 # -- tower types -----------------------------------------------------------------
@@ -328,14 +306,23 @@ class StepKind(enum.Enum):
     ALGEBRAIC = "algebraic"
 
 
+# (p, chain, pattern): a degree-1 prime, the roots mod p of the earlier
+# steps' relative polynomials, and the factor degrees of a step's relative
+# polynomial reduced there
+Witness = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass
 class ExtensionStep:
     """One adjunction.  A nontrivial step also records what it brings to
     the field: atom, the tower atom it adjoins, when known; form, the
     (radicand, index) of a step decided on the radical lattice; relative,
     the minimal polynomial of atom over the field below, when known; and
-    certificate, (p, chain) when a degree-1 prime decided the degree, chain
-    holding the roots mod p of the earlier steps' relative polynomials."""
+    certificate, the witnesses (p, chain, pattern) when degree-1 primes
+    decided the degree: chain holds the roots mod p of the earlier steps'
+    relative polynomials, pattern the factor degrees of the relative
+    polynomial reduced there.  A single prime at which it stays
+    irreducible is the one witness (p, chain, (degree,))."""
 
     generator: AlgebraicNumber
     kind: StepKind
@@ -344,7 +331,7 @@ class ExtensionStep:
     radical_index: Optional[int] = None
     radicand: Optional[AlgebraicNumber] = None
     relative: Optional[RelativePoly] = None
-    certificate: Optional[tuple[int, tuple[int, ...]]] = None
+    certificate: Optional[tuple[Witness, ...]] = None
     form: Optional[tuple[Fraction, int]] = None
     atom: Optional[_Node] = None
 
@@ -390,6 +377,33 @@ def _chains(p: int, tri: list[RelativePoly], chain: tuple[int, ...] = ()) -> Ite
     cs = tri[len(chain)].reduce(p, _images(tri, chain))
     for r in (None if cs is None else _modp_roots(cs, p)) or ():
         yield from _chains(p, tri, chain + (r,))
+
+
+def _single_prime(rel: RelativePoly, tri: list[RelativePoly]) -> tuple[Optional[Witness], list]:
+    """The first witness (p, chain, (deg R,)) at which R reduces to an
+    irreducible polynomial of full degree: the first part of its cached
+    distinct-degree factorization has its own degree.  The chains of the
+    first CERTIFICATE_PRIMES primes that `RelativePoly.may_certify` admits
+    are tried in order; a rational R reduces alike at every chain of p,
+    so only p's first chain is.  Also the ((p, chain), image) of every
+    other squarefree image read, for the sieve."""
+    read = []
+    tried = 0
+    for p in primes():
+        if not rel.may_certify(p):
+            continue
+        for chain in _chains(p, tri):
+            cs = rel.reduce(p, _images(tri, chain))
+            image = None if cs is None else _modp_image(cs, p)
+            if image is not None:
+                if image.first()[0] == rel.degree:
+                    return (p, chain, (rel.degree,)), read
+                read.append(((p, chain), image))
+            if rel.target is None:
+                break
+        tried += 1
+        if tried == CERTIFICATE_PRIMES:
+            return None, read
 
 
 def _in_field(node: _Node, atoms: set[int]) -> bool:
@@ -515,57 +529,52 @@ class Tower:
                 return _step(value, deg, form=form, atom=atom, relative=rel)
         rel = _cut_relative(node, atoms)
         if rel is None:
-            try:
-                mv = value.minimal_polynomial()
-            except DegreeCapExceeded:
-                if not below:
-                    raise
-                mv = None  # the compositum reports it
-            if mv is not None:
-                atom = _generating_atom(node)
-                rel = RelativePoly(atom, mv if atom is None else _minpoly(atom))
-                if math.gcd(rel.degree, self.total_degree) == 1:
-                    return _step(value, rel.degree, atom=atom, relative=rel)
+            mv = value.minimal_polynomial()
+            atom = _generating_atom(node)
+            rel = RelativePoly(atom, mv if atom is None else _minpoly(atom))
+            if math.gcd(rel.degree, self.total_degree) == 1:
+                return _step(value, rel.degree, atom=atom, relative=rel)
         tri = _triangular_set(self.steps)
-        if rel is not None and tri is not None:
-            cert = self._certify(rel, tri)
-            if cert is not None:
-                return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=cert)
-        deg = _compositum_degree([s.generator for s in below], value)
-        relative = None
-        if rel is not None and rel.atom is not None:
-            if rel.degree == deg:
-                relative = rel
-            elif rel.target is not None and value.minimal_polynomial().degree == deg:
-                relative = RelativePoly(rel.atom, value.minimal_polynomial())
-        return _step(value, deg, atom=rel.atom if rel else None, relative=relative)
+        witness, read = (None, []) if tri is None else _single_prime(rel, tri)
+        if witness is not None:
+            return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=(witness,))
+        if rel.target is not None and self._lands(rel):
+            return _step(value, 1)
+        if tri is None:
+            raise MembershipUndecidable(
+                f"membership undecided: the field below has no triangular set for a degree-{rel.degree} step"
+            )
+        patterns = ((key, _pattern(image.parts())) for key, image in read)
+        left, witnesses = _sieve_degrees(patterns, set(range(1, rel.degree)))
+        if left:
+            raise MembershipUndecidable(
+                f"membership undecided: factor degrees {sorted(left)} of a degree-{rel.degree} "
+                "relative polynomial survive the sieve"
+            )
+        certificate = tuple((p, chain, pattern) for (p, chain), pattern in witnesses)
+        return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=certificate)
 
-    def _certify(self, rel: RelativePoly, tri: list[RelativePoly]) -> Optional[tuple[int, tuple[int, ...]]]:
-        """(p, chain) for the first chain at which R reduces to an
-        irreducible polynomial of full degree, trying at most
-        CERTIFICATE_PRIMES primes that `RelativePoly.may_certify` admits.
-        The reduction is irreducible exactly when the first part of its
-        distinct-degree factorization has its own degree."""
-
-        def irreducible_at(p: int, chain: tuple[int, ...]) -> bool:
-            cs = rel.reduce(p, _images(tri, chain))
-            image = None if cs is None else _modp_image(cs, p)
-            return image is not None and image.first()[0] == rel.degree
-
-        tried = 0
-        for p in primes():
-            if not rel.may_certify(p):
+    def _lands(self, rel: RelativePoly) -> bool:
+        """The landing rule: R = F(t) - target has the factor t - w over K
+        when a value w of K has F(w) = target.  A cut's F is strictly
+        increasing on [0, 1] and t^d on [0, oo), where the value is their
+        one root, so a step generator w there with F(w) = target is the
+        value itself, and the step is trivial.  A comparison past the
+        degree cap rules nothing in."""
+        target = AlgebraicNumber(rel.target)
+        cut = isinstance(rel.atom, _CutRootAtom)
+        seen = set()
+        for s in self.steps:
+            w = s.generator
+            if id(w._node) in seen:
                 continue
-            if rel.target is None:
-                # R reduces alike at every chain of p: test it before building any
-                chain = next(_chains(p, tri), None) if irreducible_at(p, ()) else None
-            else:
-                chain = next((c for c in _chains(p, tri) if irreducible_at(p, c)), None)
-            if chain is not None:
-                return p, chain
-            tried += 1
-            if tried == CERTIFICATE_PRIMES:
-                return None
+            seen.add(id(w._node))
+            try:
+                if w >= 0 and (not cut or w <= 1) and poly_at(rel.cdf, w) == target:
+                    return True
+            except DegreeCapExceeded:
+                pass
+        return False
 
     # -- queries -----------------------------------------------------------------
 
@@ -602,11 +611,12 @@ class Tower:
 
 
 def _recheck_certificates(steps: list[ExtensionStep]) -> None:
-    """Recheck each step's (p, chain) from the steps alone: p is prime,
-    each chain root is a simple root mod p of its step's relative
-    polynomial reduced at the roots before it, and the step's own relative
-    polynomial reduces to an irreducible one of the step's degree (Rabin's
-    test, not the distinct-degree test that issued it).  Raises
+    """Recheck each step's witnesses from the steps alone: each p is
+    prime, each chain root is a simple root mod p of its step's relative
+    polynomial reduced at the roots before it, the step's own relative
+    polynomial reduces there to the step's degree with the stored factor
+    degrees (`_pattern_mod`, not the image cache that issued them), and no
+    proper degree is a subset sum of every pattern.  Raises
     TowerCertificateError on the first mismatch."""
     for i, s in enumerate(steps):
         if s.certificate is not None:
@@ -614,25 +624,33 @@ def _recheck_certificates(steps: list[ExtensionStep]) -> None:
 
 
 def _recheck_step(i: int, step: ExtensionStep, chain: Optional[list[RelativePoly]]) -> None:
-    p, roots = step.certificate
-
     def fail(why: str) -> TowerCertificateError:
-        return TowerCertificateError(f"step {i}: degree certificate at p = {p}: {why}")
+        return TowerCertificateError(f"step {i}: degree certificate: {why}")
 
     if chain is None or step.relative is None:
         raise fail("the field below has no triangular set")
-    if not is_probable_prime(p):
-        raise fail("p is not prime")
-    if len(roots) != len(chain):
-        raise fail(f"{len(roots)} chain roots for {len(chain)} steps")
-    images: dict[int, int] = {}
-    for level, (rel, r) in enumerate(zip(chain, roots)):
-        cs = rel.reduce(p, images)
-        if cs is None or not 0 <= r < p:
-            raise fail(f"chain level {level} does not reduce")
-        if _horner_mod(cs, r, p) != 0 or _horner_mod(_derivative(cs), r, p) == 0:
-            raise fail(f"{r} is not a simple root at chain level {level}")
-        images[id(rel.atom)] = r
-    cs = step.relative.reduce(p, images)
-    if cs is None or len(cs) - 1 != step.degree or not _irreducible_mod(cs, p):
-        raise fail(f"the relative polynomial is not irreducible of degree {step.degree}")
+    patterns = []
+    for p, roots, pattern in step.certificate:
+        where = f"at p = {p}"
+        if not is_probable_prime(p):
+            raise fail(f"{where}: p is not prime")
+        if len(roots) != len(chain):
+            raise fail(f"{where}: {len(roots)} chain roots for {len(chain)} steps")
+        images: dict[int, int] = {}
+        for level, (rel, r) in enumerate(zip(chain, roots)):
+            cs = rel.reduce(p, images)
+            if cs is None or not 0 <= r < p:
+                raise fail(f"{where}: chain level {level} does not reduce")
+            if _horner_mod(cs, r, p) != 0 or _horner_mod(_derivative(cs), r, p) == 0:
+                raise fail(f"{where}: {r} is not a simple root at chain level {level}")
+            images[id(rel.atom)] = r
+        cs = step.relative.reduce(p, images)
+        if cs is None or len(cs) - 1 != step.degree or _pattern_mod(cs, p) != tuple(pattern):
+            raise fail(f"{where}: the relative polynomial does not reduce to factor degrees {tuple(pattern)}")
+        patterns.append((p, tuple(pattern)))
+    left, _ = _sieve_degrees(patterns, set(range(1, step.degree)))
+    if left:
+        raise fail(
+            f"the relative polynomial is not irreducible of degree {step.degree}: "
+            f"factor degrees {sorted(left)} remain"
+        )

@@ -278,8 +278,8 @@ class TestEquitableCertificates:
         assert verify_certificate(cert).all_ok
 
     def test_recheck_by_prime_witness_needs_no_pipeline(self, monkeypatch):
-        # x^50 + x - 1 reduces to an irreducible polynomial of full degree at
-        # some prime, so the recheck never reaches the capped pipeline
+        # the factor-degree patterns of x^50 + x - 1 at a few primes leave
+        # no proper degree, so the recheck never reaches the capped pipeline
         cert = check_impossibility_equitable(50)
         monkeypatch.setattr(certificates, "is_irreducible", None)
         assert verify_certificate(cert).all_ok

@@ -249,6 +249,23 @@ class TestGoldenBytes:
             assert res.stdout == fh.read()
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_even_paz_step_certified_past_the_64th_prime(self, fmt):
+        # the degree-6 cut step over a field of degree 12 first reduces to
+        # an irreducible sextic at 491, past the first 64 primes.  A
+        # primitive element of that field with the cut point has degree 72,
+        # past the default cap; the bytes are those the primitive-element
+        # route printed at cap 500
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", "--format", fmt, "run-protocol",
+             "--protocol", "even-paz",
+             "--measures", os.path.join(GOLDEN, "even-paz-sieve.measures")],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert res.returncode == 0
+        assert res.stdout == _golden(f"run-protocol-even-paz-sieve.{fmt}")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_even_paz_degree_30_compositum_at_cap_48(self, fmt):
         # the compositum of this tower has degree 30 (6 x 5), past the
         # default cap of 24; the step degrees 6 and 5 are coprime, so the

@@ -296,11 +296,43 @@ def frozen(value):
     return isinstance(value, int) or (isinstance(value, tuple) and all(frozen(v) for v in value))
 
 
+def _cycle_type(perm):
+    """The cycle lengths of a permutation of 1..n, ascending."""
+    seen, out = set(), []
+    for start in range(1, len(perm) + 1):
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start = perm[start - 1]
+            length += 1
+        if length:
+            out.append(length)
+    return tuple(sorted(out))
+
+
 class Interrupted(BaseException):
     """Stands in for a time limit's signal landing inside a computation."""
 
 
 class TestImageCaches:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([p for p in itertools.islice(ints.primes(), 400) if 400 < p < 2**11]),
+        st.lists(st.integers(0, 2**11), max_size=6),
+        st.lists(st.integers(0, 2**11), max_size=4),
+    )
+    @example(2039, [5, 2038, 1000, 7, 7], [3, 1])  # a planted double root
+    def test_roots_split_past_the_scan_agree_with_it(self, q, roots, coeffs):
+        # past q = 512 the roots are split off the degree-1 part, not found
+        # by trying residues: planted roots, and those of a random cofactor
+        f = polys._monic_mod([c % q for c in coeffs] + [1], q)
+        for r in roots:
+            f = polys._fp_mul(f, [-r % q, 1], q)
+        df = polys._fp_trim([i * v % q for i, v in enumerate(f)][1:])
+        squarefree = bool(df) and len(polys._fp_gcd(f, df, q)) == 1
+        scan = tuple(a for a in range(q) if polys._horner_mod(f, a, q) == 0)
+        assert polys._modp_roots(f, q) == (scan if squarefree else None)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from([2, 3, 5, 47]),
@@ -435,6 +467,36 @@ class TestImageCaches:
 
 
 class TestDegreeSieve:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(1, n + 1)).map(
+            lambda perm: _cycle_type(perm)), max_size=8))))
+    def test_sieve_against_the_intersection_of_subset_sums(self, case):
+        # the patterns of permutations of n points; the sieve keeps the
+        # proper degrees that are subset sums of every pattern read, stops
+        # once none is left, and its witnesses alone leave the same set
+        n, patterns = case
+
+        def subset_sums(pattern):
+            sums = {0}
+            for k in pattern:
+                sums |= {s + k for s in sums}
+            return sums
+
+        left, witnesses = polys._sieve_degrees(enumerate(patterns), set(range(1, n)))
+        running, read = set(range(1, n)), 0
+        for pattern in patterns:
+            read += 1
+            running &= subset_sums(pattern)
+            if not running:
+                break
+        assert left == running
+        assert [key for key, _ in witnesses] == sorted(key for key, _ in witnesses) and all(
+            key < read for key, _ in witnesses
+        )
+        again, _ = polys._sieve_degrees(witnesses, set(range(1, n)))
+        assert again == left
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-30, 30), min_size=4, max_size=9), st.integers(1, 4))
     def test_stops_at_the_first_prime_without_a_degree(self, coeffs, lead):

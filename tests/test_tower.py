@@ -23,8 +23,8 @@ from cakelab import (
 from cakelab import algebraic, tower
 from cakelab.cake import _increasing_preimage, poly_at
 from cakelab.ints import primes
-from cakelab.polys import _fp_gcd, _fp_trim, _image_ddf, _modp_ddf, _modp_roots, _monic_mod
-from cakelab.tower import _irreducible_mod, _radical_degree
+from cakelab.polys import _fp_gcd, _fp_trim, _image_ddf, _modp_ddf, _modp_roots, _monic_mod, _pattern
+from cakelab.tower import _pattern_mod, _radical_degree
 
 from _oracle import (
     ChainCacheOracle,
@@ -41,10 +41,6 @@ def _ledger(tw):
     """A snapshot of every field of every step: the whole of the tower's
     state."""
     return [dict(vars(s)) for s in tw.steps]
-
-
-def _no_compositum(a, b):
-    raise AssertionError("decided through a primitive element")
 
 
 class TestDegreeObstruction:
@@ -359,16 +355,26 @@ def _squarefree_levels(p, tri, chain):
     return True
 
 
+# a root of x^4 - 7x^2 - 3x + 1, whose Galois group is A4: no element is a
+# 4-cycle, so over a field that meets its splitting field only in Q the
+# quartic reduces to an irreducible one at no prime, and only the sieve
+# certifies it, from the patterns (1, 3) and (2, 2)
+_A4_ROOT = A.real_root(Poly([1, -3, -7, 0, 1]), 0, 1)
+
+
 class TestRelativeTower:
     @pytest.mark.degree_cap(48)
     @settings(max_examples=25, deadline=None)
-    @given(_CUTS, st.booleans(), st.integers(-1, 3))
-    @example([((3, (1, 3)), 0, Fraction(1, 2)), ((1, (2, 4)), 1, Fraction(1, 3))], True, 0)
-    @example([((5, (1, 2)), 0, Fraction(1, 2)), ((3, (1, 3)), 2, Fraction(1, 2))], False, 1)
-    def test_agrees_with_compositum(self, cuts, in_field, landing):
+    @given(_CUTS, st.booleans(), st.integers(-1, 3), st.booleans())
+    @example([((3, (1, 3)), 0, Fraction(1, 2)), ((1, (2, 4)), 1, Fraction(1, 3))], True, 0, False)
+    @example([((5, (1, 2)), 0, Fraction(1, 2)), ((3, (1, 3)), 2, Fraction(1, 2))], False, 1, False)
+    @example([((5, (2, 4)), 0, Fraction(1, 2)), ((1, (1, 2)), 0, Fraction(1, 2))], False, -1, True)
+    def test_agrees_with_compositum(self, cuts, in_field, landing, quartic):
         # each cut starts at 0, at 1/5 or at an earlier answer; then,
-        # optionally, a value of the field, and a cut from 0 that lands on
-        # an earlier answer y (F(t) - F(y) has the root y in K)
+        # optionally, a value of the field, a cut from 0 that lands on an
+        # earlier answer y (F(t) - F(y) has the root y in K), and the A4
+        # quartic's root, which no single prime certifies.  Every step both
+        # routes decide within the cap has one degree
         values = []
         for (k, (i, j)), start, share in cuts:
             starts = [A(0), A(Fraction(1, 5))] + values
@@ -380,12 +386,24 @@ class TestRelativeTower:
             (k, (i, j)), _, _ = cuts[landing % len(cuts)]
             f, y = _mixture(k, i, j), answers[landing % len(cuts)]
             values.append(_increasing_preimage(f, poly_at(f, y)))
+        if quartic:
+            values.append(_A4_ROOT)
         tw = Tower()
         degrees = _adjoin_all(tw, values)
         expected = compositum_step_degrees(values)
-        assert degrees[: len(expected)] == expected
-        assert len(degrees) >= len(expected)
+        both = min(len(degrees), len(expected))
+        assert degrees[:both] == expected[:both]
         tw.verify_lemma1(2)  # every stored certificate rechecks
+
+    @pytest.mark.parametrize("base", [nth_root(3, 2), nth_root(2, 4), nth_root(2, 6)])
+    def test_sieve_certifies_where_no_single_prime_does(self, base):
+        tw = Tower()
+        tw.adjoin(base)
+        step = tw.adjoin(_A4_ROOT)
+        assert [s.degree for s in tw.steps] == compositum_step_degrees([base, _A4_ROOT])
+        assert step.degree == 4 and len(step.certificate) >= 2
+        assert all(pattern != (4,) for _, _, pattern in step.certificate)
+        tw.verify_lemma1(2)
 
     @pytest.mark.degree_cap(48)
     @settings(max_examples=25, deadline=None)
@@ -434,7 +452,7 @@ class TestRelativeTower:
     def test_cut_landing_on_a_tower_point(self):
         # y's target is irrational, so the landing cut is a new atom whose
         # cut polynomial has the root y in K: no prime certifies it, and the
-        # compositum finds degree 1
+        # landing rule finds degree 1
         f, g = _mixture(3, 1, 3), _mixture(5, 1, 2)
         x = _cut(f, A(0), Fraction(1, 2))
         y = _cut(g, x, Fraction(1, 2))
@@ -444,13 +462,12 @@ class TestRelativeTower:
         assert again._node is not y._node
         assert tw.adjoin(again).degree == 1
 
-    def test_value_of_the_field_is_trivial(self, monkeypatch):
+    def test_value_of_the_field_is_trivial(self):
         f, g = _mixture(3, 1, 3), _mixture(5, 2, 4)
         y1 = _cut(f, A(0), Fraction(1, 2))
         y2 = _cut(g, y1, Fraction(1, 3))
         tw = Tower()
         assert _adjoin_all(tw, [y1, y2]) == [3, 4]
-        monkeypatch.setattr(tower, "_compositum", _no_compositum)
         assert tw.adjoin(y1 * y2 - y2 / 7).degree == 1
 
     def _even_paz_3_6(self):
@@ -468,17 +485,17 @@ class TestRelativeTower:
 
     def test_corrupted_prime_fails_the_recheck(self):
         tw = self._even_paz_3_6()
-        p, roots = tw.steps[3].certificate
+        ((p, roots, pattern),) = tw.steps[3].certificate
         for bad in (p + 2, p + 4, 2 * p + 1):
-            tw.steps[3].certificate = (bad, roots)
+            tw.steps[3].certificate = ((bad, roots, pattern),)
             with pytest.raises(TowerCertificateError):
                 tw.verify_lemma1(3)
 
     def test_corrupted_root_fails_the_recheck(self):
         tw = self._even_paz_3_6()
-        p, (r,) = tw.steps[3].certificate
+        ((p, (r,), pattern),) = tw.steps[3].certificate
         for bad in ((r + 1) % p, (r + 2) % p, p + r):
-            tw.steps[3].certificate = (p, (bad,))
+            tw.steps[3].certificate = ((p, (bad,), pattern),)
             with pytest.raises(TowerCertificateError):
                 tw.verify_lemma1(3)
 
@@ -491,12 +508,48 @@ class TestRelativeTower:
             roots = _modp_roots(cubic.reduce(q, {}), q)
             if roots:
                 break
-        tw.steps[3].certificate = (q, (roots[0],))
+        cs = tw.steps[3].relative.reduce(q, {id(cubic.atom): roots[0]})
+        tw.steps[3].certificate = ((q, (roots[0],), _pattern(_modp_ddf(cs, q))),)
         with pytest.raises(TowerCertificateError, match="not irreducible"):
             tw.verify_lemma1(3)
 
-    def test_claimed_radical_without_atom_form_keeps_the_lattice(self, monkeypatch):
-        monkeypatch.setattr(tower, "_compositum", _no_compositum)
+    def _sieved(self):
+        tw = Tower()
+        tw.adjoin(nth_root(3, 2))
+        tw.adjoin(_A4_ROOT)
+        return tw, tw.steps[1].certificate
+
+    def test_sieve_witnesses_recheck(self):
+        tw, witnesses = self._sieved()
+        tw.verify_lemma1(2)
+        # the recheck recomputes each pattern without the image cache
+        for p, (r,), pattern in witnesses:
+            cs = tw.steps[1].relative.reduce(p, {})
+            assert _pattern_mod(cs, p) == pattern
+            assert r in _modp_roots(tw.steps[0].relative.reduce(p, {}), p)
+
+    def test_corrupted_sieve_witness_fails_the_recheck(self):
+        tw, witnesses = self._sieved()
+        (p, (r,), pattern), rest = witnesses[0], witnesses[1:]
+        nonroot = next(x for x in range(p) if (x * x - 3) % p)
+        corrupted = [
+            (p + 2, (r,), pattern),  # not prime, or no chain root there
+            (p, (nonroot,), pattern),  # not a root of x^2 - 3
+            (p + r, (r,), pattern),
+            (p, (r,), (4,)),  # a pattern the reduction does not have
+            (p, (r,), (1, 1, 2)),
+        ]
+        for bad in corrupted:
+            tw.steps[1].certificate = (bad,) + rest
+            with pytest.raises(TowerCertificateError):
+                tw.verify_lemma1(2)
+        # each witness removes a degree the other leaves
+        for kept in ((witnesses[0],), rest):
+            tw.steps[1].certificate = kept
+            with pytest.raises(TowerCertificateError, match="not irreducible"):
+                tw.verify_lemma1(2)
+
+    def test_claimed_radical_without_atom_form_keeps_the_lattice(self):
         tw = Tower()
         step = tw.adjoin(nth_root(2, 2) * nth_root(3, 2), claimed_radical=(2, A(6)))
         assert step.degree == 2 and step.form == (6, 2)
@@ -519,8 +572,8 @@ class TestModularTools:
         assert simple_roots_oracle(cs, p) == simple
         ddf = _modp_ddf(cs, p)
         assert _modp_roots(cs, p) == (None if ddf is None else tuple(simple))
-        irreducible = ddf is not None and ddf[0][0] == len(cs) - 1
-        assert _irreducible_mod(cs, p) == irreducible
+        # the recheck's pattern, computed without the cache, is the cache's
+        assert _pattern_mod(cs, p) == (None if ddf is None else _pattern(ddf))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -541,7 +594,7 @@ class TestModularTools:
         assume(cs and cs[-1] != 0)
         n = len(cs) - 1
         first = next(fp_ddf_oracle(_monic_mod(cs, p), p))
-        assert (first[0] == n) == _irreducible_mod(cs, p)
+        assert (first[0] == n) == (_pattern_mod(cs, p) == (n,))
         ddf = _modp_ddf(cs, p)
         fresh = _image_ddf.__wrapped__(tuple(_monic_mod(cs, p)), p)
         assert (fresh is None) == (ddf is None)
