@@ -935,22 +935,8 @@ def _fp_mulmod(a: list[int], b: list[int], f: list[int], m: int) -> list[int]:
 
 def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """a(x)^e mod (mod, p) for a monic modulus of positive degree, by
-    square and multiply with the fused step `_fp_mulmod`.  For a = x, the
-    Frobenius power of every distinct-degree factorization, the exponent is
-    read from the top, and multiplying by x is a shift that folds one
-    coefficient back through the modulus."""
+    square and multiply with the fused step `_fp_mulmod`."""
     assert len(mod) > 1 and mod[-1] == 1, "the modulus must be monic"
-    if a == [0, 1]:
-        low = mod[:-1]
-        out = [1]
-        for bit in bin(e)[2:]:
-            out = _fp_mulmod(out, out, mod, p)
-            if bit == "1" and out:
-                out = [0] + out
-                if len(out) == len(mod):
-                    c = out.pop()
-                    out = _fp_trim([(y - c * z) % p for y, z in zip(out, low)])
-        return out
     out = [1]
     base = _fp_mulmod(a, [1], mod, p)
     while e:

@@ -107,12 +107,13 @@ from .polys import (
 # Primes whose chains a degree certificate reads per step, for a single
 # prime and then for the sieve: primes that `RelativePoly.may_certify`
 # admits, whether or not K has a chain there.  Also the primes
-# `certificates` sieves with.  Sized on the cli-mix bench at seed 1, where
-# the even-paz and last-diminisher n=3 steps that 64 primes left undecided
-# were decided at p = 491, 1021, 2029 and 7069, the 908th prime, and a step
-# left undecided reads all 1024 (up to p near 8200) in 0.3-0.5 s.  A count,
-# not a time, so every host reaches the same verdict.
-CERTIFICATE_PRIMES = 1024
+# `certificates` sieves with.  Sized on the cli-mix bench at seeds 1 and
+# 20261017: each even-paz or last-diminisher n=3 step that 64 primes and
+# the compositum left undecided is decided by one prime, the 82nd, 92nd,
+# 151st or 448th admitted (p = 1021, 491, 2029 and 7069), and a step left
+# undecided reads all 448 in 0.08-0.25 s.  A count, not a time, so every
+# host reaches the same verdict.
+CERTIFICATE_PRIMES = 448
 
 
 def degree_obstruction(target_degree: int, allowed_primes: set[int]) -> bool:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -362,38 +363,92 @@ def _squarefree_levels(p, tri, chain):
 _A4_ROOT = A.real_root(Poly([1, -3, -7, 0, 1]), 0, 1)
 
 
+def _tower_values(cuts, in_field, landing, quartic):
+    """Each cut starts at 0, at 1/5 or at an earlier answer; then,
+    optionally, a value of the field, a cut from 0 that lands on an
+    earlier answer y (F(t) - F(y) has the root y in K), and the A4
+    quartic's root, which no single prime certifies."""
+    values = []
+    for (k, (i, j)), start, share in cuts:
+        starts = [A(0), A(Fraction(1, 5))] + values
+        values.append(_cut(_mixture(k, i, j), starts[start % len(starts)], share))
+    answers = values[:]
+    if in_field:
+        values.append(answers[0] * answers[-1] + Fraction(1, 3))
+    if landing >= 0:
+        (k, (i, j)), _, _ = cuts[landing % len(cuts)]
+        f, y = _mixture(k, i, j), answers[landing % len(cuts)]
+        values.append(_increasing_preimage(f, poly_at(f, y)))
+    if quartic:
+        values.append(_A4_ROOT)
+    return values
+
+
+_SIEVE_KEEPS = re.compile(r"factor degrees \[([\d, ]+)\] of a degree-(\d+) relative polynomial survive the sieve")
+
+
+def _assert_left_to_the_sieve(tw, value, degree):
+    """The one kind of step the tower leaves undecided where the
+    compositum decides it: the step's degree is below deg R, so R is
+    reducible over K, and the sieve, which removes no degree of a factor,
+    keeps it."""
+    with pytest.raises(MembershipUndecidable) as info:
+        tw.adjoin(value)
+    kept = _SIEVE_KEEPS.search(str(info.value))
+    assert kept, str(info.value)
+    assert degree in {int(d) for d in kept.group(1).split(",")}
+    assert degree < int(kept.group(2))
+
+
+# cut sequences whose every step the tower decides, single primes, the
+# landing rule and the sieve between them; test_agrees_with_compositum
+# draws others like them
+_DECIDED = [
+    ([((3, (1, 3)), 0, Fraction(1, 2)), ((1, (2, 4)), 1, Fraction(1, 3))], True, 0, False),
+    ([((5, (1, 2)), 0, Fraction(1, 2)), ((3, (1, 3)), 2, Fraction(1, 2))], False, 1, False),
+    ([((5, (2, 4)), 0, Fraction(1, 2)), ((1, (1, 2)), 0, Fraction(1, 2))], False, -1, True),
+]
+
+
 class TestRelativeTower:
     @pytest.mark.degree_cap(48)
     @settings(max_examples=25, deadline=None)
     @given(_CUTS, st.booleans(), st.integers(-1, 3), st.booleans())
-    @example([((3, (1, 3)), 0, Fraction(1, 2)), ((1, (2, 4)), 1, Fraction(1, 3))], True, 0, False)
-    @example([((5, (1, 2)), 0, Fraction(1, 2)), ((3, (1, 3)), 2, Fraction(1, 2))], False, 1, False)
-    @example([((5, (2, 4)), 0, Fraction(1, 2)), ((1, (1, 2)), 0, Fraction(1, 2))], False, -1, True)
+    # R = G(t^2) - target splits into two quadratics over K: step degree 2
+    @example(
+        [
+            ((1, (1, 2)), 4, Fraction(1, 2)),
+            ((3, (1, 2)), 2, Fraction(1, 2)),
+            ((1, (2, 4)), 4, Fraction(1, 2)),
+            ((7, (1, 2)), 4, Fraction(1, 3)),
+        ],
+        True,
+        3,
+        True,
+    )
     def test_agrees_with_compositum(self, cuts, in_field, landing, quartic):
-        # each cut starts at 0, at 1/5 or at an earlier answer; then,
-        # optionally, a value of the field, a cut from 0 that lands on an
-        # earlier answer y (F(t) - F(y) has the root y in K), and the A4
-        # quartic's root, which no single prime certifies.  Every step both
-        # routes decide within the cap has one degree
-        values = []
-        for (k, (i, j)), start, share in cuts:
-            starts = [A(0), A(Fraction(1, 5))] + values
-            values.append(_cut(_mixture(k, i, j), starts[start % len(starts)], share))
-        answers = values[:]
-        if in_field:
-            values.append(answers[0] * answers[-1] + Fraction(1, 3))
-        if landing >= 0:
-            (k, (i, j)), _, _ = cuts[landing % len(cuts)]
-            f, y = _mixture(k, i, j), answers[landing % len(cuts)]
-            values.append(_increasing_preimage(f, poly_at(f, y)))
-        if quartic:
-            values.append(_A4_ROOT)
+        # every step both routes decide within the cap has one degree, and
+        # the tower stops before the compositum only where the sieve keeps
+        # the step's degree of a reducible R
+        values = _tower_values(cuts, in_field, landing, quartic)
         tw = Tower()
         degrees = _adjoin_all(tw, values)
         expected = compositum_step_degrees(values)
-        both = min(len(degrees), len(expected))
-        assert degrees[:both] == expected[:both]
+        assert degrees[: len(expected)] == expected[: len(degrees)]
+        if len(degrees) < len(expected):
+            _assert_left_to_the_sieve(tw, values[len(degrees)], expected[len(degrees)])
         tw.verify_lemma1(2)  # every stored certificate rechecks
+
+    @pytest.mark.degree_cap(48)
+    @pytest.mark.parametrize("cuts, in_field, landing, quartic", _DECIDED)
+    def test_decides_every_step_the_compositum_decides(self, cuts, in_field, landing, quartic):
+        values = _tower_values(cuts, in_field, landing, quartic)
+        tw = Tower()
+        degrees = _adjoin_all(tw, values)
+        expected = compositum_step_degrees(values)
+        assert degrees[: len(expected)] == expected
+        assert len(degrees) >= len(expected)
+        tw.verify_lemma1(2)
 
     @pytest.mark.parametrize("base", [nth_root(3, 2), nth_root(2, 4), nth_root(2, 6)])
     def test_sieve_certifies_where_no_single_prime_does(self, base):
