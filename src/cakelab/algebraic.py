@@ -19,18 +19,19 @@ Key internals:
   at such a value from Horner on residues.  No extended Euclid runs.
   An atom of degree 1, a cut root at a rational point, reduces every
   form built on it to a constant.
-* Minimal polynomials take three routes, in this order.  A single-atom
-  value's is the squarefree part of its characteristic polynomial, a
-  power of it since m_atom is irreducible.  A sum, product or quotient
-  mixing atoms takes its characteristic polynomial in the algebra
-  Q[y_1..y_k]/(m_1(y_1), ..., m_k(y_k)) of its distinct atoms, or of its
-  maximal single-atom subexpressions when they span fewer dimensions
-  (`_Algebra`), of degree D = deg m_1 ... deg m_k, when D is within the
-  degree cap; the same algebra of one atom serves the first route.
-  Every other node, and a value the algebra declines, eliminates its
-  operands' minimal polynomials.  The last two routes factor the one
-  annihilating polynomial and select the factor that vanishes at the
-  value.
+* Minimal polynomials come from one algebra.  A single-atom value's is
+  the squarefree part of its characteristic polynomial in Q[y]/(m(y)) of
+  its atom, a power of it since m_atom is irreducible.  A sum, product or
+  quotient mixing atoms takes its characteristic polynomial in the
+  algebra Q[y_1..y_k]/(m_1(y_1), ..., m_k(y_k)) (`_Algebra`) of its
+  distinct atoms, or of its maximal single-atom subexpressions when they
+  span fewer dimensions, of dimension D = deg m_1 ... deg m_k, when D is
+  within the degree cap and no divisor is a zero divisor there; else of
+  its two operands, of dimension deg m_a * deg m_b.  An atom's
+  annihilator is its own: the radicand's minimal polynomial at y^d, the
+  isolated root's polynomial, or the target's composed with the CDF.
+  Every route but the single-atom one factors the one annihilating
+  polynomial and selects the factor that vanishes at the value.
 * One routine, `_pin`, names a value among the roots of coprime
   squarefree polynomials: it rounds the value's enclosure at 2^-k outward
   to the 2^-k grid, k doubling from 8, until exactly one of their roots
@@ -42,11 +43,12 @@ Key internals:
   so deep expression DAGs need no recursion.  Interval enclosures,
   single-atom forms, residues modulo a prime and atom lists are each one
   function of a node and its operands' values, and operand a is finished
-  before b is entered; so is a value in its atoms' algebra.  Elimination
-  still recurses once per level and raises `ExpressionTooDeep` past the
-  interpreter's limit.
-* Eliminations use power sums (Newton's identities) of roots scaled to
-  algebraic integers, guarded by the degree cap.  A sign query that
+  before b is entered; so is a value in its atoms' algebra.  A minimal
+  polynomial still recurses once per level and raises `ExpressionTooDeep`
+  past the interpreter's limit.
+* The algebra's traces are power sums (Newton's identities) of roots
+  scaled to algebraic integers, and each generator set is checked
+  against the degree cap before any arithmetic.  A sign query that
   refinement to 2^-128 cannot decide, on a value with no single-atom
   form, decides a zero from the node's operands and never from the
   node's own minimal polynomial: a product or quotient multiplies their
@@ -670,9 +672,8 @@ def _refine_to(node: _Node, eps: Fraction, b: Optional[int] = None) -> tuple[Fra
 # integers are integers, so Newton's identities, which tie the monic
 # y^n + c_1 y^(n-1) + ... + c_n to the power sums p_k of its roots by
 # p_k + c_1 p_(k-1) + ... + c_(k-1) p_1 + k c_k = 0 (c_k = 0 past n), run
-# on integers with exact division.  Results come as (c, D): the monic
-# integer polynomial of the roots scaled by D, so the roots themselves have
-# the monic polynomial sum c_k / D^k T^(n-k).
+# on integers with exact division: `_Algebra` takes its traces and its
+# characteristic polynomials from them.
 
 
 def _scaled_monic(m: list[int]) -> list[int]:
@@ -716,12 +717,6 @@ def _from_newton_sums(q: list[int]) -> list[int]:
         assert r == 0, "Newton's identities divide exactly on algebraic integers"
         c.append(ck)
     return c
-
-
-def _rescaled(c: list[int], scale: int) -> Poly:
-    """The monic Poly sum c_k / scale^k T^(n-k)."""
-    n = len(c) - 1
-    return Poly([c[n - j] * scale**j for j in range(n + 1)], scale**n)
 
 
 class _Algebra:
@@ -1081,40 +1076,18 @@ def _select_factor(candidates: list[Poly], node: _Node) -> Poly:
     return candidates[_pin(node, candidates)[0]]
 
 
-def _binary_elimination(kind: str, ma: Poly, mb: Poly) -> Poly:
-    """Monic polynomial of degree deg ma * deg mb whose roots are all pairwise
-    sums ("add") or products ("mul") of roots of ma and mb, built from power
-    sums (Bostan, Flajolet, Salvy & Schost 2006).  With the roots scaled to
-    algebraic integers A = la*a and B = lb*b, la*lb*(a + b) = lb*A + la*B
-    has p_k = sum_i C(k,i) lb^i p_i(A) la^(k-i) p_(k-i)(B), and la*lb*(a*b)
-    = A*B has p_k = p_k(A) p_k(B)."""
-    a, b = ma.int_coeffs(), mb.int_coeffs()
-    la, lb = a[-1], b[-1]
-    n = (len(a) - 1) * (len(b) - 1)
-    pa, pb = _newton_sums(_scaled_monic(a), n), _newton_sums(_scaled_monic(b), n)
-    if kind == "add":
-        pa = [p * lb**i for i, p in enumerate(pa)]
-        pb = [p * la**j for j, p in enumerate(pb)]
-        q = [sum(math.comb(k, i) * pa[i] * pb[k - i] for i in range(k + 1)) for k in range(n + 1)]
-    else:  # mul
-        q = [x * y for x, y in zip(pa, pb)]
-    return _rescaled(_from_newton_sums(q), la * lb)
-
-
 class _ZeroDivisor(Exception):
     pass
 
 
 def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
     """The characteristic polynomial of the value in the algebra of its
-    generators (`_Algebra`), a primitive integer polynomial of degree D,
-    the product of the generators' degrees.  The value is a rational
-    function of its maximal subexpressions with a single-atom form
-    (`_form_leaves`), and each of those a polynomial in its atom.  The
-    generators are those atoms, or the subexpressions themselves when
-    their degrees give the smaller D: two values of degree 3 in fields of
-    degrees 15 and 3 span 9 dimensions, not 45.  A generator of degree 1
-    enters as its rational value.  None, before any arithmetic in the
+    generators (`_charpoly_over`).  The value is a rational function of its
+    maximal subexpressions with a single-atom form (`_form_leaves`), and
+    each of those a polynomial in its atom.  The generators are those
+    atoms, or the subexpressions themselves when their degrees give the
+    smaller dimension D: two values of degree 3 in fields of degrees 15
+    and 3 span 9 dimensions, not 45.  None, before any arithmetic in the
     algebra, when a generator's minimal polynomial or D passes the degree
     cap, and None when a divisor is a zero divisor of the algebra.  The
     generators' minimal polynomials are computed in order only while the
@@ -1140,6 +1113,27 @@ def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
     if best is None:
         return None
     _, gens, ms = best
+    atom_forms = None if gens is leaves else dict(zip(map(id, leaves), forms))
+    try:
+        return _charpoly_over(node, gens, ms, atom_forms)
+    except _ZeroDivisor:
+        return None
+
+
+def _charpoly_over(
+    node: _Node, gens: list[_Node], ms: list[list[int]], forms: Optional[dict] = None
+) -> list[int]:
+    """The characteristic polynomial of the value in the algebra
+    Q[y_1..y_k]/(m_1(y_1), ..., m_k(y_k)) of the generators gens with
+    minimal polynomials ms (`_Algebra`): a primitive integer polynomial of
+    degree D, the product of their degrees.  The DAG is evaluated down to
+    the nodes of forms, which maps id(leaf) to (g, nums, den): the leaf is
+    nums(g) / den for the generator g, or the rational nums[0] / den when
+    g is None.  Without forms, the generators are the leaves.  A generator
+    of degree 1 enters as its rational value.  Raises _ZeroDivisor when a
+    divisor is a zero divisor of the algebra."""
+    if forms is None:
+        forms = {id(g): (g, (0, 1), 1) for g in gens}
     algebra = _Algebra([m for m in ms if len(m) > 2])
     # a generator of degree 1 is its rational root, the others y_0, y_1, ...
     place: dict[int, Union[Fraction, int]] = {}
@@ -1147,16 +1141,14 @@ def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
     for g, m in zip(gens, ms):
         place[id(g)] = Fraction(-m[0], m[1]) if len(m) == 2 else next(variables)
     values: dict[int, tuple[list[int], int]] = {}
-    for leaf, (atom, nums, den) in zip(leaves, forms):
-        if gens is leaves:
-            atom, nums, den = leaf, (0, 1), 1  # the leaf is its own generator
+    for leaf, (atom, nums, den) in forms.items():
         if atom is None:
-            values[id(leaf)] = algebra.element(list(nums), den)
+            values[leaf] = algebra.element(list(nums), den)
         elif isinstance(place[id(atom)], Fraction):
             q = sum(c * place[id(atom)] ** j for j, c in enumerate(nums)) / den
-            values[id(leaf)] = algebra.element([q.numerator], q.denominator)
+            values[leaf] = algebra.element([q.numerator], q.denominator)
         else:
-            values[id(leaf)] = algebra.lift(nums, den, place[id(atom)])
+            values[leaf] = algebra.lift(nums, den, place[id(atom)])
 
     def compute(n: _Binary, x, y):
         if isinstance(n, _Add):
@@ -1173,10 +1165,7 @@ def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
         values[id(n)] = v
         return v
 
-    try:
-        return algebra.charpoly(_walk(node, lambda n: values.get(id(n)), compute))
-    except _ZeroDivisor:
-        return None
+    return algebra.charpoly(_walk(node, lambda n: values.get(id(n)), compute))
 
 
 def _minpoly(node: _Node) -> Poly:
@@ -1202,8 +1191,8 @@ def _compute_minpoly(node: _Node) -> Poly:
     """The minimal polynomial.  A value with a single-atom form takes the
     squarefree part of its characteristic polynomial; every other node kind
     takes the factor of one annihilating polynomial that vanishes at the
-    node's value.  Annihilators built by an elimination are checked against
-    the degree cap before they are built."""
+    node's value.  Each annihilator's degree is checked against the degree
+    cap before it is built."""
     if isinstance(node, _Rat):
         return Poly([-node.value.numerator, node.value.denominator])
     saf = _saf_of(node)
@@ -1243,19 +1232,15 @@ def _compute_minpoly(node: _Node) -> Poly:
         annihilator = m_c.compose(node.cdf)
     else:
         f = _atoms_charpoly(node)
-        if f is not None:
-            annihilator = Poly(f)
-        else:
-            # the fallback: one elimination of the operands' minimal polynomials
-            ma = _minpoly(node.a)
-            mb = _minpoly(node.b)
+        if f is None:
+            # the last generators: the node's distinct operands, each a unit
+            # of the algebra as its minimal polynomial is irreducible
+            ma, mb = _minpoly(node.a), _minpoly(node.b)
             kind = "add" if isinstance(node, (_Add, _Sub)) else "mul"
-            if isinstance(node, _Sub):
-                mb = mb.negate_variable()
-            elif isinstance(node, _Div):
-                mb = mb.reverse().primitive()
             check_degree(ma.degree * mb.degree, f"{kind} elimination")
-            annihilator = _binary_elimination(kind, ma, mb)
+            gens = [node.a] if node.a is node.b else [node.a, node.b]
+            f = _charpoly_over(node, gens, [_minpoly(g).nums for g in gens])
+        annihilator = Poly(f)
     fac = factor_over_Q(annihilator)
     return _select_factor([f for f, _ in fac.factors], node).primitive()
 

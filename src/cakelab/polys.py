@@ -984,9 +984,9 @@ def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[i
 # image is not squarefree, and otherwise an `_ImageDDF` that computes the
 # distinct-degree factorization one degree at a time, only as far as a
 # question reads it.  The rational-root search and the tower's root chains
-# read degree 1, the tower's degree certificates the first part, and the
-# factorization's degree sieve all of it.  Every value an entry returns is a tuple, so no
-# caller can change it.
+# read degree 1, and the degree sieves of the factorization and the tower
+# all of it.  Every value an entry returns is a tuple, so no caller can
+# change it.
 
 IMAGE_CACHE_SIZE = 2048
 
@@ -1040,13 +1040,6 @@ class _ImageDDF:
             self._extend()
         parts = self._state[1]
         return parts if upto is None else tuple(part for part in parts if part[0] <= upto)
-
-    def first(self) -> tuple[int, tuple[int, ...]]:
-        """The pair of least degree, for f of positive degree n: (n, f)
-        exactly when f is irreducible."""
-        while not self._state[1] and len(self._state[2]) > 1:
-            self._extend()
-        return self._state[1][0]
 
 
 @functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)

@@ -5,7 +5,7 @@ over the current field K.  The steps are the tower's state: a nontrivial
 step records the tower atom it adjoins, its lattice form and its relative
 polynomial, and the field's generators, tower atoms, radical lattice and
 triangular set are read off the steps.  One routine, `Tower._step_degree`,
-decides the next step and leaves the tower unchanged.  It tries four
+decides the next step and leaves the tower unchanged.  It tries three
 routes in order, each an exact decision:
 
 1. v in K.  Rational values are trivial steps, and so is every value built
@@ -26,37 +26,34 @@ routes in order, each an exact decision:
    F whose target lies in K (t^d - radicand for a d-th root).
    * Coprime degrees: when R has rational coefficients and its degree m is
      coprime to [K : Q], the step degree is m.
-   * Degree-1 prime certificate.  The steps so far that have a relative
-     polynomial of their own degree form a triangular set (Lazard 1992):
-     step i adjoins a tower atom a_i, a root of R_i, irreducible over
-     K_(i-1).  At a prime p, a chain of simple roots r_i of R_i mod p, its
-     coefficients reduced at r_1..r_(i-1), embeds K in the p-adic numbers
-     by Hensel's lemma (dynamic evaluation: Della Dora, Dicrescenzo &
-     Duval 1985).  Values of K reduce mod p by evaluating their DAG with
-     each a_i mapped to r_i.  If R then reduces to an irreducible
-     polynomial of full degree (the first part of its distinct-degree
-     factorization, `polys._modp_image`, has degree deg R, and no later
-     degree is computed), R is irreducible over the p-adic numbers by
-     Gauss's lemma, hence over K, and the step degree is deg R.  Every
-     chain at a prime is tried, depth first and generated as needed; a
-     level's roots mod p are read off the one image cache of `polys`
-     (`_modp_roots`), and a level whose reduction is not squarefree
-     extends no chain.  The chains of at most CERTIFICATE_PRIMES primes
-     are tried per step, in order, and the first such chain is the step's
-     one witness (p, chain, (deg R,)).
-   * Landing rule.  For a cut answer or a root whose R = F(t) - target
-     vanishes at a step generator w where F is increasing (w in [0, 1],
-     or w >= 0 for t^d), w is the value itself, and the step is trivial.
-4. Degree sieve.  Otherwise the squarefree images of R at the chains
-   read above feed Musser's factor-degree sieve (`polys._sieve_degrees`):
-   a factor of R over K keeps its degree over the p-adic numbers, so its
-   degree is a subset sum of every image's factor-degree pattern.  When
-   no proper degree is left, R is irreducible over K and the step degree
-   is deg R; the step stores the witnesses (p, chain, pattern) that
-   removed the degrees.  Otherwise, and when the field below has no
-   triangular set, the adjunction raises MembershipUndecidable instead of
-   guessing.  `verify_lemma1` rechecks every witness, recomputing each
-   pattern without the image cache.
+   * Degree sieve.  The steps so far that have a relative polynomial of
+     their own degree form a triangular set (Lazard 1992): step i adjoins
+     a tower atom a_i, a root of R_i, irreducible over K_(i-1).  At a
+     prime p, a chain of simple roots r_i of R_i mod p, its coefficients
+     reduced at r_1..r_(i-1), embeds K in the p-adic numbers by Hensel's
+     lemma (dynamic evaluation: Della Dora, Dicrescenzo & Duval 1985).
+     Values of K reduce mod p by evaluating their DAG with each a_i mapped
+     to r_i.  Every chain at a prime is read, depth first and generated as
+     needed; a level's roots mod p are read off the one image cache of
+     `polys` (`_modp_roots`), and a level whose reduction is not
+     squarefree extends no chain.  The squarefree images of R at the
+     chains of at most CERTIFICATE_PRIMES primes, in order, feed Musser's
+     factor-degree sieve (`polys._sieve_degrees`): a factor of R over K
+     keeps its degree over the p-adic numbers, so its degree is a subset
+     sum of every image's factor-degree pattern.  The sieve reads images
+     only until no proper degree is left; then R is irreducible over K,
+     the step degree is deg R, and the step stores the witnesses
+     (p, chain, pattern) that removed the degrees.  An image irreducible
+     of full degree has the pattern (deg R,) and is a witness alone.
+     `verify_lemma1` rechecks every witness, recomputing each pattern
+     without the image cache.
+   * Landing rule.  When the sieve keeps a degree, or the field below has
+     no triangular set: for a cut answer or a root whose R = F(t) - target
+     vanishes at a step generator w where F is increasing (w in [0, 1], or
+     w >= 0 for t^d), w is the value itself, and the step is trivial.
+     Such an R has a linear factor over K, so the sieve keeps degree 1 and
+     never decides the step first.  Otherwise the adjunction raises
+     MembershipUndecidable instead of guessing.
 
 The routes run uncounted (`algebraic.uncounted`), so
 `bss_op_count` counts the mediator's work and not the ledger's.
@@ -104,15 +101,14 @@ from .polys import (
     _sieve_degrees,
 )
 
-# Primes whose chains a degree certificate reads per step, for a single
-# prime and then for the sieve: primes that `RelativePoly.may_certify`
-# admits, whether or not K has a chain there.  Also the primes
-# `certificates` sieves with.  Sized on the cli-mix bench at seeds 1 and
-# 20261017: each even-paz or last-diminisher n=3 step that 64 primes and
-# the compositum left undecided is decided by one prime, the 82nd, 92nd,
-# 151st or 448th admitted (p = 1021, 491, 2029 and 7069), and a step left
-# undecided reads all 448 in 0.08-0.25 s.  A count, not a time, so every
-# host reaches the same verdict.
+# Primes whose chains the degree sieve reads per step at most: primes that
+# `RelativePoly.may_certify` admits, whether or not K has a chain there.
+# Also the primes `certificates` sieves with.  Sized on the cli-mix bench
+# at seeds 1 and 20261017: each even-paz or last-diminisher n=3 step that
+# 64 primes and the compositum left undecided is decided within the 82nd,
+# 92nd, 151st or 448th admitted prime (p = 1021, 491, 2029 and 7069), and
+# a step left undecided reads all 448 in 0.08-0.25 s.  A count, not a
+# time, so every host reaches the same verdict.
 CERTIFICATE_PRIMES = 448
 
 
@@ -319,11 +315,12 @@ class ExtensionStep:
     the field: atom, the tower atom it adjoins, when known; form, the
     (radicand, index) of a step decided on the radical lattice; relative,
     the minimal polynomial of atom over the field below, when known; and
-    certificate, the witnesses (p, chain, pattern) when degree-1 primes
-    decided the degree: chain holds the roots mod p of the earlier steps'
-    relative polynomials, pattern the factor degrees of the relative
-    polynomial reduced there.  A single prime at which it stays
-    irreducible is the one witness (p, chain, (degree,))."""
+    certificate, the witnesses (p, chain, pattern) when the degree sieve
+    at degree-1 primes decided the degree: chain holds the roots mod p of
+    the earlier steps' relative polynomials, pattern the factor degrees of
+    the relative polynomial reduced there, and together the patterns leave
+    no proper degree.  The last witness removed the last degree; a prime
+    at which the polynomial stays irreducible has the pattern (degree,)."""
 
     generator: AlgebraicNumber
     kind: StepKind
@@ -380,15 +377,14 @@ def _chains(p: int, tri: list[RelativePoly], chain: tuple[int, ...] = ()) -> Ite
         yield from _chains(p, tri, chain + (r,))
 
 
-def _single_prime(rel: RelativePoly, tri: list[RelativePoly]) -> tuple[Optional[Witness], list]:
-    """The first witness (p, chain, (deg R,)) at which R reduces to an
-    irreducible polynomial of full degree: the first part of its cached
-    distinct-degree factorization has its own degree.  The chains of the
-    first CERTIFICATE_PRIMES primes that `RelativePoly.may_certify` admits
-    are tried in order; a rational R reduces alike at every chain of p,
-    so only p's first chain is.  Also the ((p, chain), image) of every
-    other squarefree image read, for the sieve."""
-    read = []
+def _patterns(
+    rel: RelativePoly, tri: list[RelativePoly]
+) -> Iterator[tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]:
+    """((p, chain), pattern) for each squarefree image of R at the chains
+    of the first CERTIFICATE_PRIMES primes that `RelativePoly.may_certify`
+    admits, in order: the factor degrees of its cached distinct-degree
+    factorization.  A rational R reduces alike at every chain of p, so
+    only p's first chain is read."""
     tried = 0
     for p in primes():
         if not rel.may_certify(p):
@@ -397,14 +393,12 @@ def _single_prime(rel: RelativePoly, tri: list[RelativePoly]) -> tuple[Optional[
             cs = rel.reduce(p, _images(tri, chain))
             image = None if cs is None else _modp_image(cs, p)
             if image is not None:
-                if image.first()[0] == rel.degree:
-                    return (p, chain, (rel.degree,)), read
-                read.append(((p, chain), image))
+                yield (p, chain), _pattern(image.parts())
             if rel.target is None:
                 break
         tried += 1
         if tried == CERTIFICATE_PRIMES:
-            return None, read
+            return
 
 
 def _in_field(node: _Node, atoms: set[int]) -> bool:
@@ -536,24 +530,21 @@ class Tower:
             if math.gcd(rel.degree, self.total_degree) == 1:
                 return _step(value, rel.degree, atom=atom, relative=rel)
         tri = _triangular_set(self.steps)
-        witness, read = (None, []) if tri is None else _single_prime(rel, tri)
-        if witness is not None:
-            return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=(witness,))
+        if tri is not None:
+            left, witnesses = _sieve_degrees(_patterns(rel, tri), set(range(1, rel.degree)))
+            if not left:
+                certificate = tuple((p, chain, pattern) for (p, chain), pattern in witnesses)
+                return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=certificate)
         if rel.target is not None and self._lands(rel):
             return _step(value, 1)
         if tri is None:
             raise MembershipUndecidable(
                 f"membership undecided: the field below has no triangular set for a degree-{rel.degree} step"
             )
-        patterns = ((key, _pattern(image.parts())) for key, image in read)
-        left, witnesses = _sieve_degrees(patterns, set(range(1, rel.degree)))
-        if left:
-            raise MembershipUndecidable(
-                f"membership undecided: factor degrees {sorted(left)} of a degree-{rel.degree} "
-                "relative polynomial survive the sieve"
-            )
-        certificate = tuple((p, chain, pattern) for (p, chain), pattern in witnesses)
-        return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=certificate)
+        raise MembershipUndecidable(
+            f"membership undecided: factor degrees {sorted(left)} of a degree-{rel.degree} "
+            "relative polynomial survive the sieve"
+        )
 
     def _lands(self, rel: RelativePoly) -> bool:
         """The landing rule: R = F(t) - target has the factor t - w over K

@@ -29,7 +29,11 @@ it moved to the integer primitive remainder sequence.
 Eliminations (sums, products and polynomial images of conjugates) are
 resultants evaluated at integer points and interpolated by Lagrange, the
 library's method before it moved to power sums.  Their base is
-`resultant_oracle`, the Euclidean recurrence over Fractions.
+`resultant_oracle`, the Euclidean recurrence over Fractions.  The
+compositum oracle, which eliminates at degrees up to the cap, reads its
+sum polynomials off power sums over Fractions instead
+(`sum_polynomial_oracle`): the pairwise elimination the library ran before
+every elimination moved into the atoms' algebra.
 
 A CDF is validated by probing the density's sign in every region that
 its isolated roots delimit on [0, 1], whatever the signs of its
@@ -71,10 +75,9 @@ interval once the rational Sturm chain counts one root inside it
 
 Tower step degrees come from primitive elements (`compositum_step_degrees`):
 each new value joins the field's primitive element in a shifted sum
-a + c*b whose elimination polynomial is squarefree, and the step degree is
-the quotient of the sum's degree by the field's.  It is the tower's route
-before it certified step degrees at degree-1 primes, and its fallback
-since.
+a + c*b whose sum polynomial (`sum_polynomial_oracle`) is squarefree, and
+the step degree is the quotient of the sum's degree by the field's.  It is
+the tower's route before it decided step degrees at degree-1 primes.
 
 Chains of simple roots through a tower's triangular set come from the
 tower's method before it read roots off the image cache of `polys`
@@ -98,7 +101,7 @@ import math
 from fractions import Fraction
 
 from cakelab.dyadic import DyadicInterval
-from cakelab.algebraic import AlgebraicNumber, _Add, _Binary, _binary_elimination, _Div, _Mul, _Rat, _Sub
+from cakelab.algebraic import AlgebraicNumber, _Add, _Binary, _Div, _Mul, _Rat, _Sub
 from cakelab.errors import DegreeCapExceeded, InvalidMeasureError
 from cakelab.factoring import check_degree, factor_over_Q
 from cakelab.polys import (
@@ -495,6 +498,35 @@ def elimination_oracle(kind, ma, mb):
     return Poly(_interpolate(pts, vals))
 
 
+def _power_sums(m, n):
+    """Power sums p_0..p_n of the roots of m, with multiplicity, from
+    Newton's identities over Fractions: with m monic, x^d + c_1 x^(d-1)
+    + ... + c_d, p_k + c_1 p_(k-1) + ... + c_(k-1) p_1 + k c_k = 0
+    (c_k = 0 past d)."""
+    m = m.monic()
+    d = m.degree
+    c = [m.coeff(d - i) for i in range(d + 1)]
+    ps = [Fraction(d)]
+    for k in range(1, n + 1):
+        s = k * c[k] if k <= d else Fraction(0)
+        s += sum(c[i] * ps[k - i] for i in range(1, min(k, d + 1)))
+        ps.append(-s)
+    return ps
+
+
+def sum_polynomial_oracle(ma, mb):
+    """Monic prod (T - a - b) over the roots a of ma and b of mb, with
+    multiplicity, from its power sums p_k = sum_i C(k, i) p_i(a) p_(k-i)(b)
+    (Bostan, Flajolet, Salvy & Schost 2006) and Newton's identities."""
+    n = ma.degree * mb.degree
+    pa, pb = _power_sums(ma, n), _power_sums(mb, n)
+    q = [sum(math.comb(k, i) * pa[i] * pb[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    c = [Fraction(1)]
+    for k in range(1, n + 1):
+        c.append(-(q[k] + sum(c[i] * q[k - i] for i in range(1, k))) / k)
+    return Poly([c[n - j] for j in range(n + 1)])
+
+
 def image_oracle(m, g):
     """Res_y(m(y), T - g(y)) for monic m, interpolated at T = 0..deg m."""
     pts = list(range(m.degree + 1))
@@ -864,7 +896,7 @@ def _compositum_oracle(a, b):
     c = 1
     while True:
         mbc = mb if c == 1 else mb.compose(Poly([0, Fraction(1, c)])).primitive()
-        elim = _binary_elimination("add", ma, mbc)
+        elim = sum_polynomial_oracle(ma, mbc)
         if squarefree_part(elim).degree == elim.degree:
             theta = a + b * c
             return theta.minimal_polynomial().degree, theta

@@ -1,4 +1,5 @@
 import contextvars
+import itertools
 import math
 import operator
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cakelab.algebraic as alg
@@ -24,7 +25,6 @@ from cakelab import (
 )
 from cakelab.algebraic import (
     _Algebra,
-    _binary_elimination,
     _CutRootAtom,
     _interval,
     _make_cut_root,
@@ -47,6 +47,7 @@ from _oracle import (
     select_factor_oracle,
     sturm_chain_oracle,
     sturm_count_oracle,
+    sum_polynomial_oracle,
 )
 from conftest import time_limit
 
@@ -394,15 +395,50 @@ _SEXTIC_A = Poly([0, 0, Fraction(-2, 3), 1, Fraction(5, 2)]) * (X - c(Fraction(1
 _SEXTIC_B = (c(Fraction(-3, 4)) * X**3 + X - c(Fraction(2, 5))) * X * (X + c(Fraction(4, 3))) ** 2
 
 
+def algebra_elimination(kind, ma, mb):
+    """Monic prod (T - a o b) over the pairs of roots of ma and mb, with
+    multiplicity, for o = +, -, * or / ("add", "sub", "mul", "div"): the
+    characteristic polynomial of y_a o y_b in their `_Algebra`.  A root of
+    a linear ma or mb enters as its rational value, as the library enters
+    a generator of degree 1."""
+    a, b = ma.int_coeffs(), mb.int_coeffs()
+    algebra = _Algebra([m for m in (a, b) if len(m) > 2])
+    variables = itertools.count()
+    x, y = (
+        algebra.element([-m[0]], m[1]) if len(m) == 2 else algebra.lift([0, 1], 1, next(variables))
+        for m in (a, b)
+    )
+    if kind in ("add", "sub"):
+        v = algebra.add(x, y, 1 if kind == "add" else -1)
+    else:
+        v = algebra.mul(x, y if kind == "mul" else algebra.inverse(y))
+    return Poly(algebra.charpoly(v)).monic()
+
+
+def resultant_elimination(kind, ma, mb):
+    """The same polynomial from the interpolated resultant."""
+    if kind == "sub":
+        kind, mb = "add", mb.negate_variable()
+    elif kind == "div":
+        kind, mb = "mul", mb.reverse()
+    return elimination_oracle(kind, ma, mb).monic()
+
+
+_KINDS = st.sampled_from(["add", "sub", "mul", "div"])
+
+
 class TestPowerSumElimination:
-    """Each elimination equals the resultant it replaced, up to a constant."""
+    """The characteristic polynomial of two generators' sum, difference,
+    product or quotient in their algebra, and of a value of one atom's
+    field, each equals the resultant it replaced, up to a constant."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from(["add", "mul"]), fraction_polys(6), fraction_polys(6))
+    @given(_KINDS, fraction_polys(6), fraction_polys(6))
     @example("add", _SEXTIC_A, _SEXTIC_B)
     @example("mul", _SEXTIC_A, _SEXTIC_B)
     def test_binary_on_fraction_inputs(self, kind, ma, mb):
-        assert elimination_oracle(kind, ma, mb).monic() == _binary_elimination(kind, ma, mb)
+        assume(kind != "div" or mb.coeff(0) != 0)  # y_b is a unit
+        assert resultant_elimination(kind, ma, mb) == algebra_elimination(kind, ma, mb)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -415,9 +451,16 @@ class TestPowerSumElimination:
         assert image_oracle(m.monic(), g).monic() == charpoly_of(m, g)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["add", "mul"]), small_polys(4), small_polys(4))
+    @given(_KINDS, small_polys(4), small_polys(4))
     def test_binary_matches_interpolated_resultant(self, kind, ma, mb):
-        assert elimination_oracle(kind, ma, mb).monic() == _binary_elimination(kind, ma, mb)
+        assume(kind != "div" or mb.coeff(0) != 0)
+        assert resultant_elimination(kind, ma, mb) == algebra_elimination(kind, ma, mb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fraction_polys(4), fraction_polys(4))
+    def test_compositum_oracle_sum_matches_interpolated_resultant(self, ma, mb):
+        # the tower tests' compositum reads its sum polynomials off power sums
+        assert sum_polynomial_oracle(ma, mb) == elimination_oracle("add", ma, mb).monic()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -429,10 +472,11 @@ class TestPowerSumElimination:
         assert image_oracle(m, g).monic() == charpoly_of(m, g)
 
     def test_examples(self):
-        # sqrt2 + sqrt3; sqrt2 * sqrt3, each product twice; 0 * 5
-        assert _binary_elimination("add", X**2 - c(2), X**2 - c(3)) == Poly([1, 0, -10, 0, 1])
-        assert _binary_elimination("mul", X**2 - c(2), X**2 - c(3)) == (X**2 - c(6)) ** 2
-        assert _binary_elimination("mul", -X, c(2) * X - c(10)) == X
+        # sqrt2 + sqrt3; sqrt2 * sqrt3 and sqrt2 / sqrt3, each twice; 0 * 5
+        assert algebra_elimination("add", X**2 - c(2), X**2 - c(3)) == Poly([1, 0, -10, 0, 1])
+        assert algebra_elimination("mul", X**2 - c(2), X**2 - c(3)) == (X**2 - c(6)) ** 2
+        assert algebra_elimination("div", X**2 - c(2), X**2 - c(3)) == (X**2 - c(Fraction(2, 3))) ** 2
+        assert algebra_elimination("mul", -X, c(2) * X - c(10)) == X
         # 1 + sqrt2 + sqrt2/2 as g(y) = 1 + 3/2*y over y^2 - 2; a constant g
         g = Poly([1, Fraction(3, 2)])
         assert charpoly_of(X**2 - c(2), g) == X**2 - c(2) * X - c(Fraction(7, 2))
@@ -1118,14 +1162,33 @@ class TestAtomsAlgebra:
             assert z.sign() == 0
 
     def test_declines(self):
-        # D = 49 passes the cap of 48; 2^(1/4)^2 + sqrt2 = 2*sqrt2 is a zero
-        # divisor of Q[y, z]/(y^4 - 2, z^2 - 2), where y^2 + z can vanish
+        # D = 49 passes the cap of 48 for the atoms and for the operands,
+        # whose cap message names the operation
         a, b = nth_root(2, 7), nth_root(3, 7)
         assert alg._atoms_charpoly((a + b)._node) is None
+        with pytest.raises(DegreeCapExceeded, match=r"degree 49 .*\(add elimination\)"):
+            (a + b).minimal_polynomial()
+        # 2^(1/4)^2 + sqrt2 = 2*sqrt2 is a zero divisor of Q[y, z]/(y^4 - 2,
+        # z^2 - 2), where y^2 + z can vanish; the operands' algebra decides
         q, r2 = nth_root(2, 4), nth_root(2, 2)
         v = nth_root(3, 2) / (q * q + r2)
         assert alg._atoms_charpoly(v._node) is None
         assert v.minimal_polynomial() == Poly([-3, 0, 8])  # sqrt3 / (2 sqrt2)
+
+    def test_operands_decide_past_the_atoms_cap(self):
+        # four quartic atoms span 256 dimensions, the operands 6^(1/4) and
+        # 35^(1/4) 16; the square of their quotient has one operand twice,
+        # one generator of 4 dimensions
+        x = nth_root(2, 4) * nth_root(3, 4)
+        y = nth_root(5, 4) * nth_root(7, 4)
+        q = x / y
+        assert (q * q)._node.a is (q * q)._node.b
+        known = {}
+        sum16 = Poly([707281, 0, 0, 0, -1240004, 0, 0, 0, -18474, 0, 0, 0, -164, 0, 0, 0, 1])
+        cases = ((x + y, sum16), (x - y, sum16), (q, Poly([-6, 0, 0, 0, 35])), (q * q, Poly([-6, 0, 35])))
+        for v, expected in cases:
+            assert alg._atoms_charpoly(v._node) is None
+            assert v.minimal_polynomial() == expected == nested_elimination_minpoly(v, known)
 
     def test_generator_of_degree_one(self):
         # the cut root c of (x + x^2)/2 at the target 3/8 + z, z an exact 0

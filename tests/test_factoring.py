@@ -369,14 +369,14 @@ class TestImageCaches:
     @given(
         st.sampled_from(ints.SMALL_PRIMES + (53, 97, 251)),
         st.lists(st.integers(0, 250), max_size=12),
-        st.lists(st.one_of(st.sampled_from(["roots", "first", "all"]), st.integers(0, 13)), min_size=1, max_size=6),
+        st.lists(st.one_of(st.sampled_from(["roots", "all"]), st.integers(0, 13)), min_size=1, max_size=6),
     )
-    @example(2, [1, 1], ["first", "all"])  # x^2 + x + 1 mod 2: irreducible
+    @example(2, [1, 1], [1, "all"])  # x^2 + x + 1 mod 2: irreducible
     @example(7, [1, 0, 0, 1], ["roots", 2, "all"])  # x^4 + x + 1 mod 7
     def test_lazy_reads_in_any_order_agree_with_eager(self, q, coeffs, reads):
-        # a cold cache entry answers roots, the first part, the parts up to
-        # a degree and the whole factorization in any order, each exactly
-        # as the eager factorization does, and only with tuples of integers
+        # a cold cache entry answers roots, the parts up to a degree and
+        # the whole factorization in any order, each exactly as the eager
+        # factorization does, and only with tuples of integers
         f = [v % q for v in coeffs] + [1]
         image = polys._monic_mod(f, q)
         df = polys._fp_trim([i * v % q for i, v in enumerate(image)][1:])
@@ -387,9 +387,6 @@ class TestImageCaches:
             if read == "roots":
                 value = polys._modp_roots(f, q)
                 expected = tuple(a for a in range(q) if polys._horner_mod(f, a, q) == 0)
-            elif read == "first":
-                value = polys._modp_image(f, q).first()
-                expected = eager[0]
             elif read == "all":
                 value = polys._modp_ddf(f, q)
                 expected = eager
@@ -448,9 +445,7 @@ class TestImageCaches:
         clear_image_cache()
         f = (X**4 + X + c(1)) * (X**2 + c(1))  # squarefree mod 7
         image = polys._modp_image(f.int_coeffs(), 7)
-        first = image.first()
-        assert first == (2, (1, 0, 1)) and frozen(first)
-        assert image.parts(3) == (first,) and frozen(image.parts(3))
+        assert image.parts(3) == ((2, (1, 0, 1)),) and frozen(image.parts(3))
         ddf = polys._modp_ddf(f.int_coeffs(), 7)
         assert isinstance(ddf, tuple) and all(isinstance(g, tuple) for _, g in ddf)
         with pytest.raises(TypeError):

@@ -400,9 +400,9 @@ def _assert_left_to_the_sieve(tw, value, degree):
     assert degree < int(kept.group(2))
 
 
-# cut sequences whose every step the tower decides, single primes, the
-# landing rule and the sieve between them; test_agrees_with_compositum
-# draws others like them
+# cut sequences whose every step the tower decides, the sieve and the
+# landing rule between them; test_agrees_with_compositum draws others
+# like them
 _DECIDED = [
     ([((3, (1, 3)), 0, Fraction(1, 2)), ((1, (2, 4)), 1, Fraction(1, 3))], True, 0, False),
     ([((5, (1, 2)), 0, Fraction(1, 2)), ((3, (1, 3)), 2, Fraction(1, 2))], False, 1, False),
@@ -535,24 +535,38 @@ class TestRelativeTower:
     def test_even_paz_steps_3_and_6_at_the_default_cap(self):
         tw = self._even_paz_3_6()
         assert [s.degree for s in tw.steps] == [1, 3, 1, 6]
-        assert tw.steps[3].certificate is not None
+        # the pattern (3, 3) at 7 leaves only degree 3, and the first
+        # irreducible image, at 37, removes it
+        assert tw.steps[3].certificate == ((7, (5,), (3, 3)), (37, (15,), (6,)))
         assert tw.verify_lemma1(3).violations == [3]
 
     def test_corrupted_prime_fails_the_recheck(self):
         tw = self._even_paz_3_6()
-        ((p, roots, pattern),) = tw.steps[3].certificate
-        for bad in (p + 2, p + 4, 2 * p + 1):
-            tw.steps[3].certificate = ((bad, roots, pattern),)
-            with pytest.raises(TowerCertificateError):
-                tw.verify_lemma1(3)
+        certificate = tw.steps[3].certificate
+        for i, (p, roots, pattern) in enumerate(certificate):
+            for bad in (p + 2, p + 4, 2 * p + 1):
+                tw.steps[3].certificate = certificate[:i] + ((bad, roots, pattern),) + certificate[i + 1 :]
+                with pytest.raises(TowerCertificateError):
+                    tw.verify_lemma1(3)
 
     def test_corrupted_root_fails_the_recheck(self):
         tw = self._even_paz_3_6()
-        ((p, (r,), pattern),) = tw.steps[3].certificate
-        for bad in ((r + 1) % p, (r + 2) % p, p + r):
-            tw.steps[3].certificate = ((p, (bad,), pattern),)
-            with pytest.raises(TowerCertificateError):
-                tw.verify_lemma1(3)
+        certificate = tw.steps[3].certificate
+        for i, (p, (r,), pattern) in enumerate(certificate):
+            for bad in ((r + 1) % p, (r + 2) % p, p + r):
+                tw.steps[3].certificate = certificate[:i] + ((p, (bad,), pattern),) + certificate[i + 1 :]
+                with pytest.raises(TowerCertificateError):
+                    tw.verify_lemma1(3)
+
+    def test_corrupted_pattern_fails_the_recheck(self):
+        tw = self._even_paz_3_6()
+        certificate = tw.steps[3].certificate
+        for i, (p, roots, pattern) in enumerate(certificate):
+            for bad in ((6,), (3, 3), (1, 5), (1, 1, 1, 3), (2, 3)):
+                if bad != pattern:
+                    tw.steps[3].certificate = certificate[:i] + ((p, roots, bad),) + certificate[i + 1 :]
+                    with pytest.raises(TowerCertificateError):
+                        tw.verify_lemma1(3)
 
     def test_certificate_at_a_splitting_prime_fails_the_recheck(self):
         # for q = 5 mod 6, t^6 - 1/2 has no irreducible reduction mod q, so a
@@ -639,9 +653,9 @@ class TestModularTools:
     @example(3, [1, 0], [1, 1])  # (x^2 + 1)(x + 1)^2: not squarefree mod 3
     def test_early_exit_irreducibility_matches_distinct_degrees(self, p, coeffs, squared):
         # the first pair of the distinct-degree factorization decides
-        # irreducibility on any monic image, and the tower's certificate
-        # test reads only that pair of a fresh cache entry, on random
-        # reductions with some factors planted twice
+        # irreducibility on any monic image, as the recheck's pattern (n,)
+        # does, and a fresh cache entry read whole is the cached
+        # factorization, on random reductions with some factors planted twice
         f = Poly(coeffs + [1])
         if len(squared) > 1:
             f = f * Poly(squared) ** 2
@@ -654,4 +668,4 @@ class TestModularTools:
         fresh = _image_ddf.__wrapped__(tuple(_monic_mod(cs, p)), p)
         assert (fresh is None) == (ddf is None)
         if fresh is not None:
-            assert fresh.first() == ddf[0] == (first[0], tuple(first[1]))
+            assert fresh.parts() == ddf and ddf[0] == (first[0], tuple(first[1]))
