@@ -6,24 +6,39 @@ step records the tower atom it adjoins, its lattice form and its relative
 polynomial, and the field's generators, tower atoms, radical lattice and
 triangular set are read off the steps.  One routine, `Tower._step_degree`,
 decides the next step and leaves the tower unchanged.  It tries three
-routes in order, each an exact decision:
+routes in order, each an exact decision.  L is the field of K's
+rational-radical steps: every nontrivial step whose generator is a real
+radical of a rational records its form (radicand, index), whichever route
+decided it.
 
 1. v in K.  Rational values are trivial steps, and so is every value built
-   by field operations from tower atoms alone.  A tower atom is an atom of
-   the expression DAG (`algebraic`) that provably lies in K: the atom a
-   step adjoined, or the atom of a step's generator in single-atom form of
-   the same degree over Q.
-2. Lattice.  A value that generates the field of a real radical with a
-   rational radicand (`rational_radical_form`: radicals themselves, their
-   affine images, canonicalized quadratics; claimed radicals whose
-   radicand is rational), over a tower whose nontrivial generators are all
-   of that shape, is decided by multiplicative group membership: a lattice
-   problem over exponent vectors on a coprime base of the radicands, so no
-   integer is factored.  It is exact for real radicals and never touches
-   the degree cap.
+   by field operations from tower atoms and rational radicals of L.  A
+   tower atom is an atom of the expression DAG (`algebraic`) that provably
+   lies in K: the atom a step adjoined, or the atom of a step's generator
+   in single-atom form of the same degree over Q.  A rational radical
+   that is no tower atom lies in L when route 2 gives it degree 1 over L;
+   its word, a rational times integer powers of the atoms a_i of L's
+   steps, gives its image at every chain of route 3 (`Word`).
+2. Lattice.  A value that generates the field of a real radical
+   v = r^(1/d) with a rational radicand (`rational_radical_form`:
+   radicals themselves, their affine images, canonicalized quadratics;
+   claimed radicals whose radicand is rational) is decided by
+   multiplicative group membership: a lattice problem over exponent
+   vectors on a coprime base of the radicands, so no integer is factored.
+   It gives m = [L(v) : L], the least divisor of d with v^m in L, and the
+   word v^m = q * prod(a_i^c_i).  It is exact for real radicals (Kneser
+   1975) and never touches the degree cap.  When m = 1 the step is
+   trivial.  Every radical step has its lattice degree, so the other
+   steps' degrees multiply to [K : L]; when that is coprime to m, the
+   step degree is m, since m and [K : L] both divide [K(v) : L], which is
+   at most their product.  The step keeps a relative polynomial of its
+   degree at the atom r^(1/d): t^d - r, or below the index the binomial
+   t^m - v^m, v^m the real (d/m)-th root of r, a tower atom or a radical
+   of L with its word.  Otherwise that polynomial goes to route 3's sieve.
 3. Relative polynomial.  Every other v has a polynomial R over K: its
    minimal polynomial over Q, or F(t) - target for a cut answer of the CDF
-   F whose target lies in K (t^d - radicand for a d-th root).
+   F whose target lies in K by route 1 (t^d - radicand for a d-th root of
+   an irrational value).
    * Coprime degrees: when R has rational coefficients and its degree m is
      coprime to [K : Q], the step degree is m.
    * Degree sieve.  The steps so far that have a relative polynomial of
@@ -45,8 +60,9 @@ routes in order, each an exact decision:
      the step degree is deg R, and the step stores the witnesses
      (p, chain, pattern) that removed the degrees.  An image irreducible
      of full degree has the pattern (deg R,) and is a witness alone.
-     `verify_lemma1` rechecks every witness, recomputing each pattern
-     without the image cache.
+     `verify_lemma1` rechecks every stored word in rational arithmetic
+     first, then every witness, recomputing each pattern without the
+     image cache.
    * Landing rule.  When the sieve keeps a degree, or the field below has
      no triangular set: for a cut answer or a root whose R = F(t) - target
      vanishes at a step generator w where F is increasing (w in [0, 1], or
@@ -106,9 +122,10 @@ from .polys import (
 # Also the primes `certificates` sieves with.  Sized on the cli-mix bench
 # at seeds 1 and 20261017: each even-paz or last-diminisher n=3 step that
 # 64 primes and the compositum left undecided is decided within the 82nd,
-# 92nd, 151st or 448th admitted prime (p = 1021, 491, 2029 and 7069), and
-# a step left undecided reads all 448 in 0.08-0.25 s.  A count, not a
-# time, so every host reaches the same verdict.
+# 92nd, 151st or 448th admitted prime (p = 1021, 491, 2029 and 7069).  No
+# step of that bench is left undecided since the radical lattice writes
+# the radicals of K over the steps' atoms; a step that is reads all 448.
+# A count, not a time, so every host reaches the same verdict.
 CERTIFICATE_PRIMES = 448
 
 
@@ -145,20 +162,24 @@ def _exponent_vector(r: Fraction, base: list[int]) -> list[int]:
 
 def _radical_vectors(
     b: Fraction, gens: list[tuple[Fraction, int]]
-) -> tuple[list[int], list[list[Fraction]]]:
-    """The exponent vector of |b| and those of the radicals |b_i|^(1/d_i),
-    over one coprime base of all the radicands.  No integer is factored."""
+) -> tuple[list[int], list[int], list[list[Fraction]]]:
+    """One coprime base of all the radicands, the exponent vector of |b|
+    and those of the radicals |b_i|^(1/d_i) over it.  No integer is
+    factored."""
     values = [b] + [r for r, _ in gens]
     base = coprime_base(n for v in values for n in (v.numerator, v.denominator))
     target, *vecs = [_exponent_vector(v, base) for v in values]
-    return target, [[Fraction(c, d) for c in v] for v, (_, d) in zip(vecs, gens)]
+    return base, target, [[Fraction(c, d) for c in v] for v, (_, d) in zip(vecs, gens)]
 
 
 def _triangular_basis(cols: list[list[int]], dim: int) -> list[list[int]]:
     """A basis of the lattice the integer columns span: the pivot of row r
     is zero before r and positive at r.  The columns always contain a
-    scaled standard basis, so the lattice has full rank."""
-    work = [c[:] for c in cols]
+    scaled standard basis, so the lattice has full rank.  Each column
+    carries its combination of the input columns past its first dim
+    entries, so a pivot's tail says how it was made."""
+    n = len(cols)
+    work = [c[:dim] + [int(i == j) for i in range(n)] for j, c in enumerate(cols)]
     pivots: list[list[int]] = []
     for r in range(dim):
         while True:
@@ -169,7 +190,7 @@ def _triangular_basis(cols: list[list[int]], dim: int) -> list[list[int]]:
             base = nz[0]
             for c in nz[1:]:
                 q = c[r] // base[r]
-                for i in range(dim):
+                for i in range(r, dim + n):
                     c[i] -= q * base[i]
         nz = [c for c in work if c[r] != 0]
         if not nz:
@@ -180,44 +201,109 @@ def _triangular_basis(cols: list[list[int]], dim: int) -> list[list[int]]:
     return pivots
 
 
-def _radical_degree(radicand: Fraction, d: int, gens: list[tuple[Fraction, int]]) -> int:
-    """Degree of adjoining the real d-th root of a rational over the field
-    of the radicals gens = [(radicand, index)] with rational radicands: the
-    least divisor m of d for which the m-th power of the new radical
-    already sits in the field.
+# v^m = q * prod(a_i^c_i): a rational q and exponents c_i, 0 <= c_i < d_i,
+# over the radicals a_i = b_i^(1/d_i) of a lattice's generators
+RadicalWord = tuple[Fraction, tuple[int, ...]]
+
+
+def _radical_degree(
+    radicand: Fraction, d: int, gens: list[tuple[Fraction, int]]
+) -> tuple[int, RadicalWord]:
+    """Degree m of adjoining the real d-th root v of a rational over the
+    field L of the radicals gens = [(b_i, d_i)] with rational radicands:
+    the least divisor m of d for which v^m already sits in L.  Returned
+    with the word that writes v^m in L, q * prod(a_i^c_i) over the real
+    radicals a_i = b_i^(1/d_i).
 
     Over a coprime base of the radicands, whose parts are not perfect
     powers, a product of rational powers of the parts is rational exactly
-    when every exponent is an integer, as over the primes.  So the m-th
-    power lies in the field when (m/d) times the radicand's exponent
-    vector lies in the lattice spanned by the integer vectors and the
-    generators' vectors; signs never obstruct, as -1 is a unit of the
-    group.  The lattice is reduced once, scaled to integers, and each
-    divisor's vector is reduced against it."""
-    vec, gen_vecs = _radical_vectors(radicand, gens)
+    when every exponent is an integer, as over the primes.  So v^m lies
+    in L when (m/d) times the radicand's exponent vector lies in the
+    lattice spanned by the integer vectors and the generators' vectors;
+    signs never obstruct, as -1 is a unit of the group.  The lattice is
+    reduced once, scaled to integers, and each divisor's vector is
+    reduced against it; the pivots' combinations of the columns give the
+    word: the integer columns' coefficients are the base's exponents in
+    |q|, the generators' the c_i, and the signs of v^m and the a_i fix q's.
+    Each c_i is taken mod d_i, as a_i^d_i = b_i."""
+    base, vec, gen_vecs = _radical_vectors(radicand, gens)
     dim = len(vec)
-    if dim == 0:
-        return 1
     scale = math.lcm(d, *(c.denominator for gv in gen_vecs for c in gv))
     cols = [[scale if i == j else 0 for i in range(dim)] for j in range(dim)]
     cols.extend([int(c * scale) for c in gv] for gv in gen_vecs)
     pivots = _triangular_basis(cols, dim)
-    for m in range(1, d):
+    for m in range(1, d + 1):
         if d % m != 0:
             continue
-        x = [c * m * (scale // d) for c in vec]
+        x = [c * m * (scale // d) for c in vec] + [0] * len(cols)
         for r, piv in enumerate(pivots):
             q, rem = divmod(x[r], piv[r])
             if rem:
                 break
-            for i in range(r, dim):
+            for i in range(r, len(x)):
                 x[i] -= q * piv[i]
         else:
-            return m
-    return d
+            return m, _word(radicand, m, base, [-c for c in x[dim:]], gens)
+    raise AssertionError("the d-th power of a radical is rational")
+
+
+def _word(
+    radicand: Fraction, m: int, base: list[int], coeffs: list[int], gens: list[tuple[Fraction, int]]
+) -> RadicalWord:
+    """The word of v^m from the lattice coefficients of (m/d) times v's
+    exponent vector: one per part of the coprime base, then one per
+    generator."""
+    q = Fraction(-1 if radicand < 0 and m % 2 else 1)
+    for b, e in zip(base, coeffs):
+        q *= Fraction(b) ** e
+    exps = []
+    for (b, d), c in zip(gens, coeffs[len(base):]):
+        k, t = c % d, c // d
+        if b < 0 and c % 2:
+            q = -q
+        q *= b**t
+        exps.append(k)
+    return q, tuple(exps)
 
 
 # -- relative polynomials modulo degree-1 primes -----------------------------------
+
+
+@dataclass(frozen=True)
+class Word:
+    """A rational radical of K that is no tower atom, written over tower
+    atoms by the radical lattice: atom = q * prod(a^c for a, c in powers),
+    each a the atom of a rational-radical step, 0 < c < a's index.  The
+    atom and every a are real radicals of rationals (`_RootAtom`)."""
+
+    atom: _RootAtom
+    q: Fraction
+    powers: tuple[tuple[_RootAtom, int], ...]
+
+    def residue(self, p: int, images: dict[int, int]) -> Optional[int]:
+        """The atom's image at a chain, q * prod(r^c) mod p over the
+        images r of the a; None when p divides q's denominator."""
+        if self.q.denominator % p == 0:
+            return None
+        v = self.q.numerator * pow(self.q.denominator, -1, p) % p
+        for a, c in self.powers:
+            v = v * pow(images[id(a)], c, p) % p
+        return v
+
+    def holds(self) -> bool:
+        """Is the word exact?  In rational arithmetic: both sides have the
+        same sign, and their D-th powers, D the lcm of the indices, the
+        same absolute value."""
+        parts = [(self.atom, -1)] + list(self.powers)
+        radicals = all(isinstance(a, _RootAtom) and isinstance(a.operand, Fraction) for a, _ in parts)
+        if self.q == 0 or not radicals:
+            return False
+        big = math.lcm(*(a.index for a, _ in parts))
+        value, negative = abs(self.q) ** big, self.q < 0
+        for a, c in parts:
+            value *= abs(a.operand) ** (c * big // a.index)
+            negative ^= a.operand < 0 and c % 2 == 1
+        return value == 1 and not negative
 
 
 @dataclass(frozen=True)
@@ -226,11 +312,14 @@ class RelativePoly:
     with a root at the step's generator: cdf has rational coefficients, and
     target, a value of that field, is None when R = cdf.  atom is the tower
     atom that the step adjoins and R vanishes at, None when the generator
-    is no atom's equal."""
+    is no atom's equal.  words holds the word of each atom of target that
+    is no tower atom: v^m of a radical step's binomial t^m - v^m, or a
+    rational radical of L in a cut's target."""
 
     atom: Optional[_Node]
     cdf: Poly
     target: Optional[_Node] = None
+    words: tuple[Word, ...] = ()
 
     @property
     def degree(self) -> int:
@@ -253,13 +342,19 @@ class RelativePoly:
 
     def reduce(self, p: int, images: dict[int, int]) -> Optional[list[int]]:
         """R's coefficients mod p, with the target's tower atoms mapped to
-        their images; None when the denominator or the leading numerator
-        of cdf vanishes mod p."""
+        their images and each word's atom to its word's residue; None when
+        the denominator or the leading numerator of cdf vanishes mod p, or
+        the target does not reduce."""
         if self.cdf.den % p == 0 or self.cdf.nums[-1] % p == 0:
             return None
         inv = pow(self.cdf.den, -1, p)
         cs = [c * inv % p for c in self.cdf.nums]
         if self.target is not None:
+            for w in self.words:
+                r = w.residue(p, images)
+                if r is None:
+                    return None
+                images = {**images, id(w.atom): r}
             t = _residue_mod(self.target, p, images)
             if t is None:
                 return None
@@ -313,14 +408,18 @@ Witness = tuple[int, tuple[int, ...], tuple[int, ...]]
 class ExtensionStep:
     """One adjunction.  A nontrivial step also records what it brings to
     the field: atom, the tower atom it adjoins, when known; form, the
-    (radicand, index) of a step decided on the radical lattice; relative,
-    the minimal polynomial of atom over the field below, when known; and
-    certificate, the witnesses (p, chain, pattern) when the degree sieve
-    at degree-1 primes decided the degree: chain holds the roots mod p of
-    the earlier steps' relative polynomials, pattern the factor degrees of
-    the relative polynomial reduced there, and together the patterns leave
-    no proper degree.  The last witness removed the last degree; a prime
-    at which the polynomial stays irreducible has the pattern (degree,)."""
+    (radicand, index) of a step whose generator is a rational radical,
+    whichever route decided it, so that its atom, that real radical, is a
+    generator of L and the step's degree is its lattice degree over the
+    radicals before it; relative, the minimal polynomial of atom over the
+    field below, when known, with the words of the radicals it reduces
+    by; and certificate, the witnesses (p, chain, pattern) when the
+    degree sieve at degree-1 primes decided the degree: chain holds the
+    roots mod p of the earlier steps' relative polynomials, pattern the
+    factor degrees of the relative polynomial reduced there, and together
+    the patterns leave no proper degree.  The last witness removed the
+    last degree; a prime at which the polynomial stays irreducible has
+    the pattern (degree,)."""
 
     generator: AlgebraicNumber
     kind: StepKind
@@ -401,12 +500,55 @@ def _patterns(
             return
 
 
-def _in_field(node: _Node, atoms: set[int]) -> bool:
-    """Is the value built from tower atoms (by id) alone?  Then it lies in K."""
-    return bool(atoms) and all(id(a) in atoms for a in _dag_atoms(node))
+def _field_words(node: _Node, below: list[ExtensionStep]) -> Optional[tuple[Word, ...]]:
+    """Does the value lie in K, built by field operations from tower atoms
+    and rational radicals that the lattice puts in the field of K's
+    rational-radical steps?  Then the words of those radicals; else None.
+    The nontrivial steps below are K's."""
+    atoms = {id(s.atom) for s in below if s.atom is not None}
+    if not atoms:
+        return None
+    radicals = [s for s in below if s.form is not None]
+    words = []
+    for a in _dag_atoms(node):
+        if id(a) in atoms:
+            continue
+        if not (radicals and isinstance(a, _RootAtom) and isinstance(a.operand, Fraction)):
+            return None
+        m, word = _radical_degree(a.operand, a.index, [s.form for s in radicals])
+        if m > 1:
+            return None
+        words.append(_spelled(a, word, radicals))
+    return tuple(words)
 
 
-def _cut_relative(node: _Node, atoms: set[int]) -> Optional[RelativePoly]:
+def _spelled(atom: _RootAtom, word: RadicalWord, radicals: list[ExtensionStep]) -> Word:
+    """The lattice's word of a rational radical atom in L, over the atoms
+    of L's steps."""
+    q, exps = word
+    return Word(atom, q, tuple((s.atom, c) for s, c in zip(radicals, exps) if c))
+
+
+def _radical_relative(
+    atom: _RootAtom, form: tuple[Fraction, int], m: int, word: RadicalWord, radicals: list[ExtensionStep]
+) -> RelativePoly:
+    """The relative polynomial of a rational radical v = r^(1/d) of degree
+    m over L, the field of the steps radicals: its minimal polynomial over
+    Q when that has degree m, else the binomial t^m - v^m, where v^m, the
+    real (d/m)-th root of r, is the atom of one of those steps or lies in
+    L by its word."""
+    mp = _minpoly(atom)
+    if mp.degree == m:
+        return RelativePoly(atom, mp)
+    r, d = form
+    target = nth_root(r, d // m)._node
+    words = ()
+    if isinstance(target, _RootAtom) and all(s.atom is not target for s in radicals):
+        words = (_spelled(target, word, radicals),)
+    return RelativePoly(atom, Poly.monomial(m), target, words)
+
+
+def _cut_relative(node: _Node, below: list[ExtensionStep]) -> Optional[RelativePoly]:
     """F(t) - target for a cut answer of the CDF F, and t^d - radicand for
     a d-th root, when the target lies in K; None otherwise."""
     if isinstance(node, _CutRootAtom):
@@ -415,7 +557,8 @@ def _cut_relative(node: _Node, atoms: set[int]) -> Optional[RelativePoly]:
         cdf, target = Poly.monomial(node.index), node.operand
     else:
         return None
-    return RelativePoly(node, cdf, target) if _in_field(target, atoms) else None
+    words = _field_words(target, below)
+    return None if words is None else RelativePoly(node, cdf, target, words)
 
 
 @dataclass
@@ -509,32 +652,37 @@ class Tower:
         witness with a rational radicand."""
         node = value._node
         below = [s for s in self.steps if s.degree > 1]
-        atoms = {id(s.atom) for s in below if s.atom is not None}
-        if value.as_rational() is not None or _in_field(node, atoms):
+        if value.as_rational() is not None or _field_words(node, below) is not None:
             return _step(value, 1)
-        if all(s.form is not None for s in below):
-            form = rational_radical_form(value) or claim
-            if form is not None:
-                deg = _radical_degree(*form, [s.form for s in below])
-                if deg == 1:
-                    return _step(value, 1)
-                atom = nth_root(*form)._node
-                m = _minpoly(atom)
-                rel = RelativePoly(atom, m) if m.degree == deg else None
+        form = rational_radical_form(value) or claim
+        if form is not None:
+            radicals = [s for s in below if s.form is not None]
+            deg, word = _radical_degree(*form, [s.form for s in radicals])
+            if deg == 1:
+                return _step(value, 1)
+            atom = nth_root(*form)._node
+            rel = _radical_relative(atom, form, deg, word, radicals)
+            # each radical step has its lattice degree, so the other steps'
+            # degrees multiply to [K:L], and [K(v):K] = [L(v):L] when the
+            # two are coprime
+            if math.gcd(deg, math.prod(s.degree for s in below if s.form is None)) == 1:
                 return _step(value, deg, form=form, atom=atom, relative=rel)
-        rel = _cut_relative(node, atoms)
-        if rel is None:
-            mv = value.minimal_polynomial()
-            atom = _generating_atom(node)
-            rel = RelativePoly(atom, mv if atom is None else _minpoly(atom))
-            if math.gcd(rel.degree, self.total_degree) == 1:
-                return _step(value, rel.degree, atom=atom, relative=rel)
+        else:
+            rel = _cut_relative(node, below)
+            if rel is None:
+                mv = value.minimal_polynomial()
+                atom = _generating_atom(node)
+                rel = RelativePoly(atom, mv if atom is None else _minpoly(atom))
+                if math.gcd(rel.degree, self.total_degree) == 1:
+                    return _step(value, rel.degree, atom=atom, relative=rel)
         tri = _triangular_set(self.steps)
         if tri is not None:
             left, witnesses = _sieve_degrees(_patterns(rel, tri), set(range(1, rel.degree)))
             if not left:
                 certificate = tuple((p, chain, pattern) for (p, chain), pattern in witnesses)
-                return _step(value, rel.degree, atom=rel.atom, relative=rel, certificate=certificate)
+                return _step(
+                    value, rel.degree, form=form, atom=rel.atom, relative=rel, certificate=certificate
+                )
         if rel.target is not None and self._lands(rel):
             return _step(value, 1)
         if tri is None:
@@ -585,7 +733,9 @@ class Tower:
 
     def verify_lemma1(self, p: int) -> Lemma1Report:
         """Audit every step's degree against {1, p}, after rechecking every
+        stored word (`_recheck_words`), before any image is used, and every
         stored degree certificate (`_recheck_certificates`)."""
+        _recheck_words(self.steps)
         _recheck_certificates(self.steps)
         entries = []
         violations = []
@@ -600,6 +750,18 @@ class Tower:
         for i, s in enumerate(self.steps):
             lines.append(f"step {i}: deg={s.degree} kind={s.kind_label()} source={s.source}")
         return "\n".join(lines)
+
+
+def _recheck_words(steps: list[ExtensionStep]) -> None:
+    """Recheck each word a relative polynomial stores, in rational
+    arithmetic (`Word.holds`), and that it is written over the atoms of
+    earlier rational-radical steps, which the chains give images.  Raises
+    TowerCertificateError on the first that fails."""
+    for i, s in enumerate(steps):
+        radicals = {id(t.atom) for t in steps[:i] if t.degree > 1 and t.form is not None}
+        for w in () if s.relative is None else s.relative.words:
+            if not w.holds() or any(id(a) not in radicals for a, _ in w.powers):
+                raise TowerCertificateError(f"step {i}: a radical's word does not hold over the steps below")
 
 
 def _recheck_certificates(steps: list[ExtensionStep]) -> None:

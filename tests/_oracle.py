@@ -15,7 +15,9 @@ root, with no seed from the top bits (`int_nth_root_oracle`).
 Rational roots come from the rational root theorem: every pair of
 divisors of the constant and leading coefficients is tried.  Radical
 degrees come from prime exponent vectors found by trial division, with
-the generator exponents enumerated modulo their indices.
+the generator exponents enumerated modulo their indices, and a radical's
+word over the generators is checked on the same vectors
+(`radical_word_oracle`).
 
 Distinct-degree factorizations mod p are checked against the eager
 generator the library used before its image cache computed degrees on
@@ -361,11 +363,13 @@ def prime_exponents(n):
 
 
 def radical_degree_oracle(b, d, gens):
-    """Least m | d with |b|^(m/d) in the group generated by the positive
-    rationals and the |b_i|^(1/d_i) of gens = [(b_i, d_i)].  An element
-    t + sum k_i v_i / d_i (t integral) of that group is rational exactly
-    when its prime exponent vector is integral, and only k_i mod d_i
-    matters, so every residue tuple is tried."""
+    """(m, ks): the least m | d with |b|^(m/d) in the group generated by
+    the positive rationals and the |b_i|^(1/d_i) of gens = [(b_i, d_i)],
+    and the first residue tuple ks, 0 <= k_i < d_i, with |b|^(m/d) over
+    prod |b_i|^(k_i/d_i) rational.  An element t + sum k_i v_i / d_i
+    (t integral) of that group is rational exactly when its prime exponent
+    vector is integral, and only k_i mod d_i matters, so every residue
+    tuple is tried."""
     values = [abs(Fraction(b))] + [abs(Fraction(r)) for r, _ in gens]
     facs = [(prime_exponents(v.numerator), prime_exponents(v.denominator)) for v in values]
     primes = sorted({p for num, den in facs for p in (*num, *den)})
@@ -378,8 +382,28 @@ def radical_degree_oracle(b, d, gens):
         for ks in itertools.product(*(range(dg) for _, dg in gens)):
             rest = [t - sum(k * v[i] for k, v in zip(ks, gen_vecs)) for i, t in enumerate(target)]
             if all(x.denominator == 1 for x in rest):
-                return m
-    return d
+                return m, ks
+
+
+def radical_word_oracle(b, d, m, word, gens):
+    """Is v^m = q * prod(a_i^c_i) for word = (q, cs), v and the a_i the real
+    radicals b^(1/d) and b_i^(1/d_i)?  Checked on prime exponent vectors
+    by trial division: that of |q| is (m/d) times |b|'s less the sum of
+    c_i/d_i times |b_i|'s, and the signs agree."""
+    q, cs = word
+    if q == 0:
+        return False
+    values = [abs(Fraction(b)), abs(Fraction(q))] + [abs(Fraction(r)) for r, _ in gens]
+    facs = [(prime_exponents(v.numerator), prime_exponents(v.denominator)) for v in values]
+    primes = sorted({p for num, den in facs for p in (*num, *den)})
+    vb, vq, *vecs = [[num.get(p, 0) - den.get(p, 0) for p in primes] for num, den in facs]
+    for i, e in enumerate(vq):
+        if e != Fraction(vb[i] * m, d) - sum(Fraction(c * v[i], dg) for c, v, (_, dg) in zip(cs, vecs, gens)):
+            return False
+    negative = (b < 0 and m % 2 == 1) != (q < 0)
+    for (r, _), c in zip(gens, cs):
+        negative ^= r < 0 and c % 2 == 1
+    return not negative
 
 
 def int_nth_root_oracle(n, d):

@@ -282,6 +282,24 @@ class TestGoldenBytes:
         with open(os.path.join(GOLDEN, f"run-protocol-even-paz-deg30.{fmt}"), "rb") as fh:
             assert res.stdout == fh.read()
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_even_paz_radical_over_a_mixed_tower(self, fmt):
+        # (1/3)^(1/6) over the field of a quintic cut point and (1/3)^(1/3):
+        # its degree 2 over the radicals' field is coprime to the quintic's
+        # 5, so it is its step degree, and the binomial t^2 - (1/3)^(1/3)
+        # keeps the triangular set that decides the later cut steps.  The
+        # step's sextic t^6 - 1/3 is reducible there, and the tower left it
+        # undecided before
+        res = subprocess.run(
+            [sys.executable, "-m", "cakelab", "--format", fmt, "run-protocol",
+             "--protocol", "even-paz",
+             "--measures", os.path.join(GOLDEN, "even-paz-radical-word.measures")],
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert res.returncode == 0
+        assert res.stdout == _golden(f"run-protocol-even-paz-radical-word.{fmt}")
+
 
     @pytest.mark.parametrize(
         "command",

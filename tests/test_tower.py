@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,12 @@ from cakelab import (
     degree_obstruction,
     even_paz,
     nth_root,
+    run_protocol,
 )
 from cakelab import algebraic, tower
 from cakelab.cake import _increasing_preimage, poly_at
 from cakelab.ints import primes
+from cakelab.parsing import parse_measures
 from cakelab.polys import _fp_gcd, _fp_trim, _image_ddf, _modp_ddf, _modp_roots, _monic_mod, _pattern
 from cakelab.tower import _pattern_mod, _radical_degree
 
@@ -31,7 +34,9 @@ from _oracle import (
     ChainCacheOracle,
     compositum_step_degrees,
     fp_ddf_oracle,
+    prime_exponents,
     radical_degree_oracle,
+    radical_word_oracle,
     simple_roots_oracle,
 )
 
@@ -183,6 +188,28 @@ _RADICANDS = st.lists(
 _GENS = st.lists(st.tuples(_RADICANDS, st.integers(2, 6)), max_size=3)
 
 
+def _signed(radical):
+    """(r, d) with r negated, when d is odd, on a drawn flag."""
+    (r, d), negative = radical
+    return (-r if negative and d % 2 else r), d
+
+
+_SIGNED = st.tuples(st.tuples(_RADICANDS, st.integers(2, 12)), st.booleans()).map(_signed)
+_SIGNED_GEN = st.tuples(st.tuples(_RADICANDS, st.integers(2, 6)), st.booleans()).map(_signed)
+_SIGNED_GENS = st.lists(_SIGNED_GEN, max_size=3)
+
+
+def _same_coset(cs, ks, gens):
+    """Is prod |b_i|^((c_i - k_i)/d_i) rational, so that the exponents cs
+    and the residue tuple ks write the radical alike up to a rational?"""
+    total = {}
+    for (r, dg), c, k in zip(gens, cs, ks):
+        for n, sign in ((abs(r.numerator), 1), (r.denominator, -1)):
+            for p, e in prime_exponents(n).items():
+                total[p] = total.get(p, 0) + Fraction(sign * e * (c - k), dg)
+    return all(x.denominator == 1 for x in total.values())
+
+
 class TestRadicalDegree:
     @settings(max_examples=150, deadline=None)
     @given(_RADICANDS, st.integers(2, 12), _GENS)
@@ -192,9 +219,28 @@ class TestRadicalDegree:
         tw = Tower()
         for r, k in gens:
             tw.adjoin(nth_root(r, k), claimed_radical=(k, A(r)))
-        expected = radical_degree_oracle(b, d, gens)
-        assert _radical_degree(b, d, gens) == expected
+        expected, _ = radical_degree_oracle(b, d, gens)
+        assert _radical_degree(b, d, gens)[0] == expected
         assert tw.is_pth_power(A(b), d) == (expected == 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SIGNED, _SIGNED_GENS)
+    @example((Fraction(1, 3), 2), [(Fraction(1, 3), 4)])  # sqrt(1/3) = ((1/3)^(1/4))^2
+    @example((Fraction(1, 3), 6), [(Fraction(1, 3), 3)])  # v^2 = (1/3)^(1/3)
+    @example((Fraction(-1, 24), 3), [(Fraction(-3), 3), (Fraction(2), 2)])
+    @example((Fraction(-6), 5), [(Fraction(-6), 5)])
+    def test_word_against_residue_tuple(self, radical, gens):
+        # v^m = q * prod(a_i^c_i) holds on prime exponent vectors, with the
+        # signs of real odd roots of negatives, each c_i a residue mod d_i,
+        # and the c_i and the oracle's residue tuple ks lie in one coset
+        b, d = radical
+        m, word = _radical_degree(b, d, gens)
+        expected, ks = radical_degree_oracle(b, d, gens)
+        assert m == expected
+        q, cs = word
+        assert len(cs) == len(gens) and all(0 <= c < dg for c, (_, dg) in zip(cs, gens))
+        assert radical_word_oracle(b, d, m, word, gens)
+        assert _same_coset(cs, ks, gens)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(_RADICANDS, st.integers(2, 6)), min_size=1, max_size=4),
@@ -210,11 +256,11 @@ class TestRadicalDegree:
         gens = []
         for r, d in claims:
             step = tw.adjoin(nth_root(r, d), claimed_radical=(d, A(r)))
-            assert step.degree == radical_degree_oracle(r, d, gens)
+            assert step.degree == radical_degree_oracle(r, d, gens)[0]
             gens.append((r, d))
         assert all(s.form is not None for s in tw.steps if s.degree > 1)
         before = _ledger(tw)
-        assert tw.is_pth_power(A(b), p) == (radical_degree_oracle(b, p, gens) == 1)
+        assert tw.is_pth_power(A(b), p) == (radical_degree_oracle(b, p, gens)[0] == 1)
         assert _ledger(tw) == before
 
     def test_semiprime_radicands(self):
@@ -363,16 +409,18 @@ def _squarefree_levels(p, tri, chain):
 _A4_ROOT = A.real_root(Poly([1, -3, -7, 0, 1]), 0, 1)
 
 
-def _tower_values(cuts, in_field, landing, quartic):
-    """Each cut starts at 0, at 1/5 or at an earlier answer; then,
-    optionally, a value of the field, a cut from 0 that lands on an
-    earlier answer y (F(t) - F(y) has the root y in K), and the A4
-    quartic's root, which no single prime certifies."""
-    values = []
-    for (k, (i, j)), start, share in cuts:
+def _tower_values(cuts, in_field, landing, quartic, radicals=()):
+    """Each cut starts at 0, at 1/5 or at an earlier value, after the
+    radicals r^(1/k) drawn to come before it; then, optionally, a value of
+    the field, a cut from 0 that lands on an earlier answer y
+    (F(t) - F(y) has the root y in K), and the A4 quartic's root, which no
+    single prime certifies."""
+    values, answers = [], []
+    for n, ((k, (i, j)), start, share) in enumerate(cuts):
+        values.extend(nth_root(r, d) for at, r, d in radicals if at % len(cuts) == n)
         starts = [A(0), A(Fraction(1, 5))] + values
-        values.append(_cut(_mixture(k, i, j), starts[start % len(starts)], share))
-    answers = values[:]
+        answers.append(_cut(_mixture(k, i, j), starts[start % len(starts)], share))
+        values.append(answers[-1])
     if in_field:
         values.append(answers[0] * answers[-1] + Fraction(1, 3))
     if landing >= 0:
@@ -382,6 +430,14 @@ def _tower_values(cuts, in_field, landing, quartic):
     if quartic:
         values.append(_A4_ROOT)
     return values
+
+
+# radicals of shared radicands, so that one lies in the field of another
+# without being its atom: sqrt(1/3) under (1/3)^(1/4) or (1/3)^(1/6), and
+# (1/3)^(1/6) of degree 3 over sqrt(1/3); each drawn with the cut it
+# precedes, and the cuts may start from them
+_SHARED = st.sampled_from([Fraction(1, 3), Fraction(2, 3)])
+_RADICALS = st.lists(st.tuples(st.integers(0, 3), _SHARED, st.sampled_from([2, 3, 4, 6])), max_size=3)
 
 
 _SIEVE_KEEPS = re.compile(r"factor degrees \[([\d, ]+)\] of a degree-(\d+) relative polynomial survive the sieve")
@@ -410,10 +466,31 @@ _DECIDED = [
 ]
 
 
+# the six seed-1 cli-mix measure sets that the tower left undecided until
+# the radical lattice wrote its radicals over the steps' atoms (bench items
+# 5, 211, 240, 379, 395 and 585): a cut whose target holds a rational
+# radical of K that is no tower atom (sqrt(1/3) under (1/3)^(1/4) or
+# (1/3)^(1/6), (1/3)^(1/3) under (1/3)^(1/6)), a radical step below its
+# index, and a radical over a mixed tower with [K:L] coprime to its degree
+_RADICAL_WORD_TOWERS = [
+    ("last-diminisher", "5/32*x^5+27/32*x^6 | x^4 | x^2", [6, 1, 4, 1, 1, 6, 1, 2]),
+    ("even-paz", "x^6 | 29/32*x^2+3/32*x^5 | x^2", [1, 6, 1, 5, 1, 1, 1, 6, 1, 5]),
+    ("even-paz", "x^4 | x^2 | 9/32*x+23/32*x^5", [1, 4, 1, 1, 1, 5, 1, 4, 1, 5]),
+    ("last-diminisher", "x^6 | x^3 | 1/32*x^2+31/32*x^4", [6, 1, 1, 1, 3, 1, 4]),
+    ("even-paz", "x^2 | 11/32*x+21/32*x^2 | x^6", [1, 2, 1, 2, 1, 3, 1, 2, 1, 6]),
+    ("even-paz", "31/32*x^3+1/32*x^5 | x^3 | x^6", [1, 5, 1, 3, 1, 2, 1, 5, 1, 6]),
+]
+
+
+def _radical_word_tower(protocol, cdfs):
+    text = "\n".join(f"p{i}: {cdf}" for i, cdf in enumerate(cdfs.split(" | "), 1))
+    return run_protocol(protocol, parse_measures(text)).transcript.tower
+
+
 class TestRelativeTower:
     @pytest.mark.degree_cap(48)
     @settings(max_examples=25, deadline=None)
-    @given(_CUTS, st.booleans(), st.integers(-1, 3), st.booleans())
+    @given(_CUTS, st.booleans(), st.integers(-1, 3), st.booleans(), _RADICALS)
     # R = G(t^2) - target splits into two quadratics over K: step degree 2
     @example(
         [
@@ -425,12 +502,21 @@ class TestRelativeTower:
         True,
         3,
         True,
+        [],
     )
-    def test_agrees_with_compositum(self, cuts, in_field, landing, quartic):
+    # a cut from sqrt(1/3), which lies in K as the square of (1/3)^(1/4)
+    @example(
+        [((3, (1, 3)), 0, Fraction(1, 2)), ((5, (1, 2)), 4, Fraction(1, 3))],
+        False,
+        -1,
+        False,
+        [(1, Fraction(1, 3), 4), (1, Fraction(1, 3), 2)],
+    )
+    def test_agrees_with_compositum(self, cuts, in_field, landing, quartic, radicals):
         # every step both routes decide within the cap has one degree, and
         # the tower stops before the compositum only where the sieve keeps
         # the step's degree of a reducible R
-        values = _tower_values(cuts, in_field, landing, quartic)
+        values = _tower_values(cuts, in_field, landing, quartic, radicals)
         tw = Tower()
         degrees = _adjoin_all(tw, values)
         expected = compositum_step_degrees(values)
@@ -627,6 +713,61 @@ class TestRelativeTower:
         # sqrt(15) = sqrt(6) sqrt(10) / 2 is in the field; sqrt(2) is not
         assert tw.adjoin(nth_root(15, 2), claimed_radical=(2, A(15))).degree == 1
         assert tw.is_pth_power(A(2), 2) is False
+
+
+    @pytest.mark.parametrize("protocol, cdfs, degrees", _RADICAL_WORD_TOWERS)
+    def test_six_bench_towers(self, protocol, cdfs, degrees):
+        tw = _radical_word_tower(protocol, cdfs)
+        assert [s.degree for s in tw.steps] == degrees
+        for s in tw.steps:
+            if s.degree > 1 and s.form is not None:
+                # a radical step keeps a relative polynomial of its degree at
+                # its atom: t^d - r, or the binomial t^m - v^m below its index
+                assert s.relative.degree == s.degree and s.atom is s.relative.atom
+        assert tower._triangular_set(tw.steps) is not None
+        tw.verify_lemma1(2)  # every stored word and certificate rechecks
+
+    def _stored_word(self):
+        # item 240: K holds (1/3)^(1/4) = a, so sqrt(1/3) = a^2 lies in K,
+        # and the last cut's target, built with sqrt(1/3), reduces by it
+        tw = _radical_word_tower(*_RADICAL_WORD_TOWERS[2][:2])
+        (i, rel), = [(i, s.relative) for i, s in enumerate(tw.steps) if s.relative and s.relative.words]
+        (word,) = rel.words
+        assert (word.atom.operand, word.atom.index, word.q) == (Fraction(1, 3), 2, 1)
+        assert [(a.operand, a.index, c) for a, c in word.powers] == [(Fraction(1, 3), 4, 2)]
+        return tw, i, rel, word
+
+    def test_stored_word_rechecks(self):
+        tw, i, rel, word = self._stored_word()
+        assert word.holds()
+        tw.verify_lemma1(5)
+        # at each witness chain the word's image is a root of 3t^2 - 1, as
+        # the image of sqrt(1/3) must be
+        tri = tower._triangular_set(tw.steps[:i])
+        for p, chain, _ in tw.steps[i].certificate:
+            r = word.residue(p, tower._images(tri, chain))
+            assert (3 * r * r - 1) % p == 0
+
+    def test_corrupted_word_fails_the_recheck(self):
+        tw, i, rel, word = self._stored_word()
+        (a, c), = word.powers
+        other = tw.steps[5].generator._node  # the quintic cut point: no radical step's atom
+        corrupted = [
+            replace(word, q=2 * word.q),
+            replace(word, q=-word.q),
+            replace(word, q=word.q + Fraction(1, 3)),
+            replace(word, powers=((a, c + 1),)),
+            replace(word, powers=((a, c - 1),)),
+            replace(word, powers=((a, c + 4),)),
+            replace(word, powers=()),
+            replace(word, powers=((other, c),)),
+        ]
+        for bad in corrupted:
+            tw.steps[i].relative = replace(rel, words=(bad,))
+            with pytest.raises(TowerCertificateError, match="word"):
+                tw.verify_lemma1(5)
+        tw.steps[i].relative = rel
+        tw.verify_lemma1(5)
 
 
 class TestModularTools:
