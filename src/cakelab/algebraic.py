@@ -82,7 +82,7 @@ from typing import Optional, Union
 from .dyadic import DyadicInterval
 from .errors import DegreeCapExceeded, ExpressionTooDeep, ZeroPolynomialError
 from .factoring import check_degree, degree_cap, factor_over_Q
-from .ints import SMALL_PRIMES, factor_positive, int_nth_root, is_probable_prime
+from .ints import SMALL_PRIMES, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
     _drop_content,
@@ -138,16 +138,21 @@ def nth_root_bounds(r: Fraction, d: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _reduce_radical(r: Fraction, d: int) -> tuple[Fraction, int]:
-    """Canonicalize r^(1/d) as s^(1/e) with e | d and s no q-th power for
-    any prime q dividing e: exact q-th roots are taken while they exist, so
-    e.g. the fourth root of 4 becomes the square root of 2.  With r = t^g
-    and t no perfect power, s = t^(g/gcd(g, d)) and e = d/gcd(g, d)."""
-    for q in factor_positive(d):
-        while d % q == 0:
-            s = exact_nth_root(r, q)
-            if s is None:
-                break
-            r, d = s, d // q
+    """Canonicalize r^(1/d), r not +-1, as s^(1/e) with e | d and s no q-th
+    power for any prime q dividing e: exact q-th roots are taken while they
+    exist, so e.g. the fourth root of 4 becomes the square root of 2.  With
+    r = t^g and t no perfect power, s = t^(g/gcd(g, d)) and e = d/gcd(g, d).
+    A q-th power other than +-1 has a numerator or denominator of at least
+    2^q, so only the primes q of d below the bit length of the larger are
+    tried, by trial division of d that stops there: d is never factored."""
+    m, q = d, 2
+    while q <= m and q < max(abs(r.numerator), r.denominator).bit_length():
+        if m % q == 0:  # q is prime: m has no smaller prime left
+            while m % q == 0:
+                m //= q
+            while d % q == 0 and (s := exact_nth_root(r, q)) is not None:
+                r, d = s, d // q
+        q += 1
     return r, d
 
 
@@ -1541,16 +1546,6 @@ def poly_at(p: Poly, v: AlgebraicNumber) -> AlgebraicNumber:
     for c in reversed(p.coeffs):
         acc = acc * v + c
     return acc
-
-
-def rational_radical_form(value: AlgebraicNumber) -> Optional[tuple[Fraction, int]]:
-    """When the value generates exactly the field of a radical with a
-    rational radicand, return (radicand, index); None otherwise.  Used by
-    the tower to keep such adjunctions on the lattice route."""
-    atom = _generating_atom(value._node)
-    if isinstance(atom, _RootAtom) and isinstance(atom.operand, Fraction):
-        return (atom.operand, atom.index)
-    return None
 
 
 def sign(value) -> int:

@@ -41,8 +41,8 @@ from .algebraic import AlgebraicNumber, nth_root
 from .cake import Measure
 from .dyadic import DyadicInterval
 from .errors import UncoveredCaseError
-from .factoring import Eisenstein, eisenstein, is_irreducible
-from .ints import factor_positive, is_probable_prime, primes
+from .factoring import Eisenstein, _eisenstein_witness, eisenstein, is_irreducible
+from .ints import is_probable_prime, primes
 from .polys import Poly, _modp_ddf, _pattern, _sieve_degrees, count_roots_in, refine_root, sturm_isolate
 from .tower import CERTIFICATE_PRIMES, degree_obstruction
 
@@ -490,18 +490,15 @@ class CertificateCheck:
 def _irreducible(f: Poly) -> bool:
     """f is irreducible over the rationals.  Two witnesses need no factoring
     and no degree cap.  First, Eisenstein's criterion on f or on its
-    reversal, at a prime dividing the gcd of the non-leading coefficients.
+    reversal, at a prime `factoring._eisenstein_witness` finds by gcds.
     Then the factor-degree sieve (`polys._sieve_degrees`) over the images
     mod the first CERTIFICATE_PRIMES primes that do not divide the leading
     coefficient and keep f squarefree: a factorization over the integers
     reduces to one mod each of them, so no proper degree left means no
     proper factor.  Otherwise the factorization pipeline decides."""
     cs = f.int_coeffs()
-    for coeffs in (cs, cs[::-1]):
-        g = math.gcd(*coeffs[:-1])
-        if coeffs[-1] and g > 1:
-            if any(eisenstein(Poly(coeffs), q) is Eisenstein.IRREDUCIBLE_CERTIFIED for q in factor_positive(g)):
-                return True
+    if _eisenstein_witness(cs) is not None:
+        return True
     ddfs = ((q, _modp_ddf(cs, q)) for q in itertools.islice(primes(), CERTIFICATE_PRIMES))
     patterns = ((q, _pattern(ddf)) for q, ddf in ddfs if ddf is not None)
     return not _sieve_degrees(patterns, set(range(1, f.degree)))[0] or is_irreducible(f)

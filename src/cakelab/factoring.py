@@ -41,9 +41,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .errors import CakelabError, DegreeCapExceeded, ZeroPolynomialError
-from .ints import SMALL_PRIMES, is_probable_prime, primes
+from .ints import SMALL_PRIMES, coprime_part, is_probable_prime, primes
 from .polys import (
     DDF,
     Poly,
@@ -125,6 +126,28 @@ def eisenstein(p: Poly, q: int, try_reversal: bool = False) -> Eisenstein:
         if _eisenstein_int(list(reversed(coeffs)), q):
             return Eisenstein.IRREDUCIBLE_CERTIFIED
     return Eisenstein.INCONCLUSIVE
+
+
+def _eisenstein_witness(coeffs: list[int]) -> Optional[int]:
+    """A prime at which the integer polynomial with these coefficients,
+    constant first, or its reversal is Eisenstein; None when none is found.
+    A witness divides the gcd g of the non-leading coefficients, so the
+    small primes dividing g are tried, and the part of g coprime to them
+    when it is prime: finding the primes of a composite part would mean
+    factoring it.  A reversal whose leading coefficient is 0 is Eisenstein
+    nowhere."""
+    for cs in (coeffs, coeffs[::-1]):
+        g = math.gcd(*cs[:-1])
+        if g < 2:
+            continue
+        rest = coprime_part(g, math.prod(SMALL_PRIMES))
+        candidates = [q for q in SMALL_PRIMES if g % q == 0]
+        if is_probable_prime(rest):
+            candidates.append(rest)
+        for q in candidates:
+            if _eisenstein_int(cs, q):
+                return q
+    return None
 
 
 # -- the factor-degree sieve ---------------------------------------------------
@@ -334,23 +357,14 @@ def _factor_squarefree(f: list[int]) -> list[Poly]:
 
 def _certify_irreducible(h: Poly) -> bool:
     """Cheap certificates only; False just means no certificate found.
-    Eisenstein is tried at the small primes alone: finding larger primes
-    would mean factoring the coefficients.  Modular certificates come from
-    the factor-degree sieve later, and Zassenhaus proves what both miss.
+    Eisenstein is tried at the primes `_eisenstein_witness` finds without
+    factoring.  Modular certificates come from the factor-degree sieve
+    later, and Zassenhaus proves what both miss.
 
     h must have no rational root, as in `_factor_squarefree`, which has
     just looked: then degrees 2 and 3 are irreducible outright, and h(0)
     is nonzero."""
-    if h.degree in (2, 3):
-        return True
-    coeffs = h.int_coeffs()
-    for cs in (coeffs, coeffs[::-1]):
-        nonlead = 0
-        for c in cs[:-1]:
-            nonlead = math.gcd(nonlead, c)
-        if any(nonlead % q == 0 and _eisenstein_int(cs, q) for q in SMALL_PRIMES):
-            return True
-    return False
+    return h.degree in (2, 3) or _eisenstein_witness(h.int_coeffs()) is not None
 
 
 def factor_over_Q(p: Poly) -> Factorization:

@@ -1,16 +1,12 @@
 """Integer number theory shared across modules.
 
-Trial division handles the small primes; Pollard rho with a
-deterministic Miller-Rabin primality test covers the rest at far better
-than square-root cost, which matters once polynomial constants reach
-the billions.
-
-Rational roots, radical degrees and polynomial factoring need no integer
-factorization.  They use only primality tests, trial division by small
-primes and the factor-free tools here: integer d-th roots and
-`coprime_base`, which splits integers into pairwise coprime parts by
-gcds alone (Bernstein, "Factoring into coprimes in essentially linear
-time").
+No integer is factored.  Rational roots, radical degrees, Eisenstein
+witnesses and polynomial factoring use only primality tests, trial
+division by small primes and the factor-free tools here: integer d-th
+roots, `coprime_part`, which divides out the primes an integer shares
+with another by gcds, and `coprime_base`, which splits integers into
+pairwise coprime parts by gcds alone (Bernstein, "Factoring into coprimes
+in essentially linear time").
 """
 
 from __future__ import annotations
@@ -18,8 +14,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-# The primes below 50: trial division here, the first primes of `primes`,
-# and the only primes Eisenstein's criterion is tried at in factoring.
+# The primes below 50: trial division here and the first primes of
+# `primes`.  An Eisenstein witness is one of them or the part of a gcd
+# that none of them divides, when that part is prime.
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -62,45 +59,17 @@ def primes() -> Iterator[int]:
             yield q
 
 
-def pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        x = y = 2
-        c = seed
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        seed += 1
-
-
-def factor_positive(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as {prime: exponent}."""
+def coprime_part(n: int, m: int) -> int:
+    """n >= 1 with every prime it shares with m divided out, by gcds
+    alone: each gcd holds every prime n still shares with m, so dividing
+    it out until it is 1 leaves the part of n coprime to m."""
     if n < 1:
-        raise ValueError(f"cannot factor {n}: not a positive integer")
-    out: dict[int, int] = {}
-    for d in SMALL_PRIMES:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
+        raise ValueError(f"{n} is not a positive integer")
+    g = math.gcd(n, m)
+    while g > 1:
+        n //= g
+        g = math.gcd(n, g)
+    return n
 
 
 def int_nth_root(n: int, d: int) -> int:

@@ -20,9 +20,10 @@ decided it.
    its word, a rational times integer powers of the atoms a_i of L's
    steps, gives its image at every chain of route 3 (`Word`).
 2. Lattice.  A value that generates the field of a real radical
-   v = r^(1/d) with a rational radicand (`rational_radical_form`:
-   radicals themselves, their affine images, canonicalized quadratics;
-   claimed radicals whose radicand is rational) is decided by
+   v = r^(1/d) with a rational radicand (`algebraic._generating_atom`
+   returns such a radical for radicals themselves, their affine images
+   and canonicalized quadratics; or a claimed radical whose radicand is
+   rational) is decided by
    multiplicative group membership: a lattice problem over exponent
    vectors on a coprime base of the radicands, so no integer is factored.
    It gives m = [L(v) : L], the least divisor of d with v^m in L, and the
@@ -96,11 +97,10 @@ from .algebraic import (
     _RootAtom,
     nth_root,
     poly_at,
-    rational_radical_form,
     uncounted,
 )
 from .errors import DegreeCapExceeded, MembershipUndecidable, TowerCertificateError
-from .ints import coprime_base, factor_positive, is_probable_prime, primes
+from .ints import coprime_base, coprime_part, is_probable_prime, primes
 from .polys import (
     Poly,
     _derivative,
@@ -131,14 +131,11 @@ CERTIFICATE_PRIMES = 448
 
 def degree_obstruction(target_degree: int, allowed_primes: set[int]) -> bool:
     """True when target_degree cannot divide any product of powers of the
-    allowed primes, i.e. it has a prime factor outside the set."""
+    allowed primes, i.e. it has a prime factor outside the set: its part
+    coprime to their product is not 1."""
     if target_degree < 1:
         raise ValueError("target degree must be at least 1")
-    n = target_degree
-    for p in allowed_primes:
-        while n % p == 0:
-            n //= p
-    return n != 1
+    return coprime_part(target_degree, math.prod(allowed_primes)) != 1
 
 
 # -- lattice membership for real radical groups --------------------------------
@@ -329,16 +326,16 @@ class RelativePoly:
         """Can R reduce mod p to an irreducible polynomial of full degree?
         Not when p divides the denominator or the leading numerator of
         cdf.  Nor, for a binomial a*t^d - b (cdf = t^d, or a rational
-        binomial), unless every prime dividing d divides p - 1, and 4
-        divides p - 1 when it divides d (Lidl & Niederreiter, Finite Fields,
-        Theorem 3.75)."""
+        binomial), unless every prime dividing d divides p - 1, that is d
+        has no part coprime to p - 1, and 4 divides p - 1 when it divides d
+        (Lidl & Niederreiter, Finite Fields, Theorem 3.75)."""
         cs = self.cdf.nums
         if self.cdf.den % p == 0 or cs[-1] % p == 0:
             return False
         d = self.degree
         if d < 2 or any(cs[1:-1]):
             return True
-        return all((p - 1) % q == 0 for q in factor_positive(d)) and (d % 4 != 0 or p % 4 == 1)
+        return coprime_part(d, p - 1) == 1 and (d % 4 != 0 or p % 4 == 1)
 
     def reduce(self, p: int, images: dict[int, int]) -> Optional[list[int]]:
         """R's coefficients mod p, with the target's tower atoms mapped to
@@ -654,13 +651,16 @@ class Tower:
         below = [s for s in self.steps if s.degree > 1]
         if value.as_rational() is not None or _field_words(node, below) is not None:
             return _step(value, 1)
-        form = rational_radical_form(value) or claim
+        atom, form = _generating_atom(node), claim
+        if isinstance(atom, _RootAtom) and isinstance(atom.operand, Fraction):
+            form = (atom.operand, atom.index)
+        elif form is not None:
+            atom = nth_root(*form)._node
         if form is not None:
             radicals = [s for s in below if s.form is not None]
             deg, word = _radical_degree(*form, [s.form for s in radicals])
             if deg == 1:
                 return _step(value, 1)
-            atom = nth_root(*form)._node
             rel = _radical_relative(atom, form, deg, word, radicals)
             # each radical step has its lattice degree, so the other steps'
             # degrees multiply to [K:L], and [K(v):K] = [L(v):L] when the
@@ -670,9 +670,7 @@ class Tower:
         else:
             rel = _cut_relative(node, below)
             if rel is None:
-                mv = value.minimal_polynomial()
-                atom = _generating_atom(node)
-                rel = RelativePoly(atom, mv if atom is None else _minpoly(atom))
+                rel = RelativePoly(atom, value.minimal_polynomial() if atom is None else _minpoly(atom))
                 if math.gcd(rel.degree, self.total_degree) == 1:
                     return _step(value, rel.degree, atom=atom, relative=rel)
         tri = _triangular_set(self.steps)

@@ -42,6 +42,7 @@ from _oracle import (
     minpoly_by_factoring_oracle,
     nested_elimination_minpoly,
     poly_at_fold_oracle,
+    prime_exponents,
     residue_mod_oracle,
     residue_oracle,
     select_factor_oracle,
@@ -195,6 +196,40 @@ class TestRoots:
         # t is no perfect power, so (t^g)^(1/d) = t^(a/b) with a/b = g/d
         # in lowest terms has degree b
         assert nth_root(t**g, d).degree() == d // math.gcd(g, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fractions(Fraction(1, 30), 30, max_denominator=30).filter(lambda t: t != 1),
+        st.integers(1, 40),
+        st.sampled_from([Fraction(1), Fraction(1), Fraction(3), Fraction(2, 5), Fraction(49, 12)]),
+        st.sampled_from([1, -1]),
+        st.integers(2, 2000),
+    )
+    @example(Fraction(2), 30030, Fraction(1), 1, 30030)
+    @example(Fraction(3, 2), 6, Fraction(1), -1, 30030)
+    @example(Fraction(2), 12, Fraction(1), 1, 2**10)
+    @example(Fraction(5), 18, Fraction(1), -1, 3**6)
+    @example(Fraction(7), 997, Fraction(1), 1, 997)
+    @example(Fraction(2), 2018, Fraction(1), 1, 2018)
+    @example(Fraction(6), 1009, Fraction(1), -1, 2018)
+    def test_reduce_radical_against_prime_exponents(self, t, g, u, sign, d):
+        # r = +-t^g * u = +-T^G with T no perfect power, G the gcd of the
+        # prime exponents of |r|; exact q-th roots are taken for the primes
+        # q of d dividing G, odd ones only when r < 0, so c = gcd(G, d) or
+        # gcd(G, odd part of d), and the result is (+-T^(G/c), d/c)
+        r = sign * t**g * u
+        assume(abs(r) != 1)
+        exps = {}
+        for part, e in ((r.numerator, 1), (r.denominator, -1)):
+            for q, k in prime_exponents(abs(part)).items():
+                exps[q] = e * k
+        big_g = math.gcd(*exps.values())
+        d_odd = d
+        while r < 0 and d_odd % 2 == 0:
+            d_odd //= 2
+        c = math.gcd(big_g, d_odd)
+        root = Fraction(math.prod(Fraction(q) ** (k // c) for q, k in exps.items()))
+        assert alg._reduce_radical(r, d) == (sign * root, d // c)
 
     def test_root_of_algebraic(self):
         v = nth_root(nth_root(2, 2), 3)  # 2^(1/6)
@@ -997,8 +1032,9 @@ class TestSingleAtomForm:
         value = 3 * radical + 1
         with pytest.raises(DegreeCapExceeded):
             value.minimal_polynomial()
-        assert alg._generating_atom(value._node) is radical._node
-        assert alg.rational_radical_form(value) == (2, 53)
+        atom = alg._generating_atom(value._node)
+        assert atom is radical._node
+        assert (atom.operand, atom.index) == (2, 53)
 
 
     @settings(max_examples=150, deadline=None)

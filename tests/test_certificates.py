@@ -357,6 +357,17 @@ class TestWelfareCertificates:
         assert certificates._irreducible(Poly([1, 0, 0, 6]))
         assert not certificates._irreducible(X**2 - Poly.constant(4))
 
+    def test_recheck_factors_no_integer(self):
+        # the gcd M61 * M89 of the non-leading coefficients is a product of
+        # primes of 61 and 89 bits, which Pollard rho needs minutes to
+        # split.  It is no witness, and the sieve or the pipeline decides
+        f = X**4 + c((2**61 - 1) * (2**89 - 1))
+        cert = dataclasses.replace(check_impossibility_welfare(2, 3), equation=f, factorization=((f, 4),))
+        with time_limit(1):
+            assert certificates._irreducible(f)
+            check = verify_certificate(cert)
+        assert check.product_identity and check.irreducibility
+
     def test_n_independent(self):
         for n in (2, 3, 4):
             cert = check_impossibility_welfare(n, 3)

@@ -22,9 +22,16 @@ from cakelab import (
 from cakelab import factoring, ints, polys
 from cakelab.cli import main as cli_main
 from cakelab.factoring import FactorSearchBudget
-from cakelab.ints import coprime_base, factor_positive, int_nth_root
+from cakelab.ints import SMALL_PRIMES, coprime_base, coprime_part, int_nth_root
 
-from _oracle import fp_ddf_oracle, int_nth_root_oracle, is_perfect_power, kronecker_find_factor, oracle_factor
+from _oracle import (
+    fp_ddf_oracle,
+    int_nth_root_oracle,
+    is_perfect_power,
+    kronecker_find_factor,
+    oracle_factor,
+    prime_exponents,
+)
 
 X = Poly.x()
 
@@ -33,15 +40,26 @@ def c(v):
     return Poly.constant(v)
 
 
-class TestFactorPositive:
-    def test_factors(self):
-        assert factor_positive(1) == {}
-        assert factor_positive(360) == {2: 3, 3: 2, 5: 1}
+class TestCoprimePart:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(0, 10**6))
+    @example(360, 6)
+    @example(2 * 3**4 * 1009, 0)
+    @example(7, 1)
+    def test_against_prime_exponents(self, n, m):
+        expected = math.prod(q**e for q, e in prime_exponents(n).items() if m % q)
+        assert coprime_part(n, m) == expected
+
+    def test_large_shared_primes(self):
+        # the primes of n shared with m have 61 and 89 bits, and no gcd
+        # step factors them
+        big = (2**61 - 1) ** 3 * (2**89 - 1)
+        assert coprime_part(big * 5**4, (2**61 - 1) * (2**89 - 1)) == 5**4
 
     @pytest.mark.parametrize("n", [0, -1, -12])
     def test_rejects_nonpositive(self, n):
         with pytest.raises(ValueError):
-            factor_positive(n)
+            coprime_part(n, 6)
 
 
 class TestPrimes:
@@ -155,6 +173,46 @@ class TestEisenstein:
                 pass
             for q in (2, 3, 5, 7):
                 assert eisenstein(prod, q, try_reversal=True) is Eisenstein.INCONCLUSIVE
+
+
+def _eisenstein_at(cs, q):
+    """cs, constant first, is Eisenstein at the prime q."""
+    return cs[-1] % q != 0 and all(a % q == 0 for a in cs[:-1]) and cs[0] % (q * q) != 0
+
+
+class TestEisensteinWitness:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 10**6), st.sampled_from([53, 97, 2 * 3 * 101, 53 * 59, 7 * 53 * 59 * 61])),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+        st.integers(-60, 60).filter(bool),
+    )
+    @example(97, [1, 0, 0], -97)  # welfare p = 97: 97x^3 - 1 reverses to x^3 - 97
+    @example(53 * 59, [1, 0, 0, 0], 1)  # x^4 + 3127, Eisenstein at 53 and at 59
+    def test_against_every_prime_of_the_gcd(self, g, multiples, lead):
+        cs = [g * k for k in multiples] + [lead]
+        q = factoring._eisenstein_witness(cs)
+        found = False
+        complete = True
+        for coeffs in (cs, cs[::-1]):
+            h = math.gcd(*coeffs[:-1])
+            if h > 1:
+                found |= any(_eisenstein_at(coeffs, p) for p in prime_exponents(h))
+                complete &= sum(p > SMALL_PRIMES[-1] for p in prime_exponents(h)) <= 1
+        if q is not None:
+            assert len(prime_exponents(q)) == 1 and prime_exponents(q)[q] == 1
+            assert _eisenstein_at(cs, q) or _eisenstein_at(cs[::-1], q)
+        elif complete:
+            # a miss needs a gcd with two distinct primes past the small ones
+            assert not found
+
+    def test_composite_part_is_not_factored(self):
+        # the part of the gcd coprime to the small primes is a product of
+        # two primes of 61 and 89 bits: no witness, and no hang
+        n = (2**61 - 1) * (2**89 - 1)
+        assert factoring._eisenstein_witness([n, 0, 0, 0, 1]) is None
+        assert factoring._eisenstein_witness([2 * n, 0, 0, 0, 1]) == 2
+        assert factoring._eisenstein_witness([2**61 - 1, 0, 0, 0, 1]) == 2**61 - 1
 
 
 def irreducible_mod(p, q):

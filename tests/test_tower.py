@@ -30,6 +30,7 @@ from cakelab.parsing import parse_measures
 from cakelab.polys import _fp_gcd, _fp_trim, _image_ddf, _modp_ddf, _modp_roots, _monic_mod, _pattern
 from cakelab.tower import _pattern_mod, _radical_degree
 
+from conftest import time_limit
 from _oracle import (
     ChainCacheOracle,
     compositum_step_degrees,
@@ -54,6 +55,9 @@ class TestDegreeObstruction:
         assert degree_obstruction(3, {5}) is True
         assert degree_obstruction(3, {2, 5}) is True
         assert degree_obstruction(4, {2}) is False
+        # 1 is no prime and divides nothing away; the answer takes no loop
+        with time_limit(1):
+            assert degree_obstruction(3, {1}) is True
 
     def test_against_integer_factorization(self):
         rng = random.Random(31)
@@ -69,6 +73,19 @@ class TestDegreeObstruction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             degree_obstruction(0, {2})
+
+
+class TestMayCertify:
+    def test_binomials_against_prime_exponents(self):
+        # a binomial t^d - 2 may certify at p when every prime of d divides
+        # p - 1, and 4 divides p - 1 when it divides d
+        ps = list(itertools.islice(primes(), 300))
+        for d in range(1, 1001):
+            rel = tower.RelativePoly(None, Poly([-2] + [0] * (d - 1) + [1]))
+            qs = prime_exponents(d)
+            for p in ps:
+                expected = d < 2 or (all((p - 1) % q == 0 for q in qs) and (d % 4 != 0 or p % 4 == 1))
+                assert rel.may_certify(p) == expected, (d, p)
 
 
 class TestAdjoin:
