@@ -38,7 +38,13 @@ Key internals:
   lies inside.  It selects the minimal polynomial among the factors and
   gives the isolating interval; two values with one minimal polynomial
   are equal when one's enclosure falls inside the other's isolating
-  interval.  A quadratic root is chosen by its ordinal, with no refining.
+  interval.
+* A real root of a polynomial in a span takes one Sturm chain of the
+  squarefree part: it counts the roots in the span and gives the root's
+  ordinal, by which a quadratic root is chosen with no refining and an
+  isolated root is interned.  A new isolated root is isolated in one cell
+  of the root bound's span, [0, 1] for a cut at a rational target, the
+  cell that isolating the whole span passes through.
 * One walk, `_walk`, evaluates a DAG bottom-up with an explicit stack,
   so deep expression DAGs need no recursion.  Interval enclosures,
   single-atom forms, residues modulo a prime and atom lists are each one
@@ -48,13 +54,15 @@ Key internals:
   past the interpreter's limit.
 * The algebra's traces are power sums (Newton's identities) of roots
   scaled to algebraic integers, and each generator set is checked
-  against the degree cap before any arithmetic.  A sign query that
-  refinement to 2^-128 cannot decide, on a value with no single-atom
-  form, decides a zero from the node's operands and never from the
-  node's own minimal polynomial: a product or quotient multiplies their
-  signs, and a sum or difference compares its operands
-  (`_equal_values`).  Refinement with no limit runs only on a value known
-  to be nonzero.
+  against the degree cap before any arithmetic.
+* A sign refines first, for every node, from its cached effort up to
+  2^-128.  Only a value that this cannot separate from 0 takes an exact
+  route.  A single-atom form decides it: a constant form is its sign,
+  and a nonconstant one proves it nonzero.  With no form, the node's
+  operands decide a zero, never its own minimal polynomial: a product or
+  quotient multiplies their signs, and a sum or difference compares its
+  operands (`_equal_values`).  Refinement with no limit runs only on a
+  value known to be nonzero.
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.  Folds cancel by operand
@@ -86,15 +94,17 @@ from .ints import SMALL_PRIMES, int_nth_root, is_probable_prime
 from .polys import (
     Poly,
     _drop_content,
+    _dyadic_subdivide,
     _int_mul,
     _int_squarefree,
     _prem,
+    _probe,
+    _variations_at_minus_infinity,
     bisect_root,
     horner,
     root_bound,
     rational_roots,
     sturm_chain,
-    sturm_isolate,
     sturm_point,
 )
 
@@ -250,7 +260,7 @@ _polyroot_intern: dict[tuple[tuple[int, ...], int], _PolyRootAtom] = {}
 
 
 def _rat(v) -> _Rat:
-    return _Rat(Fraction(v))
+    return _Rat(v if isinstance(v, Fraction) else Fraction(v))
 
 
 def _same(x: _Node, y: _Node) -> bool:
@@ -375,42 +385,63 @@ def _make_root(operand: Union[Fraction, _Node], d: int) -> _Node:
 
 
 def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
-    """The unique real root of p inside [lo, hi], folded and interned."""
+    """The unique real root of p inside [lo, hi], folded and interned.
+
+    One Sturm chain of p's squarefree part counts its roots in [lo, hi]
+    and, read at -oo, gives the root's ordinal among all its real roots:
+    the choice of a quadratic's or a binomial's root, and the intern key.
+    A new atom's bracket comes from isolating inside one cell of the
+    Cauchy span [-B, B], found by halving the span while [lo, hi] lies in
+    one half and the midpoint is no root: [0, 1] for a cut.  Isolating
+    the whole span, which splits off-centre only at a midpoint that is a
+    root, passes through that cell and isolates inside it alike, so its
+    bracket is this one or a cell of the same halving grid around it, and
+    `bisect_root` refines both to the same cell at every width no wider
+    than this bracket.  Enclosures are at most 2^-8 wide, so when [lo, hi]
+    is at least that wide, as a cut's [0, 1] is, every enclosure is the
+    full span's."""
     if p.is_zero:
         raise ZeroPolynomialError("cannot take a root of the zero polynomial")
     sqf = Poly(_int_squarefree(p.int_coeffs()))
-    bound = root_bound(sqf)
-    all_ivs = sturm_isolate(sqf, DyadicInterval(-bound, bound))
-    # each isolating interval holds one simple root and sqf changes sign
-    # only there, so a sign test at the clipped ends places that root
-    cs = sqf.nums
-    hits = []
-    for idx, iv in enumerate(all_ivs):
-        a, b = max(iv.lo, lo), min(iv.hi, hi)
-        if a > b:
-            continue
-        if horner(cs, a.numerator, a.denominator) * horner(cs, b.numerator, b.denominator) <= 0:
-            hits.append(idx)
-    if len(hits) != 1:
+    chain = sturm_chain(sqf)
+    at = _probe(chain)
+    (s_lo, v_lo), (_, v_hi) = at(lo), at(hi)
+    if lo > hi or v_lo - v_hi + (s_lo == 0) != 1:
         raise ValueError("the span must contain exactly one root")
     for r in rational_roots(sqf):
         if lo <= r <= hi:
             return _Rat(r)
-    target_idx = hits[0]
-    iv = all_ivs[target_idx]
+    # lo is no root: the roots below it come before this one
+    ordinal = _variations_at_minus_infinity(chain) - v_lo
+    cs = sqf.nums
     nonzero = [(i, c) for i, c in enumerate(cs) if c != 0]
     if len(nonzero) == 2 and nonzero[0][0] == 0:
-        # binomial c*T^d + e: the root is a pure radical
+        # binomial c*T^d + e: the root is a pure radical, the larger of
+        # two for even d when it is the positive one
         d = nonzero[1][0]
         radicand = Fraction(-nonzero[0][1], nonzero[1][1])
-        if d % 2 == 1 or iv.lo >= 0:
+        if d % 2 == 1 or ordinal == 1:
             return _make_root(radicand, d)
         return _fold_mul(_rat(-1), _make_root(radicand, d))
     if sqf.degree == 2:
-        return _quadratic_root(sqf, target_idx)
-    key = (cs, target_idx)
+        return _quadratic_root(sqf, ordinal)
+    key = (cs, ordinal)
     atom = _polyroot_intern.get(key)
     if atom is None:
+        b = root_bound(sqf)
+        a = -b
+        while True:
+            mid = (a + b) / 2
+            if not horner(cs, mid.numerator, mid.denominator):
+                break
+            if hi <= mid:
+                b = mid
+            elif lo >= mid:
+                a = mid
+            else:
+                break
+        # lo is no root, and neither is a: the roots in (a, lo) come first
+        iv = _dyadic_subdivide(at, a, b)[at(a)[1] - v_lo]
         atom = _PolyRootAtom(sqf, iv.lo, iv.hi)
         _polyroot_intern[key] = atom
     return atom
@@ -1254,48 +1285,55 @@ def _compute_minpoly(node: _Node) -> Poly:
 
 
 def _sign(node: _Node) -> int:
+    """The exact sign.  Refinement comes first for every node: from the
+    node's cached effort, doubling.  Only a value that 2^-128 cannot
+    separate from 0 takes the exact route (`_exact_sign`), once, and
+    refinement goes on only when that proves the value nonzero.  So a
+    value that refinement separates from 0 never builds its single-atom
+    form, nor a minimal polynomial for it."""
     if isinstance(node, _Rat):
         v = node.value
         return (v > 0) - (v < 0)
-    saf = _saf_of(node)
-    if saf is not _SAF_UNAVAILABLE:
-        atom, nums, _ = saf
-        if atom is None:
-            v = nums[0] if nums else 0
-            return (v > 0) - (v < 0)
-        # nonzero residue modulo an irreducible modulus: the value is not 0
-        return _sign_by_refinement(node, max(8, node._ivc[0]))
-    # numeric first, symbolic zero test only if 2^-128 cannot separate
-    s = _sign_by_refinement(node, 8, 128)
-    if s is not None:
-        return s
-    # atoms have single-atom forms, so the node is a binary operation:
-    # decide a zero from its operands, so that the refinement below runs
-    # only on a value known to be nonzero
-    if isinstance(node, (_Mul, _Div)):
-        s = _sign(node.a)
-        return s and s * _sign(node.b)
-    if _equal_values(node.a, node.b, negated=isinstance(node, _Add)):
-        return 0
-    return _sign_by_refinement(node, max(8, node._ivc[0]))
-
-
-def _sign_by_refinement(node: _Node, k: int, limit: Optional[int] = None) -> Optional[int]:
-    """Refine from precision k, doubling it, until zero is excluded.  This
-    ends only for values known to be nonzero; with a limit it returns None
-    once k passes the limit."""
-    while limit is None or k <= limit:
+    k = max(8, node._ivc[0])
+    nonzero = False
+    while True:
         try:
             lo, hi = _interval(node, k)
         except _MorePrecision:
-            k *= 2
-            continue
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+            pass
+        else:
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
         k *= 2
-    return None
+        if k > 128 and not nonzero:
+            s = _exact_sign(node)
+            if s is not None:
+                return s
+            nonzero = True
+
+
+def _exact_sign(node: _Node) -> Optional[int]:
+    """The sign of a node that is no rational leaf, decided without
+    refinement, or None when the node is proven nonzero.  A constant
+    single-atom form gives its sign; a nonconstant one, a nonzero residue
+    modulo an irreducible modulus, proves the value nonzero.  A node with
+    no form is a binary operation, as atoms have forms, and is decided
+    from its operands, never from its own minimal polynomial: a product or
+    quotient multiplies their signs, and a sum or difference is zero only
+    when its operands are equal, or opposite (`_equal_values`)."""
+    saf = _saf_of(node)
+    if saf is not _SAF_UNAVAILABLE:
+        atom, nums, _ = saf
+        if atom is not None:
+            return None
+        v = nums[0] if nums else 0
+        return (v > 0) - (v < 0)
+    if isinstance(node, (_Mul, _Div)):
+        s = _sign(node.a)
+        return s and s * _sign(node.b)
+    return 0 if _equal_values(node.a, node.b, negated=isinstance(node, _Add)) else None
 
 
 def _equal_values(a: _Node, b: _Node, negated: bool = False) -> bool:
@@ -1337,7 +1375,7 @@ class AlgebraicNumber:
         if isinstance(value, _Node):
             object.__setattr__(self, "_node", value)
         else:
-            object.__setattr__(self, "_node", _rat(Fraction(value)))
+            object.__setattr__(self, "_node", _rat(value))
 
     def __setattr__(self, name, v):
         raise AttributeError("AlgebraicNumber is immutable")

@@ -614,6 +614,29 @@ def root_bound(p: Poly) -> Fraction:
 _Probe = Callable[[Fraction], tuple[int, int]]
 
 
+def _probe(chain: list[list[int]]) -> _Probe:
+    """`sturm_point` of the chain, computed once per point."""
+    # keyed by numerator and denominator: hashing a Fraction is slower
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def at(x: Fraction) -> tuple[int, int]:
+        key = (x.numerator, x.denominator)
+        v = seen.get(key)
+        if v is None:
+            v = seen[key] = sturm_point(chain, x)
+        return v
+
+    return at
+
+
+def _variations_at_minus_infinity(chain: list[list[int]]) -> int:
+    """The sign variations of the chain at -oo, where each element has the
+    sign of its leading coefficient, flipped at odd degree: less those at
+    x, the number of roots of chain[0] at or below x."""
+    signs = [(c[-1] > 0) == (len(c) % 2 == 1) for c in chain]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
 def _dyadic_subdivide(at: _Probe, lo: Fraction, hi: Fraction) -> list[DyadicInterval]:
     """Isolate the roots of the squarefree chain[0] inside (lo, hi],
     assuming the endpoints are not roots.  Endpoints must be dyadic.  at(x)
@@ -665,16 +688,7 @@ def sturm_isolate(p: Poly, span: DyadicInterval) -> list[DyadicInterval]:
     chain = sturm_chain(p)
     if len(chain[0]) <= 1:
         return []
-    # keyed by numerator and denominator: hashing a Fraction is slower
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def at(x: Fraction) -> tuple[int, int]:
-        key = (x.numerator, x.denominator)
-        v = seen.get(key)
-        if v is None:
-            v = seen[key] = sturm_point(chain, x)
-        return v
-
+    at = _probe(chain)
     lo, hi = span.lo, span.hi
     step = max(span.width, Fraction(1)) / 2
     while at(lo)[0] == 0:

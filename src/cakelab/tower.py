@@ -28,7 +28,9 @@ decided it.
    vectors on a coprime base of the radicands, so no integer is factored.
    It gives m = [L(v) : L], the least divisor of d with v^m in L, and the
    word v^m = q * prod(a_i^c_i).  It is exact for real radicals (Kneser
-   1975) and never touches the degree cap.  When m = 1 the step is
+   1975) and never touches the degree cap.  Over L = Q, with no radical
+   step below, it is not run: the interned atom of v is exponent-reduced,
+   so m is its index and v^m its radicand.  When m = 1 the step is
    trivial.  Every radical step has its lattice degree, so the other
    steps' degrees multiply to [K : L]; when that is coprime to m, the
    step degree is m, since m and [K : L] both divide [K(v) : L], which is
@@ -219,10 +221,9 @@ def _radical_degree(
     lattice spanned by the integer vectors and the generators' vectors;
     signs never obstruct, as -1 is a unit of the group.  The lattice is
     reduced once, scaled to integers, and each divisor's vector is
-    reduced against it; the pivots' combinations of the columns give the
-    word: the integer columns' coefficients are the base's exponents in
-    |q|, the generators' the c_i, and the signs of v^m and the a_i fix q's.
-    Each c_i is taken mod d_i, as a_i^d_i = b_i."""
+    reduced against it.  The generators' coefficients in the pivots'
+    combinations of the columns give the c_i, and the signs of v^m and the
+    a_i fix q's."""
     base, vec, gen_vecs = _radical_vectors(radicand, gens)
     dim = len(vec)
     scale = math.lcm(d, *(c.denominator for gv in gen_vecs for c in gv))
@@ -240,27 +241,24 @@ def _radical_degree(
             for i in range(r, len(x)):
                 x[i] -= q * piv[i]
         else:
-            return m, _word(radicand, m, base, [-c for c in x[dim:]], gens)
+            # each c_i is taken mod d_i, as a_i^d_i = b_i; |q| then has the
+            # integer exponents (m/d) vec - sum (c_i/d_i) vec_i over the base,
+            # read off the vectors: the lattice's own coefficients, and the
+            # powers they would raise the radicands to, can run to millions
+            cs = [-c % dg for c, (_, dg) in zip(x[2 * dim:], gens)]
+            num = den = 1
+            for j, b in enumerate(base):
+                e = Fraction(m * vec[j], d) - sum(c * gv[j] for c, gv in zip(cs, gen_vecs))
+                assert e.denominator == 1, "v^m lies in L"
+                if e > 0:
+                    num *= b ** e.numerator
+                else:
+                    den *= b ** -e.numerator
+            negative = radicand < 0 and m % 2 == 1
+            for (b, _), c in zip(gens, cs):
+                negative ^= b < 0 and c % 2 == 1
+            return m, (Fraction(-num if negative else num, den), tuple(cs))
     raise AssertionError("the d-th power of a radical is rational")
-
-
-def _word(
-    radicand: Fraction, m: int, base: list[int], coeffs: list[int], gens: list[tuple[Fraction, int]]
-) -> RadicalWord:
-    """The word of v^m from the lattice coefficients of (m/d) times v's
-    exponent vector: one per part of the coprime base, then one per
-    generator."""
-    q = Fraction(-1 if radicand < 0 and m % 2 else 1)
-    for b, e in zip(base, coeffs):
-        q *= Fraction(b) ** e
-    exps = []
-    for (b, d), c in zip(gens, coeffs[len(base):]):
-        k, t = c % d, c // d
-        if b < 0 and c % 2:
-            q = -q
-        q *= b**t
-        exps.append(k)
-    return q, tuple(exps)
 
 
 # -- relative polynomials modulo degree-1 primes -----------------------------------
@@ -646,7 +644,10 @@ class Tower:
         """The step that adjoining value would append, its degree
         [K(value) : K] decided over the current field K, leaving the tower
         unchanged.  claim is the (radicand, index) of a verified radical
-        witness with a rational radicand."""
+        witness with a rational radicand.  A rational radical's degree
+        over the field L of the radical steps below comes from the lattice
+        (`_radical_degree`), except when there is no such step: then L = Q,
+        and the degree is the index of the radical's interned atom."""
         node = value._node
         below = [s for s in self.steps if s.degree > 1]
         if value.as_rational() is not None or _field_words(node, below) is not None:
@@ -658,7 +659,14 @@ class Tower:
             atom = nth_root(*form)._node
         if form is not None:
             radicals = [s for s in below if s.form is not None]
-            deg, word = _radical_degree(*form, [s.form for s in radicals])
+            if not radicals and isinstance(atom, _RootAtom):
+                # over L = Q the lattice is skipped: interned radicals are
+                # exponent-reduced (`algebraic._reduce_radical`), so the
+                # atom's binomial is v's minimal polynomial, its index is
+                # m and v^m is its radicand
+                deg, word = atom.index, (atom.operand, ())
+            else:
+                deg, word = _radical_degree(*form, [s.form for s in radicals])
             if deg == 1:
                 return _step(value, 1)
             rel = _radical_relative(atom, form, deg, word, radicals)

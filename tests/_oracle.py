@@ -93,6 +93,18 @@ descent over the nodes (`residue_mod_oracle`, `dag_atoms_oracle`), with
 inverses mod p by Fermat's little theorem, independent of the library's
 one explicit-stack walk.
 
+A sign is also decided by the library's route before refinement came
+first (`saf_first_sign_oracle`): a value with a single-atom form reads a
+constant form's sign, or refines with no limit once a nonconstant form
+proves it nonzero; only a value with no form refines first, to 2^-128,
+and then decides a zero from its operands.
+
+The real root of a polynomial in a span comes from the library's route
+before it isolated inside one dyadic cell (`full_span_real_root_oracle`):
+every real root of the squarefree part is isolated over the Cauchy span,
+the span's root is found among them by signs at the clipped ends, and its
+index among them is its ordinal.
+
 Polynomial arithmetic is checked against `FractionPoly`: coefficients
 stored as a tuple of Fractions, with the schoolbook loops over Fractions
 that `Poly` ran before it stored integer numerators over one denominator.
@@ -103,6 +115,7 @@ import math
 from fractions import Fraction
 
 from cakelab.dyadic import DyadicInterval
+from cakelab import algebraic as alg
 from cakelab.algebraic import AlgebraicNumber, _Add, _Binary, _Div, _Mul, _Rat, _Sub
 from cakelab.errors import DegreeCapExceeded, InvalidMeasureError
 from cakelab.factoring import check_degree, factor_over_Q
@@ -117,8 +130,13 @@ from cakelab.polys import (
     _fp_sub,
     _horner_mod,
     _monic_mod,
+    _int_squarefree,
     _neg_prem,
+    horner,
+    rational_roots,
+    root_bound,
     squarefree_part,
+    sturm_isolate,
 )
 
 
@@ -641,6 +659,77 @@ def sturm_isolate_oracle(p, span):
             out[i] = _shrink_half_oracle(f, chain, out[i])
             out[i + 1] = _shrink_half_oracle(f, chain, out[i + 1])
     return out
+
+
+def _refined_sign(node, k, limit=None):
+    """The sign once node's enclosure at 2^-k, k doubling, excludes 0; None
+    past the limit."""
+    while limit is None or k <= limit:
+        try:
+            lo, hi = alg._interval(node, k)
+        except alg._MorePrecision:
+            k *= 2
+            continue
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        k *= 2
+    return None
+
+
+def saf_first_sign_oracle(node):
+    """The exact sign of a node, its single-atom form first."""
+    if isinstance(node, _Rat):
+        return (node.value > 0) - (node.value < 0)
+    saf = alg._saf_of(node)
+    if saf is not alg._SAF_UNAVAILABLE:
+        atom, nums, _ = saf
+        if atom is None:
+            v = nums[0] if nums else 0
+            return (v > 0) - (v < 0)
+        return _refined_sign(node, max(8, node._ivc[0]))
+    s = _refined_sign(node, 8, 128)
+    if s is not None:
+        return s
+    if isinstance(node, (_Mul, _Div)):
+        s = saf_first_sign_oracle(node.a)
+        return s and s * saf_first_sign_oracle(node.b)
+    if alg._equal_values(node.a, node.b, negated=isinstance(node, _Add)):
+        return 0
+    return _refined_sign(node, max(8, node._ivc[0]))
+
+
+def full_span_real_root_oracle(p, lo, hi):
+    """(node, key): the unique real root of p in [lo, hi], isolated over
+    the whole Cauchy span.  A root of a polynomial past degree 2 that is
+    no binomial comes back as a fresh atom with its isolating interval
+    over the span, not interned, and key is the (coefficients, ordinal)
+    the library interns it under; key is None for every other node."""
+    sqf = Poly(_int_squarefree(p.int_coeffs()))
+    bound = root_bound(sqf)
+    all_ivs = sturm_isolate(sqf, DyadicInterval(-bound, bound))
+    cs = sqf.nums
+    hits = []
+    for idx, iv in enumerate(all_ivs):
+        a, b = max(iv.lo, lo), min(iv.hi, hi)
+        if a <= b and horner(cs, a.numerator, a.denominator) * horner(cs, b.numerator, b.denominator) <= 0:
+            hits.append(idx)
+    if len(hits) != 1:
+        raise ValueError("the span must contain exactly one root")
+    for r in rational_roots(sqf):
+        if lo <= r <= hi:
+            return _Rat(r), None
+    idx = hits[0]
+    iv = all_ivs[idx]
+    nonzero = [(i, c) for i, c in enumerate(cs) if c != 0]
+    if len(nonzero) == 2 and nonzero[0][0] == 0:
+        d = nonzero[1][0]
+        root = alg._make_root(Fraction(-nonzero[0][1], nonzero[1][1]), d)
+        return (root if d % 2 == 1 or iv.lo >= 0 else alg._fold_mul(alg._rat(-1), root)), None
+    if sqf.degree == 2:
+        return alg._quadratic_root(sqf, idx), None
+    return alg._PolyRootAtom(sqf, iv.lo, iv.hi), (cs, idx)
 
 
 def nested_elimination_minpoly(v, known=None):

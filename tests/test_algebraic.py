@@ -36,6 +36,7 @@ from cakelab.polys import root_bound, sturm_isolate
 from _oracle import (
     dag_atoms_oracle,
     elimination_oracle,
+    full_span_real_root_oracle,
     image_oracle,
     inverse_mod_oracle,
     isolating_interval_oracle,
@@ -45,6 +46,7 @@ from _oracle import (
     prime_exponents,
     residue_mod_oracle,
     residue_oracle,
+    saf_first_sign_oracle,
     select_factor_oracle,
     sturm_chain_oracle,
     sturm_count_oracle,
@@ -358,6 +360,145 @@ class TestSign:
         assert ticks == [2]
         assert isinstance(merged._node, alg._Mul) and merged._node.a.value == 6 and merged._node.b is p._node
         assert (-(-p))._node is p._node
+
+
+_A4, _B4 = nth_root(2, 4), nth_root(3, 4)
+# (a+b)(a-b) - (a^2-b^2): a zero with no single-atom form, that no fold cancels
+_PLANTED_ZERO = (_A4 + _B4) * (_A4 - _B4) - (_A4 * _A4 - _B4 * _B4)
+_SIGN_LEAVES = [
+    _A4,
+    _B4,
+    nth_root(Fraction(1, 2), 5),
+    -nth_root(3, 2),
+    t_star(),
+    AlgebraicNumber.real_root(X**3 - X - c(1), 1, 2),
+    AlgebraicNumber(_make_cut_root(Poly([0, Fraction(1, 2), 0, Fraction(1, 2)]), (nth_root(2, 2) / 2)._node)),
+]
+
+
+@st.composite
+def _sign_cases(draw):
+    """Radicals, polynomial roots and cut roots, their sums, differences,
+    products and quotients, values within 2^-200 of a rational, and
+    planted zeros alone, reordered, or inside a product or quotient."""
+    x, y = draw(st.sampled_from(_SIGN_LEAVES)), draw(st.sampled_from(_SIGN_LEAVES))
+    v = _OPS[draw(st.sampled_from(sorted(_OPS)))](x, y)
+    shape = draw(st.sampled_from(["plain", "near", "zero", "reordered", "times-zero", "zero-over", "plus-zero"]))
+    if shape == "near":
+        lo, hi = v.approx(Fraction(1, 1 << draw(st.sampled_from([4, 64, 200]))))
+        return v - (lo + hi) / 2
+    if shape == "zero":
+        return _PLANTED_ZERO
+    if shape == "reordered":
+        return (x + y) - (y + x)
+    if shape == "times-zero":
+        return _PLANTED_ZERO * v
+    if shape == "zero-over":
+        return _PLANTED_ZERO / x
+    if shape == "plus-zero":
+        return v + _PLANTED_ZERO
+    return v
+
+
+class TestSignRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(_sign_cases())
+    @example(_PLANTED_ZERO)
+    def test_refinement_first_agrees_with_the_form_first_route(self, v):
+        assert alg._sign(v._node) == saf_first_sign_oracle(v._node)
+
+    def test_separated_sign_builds_no_form(self):
+        # the unit-range check of a cut answer: refinement decides pt - 1,
+        # so neither its single-atom form nor the cut atom's minimal
+        # polynomial, an elimination of degree 6, is built
+        cut = AlgebraicNumber(_make_cut_root(Poly([0, Fraction(1, 3), 0, Fraction(2, 3)]), (nth_root(3, 2) / 3)._node))
+        pt = cut - 1
+        assert pt.sign() == -1
+        assert pt._node._saf is None and cut._node._mp is None
+
+    def test_planted_zero_inside_a_form_is_constant(self):
+        # sqrt(2) * sqrt(2) - 2 has the constant form 0 and refinement
+        # cannot separate it: the form decides, after 2^-128
+        z = nth_root(2, 2) * nth_root(2, 2) - 2
+        assert z.sign() == 0 and z._node._ivc[0] == 128
+
+
+_UNIT = (Fraction(0), Fraction(1))
+
+
+@st.composite
+def _cut_equations(draw):
+    """(F, c): a strictly increasing mixture F of powers of x with F(0) = 0
+    and F(1) = 1, and a rational c in (0, 1).  F - c may be quadratic or a
+    binomial, or have a rational root in (0, 1) or outside [0, 1], on a
+    dyadic point that isolating the Cauchy span splits at."""
+    kind = draw(st.sampled_from(["mixture", "quadratic", "binomial", "rational-inside", "rational-outside"]))
+    if kind == "binomial":
+        f = X ** draw(st.integers(2, 6))
+    elif kind == "quadratic":
+        w = draw(st.fractions(0, 1, max_denominator=50))
+        f = c(w) * X + c(1 - w) * X**2
+    else:
+        exps = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True))
+        ws = draw(st.lists(st.integers(1, 9), min_size=len(exps), max_size=len(exps)))
+        f = sum((c(Fraction(w, sum(ws))) * X**e for w, e in zip(ws, exps)), Poly())
+    if kind == "rational-inside":
+        cv = f(draw(st.fractions(0, 1, max_denominator=64)))
+    elif kind == "rational-outside":
+        q = draw(st.sampled_from([-4, -2, -1, Fraction(-1, 2), Fraction(-3, 2), Fraction(5, 4), Fraction(3, 2), 2, 3, 4]))
+        cv = f(Fraction(q))
+    else:
+        cv = draw(st.fractions(0, 1, max_denominator=1000))
+    assume(0 < cv < 1)
+    return f, cv
+
+
+def _same_root(p, lo, hi):
+    """The real root of p in [lo, hi] by the library and by isolating the
+    whole Cauchy span, against a fresh intern table: the same node, or the
+    same fresh atom's intern key, and the same enclosures at 2^-4, 2^-64,
+    2^-512 and at a fresh atom's bracket width w.  Enclosures are at most
+    2^-8 wide, so 2^-4 asks for one at 2^-8, which the routes share only
+    when w is at least that wide: a narrower span may give a bracket
+    inside the full span's."""
+    with mock.patch.object(alg, "_polyroot_intern", {}):
+        new = alg._make_real_root(p, lo, hi)
+        old, key = full_span_real_root_oracle(p, lo, hi)
+        widths = [Fraction(1, 1 << k) for k in (4, 64, 512)]
+        if key is None:
+            assert alg._saf_of(new) == alg._saf_of(old)
+        else:
+            assert alg._polyroot_intern[key] is new
+            w = new.hi - new.lo
+            widths = [eps for eps in widths if min(eps, Fraction(1, 256)) <= w] + [w]
+        for eps in widths:
+            assert AlgebraicNumber(new).approx(eps) == AlgebraicNumber(old).approx(eps)
+
+
+class TestRealRootRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(_cut_equations())
+    @example((c(Fraction(1, 2)) * X**2 + c(Fraction(1, 2)) * X**3, Fraction(1, 3)))
+    @example((c(Fraction(3, 4)) * X**2 + c(Fraction(1, 4)) * X**3, Fraction(1, 2)))  # F - c vanishes at -1
+    @example((c(Fraction(3, 4)) * X**2 + c(Fraction(1, 4)) * X**3, Fraction(5, 32)))  # and here at -1/2
+    def test_cut_cell_matches_the_full_span(self, case):
+        f, cv = case
+        _same_root(f - c(cv), *_UNIT)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 8), Fraction(1)]),
+                 max_size=2, unique=True),
+        st.sampled_from([X**3 + X**2 - c(1), X**3 - c(3) * X + c(1), X**5 - X - c(Fraction(1, 4)), c(2) * X**2 - c(1)]),
+    )
+    def test_spans_from_isolating_the_unit_interval(self, rational_roots, g):
+        # max_welfare's spans: isolating intervals over [0, 1], which ends
+        # that are roots push outward and roots at midpoints shift
+        p = g
+        for q in rational_roots:
+            p = p * (X - c(q))
+        for iv in sturm_isolate(p, DyadicInterval.make(0, 1)):
+            _same_root(p, iv.lo, iv.hi)
 
 
 class TestMinpoly:

@@ -246,6 +246,10 @@ class TestRadicalDegree:
     @example((Fraction(1, 3), 6), [(Fraction(1, 3), 3)])  # v^2 = (1/3)^(1/3)
     @example((Fraction(-1, 24), 3), [(Fraction(-3), 3), (Fraction(2), 2)])
     @example((Fraction(-6), 5), [(Fraction(-6), 5)])
+    @example(
+        (Fraction(649983722677862400), 8),
+        [(Fraction(49796495981568), 6), (Fraction(588245, 4374), 5), (Fraction(60025000), 6)],
+    )
     def test_word_against_residue_tuple(self, radical, gens):
         # v^m = q * prod(a_i^c_i) holds on prime exponent vectors, with the
         # signs of real odd roots of negatives, each c_i a residue mod d_i,
@@ -279,6 +283,44 @@ class TestRadicalDegree:
         before = _ledger(tw)
         assert tw.is_pth_power(A(b), p) == (radical_degree_oracle(b, p, gens)[0] == 1)
         assert _ledger(tw) == before
+
+    def test_word_with_large_lattice_coefficients(self):
+        # the lattice writes v^4 with generator coefficients such as 198816
+        # and base exponents past 10^6; raising the radicands to those
+        # powers did not end within 20 s, and the word q = 2^13 3^9 5 is
+        # read off the exponent vectors instead
+        gens = [(Fraction(49796495981568), 6), (Fraction(588245, 4374), 5), (Fraction(60025000), 6)]
+        with time_limit(1):
+            m, word = _radical_degree(Fraction(649983722677862400), 8, gens)
+        assert m == 4 and word == (Fraction(2**13 * 3**9 * 5), (0, 0, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SIGNED, st.booleans())
+    def test_degree_over_Q_skips_the_lattice(self, radical, claimed):
+        # a rational radical over a tower with no radical step: its
+        # interned atom's index and radicand are the lattice's degree and
+        # word over Q, with or without a cubic step below
+        r, d = radical
+        v = nth_root(r, d)
+        assume(v.as_rational() is None)
+        m, word = _radical_degree(r, d, [])
+        cubic = A.real_root(Poly([-1, -1, 0, 1]), 1, 2)
+        for below in ([], [cubic]) if m % 3 else ([],):
+            tw = Tower()
+            for w in below:
+                tw.adjoin(w)
+            step = tw.adjoin(v, claimed_radical=(d, A(r)) if claimed else None)
+            assert step.degree == m and step.form == (word[0], m) and word[1] == ()
+
+    def test_rational_valued_root_atom_with_a_rational_claim(self):
+        # sqrt(sqrt2 * sqrt8) is a root atom over a compound operand with
+        # value 2: the claim's radical is the rational 2, and over L = Q
+        # the step is trivial, as the lattice finds
+        v = nth_root(nth_root(2, 2) * nth_root(8, 2), 2)
+        assert v.as_rational() is None and _radical_degree(Fraction(4), 2, [])[0] == 1
+        tw = Tower()
+        assert tw.adjoin(v, claimed_radical=(2, A(4))).degree == 1
+        assert tw.total_degree == 1
 
     def test_semiprime_radicands(self):
         # factoring M61 * M89 took minutes; the coprime base needs gcds only

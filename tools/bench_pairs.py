@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Alternating benchmark runs in two checkouts, paired.
+
+    python3 tools/bench_pairs.py BASE HEAD --workload W --seed S [--pairs N] [--out FILE]
+
+Runs `python3 bench/run.py --workload W --seed S --trace 0`, at the
+benchmark's own run length, in the checkout BASE and in the checkout
+HEAD, once each per pair (N = 10 by default), BASE first in odd pairs
+and HEAD first in even ones, so that a drift in the host's speed falls
+on both sides alike.  Each run's last line of output
+is the benchmark's JSON result.
+
+FILE (default bench-pairs-W-seedS.json) receives, for each pair, the six
+end-to-end metrics, `failed` and `correct` of both sides; the medians
+per side; BASE's quartiles per metric; the number of pairs in which HEAD
+is better, by the metric's direction in HEAD's BENCHMARK.json; and
+whether the per-item digests of every run equal those of BASE's first
+run.  Nothing is written in either checkout but what bench/run.py writes
+under its .bench_out/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def _run(checkout: str, args) -> tuple[dict, str]:
+    """One benchmark run in the checkout: (result, per-item digests)."""
+    cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"bench/run.py failed in {checkout} (exit {proc.returncode}):\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    digests = os.path.join(checkout, ".bench_out", f"{args.workload}-seed{args.seed}-trace0", "digests-untraced.tsv")
+    with open(digests, encoding="utf-8") as fh:
+        return result, fh.read()
+
+
+def _summary(result: dict, names: list[str]) -> dict:
+    out = {name: result["metrics"][name]["value"] for name in names}
+    out["failed"] = result["failed"]
+    out["correct"] = result["correct"]
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base")
+    ap.add_argument("head")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--out")
+    args = ap.parse_args(argv)
+    with open(os.path.join(args.head, "BENCHMARK.json"), encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    names = [m["name"] for m in end_to_end]
+    lower = {m["name"]: m["better"] == "lower" for m in end_to_end}
+
+    pairs, digests = [], {"base": [], "head": []}
+    for i in range(1, args.pairs + 1):
+        order = ("base", "head") if i % 2 else ("head", "base")
+        pair = {"pair": i, "first": order[0]}
+        for side in order:
+            result, dig = _run(getattr(args, side), args)
+            pair[side] = _summary(result, names)
+            digests[side].append(dig)
+        pairs.append(pair)
+        print(json.dumps(pair), flush=True)
+
+    def values(side, name):
+        return [p[side][name] for p in pairs]
+
+    reference = digests["base"][0]
+    report = {
+        "command": f"python3 bench/run.py --workload {args.workload} --seed {args.seed} --trace 0",
+        "base": os.path.abspath(args.base),
+        "head": os.path.abspath(args.head),
+        "workload": args.workload,
+        "seed": args.seed,
+        "pairs": pairs,
+        "median": {side: {n: statistics.median(values(side, n)) for n in names + ["failed"]}
+                   for side in ("base", "head")},
+        "base_quartiles": {n: statistics.quantiles(values("base", n), n=4)[::2] if len(pairs) > 1 else None
+                           for n in names},
+        "head_better_pairs": {
+            n: sum((h < b) if lower[n] else (h > b) for b, h in zip(values("base", n), values("head", n)))
+            for n in names
+        },
+        "digests_identical": {side: all(d == reference for d in digests[side]) for side in ("base", "head")},
+    }
+    out = args.out or f"bench-pairs-{args.workload}-seed{args.seed}.json"
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+    print(json.dumps({"median": report["median"], "head_better_pairs": report["head_better_pairs"],
+                      "digests_identical": report["digests_identical"]}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
