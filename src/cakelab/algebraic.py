@@ -62,7 +62,9 @@ Key internals:
   operands decide a zero, never its own minimal polynomial: a product or
   quotient multiplies their signs, and a sum or difference compares its
   operands (`_equal_values`).  Refinement with no limit runs only on a
-  value known to be nonzero.
+  value known to be nonzero.  A comparison runs the same loop on its two
+  operands' own enclosures, which decide where the difference's would, so
+  it builds a difference node only for the exact route (`_compare`).
 * Root atoms over rational radicands are canonicalized and interned, so
   structurally equal radicals are pointer-equal and their differences
   fold to zero without any elimination.  Folds cancel by operand
@@ -263,8 +265,11 @@ def _rat(v) -> _Rat:
     return _Rat(v if isinstance(v, Fraction) else Fraction(v))
 
 
-def _same(x: _Node, y: _Node) -> bool:
-    """Operand identity: the same node, or two rationals of equal value."""
+def _same(x: _Node, y) -> bool:
+    """Operand identity: the same node, or two rationals of equal value; y
+    may be an int or a Fraction (`_compare`)."""
+    if not isinstance(y, _Node):
+        return isinstance(x, _Rat) and x.value == y
     return x is y or (isinstance(x, _Rat) and isinstance(y, _Rat) and x.value == y.value)
 
 
@@ -653,7 +658,7 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
                 break
             if limit is not None and kc >= limit:
                 with uncounted():
-                    sign = -_sign(_fold_sub(atom.target, _rat(Fraction(fx, den << (e * n)))))
+                    sign = -_compare(atom.target, Fraction(fx, den << (e * n)))
                 if sign == 0:
                     return 0
                 break
@@ -1048,9 +1053,12 @@ def _residue_poly_at(p: Poly, node: _Node) -> Optional[_Node]:
 
 
 def _rational_value(node: _Node) -> Optional[Fraction]:
-    """Exact rational value of the node, if it provably is rational."""
+    """Exact rational value of the node, if it provably is rational.  An
+    atom's single-atom form is itself, so an atom reads None at once."""
     if isinstance(node, _Rat):
         return node.value
+    if isinstance(node, _ATOM_TYPES):
+        return None
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE or saf[0] is not None:
         return None
@@ -1285,30 +1293,78 @@ def _compute_minpoly(node: _Node) -> Poly:
 
 
 def _sign(node: _Node) -> int:
-    """The exact sign.  Refinement comes first for every node: from the
-    node's cached effort, doubling.  Only a value that 2^-128 cannot
-    separate from 0 takes the exact route (`_exact_sign`), once, and
-    refinement goes on only when that proves the value nonzero.  So a
-    value that refinement separates from 0 never builds its single-atom
-    form, nor a minimal polynomial for it."""
+    """The exact sign.  A rational leaf reads its numerator.  Any other
+    node refines from its cached effort (`_refined_sign`), and only a value
+    that 2^-128 cannot separate from 0 takes the exact route.  So a value
+    that refinement separates from 0 never builds its single-atom form, nor
+    a minimal polynomial for it."""
     if isinstance(node, _Rat):
-        v = node.value
-        return (v > 0) - (v < 0)
-    k = max(8, node._ivc[0])
+        n = node.value.numerator
+        return (n > 0) - (n < 0)
+    return _refined_sign(node, 0, max(8, node._ivc[0]))
+
+
+def _compare(a, b) -> int:
+    """sign(a - b) for a and b each a node, an int or a Fraction, charged
+    the one tick of the subtraction it replaces, and building no
+    difference node unless the exact route needs one.
+
+    First come the folds `_fold_sub` would apply: a is b, two rationals
+    (compared by integer cross-multiplication), a rational zero b (the sign
+    of a), and p + q against q or p (the sign of the other summand).  Any
+    other pair refines the operands' own enclosures from effort 8, where an
+    operand cached at a higher effort gives its cached enclosure, as an
+    operand of a fresh difference node would (`_refined_sign`).  Each step
+    of refinement leaves every node the enclosure the difference node's
+    walk would have left, so later enclosures, and all output, are those
+    that the sign of a - b as a node would give."""
+    _tick()
+    if a is b:
+        return 0
+    if isinstance(a, _Rat):
+        a = a.value
+    if isinstance(b, _Rat):
+        b = b.value
+    if not isinstance(a, _Node) and not isinstance(b, _Node):
+        d = a.numerator * b.denominator - b.numerator * a.denominator
+        return (d > 0) - (d < 0)
+    if not isinstance(b, _Node) and b == 0:
+        return _sign(a)
+    if isinstance(a, _Add):
+        if _same(a.b, b):
+            return _sign(a.a)
+        if _same(a.a, b):
+            return _sign(a.b)
+    return _refined_sign(a, b, 8)
+
+
+def _refined_sign(a, b, k: int) -> int:
+    """sign(a - b) for a node a and a node or rational b, or a rational a
+    and a node b: the one refinement loop behind `_sign` (b = 0) and
+    `_compare`.  The enclosures of a and b at effort k, k doubling, decide
+    once they are disjoint, exactly where the enclosure of the difference
+    would exclude 0; a rational is its own enclosure.  A pair that 2^-128
+    cannot separate takes the exact route once (`_exact_sign`, on a or on
+    an uncounted difference node), and refinement goes on only when that
+    proves the difference nonzero."""
     nonzero = False
     while True:
         try:
-            lo, hi = _interval(node, k)
+            alo, ahi = _interval(a, k) if isinstance(a, _Node) else (a, a)
+            blo, bhi = _interval(b, k) if isinstance(b, _Node) else (b, b)
         except _MorePrecision:
             pass
         else:
-            if lo > 0:
+            if alo > bhi:
                 return 1
-            if hi < 0:
+            if ahi < blo:
                 return -1
         k *= 2
         if k > 128 and not nonzero:
-            s = _exact_sign(node)
+            if not isinstance(b, _Node) and b == 0:
+                s = _exact_sign(a)
+            else:
+                s = _exact_sign(_Sub(*(v if isinstance(v, _Node) else _rat(v) for v in (a, b))))
             if s is not None:
                 return s
             nonzero = True
@@ -1464,7 +1520,14 @@ class AlgebraicNumber:
         return self.minimal_polynomial().degree
 
     def compare(self, other) -> int:
-        return (self - AlgebraicNumber.of(other)).sign()
+        """-1, 0 or 1 as self is below, equal to or above other, an
+        AlgebraicNumber, an int or a Fraction (`_compare`): no difference
+        node is built, and the one tick of the subtraction is charged."""
+        if isinstance(other, AlgebraicNumber):
+            other = other._node
+        elif not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        return _compare(self._node, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (AlgebraicNumber, int, Fraction)):
@@ -1544,7 +1607,7 @@ class AlgebraicNumber:
             # a value with no single-atom form can be, keep tightening
             if tie:
                 with uncounted():
-                    if _sign(_fold_sub(self._node, _rat(g))) == 0:
+                    if _compare(self._node, g) == 0:
                         return AlgebraicNumber(g).decimal(digits)
             eps /= 100
 

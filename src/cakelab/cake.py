@@ -120,9 +120,9 @@ class Allocation:
         for per in self.pieces:
             for lo, hi in per:
                 for e in (lo, hi):
-                    if (e - 0).sign() == 0 or (e - 1).sign() == 0:
+                    if e.compare(0) == 0 or e.compare(1) == 0:
                         continue
-                    if not any((e - q).sign() == 0 for q in pts):
+                    if not any(e.compare(q) == 0 for q in pts):
                         pts.append(e)
         pts.sort()
         return pts
@@ -137,14 +137,14 @@ class Allocation:
         if all_pieces[0][0].sign() != 0:
             raise ValueError("allocation must start at 0")
         for (alo, ahi), (blo, bhi) in zip(all_pieces, all_pieces[1:]):
-            if (ahi - blo).sign() != 0:
+            if ahi.compare(blo) != 0:
                 raise ValueError("pieces must tile without gaps or overlap")
-        if (all_pieces[-1][1] - 1).sign() != 0:
+        if all_pieces[-1][1].compare(1) != 0:
             raise ValueError("allocation must end at 1")
         # sorted by lo and chained hi = next lo, only the last piece can
         # run backwards
         lo, hi = all_pieces[-1]
-        if (hi - lo).sign() < 0:
+        if hi.compare(lo) < 0:
             raise ValueError(f"piece [{lo}, {hi}] is reversed: hi < lo")
 
 
@@ -212,14 +212,14 @@ class Session:
 
     def _check_unit_range(self, *points: Alg) -> None:
         for pt in points:
-            if pt.sign() < 0 or (pt - 1).sign() > 0:
+            if pt.sign() < 0 or pt.compare(1) > 0:
                 raise QueryDomainError("query point outside [0, 1]")
 
     def eval(self, player: int, x, y) -> Alg:
         """Ask the player the exact value of [x, y]."""
         x, y = _alg(x), _alg(y)
         self._check_unit_range(x, y)
-        if (y - x).sign() < 0:
+        if y.compare(x) < 0:
             raise QueryDomainError("reversed interval in eval query")
         f = self.measures[player].cdf
         answer = poly_at(f, y) - poly_at(f, x)
@@ -240,7 +240,7 @@ class Session:
         f = self.measures[player].cdf
         fx = poly_at(f, x)
         remaining = _alg(1) - fx
-        if (amount - remaining).sign() > 0:
+        if amount.compare(remaining) > 0:
             raise InfeasibleAmountError("cut amount exceeds the remaining measure")
         target = fx + amount
         mono = _monomial_degree(f)
@@ -353,14 +353,14 @@ def check_fairness(alloc: Allocation, measures: Sequence[Measure]) -> FairnessRe
     witnesses: list[FairnessWitness] = []
     proportional = True
     for i in range(n):
-        if (vm[i][i] - share).sign() < 0:
+        if vm[i][i].compare(share) < 0:
             proportional = False
             witnesses.append(FairnessWitness("proportional", i, None, vm[i][i], _alg(share)))
             break
     envy_free = True
     for i in range(n):
         for j in range(n):
-            if i != j and (vm[i][i] - vm[i][j]).sign() < 0:
+            if i != j and vm[i][i].compare(vm[i][j]) < 0:
                 envy_free = False
                 witnesses.append(FairnessWitness("envy_free", i, j, vm[i][i], vm[i][j]))
                 break
@@ -369,7 +369,7 @@ def check_fairness(alloc: Allocation, measures: Sequence[Measure]) -> FairnessRe
     equitable = True
     for i in range(n):
         for j in range(i + 1, n):
-            if (vm[i][i] - vm[j][j]).sign() != 0:
+            if vm[i][i].compare(vm[j][j]) != 0:
                 equitable = False
                 witnesses.append(FairnessWitness("equitable", i, j, vm[i][i], vm[j][j]))
                 break
@@ -404,7 +404,7 @@ def max_welfare(measures: Sequence[Measure]) -> Allocation:
                 if diff(Fraction(1)) == 0 and iv.contains(Fraction(1)):
                     continue
                 root = AlgebraicNumber.real_root(diff, iv.lo, iv.hi)
-                if not any((root - b).sign() == 0 for b in breakpoints):
+                if not any(root.compare(b) == 0 for b in breakpoints):
                     breakpoints.append(root)
     breakpoints.sort()
     bounds: list[Alg] = [_alg(0)] + breakpoints + [_alg(1)]

@@ -46,7 +46,7 @@ def cut_and_choose(m1: Measure, m2: Measure) -> ProtocolRun:
     with session.counting():
         y = session.cut(0, 0, Fraction(1, 2))
         left_value = session.eval(1, 0, y)
-        chooser_takes_left = (left_value - Fraction(1, 2)).sign() >= 0
+        chooser_takes_left = left_value.compare(Fraction(1, 2)) >= 0
         if chooser_takes_left:
             alloc = _assemble({1: [(AlgebraicNumber(0), y)], 0: [(y, AlgebraicNumber(1))]}, 2)
         else:
@@ -74,7 +74,7 @@ def last_diminisher(measures: Sequence[Measure]) -> ProtocolRun:
             holder = cutter
             for p in active[1:]:
                 v = session.eval(p, left, right)
-                if (v - share).sign() > 0:
+                if v.compare(share) > 0:
                     right = session.cut(p, left, share)
                     holder = p
             taken[holder] = [(left, right)]
@@ -147,7 +147,7 @@ def selfridge_conway(measures: Sequence[Measure]) -> ProtocolRun:
         largest, second = order[0], order[1]
         trimmed_idx: Optional[int] = None
         residue: Optional[tuple[Alg, Alg]] = None
-        if (vals2[largest] - vals2[second]).sign() > 0:
+        if vals2[largest].compare(vals2[second]) > 0:
             lo, hi = pieces[largest]
             z = session.cut(1, lo, vals2[second])
             pieces[largest] = (lo, z)
@@ -191,7 +191,7 @@ def _ranked(values: list[Alg]) -> list[int]:
         j = i
         while j > 0:
             a, b = idx[j - 1], idx[j]
-            s = (values[a] - values[b]).sign()
+            s = values[a].compare(values[b])
             if s < 0 or (s == 0 and b < a):
                 idx[j - 1], idx[j] = b, a
                 j -= 1
@@ -204,7 +204,7 @@ def _best_piece(session: Session, player: int, pieces: list[tuple[Alg, Alg]], av
     vals = {k: session.eval(player, pieces[k][0], pieces[k][1]) for k in available}
     best = available[0]
     for k in available[1:]:
-        if (vals[k] - vals[best]).sign() > 0:
+        if vals[k].compare(vals[best]) > 0:
             best = k
     return best
 

@@ -596,7 +596,7 @@ class Tower:
         if claimed_radical is None:
             return self._adjoin_value(value, StepKind.TRIVIAL, None, None, source)
         index, radicand = claimed_radical
-        if (value**index - radicand).sign() != 0:
+        if (value**index).compare(radicand) != 0:
             raise ValueError("radical witness does not verify")
         r = radicand.as_rational()
         claim = None if r is None else (r, index)

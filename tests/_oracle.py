@@ -99,6 +99,10 @@ constant form's sign, or refines with no limit once a nonconstant form
 proves it nonzero; only a value with no form refines first, to 2^-128,
 and then decides a zero from its operands.
 
+A comparison is also decided by the library's route before it refined the
+two operands' own enclosures (`subtraction_sign_oracle`): the sign of
+their difference, built by `_fold_sub` as a node.
+
 The real root of a polynomial in a span comes from the library's route
 before it isolated inside one dyadic cell (`full_span_real_root_oracle`):
 every real root of the squarefree part is isolated over the Cauchy span,
@@ -698,6 +702,12 @@ def saf_first_sign_oracle(node):
     if alg._equal_values(node.a, node.b, negated=isinstance(node, _Add)):
         return 0
     return _refined_sign(node, max(8, node._ivc[0]))
+
+
+def subtraction_sign_oracle(a, b):
+    """The sign of a - b, each an AlgebraicNumber, an int or a Fraction, as
+    the sign of the difference node that `_fold_sub` builds."""
+    return (AlgebraicNumber.of(a) - AlgebraicNumber.of(b)).sign()
 
 
 def full_span_real_root_oracle(p, lo, hi):

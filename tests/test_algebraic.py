@@ -49,6 +49,7 @@ from _oracle import (
     saf_first_sign_oracle,
     select_factor_oracle,
     sturm_chain_oracle,
+    subtraction_sign_oracle,
     sturm_count_oracle,
     sum_polynomial_oracle,
 )
@@ -421,6 +422,173 @@ class TestSignRoute:
         # cannot separate it: the form decides, after 2^-128
         z = nth_root(2, 2) * nth_root(2, 2) - 2
         assert z.sign() == 0 and z._node._ivc[0] == 128
+
+
+_CUT_CDFS = [X**3, c(Fraction(1, 2)) * X + c(Fraction(1, 2)) * X**2, c(Fraction(1, 2)) * X + c(Fraction(1, 2)) * X**5]
+_COMPARE_LEAVES = {
+    "zero": lambda leaf: 0,
+    "int": lambda leaf: 1,
+    "fraction": lambda leaf: Fraction(-2, 3),
+    "rational node": lambda leaf: AlgebraicNumber(Fraction(1, 2)),
+    "radical": lambda leaf: nth_root(2, 4),
+    "other radical": lambda leaf: nth_root(3, 4),
+    "negative radical": lambda leaf: -nth_root(Fraction(1, 2), 3),
+    # its enclosure at 2^-8 ends at 0
+    "tiny negative radical": lambda leaf: -nth_root(Fraction(3, 1 << 40), 2),
+    "sqrt(2)/2": lambda leaf: nth_root(2, 2) / 2,
+    "poly root": lambda leaf: t_star(),
+    "quintic root": lambda leaf: AlgebraicNumber.real_root(X**5 - X - c(1), 1, 2),
+    "cut at 1/3": lambda leaf: AlgebraicNumber(_make_cut_root(_CUT_CDFS[0], alg._rat(Fraction(1, 3)))),
+    "quadratic cut": lambda leaf: AlgebraicNumber(_make_cut_root(_CUT_CDFS[1], alg._rat(Fraction(2, 5)))),
+    "quintic cut": lambda leaf: AlgebraicNumber(_make_cut_root(_CUT_CDFS[2], alg._rat(Fraction(3, 7)))),
+    "cut at sqrt(2)/2": lambda leaf: AlgebraicNumber(_make_cut_root(_CUT_CDFS[2], leaf("sqrt(2)/2")._node)),
+}
+_COMPARE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@st.composite
+def _compare_cases(draw):
+    """A recipe for a pair (a, b): ints, Fractions, rational nodes,
+    radicals, polynomial roots and cut roots at rational and irrational
+    targets; their sums, products and quotients; folded pairs p + q
+    against q or p; a value against a rational within 2^-200 of it; the
+    same value twice; and planted ties (a+b)(a-b) against a^2 - b^2."""
+    names = sorted(_COMPARE_LEAVES)
+    x, y = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    shape = draw(st.sampled_from(["leaves", "compound", "near", "fold", "same", "tie"]))
+    op = draw(st.sampled_from(sorted(_COMPARE_OPS)))
+    if shape == "near":
+        return shape, (x, y, op), draw(st.sampled_from([4, 64, 200])), draw(st.booleans())
+    if shape == "tie":
+        return shape, draw(st.sampled_from([("radical", "other radical"), ("radical", "poly root"), ("poly root", "quadratic cut")])), None, draw(st.booleans())
+    return shape, (x, y, op), None, draw(st.booleans())
+
+
+def _build_pair(case):
+    """The pair a recipe names, built under empty intern tables, so that two
+    builds share no node: each is a twin of the other's graph."""
+    shape, (x, y, *op), k, swap = case
+    leaves = {}
+
+    def leaf(name):
+        if name not in leaves:
+            leaves[name] = _COMPARE_LEAVES[name](leaf)
+        return leaves[name]
+
+    with mock.patch.object(alg, "_root_intern", {}), mock.patch.object(alg, "_polyroot_intern", {}):
+        u, v = leaf(x), leaf(y)
+        if shape == "leaves":
+            pair = (u, v)
+        elif shape == "compound":
+            if op[0] == "/" and AlgebraicNumber.of(v).sign() == 0:
+                v = 3
+            pair = (_COMPARE_OPS[op[0]](AlgebraicNumber.of(u), v), v)
+        elif shape == "near":
+            w = AlgebraicNumber.of(u) + v if op[0] in "+-" else AlgebraicNumber.of(u) * v
+            lo, hi = w.approx(Fraction(1, 1 << k))
+            pair = (w, (lo + hi) / 2)
+        elif shape == "fold":
+            s = AlgebraicNumber.of(u) + v
+            pair = (s, v) if op[0] in "+*" else (s, u)
+        elif shape == "same":
+            w = AlgebraicNumber.of(u) * v
+            pair = (w, w)
+        else:
+            a, b = AlgebraicNumber.of(u), AlgebraicNumber.of(v)
+            pair = ((a + b) * (a - b), a * a - b * b)
+    return pair[::-1] if swap else pair
+
+
+def _node_states(*values):
+    """Every irrational node reachable from the values, depth first, with
+    its cached enclosure and, for an isolated root, its bracket.  A
+    rational's enclosure is its value at every effort, so rationals carry
+    no state that output could read."""
+    out, seen = [], set()
+    stack = [v._node for v in reversed(values) if isinstance(v, AlgebraicNumber)]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if not isinstance(n, alg._Rat):
+            out.append((type(n).__name__, n._ivc, getattr(n, "lo", None), getattr(n, "hi", None)))
+        if isinstance(n, alg._Binary):
+            stack += (n.b, n.a)
+        elif isinstance(n, alg._RootAtom) and isinstance(n.operand, alg._Node):
+            stack.append(n.operand)
+        elif isinstance(n, _CutRootAtom):
+            stack.append(n.target)
+    return out
+
+
+def _operand(v):
+    return v._node if isinstance(v, AlgebraicNumber) else v
+
+
+def _sign_or_cap(route, a, b):
+    """The route's sign of a - b, or DegreeCapExceeded for a tie past the
+    cap, which refinement to 2^-128 cannot separate from a rational within
+    2^-200 of it."""
+    try:
+        return route(a, b)
+    except DegreeCapExceeded:
+        return DegreeCapExceeded
+
+
+class TestCompareRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(_compare_cases())
+    @example(("tie", ("radical", "other radical"), None, False))
+    @example(("near", ("quintic cut", "cut at sqrt(2)/2", "*"), 200, False))
+    @example(("fold", ("poly root", "fraction", "+"), None, True))
+    @example(("leaves", ("int", "fraction", "+"), None, False))
+    @example(("leaves", ("zero", "tiny negative radical", "+"), None, False))
+    @example(("leaves", ("cut at sqrt(2)/2", "sqrt(2)/2", "+"), None, False))
+    def test_agrees_with_the_subtraction_route(self, case):
+        # the same sign, the same ticks, and on twin graphs the same
+        # enclosures left on every node
+        a, b = _build_pair(case)
+        ta, tb = _build_pair(case)
+        assert _node_states(a, b) == _node_states(ta, tb)
+        with alg.count_ops([0]) as new_ticks:
+            new = _sign_or_cap(alg._compare, _operand(a), _operand(b))
+        with alg.count_ops([0]) as old_ticks:
+            old = _sign_or_cap(subtraction_sign_oracle, ta, tb)
+        assert new == old and new_ticks == old_ticks
+        assert _node_states(a, b) == _node_states(ta, tb)
+        if isinstance(a, AlgebraicNumber) and new is not DegreeCapExceeded:
+            assert a.compare(b) == new and (a < b, a == b, a > b) == (new < 0, new == 0, new > 0)
+
+    def test_separated_pair_builds_no_difference_node(self):
+        # refinement decides on the operands' enclosures alone: neither a
+        # fold nor the exact route runs
+        cut = AlgebraicNumber(_make_cut_root(_CUT_CDFS[2], (nth_root(2, 2) / 2)._node))
+        s = nth_root(2, 2) + Fraction(1, 3)
+        never = AssertionError("difference node built")
+        with mock.patch.object(alg, "_fold_sub", side_effect=never), mock.patch.object(alg, "_exact_sign", side_effect=never):
+            assert cut.compare(1) == -1 and cut.compare(0) == 1 and cut.compare(cut) == 0
+            assert s.compare(Fraction(1, 3)) == 1 and s.compare(nth_root(2, 2)) == 1  # p + q against q or p
+            assert cut < s and Fraction(1, 3) < s
+
+    def test_rationals_compare_by_cross_multiplication(self):
+        with mock.patch.object(alg, "_interval", side_effect=AssertionError("refined")):
+            assert alg._compare(Fraction(2, 3), 1) == -1
+            assert alg._compare(alg._rat(Fraction(-7, 5)), Fraction(-7, 5)) == 0
+            assert alg._sign(alg._rat(Fraction(-1, 10**40))) == -1
+            assert AlgebraicNumber(Fraction(3, 4)).compare(Fraction(1, 2)) == 1
+
+    def test_unseparated_pair_takes_the_exact_route_once(self):
+        # the planted tie (a+b)(a-b) against a^2 - b^2 for a = 2^(1/4) and
+        # b = 3^(1/4): refinement to 2^-128, then one exact decision on a
+        # difference node of the two operands
+        a, b = nth_root(2, 4), nth_root(3, 4)
+        left, right = (a + b) * (a - b), a * a - b * b
+        with mock.patch.object(alg, "_exact_sign", wraps=alg._exact_sign) as exact, time_limit(5):
+            assert left.compare(right) == 0
+        args = [call.args[0] for call in exact.call_args_list]
+        assert isinstance(args[0], alg._Sub) and (args[0].a, args[0].b) == (left._node, right._node)
+        assert not any(isinstance(n, alg._Sub) for n in args[1:])
 
 
 _UNIT = (Fraction(0), Fraction(1))

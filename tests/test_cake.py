@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cakelab.algebraic as alg
 import cakelab.cake as cake
 from cakelab import factoring
 from cakelab import (
@@ -121,6 +123,27 @@ class TestValidationShortcut:
 
 
 class TestQueries:
+    @pytest.mark.parametrize("f", [X**3, Poly([0, Fraction(1, 2), Fraction(1, 2)]), Poly([0, Fraction(1, 2), 0, 0, 0, Fraction(1, 2)])])
+    def test_comparisons_build_no_difference_node(self, f, monkeypatch):
+        # the range, amount and order checks and the tower's radical
+        # witness compare without a subtraction: the only differences
+        # built are 1 - F(x) in the cut and the eval's answer
+        s = Session([Measure(f)])
+        subs = []
+        fold_sub = alg._fold_sub
+
+        def spy(a, b):
+            subs.append((a, b, fold_sub(a, b)))
+            return subs[-1][2]
+
+        monkeypatch.setattr(alg, "_fold_sub", spy)
+        x, amount = Fraction(1, 4), Fraction(1, 3)
+        y = s.cut(0, x, amount)
+        assert [(a.value, b.value) for a, b, _ in subs] == [(1, f(x))]
+        answer = s.eval(0, x, y)
+        assert len(subs) == 2 and subs[1][2] is answer._node
+        assert answer.compare(amount) == 0
+
     def test_eval_examples(self):
         s = Session([uniform(), power(5)])
         assert s.eval(1, 0, Fraction(1, 2)).as_rational() == Fraction(1, 32)

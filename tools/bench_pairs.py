@@ -13,10 +13,10 @@ is the benchmark's JSON result.
 FILE (default bench-pairs-W-seedS.json) receives, for each pair, the six
 end-to-end metrics, `failed` and `correct` of both sides; the medians
 per side; BASE's quartiles per metric; the number of pairs in which HEAD
-is better, by the metric's direction in HEAD's BENCHMARK.json; and
-whether the per-item digests of every run equal those of BASE's first
-run.  Nothing is written in either checkout but what bench/run.py writes
-under its .bench_out/.
+is better, by the metric's direction in HEAD's BENCHMARK.json; each
+metric's verdict (`verdict`); and whether the per-item digests of every
+run equal those of BASE's first run.  Nothing is written in either
+checkout but what bench/run.py writes under its .bench_out/.
 """
 
 from __future__ import annotations
@@ -49,6 +49,32 @@ def _summary(result: dict, names: list[str]) -> dict:
     return out
 
 
+def verdict(base: list[float], head: list[float], lower_is_better: bool, bound: float) -> str:
+    """The verdict on one metric over paired runs base[i], head[i], at least
+    two, with the metric's direction and relative bound.
+
+    - "claimed": HEAD is better in at least nine tenths of the pairs, ties
+      counting for neither, and its median is better than BASE's by more
+      than the distance between BASE's quartiles;
+    - "unresolved": otherwise, when that distance is wider than the bound
+      times BASE's median and not every HEAD run is better than every BASE
+      run;
+    - "regression" when HEAD's median is worse than BASE's by more than
+      the bound times BASE's median, else "no regression"."""
+
+    def gain(b: float, h: float) -> float:
+        return b - h if lower_is_better else h - b
+
+    wins = sum(gain(b, h) > 0 for b, h in zip(base, head))
+    mb, mh = statistics.median(base), statistics.median(head)
+    q1, _, q3 = statistics.quantiles(base, n=4)
+    if 10 * wins >= 9 * len(base) and gain(mb, mh) > q3 - q1:
+        return "claimed"
+    if q3 - q1 > bound * abs(mb) and not all(gain(b, h) > 0 for b in base for h in head):
+        return "unresolved"
+    return "regression" if -gain(mb, mh) > bound * abs(mb) else "no regression"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
@@ -62,6 +88,7 @@ def main(argv=None) -> int:
         end_to_end = json.load(fh)["end_to_end"]
     names = [m["name"] for m in end_to_end]
     lower = {m["name"]: m["better"] == "lower" for m in end_to_end}
+    bound = {m["name"]: m["bound"] for m in end_to_end}
 
     pairs, digests = [], {"base": [], "head": []}
     for i in range(1, args.pairs + 1):
@@ -93,13 +120,15 @@ def main(argv=None) -> int:
             n: sum((h < b) if lower[n] else (h > b) for b, h in zip(values("base", n), values("head", n)))
             for n in names
         },
+        "verdict": {n: verdict(values("base", n), values("head", n), lower[n], bound[n]) if len(pairs) > 1 else None
+                    for n in names},
         "digests_identical": {side: all(d == reference for d in digests[side]) for side in ("base", "head")},
     }
     out = args.out or f"bench-pairs-{args.workload}-seed{args.seed}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     print(json.dumps({"median": report["median"], "head_better_pairs": report["head_better_pairs"],
-                      "digests_identical": report["digests_identical"]}))
+                      "verdict": report["verdict"], "digests_identical": report["digests_identical"]}))
     return 0
 
 
