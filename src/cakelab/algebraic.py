@@ -89,7 +89,7 @@ import operator
 from fractions import Fraction
 from typing import Optional, Union
 
-from .dyadic import DyadicInterval
+from .dyadic import DyadicInterval, trailing_zeros
 from .errors import DegreeCapExceeded, ExpressionTooDeep, ZeroPolynomialError
 from .factoring import check_degree, degree_cap, factor_over_Q
 from .ints import SMALL_PRIMES, int_nth_root, is_probable_prime
@@ -627,6 +627,11 @@ def _refine_polyroot(atom: _PolyRootAtom, k: int) -> tuple[Fraction, Fraction]:
 
 
 def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
+    """The cut root's enclosure at effort k: the cell `bisect_root` ends on
+    at width 2^-k, from the atom's bracket, deciding each probe's side of
+    the target by the target's enclosure from effort max(k, 8), doubled
+    until it separates.  A probe is taken at its reduced dyadic point, and
+    compared with the target on that point's smaller scale (`side`)."""
     kc = max(k, 8)
     cs, den = atom.cdf.nums, atom.cdf.den
     n = len(cs) - 1
@@ -643,9 +648,16 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
         target's precision decides that sign unless they are equal, which
         only a rational target can be: past the limit, the exact sign of
         target - cdf(x) decides (`_sign`, which raises DegreeCapExceeded
-        rather than refine a tie it cannot decide)."""
+        rather than refine a tie it cannot decide).
+
+        x is taken at its reduced point m' / 2^e', m' = m >> z and
+        e' = e - z for the z trailing zero bits of m (`horner`): fx and
+        every comparison with the target are on the scale 2^(e'*n), and the
+        value is shifted back by z*n bits to the call's one scale."""
         nonlocal kc, centre
-        fx = horner(cs, m, 1 << e)
+        z = trailing_zeros(m, e)
+        e -= z
+        fx = horner(cs, m >> z, 1 << e)
         while True:
             tlo, thi = _interval(atom.target, kc)
             if centre is None:
@@ -664,7 +676,7 @@ def _refine_cutroot(atom: _CutRootAtom, k: int) -> tuple[Fraction, Fraction]:
                 break
             kc *= 2
         v = fx * centre.denominator - ((centre.numerator * den) << (e * n))
-        return v if (v > 0) - (v < 0) == sign else sign
+        return v << (z * n) if (v > 0) - (v < 0) == sign else sign
 
     atom.lo, atom.hi = bisect_root(side, atom.lo, atom.hi, Fraction(1, 1 << k))
     return atom.lo, atom.hi
@@ -681,14 +693,23 @@ def _refine_to(node: _Node, eps: Fraction, b: Optional[int] = None) -> tuple[Fra
     """An enclosure of the node's value at most eps wide.
 
     The effort reaches its target b, by default the least with 2^-b <= eps,
-    once: it doubles from 8 while 4k <= b and then steps to b, where an
-    atom's enclosure is at most 2^-b wide.  A compound node's enclosure w
-    scales with its operands', so when w is still wider than eps, the
-    effort gains the missing ceil(log2(w/eps)) + 1 bits instead of
-    doubling.  An operand enclosing 0 under a division doubles it."""
+    once: it doubles from 8 (or the cached effort) while 4k <= b and then
+    steps to b, where an atom's enclosure is at most 2^-b wide, and it
+    stops at the first effort whose enclosure is at most eps wide.  A
+    compound node's enclosure w scales with its operands', so when w is
+    still wider than eps, the effort gains the missing ceil(log2(w/eps)) + 1
+    bits instead of doubling.  An operand enclosing 0 under a division
+    doubles it.
+
+    A polynomial or cut root walks that schedule without refining
+    (`_refine_root_atom`): its enclosure at any effort is known in advance
+    but for a root at a grid point, so one refinement goes straight to the
+    effort where the schedule stops."""
     if b is None:
         b = _log2_ceil(1 / eps)
     k = max(8, node._ivc[0])
+    if isinstance(node, (_PolyRootAtom, _CutRootAtom)):
+        return _refine_root_atom(node, eps, b, k)
     while True:
         try:
             lo, hi = _interval(node, k)
@@ -697,12 +718,51 @@ def _refine_to(node: _Node, eps: Fraction, b: Optional[int] = None) -> tuple[Fra
             continue
         if hi - lo <= eps:
             return lo, hi
-        if 4 * k <= b:
-            k *= 2
-        elif k < b:
-            k = b
-        else:
-            k += _log2_ceil((hi - lo) / eps) + 1
+        k = _next_effort(k, b, (hi - lo) / eps)
+
+
+def _next_effort(k: int, b: int, excess: Fraction) -> int:
+    """The effort after k on `_refine_to`'s schedule toward b, for an
+    enclosure excess times wider than asked."""
+    if 4 * k <= b:
+        return 2 * k
+    if k < b:
+        return b
+    return k + _log2_ceil(excess) + 1
+
+
+def _refine_root_atom(atom: _Node, eps: Fraction, b: int, k: int) -> tuple[Fraction, Fraction]:
+    """`_refine_to` for a polynomial or cut root, from effort k, in one
+    refinement.
+
+    `bisect_root` leaves the atom at effort j on the cell of halving its
+    bracket at the first level at most 2^-j wide (or on a root at a point
+    halving tests), whatever efforts came before, and its bracket is its
+    cached enclosure.  So the width at each effort of the schedule is read
+    off the bracket's width w: w / 2^L for the least L >= 0 with
+    w <= 2^(L-j).  The atom is refined once, at the first effort where that
+    is at most eps; its enclosure and bracket are those the schedule ends
+    on.  Only a root at a grid point ends the schedule earlier, at the
+    first effort whose grid holds it: the enclosure is that point at every
+    later effort alike, and its cached effort is set to that first one."""
+    lo, w = atom.lo, atom.hi - atom.lo
+    # w = wn / 2^we, and the cell at effort j is wn / 2^(we + level(j)) wide
+    wn, we = w.numerator, w.denominator.bit_length() - 1
+    en, ed = eps.numerator, eps.denominator
+
+    def level(j: int) -> int:
+        return max(0, (wn - 1).bit_length() + j - we)
+
+    efforts = [k]
+    while wn * ed > en << (we + level(k)):
+        k = _next_effort(k, b, Fraction(wn * ed, en << (we + level(k))))
+        efforts.append(k)
+    iv = _interval(atom, k)
+    if iv[0] == iv[1] and wn:
+        # halving at effort j tests the root g iff g is on the level's grid
+        first = next(j for j in efforts if ((iv[0] - lo) * (1 << level(j)) / w).denominator == 1)
+        atom._ivc = (first, iv)
+    return iv
 
 
 # -- power sums and residues over the integers ----------------------------------
@@ -1239,6 +1299,15 @@ def _compute_minpoly(node: _Node) -> Poly:
     cap before it is built."""
     if isinstance(node, _Rat):
         return Poly([-node.value.numerator, node.value.denominator])
+    if isinstance(node, _RootAtom) and isinstance(node.operand, Fraction):
+        # interned radicals are exponent-reduced, so no prime dividing the
+        # index leaves the radicand a perfect power; the radicand is
+        # positive whenever 4 divides the index.  Both parts of the binomial
+        # irreducibility criterion hold, so the defining binomial is the
+        # minimal polynomial, and primitive: the radicand is a reduced
+        # fraction with a positive denominator.
+        r = node.operand
+        return Poly([-r.numerator] + [0] * (node.index - 1) + [r.denominator])
     saf = _saf_of(node)
     if saf is not _SAF_UNAVAILABLE and not isinstance(node, _ATOM_TYPES):
         atom, nums, den = saf
@@ -1257,14 +1326,6 @@ def _compute_minpoly(node: _Node) -> Poly:
         algebra = _Algebra([m])
         return Poly(_int_squarefree(algebra.charpoly(algebra.lift(nums, den))))
     elif isinstance(node, _RootAtom):
-        if isinstance(node.operand, Fraction):
-            # interned radicals are exponent-reduced, so no prime dividing
-            # the index leaves the radicand a perfect power; the radicand is
-            # positive whenever 4 divides the index.  Both parts of the
-            # binomial irreducibility criterion hold, so the defining
-            # binomial is already the minimal polynomial.
-            r = node.operand
-            return Poly([-r.numerator] + [0] * (node.index - 1) + [r.denominator]).primitive()
         m_op = _minpoly(node.operand)
         check_degree(m_op.degree * node.index, "root adjunction")
         annihilator = m_op.substitute_power(node.index)
@@ -1556,7 +1617,8 @@ class AlgebraicNumber:
         if eps <= 0:
             raise ValueError(f"approximation width must be positive, got {eps}")
         # aim at the effort 8 * 2^j that refinement by doubling reached, so
-        # an atom's enclosure stays the one that schedule returned
+        # an atom's enclosure stays the one that schedule returned; a
+        # polynomial or cut root is refined once, where the schedule stops
         b = _log2_ceil(1 / eps)
         return _refine_to(self._node, eps, 8 << _log2_ceil(Fraction(b, 8)))
 

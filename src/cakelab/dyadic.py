@@ -4,14 +4,22 @@ Halving a dyadic interval k times splits it into 2^k equal cells whose
 ends are integer mantissas over one power of two, so root refinement
 stays in integers: `polys.bisect_root` picks cells of that grid, evaluates
 only at its points, and builds `Fraction`s only for the endpoints it
-returns.  Used as the certified container for real roots throughout the
-package.
+returns.  A point m / 2^e of a fine grid is also the reduced point
+(m >> z) / 2^(e - z) of a coarse one, z = `trailing_zeros(m, e)`, where
+evaluation is cheaper (`polys.horner`).  Used as the certified container
+for real roots throughout the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def trailing_zeros(m: int, cap: int) -> int:
+    """The number of trailing zero bits of m, at most cap; cap for m = 0.
+    m / 2^e is m >> z over 2^(e - z) for z = trailing_zeros(m, e)."""
+    return min((m & -m).bit_length() - 1, cap) if m else cap
 
 
 def is_dyadic(x: Fraction) -> bool:

@@ -48,7 +48,9 @@ Root refinement has one routine, `bisect_root`: quadratic interval
 refinement on the dyadic grid that bisection walks, so it ends on the
 cell bisection would.  It works on integers too: points are mantissas
 over the grid's final 2^e, and a polynomial is evaluated at m/2^e as
-`horner` at m and 2^e, proportional to p there on one scale.
+`horner` at m and 2^e, proportional to p there on one scale.  `horner`
+takes such a point at its reduced form (m >> z)/2^(e-z), z the trailing
+zero bits of m, and shifts the value back to that scale.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .dyadic import DyadicInterval
+from .dyadic import DyadicInterval, trailing_zeros
 from .errors import ZeroPolynomialError
 from .ints import primes
 
@@ -714,8 +716,14 @@ def sturm_isolate(p: Poly, span: DyadicInterval) -> list[DyadicInterval]:
 def horner(coeffs: Sequence[int], num: int, den: int) -> int:
     """den^n * p(num / den) for the integer polynomial p of the given
     coefficients (lowest degree first, n = len(coeffs) - 1) and den > 0, by
-    homogeneous integer Horner.  It has the sign of p(num / den).  A power
-    of two den scales by shifts."""
+    homogeneous integer Horner.  It has the sign of p(num / den).
+
+    A power of two den = 2^e scales by shifts, at the reduced point: with
+    z trailing zero bits in num (z = e for num = 0, and never more than e),
+    num / 2^e = (num >> z) / 2^(e - z), and the value there, on the smaller
+    scale 2^((e - z) n), is shifted back by z n bits.  A grid point that
+    bisection reaches early, such as a bracket's midpoint, costs what a
+    point of its own coarse grid costs."""
     acc = 0
     if den & (den - 1):
         scale = 1
@@ -724,11 +732,16 @@ def horner(coeffs: Sequence[int], num: int, den: int) -> int:
             scale *= den
         return acc
     e = den.bit_length() - 1
+    z = 0
+    if e and not num & 1 and len(coeffs) > 1:
+        z = trailing_zeros(num, e)
+        num >>= z
+        e -= z
     sh = 0
     for c in reversed(coeffs):
         acc = acc * num + (c << sh)
         sh += e
-    return acc
+    return acc << (z * (len(coeffs) - 1))
 
 
 def bisect_root(
@@ -753,7 +766,12 @@ def bisect_root(
     square root, but not below 4.  A cell is also halved while an end value
     is unknown.  Parts are never narrower than the final cell, so every
     point tested is a grid point and the result is exactly the cell (or
-    grid-point root) that halving finds."""
+    grid-point root) that halving finds, whatever width an earlier call
+    refined the bracket to.  The early probes of a fine grid are points of
+    coarse ones, m with many trailing zero bits, which a side that
+    evaluates at the reduced point (`horner`) takes at their own coarse
+    cost: one call straight to a fine width costs about what the last of
+    a series of doubling widths would."""
     if width <= 0:
         raise ValueError(f"refinement width must be positive, got {width}")
     elo, ehi = lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1

@@ -99,6 +99,16 @@ constant form's sign, or refines with no limit once a nonconstant form
 proves it nonzero; only a value with no form refines first, to 2^-128,
 and then decides a zero from its operands.
 
+An enclosure at most eps wide also comes from the library's route before
+a polynomial or cut root went straight to the effort where the schedule
+stops (`doubling_refine_oracle`): every node, atoms included, is refined
+at each effort of the doubling schedule in turn until its enclosure is
+narrow enough.  A polynomial at a dyadic point m / 2^e is also the
+homogeneous integer Horner at m itself, with no reduction of the point
+(`dyadic_horner_oracle`), and a rational radical's minimal polynomial is
+its defining binomial made primitive (`radical_binomial_oracle`), both the
+library's methods before this refinement change.
+
 A comparison is also decided by the library's route before it refined the
 two operands' own enclosures (`subtraction_sign_oracle`): the sign of
 their difference, built by `_fold_sub` as a node.
@@ -680,6 +690,47 @@ def _refined_sign(node, k, limit=None):
             return -1
         k *= 2
     return None
+
+
+def doubling_refine_oracle(node, eps, b=None):
+    """An enclosure of the node's value at most eps wide, refining at every
+    effort of the schedule: doubling from 8 (or the cached effort) while
+    4k <= b, then b, then the missing bits of a compound node."""
+    if b is None:
+        b = alg._log2_ceil(1 / eps)
+    k = max(8, node._ivc[0])
+    while True:
+        try:
+            lo, hi = alg._interval(node, k)
+        except alg._MorePrecision:
+            k *= 2
+            continue
+        if hi - lo <= eps:
+            return lo, hi
+        if 4 * k <= b:
+            k *= 2
+        elif k < b:
+            k = b
+        else:
+            k += alg._log2_ceil((hi - lo) / eps) + 1
+
+
+def dyadic_horner_oracle(coeffs, m, e):
+    """2^(e*n) * p(m / 2^e) by homogeneous integer Horner at m over 2^e,
+    n = len(coeffs) - 1."""
+    acc = 0
+    sh = 0
+    for c in reversed(coeffs):
+        acc = acc * m + (c << sh)
+        sh += e
+    return acc
+
+
+def radical_binomial_oracle(r, d):
+    """den(r) * T^d - num(r), made primitive: the minimal polynomial of an
+    interned rational radical r^(1/d)."""
+    r = Fraction(r)
+    return Poly([-r.numerator] + [0] * (d - 1) + [r.denominator]).primitive()
 
 
 def saf_first_sign_oracle(node):

@@ -31,10 +31,12 @@ from cakelab.algebraic import (
 )
 from cakelab.cake import poly_at
 from cakelab.dyadic import DyadicInterval
-from cakelab.polys import root_bound, sturm_isolate
+from cakelab.polys import bisect_root, root_bound, sturm_isolate
 
 from _oracle import (
     dag_atoms_oracle,
+    doubling_refine_oracle,
+    dyadic_horner_oracle,
     elimination_oracle,
     full_span_real_root_oracle,
     image_oracle,
@@ -44,6 +46,7 @@ from _oracle import (
     nested_elimination_minpoly,
     poly_at_fold_oracle,
     prime_exponents,
+    radical_binomial_oracle,
     residue_mod_oracle,
     residue_oracle,
     saf_first_sign_oracle,
@@ -675,6 +678,22 @@ class TestMinpoly:
         assert str((nth_root(2, 2) + 0).minimal_polynomial()) == "x^2 - 2"
         assert str(t_star().minimal_polynomial()) == "x^3 + x^2 - 1"
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.fractions(min_value=-50, max_value=50, max_denominator=60), st.integers(2, 9))
+    @example(Fraction(-8, 27), 3)
+    @example(Fraction(-3, 4), 5)
+    @example(Fraction(4, 9), 4)
+    def test_rational_radical_is_its_binomial(self, r, d):
+        # negative radicands at odd indices, and radicands a power reduces
+        assume(r != 0 and (r > 0 or d % 2 == 1))
+        with mock.patch.object(alg, "_root_intern", {}):
+            node = nth_root(r, d)._node
+            if isinstance(node, alg._RootAtom):
+                # the interned, exponent-reduced radical, before any form
+                assert node._saf is None
+                assert alg._minpoly(node) == radical_binomial_oracle(node.operand, node.index)
+                assert node._saf is None
+
     def test_straddles_zero_on_refinement(self):
         # the minimal polynomial changes sign across every refinement level
         for v in (t_star(), nth_root(Fraction(1, 2), 5), nth_root(3, 2) + nth_root(2, 2)):
@@ -1153,7 +1172,10 @@ class TestRefinementSchedule:
         # 10^-310 needs 1030 bits, not the 2048 that doubling from 8 reaches
         assert v._node._ivc[0] <= 1040
 
-    def test_fresh_atom_approx_visits_the_doubling_efforts(self, monkeypatch):
+    def test_fresh_atom_approx_refines_once_at_the_target_effort(self, monkeypatch):
+        eps = Fraction(1, 2**1024)
+        reference = self._fresh_quintic_root(monkeypatch)._node
+        expected = doubling_refine_oracle(reference, eps)
         v = self._fresh_quintic_root(monkeypatch)
         efforts = []
 
@@ -1163,9 +1185,10 @@ class TestRefinementSchedule:
             return _interval(node, k)
 
         monkeypatch.setattr(alg, "_interval", recorded)
-        lo, hi = v.approx(Fraction(1, 2**1024))
-        assert hi - lo <= Fraction(1, 2**1024)
-        assert efforts == [8 << j for j in range(8)]
+        # the doubling schedule visited 8, 16, ..., 1024, refining at each
+        assert v.approx(eps) == expected
+        assert efforts == [1024]
+        assert v._node._ivc == reference._ivc
 
     def test_radical_sum_gains_only_the_missing_bits(self, monkeypatch):
         monkeypatch.setattr(alg, "_root_intern", {})
@@ -1184,6 +1207,187 @@ class TestRefinementSchedule:
         v = self._fresh_quintic_root(monkeypatch)
         lo, hi = v.approx(eps)
         assert v._node._ivc[0] == k and hi - lo == Fraction(1, 2**k)
+
+
+def _mixture(weights):
+    """The CDF sum w_i x^i / sum w_i, i from 1: increasing on [0, 1]."""
+    total = sum(weights)
+    return Poly([0] + [Fraction(w, total) for w in weights])
+
+
+MIXTURE_WEIGHTS = st.lists(st.integers(0, 5), min_size=1, max_size=5).map(lambda ws: ws + [1])
+
+
+def _planted_tie(g):
+    """x^2 at (a+b)(a-b) - (a^2-b^2) + g^2: a rational target with no
+    single-atom form, whose cut is the grid point g."""
+    a, b = nth_root(2, 2), nth_root(3, 3)
+    target = (a + b) * (a - b) - (a * a - b * b) + g * g
+    return AlgebraicNumber(_make_cut_root(X**2, target._node))
+
+
+REFINE_REQUESTS = st.one_of(
+    st.integers(8, 1024).map(lambda k: ("approx", Fraction(1, 2**k))),
+    st.tuples(st.integers(1, 15), st.integers(8, 1030)).map(lambda nk: ("approx", Fraction(2 * nk[0] + 1, 2 ** nk[1]))),
+    st.integers(1, 300).map(lambda j: ("approx", Fraction(1, 10**j))),
+    st.integers(0, 310).map(lambda d: ("decimal", d)),
+    st.just(("isolating_interval",)),
+)
+
+
+class _Side:
+    """One copy of a value: built and queried under its own empty intern
+    tables, by the library's refinement or by the doubling oracle."""
+
+    def __init__(self, build, oracle: bool):
+        self.patches = {"_root_intern": {}, "_polyroot_intern": {}}
+        if oracle:
+            self.patches["_refine_to"] = doubling_refine_oracle
+        self.value = self.run(build)
+
+    def run(self, f, *args):
+        with mock.patch.multiple(alg, **self.patches):
+            return f(*args)
+
+    def ask(self, request):
+        name, *args = request
+        return self.run(getattr(self.value, name), *args)
+
+    def atoms(self):
+        """(cached effort and enclosure, bracket) of the value and its atoms."""
+        nodes = [self.value._node] + dag_atoms_oracle(self.value._node)
+        return [(n._ivc, getattr(n, "lo", None), getattr(n, "hi", None)) for n in nodes]
+
+
+class _ScaleRecorder:
+    """Records every probe of a polynomial or cut root's refinement: the
+    atom's integer coefficients, and (m, e, side value) per probe."""
+
+    def __init__(self):
+        self.calls = []
+        self.coeffs = None
+
+    def patches(self):
+        def atom_refiner(refine, coeffs):
+            def wrapped(atom, k):
+                self.coeffs = coeffs(atom)
+                return refine(atom, k)
+
+            return wrapped
+
+        def bisect(side, lo, hi, width):
+            probes = []
+            self.calls.append((self.coeffs, probes))
+
+            def recorded(m, e):
+                v = side(m, e)
+                probes.append((m, e, v))
+                return v
+
+            return bisect_root(recorded, lo, hi, width)
+
+        return {
+            "_refine_polyroot": atom_refiner(alg._refine_polyroot, lambda a: a.poly.nums),
+            "_refine_cutroot": atom_refiner(alg._refine_cutroot, lambda a: a.cdf.nums),
+            "bisect_root": bisect,
+        }
+
+    def assert_one_scale_per_call(self):
+        """Within one call every side value v that is not a forced sign (or
+        0) is q * H(m, e) - P * 2^(e*n) for one pair of integers q and P,
+        H(m, e) = 2^(e*n) * f(m / 2^e) by the unreduced Horner loop: the
+        function's value on the call's one scale (P = 0 for a polynomial
+        root, centre * den for a cut root)."""
+        for coeffs, probes in self.calls:
+            n = len(coeffs) - 1
+            points = [(dyadic_horner_oracle(coeffs, m, e), e, v) for m, e, v in probes if abs(v) > 1]
+            if len(points) < 2:
+                continue
+            (h0, e, v0), (h1, _, v1) = points[:2]
+            q, r = divmod(v1 - v0, h1 - h0)
+            assert r == 0 and q != 0
+            offset = q * h0 - v0
+            assert offset % (1 << (e * n)) == 0
+            assert all(v == q * h - offset for h, _, v in points)
+
+
+class TestRefinementRoute:
+    """A polynomial or cut root refined straight to the effort where the
+    doubling schedule stops, with probes at their reduced points, ends on
+    the schedule's enclosure, decimal and isolating interval, and leaves
+    every atom the cached enclosure and bracket the schedule left
+    (`doubling_refine_oracle`, each side under its own intern tables).
+    Every side value stays on its call's one scale."""
+
+    @staticmethod
+    def _agree(build, requests):
+        oracle = _Side(build, oracle=True)
+        recorder = _ScaleRecorder()
+        with mock.patch.multiple(alg, **recorder.patches()):
+            new = _Side(build, oracle=False)
+        assert new.atoms() == oracle.atoms()
+        for request in requests:
+            with mock.patch.multiple(alg, **recorder.patches()):
+                got = new.ask(request)
+            assert got == oracle.ask(request), request
+            assert new.atoms() == oracle.atoms(), request
+        recorder.assert_one_scale_per_call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        MIXTURE_WEIGHTS,
+        st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50), max_denominator=50),
+        st.sampled_from([None, Fraction(-2), Fraction(3, 2), Fraction(-1, 3), Fraction(7)]),
+        st.lists(REFINE_REQUESTS, min_size=1, max_size=3),
+    )
+    @example([0, 0, 0, 1], Fraction(1, 3), Fraction(-2), [("approx", Fraction(1, 2**1024))])
+    @example([1, 0, 0, 0, 0, 1], Fraction(1, 2), None, [("approx", Fraction(3, 2**1026)), ("decimal", 310)])
+    def test_poly_roots(self, weights, c_, outside, requests):
+        # the root of F - c in [0, 1], with a rational root outside it
+        p = _mixture(weights) - c(c_)
+        if outside is not None:
+            p = p * (X - c(outside))
+        self._agree(lambda: AlgebraicNumber.real_root(p, 0, 1), requests)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        MIXTURE_WEIGHTS,
+        MIXTURE_WEIGHTS,
+        st.sampled_from([(Fraction(1, 2), 2), (Fraction(3, 5), 2), (Fraction(2, 7), 3), (Fraction(5, 7), 2)]),
+        st.fractions(min_value=Fraction(1, 20), max_value=Fraction(9, 20), max_denominator=20),
+        st.lists(REFINE_REQUESTS, min_size=1, max_size=3),
+    )
+    @example([0, 0, 0, 0, 1], [1], (Fraction(1, 2), 2), Fraction(1, 10), [("approx", Fraction(1, 2**1024))])
+    def test_cut_roots_at_irrational_targets(self, cdf_weights, f_weights, radical, a, requests):
+        # f(r^(1/d)) / 2 + a lies in (0, 1) for a mixture f
+        def build():
+            target = poly_at(_mixture(f_weights), nth_root(*radical)) * Fraction(1, 2) + a
+            return AlgebraicNumber(_make_cut_root(_mixture(cdf_weights), target._node))
+
+        self._agree(build, requests)
+
+    @pytest.mark.parametrize("g", [Fraction(1, 2), Fraction(3, 2**20), Fraction(5, 2**300)])
+    @pytest.mark.parametrize(
+        "requests",
+        [
+            [("approx", Fraction(1, 2**1024))],
+            [("approx", Fraction(1, 2**8)), ("approx", Fraction(1, 2**64)), ("decimal", 310)],
+            [("decimal", 100), ("approx", Fraction(3, 2**1026)), ("isolating_interval",)],
+        ],
+    )
+    def test_planted_tie(self, g, requests):
+        with time_limit(1):
+            self._agree(lambda: _planted_tie(g), requests)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([([1], [0, 0, 0, 0, 1]), ([1], [0, 1]), ([0, 1], [1, 0, 1]), ([1, 0, 0, 1], [0, 0, 1]), ([0, 0, 1], [0, 0, 0, 0, 0, 1])]),
+        st.lists(REFINE_REQUESTS, min_size=1, max_size=3),
+    )
+    def test_equitable_cutpoints(self, cdfs, requests):
+        # mixtures x, x^5; x, x^2; x^2, (x + x^3) / 2; (x + x^4) / 2, x^3; x^3, x^6
+        m1, m2 = (Measure.make(_mixture(ws)) for ws in cdfs)
+        self._agree(lambda: isolate_equitable_cutpoint(m1, m2).value, requests)
 
 
 def parse_truncated_decimal(s):

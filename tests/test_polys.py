@@ -27,6 +27,7 @@ from conftest import time_limit
 from _oracle import (
     FractionPoly,
     bisect_oracle,
+    dyadic_horner_oracle,
     fp_powmod_oracle,
     fraction_horner_oracle,
     int_gcd_prs_oracle,
@@ -781,6 +782,23 @@ class TestDyadicHorner:
     def test_scaled_value(self, coeffs, m, e):
         n = len(coeffs) - 1
         assert horner(coeffs, m, 1 << e) == 2 ** (e * n) * fraction_horner_oracle(Poly(coeffs), Fraction(m, 2**e))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**30), 10**30), min_size=0, max_size=9),
+        st.integers(-(10**9), 10**9),
+        st.integers(0, 120),
+        st.integers(0, 120),
+    )
+    @example([5, -1, 3], 0, 0, 7)
+    @example([], 12, 3, 2)
+    @example([4], -8, 0, 5)
+    @example([1, 2, 3, 4], -3, 40, 9)
+    def test_reduced_point_matches_unreduced_loop(self, coeffs, odd, shift, e):
+        # m = odd * 2^shift has trailing zeros beyond e as well as below it
+        m = odd << shift
+        assert horner(coeffs, m, 1 << e) == dyadic_horner_oracle(coeffs, m, e)
 
 
 class TestRationalHorner:
