@@ -11,9 +11,11 @@ Key internals:
 * Values that are rational functions of a single irrational "atom" are
   normalized into the number field Q[y]/(m_atom(y)).  In that form a zero
   test is a polynomial comparison and never needs refinement.  The form
-  is integer numerators over one positive denominator, and everything
-  done with it runs on integers: sums and products reduce modulo the
-  primitive m_atom by an integer pseudo-remainder; the characteristic
+  is (atom, p), p the value's residue modulo m_atom as a `Poly`, in the
+  normal form that `Poly` and the atoms' algebra share (`polys._normal`),
+  and everything done with it runs on integers: sums and products are
+  `Poly` sums and products, a product reduced modulo the primitive
+  m_atom by an integer pseudo-remainder; the characteristic
   polynomial comes from traces (power sums); a division's inverse comes
   from the characteristic polynomial by Cayley-Hamilton, and a polynomial
   at such a value from Horner on residues.  No extended Euclid runs.
@@ -84,7 +86,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Optional, Union
@@ -99,8 +100,10 @@ from .polys import (
     _dyadic_subdivide,
     _int_mul,
     _int_squarefree,
+    _normal,
     _prem,
     _probe,
+    _sum,
     _variations_at_minus_infinity,
     bisect_root,
     horner,
@@ -294,20 +297,27 @@ def _fold_add(a: _Node, b: _Node) -> _Node:
     return _Add(a, b)
 
 
-def _fold_sub(a: _Node, b: _Node) -> _Node:
-    _tick()
-    if a is b:
-        return _rat(0)
-    if isinstance(a, _Rat) and isinstance(b, _Rat):
-        return _Rat(a.value - b.value)
-    if isinstance(b, _Rat) and b.value == 0:
+def _sub_fold(a, b) -> Optional[_Node]:
+    """The operand that a - b folds to, or None: a for a rational zero b,
+    and for a = p + q, p when b is q and q when b is p.  b may be an int or
+    a Fraction (`_compare`)."""
+    if isinstance(b, _Rat) and b.value == 0 or not isinstance(b, _Node) and b == 0:
         return a
     if isinstance(a, _Add):
         if _same(a.b, b):
             return a.a
         if _same(a.a, b):
             return a.b
-    return _Sub(a, b)
+    return None
+
+
+def _fold_sub(a: _Node, b: _Node) -> _Node:
+    _tick()
+    if a is b:
+        return _rat(0)
+    if isinstance(a, _Rat) and isinstance(b, _Rat):
+        return _Rat(a.value - b.value)
+    return _sub_fold(a, b) or _Sub(a, b)
 
 
 def _fold_mul(a: _Node, b: _Node) -> _Node:
@@ -825,10 +835,11 @@ class _Algebra:
     each m_i a primitive integer polynomial of degree n_i >= 2 with leading
     coefficient l_i, of dimension D = n_1 ... n_k, run on integers.
 
-    An element is (x, s), s > 0 and coprime to the content of x: the value
-    x(Y_1, ..., Y_k) / s in the scaled atoms Y_i = l_i y_i, roots of the
-    monic integer M_i (`_scaled_monic`), so products reduce modulo monic
-    polynomials and numerators stay integer.  x is a list of integers in
+    An element is (x, s) in the normal form of `Poly` (`polys._normal`),
+    and elements add by `polys._sum`: the value x(Y_1, ..., Y_k) / s in the
+    scaled atoms Y_i = l_i y_i, roots of the monic integer M_i
+    (`_scaled_monic`), so products reduce modulo monic polynomials and
+    numerators stay integer.  x is a tuple of integers in
     Kronecker layout: Y_1^e_1 ... Y_k^e_k sits at sum e_i w_i, w_1 = 1 and
     w_(i+1) = w_i (2 n_i - 1), so the product of two reduced numerators is
     one product of univariate lists that carries nothing between variables.
@@ -864,7 +875,7 @@ class _Algebra:
             w *= 2 * n - 1
         self.traces = traces
 
-    def lift(self, nums, den: int, i: int = 0) -> tuple[list[int], int]:
+    def lift(self, nums, den: int, i: int = 0) -> tuple[tuple[int, ...], int]:
         """nums(y_i) / den, for deg nums < 2 n_i - 1 unless y_i is the last
         variable: with e = deg nums, nums(y_i) = H(Y_i) / l_i^e for
         H(Y) = sum nums_j l_i^(e-j) Y^j."""
@@ -873,29 +884,11 @@ class _Algebra:
         x = [0] * (e * w + 1)
         for j, c in enumerate(nums):
             x[j * w] = c * lc ** (e - j)
-        return self.element(self._reduce(x), den * lc**e)
+        return _normal(self._reduce(x), den * lc**e)
 
-    @staticmethod
-    def element(x: list[int], s: int) -> tuple[list[int], int]:
-        """(x, s) with s made positive and coprime to the content of x."""
-        while x and x[-1] == 0:
-            x.pop()
-        g = math.gcd(s, *x)
-        if s < 0:
-            g = -g
-        return ([c // g for c in x], s // g) if g != 1 else (x, s)
-
-    def add(self, a, b, sign: int = 1) -> tuple[list[int], int]:
-        """a + b, or a - b for sign -1."""
+    def mul(self, a, b) -> tuple[tuple[int, ...], int]:
         (x, s), (y, t) = a, b
-        g = math.gcd(s, t)
-        u, v = t // g, sign * (s // g)
-        z = [p * u + q * v for p, q in itertools.zip_longest(x, y, fillvalue=0)]
-        return self.element(z, s * u)
-
-    def mul(self, a, b) -> tuple[list[int], int]:
-        (x, s), (y, t) = a, b
-        return self.element(self._reduce(_int_mul(x, y)), s * t)
+        return _normal(self._reduce(_int_mul(x, y)), s * t)
 
     def _reduce(self, x: list[int]) -> list[int]:
         """x modulo the M_i, in place, from the last variable down: a
@@ -934,7 +927,7 @@ class _Algebra:
         n = self.dim
         return _drop_content([c[n - j] * s**j for j in range(n + 1)])
 
-    def inverse(self, a) -> Optional[tuple[list[int], int]]:
+    def inverse(self, a) -> Optional[tuple[tuple[int, ...], int]]:
         """1 / a, or None when a is a zero divisor, whose characteristic
         polynomial has constant term 0.  By Cayley-Hamilton,
         x^-1 = -sum_(k<D) c_k x^(D-1-k) / c_D, so a^-1 = s * x^-1."""
@@ -946,15 +939,14 @@ class _Algebra:
         acc: list[int] = []
         for k in range(n):
             acc = [u + c[k] * v for u, v in itertools.zip_longest(acc, powers[n - 1 - k], fillvalue=0)]
-        return self.element([-s * v for v in acc], c[n])
+        return _normal([-s * v for v in acc], c[n])
 
 
-def _residue_horner(cs: list[int], nums, den: int, m: list[int]) -> tuple[list[int], int]:
-    """(r, s), s > 0 and deg r < deg m, with r(a) / s = sum_i cs_i
+def _residue_horner(cs: list[int], nums, den: int, m: list[int]) -> tuple[tuple[int, ...], int]:
+    """(r, s) in `_normal`'s form, deg r < deg m, with r(a) / s = sum_i cs_i
     (nums(a) / den)^i for a root a of the primitive integer m: Horner on
-    residues, each step reduced by `_prem` with its scale and by the
-    common content of r and s."""
-    r: list[int] = []
+    residues, each step reduced by `_prem` with its scale and normalized."""
+    r: tuple[int, ...] = ()
     s = 1
     for c in reversed(cs):
         # r/s * nums/den + c = (r * nums + c * s * den) / (s * den)
@@ -968,26 +960,22 @@ def _residue_horner(cs: list[int], nums, den: int, m: list[int]) -> tuple[list[i
         if len(r) >= len(m):
             r, t = _prem(r, m)
             s *= t
-        while r and r[-1] == 0:
-            r.pop()
-        g = math.gcd(s, *r)
-        if g != 1:
-            r = [x // g for x in r]
-            s //= g
+        r, s = _normal(r, s)
     return r, s
 
 
 # -- single-atom normal form ---------------------------------------------------
 
+# an atom's own residue: y
+_RESIDUE_X = Poly.x()
+
 
 def _saf_of(node: _Node):
-    """Single-atom form: (atom, nums, den) with value = nums(atom) / den.
-    nums is a tuple of integers, lowest degree first with no trailing zero,
-    den is positive and coprime to the content of nums, and deg nums is
-    below the degree of the atom's minimal polynomial m: the canonical
-    residue of the value in Q[y]/(m).  A constant residue has atom None.
-    Returns the sentinel when the value mixes atoms or the atom is past the
-    cap.
+    """Single-atom form: (atom, p) with value = p(atom), where the `Poly` p
+    is the value's residue modulo the atom's minimal polynomial m, of
+    degree below deg m: the canonical residue in Q[y]/(m).  A constant
+    residue has atom None.  Returns the sentinel when the value mixes atoms
+    or the atom is past the cap.
 
     Forms are computed by the walk (`_walk`), where a root atom is a leaf:
     operand a is done before b, the order in which the atoms' minimal
@@ -1004,92 +992,70 @@ def _saf_step(n: _Node, *forms):
     return n._saf
 
 
-def _saf_make(atom, nums: list[int], den: int):
-    """The form of nums(atom) / den, for deg nums below deg m and den > 0."""
-    while nums and nums[-1] == 0:
-        nums.pop()
-    g = math.gcd(den, *nums)
-    if g != 1:
-        nums = [c // g for c in nums]
-        den //= g
-    # a constant residue no longer depends on its atom; dropping the tag
-    # lets values from different fields combine when they are rational
-    return (atom if len(nums) > 1 else None, tuple(nums), den)
-
-
-def _saf_inverse(nums, den: int, m: Optional[list[int]]) -> tuple[list[int], int]:
-    """(inums, iden) with inums(y) / iden the inverse of nums(y) / den
-    modulo the irreducible m; nums is nonzero and reduced modulo m.  The
-    algebra of the one atom inverts it (`_Algebra.inverse`), and
-    Y^j = l^j y^j takes its numerator back to y."""
-    if len(nums) == 1:
-        return ([den], nums[0]) if nums[0] > 0 else ([-den], -nums[0])
-    algebra = _Algebra([m])
-    x, s = algebra.inverse(algebra.lift(nums, den))
-    lc = m[-1]
-    return [c * lc**j for j, c in enumerate(x)], s
+def _saf_inverse(p: Poly, m: Optional[Poly]) -> Poly:
+    """The inverse of the nonzero residue p modulo the irreducible m, which
+    a constant p does not need.  The algebra of the one atom inverts it
+    (`_Algebra.inverse`), and Y^j = l^j y^j takes its numerator back to y."""
+    if p.degree == 0:
+        return Poly._of(_normal((p.den,), p.nums[0]))
+    algebra = _Algebra([m.nums])
+    x, s = algebra.inverse(algebra.lift(p.nums, p.den))
+    lc = m.nums[-1]
+    return Poly._of(_normal([c * lc**j for j, c in enumerate(x)], s))
 
 
 def _compute_saf(node: _Node, fa=None, fb=None):
     """The form of one node, from the forms fa and fb of its operands."""
     if isinstance(node, _Rat):
-        return _saf_make(None, [node.value.numerator], node.value.denominator)
+        return (None, Poly._of(_normal((node.value.numerator,), node.value.denominator)))
     if isinstance(node, _ATOM_TYPES):
-        return (node, (0, 1), 1)
+        return (node, _RESIDUE_X)
     if fa is _SAF_UNAVAILABLE or fb is _SAF_UNAVAILABLE:
         return _SAF_UNAVAILABLE
-    atom_a, na, da = fa
-    atom_b, nb, db = fb
+    (atom_a, pa), (atom_b, pb) = fa, fb
     if atom_a is not None and atom_b is not None and atom_a is not atom_b:
         return _SAF_UNAVAILABLE
     atom = atom_a if atom_a is not None else atom_b
     m = None
     if atom is not None:
         try:
-            m = _minpoly(atom).nums
+            m = _minpoly(atom)
         except DegreeCapExceeded:
             return _SAF_UNAVAILABLE
-        if len(m) == 2:
-            # a rational atom, a cut root at a rational point: its form
-            # (0, 1) is not reduced, and reducing both gives constants
-            (na, sa), (nb, sb) = _prem(list(na), m), _prem(list(nb), m)
-            da, db = da * sa, db * sb
-    if isinstance(node, (_Add, _Sub)):
-        g = math.gcd(da, db)
-        sa, sb = db // g, da // g
-        if isinstance(node, _Sub):
-            sb = -sb
-        nums = [x * sa + y * sb for x, y in itertools.zip_longest(na, nb, fillvalue=0)]
-        return _saf_make(atom, nums, da * sa)
-    if isinstance(node, _Div):
-        if not nb:
-            raise ZeroDivisionError("division by an exact zero")
-        nb, db = _saf_inverse(nb, db, m)
-    if not na or not nb:
-        return (None, (), 1)
-    prod = _int_mul(na, nb)
-    den = da * db
-    if m is not None and len(prod) >= len(m):
-        prod, scale = _prem(prod, m)
-        den *= scale
-    return _saf_make(atom, prod, den)
+        if m.degree == 1:
+            # a rational atom, a cut root at a rational point: its residue
+            # y is not reduced, and reducing both gives constants
+            pa, pb = pa % m, pb % m
+    if isinstance(node, _Add):
+        p = pa + pb
+    elif isinstance(node, _Sub):
+        p = pa - pb
+    else:
+        if isinstance(node, _Div):
+            if not pb:
+                raise ZeroDivisionError("division by an exact zero")
+            pb = _saf_inverse(pb, m)
+        p = pa * pb
+        if m is not None and p.degree >= m.degree:
+            p %= m
+    # a constant residue no longer depends on its atom; dropping the tag
+    # lets values from different fields combine when they are rational
+    return (atom if p.degree > 0 else None, p)
 
 
-def _horner_node(form) -> _Node:
-    """A node with the single-atom form (atom, nums, den): a rational, the
-    atom itself, or the Horner form of nums(atom) / den built without folds.
-    The form is set on it, so no fold or elimination ever rebuilds it."""
-    atom, nums, den = form
-    if atom is None:
-        return _Rat(Fraction(nums[0], den) if nums else Fraction(0))
-    if nums == (0, 1) and den == 1:
+def _horner_node(atom: _Node, p: Poly) -> _Node:
+    """A node with the single-atom form (atom, p), p not constant: the atom
+    itself, or the Horner form of p(atom) built without folds.  The form is
+    set on it, so no fold or elimination ever rebuilds it."""
+    if p == _RESIDUE_X:
         return atom
-    acc: _Node = _Rat(Fraction(nums[-1], den))
-    for c in reversed(nums[:-1]):
+    cs = p.coeffs
+    acc: _Node = _Rat(cs[-1])
+    for c in reversed(cs[:-1]):
         acc = _Mul(acc, atom)
         if c:
-            acc = _Add(acc, _Rat(Fraction(c, den)))
-    acc._saf = form
+            acc = _Add(acc, _Rat(c))
+    acc._saf = (atom, p)
     return acc
 
 
@@ -1102,14 +1068,16 @@ def _residue_poly_at(p: Poly, node: _Node) -> Optional[_Node]:
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE or saf[0] is None:
         return None
-    atom, nums, den = saf
+    atom, q = saf
     try:
         m = _minpoly(atom)
     except DegreeCapExceeded:
         return None
-    r, s = _residue_horner(p.nums, nums, den, m.nums)
+    r, s = _residue_horner(p.nums, q.nums, q.den, m.nums)
     _tick(2 * len(p.nums))
-    return _horner_node(_saf_make(atom, r, s * p.den))
+    if len(r) <= 1:
+        return _Rat(Fraction(r[0] if r else 0, s * p.den))
+    return _horner_node(atom, Poly._of(_normal(r, s * p.den)))
 
 
 def _rational_value(node: _Node) -> Optional[Fraction]:
@@ -1122,8 +1090,7 @@ def _rational_value(node: _Node) -> Optional[Fraction]:
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE or saf[0] is not None:
         return None
-    _, nums, den = saf
-    return Fraction(nums[0], den) if nums else Fraction(0)
+    return saf[1].coeff(0)
 
 
 # -- minimal polynomials --------------------------------------------------------
@@ -1231,34 +1198,34 @@ def _charpoly_over(
     Q[y_1..y_k]/(m_1(y_1), ..., m_k(y_k)) of the generators gens with
     minimal polynomials ms (`_Algebra`): a primitive integer polynomial of
     degree D, the product of their degrees.  The DAG is evaluated down to
-    the nodes of forms, which maps id(leaf) to (g, nums, den): the leaf is
-    nums(g) / den for the generator g, or the rational nums[0] / den when
-    g is None.  Without forms, the generators are the leaves.  A generator
+    the nodes of forms, which maps id(leaf) to its single-atom form (g, p):
+    the leaf is p(g) for the generator g, or the constant p when g is None.
+    Without forms, the generators are the leaves.  A generator
     of degree 1 enters as its rational value.  Raises _ZeroDivisor when a
     divisor is a zero divisor of the algebra."""
     if forms is None:
-        forms = {id(g): (g, (0, 1), 1) for g in gens}
+        forms = {id(g): (g, _RESIDUE_X) for g in gens}
     algebra = _Algebra([m for m in ms if len(m) > 2])
     # a generator of degree 1 is its rational root, the others y_0, y_1, ...
     place: dict[int, Union[Fraction, int]] = {}
     variables = iter(range(len(algebra.weights)))
     for g, m in zip(gens, ms):
         place[id(g)] = Fraction(-m[0], m[1]) if len(m) == 2 else next(variables)
-    values: dict[int, tuple[list[int], int]] = {}
-    for leaf, (atom, nums, den) in forms.items():
+    values: dict[int, tuple[tuple[int, ...], int]] = {}
+    for leaf, (atom, p) in forms.items():
         if atom is None:
-            values[leaf] = algebra.element(list(nums), den)
+            values[leaf] = (p.nums, p.den)
         elif isinstance(place[id(atom)], Fraction):
-            q = sum(c * place[id(atom)] ** j for j, c in enumerate(nums)) / den
-            values[leaf] = algebra.element([q.numerator], q.denominator)
+            q = p(place[id(atom)])
+            values[leaf] = _normal((q.numerator,), q.denominator)
         else:
-            values[leaf] = algebra.lift(nums, den, place[id(atom)])
+            values[leaf] = algebra.lift(p.nums, p.den, place[id(atom)])
 
     def compute(n: _Binary, x, y):
         if isinstance(n, _Add):
-            v = algebra.add(x, y)
+            v = _sum(x, y)
         elif isinstance(n, _Sub):
-            v = algebra.add(x, y, -1)
+            v = _sum(x, y, -1)
         elif isinstance(n, _Mul):
             v = algebra.mul(x, y)
         else:
@@ -1310,10 +1277,10 @@ def _compute_minpoly(node: _Node) -> Poly:
         return Poly([-r.numerator] + [0] * (node.index - 1) + [r.denominator])
     saf = _saf_of(node)
     if saf is not _SAF_UNAVAILABLE and not isinstance(node, _ATOM_TYPES):
-        atom, nums, den = saf
+        atom, p = saf
         if atom is None:
-            return Poly([-nums[0], den]) if nums else Poly.x()
-        if nums == (0, 1) and den == 1:
+            return Poly([-p.nums[0], p.den]) if p else Poly.x()
+        if p == _RESIDUE_X:
             return _minpoly(atom)
         # the characteristic polynomial of a value of Q(atom) is its minimal
         # polynomial to the power [Q(atom) : Q(value)], as the atom's
@@ -1324,7 +1291,7 @@ def _compute_minpoly(node: _Node) -> Poly:
         # value gets the diagnostic of factoring its characteristic polynomial
         check_degree(n, "factor_over_Q input")
         algebra = _Algebra([m])
-        return Poly(_int_squarefree(algebra.charpoly(algebra.lift(nums, den))))
+        return Poly(_int_squarefree(algebra.charpoly(algebra.lift(p.nums, p.den))))
     elif isinstance(node, _RootAtom):
         m_op = _minpoly(node.operand)
         check_degree(m_op.degree * node.index, "root adjunction")
@@ -1371,9 +1338,9 @@ def _compare(a, b) -> int:
     difference node unless the exact route needs one.
 
     First come the folds `_fold_sub` would apply: a is b, two rationals
-    (compared by integer cross-multiplication), a rational zero b (the sign
-    of a), and p + q against q or p (the sign of the other summand).  Any
-    other pair refines the operands' own enclosures from effort 8, where an
+    (compared by integer cross-multiplication), and an operand the
+    difference folds to (`_sub_fold`), whose sign it is.  Any other pair
+    refines the operands' own enclosures from effort 8, where an
     operand cached at a higher effort gives its cached enclosure, as an
     operand of a fresh difference node would (`_refined_sign`).  Each step
     of refinement leaves every node the enclosure the difference node's
@@ -1389,14 +1356,8 @@ def _compare(a, b) -> int:
     if not isinstance(a, _Node) and not isinstance(b, _Node):
         d = a.numerator * b.denominator - b.numerator * a.denominator
         return (d > 0) - (d < 0)
-    if not isinstance(b, _Node) and b == 0:
-        return _sign(a)
-    if isinstance(a, _Add):
-        if _same(a.b, b):
-            return _sign(a.a)
-        if _same(a.a, b):
-            return _sign(a.b)
-    return _refined_sign(a, b, 8)
+    folded = _sub_fold(a, b)
+    return _refined_sign(a, b, 8) if folded is None else _sign(folded)
 
 
 def _refined_sign(a, b, k: int) -> int:
@@ -1442,10 +1403,10 @@ def _exact_sign(node: _Node) -> Optional[int]:
     when its operands are equal, or opposite (`_equal_values`)."""
     saf = _saf_of(node)
     if saf is not _SAF_UNAVAILABLE:
-        atom, nums, _ = saf
+        atom, p = saf
         if atom is not None:
             return None
-        v = nums[0] if nums else 0
+        v = p.nums[0] if p else 0
         return (v > 0) - (v < 0)
     if isinstance(node, (_Mul, _Div)):
         s = _sign(node.a)
@@ -1783,8 +1744,8 @@ def _generating_atom(node: _Node) -> Optional[_Node]:
     saf = _saf_of(node)
     if saf is _SAF_UNAVAILABLE or saf[0] is None:
         return None
-    atom, nums, _ = saf
-    if len(nums) == 2:
+    atom, p = saf
+    if p.degree == 1:
         return atom
     try:
         d = _minpoly(atom).degree

@@ -3,7 +3,11 @@
 A `Poly` is integer numerators over one positive denominator coprime to
 them (`Poly.nums`, `Poly.den`), lowest degree first; the zero polynomial
 has no numerators, denominator 1 and degree -1.  `Poly.coeffs` is the
-Fraction view of that form.  Arithmetic runs on the numerators, and
+Fraction view of that form.  `_normal` is the one routine that brings
+integers over a denominator to that form, and `_sum` the one sum of two
+such pairs; `Poly`, the algebraic layer's single-atom residues and its
+atoms' algebra all use them.  Each `Poly` operation normalizes once and
+wraps the pair with `Poly._of`.  Arithmetic runs on the numerators, and
 `_int_mul` is the one schoolbook product: `Poly` products, compositions
 and the products mod m (`_fp_mul`) all call it.  No code outside this
 module clears denominators; it reads `nums` and `den`.  Everything here is
@@ -89,16 +93,18 @@ class Poly:
             den *= lcm
         if not den:
             raise ZeroDivisionError("polynomial with a zero denominator")
-        while nums and nums[-1] == 0:
-            nums.pop()
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-        object.__setattr__(self, "nums", tuple(nums))
+        nums, den = _normal(nums, den)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _of(pair: tuple[tuple[int, ...], int]) -> "Poly":
+        """The polynomial of a pair (nums, den) already in `_normal`'s form,
+        taken as it is."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "nums", pair[0])
+        object.__setattr__(p, "den", pair[1])
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -153,23 +159,20 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        g = math.gcd(self.den, other.den)
-        sa, sb = other.den // g, self.den // g
-        nums = [x * sa + y * sb for x, y in itertools.zip_longest(self.nums, other.nums, fillvalue=0)]
-        return Poly(nums, self.den * sa)
+        return Poly._of(_sum((self.nums, self.den), (other.nums, other.den)))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.nums], self.den)
+        return Poly._of((tuple([-c for c in self.nums]), self.den))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return Poly._of(_sum((self.nums, self.den), (other.nums, other.den), -1))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(_int_mul(self.nums, other.nums), self.den * other.den)
+        return Poly._of(_normal(_int_mul(self.nums, other.nums), self.den * other.den))
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
-        return Poly([x * c.numerator for x in self.nums], self.den * c.denominator)
+        return Poly._of(_normal([x * c.numerator for x in self.nums], self.den * c.denominator))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """On the numerators a of self and b of other: s*a = q*b + r, with
@@ -179,13 +182,16 @@ class Poly:
         r, s = _prem(self.nums, other.nums)
         q = _exact_quotient(_int_sub([s * c for c in self.nums], r), other.nums)
         s *= self.den
-        return Poly([c * other.den for c in q], s), Poly(r, s)
+        return Poly._of(_normal([c * other.den for c in q], s)), Poly._of(_normal(r, s))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        r, s = _prem(self.nums, other.nums)
+        return Poly._of(_normal(r, s * self.den))
 
     def divides(self, other: "Poly") -> bool:
         if self.is_zero:
@@ -213,7 +219,7 @@ class Poly:
     # -- calculus and substitution --------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.nums)][1:], self.den)
+        return Poly._of(_normal([i * c for i, c in enumerate(self.nums)][1:], self.den))
 
     def __call__(self, x) -> Fraction:
         """p(x) at a rational x: one integer `horner` on the numerators and
@@ -233,7 +239,7 @@ class Poly:
             acc = _int_mul(acc, inner.nums) or [0]
             s *= inner.den
             acc[0] += c * s
-        return Poly(acc, s * self.den)
+        return Poly._of(_normal(acc, s * self.den))
 
     def substitute_power(self, k: int) -> "Poly":
         """Return p(T^k) by spreading coefficients; cheaper than compose."""
@@ -242,22 +248,22 @@ class Poly:
         out = [0] * (self.degree * k + 1)
         for i, c in enumerate(self.nums):
             out[i * k] = c
-        return Poly(out, self.den)
+        return Poly._of((tuple(out), self.den))
 
     def reverse(self) -> "Poly":
         """Return T^deg * p(1/T).  Swaps each root with its reciprocal."""
-        return Poly(self.nums[::-1], self.den)
+        return Poly._of(_normal(self.nums[::-1], self.den))
 
     def negate_variable(self) -> "Poly":
         """Return p(-T)."""
-        return Poly([c if i % 2 == 0 else -c for i, c in enumerate(self.nums)], self.den)
+        return Poly._of((tuple([c if i % 2 == 0 else -c for i, c in enumerate(self.nums)]), self.den))
 
     # -- normal forms ----------------------------------------------------
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return Poly(self.nums, self.nums[-1])
+        return Poly._of(_normal(self.nums, self.nums[-1]))
 
     def content_and_primitive(self) -> tuple[Fraction, "Poly"]:
         """Split p = content * primitive with primitive an integer polynomial
@@ -287,6 +293,33 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
+
+
+def _normal(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The one normal form of integers over a denominator, which `Poly`,
+    single-atom residues and the atoms' algebra share: the same values
+    nums_i / den, for a nonzero den, as a tuple with no trailing zero over
+    a positive denominator coprime to its content; ((), 1) for zero."""
+    if nums and not nums[-1]:
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple([c // g for c in nums]), den // g
+
+
+def _sum(a: tuple, b: tuple, sign: int = 1) -> tuple[tuple[int, ...], int]:
+    """a + b, or a - b for sign -1, of two pairs (nums, den) in `_normal`'s
+    form, in that form: the numerators cross-multiplied by the cofactors of
+    the denominators' gcd."""
+    (x, s), (y, t) = a, b
+    g = math.gcd(s, t)
+    u, v = t // g, sign * (s // g)
+    return _normal([p * u + q * v for p, q in itertools.zip_longest(x, y, fillvalue=0)], s * u)
 
 
 def format_poly(p: Poly, var: str = "x") -> str:

@@ -739,9 +739,9 @@ def saf_first_sign_oracle(node):
         return (node.value > 0) - (node.value < 0)
     saf = alg._saf_of(node)
     if saf is not alg._SAF_UNAVAILABLE:
-        atom, nums, _ = saf
+        atom, residue = saf
         if atom is None:
-            v = nums[0] if nums else 0
+            v = residue.coeff(0)
             return (v > 0) - (v < 0)
         return _refined_sign(node, max(8, node._ivc[0]))
     s = _refined_sign(node, 8, 128)

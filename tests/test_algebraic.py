@@ -31,7 +31,7 @@ from cakelab.algebraic import (
 )
 from cakelab.cake import poly_at
 from cakelab.dyadic import DyadicInterval
-from cakelab.polys import bisect_root, root_bound, sturm_isolate
+from cakelab.polys import _normal, _sum, bisect_root, root_bound, sturm_isolate
 
 from _oracle import (
     dag_atoms_oracle,
@@ -73,10 +73,8 @@ def charpoly_of(m, g):
     """Monic prod (T - g(a)) over the roots a of m: the characteristic
     polynomial of g in Q[y]/(m), by the one-atom `_Algebra` on integer
     numerators."""
-    den = math.lcm(*[x.denominator for x in g.coeffs])
-    nums = [x.numerator * (den // x.denominator) for x in g.coeffs]
     algebra = _Algebra([m.int_coeffs()])
-    return Poly(algebra.charpoly(algebra.lift(nums, den))).monic()
+    return Poly(algebra.charpoly(algebra.lift(g.nums, g.den))).monic()
 
 
 class TestArithmetic:
@@ -767,12 +765,9 @@ def algebra_elimination(kind, ma, mb):
     a, b = ma.int_coeffs(), mb.int_coeffs()
     algebra = _Algebra([m for m in (a, b) if len(m) > 2])
     variables = itertools.count()
-    x, y = (
-        algebra.element([-m[0]], m[1]) if len(m) == 2 else algebra.lift([0, 1], 1, next(variables))
-        for m in (a, b)
-    )
+    x, y = (_normal([-m[0]], m[1]) if len(m) == 2 else algebra.lift([0, 1], 1, next(variables)) for m in (a, b))
     if kind in ("add", "sub"):
-        v = algebra.add(x, y, 1 if kind == "add" else -1)
+        v = _sum(x, y, 1 if kind == "add" else -1)
     else:
         v = algebra.mul(x, y if kind == "mul" else algebra.inverse(y))
     return Poly(algebra.charpoly(v)).monic()
@@ -1522,10 +1517,8 @@ class TestSingleAtomForm:
                 _build(expr, atom, zero)
             return
         value = _build(expr, atom, zero)
-        form_atom, nums, den = alg._saf_of(value._node)
-        assert Poly([Fraction(n, den) for n in nums]) == expected
-        assert den > 0 and math.gcd(den, *nums) == 1
-        assert not nums or nums[-1] != 0
+        form_atom, residue = alg._saf_of(value._node)
+        assert residue == expected
         assert form_atom is (atom._node if expected.degree >= 1 else None)
         assert value.is_zero() == expected.is_zero
         if expected.degree <= 0:
@@ -1534,7 +1527,7 @@ class TestSingleAtomForm:
     def test_exact_zeros(self):
         for make_atom, m, zero in _SAF_ATOMS.values():
             value = _build(zero, make_atom(), zero)
-            assert alg._saf_of(value._node) == (None, (), 1)
+            assert alg._saf_of(value._node) == (None, Poly())
             assert value.sign() == 0
 
     def test_affine_value_generates_past_the_cap(self):
@@ -1557,16 +1550,19 @@ class TestSingleAtomForm:
         st.integers(1, 12),
     )
     def test_inverse_matches_extended_euclid(self, name, nums, den):
-        m = _INVERSE_MODULI[name]
-        nums = nums[: len(m) - 1]
-        while nums and nums[-1] == 0:
-            nums.pop()
-        if not nums:
-            return
-        inums, iden = alg._saf_inverse(tuple(nums), den, m)
-        assert iden > 0
-        expected = inverse_mod_oracle(Poly([Fraction(x, den) for x in nums]), Poly(m))
-        assert Poly([Fraction(x, iden) for x in inums]) == expected
+        m = Poly(_INVERSE_MODULI[name])
+        residue = Poly(nums[: m.degree], den)
+        if residue:
+            assert alg._saf_inverse(residue, m) == inverse_mod_oracle(residue, m)
+
+    def test_degree_one_atom_reduces_to_constants(self):
+        # the cut of x^2 at a rational target with no single-atom form is
+        # the atom 1/2, of minimal polynomial 2x - 1: every form built on
+        # it is a constant
+        atom = _planted_tie(Fraction(1, 2))
+        assert atom.minimal_polynomial() == Poly([-1, 2])
+        for value, want in ((atom + 1, Fraction(3, 2)), (atom * atom, Fraction(1, 4)), (1 / atom, Fraction(2))):
+            assert alg._saf_of(value._node) == (None, Poly([want]))
 
 
 def _cut_root_generator():

@@ -205,6 +205,49 @@ class TestIntegerForm:
             X**-1
 
 
+# integer lists, trailing zeros allowed, over nonzero denominators of either
+# sign; small entries share factors with the denominator often
+_INT_LISTS = st.lists(st.integers(-12, 12) | st.integers(-(10**20), 10**20), max_size=7)
+_DENS = (st.integers(-12, 12) | st.integers(-(10**20), 10**20)).filter(bool)
+
+
+class TestNormalForm:
+    """`polys._normal` and `polys._sum`, the one normal form and the one sum
+    of integers over a denominator, against `Fraction`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_INT_LISTS, _DENS)
+    @example([0, 0], -5)
+    @example([6, -4, 0], -2)
+    def test_normal_keeps_the_value_in_lowest_terms(self, nums, den):
+        got, d = polys._normal(nums, den)
+        assert type(got) is tuple and d > 0
+        assert not got or got[-1] != 0
+        assert math.gcd(d, *got) == 1
+        want = [Fraction(x, den) for x in nums]
+        assert [Fraction(x, d) for x in got] + [Fraction(0)] * (len(want) - len(got)) == want
+        assert polys._normal(got, d) == (got, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_INT_LISTS, _DENS, _INT_LISTS, _DENS, st.sampled_from([1, -1]))
+    def test_sum_matches_fraction_addition(self, xs, s, ys, t, sign):
+        a, b = polys._normal(xs, s), polys._normal(ys, t)
+        got, d = polys._sum(a, b, sign)
+        assert (got, d) == polys._normal(got, d)
+        n = max(len(xs), len(ys))
+        pad = [0] * n
+        want = [Fraction(x, s) + sign * Fraction(y, t) for x, y in zip(xs + pad, ys + pad)][:n]
+        assert [Fraction(x, d) for x in got] + [Fraction(0)] * (n - len(got)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_INT_LISTS, _DENS)
+    def test_of_a_normal_pair_is_the_constructed_poly(self, nums, den):
+        p = Poly._of(polys._normal(nums, den))
+        q = Poly(nums, den)
+        assert p == q and hash(p) == hash(q)
+        assert (p.nums, p.den) == (q.nums, q.den)
+
+
 def _prod(ps):
     out = Poly.constant(1)
     for p in ps:
