@@ -32,8 +32,12 @@ Key internals:
   its two operands, of dimension deg m_a * deg m_b.  An atom's
   annihilator is its own: the radicand's minimal polynomial at y^d, the
   isolated root's polynomial, or the target's composed with the CDF.
-  Every route but the single-atom one factors the one annihilating
-  polynomial and selects the factor that vanishes at the value.
+  For a root or a cut root, m(F(t)) with F = t^d or the CDF, a degree
+  sieve over the field Q[y]/(m) of the radicand or target first asks
+  whether F(t) - y is irreducible there (`_relatively_irreducible`);
+  then m(F(t)) is the minimal polynomial.  Every other case but the
+  single-atom one factors the one annihilating polynomial and selects
+  the factor that vanishes at the value.
 * One routine, `_pin`, names a value among the roots of coprime
   squarefree polynomials: it rounds the value's enclosure at 2^-k outward
   to the 2^-k grid, k doubling from 8, until exactly one of their roots
@@ -93,16 +97,20 @@ from typing import Optional, Union
 from .dyadic import DyadicInterval, trailing_zeros
 from .errors import DegreeCapExceeded, ExpressionTooDeep, ZeroPolynomialError
 from .factoring import check_degree, degree_cap, factor_over_Q
-from .ints import SMALL_PRIMES, int_nth_root, is_probable_prime
+from .ints import SMALL_PRIMES, int_nth_root, is_probable_prime, primes
 from .polys import (
     Poly,
     _drop_content,
     _dyadic_subdivide,
     _int_mul,
     _int_squarefree,
+    _modp_image,
+    _modp_roots,
     _normal,
+    _pattern,
     _prem,
     _probe,
+    _sieve_degrees,
     _sum,
     _variations_at_minus_infinity,
     bisect_root,
@@ -1239,6 +1247,36 @@ def _charpoly_over(
     return algebra.charpoly(_walk(node, lambda n: values.get(id(n)), compute))
 
 
+def _relatively_irreducible(m: Poly, f: Poly) -> bool:
+    """Is F(t) - y irreducible over L = Q[y]/(m), m the irreducible minimal
+    polynomial of a value v and F = f of degree k?  Then a root a of F(t) - v
+    (a cut root of the CDF F at v, or a d-th root of v for F = t^d) has
+    degree [L : Q] * k, and m(F(t)) is its minimal polynomial.
+
+    Musser's factor-degree sieve (`polys._sieve_degrees`) over L: at a prime
+    p dividing neither F's denominator nor its leading numerator, each
+    simple root r of m mod p (`_modp_roots`, None when p divides lc(m) or m
+    is not squarefree mod p) lifts to a root of m in the p-adic numbers,
+    an embedding of L, so a factor of F(t) - y over L keeps its degree over
+    the p-adic numbers, a subset sum of the factor-degree pattern of the
+    image F(t) - r when that image is squarefree (`_modp_image`).  True once
+    no degree in 1..k-1 is left; False when one is left after 16 patterns,
+    or after the first 64 primes, which also ends the search when F(t) - y
+    is not squarefree.  Each image F - r mod p is shared with the cut
+    polynomials of the same CDF through the image cache."""
+    fn, fd = f.nums, f.den
+
+    def patterns():
+        for p in itertools.islice(primes(), 64):
+            if fd % p and fn[-1] % p:
+                for r in _modp_roots(m.nums, p) or ():
+                    image = _modp_image([fn[0] - fd * r, *fn[1:]], p)
+                    if image is not None:
+                        yield p, _pattern(image.parts())
+
+    return not _sieve_degrees(patterns(), set(range(1, f.degree)), 16)[0]
+
+
 def _minpoly(node: _Node) -> Poly:
     cached = node._mp
     if cached is not None:
@@ -1260,10 +1298,12 @@ def _minpoly(node: _Node) -> Poly:
 
 def _compute_minpoly(node: _Node) -> Poly:
     """The minimal polynomial.  A value with a single-atom form takes the
-    squarefree part of its characteristic polynomial; every other node kind
-    takes the factor of one annihilating polynomial that vanishes at the
-    node's value.  Each annihilator's degree is checked against the degree
-    cap before it is built."""
+    squarefree part of its characteristic polynomial; a root or cut root
+    whose F(t) - y the relative degree sieve proves irreducible takes its
+    annihilator m(F(t)) (`_relatively_irreducible`); every other node takes
+    the factor of one annihilating polynomial that vanishes at the node's
+    value.  Each annihilator's degree is checked against the degree cap
+    before it is built."""
     if isinstance(node, _Rat):
         return Poly([-node.value.numerator, node.value.denominator])
     if isinstance(node, _RootAtom) and isinstance(node.operand, Fraction):
@@ -1296,12 +1336,16 @@ def _compute_minpoly(node: _Node) -> Poly:
         m_op = _minpoly(node.operand)
         check_degree(m_op.degree * node.index, "root adjunction")
         annihilator = m_op.substitute_power(node.index)
+        if _relatively_irreducible(m_op, Poly.monomial(node.index)):
+            return annihilator.primitive()
     elif isinstance(node, _PolyRootAtom):
         annihilator = node.poly
     elif isinstance(node, _CutRootAtom):
         m_c = _minpoly(node.target)
         check_degree(m_c.degree * node.cdf.degree, "cut-root elimination")
         annihilator = m_c.compose(node.cdf)
+        if _relatively_irreducible(m_c, node.cdf):
+            return annihilator.primitive()
     else:
         f = _atoms_charpoly(node)
         if f is None:

@@ -35,10 +35,10 @@ or None when it is not squarefree (`_image_ddf`, bounded by
 the degree patterns are read.  An entry computes its degrees on demand,
 so each question pays only for the degrees it reads.  One factor-degree
 sieve (`_sieve_degrees`) intersects the subset sums of those patterns for
-the factorization, the tower's degree certificates and the certificate
-recheck.  Powers modulo a
-monic f (`_fp_powmod`) multiply and reduce in one fused step
-(`_fp_mulmod`), with no quotient.
+the factorization, the tower's degree certificates, the certificate
+recheck and the relative sieve of root and cut-root minimal polynomials.
+Powers modulo a monic f (`_fp_powmod`) multiply and reduce in one fused
+step (`_fp_mulmod`), with no quotient.
 
 Sturm sequences are built and evaluated over the integers.  `sturm_chain`
 is the primitive remainder sequence: each element is a primitive integer
@@ -1050,8 +1050,12 @@ def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[i
 # distinct-degree factorization one degree at a time, only as far as a
 # question reads it.  The rational-root search and the tower's root chains
 # read degree 1, and the degree sieves of the factorization and the tower
-# all of it.  Every value an entry returns is a tuple, so no caller can
-# change it.
+# all of it.  The relative sieve of a root's or cut root's minimal
+# polynomial (`algebraic._relatively_irreducible`) reads both: the roots r
+# mod q of the radicand's or target's minimal polynomial, and every degree
+# of the images F - r, which a cut root shares with the cut polynomials
+# F - c of its CDF.  Every value an entry returns is a tuple, so no caller
+# can change it.
 
 IMAGE_CACHE_SIZE = 2048
 

@@ -44,6 +44,7 @@ from _oracle import (
     isolating_interval_oracle,
     minpoly_by_factoring_oracle,
     nested_elimination_minpoly,
+    oracle_factor,
     poly_at_fold_oracle,
     prime_exponents,
     radical_binomial_oracle,
@@ -715,6 +716,114 @@ class TestMinpoly:
     def test_rational_detection_through_mixed_atoms(self):
         v = nth_root(2, 2) + nth_root(3, 2) - nth_root(3, 2) - nth_root(2, 2)
         assert v.sign() == 0
+
+
+@st.composite
+def _unit_values(draw):
+    """An irrational value in (0, 1): a radical (of a fraction, so its
+    minimal polynomial's leading coefficient is often not 1), a sum of two
+    square roots, or a cut root at a radical."""
+    kind = draw(st.sampled_from(["radical", "sum", "cut root"]))
+    if kind == "sum":
+        a, b = draw(st.lists(st.sampled_from([2, 3, 5, 6, 7]), min_size=2, max_size=2, unique=True))
+        return kind, (nth_root(a, 2) + nth_root(b, 2)) / 6
+    r = draw(st.fractions(Fraction(1, 30), Fraction(29, 30), max_denominator=30))
+    d = draw(st.integers(2, 3)) if kind == "radical" else 2
+    assume(alg.exact_nth_root(r, d) is None)
+    if kind == "radical":
+        return kind, nth_root(r, d)
+    return kind, AlgebraicNumber(_make_cut_root(draw(_cdfs(2)), nth_root(r, 2)._node))
+
+
+@st.composite
+def _cdfs(draw, max_degree):
+    """sum w_i x^i with positive weights summing to 1 (a strictly increasing
+    CDF on [0, 1]), often with a denominator."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=max_degree, max_size=max_degree))
+    weights[draw(st.integers(0, max_degree - 1))] += 1
+    return _mixture(weights)
+
+
+def _factored_minpoly(annihilator, v):
+    """The irreducible factor of the annihilator that vanishes at v, by the
+    oracles: Kronecker factoring and selection by v's enclosures."""
+    cands = [Poly(list(f)) for f, _ in oracle_factor(annihilator.int_coeffs())]
+    return select_factor_oracle(cands, v).primitive(), len(cands)
+
+
+class TestRelativeSieve:
+    """A cut root F^-1(tau) or a real d-th root of an irrational value has
+    the annihilator m_tau(F(t)), with F = t^d for a root.  When the degree
+    sieve over Q(tau) leaves F(t) - tau no proper factor, the annihilator is
+    the minimal polynomial and is not factored; else it is factored."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_unit_values(), st.sampled_from(["cut", "shifted cut", "cut at an image", "root", "root of a power"]), st.data())
+    def test_matches_factoring_and_selection(self, unit, kind, data):
+        # annihilators of degree at most 6, and 8 for the square root of a
+        # sum: other degree-8 annihilators, reducible ones most, can take
+        # Kronecker's method many seconds
+        name, w = unit
+        if "cut" in kind:
+            cdf = data.draw(_cdfs(3))
+            q = data.draw(st.fractions(0, 1, max_denominator=10))
+            # the cut at F(w) is w, so F(t) - F(w) has a linear factor
+            tau = {"cut": w, "shifted cut": (w + q) / 2, "cut at an image": _at(cdf, w)}[kind]
+            f = cdf
+            node = _make_cut_root(cdf, tau._node)
+        else:
+            d = data.draw(st.integers(2, 3))
+            # a power's root lies in the power's field whenever w does
+            tau = w if kind == "root" else (w + 1) ** d
+            f = X**d
+            node = tau.root(d)._node
+        m = tau.minimal_polynomial()
+        assume(m.degree * f.degree <= (8 if (name, kind) == ("sum", "root") else 6))
+        assert isinstance(node, (alg._CutRootAtom, alg._RootAtom))
+        annihilator = m.compose(f)
+        expected, count = _factored_minpoly(annihilator, AlgebraicNumber(node))
+        if alg._relatively_irreducible(m, f):
+            assert count == 1 and expected == annihilator.primitive()
+        assert alg._minpoly(node) == expected
+
+    def test_reducible_radical_keeps_degree_one(self):
+        # sqrt(3 + 2 sqrt(2)) = 1 + sqrt(2): t^2 - (3 + 2 sqrt(2)) has a
+        # linear factor over Q(sqrt(2)), so the annihilator is factored
+        v = (3 + 2 * nth_root(2, 2)).root(2)
+        assert not alg._relatively_irreducible(Poly([1, -6, 1]), X**2)
+        assert str(v.minimal_polynomial()) == "x^2 - 2*x - 1"
+
+    def test_reducible_cut_keeps_degree_one(self):
+        # the cut of F at F(sqrt(2) - 1) is sqrt(2) - 1 itself
+        cdf = Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        w = nth_root(2, 2) - 1
+        tau = (w + w * w) / 2
+        assert not alg._relatively_irreducible(tau.minimal_polynomial(), cdf)
+        v = AlgebraicNumber(_make_cut_root(cdf, tau._node))
+        assert str(v.minimal_polynomial()) == "x^2 + 2*x - 1"
+
+    def test_irreducible_cut_is_not_factored(self):
+        cdf = Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        w = nth_root(2, 2) - 1
+        tau = (w + w * w) / 2 + Fraction(1, 10)
+        tau.minimal_polynomial()
+        v = AlgebraicNumber(_make_cut_root(cdf, tau._node))
+        with mock.patch.object(alg, "factor_over_Q", side_effect=AssertionError("factored")):
+            assert str(v.minimal_polynomial()) == "25*x^4 + 50*x^3 - 85*x^2 - 110*x + 71"
+
+    @pytest.mark.parametrize("kind", ["cut-root elimination", "root adjunction"])
+    def test_cap_is_checked_before_the_sieve(self, kind):
+        # degree 7 * 7 = 49 passes the default cap of 48
+        tau = nth_root(2, 7) / 2
+        tau.minimal_polynomial()
+        if kind == "root adjunction":
+            node = tau.root(7)._node
+        else:
+            node = _make_cut_root(X**7, tau._node)
+        with mock.patch.object(alg, "primes", side_effect=AssertionError("a prime was read")):
+            with pytest.raises(DegreeCapExceeded) as e:
+                alg._minpoly(node)
+        assert (e.value.needed, e.value.cap, e.value.context) == (49, 48, kind)
 
 
 @st.composite

@@ -300,6 +300,32 @@ class TestGoldenBytes:
         assert res.returncode == 0
         assert res.stdout == _golden(f"run-protocol-even-paz-radical-word.{fmt}")
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_last_diminisher_cut_minpoly_is_not_factored(self, fmt, monkeypatch, capsys):
+        # player 1's second cut (#4) is F^-1(tau) for its sextic CDF F at a
+        # target tau of degree 6, with the annihilator m_tau(F) of degree
+        # 36.  The degree sieve over Q(tau) proves F(t) - tau irreducible,
+        # so no factorization of degree 36 runs; the bytes are those that
+        # factoring it printed
+        from cakelab import algebraic
+
+        degrees = []
+
+        def recorded(p):
+            degrees.append(p.degree)
+            return factor_over_q(p)
+
+        factor_over_q = factoring.factor_over_Q
+        monkeypatch.setattr(algebraic, "factor_over_Q", recorded)
+        monkeypatch.setattr(factoring, "factor_over_Q", recorded)
+        code, out, _ = run_cli(
+            ["--format", fmt, "run-protocol", "--protocol", "last-diminisher",
+             "--measures", os.path.join(GOLDEN, "last-diminisher-3-27.measures")],
+            capsys,
+        )
+        assert code == 0
+        assert out.encode() == _golden(f"run-protocol-last-diminisher-3-27.{fmt}")
+        assert 36 not in degrees
 
     @pytest.mark.parametrize(
         "command",
