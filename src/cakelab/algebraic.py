@@ -1088,6 +1088,22 @@ def _residue_poly_at(p: Poly, node: _Node) -> Optional[_Node]:
     return _horner_node(atom, Poly._of(_normal(r, s * p.den)))
 
 
+def _held_poly_at(p: Poly, node: _Node) -> Optional[_Node]:
+    """p at the node's value when the node's defining relation gives it, or
+    None: a cut root F^-1(tau) with p == F gives its target tau, and the real
+    d-th root of a node w with p == T^d gives w.  These relations are the
+    tower's triangular set (Lazard 1992) read as rewrite rules.  Charges the
+    2 * len(p.nums) ticks of the residue route."""
+    if isinstance(node, _CutRootAtom) and p == node.cdf:
+        held = node.target
+    elif isinstance(node, _RootAtom) and isinstance(node.operand, _Node) and p == Poly.monomial(node.index):
+        held = node.operand
+    else:
+        return None
+    _tick(2 * len(p.nums))
+    return held
+
+
 def _rational_value(node: _Node) -> Optional[Fraction]:
     """Exact rational value of the node, if it provably is rational.  An
     atom's single-atom form is itself, so an atom reads None at once."""
@@ -1701,13 +1717,19 @@ def nth_root(value, d: int) -> AlgebraicNumber:
 
 
 def poly_at(p: Poly, v: AlgebraicNumber) -> AlgebraicNumber:
-    """Evaluate a rational polynomial at an algebraic point, exactly: on
-    residues when the point lies in one atom's field, otherwise by folding
-    one multiplication and one addition per coefficient."""
+    """Evaluate a rational polynomial at an algebraic point, exactly.  When
+    the point's defining relation gives the value, that value is returned as
+    the node the query already holds (`_held_poly_at`): F at its own cut root
+    is the cut's target, and T^d at the real d-th root of a node is that
+    node, so a piece value F(y) - F(x) is built from the query's own nodes
+    and a tie on it folds by operand identity.  Otherwise it is evaluated on
+    residues when the point lies in one atom's field, and else by folding
+    one multiplication and one addition per coefficient.  Every route but
+    the rational one charges 2 * len(p.nums) ticks."""
     r = v.as_rational()
     if r is not None:
         return AlgebraicNumber.of(p(r))
-    node = _residue_poly_at(p, v._node)
+    node = _held_poly_at(p, v._node) or _residue_poly_at(p, v._node)
     if node is not None:
         return AlgebraicNumber(node)
     acc = AlgebraicNumber.of(0)

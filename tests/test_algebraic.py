@@ -1901,6 +1901,8 @@ class TestResiduePolyAt:
     def test_matches_folded_horner(self, name, coeffs):
         v = _POINTS[name]()
         p = Poly(coeffs)
+        # F at its own cut root is the cut's target (TestHeldPolyAt)
+        assume(alg._held_poly_at(p, v._node) is None)
         with alg.count_ops([0]) as got_ticks:
             got = poly_at(p, v)
         with alg.count_ops([0]) as want_ticks:
@@ -1918,6 +1920,65 @@ class TestResiduePolyAt:
             glo, ghi = got.approx(Fraction(1, 2**40))
             wlo, whi = want.approx(Fraction(1, 2**40))
             assert glo <= whi and wlo <= ghi
+
+
+@st.composite
+def _held_cases(draw):
+    """(node, p, held): a cut root F^-1(tau) with p = F, or the real d-th
+    root of an irrational w with p = T^d, and the value tau or w that p
+    takes there.  tau and w are a radical, a sum of two square roots or an
+    earlier cut root (`_unit_values`), w negated for some odd d."""
+    _, held = draw(_unit_values())
+    if draw(st.booleans()):
+        p = draw(_cdfs(3))
+        node = _make_cut_root(p, held._node)
+    else:
+        d = draw(st.integers(2, 3))
+        if d % 2 and draw(st.booleans()):
+            held = -held
+        p = X**d
+        node = held.root(d)._node
+    return node, p, held
+
+
+class TestHeldPolyAt:
+    """F at its own cut root is the cut's target, and T^d at the real d-th
+    root of a node is that node: `poly_at` returns the node it holds, with
+    the ticks of the residue route, and the residue route agrees."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_held_cases())
+    def test_matches_the_residue_route(self, case):
+        node, p, held = case
+        assert isinstance(node, (_CutRootAtom, alg._RootAtom))
+        with alg.count_ops([0]) as got_ticks:
+            got = poly_at(p, AlgebraicNumber(node))
+        with alg.count_ops([0]) as want_ticks:
+            want = alg._residue_poly_at(p, node)
+        assert got._node is held._node
+        assert got_ticks == want_ticks == [2 * len(p.nums)]
+        assert got.compare(AlgebraicNumber(want)) == 0
+
+    def test_no_fold_for_another_polynomial(self):
+        cdf = Poly([0, Fraction(1, 2), 0, Fraction(1, 2)])
+        cut = _cut_root_generator()._node
+        assert cut.cdf == cdf
+        root = nth_root(2, 2) / 4 + Fraction(1, 3)
+        cases = [
+            (cut, c(2) * cdf),  # 2F at the cut root of F
+            (cut, Poly([0, Fraction(1, 3), Fraction(2, 3)])),  # another CDF
+            (root.root(3)._node, X**2),  # T^e, e != d
+            (root.root(3)._node, c(2) * X**3),
+            (nth_root(2, 3)._node, X**3),  # a root of a Fraction
+            (AlgebraicNumber.real_root(X**5 + X - c(1), 0, 1)._node, X**5 + X - c(1)),  # a poly root
+        ]
+        for node, p in cases:
+            with alg.count_ops([0]) as ticks:
+                assert alg._held_poly_at(p, node) is None
+            assert ticks == [0]
+            got = poly_at(p, AlgebraicNumber(node))
+            want = alg._residue_poly_at(p, node)
+            assert _same_dag(got._node, want)
 
 
 def _sign_a_plus_b_sqrt2(a, b):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import statistics
 
@@ -54,3 +55,61 @@ class TestVerdict:
     def test_needs_two_pairs_for_quartiles(self):
         with pytest.raises(statistics.StatisticsError):
             verdict([1.0], [0.5])
+
+
+def _tsv(*rows):
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+class TestDigestChanges:
+    BASE = _tsv((0, "eval", "decided", "aa"), (1, "run-protocol", "failed", "bb"), (2, "cut", "decided", "cc"))
+
+    def test_identical_runs_have_no_changes(self):
+        assert bench_pairs.digest_changes(self.BASE, self.BASE) == []
+
+    def test_outcome_and_digest_changes_with_each_side_outcome(self):
+        head = _tsv((0, "eval", "decided", "aa"), (1, "run-protocol", "decided", "dd"), (2, "cut", "decided", "ee"))
+        assert bench_pairs.digest_changes(self.BASE, head) == [
+            {"i": 1, "kind": "run-protocol", "base": "failed", "head": "decided"},
+            {"i": 2, "kind": "cut", "base": "decided", "head": "decided"},
+        ]
+
+    def test_an_item_only_one_run_reached(self):
+        head = _tsv((0, "eval", "decided", "aa"), (1, "run-protocol", "failed", "bb"))
+        assert bench_pairs.digest_changes(self.BASE, head) == [
+            {"i": 2, "kind": "cut", "base": "decided", "head": None},
+        ]
+        assert bench_pairs.digest_changes(head, self.BASE) == [
+            {"i": 2, "kind": "cut", "base": None, "head": "decided"},
+        ]
+
+    def test_indices_in_numeric_order(self):
+        base = _tsv(*[(i, "eval", "decided", "aa") for i in range(12)])
+        head = _tsv(*[(i, "eval", "decided", "aa" if i not in (2, 10) else "zz") for i in range(12)])
+        assert [c["i"] for c in bench_pairs.digest_changes(base, head)] == [2, 10]
+
+
+class TestReport:
+    def test_stability_per_side_and_changes_against_base(self, tmp_path, monkeypatch, capsys):
+        # BASE's runs all agree; HEAD decides item 1 and its third run
+        # differs from its first at item 2
+        ends = [{"name": "par2_ms", "better": "lower", "bound": 0.25}]
+        for side in ("base", "head"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": ends}))
+        base = _tsv((0, "eval", "decided", "aa"), (1, "run-protocol", "failed", "bb"), (2, "cut", "decided", "cc"))
+        head = _tsv((0, "eval", "decided", "aa"), (1, "run-protocol", "decided", "dd"), (2, "cut", "decided", "cc"))
+        runs = {"base": [base] * 3, "head": [head, head, head.replace("cc", "ee")]}
+
+        def run(checkout, args):
+            side = os.path.basename(checkout)
+            result = {"metrics": {"par2_ms": {"value": 1.0 if side == "base" else 0.5}}, "failed": 0, "correct": 3}
+            return result, runs[side].pop(0)
+
+        monkeypatch.setattr(bench_pairs, "_run", run)
+        out = tmp_path / "pairs.json"
+        bench_pairs.main([str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "cli-mix",
+                          "--pairs", "3", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["digests_stable"] == {"base": True, "head": False}
+        assert report["digest_changes"] == [{"i": 1, "kind": "run-protocol", "base": "failed", "head": "decided"}]

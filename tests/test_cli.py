@@ -327,6 +327,40 @@ class TestGoldenBytes:
         assert out.encode() == _golden(f"run-protocol-last-diminisher-3-27.{fmt}")
         assert 36 not in degrees
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_selfridge_conway_piece_between_own_cut_roots(self, fmt, capsys):
+        # p3 takes [y10, y11] between its own cut roots (transcript #10 and
+        # #11) and values it at F3(y11) - F3(y10), which folds to the
+        # amount of the cut #11.
+        # Evaluated on residues instead, the report's minimal polynomial of
+        # that share needs an elimination of degree 81, past the cap
+        code, out, _ = run_cli(
+            ["--format", fmt, "run-protocol", "--protocol", "selfridge-conway",
+             "--measures", os.path.join(GOLDEN, "selfridge-conway-3-25.measures")],
+            capsys,
+        )
+        assert code == 0
+        assert out.encode() == _golden(f"run-protocol-selfridge-conway-3-25.{fmt}")
+
+    @pytest.mark.degree_cap(81)
+    def test_selfridge_conway_values_equal_the_residue_route(self, monkeypatch):
+        # each printed share value is the sum of its pieces' values F(hi) -
+        # F(lo) built without the folds of `poly_at`, which the raised cap
+        # decides; so is the printed count of field operations
+        from cakelab import algebraic
+
+        with open(os.path.join(GOLDEN, "selfridge-conway-3-25.measures"), encoding="utf-8") as fh:
+            measures = parse_measures(fh.read())
+        printed = json.loads(_golden("run-protocol-selfridge-conway-3-25.structured"))
+        run = run_protocol("selfridge-conway", measures)
+        values = cake.check_fairness(run.allocation, measures).own_values
+        monkeypatch.setattr(algebraic, "_held_poly_at", lambda p, node: None)
+        assert run_protocol("selfridge-conway", measures).transcript.bss_op_count == printed["bss_op_count"]
+        for m, pieces, value, share in zip(measures, run.allocation.pieces, values, printed["allocation"]):
+            residues = sum((m.value(lo, hi) for lo, hi in pieces), algebraic.AlgebraicNumber(0))
+            assert residues.compare(value) == 0
+            assert share["value"] == cli._alg_data(residues, 12)
+
     @pytest.mark.parametrize(
         "command",
         [

@@ -14,9 +14,12 @@ FILE (default bench-pairs-W-seedS.json) receives, for each pair, the six
 end-to-end metrics, `failed` and `correct` of both sides; the medians
 per side; BASE's quartiles per metric; the number of pairs in which HEAD
 is better, by the metric's direction in HEAD's BENCHMARK.json; each
-metric's verdict (`verdict`); and whether the per-item digests of every
-run equal those of BASE's first run.  Nothing is written in either
-checkout but what bench/run.py writes under its .bench_out/.
+metric's verdict (`verdict`); whether the per-item digests of each
+side's runs equal those of that side's first run (`digests_stable`); and
+the items at which HEAD's first run differs from BASE's first run in
+outcome or digest, each with its index, kind and outcome on either side
+(`digest_changes`).  Nothing is written in either checkout but what
+bench/run.py writes under its .bench_out/.
 """
 
 from __future__ import annotations
@@ -40,6 +43,26 @@ def _run(checkout: str, args) -> tuple[dict, str]:
     digests = os.path.join(checkout, ".bench_out", f"{args.workload}-seed{args.seed}-trace0", "digests-untraced.tsv")
     with open(digests, encoding="utf-8") as fh:
         return result, fh.read()
+
+
+def _items(digests: str) -> list[tuple[str, ...]]:
+    """The rows (index, kind, outcome, digest) of a digests-*.tsv file."""
+    return [tuple(line.split("\t")) for line in digests.splitlines() if line]
+
+
+def digest_changes(base: str, head: str) -> list[dict]:
+    """The items whose outcome or digest differs between two runs' digest
+    files, in index order, with each side's outcome; an item that only one
+    run reached reads None on the other."""
+    b = {row[0]: row for row in _items(base)}
+    h = {row[0]: row for row in _items(head)}
+    changes = []
+    for i in sorted(b.keys() | h.keys(), key=int):
+        rb, rh = b.get(i), h.get(i)
+        if rb is None or rh is None or rb[2:] != rh[2:]:
+            changes.append({"i": int(i), "kind": (rb or rh)[1],
+                            "base": rb and rb[2], "head": rh and rh[2]})
+    return changes
 
 
 def _summary(result: dict, names: list[str]) -> dict:
@@ -104,7 +127,6 @@ def main(argv=None) -> int:
     def values(side, name):
         return [p[side][name] for p in pairs]
 
-    reference = digests["base"][0]
     report = {
         "command": f"python3 bench/run.py --workload {args.workload} --seed {args.seed} --trace 0",
         "base": os.path.abspath(args.base),
@@ -122,13 +144,15 @@ def main(argv=None) -> int:
         },
         "verdict": {n: verdict(values("base", n), values("head", n), lower[n], bound[n]) if len(pairs) > 1 else None
                     for n in names},
-        "digests_identical": {side: all(d == reference for d in digests[side]) for side in ("base", "head")},
+        "digests_stable": {side: all(d == digests[side][0] for d in digests[side]) for side in ("base", "head")},
+        "digest_changes": digest_changes(digests["base"][0], digests["head"][0]),
     }
     out = args.out or f"bench-pairs-{args.workload}-seed{args.seed}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     print(json.dumps({"median": report["median"], "head_better_pairs": report["head_better_pairs"],
-                      "verdict": report["verdict"], "digests_identical": report["digests_identical"]}))
+                      "verdict": report["verdict"], "digests_stable": report["digests_stable"],
+                      "digest_changes": report["digest_changes"]}))
     return 0
 
 
