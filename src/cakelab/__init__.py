@@ -39,7 +39,6 @@ from .dyadic import DyadicInterval
 from .errors import (
     CakelabError,
     DegreeCapExceeded,
-    ExpressionTooDeep,
     InfeasibleAmountError,
     InvalidMeasureError,
     MembershipUndecidable,
@@ -88,7 +87,6 @@ __all__ = [
     "DyadicInterval",
     "Eisenstein",
     "EquitableCutpoint",
-    "ExpressionTooDeep",
     "ExtensionStep",
     "FactorSearchBudget",
     "Factorization",

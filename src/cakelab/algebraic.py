@@ -56,8 +56,10 @@ Key internals:
   single-atom forms, residues modulo a prime and atom lists are each one
   function of a node and its operands' values, and operand a is finished
   before b is entered; so is a value in its atoms' algebra.  A minimal
-  polynomial still recurses once per level and raises `ExpressionTooDeep`
-  past the interpreter's limit.
+  polynomial, which may need those of operands, atoms or generators in an
+  order only its computation knows, runs on an explicit stack of its own
+  (`_minpoly`), and a product's sign reads its operands' on another
+  (`_refined_sign`).
 * The algebra's traces are power sums (Newton's identities) of roots
   scaled to algebraic integers, and each generator set is checked
   against the degree cap before any arithmetic.
@@ -95,7 +97,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .dyadic import DyadicInterval, trailing_zeros
-from .errors import DegreeCapExceeded, ExpressionTooDeep, ZeroPolynomialError
+from .errors import DegreeCapExceeded, ZeroPolynomialError
 from .factoring import check_degree, degree_cap, factor_over_Q
 from .ints import SMALL_PRIMES, int_nth_root, is_probable_prime, primes
 from .polys import (
@@ -1175,7 +1177,49 @@ class _ZeroDivisor(Exception):
     pass
 
 
-def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
+class _Needs(Exception):
+    """Raised by `_need` for the node whose minimal polynomial is wanted."""
+
+
+def _minpoly(node: _Node) -> Poly:
+    """The minimal polynomial, cached on every node it is computed for, as
+    is a DegreeCapExceeded raised there.  Nothing recurses: a node's
+    computation (`_compute_minpoly`) reads the minimal polynomials it
+    needs, of operands, atoms and generators, through `_need`, which
+    raises _Needs for one not cached yet.  The node then waits on an
+    explicit stack while that one is computed, and starts again, reading
+    it, or its error, from the cache.  What a computation does before its
+    last `_need` is cached or pure, so a restart repeats no work with an
+    effect, and nodes are computed in the order and with the errors of a
+    recursive descent: operand a before b, and b not at all once a
+    raises."""
+    stack = [node]
+    while stack:
+        n = stack[-1]
+        if n._mp is None:
+            try:
+                n._mp = _compute_minpoly(n)
+            except _Needs as e:
+                stack.append(e.args[0])
+                continue
+            except DegreeCapExceeded as e:
+                n._mp = e
+        stack.pop()
+    return _need(node)
+
+
+def _need(node: _Node) -> Poly:
+    """The node's cached minimal polynomial; its cached DegreeCapExceeded is
+    raised, and _Needs(node) when nothing is cached."""
+    mp = node._mp
+    if mp is None:
+        raise _Needs(node)
+    if isinstance(mp, DegreeCapExceeded):
+        raise mp
+    return mp
+
+
+def _atoms_charpoly(node: _Node, minpoly=_minpoly) -> Optional[list[int]]:
     """The characteristic polynomial of the value in the algebra of its
     generators (`_charpoly_over`).  The value is a rational function of its
     maximal subexpressions with a single-atom form (`_form_leaves`), and
@@ -1186,7 +1230,8 @@ def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
     algebra, when a generator's minimal polynomial or D passes the degree
     cap, and None when a divisor is a zero divisor of the algebra.  The
     generators' minimal polynomials are computed in order only while the
-    product of their degrees, a lower bound on D, stays within the cap."""
+    product of their degrees, a lower bound on D, stays within the cap,
+    each read by minpoly: `_need` when `_minpoly` computes the node."""
     leaves = _form_leaves(node)
     forms = [_saf_of(leaf) for leaf in leaves]
     atoms = list({id(f[0]): f[0] for f in forms if f[0] is not None}.values())
@@ -1197,7 +1242,7 @@ def _atoms_charpoly(node: _Node) -> Optional[list[int]]:
         ms, dim = [], 1
         try:
             for g in gens:
-                ms.append(_minpoly(g).nums)
+                ms.append(minpoly(g).nums)
                 dim *= len(ms[-1]) - 1
                 if dim > cap:
                     break
@@ -1293,25 +1338,6 @@ def _relatively_irreducible(m: Poly, f: Poly) -> bool:
     return not _sieve_degrees(patterns(), set(range(1, f.degree)), 16)[0]
 
 
-def _minpoly(node: _Node) -> Poly:
-    cached = node._mp
-    if cached is not None:
-        if isinstance(cached, DegreeCapExceeded):
-            raise cached
-        return cached
-    try:
-        result = _compute_minpoly(node)
-    except DegreeCapExceeded as e:
-        node._mp = e
-        raise
-    except RecursionError:
-        # the recursion runs once per DAG level; nothing is cached on the
-        # way out, so shallower nodes still get their minimal polynomials
-        raise ExpressionTooDeep("expression too deep for a minimal polynomial") from None
-    node._mp = result
-    return result
-
-
 def _compute_minpoly(node: _Node) -> Poly:
     """The minimal polynomial.  A value with a single-atom form takes the
     squarefree part of its characteristic polynomial; a root or cut root
@@ -1337,11 +1363,11 @@ def _compute_minpoly(node: _Node) -> Poly:
         if atom is None:
             return Poly([-p.nums[0], p.den]) if p else Poly.x()
         if p == _RESIDUE_X:
-            return _minpoly(atom)
+            return _need(atom)
         # the characteristic polynomial of a value of Q(atom) is its minimal
         # polynomial to the power [Q(atom) : Q(value)], as the atom's
         # minimal polynomial m is irreducible: no factoring is needed
-        m = _minpoly(atom).nums
+        m = _need(atom).nums
         n = len(m) - 1
         # the cap bounds this route as it bounds factoring: past it, the
         # value gets the diagnostic of factoring its characteristic polynomial
@@ -1349,7 +1375,7 @@ def _compute_minpoly(node: _Node) -> Poly:
         algebra = _Algebra([m])
         return Poly(_int_squarefree(algebra.charpoly(algebra.lift(p.nums, p.den))))
     elif isinstance(node, _RootAtom):
-        m_op = _minpoly(node.operand)
+        m_op = _need(node.operand)
         check_degree(m_op.degree * node.index, "root adjunction")
         annihilator = m_op.substitute_power(node.index)
         if _relatively_irreducible(m_op, Poly.monomial(node.index)):
@@ -1357,21 +1383,21 @@ def _compute_minpoly(node: _Node) -> Poly:
     elif isinstance(node, _PolyRootAtom):
         annihilator = node.poly
     elif isinstance(node, _CutRootAtom):
-        m_c = _minpoly(node.target)
+        m_c = _need(node.target)
         check_degree(m_c.degree * node.cdf.degree, "cut-root elimination")
         annihilator = m_c.compose(node.cdf)
         if _relatively_irreducible(m_c, node.cdf):
             return annihilator.primitive()
     else:
-        f = _atoms_charpoly(node)
+        f = _atoms_charpoly(node, _need)
         if f is None:
             # the last generators: the node's distinct operands, each a unit
             # of the algebra as its minimal polynomial is irreducible
-            ma, mb = _minpoly(node.a), _minpoly(node.b)
+            ma, mb = _need(node.a), _need(node.b)
             kind = "add" if isinstance(node, (_Add, _Sub)) else "mul"
             check_degree(ma.degree * mb.degree, f"{kind} elimination")
             gens = [node.a] if node.a is node.b else [node.a, node.b]
-            f = _charpoly_over(node, gens, [_minpoly(g).nums for g in gens])
+            f = _charpoly_over(node, gens, [_need(g).nums for g in gens])
         annihilator = Poly(f)
     fac = factor_over_Q(annihilator)
     return _select_factor([f for f, _ in fac.factors], node).primitive()
@@ -1423,13 +1449,40 @@ def _compare(a, b) -> int:
 def _refined_sign(a, b, k: int) -> int:
     """sign(a - b) for a node a and a node or rational b, or a rational a
     and a node b: the one refinement loop behind `_sign` (b = 0) and
-    `_compare`.  The enclosures of a and b at effort k, k doubling, decide
-    once they are disjoint, exactly where the enclosure of the difference
-    would exclude 0; a rational is its own enclosure.  A pair that 2^-128
-    cannot separate takes the exact route once (`_exact_sign`, on a or on
-    an uncounted difference node), and refinement goes on only when that
-    proves the difference nonzero."""
-    nonzero = False
+    `_compare`.  Refinement from effort k (`_separate`) decides where it
+    can.  A pair that 2^-128 cannot separate takes the exact route once
+    (`_exact_sign`, on a or on an uncounted difference node), and
+    refinement goes on only when that proves the difference nonzero.  In
+    the exact route a product or quotient with no single-atom form
+    multiplies its operands' signs, each taken from its cached effort as
+    `_sign` takes it: they are read on an explicit stack, a before b, up
+    to the first zero."""
+    sign, stack = 1, [(a, b, k)]
+    while stack:
+        a, b, k = stack.pop()
+        s, k = _separate(a, b, k, 128)
+        if s is None:
+            if not isinstance(b, _Node) and b == 0:
+                node = a
+            else:
+                node = _Sub(*(v if isinstance(v, _Node) else _rat(v) for v in (a, b)))
+            if isinstance(node, (_Mul, _Div)) and _saf_of(node) is _SAF_UNAVAILABLE:
+                stack += ((v, 0, max(8, v._ivc[0])) for v in (node.b, node.a))
+                continue
+            s = _exact_sign(node)
+            if s is None:
+                s = _separate(a, b, k)[0]
+        if s == 0:
+            return 0
+        sign *= s
+    return sign
+
+
+def _separate(a, b, k: int, last: Optional[int] = None) -> tuple[Optional[int], int]:
+    """(sign(a - b), k) once the enclosures of a and b at effort k, k
+    doubling, are disjoint, exactly where the enclosure of the difference
+    would exclude 0; a rational is its own enclosure.  (None, k) once the
+    doubled k passes last."""
     while True:
         try:
             alo, ahi = _interval(a, k) if isinstance(a, _Node) else (a, a)
@@ -1438,29 +1491,23 @@ def _refined_sign(a, b, k: int) -> int:
             pass
         else:
             if alo > bhi:
-                return 1
+                return 1, k
             if ahi < blo:
-                return -1
+                return -1, k
         k *= 2
-        if k > 128 and not nonzero:
-            if not isinstance(b, _Node) and b == 0:
-                s = _exact_sign(a)
-            else:
-                s = _exact_sign(_Sub(*(v if isinstance(v, _Node) else _rat(v) for v in (a, b))))
-            if s is not None:
-                return s
-            nonzero = True
+        if last is not None and k > last:
+            return None, k
 
 
 def _exact_sign(node: _Node) -> Optional[int]:
-    """The sign of a node that is no rational leaf, decided without
-    refinement, or None when the node is proven nonzero.  A constant
-    single-atom form gives its sign; a nonconstant one, a nonzero residue
-    modulo an irreducible modulus, proves the value nonzero.  A node with
-    no form is a binary operation, as atoms have forms, and is decided
-    from its operands, never from its own minimal polynomial: a product or
-    quotient multiplies their signs, and a sum or difference is zero only
-    when its operands are equal, or opposite (`_equal_values`)."""
+    """The sign of a node that is no product or quotient without a
+    single-atom form, decided without refinement, or None when the node is
+    proven nonzero.  A constant single-atom form gives its sign; a
+    nonconstant one, a nonzero residue modulo an irreducible modulus,
+    proves the value nonzero.  A node with no form is then a sum or
+    difference, as atoms have forms, and is zero only when its operands
+    are equal, or opposite (`_equal_values`), never decided by its own
+    minimal polynomial."""
     saf = _saf_of(node)
     if saf is not _SAF_UNAVAILABLE:
         atom, p = saf
@@ -1468,9 +1515,6 @@ def _exact_sign(node: _Node) -> Optional[int]:
             return None
         v = p.nums[0] if p else 0
         return (v > 0) - (v < 0)
-    if isinstance(node, (_Mul, _Div)):
-        s = _sign(node.a)
-        return s and s * _sign(node.b)
     return 0 if _equal_values(node.a, node.b, negated=isinstance(node, _Add)) else None
 
 

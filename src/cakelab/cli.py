@@ -193,7 +193,7 @@ def cmd_max_welfare(args) -> int:
     return 0
 
 
-def _certificate_data(cert: Certificate, digits: int) -> dict:
+def _certificate_data(cert: Certificate) -> dict:
     return {
         "target": cert.target,
         "equation": str(cert.equation),
@@ -222,7 +222,7 @@ def cmd_check_impossibility(args) -> int:
         if args.n is None or args.p is None:
             raise ParseError("--n and --p are required for the welfare target", 1, 1)
         cert = check_impossibility_welfare(args.n, args.p)
-    data = {"command": "check-impossibility", **_certificate_data(cert, args.digits)}
+    data = {"command": "check-impossibility", **_certificate_data(cert)}
     _emit(args, data)
     return 0 if cert.verdict is Verdict.IMPOSSIBLE else 2
 

@@ -16,7 +16,6 @@ import cakelab.algebraic as alg
 from cakelab import (
     AlgebraicNumber,
     DegreeCapExceeded,
-    ExpressionTooDeep,
     Measure,
     Poly,
     Session,
@@ -2036,20 +2035,58 @@ class TestDeepDags:
         assert acc.minimal_polynomial() == _biquadratic_minpoly(*pqrs)
 
     def test_deep_minimal_polynomial_past_the_algebra_cap(self):
-        # over seventh roots the algebra's dimension 49 passes the cap, and
-        # elimination recurses once per DAG level: past the interpreter's
-        # limit it raises a CakelabError and caches nothing on the nodes it
-        # unwinds
+        # over seventh roots the algebra's dimension 49 passes the cap at
+        # every level, so each level needs its operands' minimal
+        # polynomials, computed on an explicit stack down to a + b: its
+        # elimination of degree 49 raises, and the top raises that error
         a, b = nth_root(2, 7), nth_root(3, 7)
         acc, chain = AlgebraicNumber(1), []
-        for _ in range(700):
+        for _ in range(10_000):
             acc = acc * a + b
             chain.append(acc)
-        with pytest.raises(ExpressionTooDeep):
+        cap_error = r"degree 49 .*\(add elimination\)"
+        with time_limit(1), pytest.raises(DegreeCapExceeded, match=cap_error):
             acc.minimal_polynomial()
-        assert all(v._node._mp is None for v in chain)
-        with pytest.raises(DegreeCapExceeded):
-            chain[0].minimal_polynomial()  # a + b, an elimination of degree 49
+        with pytest.raises(DegreeCapExceeded, match=cap_error):
+            chain[0].minimal_polynomial()  # a + b, cached
+
+    def test_deep_nested_radical_minimal_polynomial(self):
+        # x <- sqrt(x + √2), 2000 times from √3: each root's minimal
+        # polynomial needs its radicand's, which needs the roots of its
+        # atoms' algebra, so the computation nests once per root.  On the
+        # explicit stack it reaches the fifth value's radicand, whose
+        # elimination of degree 32 * 2 raises, and so does every later one
+        r2, x = nth_root(2, 2), nth_root(3, 2)
+        for _ in range(2000):
+            x = (x + r2).root(2)
+        with time_limit(5), pytest.raises(DegreeCapExceeded, match=r"degree 64 .*\(add elimination\)"):
+            x.minimal_polynomial()
+
+    def test_no_operand_after_one_raises(self):
+        # the product's algebra declines (dimension 196), so it needs its
+        # operands' minimal polynomials: a7 + b7's elimination raises, and
+        # √5 + √7's is never computed
+        a7, b7 = nth_root(2, 7), nth_root(3, 7)
+        left, right = a7 + b7, nth_root(5, 2) + nth_root(7, 2)
+        with pytest.raises(DegreeCapExceeded, match=r"degree 49 .*\(add elimination\)"):
+            (left * right).minimal_polynomial()
+        assert isinstance(left._node._mp, DegreeCapExceeded)
+        assert right._node._mp is None
+
+    def test_1000_deep_zero_product_sign(self):
+        # z is an exact zero with no single-atom form, at the bottom of
+        # z * (z+1)^1000: refinement cannot separate any level from 0, so
+        # the operands' signs are read on the explicit stack down to z.
+        # The radicals are fresh atoms: the interned √2 and √3 keep the
+        # enclosures earlier tests refined them to, and 1000 products of
+        # those take minutes (ROADMAP item 3), not the stack's 1.3 s
+        r2, r3 = (AlgebraicNumber(alg._RootAtom(Fraction(r), 2)) for r in (2, 3))
+        z = (r2 + r3) * (r2 - r3) - (r2 * r2 - r3 * r3)
+        acc = z
+        for _ in range(1000):
+            acc = acc * (z + 1)
+        assert acc.sign() == 0
+        assert acc.compare(0) == 0
 
     def test_10000_deep_chain_residue_and_atoms(self):
         # the tower's walks run on the same explicit stack as sign and

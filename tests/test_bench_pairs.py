@@ -89,6 +89,21 @@ class TestDigestChanges:
         assert [c["i"] for c in bench_pairs.digest_changes(base, head)] == [2, 10]
 
 
+class TestFailedChanged:
+    @staticmethod
+    def _pairs(*failed):
+        return [{"pair": i, "base": {"failed": b}, "head": {"failed": h}} for i, (b, h) in enumerate(failed, 1)]
+
+    def test_equal_counts_report_nothing(self):
+        assert bench_pairs.failed_changed(self._pairs((29, 29), (0, 0))) == []
+
+    def test_each_pair_that_differs_with_both_counts(self):
+        assert bench_pairs.failed_changed(self._pairs((29, 29), (29, 30), (0, 0), (2, 1))) == [
+            {"pair": 2, "base": 29, "head": 30},
+            {"pair": 4, "base": 2, "head": 1},
+        ]
+
+
 class TestReport:
     def test_stability_per_side_and_changes_against_base(self, tmp_path, monkeypatch, capsys):
         # BASE's runs all agree; HEAD decides item 1 and its third run
@@ -103,7 +118,9 @@ class TestReport:
 
         def run(checkout, args):
             side = os.path.basename(checkout)
-            result = {"metrics": {"par2_ms": {"value": 1.0 if side == "base" else 0.5}}, "failed": 0, "correct": 3}
+            # HEAD's second run fails one item
+            failed = int(side == "head" and len(runs[side]) == 2)
+            result = {"metrics": {"par2_ms": {"value": 1.0 if side == "base" else 0.5}}, "failed": failed, "correct": 3}
             return result, runs[side].pop(0)
 
         monkeypatch.setattr(bench_pairs, "_run", run)
@@ -113,3 +130,4 @@ class TestReport:
         report = json.loads(out.read_text())
         assert report["digests_stable"] == {"base": True, "head": False}
         assert report["digest_changes"] == [{"i": 1, "kind": "run-protocol", "base": "failed", "head": "decided"}]
+        assert report["failed_changed"] == [{"pair": 2, "base": 0, "head": 1}]

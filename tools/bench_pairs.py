@@ -15,11 +15,14 @@ end-to-end metrics, `failed` and `correct` of both sides; the medians
 per side; BASE's quartiles per metric; the number of pairs in which HEAD
 is better, by the metric's direction in HEAD's BENCHMARK.json; each
 metric's verdict (`verdict`); whether the per-item digests of each
-side's runs equal those of that side's first run (`digests_stable`); and
+side's runs equal those of that side's first run (`digests_stable`);
 the items at which HEAD's first run differs from BASE's first run in
 outcome or digest, each with its index, kind and outcome on either side
-(`digest_changes`).  Nothing is written in either checkout but what
-bench/run.py writes under its .bench_out/.
+(`digest_changes`); and the pairs in which HEAD's `failed` differs from
+BASE's, with both counts (`failed_changed`), since a larger share of
+failed items is a regression whatever the timings say.  Nothing is
+written in either checkout but what bench/run.py writes under its
+.bench_out/.
 """
 
 from __future__ import annotations
@@ -63,6 +66,13 @@ def digest_changes(base: str, head: str) -> list[dict]:
             changes.append({"i": int(i), "kind": (rb or rh)[1],
                             "base": rb and rb[2], "head": rh and rh[2]})
     return changes
+
+
+def failed_changed(pairs: list[dict]) -> list[dict]:
+    """The pairs whose HEAD run failed a different number of items than
+    their BASE run, each with both counts."""
+    return [{"pair": p["pair"], "base": p["base"]["failed"], "head": p["head"]["failed"]}
+            for p in pairs if p["base"]["failed"] != p["head"]["failed"]]
 
 
 def _summary(result: dict, names: list[str]) -> dict:
@@ -146,13 +156,15 @@ def main(argv=None) -> int:
                     for n in names},
         "digests_stable": {side: all(d == digests[side][0] for d in digests[side]) for side in ("base", "head")},
         "digest_changes": digest_changes(digests["base"][0], digests["head"][0]),
+        "failed_changed": failed_changed(pairs),
     }
     out = args.out or f"bench-pairs-{args.workload}-seed{args.seed}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
     print(json.dumps({"median": report["median"], "head_better_pairs": report["head_better_pairs"],
                       "verdict": report["verdict"], "digests_stable": report["digests_stable"],
-                      "digest_changes": report["digest_changes"]}))
+                      "digest_changes": report["digest_changes"],
+                      "failed_changed": report["failed_changed"]}))
     return 0
 
 
