@@ -98,7 +98,7 @@ from typing import Optional, Union
 
 from .dyadic import DyadicInterval, trailing_zeros
 from .errors import DegreeCapExceeded, ZeroPolynomialError
-from .factoring import check_degree, degree_cap, factor_over_Q
+from .factoring import check_degree, degree_cap, factor_over_Q, factor_squarefree
 from .ints import SMALL_PRIMES, int_nth_root, is_probable_prime, primes
 from .polys import (
     Poly,
@@ -106,10 +106,9 @@ from .polys import (
     _dyadic_subdivide,
     _int_mul,
     _int_squarefree,
-    _modp_image,
+    _modp_pattern,
     _modp_roots,
     _normal,
-    _pattern,
     _prem,
     _probe,
     _sieve_degrees,
@@ -242,15 +241,18 @@ class _RootAtom(_Node):
 
 
 class _PolyRootAtom(_Node):
-    """A specific real root of a rational polynomial, tracked by bracket."""
+    """A specific real root of a rational polynomial, tracked by bracket.
+    roots are the polynomial's rational roots, which making the atom
+    searched for, so that its minimal polynomial does not search again."""
 
-    __slots__ = ("poly", "lo", "hi")
+    __slots__ = ("poly", "lo", "hi", "roots")
 
-    def __init__(self, poly: Poly, lo: Fraction, hi: Fraction):
+    def __init__(self, poly: Poly, lo: Fraction, hi: Fraction, roots: list[Fraction]):
         super().__init__()
         self.poly = poly  # primitive squarefree, positive leading coefficient
         self.lo = lo
         self.hi = hi
+        self.roots = roots
 
 
 class _CutRootAtom(_Node):
@@ -433,7 +435,8 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
     (s_lo, v_lo), (_, v_hi) = at(lo), at(hi)
     if lo > hi or v_lo - v_hi + (s_lo == 0) != 1:
         raise ValueError("the span must contain exactly one root")
-    for r in rational_roots(sqf):
+    roots = rational_roots(sqf)
+    for r in roots:
         if lo <= r <= hi:
             return _Rat(r)
     # lo is no root: the roots below it come before this one
@@ -467,7 +470,7 @@ def _make_real_root(p: Poly, lo: Fraction, hi: Fraction) -> _Node:
                 break
         # lo is no root, and neither is a: the roots in (a, lo) come first
         iv = _dyadic_subdivide(at, a, b)[at(a)[1] - v_lo]
-        atom = _PolyRootAtom(sqf, iv.lo, iv.hi)
+        atom = _PolyRootAtom(sqf, iv.lo, iv.hi, roots)
         _polyroot_intern[key] = atom
     return atom
 
@@ -1320,20 +1323,23 @@ def _relatively_irreducible(m: Poly, f: Poly) -> bool:
     is not squarefree mod p) lifts to a root of m in the p-adic numbers,
     an embedding of L, so a factor of F(t) - y over L keeps its degree over
     the p-adic numbers, a subset sum of the factor-degree pattern of the
-    image F(t) - r when that image is squarefree (`_modp_image`).  True once
-    no degree in 1..k-1 is left; False when one is left after 16 patterns,
-    or after the first 64 primes, which also ends the search when F(t) - y
-    is not squarefree.  Each image F - r mod p is shared with the cut
-    polynomials of the same CDF through the image cache."""
+    image F(t) - r when that image is squarefree (`_modp_pattern`).  True
+    once no degree in 1..k-1 is left; False when one is left after 16
+    patterns, or after the first 64 primes, which also ends the search when
+    F(t) - y is not squarefree.  For a d-th root the images t^d - r are
+    binomials: their roots and, when d divides p - 1, their patterns come
+    from integer powers mod p (Kummer theory), with no image.  Every other
+    image F - r mod p is shared with the cut polynomials of the same CDF
+    through the image cache."""
     fn, fd = f.nums, f.den
 
     def patterns():
         for p in itertools.islice(primes(), 64):
             if fd % p and fn[-1] % p:
                 for r in _modp_roots(m.nums, p) or ():
-                    image = _modp_image([fn[0] - fd * r, *fn[1:]], p)
-                    if image is not None:
-                        yield p, _pattern(image.parts())
+                    pattern = _modp_pattern([fn[0] - fd * r, *fn[1:]], p)
+                    if pattern is not None:
+                        yield p, pattern
 
     return not _sieve_degrees(patterns(), set(range(1, f.degree)), 16)[0]
 
@@ -1381,7 +1387,7 @@ def _compute_minpoly(node: _Node) -> Poly:
         if _relatively_irreducible(m_op, Poly.monomial(node.index)):
             return annihilator.primitive()
     elif isinstance(node, _PolyRootAtom):
-        annihilator = node.poly
+        return _select_factor(factor_squarefree(node.poly, node.roots), node).primitive()
     elif isinstance(node, _CutRootAtom):
         m_c = _need(node.target)
         check_degree(m_c.degree * node.cdf.degree, "cut-root elimination")

@@ -319,40 +319,28 @@ class Factorization:
         return sorted(f.degree for f, _ in self.factors)
 
 
-def _factor_squarefree(f: list[int]) -> list[Poly]:
+def _factor_squarefree(f: list[int], roots: Optional[list[Fraction]] = None) -> list[Poly]:
     """Irreducible factors of a squarefree primitive integer polynomial
-    with a positive leading coefficient, primitive form.  The work list
-    holds such polynomials; dividing one by a primitive factor leaves
-    another."""
+    with a positive leading coefficient, primitive form.  roots are its
+    rational roots when the caller has searched for them, and the search
+    runs here otherwise; it runs once, as f is squarefree: each linear
+    factor divides it once, and the quotient has no rational root."""
+    if len(f) <= 2:
+        return [Poly(f)] if len(f) == 2 else []
     out: list[Poly] = []
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        n = len(f) - 1
-        if n <= 0:
-            continue
-        if n == 1:
-            out.append(Poly(f))
-            continue
-        h = Poly(f)
-        roots = rational_roots(h)
-        if roots:
-            # h is squarefree: each linear factor divides it once
-            for r in roots:
-                lin = [-r.numerator, r.denominator]
-                out.append(Poly(lin))
-                f = _exact_quotient(f, lin)
-            stack.append(f)
-            continue
-        if _certify_irreducible(h):
-            out.append(h)
-            continue
-        allowed, q, ddf = _degree_sieve(f)
-        if not allowed:
-            out.append(h)
-            continue
-        out.extend(Poly(g) for g in _zassenhaus(f, q, ddf, allowed))
-    return out
+    for r in rational_roots(Poly(f)) if roots is None else roots:
+        lin = [-r.numerator, r.denominator]
+        out.append(Poly(lin))
+        f = _exact_quotient(f, lin)
+    if len(f) == 1:
+        return out
+    h = Poly(f)
+    if _certify_irreducible(h):
+        return out + [h]
+    allowed, q, ddf = _degree_sieve(f)
+    if not allowed:
+        return out + [h]
+    return out + [Poly(g) for g in _zassenhaus(f, q, ddf, allowed)]
 
 
 def _certify_irreducible(h: Poly) -> bool:
@@ -382,7 +370,7 @@ def factor_over_Q(p: Poly) -> Factorization:
     for sqf, mult in _int_squarefree_decomposition(prim):
         for f in _factor_squarefree(sqf):
             collected[f] = collected.get(f, 0) + mult
-    factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].nums)))
+    factors = tuple(sorted(collected.items(), key=lambda kv: _factor_order(kv[0])))
     # self-check: the primitive factors multiply back to the primitive part
     rebuilt = [1]
     for f, m in factors:
@@ -390,6 +378,19 @@ def factor_over_Q(p: Poly) -> Factorization:
             rebuilt = _int_mul(rebuilt, f.nums)
     assert rebuilt == prim
     return Factorization(content, factors)
+
+
+def _factor_order(f: Poly) -> tuple:
+    return f.degree, f.nums
+
+
+def factor_squarefree(p: Poly, roots: list[Fraction]) -> list[Poly]:
+    """The irreducible factors of p, listed as `factor_over_Q` lists
+    them, for a primitive squarefree p with a positive leading coefficient
+    whose rational roots the caller has found: roots, which are not
+    searched for again."""
+    check_degree(p.degree, "factor_over_Q input")
+    return sorted(_factor_squarefree(list(p.nums), roots), key=_factor_order)
 
 
 def is_irreducible(p: Poly) -> bool:

@@ -33,7 +33,10 @@ prime: the distinct-degree factorization of the monic image of f mod q,
 or None when it is not squarefree (`_image_ddf`, bounded by
 `IMAGE_CACHE_SIZE`), from which the squarefree test, the roots mod q and
 the degree patterns are read.  An entry computes its degrees on demand,
-so each question pays only for the degrees it reads.  One factor-degree
+so each question pays only for the degrees it reads.  A binomial
+a*t^n + b takes no entry: its roots mod a prime come from power residues
+(`_binomial_roots`), and its pattern, when n divides p - 1, from Kummer
+theory (`_binomial_pattern`), with a few integer powers.  One factor-degree
 sieve (`_sieve_degrees`) intersects the subset sums of those patterns for
 the factorization, the tower's degree certificates, the certificate
 recheck and the relative sieve of root and cut-root minimal polynomials.
@@ -1040,6 +1043,114 @@ def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[i
             return _fp_edf(d, k, p, rng) + _fp_edf(_fp_divmod(g, d, p)[0], k, p, rng)
 
 
+# -- binomials modulo a prime -------------------------------------------------
+#
+# A cut on x^d is a d-th root, so most relative polynomials of the tower,
+# and the images F(t) - r of a d-th root's relative sieve, are binomials
+# a*t^n + b.  Over F_p they need no polynomial arithmetic: F_p^* is cyclic
+# of order p - 1, so t^n = c has a root exactly when c is a g-th power,
+# g = gcd(n, p - 1), and then its roots are one root times the g-th roots
+# of unity; and when n divides p - 1, Kummer theory gives the factor
+# degrees (Lidl & Niederreiter, Finite Fields, Theorem 3.75).
+
+
+def _is_binomial(f: Sequence[int]) -> bool:
+    """Is f of degree n >= 2 with no term between t^n and 1?"""
+    return len(f) > 2 and not any(f[1:-1])
+
+
+def _kummer_root(c: int, g: int, p: int) -> tuple[int, int]:
+    """A g-th root of c mod the prime p, for g dividing p - 1 and c a g-th
+    power there, and a primitive g-th root of unity.
+
+    F_p^* is the product of its Sylow subgroups.  On the part whose order
+    a is coprime to g, x -> x^g is a bijection, undone by the power
+    g^-1 mod a.  On the cyclic Sylow l-subgroup of order l^s, for each
+    prime l dividing g with l^e exactly dividing g, c's component is
+    z^L for a generator z, and L, a multiple of l^e, is read one base-l
+    digit at a time (Pohlig-Hellman); z^(L/l^e) is an l^e-th root.  For
+    l = 2 this is Tonelli-Shanks's square root, and for odd l the step of
+    Adleman, Manders & Miller (FOCS 1977).  z^(l^(s-e)) has order l^e, so
+    the product of those over the l is a primitive g-th root of unity."""
+    root = zeta = 1
+    a = p - 1
+    for l in itertools.takewhile(lambda l: l <= g, primes()):
+        if g % l:
+            continue
+        q, le = l, l  # l^s and l^e
+        while (p - 1) % (q * l) == 0:
+            q *= l
+        while g % (le * l) == 0:
+            le *= l
+        a //= q
+        k = (p - 1) // q
+        # z generates the Sylow l-subgroup: h^k for the least h >= 2 that
+        # is no l-th power
+        z = next(z for z in (pow(h, k, p) for h in itertools.count(2)) if pow(z, q // l, p) != 1)
+        x = pow(c, k * pow(k, -1, q), p)  # c's component of order dividing q
+        gamma = pow(z, q // l, p)  # of order l
+        digit = {pow(gamma, j, p): j for j in range(l)}
+        log, step, z_inv = 0, 1, pow(z, -1, p)
+        while step < q:
+            log += digit[pow(x * pow(z_inv, log, p) % p, q // (step * l), p)] * step
+            step *= l
+        root = root * pow(z, log // le * pow(g // le, -1, q), p) % p
+        zeta = zeta * pow(z, q // le, p) % p
+    k = (p - 1) // a
+    return root * pow(c, k * pow(k, -1, a) * pow(g, -1, a), p) % p, zeta
+
+
+def _binomial_roots(f: Sequence[int], p: int) -> tuple[int, ...] | None:
+    """The roots mod the prime p of the binomial f = a*t^n + b, n >= 2,
+    ascending; None when it is not squarefree mod p, that is when p
+    divides n, a or b.  With c = -b/a and g = gcd(n, p - 1), the roots of
+    t^n = c are those of t^g = c^(k^-1), k = n/g, k^-1 taken mod
+    (p - 1)/g, as x -> x^k permutes the g-th powers.  So there are g
+    roots when c^((p-1)/g) = 1 and none otherwise: one root
+    (`_kummer_root`) times the g-th roots of unity."""
+    n, a, b = len(f) - 1, f[-1] % p, f[0] % p
+    if n % p == 0 or a == 0 or b == 0:
+        return None
+    c = -b * pow(a, -1, p) % p
+    g = math.gcd(n, p - 1)
+    m = (p - 1) // g
+    if pow(c, m, p) != 1:
+        return ()
+    root, zeta = _kummer_root(c, g, p)
+    x = pow(root, pow(n // g, -1, m), p)
+    roots = []
+    for _ in range(g):
+        roots.append(x)
+        x = x * zeta % p
+    return tuple(sorted(roots))
+
+
+def _binomial_pattern(f: Sequence[int], p: int) -> tuple[int, ...] | None:
+    """The factor-degree pattern mod the prime p of the binomial
+    f = a*t^n + b, n >= 2 dividing p - 1; None when p divides a or b.
+    With c = -b/a, a root x of t^n - c has x^p = x * w for
+    w = c^((p-1)/n) in the n-th roots of unity, which F_p holds, so its
+    degree is the order f of w, and t^n - c splits into n/f irreducible
+    factors of degree f (Kummer theory)."""
+    n, a, b = len(f) - 1, f[-1] % p, f[0] % p
+    if a == 0 or b == 0:
+        return None
+    w = pow(-b * pow(a, -1, p), (p - 1) // n, p)
+    order = next(d for d in range(1, n + 1) if n % d == 0 and pow(w, d, p) == 1)
+    return (order,) * (n // order)
+
+
+def _modp_pattern(f: list[int], q: int) -> tuple[int, ...] | None:
+    """The factor-degree pattern (`_pattern`) modulo q of the integer
+    polynomial f; None when q is unusable (`_modp_image`).  A binomial of
+    degree n dividing q - 1 reads it from Kummer theory
+    (`_binomial_pattern`), every other f from the image cache."""
+    if _is_binomial(f) and (q - 1) % (len(f) - 1) == 0:
+        return _binomial_pattern(f, q)
+    image = _modp_image(f, q)
+    return None if image is None else _pattern(image.parts())
+
+
 # -- images modulo a prime ----------------------------------------------------
 #
 # Integer polynomials with one monic image mod q share every result below:
@@ -1054,7 +1165,10 @@ def _fp_edf(g: Sequence[int], k: int, p: int, rng: random.Random) -> list[list[i
 # polynomial (`algebraic._relatively_irreducible`) reads both: the roots r
 # mod q of the radicand's or target's minimal polynomial, and every degree
 # of the images F - r, which a cut root shares with the cut polynomials
-# F - c of its CDF.  Every value an entry returns is a tuple, so no caller
+# F - c of its CDF.  Binomials bypass the cache (`_modp_roots`,
+# `_modp_pattern`): the tower's levels t^m - tau and its radicals' minimal
+# polynomials, and a d-th root's images t^d - r, are decided with integer
+# powers instead.  Every value an entry returns is a tuple, so no caller
 # can change it.
 
 IMAGE_CACHE_SIZE = 2048
@@ -1139,13 +1253,17 @@ def _modp_ddf(f: list[int], q: int) -> DDF | None:
 
 
 def _modp_roots(f: list[int], q: int) -> tuple[int, ...] | None:
-    """The roots mod q of the integer polynomial f, ascending, all simple:
-    the roots of the degree-1 part of its distinct-degree factorization.
-    Below q = 512 they are found by trying residues until all are, past it
-    by splitting that part (`_fp_edf`): a scan costs up to q evaluations,
-    a split a few powers mod the part, and the scan measured faster up to
-    q of about 500 for two to six roots.  None when q is unusable
-    (`_modp_image`)."""
+    """The roots mod q of the integer polynomial f, ascending, all simple;
+    None when q is unusable (`_modp_image`).  A binomial takes
+    `_binomial_roots`, a few integer powers, and no image.  Any other f
+    reads the degree-1 part of its distinct-degree factorization.  A part
+    of degree 2 has its two roots from one square root mod q.  Past that,
+    below q = 512 they are found by trying residues until all are, and
+    past it by splitting that part (`_fp_edf`): a scan costs up to q
+    evaluations, a split a few powers mod the part, and the scan measured
+    faster up to q of about 500 for two to six roots."""
+    if _is_binomial(f):
+        return _binomial_roots(f, q)
     image = _modp_image(f, q)
     if image is None:
         return None
@@ -1156,6 +1274,14 @@ def _modp_roots(f: list[int], q: int) -> tuple[int, ...] | None:
     n = len(g) - 1
     if n == 1:
         return (-g[0] % q,)
+    if n == 2:
+        if q == 2:
+            return (0, 1)
+        # t = (-b +- s)/2 for t^2 + b t + c, s^2 = b^2 - 4c, a nonzero square
+        c, b, _ = g
+        s = _kummer_root((b * b - 4 * c) % q, 2, q)[0]
+        half = (q + 1) // 2
+        return tuple(sorted(((-b + s) * half % q, (-b - s) * half % q)))
     if q > 512:
         return tuple(sorted(-h[0] % q for h in _fp_edf(g, 1, q, random.Random(0))))
     return tuple(itertools.islice((a for a in range(q) if _horner_mod(g, a, q) == 0), n))

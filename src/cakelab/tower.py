@@ -52,11 +52,16 @@ decided it.
      lemma (dynamic evaluation: Della Dora, Dicrescenzo & Duval 1985).
      Values of K reduce mod p by evaluating their DAG with each a_i mapped
      to r_i.  Every chain at a prime is read, depth first and generated as
-     needed; a level's roots mod p are read off the one image cache of
-     `polys` (`_modp_roots`), and a level whose reduction is not
-     squarefree extends no chain.  The squarefree images of R at the
+     needed; a level's roots mod p come from `polys._modp_roots`, by power
+     residues for a binomial level t^m - tau and off the one image cache
+     of `polys` for any other, and a level whose reduction is not
+     squarefree extends no chain.  The rational levels, binomials first,
+     screen each prime before its chains are walked: one with no simple
+     root mod p leaves p no chain.  The squarefree images of R at the
      chains of at most CERTIFICATE_PRIMES primes, in order, feed Musser's
-     factor-degree sieve (`polys._sieve_degrees`): a factor of R over K
+     factor-degree sieve (`polys._sieve_degrees`), each pattern by Kummer
+     theory for a binomial R of degree dividing p - 1
+     (`polys._modp_pattern`): a factor of R over K
      keeps its degree over the p-adic numbers, so its degree is a subset
      sum of every image's factor-degree pattern.  The sieve reads images
      only until no proper degree is left; then R is irreducible over K,
@@ -64,8 +69,8 @@ decided it.
      (p, chain, pattern) that removed the degrees.  An image irreducible
      of full degree has the pattern (deg R,) and is a witness alone.
      `verify_lemma1` rechecks every stored word in rational arithmetic
-     first, then every witness, recomputing each pattern without the
-     image cache.
+     first, then every witness, recomputing each pattern by Frobenius
+     powers and gcds, without the image cache or Kummer theory.
    * Landing rule.  When the sieve keeps a degree, or the field below has
      no triangular set: for a cut answer or a root whose R = F(t) - target
      vanishes at a step generator w where F is increasing (w in [0, 1], or
@@ -112,10 +117,10 @@ from .polys import (
     _fp_sub,
     _fp_trim,
     _horner_mod,
-    _modp_image,
+    _is_binomial,
+    _modp_pattern,
     _modp_roots,
     _monic_mod,
-    _pattern,
     _sieve_degrees,
 )
 
@@ -331,7 +336,7 @@ class RelativePoly:
         if self.cdf.den % p == 0 or cs[-1] % p == 0:
             return False
         d = self.degree
-        if d < 2 or any(cs[1:-1]):
+        if not _is_binomial(cs):
             return True
         return coprime_part(d, p - 1) == 1 and (d % 4 != 0 or p % 4 == 1)
 
@@ -476,20 +481,27 @@ def _patterns(
 ) -> Iterator[tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]:
     """((p, chain), pattern) for each squarefree image of R at the chains
     of the first CERTIFICATE_PRIMES primes that `RelativePoly.may_certify`
-    admits, in order: the factor degrees of its cached distinct-degree
-    factorization.  A rational R reduces alike at every chain of p, so
-    only p's first chain is read."""
+    admits, in order: its factor degrees (`_modp_pattern`, from Kummer
+    theory for a binomial of degree dividing p - 1, else from the cached
+    distinct-degree factorization).  A rational R reduces alike at every
+    chain of p, so only p's first chain is read.  The rational levels of
+    the triangular set, binomials first, screen each prime before its
+    chains are walked: a level with no simple root mod p leaves p no
+    chain, and p still counts as read."""
+    rational = [level for level in tri if level.target is None]
+    rational.sort(key=lambda level: not _is_binomial(level.cdf.nums))
     tried = 0
     for p in primes():
         if not rel.may_certify(p):
             continue
-        for chain in _chains(p, tri):
-            cs = rel.reduce(p, _images(tri, chain))
-            image = None if cs is None else _modp_image(cs, p)
-            if image is not None:
-                yield (p, chain), _pattern(image.parts())
-            if rel.target is None:
-                break
+        if all(cs is not None and _modp_roots(cs, p) for cs in (level.reduce(p, {}) for level in rational)):
+            for chain in _chains(p, tri):
+                cs = rel.reduce(p, _images(tri, chain))
+                pattern = None if cs is None else _modp_pattern(cs, p)
+                if pattern is not None:
+                    yield (p, chain), pattern
+                if rel.target is None:
+                    break
         tried += 1
         if tried == CERTIFICATE_PRIMES:
             return

@@ -778,7 +778,8 @@ def full_span_real_root_oracle(p, lo, hi):
             hits.append(idx)
     if len(hits) != 1:
         raise ValueError("the span must contain exactly one root")
-    for r in rational_roots(sqf):
+    roots = rational_roots(sqf)
+    for r in roots:
         if lo <= r <= hi:
             return _Rat(r), None
     idx = hits[0]
@@ -790,7 +791,7 @@ def full_span_real_root_oracle(p, lo, hi):
         return (root if d % 2 == 1 or iv.lo >= 0 else alg._fold_mul(alg._rat(-1), root)), None
     if sqf.degree == 2:
         return alg._quadratic_root(sqf, idx), None
-    return alg._PolyRootAtom(sqf, iv.lo, iv.hi), (cs, idx)
+    return alg._PolyRootAtom(sqf, iv.lo, iv.hi, roots), (cs, idx)
 
 
 def nested_elimination_minpoly(v, known=None):

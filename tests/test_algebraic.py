@@ -750,6 +750,79 @@ def _factored_minpoly(annihilator, v):
     return select_factor_oracle(cands, v).primitive(), len(cands)
 
 
+class TestRationalRootsOnce:
+    """A new isolated root searches its polynomial for rational roots once:
+    making the atom searches, and its minimal polynomial factors from the
+    roots found then (`factoring.factor_squarefree`)."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        from cakelab import factoring, polys
+
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return polys.rational_roots(p)
+
+        monkeypatch.setattr(alg, "rational_roots", counted)
+        monkeypatch.setattr(factoring, "rational_roots", counted)
+        return calls
+
+    def test_one_search_per_new_atom(self, monkeypatch):
+        # (3x - 2)(x^3 + 1234567x - 1): the rational root 2/3 lies outside
+        # [0, 1/1000], where the cubic factor has its root
+        from cakelab import factoring
+
+        p = Poly([-2, 3]) * Poly([-1, 1234567, 0, 1]) * Poly([-1])
+        calls = self._counted(monkeypatch)
+        with mock.patch.object(alg, "_polyroot_intern", {}):
+            v = AlgebraicNumber.real_root(p, 0, Fraction(1, 1000))
+            assert isinstance(v._node, alg._PolyRootAtom) and v._node.roots == [Fraction(2, 3)]
+            assert v.minimal_polynomial() == Poly([-1, 1234567, 0, 1])
+            assert calls == [p.primitive()]
+            # the same atom again: one more search, in making it
+            assert AlgebraicNumber.real_root(p, 0, Fraction(1, 1000))._node is v._node
+            assert len(calls) == 2
+        # the factors listed as factor_over_Q lists them, for the selection
+        fac = factoring.factor_over_Q(p.primitive())
+        assert factoring.factor_squarefree(p.primitive(), [Fraction(2, 3)]) == [f for f, _ in fac.factors]
+
+    def test_one_search_per_cut_at_a_rational_target(self, monkeypatch):
+        # a session cut at a rational target makes the atom and adjoins it
+        # to the tower, which reads its minimal polynomial
+        calls = self._counted(monkeypatch)
+        cdf = Poly([0, Fraction(1, 7), 0, 0, 0, Fraction(6, 7)])
+        with mock.patch.object(alg, "_polyroot_intern", {}):
+            session = Session([Measure.make(cdf)])
+            y = session.cut(0, 0, Fraction(5, 11))
+            assert isinstance(y._node, alg._PolyRootAtom)
+            assert session.transcript.tower.steps[-1].degree == 5
+        assert len([p for p in calls if p.degree == 5]) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), max_size=3, unique=True),
+        st.lists(st.integers(-9, 9), min_size=3, max_size=6),
+    )
+    def test_factors_from_known_roots_are_factor_over_q_s(self, roots, rest):
+        # a squarefree primitive product of linear factors and a random
+        # cofactor, factored from its known rational roots
+        from cakelab import factoring, polys
+
+        f = Poly(rest)
+        assume(f.degree >= 2)
+        for r in roots:
+            f = f * Poly([-r, 1])
+        f = f.primitive()
+        if f.leading < 0:
+            f = -f
+        assume(polys.squarefree_part(f).degree == f.degree)
+        fac = factoring.factor_over_Q(f)
+        known = polys.rational_roots(f)
+        assert factoring.factor_squarefree(f, known) == [g for g, _ in fac.factors]
+
+
 class TestRelativeSieve:
     """A cut root F^-1(tau) or a real d-th root of an irrational value has
     the annihilator m_tau(F(t)), with F = t^d for a root.  When the degree

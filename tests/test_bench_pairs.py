@@ -131,3 +131,56 @@ class TestReport:
         assert report["digests_stable"] == {"base": True, "head": False}
         assert report["digest_changes"] == [{"i": 1, "kind": "run-protocol", "base": "failed", "head": "decided"}]
         assert report["failed_changed"] == [{"pair": 2, "base": 0, "head": 1}]
+
+
+class TestTraceMode:
+    LAYERS = [{"name": "tower.self_s", "unit": "s", "better": "lower"},
+              {"name": "polys.self_s", "unit": "s", "better": "lower"},
+              {"name": "undecided.timeout", "unit": "count", "better": "lower"}]
+
+    def test_per_layer_medians_without_verdicts(self, tmp_path, monkeypatch):
+        ends = [{"name": "par2_ms", "better": "lower", "bound": 0.25}]
+        for side in ("base", "head"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": ends, "per_layer": self.LAYERS}))
+        digests = _tsv((0, "eval", "decided", "aa"))
+        tower = {"base": [0.4, 0.5, 0.3], "head": [0.2, 0.1, 0.3]}
+        seen = []
+
+        def run(checkout, args):
+            side = os.path.basename(checkout)
+            seen.append(args.trace)
+            # undecided.timeout is missing from one run, so it has no median
+            metrics = {"tower.self_s": {"value": tower[side].pop(0)}, "polys.self_s": {"value": 1.0}}
+            if len(seen) != 4:
+                metrics["undecided.timeout"] = {"value": 0}
+            return {"metrics": metrics, "failed": 1, "correct": True}, digests
+
+        monkeypatch.setattr(bench_pairs, "_run", run)
+        out = tmp_path / "pairs.json"
+        bench_pairs.main([str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "cli-mix",
+                          "--pairs", "3", "--trace", "1", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert seen == [1] * 6
+        assert report["trace"] == 1
+        assert report["command"] == "python3 bench/run.py --workload cli-mix --seed 1 --trace 1"
+        assert report["median"] == {"base": {"tower.self_s": 0.4, "polys.self_s": 1.0, "failed": 1},
+                                    "head": {"tower.self_s": 0.2, "polys.self_s": 1.0, "failed": 1}}
+        assert not {"verdict", "base_quartiles", "head_better_pairs"} & report.keys()
+        assert report["digests_stable"] == {"base": True, "head": True} and report["digest_changes"] == []
+
+    def test_run_reads_the_traced_run_and_its_untraced_digests(self, tmp_path):
+        # a stand-in bench/run.py that records its arguments
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        (bench / "run.py").write_text(
+            "import json, os, sys\n"
+            "d = os.path.join('.bench_out', 'cli-mix-seed7-trace1')\n"
+            "os.makedirs(d)\n"
+            "open(os.path.join(d, 'digests-untraced.tsv'), 'w').write('0\\teval\\tdecided\\taa\\n')\n"
+            "print(json.dumps({'argv': sys.argv[1:], 'metrics': {}}))\n"
+        )
+        args = bench_pairs.argparse.Namespace(workload="cli-mix", seed=7, trace=1)
+        result, digests = bench_pairs._run(str(tmp_path), args)
+        assert result["argv"] == ["--workload", "cli-mix", "--seed", "7", "--trace", "1"]
+        assert digests == "0\teval\tdecided\taa\n"

@@ -328,6 +328,25 @@ class TestGoldenBytes:
         assert 36 not in degrees
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize(
+        "protocol, name", [("even-paz", "even-paz-3-00"), ("last-diminisher", "last-diminisher-3-25")]
+    )
+    def test_longest_sieve_walks(self, protocol, name, fmt, capsys):
+        # the towers whose degree sieve read the most chains on the cli-mix
+        # bench at seed 1: even-paz's last step, t^3 - tau over levels of
+        # degrees 3, 4, 3 and 4, is certified at p = 7069, and one
+        # last-diminisher step at p = 2029.  Both walk fewer chains once
+        # each prime is screened on the tower's rational levels; the bytes
+        # are those printed before the screen
+        code, out, _ = run_cli(
+            ["--format", fmt, "run-protocol", "--protocol", protocol,
+             "--measures", os.path.join(GOLDEN, f"{name}.measures")],
+            capsys,
+        )
+        assert code == 0
+        assert out.encode() == _golden(f"run-protocol-{name}.{fmt}")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_selfridge_conway_piece_between_own_cut_roots(self, fmt, capsys):
         # p3 takes [y10, y11] between its own cut roots (transcript #10 and
         # #11) and values it at F3(y11) - F3(y10), which folds to the

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import re
 from dataclasses import replace
@@ -23,7 +24,7 @@ from cakelab import (
     nth_root,
     run_protocol,
 )
-from cakelab import algebraic, tower
+from cakelab import algebraic, polys, tower
 from cakelab.cake import _increasing_preimage, poly_at
 from cakelab.ints import primes
 from cakelab.parsing import parse_measures
@@ -42,6 +43,7 @@ from _oracle import (
 )
 
 A = AlgebraicNumber
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _ledger(tw):
@@ -869,3 +871,173 @@ class TestModularTools:
         assert (fresh is None) == (ddf is None)
         if fresh is not None:
             assert fresh.parts() == ddf and ddf[0] == (first[0], tuple(first[1]))
+
+
+_PRIMES_BELOW_8000 = list(itertools.takewhile(lambda p: p < 8000, primes()))
+
+
+def _squarefree_mod(cs, p):
+    """Is the polynomial cs, with a leading coefficient nonzero mod p,
+    squarefree mod p?"""
+    f = _monic_mod(cs, p)
+    df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
+    return bool(df) and len(_fp_gcd(f, df, p)) == 1
+
+
+class TestBinomialsModP:
+    """Roots and factor-degree patterns of a*t^n + b mod p from integer
+    powers, against the generic Frobenius-and-gcd routes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(_PRIMES_BELOW_8000),
+        st.integers(2, 12),
+        st.integers(-10**6, 10**6),
+        st.integers(-10**6, 10**6),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    @example(2, 3, 1, 1, None)  # p = 2: t^3 + 1 has the one root 1
+    @example(2, 4, 1, 1, None)  # p = 2 divides n
+    @example(3, 6, 1, -2, None)  # p = 3 divides n
+    @example(7, 3, 14, 3, None)  # p divides a
+    @example(7, 3, 2, 21, None)  # p divides b
+    @example(13, 4, 1, 0, 5)  # g = 4, (p - 1)/g = 3, so x^4 - 5^4 has four roots
+    @example(13, 2, 3, 0, 5)  # g = 2 and (p - 1)/g = 6 share 2
+    @example(37, 6, 1, 0, 2)  # g = 6 and (p - 1)/g = 6 share 6
+    @example(109, 9, 5, 0, 7)  # 108 = 4 * 27: g = 9 and 12 share 3
+    @example(17, 8, 1, 0, 3)  # 16 = 2^4: g = 8 and 2 share 2
+    @example(7, 4, 1, 0, 3)  # g = 2, k = n/g = 2 needs k^-1 mod 3
+    def test_roots_against_the_simple_roots_oracle(self, p, n, a, b, planted):
+        # planted: b = -a x^n for x = planted, so that roots exist
+        if planted is not None:
+            b = -a * planted**n
+        cs = [b % p] + [0] * (n - 1) + [a % p]
+        got = polys._binomial_roots([b] + [0] * (n - 1) + [a], p)
+        assert polys._modp_roots([b] + [0] * (n - 1) + [a], p) == got
+        if cs[-1] == 0 or not _squarefree_mod(cs, p):
+            assert got is None
+            return
+        assert got == tuple(simple_roots_oracle(cs, p))
+        if planted is not None and planted % p:
+            assert planted % p in got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    @example(4, None)
+    def test_kummer_patterns_against_frobenius(self, n, data):
+        # n divides p - 1: the pattern of t^n - c from the order of
+        # c^((p-1)/n), against the recheck's pattern and the oracle's
+        # distinct-degree factorization
+        ps = [p for p in _PRIMES_BELOW_8000 if (p - 1) % n == 0]
+        if data is None:
+            # 13: c = 2 generates F_13^*, so 2^3 has order 4 in mu_4: t^4 - 2
+            # is irreducible; c = 3 = 2^4 gives order 1, four roots
+            cases = [(13, 1, -2), (13, 1, -3), (13, 5, -5 * 4)]
+        else:
+            cases = [(data.draw(st.sampled_from(ps)), data.draw(st.integers(-10**4, 10**4)),
+                      data.draw(st.integers(-10**4, 10**4)))]
+        for p, a, b in cases:
+            f = [b] + [0] * (n - 1) + [a]
+            cs = [c % p for c in f]
+            pattern = polys._binomial_pattern(f, p)
+            assert polys._modp_pattern(f, p) == pattern
+            if cs[-1] == 0 or cs[0] == 0:
+                assert pattern is None
+                continue
+            assert pattern == _pattern_mod(cs, p)
+            assert pattern == _pattern(list(fp_ddf_oracle(_monic_mod(cs, p), p)))
+
+    def test_patterns_past_kummer_come_from_the_image(self):
+        # n not dividing p - 1: the cached distinct-degree factorization
+        for p, n in [(5, 3), (7, 4), (11, 6), (2, 5)]:
+            f = [-3] + [0] * (n - 1) + [1]
+            assert polys._modp_pattern(f, p) == _pattern(_modp_ddf(f, p))
+
+    def test_quadratic_linear_part_takes_one_square_root(self, monkeypatch):
+        # (t - 3)(t - 10)(t^2 - 2) mod 13, 2 no square there, has the
+        # degree-1 part (t - 3)(t - 10), split by one square root with no
+        # scan or _fp_edf
+        f = polys._fp_mul(polys._fp_mul([-3 % 13, 1], [-10 % 13, 1], 13), [-2 % 13, 0, 1], 13)
+        monkeypatch.setattr(polys, "_fp_edf", None)
+        monkeypatch.setattr(polys, "_horner_mod", None)
+        assert polys._modp_roots(f, 13) == (3, 10)
+        assert polys._modp_roots([0, 1, 1], 2) == (0, 1)
+
+
+def _unscreened_patterns(rel, tri, last):
+    """The tower's (p, chain) and pattern stream for primes up to last,
+    with every chain of the oracle walked and no prime screened: chains
+    through simple roots (`ChainCacheOracle`), kept where every level is
+    squarefree, and patterns from `_pattern_mod`."""
+    oracle = ChainCacheOracle()
+    for p in itertools.takewhile(lambda p: p <= last, primes()):
+        if not rel.may_certify(p):
+            continue
+        for chain in oracle.chains(p, tri):
+            if not _squarefree_levels(p, tri, chain):
+                continue
+            cs = rel.reduce(p, tower._images(tri, chain))
+            pattern = None if cs is None else _pattern_mod(cs, p)
+            if pattern is not None:
+                yield (p, chain), pattern
+            if rel.target is None:
+                break
+
+
+class TestPrimeScreen:
+    """The towers of the slowest sieve walks on cli-mix at seed 1:
+    even-paz and last-diminisher on three players (the goldens
+    run-protocol-even-paz-3-00 and run-protocol-last-diminisher-3-25)."""
+
+    CASES = {
+        "even-paz-3-00": (
+            "even-paz",
+            [1, 3, 1, 4, 1, 3, 1, 4, 1, 3],
+            {
+                5: ((109, (58, 31), (3,)),),
+                7: ((757, (690, 9, 30), (4,)),),
+                9: ((7069, (4083, 1370, 1017, 950), (3,)),),
+            },
+        ),
+        "last-diminisher-3-25": (
+            "last-diminisher",
+            [6, 1, 1, 1, 4, 6, 1, 3],
+            {
+                4: ((11, (4,), (4,)),),
+                5: ((73, (13, 29), (3, 3)), (193, (31, 18), (6,))),
+                7: ((2029, (33, 230, 150), (3,)),),
+            },
+        ),
+    }
+
+    @staticmethod
+    def _tower(name, protocol):
+        with open(os.path.join(GOLDEN, f"{name}.measures"), encoding="utf-8") as fh:
+            return run_protocol(protocol, parse_measures(fh.read())).transcript.tower
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_certificates_and_the_unscreened_stream(self, name):
+        protocol, degrees, certificates = self.CASES[name]
+        tw = self._tower(name, protocol)
+        assert [s.degree for s in tw.steps] == degrees
+        assert {i: s.certificate for i, s in enumerate(tw.steps) if s.certificate is not None} == certificates
+        tw.verify_lemma1(2)
+        for i, certificate in certificates.items():
+            rel, tri = tw.steps[i].relative, tower._triangular_set(tw.steps[:i])
+            last = certificate[-1][0]
+            screened = list(itertools.takewhile(lambda w: w[0][0] <= last, tower._patterns(rel, tri)))
+            assert screened == list(_unscreened_patterns(rel, tri, last))
+            # the screen has rational levels to read: a cut at a rational
+            # target or a radical of a rational
+            assert any(level.target is None for level in tri)
+
+    def test_a_screened_prime_still_counts(self, monkeypatch):
+        # the level t^2 + 1 has roots only at p = 1 mod 4, so 3, 7 and 11
+        # are screened; they still count toward the primes read, and the
+        # stream ends at the sixth admitted prime, 17
+        monkeypatch.setattr(tower, "CERTIFICATE_PRIMES", 6)
+        level = tower.RelativePoly(object(), Poly([1, 0, 1]))
+        rel = tower.RelativePoly(None, Poly([-3, 0, 1]))
+        stream = list(tower._patterns(rel, [level]))
+        assert stream == [((5, (2,)), (2,)), ((13, (5,)), (1, 1)), ((17, (4,)), (2,))]
+        assert stream == list(_unscreened_patterns(rel, [level], 19))[:3]

@@ -1,26 +1,33 @@
 #!/usr/bin/env python3
 """Alternating benchmark runs in two checkouts, paired.
 
-    python3 tools/bench_pairs.py BASE HEAD --workload W --seed S [--pairs N] [--out FILE]
+    python3 tools/bench_pairs.py BASE HEAD --workload W --seed S [--pairs N] [--trace T] [--out FILE]
 
-Runs `python3 bench/run.py --workload W --seed S --trace 0`, at the
-benchmark's own run length, in the checkout BASE and in the checkout
-HEAD, once each per pair (N = 10 by default), BASE first in odd pairs
-and HEAD first in even ones, so that a drift in the host's speed falls
-on both sides alike.  Each run's last line of output
-is the benchmark's JSON result.
+Runs `python3 bench/run.py --workload W --seed S --trace T` (T = 0 by
+default), at the benchmark's own run length, in the checkout BASE and in
+the checkout HEAD, once each per pair (N = 10 by default), BASE first in
+odd pairs and HEAD first in even ones, so that a drift in the host's speed
+falls on both sides alike.  Each run's last line of output is the
+benchmark's JSON result.
 
-FILE (default bench-pairs-W-seedS.json) receives, for each pair, the six
-end-to-end metrics, `failed` and `correct` of both sides; the medians
-per side; BASE's quartiles per metric; the number of pairs in which HEAD
-is better, by the metric's direction in HEAD's BENCHMARK.json; each
-metric's verdict (`verdict`); whether the per-item digests of each
-side's runs equal those of that side's first run (`digests_stable`);
-the items at which HEAD's first run differs from BASE's first run in
-outcome or digest, each with its index, kind and outcome on either side
-(`digest_changes`); and the pairs in which HEAD's `failed` differs from
-BASE's, with both counts (`failed_changed`), since a larger share of
-failed items is a regression whatever the timings say.  Nothing is
+FILE (default bench-pairs-W-seedS.json, or bench-pairs-W-seedS-trace.json
+with T = 1) receives, for each pair, the metrics, `failed` and `correct`
+of both sides; the medians per side; whether the per-item digests of each
+side's untraced runs equal those of that side's first run
+(`digests_stable`); the items at which HEAD's first run differs from
+BASE's first run in outcome or digest, each with its index, kind and
+outcome on either side (`digest_changes`); and the pairs in which HEAD's
+`failed` differs from BASE's, with both counts (`failed_changed`), since a
+larger share of failed items is a regression whatever the timings say.
+
+With T = 0 the metrics are the six end-to-end metrics, and FILE also holds
+BASE's quartiles per metric, the number of pairs in which HEAD is better,
+by the metric's direction in HEAD's BENCHMARK.json, and each metric's
+verdict (`verdict`).  With T = 1 they are the per-layer metrics of
+HEAD's BENCHMARK.json that every run reports (each layer's self time,
+call counts, the tower's step counts), read from the traced run, and FILE
+holds their medians only: a traced run times every call, so its times
+show where time goes, not whether a change is faster.  Nothing is
 written in either checkout but what bench/run.py writes under its
 .bench_out/.
 """
@@ -35,15 +42,20 @@ import subprocess
 import sys
 
 
+def _command(args) -> list[str]:
+    return ["bench/run.py", "--workload", args.workload, "--seed", str(args.seed), "--trace", str(args.trace)]
+
+
 def _run(checkout: str, args) -> tuple[dict, str]:
-    """One benchmark run in the checkout: (result, per-item digests)."""
-    cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    """One benchmark run in the checkout: (result, per-item digests of its
+    untraced items)."""
+    proc = subprocess.run([sys.executable, *_command(args)], cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"bench/run.py failed in {checkout} (exit {proc.returncode}):\n{proc.stderr}")
     result = json.loads(lines[-1])
-    digests = os.path.join(checkout, ".bench_out", f"{args.workload}-seed{args.seed}-trace0", "digests-untraced.tsv")
+    workdir = f"{args.workload}-seed{args.seed}-trace{args.trace}"
+    digests = os.path.join(checkout, ".bench_out", workdir, "digests-untraced.tsv")
     with open(digests, encoding="utf-8") as fh:
         return result, fh.read()
 
@@ -76,7 +88,7 @@ def failed_changed(pairs: list[dict]) -> list[dict]:
 
 
 def _summary(result: dict, names: list[str]) -> dict:
-    out = {name: result["metrics"][name]["value"] for name in names}
+    out = {name: result["metrics"][name]["value"] for name in names if name in result["metrics"]}
     out["failed"] = result["failed"]
     out["correct"] = result["correct"]
     return out
@@ -115,13 +127,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     with open(os.path.join(args.head, "BENCHMARK.json"), encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-    names = [m["name"] for m in end_to_end]
-    lower = {m["name"]: m["better"] == "lower" for m in end_to_end}
-    bound = {m["name"]: m["bound"] for m in end_to_end}
+        declared = json.load(fh)["per_layer" if args.trace else "end_to_end"]
+    names = [m["name"] for m in declared]
 
     pairs, digests = [], {"base": [], "head": []}
     for i in range(1, args.pairs + 1):
@@ -133,38 +144,45 @@ def main(argv=None) -> int:
             digests[side].append(dig)
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
+    # a per-layer metric that some run did not report has no median
+    names = [n for n in names if all(n in p[side] for p in pairs for side in ("base", "head"))]
 
     def values(side, name):
         return [p[side][name] for p in pairs]
 
     report = {
-        "command": f"python3 bench/run.py --workload {args.workload} --seed {args.seed} --trace 0",
+        "command": "python3 " + " ".join(_command(args)),
         "base": os.path.abspath(args.base),
         "head": os.path.abspath(args.head),
         "workload": args.workload,
         "seed": args.seed,
+        "trace": args.trace,
         "pairs": pairs,
         "median": {side: {n: statistics.median(values(side, n)) for n in names + ["failed"]}
                    for side in ("base", "head")},
-        "base_quartiles": {n: statistics.quantiles(values("base", n), n=4)[::2] if len(pairs) > 1 else None
-                           for n in names},
-        "head_better_pairs": {
+    }
+    if not args.trace:
+        lower = {m["name"]: m["better"] == "lower" for m in declared}
+        bound = {m["name"]: m["bound"] for m in declared}
+        report["base_quartiles"] = {
+            n: statistics.quantiles(values("base", n), n=4)[::2] if len(pairs) > 1 else None for n in names
+        }
+        report["head_better_pairs"] = {
             n: sum((h < b) if lower[n] else (h > b) for b, h in zip(values("base", n), values("head", n)))
             for n in names
-        },
-        "verdict": {n: verdict(values("base", n), values("head", n), lower[n], bound[n]) if len(pairs) > 1 else None
-                    for n in names},
-        "digests_stable": {side: all(d == digests[side][0] for d in digests[side]) for side in ("base", "head")},
-        "digest_changes": digest_changes(digests["base"][0], digests["head"][0]),
-        "failed_changed": failed_changed(pairs),
-    }
-    out = args.out or f"bench-pairs-{args.workload}-seed{args.seed}.json"
+        }
+        report["verdict"] = {
+            n: verdict(values("base", n), values("head", n), lower[n], bound[n]) if len(pairs) > 1 else None
+            for n in names
+        }
+    report["digests_stable"] = {side: all(d == digests[side][0] for d in digests[side]) for side in ("base", "head")}
+    report["digest_changes"] = digest_changes(digests["base"][0], digests["head"][0])
+    report["failed_changed"] = failed_changed(pairs)
+    out = args.out or f"bench-pairs-{args.workload}-seed{args.seed}{'-trace' if args.trace else ''}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
-    print(json.dumps({"median": report["median"], "head_better_pairs": report["head_better_pairs"],
-                      "verdict": report["verdict"], "digests_stable": report["digests_stable"],
-                      "digest_changes": report["digest_changes"],
-                      "failed_changed": report["failed_changed"]}))
+    keys = ("median", "head_better_pairs", "verdict", "digests_stable", "digest_changes", "failed_changed")
+    print(json.dumps({k: report[k] for k in keys if k in report}))
     return 0
 
 
